@@ -14,6 +14,7 @@ from pathlib import Path
 from .config import load_scenario
 from .errors import EngineError, ValidationError
 from .report import emit_report, run_experiment
+from .utility import EntropicUtility
 
 
 def _resolve_scenario(name_or_path: str) -> Path:
@@ -113,11 +114,11 @@ def _cmd_bench(args) -> int:
     if args.scenario is None:
         args.scenario = "hurricane-three-farmers"
     config = _load(args)
-    report = run_experiment(config)
-    if not report.get("closed_form"):
+    if not all(isinstance(u, EntropicUtility) for u in config.profile.evaluators):
         print("bench needs an all-entropic scenario with a closed form",
               file=sys.stderr)
         return 2
+    report = run_experiment(config)
     _emit(report, args, config)
     _print_summary(report)
     cf = report["closed_form"]

@@ -14,6 +14,21 @@ a weak*-style metric
 where the test family {h_k} starts with the per-agent mass functionals
 e_i (x) 1 and continues with per-(agent, state) coordinate indicators, each
 normalized to unit L1 norm under the reference probability.
+
+On a grid every allocation is linear in its class shares q (one simplex point
+per state class), so each pairing <xi, h_k> is a row of coefficients on q.
+A member whose row has one nonzero entry contributes 2^-(k+1) |coef| |dq_ci|,
+so all such members merge into one feature per (class, agent) whose weight is
+the sum of theirs; members with all-zero rows drop out.  The distance stays
+exact while the feature count falls from n + n*m to n*C, plus the agent-mass
+functionals that span several classes.
+
+The distance is convex in the pair of share profiles, and the share set is a
+product of simplices, so the menu diameter is reached at a pair of vertices
+(Rockafellar, Convex Analysis, Cor. 32.3.2): points whose share row is a unit
+vector in every class.  Those n^C points are grid points, so scanning their
+pairs gives the exact diameter; only beyond 4096 vertices does the menu fall
+back to the coordinatewise-range upper bound.
 """
 
 from __future__ import annotations
@@ -358,32 +373,81 @@ class MenuGrid:
         return self.points[k]
 
     @cached_property
+    def _merged_metric(self) -> tuple[np.ndarray, np.ndarray]:
+        """(feature map, feature weights) of the metric on this grid.
+
+        Row k of the coefficient matrix is <xi, h_k> as a linear form in the
+        flattened (class, agent) shares: the sum over the states w of class
+        c of h_k[i, w] P(w) X(w).  Single-entry rows merge into their column
+        with weight sum 2^-(k+1) |coef|; all-zero rows drop out; the rest
+        stay as they are.
+        """
+        metric, cls = self.metric, self.class_of_state
+        onehot = np.zeros((len(self.x), self.n_classes))
+        member = cls >= 0
+        onehot[member, cls[member]] = 1.0
+        weighted = metric.test_functions * (metric.probs * self.x)[None, None, :]
+        rows = (weighted @ onehot).transpose(0, 2, 1).reshape(metric.n_members, -1)
+        nnz = np.count_nonzero(rows, axis=1)
+        single = nnz == 1
+        kept = nnz > 1
+        merged = metric.weights[single] @ np.abs(rows[single])
+        cols = np.nonzero(merged)[0]
+        feature_map = np.concatenate([rows[kept], np.eye(rows.shape[1])[cols]])
+        weights = np.concatenate([metric.weights[kept], merged[cols]])
+        feature_map.setflags(write=False)
+        weights.setflags(write=False)
+        return feature_map, weights
+
+    @property
+    def feature_weights(self) -> np.ndarray:
+        """Series weight of each column of ``features``."""
+        return self._merged_metric[1]
+
+    @cached_property
     def features(self) -> np.ndarray:
-        return self.metric.features(self.points)
+        """(points x features) distance features, linear in the class shares.
+
+        Members of the metric's test family whose share-coefficient row has
+        a single nonzero entry are merged into one feature per (class,
+        agent); the others, the agent-mass functionals of a multi-class
+        grid, are kept as they are.  With ``feature_weights`` they give the
+        metric exactly: d(j, k) = |g_j - g_k| . feature_weights.
+        """
+        p = self.n_points
+        flat = self.shares.reshape(p, self.n_classes * self.n_agents)
+        return flat @ self._merged_metric[0].T
 
     def distances_to(self, k: int) -> np.ndarray:
         """Metric distance from every grid point to point ``k``."""
         g = self.features
-        return np.abs(g - g[k]) @ self.metric.weights
+        gap = g - g[k]
+        np.abs(gap, out=gap)
+        return gap @ self.feature_weights
 
     def distance(self, j: int, k: int) -> float:
         g = self.features
-        return float(np.dot(self.metric.weights, np.abs(g[j] - g[k])))
+        return float(np.dot(self.feature_weights, np.abs(g[j] - g[k])))
 
     @cached_property
     def diameter(self) -> tuple[float, bool]:
         """(diameter, exact) under the menu metric.
 
-        Exact all-pairs scan up to 4096 points; beyond that, the sound
-        coordinatewise-range upper bound (never below the true diameter).
+        The distance is convex in the pair of share profiles, so its maximum
+        over the product of simplices sits at a pair of vertices, points
+        whose share row is a unit vector in every class (Rockafellar, Convex
+        Analysis, Cor. 32.3.2).  Exact scan over those n^C vertex pairs up
+        to 4096 vertices; beyond that, the sound coordinatewise-range upper
+        bound over the vertices, which equals the range over the whole grid
+        because the features are linear in the shares.
         """
-        g = self.features
-        w = self.metric.weights
-        p = g.shape[0]
-        if p <= 4096:
+        g = self.features[np.all(self.shares.max(axis=2) == 1.0, axis=1)]
+        w = self.feature_weights
+        v = g.shape[0]
+        if v <= 4096:
             best = 0.0
-            for lo in range(0, p, 256):
-                hi = min(lo + 256, p)
+            for lo in range(0, v, 256):
+                hi = min(lo + 256, v)
                 best = max(best, float(_pair_distances(g, w, lo, hi).max()))
             return best, True
         span = g.max(axis=0) - g.min(axis=0)
@@ -513,7 +577,7 @@ def lipschitz_ratio(values, grid: MenuGrid, *, exhaustive_threshold: int = 512,
     if p < 2:
         return 0.0
     g = grid.features
-    w = grid.metric.weights
+    w = grid.feature_weights
     if p <= exhaustive_threshold:
         best = 0.0
         for lo in range(0, p, 256):

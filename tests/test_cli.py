@@ -209,6 +209,23 @@ def test_cli_bench_resolution_override(tmp_path, capsys):
     assert "share gap" in txt
 
 
+def test_cli_bench_rejects_maxmin_before_running(tmp_path, monkeypatch, capsys):
+    doc = minimal_doc()
+    doc["utilities"][1] = {"kind": "maxmin", "gamma": 1.0,
+                           "priors": [[0.5, 0.5], [0.4, 0.6]]}
+    path = write_scenario(tmp_path, doc)
+
+    def never(*args, **kwargs):
+        raise AssertionError("run_experiment called")
+
+    monkeypatch.setattr("pricechoose.cli.run_experiment", never)
+    code = main(["bench", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "bench needs an all-entropic scenario with a closed form" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_tabular_only(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--scenario", "two-agent-hand", "--out", str(out),

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pricechoose as pc
-from pricechoose.menu import compositions
+from pricechoose.menu import _pair_distances, compositions
+
+from conftest import hurricane_space
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +240,49 @@ def test_metric_separates_grid_points_exhaustively():
     space = pc.StateSpace(["a", "b"], [0.5, 0.5])
     grid = pc.enumerate_grid(space, np.array([-1.0, 2.0]), 2, 3)
     g = grid.features
-    d = np.abs(g[:, None, :] - g[None, :, :]) @ grid.metric.weights
+    d = np.abs(g[:, None, :] - g[None, :, :]) @ grid.feature_weights
     off = d + np.eye(grid.n_points) * d.max()
     assert off.min() > 0.0
     assert np.allclose(d, d.T)
+
+
+def _all_pairs_grids():
+    space = pc.StateSpace(["a", "b", "c"], [0.5, 0.3, 0.2])
+    x = np.array([-1.0, 0.0, 2.5])
+    yield pc.enumerate_grid(space, x, 3, 4)
+    yield pc.enumerate_grid(space, x, 3, 5, state_classes="single")
+    yield pc.enumerate_grid(space, np.array([-1.0, -2.0, -0.5]), 2, 5,
+                            state_classes=["u", "v", "u"])
+    for k in (2, 4, 7):
+        yield pc.enumerate_grid(space, x, 2, 4,
+                                metric=pc.build_metric(space, 2, max_members=k))
+
+
+@pytest.mark.parametrize("grid", list(_all_pairs_grids()))
+def test_grid_distance_matches_metric_definition_all_pairs(grid):
+    worst = 0.0
+    for j in range(grid.n_points):
+        for k in range(grid.n_points):
+            ref = pc.metric_distance(grid.metric, grid.points[j], grid.points[k])
+            got = grid.distance(j, k)
+            assert (got == 0.0) == (ref == 0.0)
+            if ref:
+                worst = max(worst, abs(got - ref) / ref)
+    assert worst <= 1e-14
+
+
+def test_merged_features_one_per_class_and_agent():
+    space, endow = hurricane_space()
+    x = pc.aggregate_risk(endow)
+    single = pc.enumerate_grid(space, x, 3, 10, state_classes="single")
+    assert single.features.shape == (single.n_points, 3)
+    labels = [0, 1, 1, 2, 1, 2, 2, 3]
+    classes = pc.enumerate_grid(space, x, 3, 2, state_classes=labels)
+    # 3 classes x 3 agents, plus the 3 agent-mass functionals spanning them
+    assert classes.features.shape == (classes.n_points, 12)
+    assert classes.feature_weights.shape == (12,)
+    per_state = pc.enumerate_grid(space, x, 3, 1)
+    assert per_state.features.shape[1] == per_state.metric.n_members - 3
 
 
 @given(st.data())
@@ -336,6 +377,53 @@ def test_diameter_exact_matches_bound(two_state):
     diam, exact = grid.diameter
     assert exact
     g = grid.features
-    ub = float(np.dot(grid.metric.weights, g.max(axis=0) - g.min(axis=0)))
+    ub = float(np.dot(grid.feature_weights, g.max(axis=0) - g.min(axis=0)))
     assert diam <= ub + 1e-15
     assert diam >= grid.distance(0, grid.n_points - 1) - 1e-15
+
+
+def _full_scan_diameter(grid):
+    g, w, p = grid.features, grid.feature_weights, grid.n_points
+    return max(float(_pair_distances(g, w, lo, min(lo + 256, p)).max())
+               for lo in range(0, p, 256))
+
+
+def _small_grids():
+    space = pc.StateSpace(["a", "b", "c"], [0.5, 0.3, 0.2])
+    yield pc.enumerate_grid(space, np.array([-1.0, -2.0, 3.0]), 3, 12,
+                            state_classes="single")
+    yield pc.enumerate_grid(space, np.array([-1.0, -2.0, 3.0]), 2, 9)
+    yield pc.enumerate_grid(space, np.array([-1.0, 0.0, -0.5]), 3, 6,
+                            state_classes=["u", "u", "v"])
+    yield pc.enumerate_grid(space, np.zeros(3), 3, 5)
+
+
+@pytest.mark.parametrize("grid", list(_small_grids()))
+def test_vertex_diameter_equals_full_scan(grid):
+    assert grid.n_points <= 4096
+    diam, exact = grid.diameter
+    assert exact
+    assert diam == _full_scan_diameter(grid)
+
+
+def test_all_zero_risk_diameter_is_zero():
+    space = pc.StateSpace(["a", "b"], [0.5, 0.5])
+    grid = pc.enumerate_grid(space, np.zeros(2), 2, 4)
+    assert grid.n_classes == 0
+    assert grid.diameter == (0.0, True)
+
+
+def test_vertex_diameter_exact_above_4096_points():
+    space = pc.StateSpace(["a", "b", "c"], [0.5, 0.3, 0.2])
+    grid = pc.enumerate_grid(space, np.array([-1.0, -2.0, 3.0]), 2, 20)
+    assert grid.n_points == 9261
+    diam, exact = grid.diameter
+    assert exact
+    vertices = np.nonzero(np.all(grid.shares.max(axis=2) == 1.0, axis=1))[0]
+    assert len(vertices) == 2 ** 3
+    best = max(pc.metric_distance(grid.metric, grid.points[a], grid.points[b])
+               for a in vertices for b in vertices)
+    assert abs(diam - best) <= 1e-14 * best
+    g = grid.metric.features(grid.points)
+    bound = float(np.dot(grid.metric.weights, g.max(axis=0) - g.min(axis=0)))
+    assert diam <= bound
