@@ -91,6 +91,15 @@ def _check_number_list(values, name: str, errors: list[str]) -> bool:
     return True
 
 
+def _section(d: dict, name: str, defaults: dict, errors: list[str]) -> dict:
+    """A top-level object section over its defaults; a non-object is an error."""
+    given = d.get(name, {})
+    if not isinstance(given, dict):
+        errors.append(f"{name} must be an object")
+        given = {}
+    return {**defaults, **given}
+
+
 def _validate_utilities(specs, n_agents: int, n_states: int, probs,
                         errors: list[str]) -> None:
     if not isinstance(specs, list):
@@ -187,7 +196,7 @@ def scenario_from_dict(d: dict, source: str = "<dict>") -> ScenarioConfig:
     _validate_utilities(d.get("utilities"), n_agents, n_states,
                         probs if probs_ok else None, errors)
 
-    grid = dict(_GRID_DEFAULTS, **d.get("grid", {}))
+    grid = _section(d, "grid", _GRID_DEFAULTS, errors)
     resolution = grid.get("resolution")
     if not isinstance(resolution, int) or isinstance(resolution, bool) or resolution < 1:
         errors.append(f"grid.resolution must be an integer >= 1, got {resolution!r}")
@@ -206,7 +215,7 @@ def scenario_from_dict(d: dict, source: str = "<dict>") -> ScenarioConfig:
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         errors.append(f"grid.budget must be a positive integer, got {budget!r}")
 
-    mech = dict(_MECH_DEFAULTS, **d.get("mechanism", {}))
+    mech = _section(d, "mechanism", _MECH_DEFAULTS, errors)
     if mech.get("mode") not in ("exact", "perturbed"):
         errors.append(f"mechanism.mode must be 'exact' or 'perturbed', got {mech.get('mode')!r}")
     cap = mech.get("lipschitz_cap")
@@ -219,13 +228,13 @@ def scenario_from_dict(d: dict, source: str = "<dict>") -> ScenarioConfig:
     if eps is not None and (not _is_number(eps) or eps <= 0):
         errors.append(f"mechanism.epsilon must be positive when given, got {eps!r}")
 
-    audits = dict(_AUDIT_DEFAULTS, **d.get("audits", {}))
+    audits = _section(d, "audits", _AUDIT_DEFAULTS, errors)
     for key in ("deviations", "bid_points"):
         v = audits.get(key)
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             errors.append(f"audits.{key} must be a nonnegative integer, got {v!r}")
 
-    output = dict(_OUTPUT_DEFAULTS, **d.get("output", {}))
+    output = _section(d, "output", _OUTPUT_DEFAULTS, errors)
     if not isinstance(output.get("dir"), str) or not output["dir"]:
         errors.append(f"output.dir must be a nonempty string, got {output.get('dir')!r}")
     if output.get("format") not in ("structured", "tabular", "both"):
@@ -234,8 +243,8 @@ def scenario_from_dict(d: dict, source: str = "<dict>") -> ScenarioConfig:
             f"got {output.get('format')!r}")
 
     seed = d.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        errors.append(f"seed must be an integer, got {seed!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        errors.append(f"seed must be a nonnegative integer, got {seed!r}")
 
     if errors:
         raise ValidationError([f"{source}: {e}" for e in errors])

@@ -246,18 +246,32 @@ def pareto_check(profile: UtilityProfile, grid: MenuGrid, xi, *,
     Also reports whether the allocation's total welfare attains the grid
     maximum, so the optimality-equals-maximality equivalence can be checked
     in both directions on the discretization.
+
+    The scan runs one agent column at a time over an agent-major copy of
+    ``umat`` (no copy when ``umat`` is already column-major), so every pass
+    is contiguous.  Grid welfare is summed column by column from zero in
+    agent order; up to 7 agents that equals ``umat.sum(axis=1)`` bit for
+    bit, from 8 agents numpy's pairwise summation can differ by a few ulp.
     """
     if umat is None:
         umat = profile.matrix(grid)
     u0 = profile.at_point(np.asarray(xi, dtype=float))
-    weak = np.all(umat >= u0[None, :] - slack, axis=1)
-    strict = np.any(umat > u0[None, :] + slack, axis=1)
-    dominating = np.nonzero(weak & strict)[0]
-    wmax = float(umat.sum(axis=1).max())
+    cols = np.ascontiguousarray(umat.T)
+    weak = np.ones(cols.shape[1], dtype=bool)
+    strict = np.zeros(cols.shape[1], dtype=bool)
+    totals = np.zeros(cols.shape[1])
+    for i, col in enumerate(cols):
+        weak &= col >= u0[i] - slack
+        strict |= col > u0[i] + slack
+        totals += col
+    dominating = weak & strict
+    first = int(np.argmax(dominating))
+    dominated = bool(dominating[first])
+    wmax = float(totals.max())
     wval = float(u0.sum())
     return ParetoCheck(
-        optimal=dominating.size == 0,
-        dominating_index=int(dominating[0]) if dominating.size else None,
+        optimal=not dominated,
+        dominating_index=first if dominated else None,
         welfare_value=wval,
         welfare_max=wmax,
         attains_max=bool(wval >= wmax - welfare_tol),

@@ -84,6 +84,31 @@ def test_overrides_revalidate(tmp_path):
         config.with_overrides(iota=2.0)
 
 
+@pytest.mark.parametrize("section", ["grid", "mechanism", "audits", "output"])
+def test_non_object_section_is_validation_error(tmp_path, capsys, section):
+    doc = minimal_doc()
+    doc[section] = None
+    path = write_scenario(tmp_path, doc)
+    with pytest.raises(pc.ValidationError) as err:
+        pc.load_scenario(path)
+    assert f"{path}: {section} must be an object" in err.value.errors
+    assert main(["validate", "--scenario", str(path)]) == 2
+    assert f"{section} must be an object" in capsys.readouterr().err
+
+
+def test_negative_seed_is_validation_error(tmp_path, capsys):
+    doc = minimal_doc()
+    doc["seed"] = -1
+    path = write_scenario(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+    assert main(["run", "--scenario", "two-agent-hand", "--seed", "-1",
+                 "--out", str(out)]) == 2
+    assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # run_experiment and reports
 # ---------------------------------------------------------------------------

@@ -201,30 +201,79 @@ def test_single_point_grid_always_optimal():
     assert check.optimal and check.attains_max
 
 
+def _pareto_case(n_agents):
+    """(profile, coarse menu, finer oracle menu) for n agents; from three
+    agents on, the last one is max-min over two priors."""
+    n_states, coarse_res, oracle_res = {1: (2, 3, 3), 2: (2, 10, 40), 3: (3, 2, 6),
+                                        4: (2, 3, 6), 5: (2, 2, 4)}[n_agents]
+    probs, other = {2: ([0.6, 0.4], [0.5, 0.5]),
+                    3: ([0.5, 0.3, 0.2], [0.3, 0.3, 0.4])}[n_states]
+    space = pc.StateSpace(["a", "b", "c"][:n_states], probs)
+    x = -np.arange(1.0, n_states + 1.0)
+    gammas = (1.0, 2.5, 0.7, 1.6, 3.0)[:n_agents]
+    evaluators = [pc.EntropicUtility(g, space.probs) for g in gammas]
+    if n_agents >= 3:
+        credal = pc.CredalSet(np.array([probs, other]), space.probs)
+        evaluators[-1] = pc.MaxMinUtility(gammas[-1], credal)
+    profile = pc.UtilityProfile(tuple(evaluators))
+    coarse = pc.enumerate_grid(space, x, n_agents, coarse_res)
+    oracle = pc.enumerate_grid(space, x, n_agents, oracle_res)
+    return profile, coarse, oracle
+
+
+def _naive_utilities(profile, points):
+    """(points x agents) certainty equivalents by the textbook formula,
+    the minimum over priors for a max-min agent."""
+    cols = []
+    for i, u in enumerate(profile.evaluators):
+        priors = u.credal.priors if isinstance(u, pc.MaxMinUtility) else u.probs[None, :]
+        per_prior = -np.log(np.exp(-u.gamma * points[:, i, :]) @ priors.T) / u.gamma
+        cols.append(per_prior.min(axis=1))
+    return np.stack(cols, axis=1)
+
+
+def _naive_first_dominating(u_oracle, u0, slack):
+    weak = np.all(u_oracle >= u0[None, :] - slack, axis=1)
+    strict = np.any(u_oracle > u0[None, :] + slack, axis=1)
+    hits = np.nonzero(weak & strict)[0]
+    return int(hits[0]) if hits.size else None
+
+
 def test_pareto_verdicts_match_independent_scan():
-    """Cross-validate the scan against a plain reimplementation on a finer menu."""
-    space = pc.StateSpace(["a", "b"], [0.6, 0.4])
-    x = np.array([-1.0, -2.0])
-    profile = entropic_profile(space.probs, [1.0, 2.5])
-    coarse = pc.enumerate_grid(space, x, 2, 10)
-    oracle = pc.enumerate_grid(space, x, 2, 40)
-
-    def naive_utilities(grid):
-        out = np.empty((grid.n_points, 2))
-        for i, g in enumerate((1.0, 2.5)):
-            rows = grid.points[:, i, :]
-            out[:, i] = -np.log(np.exp(-g * rows) @ space.probs) / g
-        return out
-
-    u_oracle = naive_utilities(oracle)
-    umat = profile.matrix(oracle)
+    """Cross-validate the scan against a plain reimplementation on a finer
+    menu: 1 to 5 agents, row- and column-major utility matrices, and rows
+    placed exactly at the slack boundary."""
     slack = 1e-12
-    for k in range(coarse.n_points):
-        xi = coarse.point(k)
-        verdict = pc.pareto_check(profile, oracle, xi, umat=umat)
-        u0 = np.array([
-            -np.log(float(np.dot(space.probs, np.exp(-g * xi[i])))) / g
-            for i, g in enumerate((1.0, 2.5))])
-        weak = np.all(u_oracle >= u0[None, :] - slack, axis=1)
-        strict = np.any(u_oracle > u0[None, :] + slack, axis=1)
-        assert bool(np.any(weak & strict)) == (not verdict.optimal)
+    for n_agents in range(1, 6):
+        profile, coarse, oracle = _pareto_case(n_agents)
+        u_oracle = _naive_utilities(profile, oracle.points)
+        u_coarse = _naive_utilities(profile, coarse.points)
+        firsts = [_naive_first_dominating(u_oracle, u0, slack) for u0 in u_coarse]
+        for order in ("C", "F"):
+            umat = np.asarray(profile.matrix(oracle), order=order)
+            wmax = float(umat.sum(axis=1).max()).hex()
+            for k, expected in enumerate(firsts):
+                verdict = pc.pareto_check(profile, oracle, coarse.point(k), umat=umat)
+                assert verdict.dominating_index == expected
+                assert verdict.optimal == (expected is None)
+                assert verdict.welfare_max.hex() == wmax
+
+            # A row exactly at u0 - slack still improves weakly and a row
+            # exactly at u0 + slack does not improve strictly; one ulp past
+            # either boundary decides.
+            u0 = profile.at_point(coarse.point(0))
+            lo, hi = u0 - slack, u0 + slack
+            last = np.arange(n_agents) == n_agents - 1
+            rows = np.array([
+                lo,
+                np.where(last, hi, lo),
+                np.where(last, np.nextafter(hi, np.inf), np.nextafter(lo, -np.inf)),
+                np.where(last, np.nextafter(hi, np.inf), lo),
+            ])
+            boundary = np.asarray(np.vstack([rows, umat]), order=order)
+            verdict = pc.pareto_check(profile, oracle, coarse.point(0), umat=boundary)
+            # with one agent, row 2 has no agent below u0 - slack
+            expected = 2 if n_agents == 1 else 3
+            assert _naive_first_dominating(boundary, u0, slack) == expected
+            assert verdict.dominating_index == expected and not verdict.optimal
+            assert verdict.welfare_max.hex() == float(boundary.sum(axis=1).max()).hex()
