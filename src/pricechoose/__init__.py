@@ -32,7 +32,7 @@ from .errors import (
 from .mechanism import (
     BestResponse,
     DeviationAudit,
-    MechanismParams,
+    Game,
     PriceSchedule,
     ScheduleDiagnostics,
     Transcript,

@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .mechanism import MechanismParams, Transcript, calibrate, run_pnc
-from .menu import MenuGrid
-from .utility import UtilityProfile, average_utilities
+from .mechanism import Game, Transcript, run_pnc
 
 _WINNER_SEED = 47_02    # uniform winner draw label
 
@@ -44,22 +42,18 @@ class SurplusReport:
         }
 
 
-def efficient_surplus(profile: UtilityProfile, grid: MenuGrid, *,
-                      umat: np.ndarray | None = None) -> SurplusReport:
+def efficient_surplus(game: Game) -> SurplusReport:
     """eta = grid welfare maximum minus the summed menu averages.
 
     Nonnegative whenever the grid holds a point at least as good as the
     average benchmark, which the welfare maximum always is; tiny negative
     float residue is clamped, anything worse is reported as-is.
     """
-    if umat is None:
-        umat = profile.matrix(grid)
-    wmax = float(umat.sum(axis=1).max())
-    averages = average_utilities(profile, grid, umat)
-    eta = wmax - float(averages.sum())
+    eta = game.welfare_max - float(game.averages.sum())
     if -ETA_NOISE_TOL <= eta < 0.0:
         eta = 0.0
-    return SurplusReport(eta=eta, welfare_max=wmax, averages=averages)
+    return SurplusReport(eta=eta, welfare_max=game.welfare_max,
+                         averages=game.averages)
 
 
 def equilibrium_bid(eta: float, n: int) -> float:
@@ -123,9 +117,7 @@ def _transfers(bids: np.ndarray, winner: int) -> np.ndarray:
     return t
 
 
-def run_auction_then_pnc(profile: UtilityProfile, grid: MenuGrid, seed: int = 0, *,
-                         params: MechanismParams | None = None,
-                         umat: np.ndarray | None = None,
+def run_auction_then_pnc(game: Game, seed: int = 0, *,
                          winner: int | None = None) -> CombinedOutcome:
     """Equilibrium bidding, a seeded uniform winner draw, then exact-mode play.
 
@@ -135,12 +127,8 @@ def run_auction_then_pnc(profile: UtilityProfile, grid: MenuGrid, seed: int = 0,
     Final payoffs come out at Avg_i + eta / n for every agent regardless of
     who won.
     """
-    n = profile.n_agents
-    if umat is None:
-        umat = profile.matrix(grid)
-    if params is None:
-        params = calibrate(profile, grid)
-    surplus = efficient_surplus(profile, grid, umat=umat)
+    n = game.n_agents
+    surplus = efficient_surplus(game)
     b = equilibrium_bid(surplus.eta, n)
     bids = np.full(n, b)
     if winner is None:
@@ -149,8 +137,7 @@ def run_auction_then_pnc(profile: UtilityProfile, grid: MenuGrid, seed: int = 0,
         winner = int(tie_set[rng.integers(len(tie_set))])
     transfers = _transfers(bids, winner)
     order = [winner] + [i for i in range(n) if i != winner]
-    transcript = run_pnc(profile, grid, "exact", params=params, order=order,
-                         umat=umat)
+    transcript = run_pnc(game, "exact", order=order)
     final = transcript.payoffs + transfers
     outcome = AuctionOutcome(bids=bids, winner=winner, transfers=transfers,
                              seed=int(seed))
@@ -195,18 +182,15 @@ def expected_deviation_payoff(avg_i: float, eta: float, b_star: float,
     return avg_i + (eta - b_star) / n + rebate * (n - 1) / n
 
 
-def audit_bid_deviation(profile: UtilityProfile, grid: MenuGrid, *,
-                        bid_grid=None, num_bids: int = 101,
-                        umat: np.ndarray | None = None) -> BidAudit:
+def audit_bid_deviation(game: Game, *, bid_grid=None,
+                        num_bids: int = 101) -> BidAudit:
     """Check no unilateral bid deviation beats the equilibrium expectation.
 
     Expected payoffs under the winner draw are computed analytically from
     (Avg_i, eta, b*); nothing is sampled.
     """
-    n = profile.n_agents
-    if umat is None:
-        umat = profile.matrix(grid)
-    surplus = efficient_surplus(profile, grid, umat=umat)
+    n = game.n_agents
+    surplus = efficient_surplus(game)
     b_star = equilibrium_bid(surplus.eta, n)
     if bid_grid is None:
         bid_grid = default_bid_grid(surplus.eta, b_star, num_bids)

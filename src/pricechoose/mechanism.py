@@ -17,7 +17,8 @@ terminal choice a strict, selection-free argmax at the target.
 
 Admissible schedules have zero menu mean, Lipschitz constant at most
 (n-1) * cap under the menu metric, and sup norm at most that cap times the
-menu diameter.
+menu diameter.  Every entry point reads its menu data (utility matrix,
+cap, averages, W_max) from one ``Game`` built by ``calibrate``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ParameterError, StructuralError
 from .menu import PAIR_SEED, MenuGrid, integrate, lipschitz_ratio
-from .utility import UtilityProfile, estimate_lipschitz
+from .utility import UtilityProfile, average_utilities, warn_if_over_declared
 
 ZERO_MEAN_TOL = 1e-9
 LIP_SLACK = 1e-9
@@ -39,12 +40,25 @@ _DEVIATION_SEED = 86_01      # first-mover deviation sampling
 
 
 @dataclass(frozen=True)
-class MechanismParams:
-    """Calibrated Lipschitz data: per-agent estimates and the shared cap."""
+class Game:
+    """One prepared menu: the data every payoff and audit reads.
 
+    Holds the utility matrix, the calibrated Lipschitz data, the menu
+    averages Avg_i and the grid welfare maximum W_max.  Build it once with
+    ``calibrate`` and pass it along.
+    """
+
+    profile: UtilityProfile
+    grid: MenuGrid
+    umat: np.ndarray = field(repr=False)          # (points x agents)
     agent_lipschitz: np.ndarray = field(repr=False)
     cap: float
-    n_agents: int
+    averages: np.ndarray = field(repr=False)
+    welfare_max: float
+
+    @property
+    def n_agents(self) -> int:
+        return self.profile.n_agents
 
     @property
     def stage_cap(self) -> float:
@@ -52,22 +66,30 @@ class MechanismParams:
 
 
 def calibrate(profile: UtilityProfile, grid: MenuGrid, *,
-              cap: float | None = None, seed: int = PAIR_SEED) -> MechanismParams:
-    """Estimate each utility's Lipschitz constant and pick the price cap.
+              cap: float | None = None, seed: int = PAIR_SEED) -> Game:
+    """Evaluate the utility matrix once and derive everything else from it.
 
-    Default cap is 1.5x the largest estimate, which leaves the strict
+    Each agent's Lipschitz estimate is measured on its matrix column.  The
+    default cap is 1.5x the largest estimate, which leaves the strict
     headroom the equalizing and bump constructions need; override it when a
     scenario declares its own constant.  The default seed pins the canonical
     pair sample so calibration and schedule validation measure alike.
     """
-    est = np.array([estimate_lipschitz(u, grid, i, seed=seed)
-                    for i, u in enumerate(profile.evaluators)])
+    if cap is not None and cap <= 0.0:
+        raise ParameterError("Lipschitz cap must be positive")
+    umat = profile.matrix(grid)
+    est = np.array([lipschitz_ratio(umat[:, i], grid, seed=seed)
+                    for i in range(profile.n_agents)])
+    for i, u in enumerate(profile.evaluators):
+        warn_if_over_declared(u, float(est[i]), i)
     if cap is None:
         cap = CAP_SAFETY * float(est.max())
-    elif cap <= 0.0:
-        raise ParameterError("Lipschitz cap must be positive")
-    return MechanismParams(agent_lipschitz=est, cap=float(cap),
-                           n_agents=profile.n_agents)
+    averages = average_utilities(grid, umat)
+    for shared in (umat, est, averages):
+        shared.setflags(write=False)
+    return Game(profile=profile, grid=grid, umat=umat, agent_lipschitz=est,
+                cap=float(cap), averages=averages,
+                welfare_max=float(umat.sum(axis=1).max()))
 
 
 @dataclass(frozen=True)
@@ -84,11 +106,6 @@ class PriceSchedule:
 
     def to_dict(self) -> dict:
         return {"values": self.values.tolist(), "declared_lip": self.declared_lip}
-
-    @staticmethod
-    def from_dict(d: dict) -> "PriceSchedule":
-        return PriceSchedule(values=np.asarray(d["values"], dtype=float),
-                             declared_lip=float(d["declared_lip"]))
 
 
 @dataclass(frozen=True)
@@ -150,9 +167,28 @@ def _resolve_order(n: int, order) -> list[int]:
     return order
 
 
-def equalizing_price(profile: UtilityProfile, grid: MenuGrid, leader: int, *,
-                     params: MechanismParams | None = None,
-                     order=None, umat: np.ndarray | None = None) -> PriceSchedule:
+def _equalize(game: Game, leader: int,
+              order: list[int]) -> tuple[PriceSchedule, ScheduleDiagnostics]:
+    """Equalizing schedule of ``leader`` plus the diagnostics that admitted it."""
+    n = game.n_agents
+    if not 0 <= leader <= n - 2:
+        raise StructuralError(f"leader {leader} out of range for {n} agents")
+    tail = _tail_values(game.umat, order, leader + 1)
+    values = tail - integrate(game.grid, tail)
+    declared = float(sum(game.agent_lipschitz[order[j]]
+                         for j in range(leader + 1, n)))
+    schedule = PriceSchedule(values=values, declared_lip=declared)
+    diag = validate_schedule(schedule, game.grid, game.stage_cap)
+    if not diag.lip_ok:
+        raise ConfigurationError(
+            f"equalizing schedule has empirical Lipschitz {diag.empirical_lip:.6g} "
+            f"over the cap {game.stage_cap:.6g}; the cap is too small for the "
+            "declared utilities"
+        )
+    return schedule, diag
+
+
+def equalizing_price(game: Game, leader: int, *, order=None) -> PriceSchedule:
     """Schedule posted by ``leader`` (0-based) equalizing continuation welfare.
 
     Values are the tail welfare of agents after the leader minus its menu
@@ -160,27 +196,7 @@ def equalizing_price(profile: UtilityProfile, grid: MenuGrid, leader: int, *,
     menu point.  Raises when the result breaks the Lipschitz cap: the cap is
     too small for the declared utilities.
     """
-    n = profile.n_agents
-    if not 0 <= leader <= n - 2:
-        raise StructuralError(f"leader {leader} out of range for {n} agents")
-    order = _resolve_order(n, order)
-    if umat is None:
-        umat = profile.matrix(grid)
-    if params is None:
-        params = calibrate(profile, grid)
-    tail = _tail_values(umat, order, leader + 1)
-    values = tail - integrate(grid, tail)
-    declared = float(sum(params.agent_lipschitz[order[j]]
-                         for j in range(leader + 1, n)))
-    schedule = PriceSchedule(values=values, declared_lip=declared)
-    diag = validate_schedule(schedule, grid, params.stage_cap)
-    if not diag.lip_ok:
-        raise ConfigurationError(
-            f"equalizing schedule has empirical Lipschitz {diag.empirical_lip:.6g} "
-            f"over the cap {params.stage_cap:.6g}; the cap is too small for the "
-            "declared utilities"
-        )
-    return schedule
+    return _equalize(game, leader, _resolve_order(game.n_agents, order))[0]
 
 
 def bump_profile(grid: MenuGrid, target: int, iota: float) -> np.ndarray:
@@ -242,7 +258,11 @@ def follower_best_response(tail_values, schedule: PriceSchedule,
 
 @dataclass(frozen=True)
 class Transcript:
-    """Full record of one mechanism run: schedules, choice, and payoffs."""
+    """Full record of one mechanism run: schedules, choice, and payoffs.
+
+    ``diagnostics`` holds each posted schedule's admissibility checks, made
+    once when the schedule was built; they stay out of ``to_dict``.
+    """
 
     schedules: tuple[PriceSchedule, ...]
     chosen: int
@@ -250,6 +270,7 @@ class Transcript:
     order: tuple[int, ...]
     mode: str                                    # exact | perturbed
     selection_rule: str
+    diagnostics: tuple[ScheduleDiagnostics, ...] = field(repr=False)
     target: int | None = None
     epsilon: float | None = None
     iota: float | None = None
@@ -266,20 +287,6 @@ class Transcript:
             "epsilon": self.epsilon,
             "iota": self.iota,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "Transcript":
-        return Transcript(
-            schedules=tuple(PriceSchedule.from_dict(s) for s in d["schedules"]),
-            chosen=int(d["chosen"]),
-            payoffs=np.asarray(d["payoffs"], dtype=float),
-            order=tuple(int(i) for i in d["order"]),
-            mode=d["mode"],
-            selection_rule=d["selection_rule"],
-            target=None if d["target"] is None else int(d["target"]),
-            epsilon=d["epsilon"],
-            iota=d["iota"],
-        )
 
 
 def _payoffs_from_schedules(umat: np.ndarray, order: list[int],
@@ -299,10 +306,9 @@ def default_epsilon(iota: float, stage_cap: float, max_base_lip: float) -> float
     return 0.5 * iota * (stage_cap - max_base_lip)
 
 
-def run_pnc(profile: UtilityProfile, grid: MenuGrid, mode: str = "exact", *,
+def run_pnc(game: Game, mode: str = "exact", *,
             epsilon: float | None = None, iota: float = DEFAULT_IOTA,
-            params: MechanismParams | None = None, order=None,
-            umat: np.ndarray | None = None) -> Transcript:
+            order=None) -> Transcript:
     """Simulate the equilibrium path of the sequential mechanism.
 
     Exact mode posts the equalizing schedule at every stage and resolves the
@@ -315,20 +321,16 @@ def run_pnc(profile: UtilityProfile, grid: MenuGrid, mode: str = "exact", *,
     is a strict argmax with no selection rule; middle movers' bumps cancel
     and the epsilon cost falls on the first mover.
     """
-    n = profile.n_agents
+    n = game.n_agents
     if n < 2:
         raise StructuralError("the mechanism needs at least two agents")
     if mode not in ("exact", "perturbed"):
         raise ParameterError(f"unknown mode {mode!r}")
     order = _resolve_order(n, order)
-    if umat is None:
-        umat = profile.matrix(grid)
-    if params is None:
-        params = calibrate(profile, grid)
+    umat, grid, stage_cap = game.umat, game.grid, game.stage_cap
 
-    bases = [equalizing_price(profile, grid, leader, params=params,
-                              order=order, umat=umat)
-             for leader in range(n - 1)]
+    bases, diagnostics = zip(*(_equalize(game, leader, order)
+                               for leader in range(n - 1)))
     full_welfare = _tail_values(umat, order, 0)
     target = int(np.argmax(full_welfare))
 
@@ -344,14 +346,15 @@ def run_pnc(profile: UtilityProfile, grid: MenuGrid, mode: str = "exact", *,
     else:
         max_base_lip = max(s.declared_lip for s in bases)
         if epsilon is None:
-            epsilon = default_epsilon(iota, params.stage_cap, max_base_lip)
+            epsilon = default_epsilon(iota, stage_cap, max_base_lip)
             if epsilon <= 0.0:
                 raise ParameterError(
                     "no bump headroom: the Lipschitz cap leaves no room below "
-                    f"{params.stage_cap:.6g}"
+                    f"{stage_cap:.6g}"
                 )
-        schedules = [perturbed_price(b, grid, target, epsilon, iota,
-                                     params.stage_cap) for b in bases]
+        schedules = [perturbed_price(b, grid, target, epsilon, iota, stage_cap)
+                     for b in bases]
+        diagnostics = [validate_schedule(s, grid, stage_cap) for s in schedules]
         response = follower_best_response(
             _tail_values(umat, order, n - 1), schedules[-1], grid)
         chosen = response.index
@@ -366,7 +369,7 @@ def run_pnc(profile: UtilityProfile, grid: MenuGrid, mode: str = "exact", *,
     payoffs = _payoffs_from_schedules(umat, order, schedules, chosen)
     return Transcript(schedules=tuple(schedules), chosen=chosen, payoffs=payoffs,
                       order=tuple(order), mode=mode, selection_rule=rule,
-                      target=target_used, epsilon=eps_used, iota=iota_used)
+                      diagnostics=tuple(diagnostics), target=target_used, epsilon=eps_used, iota=iota_used)
 
 
 @dataclass(frozen=True)
@@ -385,11 +388,8 @@ class DeviationAudit:
         }
 
 
-def audit_first_mover_bound(profile: UtilityProfile, grid: MenuGrid,
-                            transcript: Transcript, num_deviations: int,
-                            seed: int = 0, *,
-                            params: MechanismParams | None = None,
-                            umat: np.ndarray | None = None) -> DeviationAudit:
+def audit_first_mover_bound(game: Game, transcript: Transcript,
+                            num_deviations: int, seed: int = 0) -> DeviationAudit:
     """Replay random admissible first-mover deviations against best response.
 
     Each deviation perturbs the equilibrium first-stage schedule with a few
@@ -402,10 +402,7 @@ def audit_first_mover_bound(profile: UtilityProfile, grid: MenuGrid,
     if transcript.mode != "exact":
         raise ParameterError("the deviation audit runs on exact-mode transcripts")
     order = list(transcript.order)
-    if umat is None:
-        umat = profile.matrix(grid)
-    if params is None:
-        params = calibrate(profile, grid)
+    umat, grid = game.umat, game.grid
     first = order[0]
     equilibrium = float(transcript.payoffs[first])
     if num_deviations <= 0:
@@ -415,7 +412,7 @@ def audit_first_mover_bound(profile: UtilityProfile, grid: MenuGrid,
     base = transcript.schedules[0]
     tail1 = _tail_values(umat, order, 1)
     first_vals = umat[:, first]
-    headroom = params.stage_cap - base.declared_lip
+    headroom = game.stage_cap - base.declared_lip
     rng = np.random.default_rng([seed, _DEVIATION_SEED])
     p = grid.n_points
     best = -np.inf

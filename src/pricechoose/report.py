@@ -24,17 +24,10 @@ from .auction import (
 )
 from .config import ScenarioConfig
 from .errors import ValidationError
-from .mechanism import (
-    _tail_values,
-    audit_first_mover_bound,
-    calibrate,
-    run_pnc,
-    validate_schedule,
-)
+from .mechanism import _tail_values, audit_first_mover_bound, calibrate, run_pnc
 from .menu import enumerate_grid, integrate, validate_feasible
 from .utility import (
     MaxMinUtility,
-    average_utilities,
     check_cash_invariance,
     evaluate,
     reference_version,
@@ -163,10 +156,9 @@ def _utility_checks(config: ScenarioConfig, grid, umat, seed: int) -> list[dict]
     return checks
 
 
-def _schedule_checks(transcript, grid, params) -> list[dict]:
+def _schedule_checks(transcript) -> list[dict]:
     checks = []
-    for j, schedule in enumerate(transcript.schedules):
-        diag = validate_schedule(schedule, grid, params.stage_cap)
+    for j, diag in enumerate(transcript.diagnostics):
         checks.append(_check(
             f"schedule[{j}].zero_mean", diag.zero_mean_ok,
             f"residual {diag.zero_mean_residual:.3g}"))
@@ -180,7 +172,8 @@ def _schedule_checks(transcript, grid, params) -> list[dict]:
     return checks
 
 
-def _mechanism_checks(transcript, profile, grid, umat, averages, wmax) -> list[dict]:
+def _mechanism_checks(transcript, game) -> list[dict]:
+    umat, averages, wmax = game.umat, game.averages, game.welfare_max
     checks = []
     order = list(transcript.order)
     n = len(order)
@@ -223,7 +216,8 @@ def _mechanism_checks(transcript, profile, grid, umat, averages, wmax) -> list[d
     return checks
 
 
-def _auction_checks(combined, branches, averages, wmax, n) -> list[dict]:
+def _auction_checks(combined, branches, game) -> list[dict]:
+    averages, wmax, n = game.averages, game.welfare_max, game.n_agents
     checks = []
     transfer_sum = abs(float(combined.auction.transfers.sum()))
     checks.append(_check("auction.transfers_sum", transfer_sum <= 1e-12,
@@ -244,12 +238,10 @@ def _auction_checks(combined, branches, averages, wmax, n) -> list[dict]:
     total = abs(float(combined.final_payoffs.sum()) - wmax)
     checks.append(_check("auction.total_is_wmax", total <= 1e-9,
                          f"residual {total:.3g}"))
-    spread = 0.0
-    eff = 0.0
     stack = np.stack([b.final_payoffs for b in branches])
     spread = float((stack.max(axis=0) - stack.min(axis=0)).max())
-    for b in branches:
-        eff = max(eff, abs(float(b.surplus.welfare_max) - wmax))
+    eff = max(abs(float(game.umat[b.transcript.chosen].sum()) - wmax)
+              for b in branches)
     checks.append(_check("auction.winner_invariance", spread <= 1e-9,
                          f"max payoff spread across winners {spread:.3g}"))
     checks.append(_check("auction.efficiency_preserved", eff <= 1e-9,
@@ -257,9 +249,7 @@ def _auction_checks(combined, branches, averages, wmax, n) -> list[dict]:
     return checks
 
 
-def run_experiment(config: ScenarioConfig, *, include_mechanism: bool = True,
-                   include_auction: bool = True,
-                   include_audits: bool = True) -> dict:
+def run_experiment(config: ScenarioConfig, *, include_auction: bool = True) -> dict:
     """Execute the configured pipeline and assemble the report dict."""
     profile = config.profile
     space = config.space
@@ -267,12 +257,10 @@ def run_experiment(config: ScenarioConfig, *, include_mechanism: bool = True,
     grid = enumerate_grid(space, x, profile.n_agents, config.resolution,
                           state_classes=config.state_classes,
                           weights=config.grid_weights, budget=config.budget)
-    umat = profile.matrix(grid)
-    params = calibrate(profile, grid, cap=config.lipschitz_cap)
-    averages = average_utilities(profile, grid, umat)
+    game = calibrate(profile, grid, cap=config.lipschitz_cap)
+    umat = game.umat
 
     best = maximize_welfare(profile, grid, refine=True, umat=umat)
-    wmax_grid = float(umat.sum(axis=1).max())
 
     closed = None
     if all(not isinstance(u, MaxMinUtility) for u in profile.evaluators):
@@ -291,7 +279,7 @@ def run_experiment(config: ScenarioConfig, *, include_mechanism: bool = True,
     checks.append(_check("welfare.value_sum",
                          abs(best.value - float(best.per_agent.sum())) <= 1e-9,
                          "value equals the per-agent sum"))
-    sup_bound = float((umat.sum(axis=1) - wmax_grid).max())
+    sup_bound = float((umat.sum(axis=1) - game.welfare_max).max())
     checks.append(_check("welfare.supconv_bound", sup_bound <= 1e-12,
                          f"max excess over W_max = {sup_bound:.3g}"))
 
@@ -308,58 +296,44 @@ def run_experiment(config: ScenarioConfig, *, include_mechanism: bool = True,
             "diameter_exact": grid.diameter[1],
         },
         "calibration": {
-            "agent_lipschitz": [float(v) for v in params.agent_lipschitz],
-            "cap": params.cap,
-            "stage_cap": params.stage_cap,
+            "agent_lipschitz": [float(v) for v in game.agent_lipschitz],
+            "cap": game.cap,
+            "stage_cap": game.stage_cap,
         },
         "welfare": best.to_dict(),
         "closed_form": closed,
     }
 
-    transcript = None
-    if include_mechanism:
-        transcript = run_pnc(profile, grid, config.mode, epsilon=config.epsilon,
-                             iota=config.iota, params=params, umat=umat)
-        report["mechanism"] = transcript.to_dict()
-        checks += _schedule_checks(transcript, grid, params)
-        checks += _mechanism_checks(transcript, profile, grid, umat, averages,
-                                    wmax_grid)
+    transcript = run_pnc(game, config.mode, epsilon=config.epsilon,
+                         iota=config.iota)
+    report["mechanism"] = transcript.to_dict()
+    checks += _schedule_checks(transcript)
+    checks += _mechanism_checks(transcript, game)
 
-    surplus = efficient_surplus(profile, grid, umat=umat)
-    report["surplus"] = surplus.to_dict()
+    report["surplus"] = efficient_surplus(game).to_dict()
 
     combined = None
     if include_auction:
-        combined = run_auction_then_pnc(profile, grid, config.seed,
-                                        params=params, umat=umat)
-        branches = [run_auction_then_pnc(profile, grid, config.seed,
-                                         params=params, umat=umat, winner=w)
+        # The drawn winner's run is its branch; the others are replays.
+        combined = run_auction_then_pnc(game, config.seed)
+        branches = [combined if w == combined.auction.winner
+                    else run_auction_then_pnc(game, config.seed, winner=w)
                     for w in range(profile.n_agents)]
         report["auction"] = combined.to_dict()
-        checks += _auction_checks(combined, branches, averages, wmax_grid,
-                                  profile.n_agents)
+        checks += _auction_checks(combined, branches, game)
 
-    if include_audits:
-        audit_section: dict = {}
-        exact_transcript = transcript
-        if exact_transcript is None or exact_transcript.mode != "exact":
-            exact_transcript = run_pnc(profile, grid, "exact", params=params,
-                                       umat=umat)
-        dev = audit_first_mover_bound(profile, grid, exact_transcript,
-                                      config.num_deviations, seed=config.seed,
-                                      params=params, umat=umat)
-        audit_section["first_mover"] = dev.to_dict()
-        if dev.max_gain is not None:
-            checks.append(_check("audit.first_mover_bound",
-                                 dev.max_gain <= 1e-9,
-                                 f"max gain {dev.max_gain:.3g} over "
-                                 f"{dev.num_deviations} deviations"))
-        bids = audit_bid_deviation(profile, grid, num_bids=config.bid_points,
-                                   umat=umat)
-        audit_section["bids"] = bids.to_dict()
-        checks.append(_check("audit.bid_deviations", bids.max_gain <= 1e-9,
-                             f"max expected gain {bids.max_gain:.3g}"))
-        report["audits"] = audit_section
+    exact = transcript if transcript.mode == "exact" else run_pnc(game, "exact")
+    dev = audit_first_mover_bound(game, exact, config.num_deviations,
+                                  seed=config.seed)
+    if dev.max_gain is not None:
+        checks.append(_check("audit.first_mover_bound",
+                             dev.max_gain <= 1e-9,
+                             f"max gain {dev.max_gain:.3g} over "
+                             f"{dev.num_deviations} deviations"))
+    bids = audit_bid_deviation(game, num_bids=config.bid_points)
+    checks.append(_check("audit.bid_deviations", bids.max_gain <= 1e-9,
+                         f"max expected gain {bids.max_gain:.3g}"))
+    report["audits"] = {"first_mover": dev.to_dict(), "bids": bids.to_dict()}
 
     agents = []
     for i in range(profile.n_agents):
@@ -368,9 +342,8 @@ def run_experiment(config: ScenarioConfig, *, include_mechanism: bool = True,
         agents.append({
             "agent": i,
             "avg": float(ref_avg),
-            "underbar_avg": float(averages[i]),
-            "mechanism_payoff": None if transcript is None
-            else float(transcript.payoffs[i]),
+            "underbar_avg": float(game.averages[i]),
+            "mechanism_payoff": float(transcript.payoffs[i]),
             "final_payoff": None if combined is None
             else float(combined.final_payoffs[i]),
         })

@@ -196,14 +196,19 @@ def estimate_lipschitz(u: Utility, grid: MenuGrid, agent: int, *,
     vals = evaluate_grid(u, grid, agent)
     est = lipschitz_ratio(vals, grid, exhaustive_threshold=exhaustive_threshold,
                           num_samples=num_samples, seed=seed)
+    warn_if_over_declared(u, est, agent)
+    return est
+
+
+def warn_if_over_declared(u: Utility, est: float, agent: int) -> None:
+    """Warn when an empirical Lipschitz estimate exceeds the declared bound."""
     declared = getattr(getattr(u, "credal", None), "lip_bound", None)
     if declared is not None and est > declared + 1e-9:
         warnings.warn(
             f"empirical Lipschitz {est:.6g} exceeds the declared bound {declared:.6g} "
             f"for agent {agent}; the declared constant looks miscalibrated",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return est
 
 
 def avg_utility(u: Utility, grid: MenuGrid, agent: int) -> float:
@@ -215,12 +220,9 @@ def avg_utility(u: Utility, grid: MenuGrid, agent: int) -> float:
     return integrate(grid, evaluate_grid(u, grid, agent))
 
 
-def average_utilities(profile: UtilityProfile, grid: MenuGrid,
-                      umat: np.ndarray | None = None) -> np.ndarray:
-    """Menu average of every agent's utility, as a vector."""
-    if umat is None:
-        umat = profile.matrix(grid)
-    return np.array([integrate(grid, umat[:, i]) for i in range(profile.n_agents)])
+def average_utilities(grid: MenuGrid, umat: np.ndarray) -> np.ndarray:
+    """Menu average of every column of a (points x agents) utility matrix."""
+    return np.array([integrate(grid, umat[:, i]) for i in range(umat.shape[1])])
 
 
 def reference_version(u: Utility, space: StateSpace) -> EntropicUtility:

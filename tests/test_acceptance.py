@@ -8,7 +8,6 @@ entropic and max-min evaluators).
 """
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -20,30 +19,13 @@ from pricechoose.mechanism import _tail_values, bump_profile
 TOL = 1e-9
 
 
-@dataclass
-class Bundle:
-    space: object
-    x: np.ndarray
-    profile: object
-    grid: object
-    umat: np.ndarray
-    params: object
-    averages: np.ndarray
-    wmax: float
-    exact: object
-
-
 @pytest.fixture(scope="module")
-def bundles():
+def runs():
+    """(game, exact transcript) for each scenario of the batch."""
     out = []
-    for space, x, profile, grid in make_scenarios(50):
-        umat = profile.matrix(grid)
-        params = pc.calibrate(profile, grid)
-        averages = pc.average_utilities(profile, grid, umat)
-        wmax = float(umat.sum(axis=1).max())
-        exact = pc.run_pnc(profile, grid, params=params, umat=umat)
-        out.append(Bundle(space, x, profile, grid, umat, params, averages,
-                          wmax, exact))
+    for _, _, profile, grid in make_scenarios(50):
+        game = pc.calibrate(profile, grid)
+        out.append((game, pc.run_pnc(game)))
     return out
 
 
@@ -76,56 +58,56 @@ def test_criterion_1_entropic_benchmark():
           f"lam gap {lam_gap:.2e}, {elapsed:.2f}s)")
 
 
-def test_criterion_2_indifference_identity(bundles):
+def test_criterion_2_indifference_identity(runs):
     """Every equalizing schedule flattens its continuation net payoff."""
     worst = 0.0
-    for b in bundles:
-        for j, schedule in enumerate(b.exact.schedules):
-            net = _tail_values(b.umat, list(b.exact.order), j + 1) - schedule.values
+    for game, exact in runs:
+        for j, schedule in enumerate(exact.schedules):
+            net = _tail_values(game.umat, list(exact.order), j + 1) - schedule.values
             worst = max(worst, float(net.max() - net.min()))
     assert worst <= TOL
     print(f"\nACCEPTANCE 2 indifference identity: PASS (max spread {worst:.2e} "
-          f"over {len(bundles)} scenarios)")
+          f"over {len(runs)} scenarios)")
 
 
-def test_criterion_3_spne_payoff_identities(bundles):
+def test_criterion_3_spne_payoff_identities(runs):
     """Non-first movers earn their menu average; the first mover the rest."""
     worst_follower = 0.0
     worst_leader = 0.0
-    for b in bundles:
-        n = b.profile.n_agents
+    for game, exact in runs:
+        n = game.n_agents
         for i in range(1, n):
             worst_follower = max(worst_follower,
-                                 abs(float(b.exact.payoffs[i]) - b.averages[i]))
-        lead = b.wmax - float(b.averages[1:].sum())
-        worst_leader = max(worst_leader, abs(float(b.exact.payoffs[0]) - lead))
+                                 abs(float(exact.payoffs[i]) - game.averages[i]))
+        lead = game.welfare_max - float(game.averages[1:].sum())
+        worst_leader = max(worst_leader, abs(float(exact.payoffs[0]) - lead))
     assert worst_follower <= TOL
     assert worst_leader <= TOL
     print(f"\nACCEPTANCE 3 SPNE payoff identities: PASS "
           f"(followers {worst_follower:.2e}, leader {worst_leader:.2e})")
 
 
-def test_criterion_4_perturbed_implementation(bundles):
+def test_criterion_4_perturbed_implementation(runs):
     """Default bump makes the welfare argmax the strict, unique choice."""
     singleton_hits = 0
     worst_payoff = 0.0
-    for b in bundles:
-        t = pc.run_pnc(b.profile, b.grid, "perturbed", params=b.params,
-                       umat=b.umat)
-        target = int(np.argmax(b.umat.sum(axis=1)))
-        net = b.umat[:, t.order[-1]] - t.schedules[-1].values
+    for game, _ in runs:
+        t = pc.run_pnc(game, "perturbed")
+        target = int(np.argmax(game.umat.sum(axis=1)))
+        net = game.umat[:, t.order[-1]] - t.schedules[-1].values
         order_stat = np.sort(net)
         assert t.chosen == target
         assert order_stat[-1] > order_stat[-2]
         singleton_hits += 1
-        psi = bump_profile(b.grid, target, t.iota)
-        beta = pc.integrate(b.grid, psi)
-        expected = b.wmax - float(b.averages[1:].sum()) - t.epsilon * (1.0 - beta)
+        psi = bump_profile(game.grid, target, t.iota)
+        beta = pc.integrate(game.grid, psi)
+        expected = (game.welfare_max - float(game.averages[1:].sum())
+                    - t.epsilon * (1.0 - beta))
         worst_payoff = max(worst_payoff, abs(float(t.payoffs[0]) - expected))
-    assert singleton_hits == len(bundles)
+    assert singleton_hits == len(runs)
     assert worst_payoff <= TOL
     print(f"\nACCEPTANCE 4 perturbed implementation: PASS "
-          f"({singleton_hits}/{len(bundles)} singleton argmax, "
+          f"({singleton_hits}/{len(runs)} singleton argmax, "
           f"payoff residual {worst_payoff:.2e})")
 
 
@@ -165,8 +147,11 @@ def test_criterion_5_pareto_oracle_equivalence():
     for lo in range(0, grid.n_points, 200):
         hi = min(lo + 200, grid.n_points)
         u0 = ind_coarse[lo:hi]
-        weak = np.all(ind_oracle[None, :, :] >= u0[:, None, :] - slack, axis=2)
-        strict = np.any(ind_oracle[None, :, :] > u0[:, None, :] + slack, axis=2)
+        weak = np.ones((hi - lo, oracle.n_points), dtype=bool)
+        strict = np.zeros_like(weak)
+        for i in range(len(gammas)):
+            weak &= ind_oracle[None, :, i] >= u0[:, i, None] - slack
+            strict |= ind_oracle[None, :, i] > u0[:, i, None] + slack
         dominated_independent[lo:hi] = np.any(weak & strict, axis=1)
 
     detected = np.zeros(grid.n_points, dtype=bool)
@@ -184,26 +169,24 @@ def test_criterion_5_pareto_oracle_equivalence():
           f"points all detected, verdicts agree on all {grid.n_points})")
 
 
-def test_criterion_6_auction_fairness(bundles):
+def test_criterion_6_auction_fairness(runs):
     """Final payoffs equal Avg_i + eta/n, winner-independent, and no bid gains."""
     worst_fair = 0.0
     worst_spread = 0.0
     worst_total = 0.0
     worst_bid = -np.inf
-    for s, b in enumerate(bundles):
-        n = b.profile.n_agents
-        branches = [pc.run_auction_then_pnc(b.profile, b.grid, seed=s,
-                                            params=b.params, umat=b.umat,
-                                            winner=w) for w in range(n)]
+    for s, (game, _) in enumerate(runs):
+        n = game.n_agents
+        branches = [pc.run_auction_then_pnc(game, seed=s, winner=w)
+                    for w in range(n)]
         eta = branches[0].surplus.eta
         stack = np.stack([br.final_payoffs for br in branches])
         worst_spread = max(worst_spread,
                            float((stack.max(axis=0) - stack.min(axis=0)).max()))
         worst_fair = max(worst_fair,
-                         float(np.abs(stack[0] - (b.averages + eta / n)).max()))
-        worst_total = max(worst_total, abs(float(stack[0].sum()) - b.wmax))
-        audit = pc.audit_bid_deviation(b.profile, b.grid, num_bids=101,
-                                       umat=b.umat)
+                         float(np.abs(stack[0] - (game.averages + eta / n)).max()))
+        worst_total = max(worst_total, abs(float(stack[0].sum()) - game.welfare_max))
+        audit = pc.audit_bid_deviation(game, num_bids=101)
         worst_bid = max(worst_bid, audit.max_gain)
     assert worst_fair <= TOL
     assert worst_spread <= TOL
@@ -214,7 +197,7 @@ def test_criterion_6_auction_fairness(bundles):
           f"bid gain {worst_bid:.2e})")
 
 
-def test_criterion_7_regularity_suite(bundles):
+def test_criterion_7_regularity_suite(runs):
     """Cash invariance, monotonicity, concavity, ambiguity dominance, and
     schedule admissibility across the whole batch."""
     worst_cash = 0.0
@@ -223,19 +206,19 @@ def test_criterion_7_regularity_suite(bundles):
     worst_dom = 0.0
     schedules_ok = True
     rng = np.random.default_rng(1234)
-    for b in bundles:
-        n = b.profile.n_agents
-        sample = rng.integers(0, b.grid.n_points, size=5)
+    for game, exact in runs:
+        grid = game.grid
+        sample = rng.integers(0, grid.n_points, size=5)
         for k in sample:
-            xi = b.grid.point(int(k))
-            for i, u in enumerate(b.profile.evaluators):
+            xi = grid.point(int(k))
+            for i, u in enumerate(game.profile.evaluators):
                 for c in (-10.0, -1.0, 0.0, 1.0, 10.0):
                     worst_cash = max(worst_cash,
                                      pc.check_cash_invariance(u, xi, i, c))
-        pairs = rng.integers(0, b.grid.n_points, size=(5, 2))
+        pairs = rng.integers(0, grid.n_points, size=(5, 2))
         for a, c in pairs:
-            xa, xc = b.grid.point(int(a)), b.grid.point(int(c))
-            for i, u in enumerate(b.profile.evaluators):
+            xa, xc = grid.point(int(a)), grid.point(int(c))
+            for i, u in enumerate(game.profile.evaluators):
                 ua, uc = pc.evaluate(u, xa, i), pc.evaluate(u, xc, i)
                 bumped = xa.copy()
                 bumped[i] += 0.5
@@ -243,13 +226,13 @@ def test_criterion_7_regularity_suite(bundles):
                 for t in (0.25, 0.5, 0.75):
                     mid = pc.evaluate(u, t * xa + (1 - t) * xc, i)
                     worst_conc = max(worst_conc, t * ua + (1 - t) * uc - mid)
-        for i, u in enumerate(b.profile.evaluators):
+        for i, u in enumerate(game.profile.evaluators):
             if isinstance(u, pc.MaxMinUtility):
-                ref = pc.EntropicUtility(u.gamma, b.space.probs)
-                gap = b.umat[:, i] - pc.evaluate_grid(ref, b.grid, i)
+                ref = pc.EntropicUtility(u.gamma, grid.space.probs)
+                gap = game.umat[:, i] - pc.evaluate_grid(ref, grid, i)
                 worst_dom = max(worst_dom, float(gap.max()))
-        for schedule in b.exact.schedules:
-            diag = pc.validate_schedule(schedule, b.grid, b.params.stage_cap)
+        for schedule in exact.schedules:
+            diag = pc.validate_schedule(schedule, grid, game.stage_cap)
             schedules_ok = schedules_ok and diag.ok
     assert worst_cash <= TOL
     assert worst_mono <= 1e-12
@@ -261,14 +244,13 @@ def test_criterion_7_regularity_suite(bundles):
           f"ambiguity dominance {worst_dom:.2e}, all schedules admissible)")
 
 
-def test_criterion_8_deviation_audit(bundles):
+def test_criterion_8_deviation_audit(runs):
     """A hundred sampled admissible first-mover deviations never gain."""
     worst = -np.inf
-    for s, b in enumerate(bundles):
-        audit = pc.audit_first_mover_bound(b.profile, b.grid, b.exact, 100,
-                                           seed=s, params=b.params, umat=b.umat)
+    for s, (game, exact) in enumerate(runs):
+        audit = pc.audit_first_mover_bound(game, exact, 100, seed=s)
         assert audit.num_deviations == 100
         worst = max(worst, audit.max_gain)
     assert worst <= TOL
     print(f"\nACCEPTANCE 8 deviation audit: PASS (max gain {worst:.2e} over "
-          f"{100 * len(bundles)} deviations)")
+          f"{100 * len(runs)} deviations)")

@@ -8,7 +8,7 @@ from conftest import hurricane_space
 def test_surplus_is_zero_for_pure_transfers(hand):
     # single state: every split is a transfer, the menu average ties the max
     _, _, profile, grid = hand
-    s = pc.efficient_surplus(profile, grid)
+    s = pc.efficient_surplus(pc.calibrate(profile, grid))
     assert s.eta == pytest.approx(0.0, abs=1e-12)
     assert s.welfare_max == pytest.approx(-1.0, abs=1e-12)
 
@@ -16,7 +16,7 @@ def test_surplus_is_zero_for_pure_transfers(hand):
 def test_surplus_arithmetic_chain(two_state):
     _, _, profile, grid = two_state
     umat = profile.matrix(grid)
-    s = pc.efficient_surplus(profile, grid, umat=umat)
+    s = pc.efficient_surplus(pc.calibrate(profile, grid))
     wmax = float(umat.sum(axis=1).max())
     avgs = [pc.integrate(grid, umat[:, i]) for i in range(2)]
     assert s.eta == pytest.approx(wmax - sum(avgs), abs=1e-12)
@@ -49,9 +49,9 @@ def test_equilibrium_bid_domain_errors():
 
 def test_combined_run_fair_split(two_state):
     _, _, profile, grid = two_state
-    umat = profile.matrix(grid)
-    avgs = pc.average_utilities(profile, grid, umat)
-    combined = pc.run_auction_then_pnc(profile, grid, seed=5, umat=umat)
+    game = pc.calibrate(profile, grid)
+    avgs = pc.average_utilities(grid, profile.matrix(grid))
+    combined = pc.run_auction_then_pnc(game, seed=5)
     eta = combined.surplus.eta
     expected = avgs + eta / 2
     assert combined.final_payoffs == pytest.approx(expected, abs=1e-9)
@@ -61,7 +61,8 @@ def test_combined_run_fair_split(two_state):
 
 def test_combined_run_invariant_to_winner(two_state):
     _, _, profile, grid = two_state
-    branches = [pc.run_auction_then_pnc(profile, grid, seed=5, winner=w)
+    game = pc.calibrate(profile, grid)
+    branches = [pc.run_auction_then_pnc(game, seed=5, winner=w)
                 for w in range(2)]
     stack = np.stack([b.final_payoffs for b in branches])
     assert float((stack.max(axis=0) - stack.min(axis=0)).max()) <= 1e-9
@@ -71,9 +72,8 @@ def test_combined_run_invariant_to_winner(two_state):
 
 def test_zero_surplus_final_payoffs_are_averages(hand):
     _, _, profile, grid = hand
-    umat = profile.matrix(grid)
-    avgs = pc.average_utilities(profile, grid, umat)
-    combined = pc.run_auction_then_pnc(profile, grid, seed=2, umat=umat)
+    avgs = pc.average_utilities(grid, profile.matrix(grid))
+    combined = pc.run_auction_then_pnc(pc.calibrate(profile, grid), seed=2)
     assert combined.auction.bids.tolist() == [0.0, 0.0]
     assert combined.final_payoffs == pytest.approx(avgs, abs=1e-9)
 
@@ -85,9 +85,9 @@ def test_three_agent_equal_surplus_shares():
                                       for g in (1.0, 2.0, 4.0)))
     grid = pc.enumerate_grid(space, x, 3, 7, state_classes="single")
     umat = profile.matrix(grid)
-    avgs = pc.average_utilities(profile, grid, umat)
+    avgs = pc.average_utilities(grid, umat)
     wmax = float(umat.sum(axis=1).max())
-    combined = pc.run_auction_then_pnc(profile, grid, seed=9, umat=umat)
+    combined = pc.run_auction_then_pnc(pc.calibrate(profile, grid), seed=9)
     eta = combined.surplus.eta
     shares = combined.final_payoffs - avgs
     assert shares == pytest.approx([eta / 3] * 3, abs=1e-9)
@@ -96,8 +96,8 @@ def test_three_agent_equal_surplus_shares():
 
 def test_winner_draw_deterministic(two_state):
     _, _, profile, grid = two_state
-    a = pc.run_auction_then_pnc(profile, grid, seed=123)
-    b = pc.run_auction_then_pnc(profile, grid, seed=123)
+    a = pc.run_auction_then_pnc(pc.calibrate(profile, grid), seed=123)
+    b = pc.run_auction_then_pnc(pc.calibrate(profile, grid), seed=123)
     assert a.auction.winner == b.auction.winner
     assert np.array_equal(a.final_payoffs, b.final_payoffs)
 
@@ -112,7 +112,7 @@ def test_bid_grid_covers_surplus_and_offsets():
 
 def test_bid_deviation_cases(two_state):
     _, _, profile, grid = two_state
-    s = pc.efficient_surplus(profile, grid)
+    s = pc.efficient_surplus(pc.calibrate(profile, grid))
     n = 2
     b_star = pc.equilibrium_bid(s.eta, n)
     avg = float(s.averages[0])
@@ -127,7 +127,7 @@ def test_bid_deviation_cases(two_state):
 
 def test_bid_audit_never_gains(two_state):
     _, _, profile, grid = two_state
-    audit = pc.audit_bid_deviation(profile, grid, num_bids=101)
+    audit = pc.audit_bid_deviation(pc.calibrate(profile, grid), num_bids=101)
     assert audit.num_bids == 101
     assert audit.max_gain <= 1e-9
 
@@ -135,4 +135,4 @@ def test_bid_audit_never_gains(two_state):
 def test_bid_audit_rejects_negative_bids(two_state):
     _, _, profile, grid = two_state
     with pytest.raises(pc.ValidationError):
-        pc.audit_bid_deviation(profile, grid, bid_grid=[-0.5, 0.0])
+        pc.audit_bid_deviation(pc.calibrate(profile, grid), bid_grid=[-0.5, 0.0])
