@@ -8,6 +8,7 @@ the scenario; components derive sub-streams from fixed labels.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,7 +78,14 @@ class ScenarioConfig:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number that is a finite float: json.loads also yields Infinity,
+    NaN and integers beyond the float range."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _check_number_list(values, name: str, errors: list[str]) -> bool:

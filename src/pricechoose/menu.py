@@ -23,6 +23,13 @@ the sum of theirs; members with all-zero rows drop out.  The distance stays
 exact while the feature count falls from n + n*m to n*C, plus the agent-mass
 functionals that span several classes.
 
+The grid is the Cartesian product of one composition table per class (K rows
+each, P = K^C points), so every feature is a sum of per-class terms:
+g_f(j) = sum_c t_fc[j_c], with t_fc a K-vector.  Distances to one point are
+built from these O(F*C*K) tables: a feature that touches one class gives a
+K-vector of weighted gaps along that class's axis, and only the few features
+spanning several classes need their per-class gaps summed over the whole grid.
+
 The distance is convex in the pair of share profiles, and the share set is a
 product of simplices, so the menu diameter is reached at a pair of vertices
 (Rockafellar, Convex Analysis, Cor. 32.3.2): points whose share row is a unit
@@ -418,12 +425,79 @@ class MenuGrid:
         flat = self.shares.reshape(p, self.n_classes * self.n_agents)
         return flat @ self._merged_metric[0].T
 
+    @cached_property
+    def _class_tables(self) -> tuple[list, list, np.ndarray]:
+        """Per-class feature tables: ``features`` without the P-sized matrix.
+
+        Point j takes composition row j_c in every class c, so feature f is
+        a sum of per-class terms, g_f(j) = sum_c t_fc[j_c], and t_fc is the
+        class's composition table times feature f's coefficients on class
+        c.  Returns ``one``, ``multi`` and ``multi_weights``: ``one[c]`` is
+        the (K x features) table and the weights of the features that touch
+        class c alone, in column order; ``multi[c]`` is the (features x K)
+        table of class c's terms of the features spanning several classes,
+        which ``multi_weights`` weigh.  On a single-class grid ``one[0][0]``
+        equals ``features`` bit for bit; otherwise nothing here has P rows.
+        """
+        fmap, fw = self._merged_metric
+        classes, n = self.n_classes, self.n_agents
+        rows = math.comb(self.resolution + n - 1, n - 1)
+        blocks = fmap.reshape(len(fw), classes, n)
+        touched = np.any(blocks != 0.0, axis=2)
+        spans = touched.sum(axis=1) > 1
+        one, multi = [], []
+        for c in range(classes):
+            # Class c's composition rows: the points whose other digits are 0.
+            step = rows ** (classes - 1 - c)
+            table = self.shares[:rows * step:step, c, :] @ blocks[:, c, :].T
+            own = touched[:, c] & ~spans
+            # Row-major, as ``features`` is: the gemv rounding depends on it.
+            one.append((np.ascontiguousarray(table[:, own]), fw[own]))
+            multi.append(np.ascontiguousarray(table[:, spans].T))
+        return one, multi, fw[spans]
+
     def distances_to(self, k: int) -> np.ndarray:
-        """Metric distance from every grid point to point ``k``."""
-        g = self.features
-        gap = g - g[k]
-        np.abs(gap, out=gap)
-        return gap @ self.feature_weights
+        """Metric distance from every grid point to point ``k``.
+
+        Built from the per-class tables of ``_class_tables`` on the product
+        grid, one axis per class: the features spanning several classes
+        give the weighted |outer sum| of their per-class gaps, and each
+        class adds the weighted |gap| of its one-class features along its
+        own axis.  On a grid with at most one class this is
+        |g - g_k| . feature_weights over the features in column order, bit
+        for bit.  Raises StructuralError unless 0 <= k < n_points.
+        """
+        p = self.n_points
+        if not 0 <= k < p:
+            raise StructuralError(f"point index {k} is outside [0, {p})")
+        one, multi, multi_w = self._class_tables
+        classes = len(one)
+        if classes == 1:
+            # The table is ``features``: skip the per-axis bookkeeping, which
+            # costs more than the scan on a few thousand points.
+            t, w = one[0]
+            gap = t - t[k]
+            np.abs(gap, out=gap)
+            return gap @ w
+        shape = tuple(t.shape[0] for t, _ in one)
+        digits = np.unravel_index(k, shape)
+
+        def along(c: int, *lead: int) -> tuple[int, ...]:
+            return lead + (1,) * c + (-1,) + (1,) * (classes - 1 - c)
+
+        if multi_w.size:
+            gap = 0.0
+            for c, (u, j) in enumerate(zip(multi, digits)):
+                gap = gap + (u - u[:, j, None]).reshape(along(c, multi_w.size))
+            np.abs(gap, out=gap)
+            total = (multi_w @ gap.reshape(multi_w.size, p)).reshape(shape)
+        else:
+            total = np.zeros(shape)
+        for c, ((t, w), j) in enumerate(zip(one, digits)):
+            gap = t - t[j]
+            np.abs(gap, out=gap)
+            total += (gap @ w).reshape(along(c))
+        return total.reshape(p)
 
     def distance(self, j: int, k: int) -> float:
         g = self.features

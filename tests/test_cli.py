@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,58 @@ def test_negative_seed_is_validation_error(tmp_path, capsys):
     assert main(["run", "--scenario", "two-agent-hand", "--seed", "-1",
                  "--out", str(out)]) == 2
     assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _set_gamma(doc, v):
+    doc["utilities"][0]["gamma"] = v
+
+
+def _set_prior_entry(doc, v):
+    doc["utilities"][1] = {"kind": "maxmin", "gamma": 1.0,
+                           "priors": [[0.5, 0.5], [v, 0.5]]}
+
+
+def _set_lip_bound(doc, v):
+    doc["utilities"][1] = {"kind": "maxmin", "gamma": 1.0,
+                           "priors": [[0.5, 0.5], [0.4, 0.6]], "lip_bound": v}
+
+
+def _set_probs(doc, v):
+    doc["probs"] = [v, 0.5]
+
+
+def _set_endowment(doc, v):
+    doc["endowments"][0] = [0.0, v]
+
+
+NON_FINITE_FIELDS = {
+    "gamma": (_set_gamma, "utilities[0]: gamma must be a positive number, got {v!r}"),
+    "lipschitz_cap": (lambda doc, v: doc.update(mechanism={"lipschitz_cap": v}),
+                      "mechanism.lipschitz_cap must be positive when given, got {v!r}"),
+    "epsilon": (lambda doc, v: doc.update(mechanism={"mode": "perturbed", "epsilon": v}),
+                "mechanism.epsilon must be positive when given, got {v!r}"),
+    "prior": (_set_prior_entry, "utilities[1].priors[1] has non-numeric entries at [0]"),
+    "lip_bound": (_set_lip_bound, "utilities[1]: lip_bound must be positive when given"),
+    "probs": (_set_probs, "probs has non-numeric entries at [0]"),
+    "endowments": (_set_endowment, "endowments[0] has non-numeric entries at [1]"),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, 10**400],
+                         ids=["Infinity", "NaN", "int-beyond-float"])
+@pytest.mark.parametrize("field", list(NON_FINITE_FIELDS))
+def test_non_finite_number_is_validation_error(tmp_path, capsys, field, value):
+    setter, message = NON_FINITE_FIELDS[field]
+    doc = minimal_doc()
+    setter(doc, value)
+    path = write_scenario(tmp_path, doc)
+    assert json.dumps(value) in path.read_text()
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"validation error: {path}: {message.format(v=value)}" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

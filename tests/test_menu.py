@@ -246,6 +246,13 @@ def test_metric_separates_grid_points_exhaustively():
     assert np.allclose(d, d.T)
 
 
+def _custom_metric(space, n_agents, members):
+    return pc.WeakStarMetric(probs=space.probs,
+                             test_functions=np.array(members, dtype=float),
+                             weights=0.5 ** np.arange(1, len(members) + 1),
+                             agent_mass_weights=2.0 ** np.arange(1, n_agents + 1))
+
+
 def _all_pairs_grids():
     space = pc.StateSpace(["a", "b", "c"], [0.5, 0.3, 0.2])
     x = np.array([-1.0, 0.0, 2.5])
@@ -256,19 +263,81 @@ def _all_pairs_grids():
     for k in (2, 4, 7):
         yield pc.enumerate_grid(space, x, 2, 4,
                                 metric=pc.build_metric(space, 2, max_members=k))
+    x3 = np.array([-1.0, -2.0, 3.0])
+    yield pc.enumerate_grid(space, x3, 2, 4)
+    yield pc.enumerate_grid(space, np.array([-1.0, 0.0, -0.5]), 3, 3,
+                            state_classes=["u", "z", "v"])
+    yield pc.enumerate_grid(space, np.zeros(3), 3, 4)
+    # The default family plus a test function pairing agents 0 and 1 in
+    # state a (one class) and one spanning states a and c.
+    pairs_agents = [[2.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    spans_states = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 3.0]]
+    default = list(pc.build_metric(space, 3).test_functions)
+    yield pc.enumerate_grid(space, x3, 3, 2, metric=_custom_metric(
+        space, 3, default + [pairs_agents, spans_states]))
+    # Only state a is tested: the other two classes carry no feature.
+    yield pc.enumerate_grid(space, x3, 2, 3,
+                            metric=_custom_metric(space, 2, [pairs_agents[:2]]))
 
 
 @pytest.mark.parametrize("grid", list(_all_pairs_grids()))
 def test_grid_distance_matches_metric_definition_all_pairs(grid):
+    # distances_to sums per-class terms, so a pair at zero distance in exact
+    # arithmetic (truncated families) may round to a few 1e-18 either way.
+    floor = 1e-16 * grid.diameter[0]
     worst = 0.0
-    for j in range(grid.n_points):
-        for k in range(grid.n_points):
+    for k in range(grid.n_points):
+        row = grid.distances_to(k)
+        assert row.shape == (grid.n_points,)
+        assert row[k] == 0.0
+        for j in range(grid.n_points):
             ref = pc.metric_distance(grid.metric, grid.points[j], grid.points[k])
             got = grid.distance(j, k)
             assert (got == 0.0) == (ref == 0.0)
             if ref:
                 worst = max(worst, abs(got - ref) / ref)
+            assert abs(row[j] - ref) <= 1e-14 * ref + floor
     assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("grid", [g for g in _all_pairs_grids() if g.n_classes <= 1])
+def test_distances_to_single_class_is_the_feature_scan(grid):
+    g, w = grid.features, grid.feature_weights
+    for k in range(grid.n_points):
+        assert np.array_equal(grid.distances_to(k), np.abs(g - g[k]) @ w)
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_distances_to_caches_no_point_sized_array():
+    space, endow = hurricane_space()
+    grid = pc.enumerate_grid(space, pc.aggregate_risk(endow), 3, 3,
+                             state_classes=[0, 1, 1, 2, 1, 2, 2, 3])
+    assert grid.n_classes == 3
+    before = set(grid.__dict__)
+    for k in (0, 7, grid.n_points - 1):
+        grid.distances_to(k)
+    assert "features" not in grid.__dict__
+    cached = [grid.__dict__[name] for name in set(grid.__dict__) - before]
+    assert cached
+    assert all(a.shape[0] < grid.n_points for a in _arrays(cached))
+
+
+def test_distances_to_rejects_out_of_range_targets():
+    space = pc.StateSpace(["a", "b"], [0.5, 0.5])
+    grid = pc.enumerate_grid(space, np.array([-1.0, -2.0]), 2, 3)
+    for k in (-1, grid.n_points):
+        with pytest.raises(pc.StructuralError, match="outside"):
+            grid.distances_to(k)
+        with pytest.raises(pc.StructuralError, match="outside"):
+            pc.bump_profile(grid, k, 0.1)
+    assert pc.bump_profile(grid, grid.n_points - 1, 0.1)[-1] == 1.0
 
 
 def test_merged_features_one_per_class_and_agent():
