@@ -52,10 +52,8 @@ from .menu import (
     build_metric,
     compositions,
     enumerate_grid,
-    export_grid_csv,
     grid_point_count,
     integrate,
-    is_anchored_comonotone,
     lipschitz_ratio,
     metric_distance,
     shares_to_allocation,

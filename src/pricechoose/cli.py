@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .config import load_scenario
 from .errors import EngineError, ValidationError
-from .report import emit_report, run_experiment
+from .report import _run_experiment, emit_report
 from .utility import EntropicUtility
 
 
@@ -79,11 +79,11 @@ def _print_summary(report: dict) -> None:
           f"/{len(report['invariants'])} passed")
 
 
-def _emit(report: dict, args, config) -> None:
+def _emit(report: dict, arrays: dict, args, config) -> None:
     fmt = args.format or config.out_format
     formats = ("structured", "tabular") if fmt == "both" else (fmt,)
     out = args.out if args.out is not None else config.out_dir
-    paths = emit_report(report, out, formats)
+    paths = emit_report(report, out, formats, arrays)
     for kind, path in paths.items():
         print(f"wrote {kind}: {path}")
 
@@ -96,16 +96,16 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load(args)
-    report = run_experiment(config)
-    _emit(report, args, config)
+    report, arrays = _run_experiment(config)
+    _emit(report, arrays, args, config)
     _print_summary(report)
     return 0 if report["all_invariants_pass"] else 3
 
 
 def _cmd_audit(args) -> int:
     config = _load(args)
-    report = run_experiment(config, include_auction=False)
-    _emit(report, args, config)
+    report, arrays = _run_experiment(config, include_auction=False)
+    _emit(report, arrays, args, config)
     _print_summary(report)
     return 0 if report["all_invariants_pass"] else 3
 
@@ -118,8 +118,8 @@ def _cmd_bench(args) -> int:
         print("bench needs an all-entropic scenario with a closed form",
               file=sys.stderr)
         return 2
-    report = run_experiment(config)
-    _emit(report, args, config)
+    report, arrays = _run_experiment(config)
+    _emit(report, arrays, args, config)
     _print_summary(report)
     cf = report["closed_form"]
     print(f"bench: closed-form shares {cf['shares'][0]}")

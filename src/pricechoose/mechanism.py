@@ -104,8 +104,16 @@ class PriceSchedule:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def to_dict(self) -> dict:
-        return {"values": self.values.tolist(), "declared_lip": self.declared_lip}
+    def summary(self, chosen: int, diag: ScheduleDiagnostics) -> dict:
+        """Fixed-size record: the vector itself is identified by the sha256 of
+        its little-endian float64 bytes and kept outside the report."""
+        import hashlib
+
+        raw = self.values.astype("<f8", copy=False).tobytes()
+        digest = hashlib.sha256(raw).hexdigest()
+        return {"declared_lip": self.declared_lip,
+                "at_chosen": float(self.values[chosen]),
+                "sup_norm": diag.sup_norm, "sha256": digest}
 
 
 @dataclass(frozen=True)
@@ -261,7 +269,8 @@ class Transcript:
     """Full record of one mechanism run: schedules, choice, and payoffs.
 
     ``diagnostics`` holds each posted schedule's admissibility checks, made
-    once when the schedule was built; they stay out of ``to_dict``.
+    once when the schedule was built; ``to_dict`` reads only their sup norms
+    and summarizes each schedule in a fixed number of fields.
     """
 
     schedules: tuple[PriceSchedule, ...]
@@ -277,7 +286,8 @@ class Transcript:
 
     def to_dict(self) -> dict:
         return {
-            "schedules": [s.to_dict() for s in self.schedules],
+            "schedules": [s.summary(self.chosen, d)
+                          for s, d in zip(self.schedules, self.diagnostics)],
             "chosen": self.chosen,
             "payoffs": [float(g) for g in self.payoffs],
             "order": list(self.order),

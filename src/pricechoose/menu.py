@@ -40,11 +40,10 @@ back to the coordinatewise-range upper bound.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence, TypeAlias
+from typing import TypeAlias
 
 import numpy as np
 
@@ -167,43 +166,6 @@ def shares_to_allocation(q, x) -> np.ndarray:
     xi = np.zeros((n, len(x)))
     for row, w in enumerate(nonzero):
         xi[:, w] = q[row] * x[w]
-    return xi
-
-
-def is_anchored_comonotone(f_table: Sequence[Mapping[float, float]],
-                           tol: float = FEASIBILITY_TOL) -> bool:
-    """Check a tabulated rule xi_i = f_i(X) for the anchored comonotone class.
-
-    ``f_table[i]`` maps each realized value of X to agent i's payoff.  True
-    iff every f_i is nondecreasing across sorted X-values, f_i(0) = 0 when 0
-    is realized, and the f_i sum back to x at every tabulated value.
-    """
-    if not f_table:
-        return False
-    keys = sorted(f_table[0].keys())
-    for f in f_table:
-        if sorted(f.keys()) != keys:
-            raise StructuralError("agents tabulate different X-value sets")
-    for f in f_table:
-        vals = [f[k] for k in keys]
-        if any(b < a - tol for a, b in zip(vals, vals[1:])):
-            return False
-        if 0.0 in f and abs(f[0.0]) > tol:
-            return False
-    for k in keys:
-        if abs(sum(f[k] for f in f_table) - k) > tol:
-            return False
-    return True
-
-
-def allocation_from_table(f_table: Sequence[Mapping[float, float]], x) -> np.ndarray:
-    """Materialize a tabulated rule xi_i = f_i(X) as an allocation matrix."""
-    x = np.asarray(x, dtype=float)
-    n = len(f_table)
-    xi = np.zeros((n, len(x)))
-    for i, f in enumerate(f_table):
-        for w, val in enumerate(x):
-            xi[i, w] = f[float(val)]
     return xi
 
 
@@ -603,18 +565,6 @@ def integrate(grid: MenuGrid, f) -> float:
             f"expected {grid.n_points} per-point values, got shape {f.shape}"
         )
     return float(np.dot(grid.weights, f))
-
-
-def export_grid_csv(grid: MenuGrid, path) -> None:
-    """Per-point CSV (point, state, agent, payoff, weight) for external audits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["point", "state", "agent", "payoff", "weight"])
-        for k in range(grid.n_points):
-            for w, name in enumerate(grid.space.states):
-                for i in range(grid.n_agents):
-                    writer.writerow([k, name, i, repr(float(grid.points[k, i, w])),
-                                     repr(float(grid.weights[k]))])
 
 
 # ---------------------------------------------------------------------------

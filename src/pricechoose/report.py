@@ -3,8 +3,11 @@
 ``run_experiment`` executes welfare -> mechanism -> auction -> audits for a
 validated scenario and re-checks every declared invariant post-run, so a
 report carries its own pass/fail audit trail.  Reports are plain dicts of
-JSON types; identical (scenario, seed, version) produce byte-identical
-files.  Time-dependent data never enters a report.
+JSON types whose size does not grow with the menu: each posted price
+schedule appears as a fixed-size summary, and the full vectors go to a
+``schedules.npz`` sidecar.  Identical (scenario, seed, version) produce
+byte-identical ``report.json`` files.  Time-dependent data never enters a
+report.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +28,14 @@ from .auction import (
 )
 from .config import ScenarioConfig
 from .errors import ValidationError
-from .mechanism import _tail_values, audit_first_mover_bound, calibrate, run_pnc
+from .mechanism import (
+    LIP_SLACK,
+    ZERO_MEAN_TOL,
+    _tail_values,
+    audit_first_mover_bound,
+    calibrate,
+    run_pnc,
+)
 from .menu import enumerate_grid, integrate, validate_feasible
 from .utility import (
     MaxMinUtility,
@@ -34,47 +45,66 @@ from .utility import (
 )
 from .welfare import closed_form_entropic, maximize_welfare
 
-REPORT_SCHEMA = "pnc-report/v1"
+REPORT_SCHEMA = "pnc-report/v2"
 
 
-def _check(name: str, passed: bool, detail: str) -> dict:
-    return {"name": name, "passed": bool(passed), "detail": detail}
+def _check(name: str, passed: bool, detail: str, value=None, tol=None) -> dict:
+    """One invariant record.
+
+    Numeric checks also carry the measured ``value`` and its ``tol``; both
+    are null for structural checks, and ``value`` is null when the
+    measurement is not finite (JSON cannot hold it).
+    """
+    if value is not None:
+        value = float(value)
+        if not math.isfinite(value):
+            value = None
+    return {"name": name, "passed": bool(passed), "detail": detail,
+            "value": value, "tol": None if tol is None else float(tol)}
+
+
+def _bound(name: str, value: float, tol: float, detail: str) -> dict:
+    """A numeric invariant that passes when ``value <= tol``."""
+    return _check(name, value <= tol, detail, value, tol)
 
 
 def _space_checks(config: ScenarioConfig, grid) -> list[dict]:
     probs = config.space.probs
+    # The positivity checks are lower bounds: they pass when value > tol = 0.
     checks = [
         _check("space.probs_positive", bool(np.all(probs > 0)),
-               f"min prob {probs.min():.3g}"),
-        _check("space.probs_sum", abs(probs.sum() - 1.0) <= 1e-12,
+               f"min prob {probs.min():.3g}", probs.min(), 0.0),
+        _bound("space.probs_sum", abs(probs.sum() - 1.0), 1e-12,
                f"residual {abs(probs.sum() - 1.0):.3g}"),
         _check("grid.weights_positive", bool(np.all(grid.weights > 0)),
-               f"min weight {grid.weights.min():.3g}"),
-        _check("grid.integrate_one",
-               abs(integrate(grid, np.ones(grid.n_points)) - 1.0) <= 1e-12,
+               f"min weight {grid.weights.min():.3g}", grid.weights.min(), 0.0),
+        _bound("grid.integrate_one",
+               abs(integrate(grid, np.ones(grid.n_points)) - 1.0), 1e-12,
                "weighted mass of the constant 1"),
     ]
     bound_slack = float((np.abs(grid.points) -
                          np.abs(grid.x)[None, None, :]).max())
-    checks.append(_check("menu.coordinate_bound", bound_slack <= 1e-12,
+    checks.append(_bound("menu.coordinate_bound", bound_slack, 1e-12,
                          f"max |xi|-|X| = {bound_slack:.3g}"))
     col_slack = float(np.abs(grid.points.sum(axis=1) - grid.x[None, :]).max())
-    checks.append(_check("menu.column_sums", col_slack <= 1e-12,
+    checks.append(_bound("menu.column_sums", col_slack, 1e-12,
                          f"max |sum_i xi - X| = {col_slack:.3g}"))
     sign = np.sign(grid.x)
     sign_slack = float(-(grid.points * sign[None, None, :]).min())
     zero_mask = grid.x == 0.0
     anchored = float(np.abs(grid.points[:, :, zero_mask]).max()) if zero_mask.any() else 0.0
+    # value is the sign slack; the zero-state mass must also be exactly 0.
     checks.append(_check("menu.sign_anchoring",
                          sign_slack <= 1e-12 and anchored == 0.0,
-                         f"sign slack {sign_slack:.3g}, zero-state mass {anchored:.3g}"))
+                         f"sign slack {sign_slack:.3g}, zero-state mass {anchored:.3g}",
+                         sign_slack, 1e-12))
     return checks
 
 
 def _metric_checks(grid, seed: int) -> list[dict]:
     checks = []
     d0 = grid.distance(0, 0)
-    checks.append(_check("metric.identity", d0 == 0.0, f"d(x,x) = {d0!r}"))
+    checks.append(_bound("metric.identity", d0, 0.0, f"d(x,x) = {d0!r}"))
     rng = np.random.default_rng([seed, 31_07])
     worst_sym = 0.0
     worst_tri = 0.0
@@ -86,9 +116,9 @@ def _metric_checks(grid, seed: int) -> list[dict]:
         dcb = grid.distance(int(c), int(b))
         worst_sym = max(worst_sym, abs(dab - dba))
         worst_tri = max(worst_tri, dab - (dac + dcb))
-    checks.append(_check("metric.symmetry", worst_sym <= 1e-15,
+    checks.append(_bound("metric.symmetry", worst_sym, 1e-15,
                          f"max asymmetry {worst_sym:.3g}"))
-    checks.append(_check("metric.triangle", worst_tri <= 1e-12,
+    checks.append(_bound("metric.triangle", worst_tri, 1e-12,
                          f"max violation {worst_tri:.3g}"))
     return checks
 
@@ -99,7 +129,7 @@ def _utility_checks(config: ScenarioConfig, grid, umat, seed: int) -> list[dict]
     checks = []
     zero = np.zeros((n, m))
     n0 = max(abs(evaluate(u, zero, i)) for i, u in enumerate(profile.evaluators))
-    checks.append(_check("utility.normalization", n0 == 0.0, f"max |U(0)| = {n0!r}"))
+    checks.append(_bound("utility.normalization", n0, 0.0, f"max |U(0)| = {n0!r}"))
 
     rng = np.random.default_rng([seed, 11_03])
     sample = rng.integers(0, grid.n_points, size=min(10, grid.n_points))
@@ -109,7 +139,7 @@ def _utility_checks(config: ScenarioConfig, grid, umat, seed: int) -> list[dict]
         for i, u in enumerate(profile.evaluators):
             for c in (-10.0, -1.0, 0.0, 1.0, 10.0):
                 worst_cash = max(worst_cash, check_cash_invariance(u, xi, i, c))
-    checks.append(_check("utility.cash_invariance", worst_cash <= 1e-9,
+    checks.append(_bound("utility.cash_invariance", worst_cash, 1e-9,
                          f"max residual {worst_cash:.3g}"))
 
     worst_mono = 0.0
@@ -129,11 +159,11 @@ def _utility_checks(config: ScenarioConfig, grid, umat, seed: int) -> list[dict]
             for t in (0.25, 0.5, 0.75):
                 mid = evaluate(u, t * xa + (1 - t) * xb, i)
                 worst_conc = max(worst_conc, t * ua + (1 - t) * ub - mid)
-    checks.append(_check("utility.monotonicity", worst_mono <= 1e-12,
+    checks.append(_bound("utility.monotonicity", worst_mono, 1e-12,
                          f"max violation {worst_mono:.3g}"))
-    checks.append(_check("utility.sup_lipschitz", worst_sup <= 1e-9,
+    checks.append(_bound("utility.sup_lipschitz", worst_sup, 1e-9,
                          f"max excess {worst_sup:.3g}"))
-    checks.append(_check("utility.concavity", worst_conc <= 1e-9,
+    checks.append(_bound("utility.concavity", worst_conc, 1e-9,
                          f"max gap {worst_conc:.3g}"))
 
     worst_dom = 0.0
@@ -149,7 +179,7 @@ def _utility_checks(config: ScenarioConfig, grid, umat, seed: int) -> list[dict]
                 and np.abs(priors.sum(axis=1) - 1.0).max() <= 1e-12
                 and np.any(np.all(np.abs(priors - config.space.probs) <= 1e-12,
                                   axis=1)))
-    checks.append(_check("utility.maxmin_dominance", worst_dom <= 1e-12,
+    checks.append(_bound("utility.maxmin_dominance", worst_dom, 1e-12,
                          f"max excess over single-prior value {worst_dom:.3g}"))
     checks.append(_check("utility.credal_sets", credal_ok,
                          "positivity, normalization, reference membership"))
@@ -161,14 +191,17 @@ def _schedule_checks(transcript) -> list[dict]:
     for j, diag in enumerate(transcript.diagnostics):
         checks.append(_check(
             f"schedule[{j}].zero_mean", diag.zero_mean_ok,
-            f"residual {diag.zero_mean_residual:.3g}"))
+            f"residual {diag.zero_mean_residual:.3g}",
+            diag.zero_mean_residual, ZERO_MEAN_TOL))
         checks.append(_check(
             f"schedule[{j}].lipschitz", diag.lip_ok,
-            f"empirical {diag.empirical_lip:.6g} vs cap {diag.lip_cap:.6g}"))
+            f"empirical {diag.empirical_lip:.6g} vs cap {diag.lip_cap:.6g}",
+            diag.empirical_lip, diag.lip_cap + LIP_SLACK))
         checks.append(_check(
             f"schedule[{j}].sup_norm", diag.sup_ok,
             f"sup {diag.sup_norm:.6g} vs bound {diag.sup_bound:.6g}"
-            + ("" if diag.diameter_exact else " (diameter upper bound)")))
+            + ("" if diag.diameter_exact else " (diameter upper bound)"),
+            diag.sup_norm, diag.sup_bound + LIP_SLACK))
     return checks
 
 
@@ -179,20 +212,20 @@ def _mechanism_checks(transcript, game) -> list[dict]:
     n = len(order)
     chosen = transcript.chosen
     telescoping = abs(float(transcript.payoffs.sum()) - float(umat[chosen].sum()))
-    checks.append(_check("mechanism.telescoping", telescoping <= 1e-9,
+    checks.append(_bound("mechanism.telescoping", telescoping, 1e-9,
                          f"residual {telescoping:.3g}"))
     paid = [0.0] + [s.values[chosen] for s in transcript.schedules] + [0.0]
     identity = max(abs(float(transcript.payoffs[order[pos]])
                        - (umat[chosen, order[pos]] - paid[pos] + paid[pos + 1]))
                    for pos in range(n))
-    checks.append(_check("mechanism.payoff_identity", identity <= 1e-9,
+    checks.append(_bound("mechanism.payoff_identity", identity, 1e-9,
                          f"max residual {identity:.3g}"))
     if transcript.mode == "exact":
         worst = 0.0
         for j, schedule in enumerate(transcript.schedules):
             net = _tail_values(umat, order, j + 1) - schedule.values
             worst = max(worst, float(net.max() - net.min()))
-        checks.append(_check("mechanism.indifference", worst <= 1e-9,
+        checks.append(_bound("mechanism.indifference", worst, 1e-9,
                              f"max net spread {worst:.3g}"))
         worst_id = 0.0
         for pos in range(1, n):
@@ -202,12 +235,12 @@ def _mechanism_checks(transcript, game) -> list[dict]:
         first = order[0]
         lead = abs(float(transcript.payoffs[first]) -
                    (wmax - sum(averages[order[k]] for k in range(1, n))))
-        checks.append(_check("mechanism.follower_payoffs", worst_id <= 1e-9,
+        checks.append(_bound("mechanism.follower_payoffs", worst_id, 1e-9,
                              f"max |g_i - Avg_i| = {worst_id:.3g}"))
-        checks.append(_check("mechanism.leader_payoff", lead <= 1e-9,
+        checks.append(_bound("mechanism.leader_payoff", lead, 1e-9,
                              f"|g_1 - (W_max - sum Avg)| = {lead:.3g}"))
         chosen_w = float(umat[chosen].sum())
-        checks.append(_check("mechanism.efficiency", abs(chosen_w - wmax) <= 1e-9,
+        checks.append(_bound("mechanism.efficiency", abs(chosen_w - wmax), 1e-9,
                              f"chosen welfare {chosen_w:.9g} vs max {wmax:.9g}"))
     else:
         checks.append(_check("mechanism.perturbed_target",
@@ -220,7 +253,7 @@ def _auction_checks(combined, branches, game) -> list[dict]:
     averages, wmax, n = game.averages, game.welfare_max, game.n_agents
     checks = []
     transfer_sum = abs(float(combined.auction.transfers.sum()))
-    checks.append(_check("auction.transfers_sum", transfer_sum <= 1e-12,
+    checks.append(_bound("auction.transfers_sum", transfer_sum, 1e-12,
                          f"residual {transfer_sum:.3g}"))
     bids = combined.auction.bids
     checks.append(_check("auction.winner_argmax",
@@ -229,28 +262,42 @@ def _auction_checks(combined, branches, game) -> list[dict]:
     eta = combined.surplus.eta
     fair = float(np.abs(combined.final_payoffs -
                         (averages + eta / n)).max())
-    checks.append(_check("auction.fair_split", fair <= 1e-9,
+    checks.append(_bound("auction.fair_split", fair, 1e-9,
                          f"max |final - (Avg + eta/n)| = {fair:.3g}"))
     shares = combined.final_payoffs - averages
     equal = float(shares.max() - shares.min())
-    checks.append(_check("auction.equal_split", equal <= 1e-9,
+    checks.append(_bound("auction.equal_split", equal, 1e-9,
                          f"spread of surplus shares {equal:.3g}"))
     total = abs(float(combined.final_payoffs.sum()) - wmax)
-    checks.append(_check("auction.total_is_wmax", total <= 1e-9,
+    checks.append(_bound("auction.total_is_wmax", total, 1e-9,
                          f"residual {total:.3g}"))
     stack = np.stack([b.final_payoffs for b in branches])
     spread = float((stack.max(axis=0) - stack.min(axis=0)).max())
     eff = max(abs(float(game.umat[b.transcript.chosen].sum()) - wmax)
               for b in branches)
-    checks.append(_check("auction.winner_invariance", spread <= 1e-9,
+    checks.append(_bound("auction.winner_invariance", spread, 1e-9,
                          f"max payoff spread across winners {spread:.3g}"))
-    checks.append(_check("auction.efficiency_preserved", eff <= 1e-9,
+    checks.append(_bound("auction.efficiency_preserved", eff, 1e-9,
                          "every branch implements the welfare maximum"))
     return checks
 
 
 def run_experiment(config: ScenarioConfig, *, include_auction: bool = True) -> dict:
     """Execute the configured pipeline and assemble the report dict."""
+    return _run_experiment(config, include_auction=include_auction)[0]
+
+
+def _schedule_arrays(section: str, transcript) -> dict[str, np.ndarray]:
+    return {f"{section}_{j}": s.values for j, s in enumerate(transcript.schedules)}
+
+
+def _run_experiment(config: ScenarioConfig, *,
+                    include_auction: bool = True) -> tuple[dict, dict]:
+    """The report plus the posted schedule vectors it summarizes.
+
+    The vectors are keyed ``mechanism_<j>`` and ``auction_<j>`` after the
+    report section and the position in its ``schedules`` list.
+    """
     profile = config.profile
     space = config.space
     x = config.x
@@ -276,11 +323,11 @@ def run_experiment(config: ScenarioConfig, *, include_auction: bool = True) -> d
     feas = validate_feasible(best.allocation, x)
     checks.append(_check("welfare.argmax_feasible", feas.ok,
                          "feasibility of the optimizer's point"))
-    checks.append(_check("welfare.value_sum",
-                         abs(best.value - float(best.per_agent.sum())) <= 1e-9,
+    checks.append(_bound("welfare.value_sum",
+                         abs(best.value - float(best.per_agent.sum())), 1e-9,
                          "value equals the per-agent sum"))
     sup_bound = float((umat.sum(axis=1) - game.welfare_max).max())
-    checks.append(_check("welfare.supconv_bound", sup_bound <= 1e-12,
+    checks.append(_bound("welfare.supconv_bound", sup_bound, 1e-12,
                          f"max excess over W_max = {sup_bound:.3g}"))
 
     report: dict = {
@@ -307,6 +354,7 @@ def run_experiment(config: ScenarioConfig, *, include_auction: bool = True) -> d
     transcript = run_pnc(game, config.mode, epsilon=config.epsilon,
                          iota=config.iota)
     report["mechanism"] = transcript.to_dict()
+    arrays = _schedule_arrays("mechanism", transcript)
     checks += _schedule_checks(transcript)
     checks += _mechanism_checks(transcript, game)
 
@@ -320,18 +368,18 @@ def run_experiment(config: ScenarioConfig, *, include_auction: bool = True) -> d
                     else run_auction_then_pnc(game, config.seed, winner=w)
                     for w in range(profile.n_agents)]
         report["auction"] = combined.to_dict()
+        arrays.update(_schedule_arrays("auction", combined.transcript))
         checks += _auction_checks(combined, branches, game)
 
     exact = transcript if transcript.mode == "exact" else run_pnc(game, "exact")
     dev = audit_first_mover_bound(game, exact, config.num_deviations,
                                   seed=config.seed)
     if dev.max_gain is not None:
-        checks.append(_check("audit.first_mover_bound",
-                             dev.max_gain <= 1e-9,
+        checks.append(_bound("audit.first_mover_bound", dev.max_gain, 1e-9,
                              f"max gain {dev.max_gain:.3g} over "
                              f"{dev.num_deviations} deviations"))
     bids = audit_bid_deviation(game, num_bids=config.bid_points)
-    checks.append(_check("audit.bid_deviations", bids.max_gain <= 1e-9,
+    checks.append(_bound("audit.bid_deviations", bids.max_gain, 1e-9,
                          f"max expected gain {bids.max_gain:.3g}"))
     report["audits"] = {"first_mover": dev.to_dict(), "bids": bids.to_dict()}
 
@@ -350,7 +398,7 @@ def run_experiment(config: ScenarioConfig, *, include_auction: bool = True) -> d
     report["agents"] = agents
     report["invariants"] = checks
     report["all_invariants_pass"] = all(c["passed"] for c in checks)
-    return report
+    return report, arrays
 
 
 def _tabular_text(report: dict) -> str:
@@ -370,15 +418,22 @@ def _tabular_text(report: dict) -> str:
 
 
 def structured_text(report: dict) -> str:
-    """Canonical full-fidelity serialization; floats round-trip exactly.
+    """Canonical serialization; floats round-trip exactly.
 
     Refuses NaN and infinities: every numeric field in a report is finite.
     """
     return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def emit_report(report: dict, out_dir, formats=("structured", "tabular")) -> dict:
-    """Write the report files; returns {format: path}."""
+def emit_report(report: dict, out_dir, formats=("structured", "tabular"),
+                arrays=None) -> dict:
+    """Write the report files; returns {format: path}.
+
+    With the structured format, ``arrays`` (the posted schedule vectors,
+    keyed ``mechanism_<j>`` and ``auction_<j>``) are also written beside
+    ``report.json`` as ``schedules.npz``, under the "schedules" key of the
+    result.
+    """
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -389,6 +444,10 @@ def emit_report(report: dict, out_dir, formats=("structured", "tabular")) -> dic
         p = out / "report.json"
         p.write_text(structured_text(report))
         paths["structured"] = str(p)
+        if arrays is not None:
+            p = out / "schedules.npz"
+            np.savez(p, **arrays)
+            paths["schedules"] = str(p)
     if "tabular" in formats:
         p = out / "report.csv"
         p.write_text(_tabular_text(report))

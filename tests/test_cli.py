@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pricechoose as pc
@@ -259,6 +261,58 @@ def test_cli_run_byte_deterministic(tmp_path):
     assert main(["run", "--scenario", "two-agent-hand", "--out", str(out2)]) == 0
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+    assert (out1 / "schedules.npz").read_bytes() == (out2 / "schedules.npz").read_bytes()
+
+
+def _transcripts(config):
+    """The bundled run's mechanism and auction transcripts, rebuilt here."""
+    grid = pc.enumerate_grid(config.space, config.x, config.profile.n_agents,
+                             config.resolution, state_classes=config.state_classes,
+                             weights=config.grid_weights, budget=config.budget)
+    game = pc.calibrate(config.profile, grid, cap=config.lipschitz_cap)
+    mechanism = pc.run_pnc(game, config.mode, epsilon=config.epsilon,
+                           iota=config.iota)
+    return {"mechanism": mechanism,
+            "auction": pc.run_auction_then_pnc(game, config.seed).transcript}
+
+
+# The bundled seeds draw winner 0, whose auction branch posts the same
+# schedules as the main run; seed 1 draws winner 1 for two and three agents.
+@pytest.mark.parametrize("seed", [None, 1], ids=["bundled-seed", "seed1"])
+@pytest.mark.parametrize("scenario", ["two_agent_hand", "hurricane_three_farmers"])
+def test_cli_run_writes_schedule_sidecar(tmp_path, scenario, seed):
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", scenario, "--out", str(out)]
+    assert main(argv + ([] if seed is None else ["--seed", str(seed)])) == 0
+    report = load_report(out / "report.json")
+    config = pc.load_scenario(FIXTURES / f"{scenario}.json").with_overrides(seed=seed)
+    transcripts = _transcripts(config)
+    assert (report["auction"]["auction"]["winner"] == 0) == (seed is None)
+    sections = {"mechanism": report["mechanism"],
+                "auction": report["auction"]["transcript"]}
+    with np.load(out / "schedules.npz", allow_pickle=False) as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    expected_keys = set()
+    for name, transcript in transcripts.items():
+        summaries = sections[name]["schedules"]
+        assert len(summaries) == len(transcript.schedules) >= 1
+        for j, (summary, schedule) in enumerate(zip(summaries, transcript.schedules)):
+            key = f"{name}_{j}"
+            expected_keys.add(key)
+            got = arrays[key]
+            assert got.dtype == np.dtype("<f8")
+            assert got.tobytes() == schedule.values.astype("<f8").tobytes()
+            assert hashlib.sha256(got.tobytes()).hexdigest() == summary["sha256"]
+    assert set(arrays) == expected_keys
+
+
+def test_cli_validation_failure_writes_no_sidecar(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", "--scenario", "two-agent-hand", "--resolution", "0",
+                 "--out", str(out)]) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_cli_audit_omits_auction(tmp_path):
@@ -296,7 +350,7 @@ def test_cli_bench_rejects_maxmin_before_running(tmp_path, monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("run_experiment called")
 
-    monkeypatch.setattr("pricechoose.cli.run_experiment", never)
+    monkeypatch.setattr("pricechoose.cli._run_experiment", never)
     code = main(["bench", "--scenario", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "bench needs an all-entropic scenario with a closed form" in (
@@ -310,6 +364,7 @@ def test_cli_tabular_only(tmp_path):
                  "--format", "tabular"]) == 0
     assert (out / "report.csv").exists()
     assert not (out / "report.json").exists()
+    assert not (out / "schedules.npz").exists()
 
 
 def test_cli_uses_scenario_output_paths(tmp_path):

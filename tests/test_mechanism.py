@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -299,7 +300,8 @@ def test_run_rejects_bad_mode_and_order(two_state):
 
 
 def test_transcript_roundtrip(two_state):
-    """The serialized transcript survives JSON exactly; diagnostics stay out."""
+    """The serialized transcript survives JSON exactly; diagnostics stay out,
+    and each schedule is a fixed-size summary that pins its vector."""
     _, _, profile, grid = two_state
     t = pc.run_pnc(pc.calibrate(profile, grid), "perturbed")
     back = json.loads(json.dumps(t.to_dict()))
@@ -307,8 +309,13 @@ def test_transcript_roundtrip(two_state):
     assert back["chosen"] == t.chosen and tuple(back["order"]) == t.order
     assert back["mode"] == t.mode and back["epsilon"] == t.epsilon
     assert np.array_equal(back["payoffs"], t.payoffs)
+    assert len(back["schedules"]) == len(t.schedules)
     for a, b in zip(back["schedules"], t.schedules):
-        assert np.array_equal(a["values"], b.values)
+        assert set(a) == {"declared_lip", "at_chosen", "sup_norm", "sha256"}
+        le_bytes = np.asarray(b.values, dtype="<f8").tobytes()
+        assert a["sha256"] == hashlib.sha256(le_bytes).hexdigest()
+        assert a["at_chosen"] == b.values[t.chosen]
+        assert a["sup_norm"] == np.abs(b.values).max()
         assert a["declared_lip"] == b.declared_lip
 
 

@@ -92,37 +92,19 @@ def test_coordinate_bound_violation():
     assert not report.bound_ok and not report.sign_ok
 
 
-# ---------------------------------------------------------------------------
-# anchored comonotone tables
-# ---------------------------------------------------------------------------
-
-def test_proportional_rule_is_anchored_comonotone():
-    xs = [0.0, -1.0, -2.0]
-    table = [{x: w * x for x in xs} for w in (0.3, 0.7)]
-    assert pc.is_anchored_comonotone(table)
-
-
 def test_positive_payoff_on_loss_rejected():
-    xs = [0.0, -1.0]
-    table = [{0.0: 0.0, -1.0: 1.0}, {0.0: 0.0, -1.0: -2.0}]
-    assert not pc.is_anchored_comonotone(table)
-
-
-def test_tranche_rule_is_anchored_comonotone_and_feasible():
-    xs = [0.0, -1.0, -2.0]
-    first = {x: max(x, -1.0) for x in xs}
-    second = {x: x - first[x] for x in xs}
-    table = [first, second]
-    assert pc.is_anchored_comonotone(table)
-    x = np.array([-2.0, 0.0, -1.0, -2.0])
-    from pricechoose.menu import allocation_from_table
-    report = pc.validate_feasible(allocation_from_table(table, x), x)
-    assert report.ok
+    report = pc.validate_feasible(np.array([[0.0, 1.0], [0.0, -2.0]]),
+                                  np.array([0.0, -1.0]))
+    assert not report.sign_ok
+    assert report.sign_violations == ((0, 1),)
 
 
 def test_sum_telescope_required():
-    table = [{0.0: 0.0, -2.0: -0.5}, {0.0: 0.0, -2.0: -0.5}]
-    assert not pc.is_anchored_comonotone(table)
+    report = pc.validate_feasible(np.array([[0.0, -0.5], [0.0, -0.5]]),
+                                  np.array([0.0, -2.0]))
+    assert not report.sum_ok
+    assert report.sum_violations == (1,)
+    assert report.sign_ok and report.anchored_ok and report.bound_ok
 
 
 # ---------------------------------------------------------------------------
@@ -400,19 +382,6 @@ def test_integrate_shape_mismatch(hand):
     _, _, _, grid = hand
     with pytest.raises(pc.StructuralError):
         pc.integrate(grid, np.zeros(grid.n_points + 1))
-
-
-def test_grid_csv_roundtrip(tmp_path, hand):
-    _, _, _, grid = hand
-    path = tmp_path / "grid.csv"
-    pc.export_grid_csv(grid, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "point,state,agent,payoff,weight"
-    assert len(rows) == 1 + grid.n_points * 2 * 1
-    k, state, agent, payoff, weight = rows[1].split(",")
-    assert (int(k), state, int(agent)) == (0, "loss", 0)
-    assert float(payoff) == grid.points[0, 0, 0]
-    assert float(weight) == grid.weights[0]
 
 
 # ---------------------------------------------------------------------------

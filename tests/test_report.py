@@ -1,4 +1,5 @@
-"""run_experiment builds one Game and reuses it; the auction checks can fail."""
+"""run_experiment builds one Game and reuses it; its checks can fail and record
+their margins; the report does not grow with the menu."""
 
 import dataclasses
 import sys
@@ -77,3 +78,64 @@ def test_efficiency_check_fails_on_a_non_maximizing_branch(two_state):
     check = auction_checks(game, [branches[0], bad])["auction.efficiency_preserved"]
     assert not check["passed"]
     assert check["detail"] == "every branch implements the welfare maximum"
+    assert check["value"] > check["tol"] == 1e-9
+
+
+def _lists(node):
+    """Every list in a JSON document, nested ones included."""
+    if isinstance(node, dict):
+        for v in node.values():
+            yield from _lists(v)
+    elif isinstance(node, list):
+        yield node
+        for v in node:
+            yield from _lists(v)
+
+
+def test_report_size_is_independent_of_the_menu_size():
+    """Schedules enter the report as fixed-size summaries: on a multi-class
+    menu, 15x more points change the document by a few digits."""
+    base = pc.load_scenario(SCENARIOS / "hurricane_three_farmers.json")
+    texts = {}
+    for resolution in (2, 4):
+        config = base.with_overrides(resolution=resolution,
+                                     state_classes=[0, 1, 1, 2, 1, 2, 2, 3])
+        result = pc.run_experiment(config)
+        assert result["all_invariants_pass"] and result["grid"]["n_classes"] == 3
+        longest = max(len(node) for node in _lists(result))
+        assert longest <= len(result["invariants"])
+        texts[result["grid"]["n_points"]] = pc.structured_text(result)
+    (small, a), (large, b) = sorted(texts.items())
+    assert large >= 10 * small
+    assert abs(len(a) - len(b)) < 1024
+
+
+STRUCTURAL_CHECKS = {"utility.credal_sets", "welfare.argmax_feasible",
+                     "auction.winner_argmax", "mechanism.perturbed_target"}
+LOWER_BOUND_CHECKS = {"space.probs_positive", "grid.weights_positive"}
+
+
+def test_invariants_record_their_margins():
+    """Numeric checks carry value and tol; the verdict is the comparison."""
+    for mode in ("exact", "perturbed"):
+        config = pc.load_scenario(SCENARIOS / "hurricane_three_farmers.json")
+        result = pc.run_experiment(config.with_overrides(mode=mode))
+        for check in result["invariants"]:
+            assert set(check) == {"name", "passed", "detail", "value", "tol"}
+            name, value, tol = check["name"], check["value"], check["tol"]
+            if name in STRUCTURAL_CHECKS:
+                assert value is None and tol is None
+                continue
+            assert isinstance(value, float) and isinstance(tol, float)
+            if name in LOWER_BOUND_CHECKS:
+                assert check["passed"] == (value > tol) and tol == 0.0
+            elif name != "menu.sign_anchoring":
+                assert check["passed"] == (value <= tol)
+            assert check["passed"], check
+
+
+def test_non_finite_margin_is_recorded_as_null():
+    check = report._bound("x", float("nan"), 1e-9, "residual nan")
+    assert check["value"] is None and check["tol"] == 1e-9
+    assert not check["passed"]
+    assert '"value": null' in pc.structured_text({"invariants": [check]})
