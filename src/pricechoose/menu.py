@@ -23,12 +23,18 @@ the sum of theirs; members with all-zero rows drop out.  The distance stays
 exact while the feature count falls from n + n*m to n*C, plus the agent-mass
 functionals that span several classes.
 
-The grid is the Cartesian product of one composition table per class (K rows
-each, P = K^C points), so every feature is a sum of per-class terms:
-g_f(j) = sum_c t_fc[j_c], with t_fc a K-vector.  Distances to one point are
-built from these O(F*C*K) tables: a feature that touches one class gives a
-K-vector of weighted gaps along that class's axis, and only the few features
-spanning several classes need their per-class gaps summed over the whole grid.
+The grid is the Cartesian product of one composition table per class, the
+same (K x n) table of simplex points for every class, so P = K^C.  A grid
+stores that table and P, never a P-sized array of allocations: point k takes
+row j_c of the table in class c, where (j_1, ..., j_C) are the base-K digits
+of k, and ``point(k)``/``share(k)`` are computed from those digits.  The
+``points``, ``shares`` and ``features`` arrays are built only on request, and
+nothing in the pipeline requests them.  Every feature is a sum of per-class
+terms, g_f(j) = sum_c t_fc[j_c], with t_fc a K-vector.  Distances to one point
+are built from these O(F*C*K) tables: a feature that touches one class gives
+a K-vector of weighted gaps along that class's axis, and only the few
+features spanning several classes need their per-class gaps summed over the
+whole grid.
 
 The distance is convex in the pair of share profiles, and the share set is a
 product of simplices, so the menu diameter is reached at a pair of vertices
@@ -308,38 +314,108 @@ def _resolve_state_classes(x: np.ndarray, state_classes) -> tuple[np.ndarray, in
     return cls, len(seen)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 class MenuGrid:
     """Finite menu: share-parameterized allocations, weights, and a metric.
 
-    Immutable after construction.  Points are ordered lexicographically in
-    composition indices, class-major, so enumeration order (and therefore
-    every lowest-index tie-break downstream) is deterministic.
+    Implicit and immutable: the grid keeps the (K x n) composition table
+    ``table``, whose rows are the share vectors of one class, and the point
+    count P = K^C.  Point k takes row j_c in class c, where (j_1, ..., j_C)
+    are the base-K digits of k, so points are ordered lexicographically in
+    composition indices, class-major, and every lowest-index tie-break
+    downstream is deterministic.  The only P-sized array a grid holds is
+    its point weights, until ``points``, ``shares`` or ``features`` is
+    requested.
     """
 
     def __init__(self, space: StateSpace, x: np.ndarray, n_agents: int,
-                 resolution: int, class_of_state: np.ndarray,
-                 shares: np.ndarray, points: np.ndarray, weights: np.ndarray,
-                 metric: WeakStarMetric, weights_kind: str) -> None:
+                 resolution: int, class_of_state: np.ndarray, table: np.ndarray,
+                 weights: np.ndarray, metric: WeakStarMetric,
+                 weights_kind: str) -> None:
         self.space = space
         self.x = x
         self.n_agents = n_agents
         self.resolution = resolution
         self.class_of_state = class_of_state
         self.n_classes = int(class_of_state.max()) + 1 if class_of_state.size else 0
-        self.shares = shares
-        self.points = points
+        self.table = table
+        self.n_points = table.shape[0] ** self.n_classes
         self.weights = weights
         self.metric = metric
         self.weights_kind = weights_kind
-        for arr in (self.x, self.shares, self.points, self.weights):
+        # Point k's class-c digit is k // K^(C-1-c) % K; a zero-risk state
+        # (class -1) reads place 1, and every diagonal point is 0 there.
+        self._place_values = table.shape[0] ** np.arange(self.n_classes - 1, -1, -1)
+        self._state_places = np.append(self._place_values, 1)[class_of_state]
+        for arr in (self.x, self.table, self.weights):
             arr.setflags(write=False)
 
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
+    def _check_index(self, k) -> int:
+        if not 0 <= k < self.n_points:
+            raise StructuralError(f"point index {k} is outside [0, {self.n_points})")
+        return int(k)
+
+    def _shares_at(self, idx) -> np.ndarray:
+        """Class shares of the points ``idx``: (C x n) for one index, with a
+        leading axis for an array of them."""
+        return self.table[np.asarray(idx)[..., None] // self._place_values
+                          % self.table.shape[0]]
+
+    def _points_at(self, idx) -> np.ndarray:
+        """Allocations of the points ``idx``: (n x m) for one index, with a
+        leading axis for an array of them.  Column w is read from the
+        diagonal point whose table row point k takes in class c(w)."""
+        rows = np.asarray(idx)[..., None] // self._state_places % self.table.shape[0]
+        cols = self.diagonal_points[rows, :, np.arange(len(self.x))]
+        return np.ascontiguousarray(cols.swapaxes(-1, -2))
+
+    def share(self, k: int) -> np.ndarray:
+        """(C x n) class shares of point ``k``, one table row per class.
+
+        Raises StructuralError unless 0 <= k < n_points.
+        """
+        return self._shares_at(self._check_index(k))
 
     def point(self, k: int) -> np.ndarray:
-        return self.points[k]
+        """(n x m) allocation of point ``k``: xi_i(w) = q_{c(w), i} X(w), and
+        exactly zero where X is.  Raises StructuralError unless
+        0 <= k < n_points."""
+        return self._points_at(self._check_index(k))
+
+    @cached_property
+    def shares(self) -> np.ndarray:
+        """(points x C x n) class shares of every point.
+
+        Built only on request, for tests and inspection: the pipeline reads
+        ``share(k)`` and the per-class tables instead.
+        """
+        return _read_only(self._shares_at(np.arange(self.n_points)))
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """(points x n x m) allocation of every point.
+
+        Built only on request, for tests and inspection: the pipeline reads
+        ``point(k)`` and ``diagonal_points`` instead.
+        """
+        return _read_only(self._points_at(np.arange(self.n_points)))
+
+    @cached_property
+    def diagonal_points(self) -> np.ndarray:
+        """(K x n x m) allocations of the points that take the same table row
+        in every class (the single point when there is no class).
+
+        Entry (i, w) of a grid point depends only on the table row its class
+        c(w) takes, so every entry of every grid point occurs among these
+        rows; with at most one class they are the points themselves.
+        """
+        rows = self.table if self.n_classes else self.table[:1]
+        # x + 0.0 turns a -0.0 entry into +0.0: zero-risk states hold +0.0.
+        return _read_only(rows[:, :, None] * (self.x + 0.0))
 
     @cached_property
     def _merged_metric(self) -> tuple[np.ndarray, np.ndarray]:
@@ -381,10 +457,19 @@ class MenuGrid:
         a single nonzero entry are merged into one feature per (class,
         agent); the others, the agent-mass functionals of a multi-class
         grid, are kept as they are.  With ``feature_weights`` they give the
-        metric exactly: d(j, k) = |g_j - g_k| . feature_weights.
+        metric exactly: d(j, k) = |g_j - g_k| . feature_weights.  Built only
+        on request, for tests and inspection: the pipeline reads the feature
+        rows of the points it touches and the per-class tables instead.
         """
-        p = self.n_points
-        flat = self.shares.reshape(p, self.n_classes * self.n_agents)
+        return self._feature_rows(np.arange(self.n_points))
+
+    def _feature_rows(self, idx: np.ndarray) -> np.ndarray:
+        """Rows ``idx`` of ``features``: with one class, rows of the table of
+        ``_class_tables``; otherwise computed from the points' shares."""
+        one = self._class_tables[0]
+        if len(one) == 1:
+            return one[0][0][idx]
+        flat = self._shares_at(idx).reshape(len(idx), self.n_classes * self.n_agents)
         return flat @ self._merged_metric[0].T
 
     @cached_property
@@ -393,25 +478,22 @@ class MenuGrid:
 
         Point j takes composition row j_c in every class c, so feature f is
         a sum of per-class terms, g_f(j) = sum_c t_fc[j_c], and t_fc is the
-        class's composition table times feature f's coefficients on class
+        composition table ``table`` times feature f's coefficients on class
         c.  Returns ``one``, ``multi`` and ``multi_weights``: ``one[c]`` is
         the (K x features) table and the weights of the features that touch
         class c alone, in column order; ``multi[c]`` is the (features x K)
         table of class c's terms of the features spanning several classes,
         which ``multi_weights`` weigh.  On a single-class grid ``one[0][0]``
-        equals ``features`` bit for bit; otherwise nothing here has P rows.
+        is ``features``; nothing here has P rows otherwise.
         """
         fmap, fw = self._merged_metric
         classes, n = self.n_classes, self.n_agents
-        rows = math.comb(self.resolution + n - 1, n - 1)
         blocks = fmap.reshape(len(fw), classes, n)
         touched = np.any(blocks != 0.0, axis=2)
         spans = touched.sum(axis=1) > 1
         one, multi = [], []
         for c in range(classes):
-            # Class c's composition rows: the points whose other digits are 0.
-            step = rows ** (classes - 1 - c)
-            table = self.shares[:rows * step:step, c, :] @ blocks[:, c, :].T
+            table = self.table @ blocks[:, c, :].T
             own = touched[:, c] & ~spans
             # Row-major, as ``features`` is: the gemv rounding depends on it.
             one.append((np.ascontiguousarray(table[:, own]), fw[own]))
@@ -430,8 +512,7 @@ class MenuGrid:
         for bit.  Raises StructuralError unless 0 <= k < n_points.
         """
         p = self.n_points
-        if not 0 <= k < p:
-            raise StructuralError(f"point index {k} is outside [0, {p})")
+        k = self._check_index(k)
         one, multi, multi_w = self._class_tables
         classes = len(one)
         if classes == 1:
@@ -462,8 +543,8 @@ class MenuGrid:
         return total.reshape(p)
 
     def distance(self, j: int, k: int) -> float:
-        g = self.features
-        return float(np.dot(self.feature_weights, np.abs(g[j] - g[k])))
+        g = self._feature_rows(np.array([self._check_index(j), self._check_index(k)]))
+        return float(np.dot(self.feature_weights, np.abs(g[0] - g[1])))
 
     @cached_property
     def diameter(self) -> tuple[float, bool]:
@@ -475,9 +556,14 @@ class MenuGrid:
         Analysis, Cor. 32.3.2).  Exact scan over those n^C vertex pairs up
         to 4096 vertices; beyond that, the sound coordinatewise-range upper
         bound over the vertices, which equals the range over the whole grid
-        because the features are linear in the shares.
+        because the features are linear in the shares.  Feature rows are
+        built for the vertices only.
         """
-        g = self.features[np.all(self.shares.max(axis=2) == 1.0, axis=1)]
+        corners = np.nonzero(self.table.max(axis=1) == 1.0)[0]
+        vertices = np.zeros(1, dtype=np.int64)
+        for _ in range(self.n_classes):
+            vertices = (vertices[:, None] * self.table.shape[0] + corners).ravel()
+        g = self._feature_rows(vertices)
         w = self.feature_weights
         v = g.shape[0]
         if v <= 4096:
@@ -510,37 +596,22 @@ def enumerate_grid(space: StateSpace, x, n_agents: int, resolution: int, *,
     Per nonzero-state class, all simplex compositions with the given
     denominator; the cartesian product runs across classes.  A state whose
     aggregate risk is zero carries no decision variables.  Exceeding the
-    point budget raises instead of silently subsampling.
+    point budget raises instead of silently subsampling.  Only the
+    composition table and the point weights are built: the grid is implicit.
     """
     x = space.check_variable(x, "aggregate risk")
     if resolution < 1:
         raise ValidationError("resolution must be >= 1")
-    cls, n_classes = _resolve_state_classes(x, state_classes)
-    total = grid_point_count(x, n_agents, resolution, state_classes)
-    if total > budget:
+    cls, _ = _resolve_state_classes(x, state_classes)
+    p = grid_point_count(x, n_agents, resolution, state_classes)
+    if p > budget:
         raise GridBudgetError(
-            f"grid would hold {total} points, over the budget of {budget}; "
+            f"grid would hold {p} points, over the budget of {budget}; "
             "lower the resolution or merge state classes"
         )
     if metric is None:
         metric = build_metric(space, n_agents)
 
-    m = space.n_states
-    if n_classes == 0:
-        shares = np.zeros((1, 0, n_agents))
-        points = np.zeros((1, n_agents, m))
-    else:
-        comp = compositions(resolution, n_agents) / float(resolution)
-        k = comp.shape[0]
-        idx = np.arange(total)
-        digits = np.stack(np.unravel_index(idx, (k,) * n_classes), axis=1)
-        shares = comp[digits]                      # (P, C, n)
-        points = np.zeros((total, n_agents, m))
-        for w in range(m):
-            if cls[w] >= 0:
-                points[:, :, w] = shares[:, cls[w], :] * x[w]
-
-    p = points.shape[0]
     if weights == "uniform":
         wts = np.full(p, 1.0 / p)
     elif weights == "geometric":
@@ -553,8 +624,9 @@ def enumerate_grid(space: StateSpace, x, n_agents: int, resolution: int, *,
     else:
         raise ValidationError(f"unknown weights kind {weights!r}")
 
-    return MenuGrid(space, x, n_agents, resolution, cls, shares, points, wts,
-                    metric, weights)
+    table = compositions(resolution, n_agents) / float(resolution)
+    return MenuGrid(space, x, n_agents, resolution, cls, table, wts, metric,
+                    weights)
 
 
 def integrate(grid: MenuGrid, f) -> float:
@@ -600,9 +672,9 @@ def lipschitz_ratio(values, grid: MenuGrid, *, exhaustive_threshold: int = 512,
     p = grid.n_points
     if p < 2:
         return 0.0
-    g = grid.features
     w = grid.feature_weights
     if p <= exhaustive_threshold:
+        g = grid._feature_rows(np.arange(p))
         best = 0.0
         for lo in range(0, p, 256):
             hi = min(lo + 256, p)
@@ -617,7 +689,7 @@ def lipschitz_ratio(values, grid: MenuGrid, *, exhaustive_threshold: int = 512,
     b = rng.integers(0, p, size=num_samples)
     keep = a != b
     a, b = a[keep], b[keep]
-    d = np.abs(g[a] - g[b]) @ w
+    d = np.abs(grid._feature_rows(a) - grid._feature_rows(b)) @ w
     dv = np.abs(v[a] - v[b])
     mask = d > 0.0
     if not mask.any():

@@ -41,6 +41,7 @@ from .utility import (
     MaxMinUtility,
     check_cash_invariance,
     evaluate,
+    evaluate_grid,
     reference_version,
 )
 from .welfare import closed_form_entropic, maximize_welfare
@@ -82,17 +83,19 @@ def _space_checks(config: ScenarioConfig, grid) -> list[dict]:
                abs(integrate(grid, np.ones(grid.n_points)) - 1.0), 1e-12,
                "weighted mass of the constant 1"),
     ]
-    bound_slack = float((np.abs(grid.points) -
-                         np.abs(grid.x)[None, None, :]).max())
+    # Every entry of every grid point occurs among the diagonal points, so
+    # these maxima are the grid's own.
+    rows = grid.diagonal_points
+    bound_slack = float((np.abs(rows) - np.abs(grid.x)[None, None, :]).max())
     checks.append(_bound("menu.coordinate_bound", bound_slack, 1e-12,
                          f"max |xi|-|X| = {bound_slack:.3g}"))
-    col_slack = float(np.abs(grid.points.sum(axis=1) - grid.x[None, :]).max())
+    col_slack = float(np.abs(rows.sum(axis=1) - grid.x[None, :]).max())
     checks.append(_bound("menu.column_sums", col_slack, 1e-12,
                          f"max |sum_i xi - X| = {col_slack:.3g}"))
     sign = np.sign(grid.x)
-    sign_slack = float(-(grid.points * sign[None, None, :]).min())
+    sign_slack = float(-(rows * sign[None, None, :]).min())
     zero_mask = grid.x == 0.0
-    anchored = float(np.abs(grid.points[:, :, zero_mask]).max()) if zero_mask.any() else 0.0
+    anchored = float(np.abs(rows[:, :, zero_mask]).max()) if zero_mask.any() else 0.0
     # value is the sign slack; the zero-state mass must also be exactly 0.
     checks.append(_check("menu.sign_anchoring",
                          sign_slack <= 1e-12 and anchored == 0.0,
@@ -123,7 +126,9 @@ def _metric_checks(grid, seed: int) -> list[dict]:
     return checks
 
 
-def _utility_checks(config: ScenarioConfig, grid, umat, seed: int) -> list[dict]:
+def _utility_checks(config: ScenarioConfig, grid, umat, ref_vals: dict,
+                    seed: int) -> list[dict]:
+    """``ref_vals`` maps each max-min agent to its reference-prior values."""
     profile = config.profile
     n, m = profile.n_agents, config.space.n_states
     checks = []
@@ -135,7 +140,7 @@ def _utility_checks(config: ScenarioConfig, grid, umat, seed: int) -> list[dict]
     sample = rng.integers(0, grid.n_points, size=min(10, grid.n_points))
     worst_cash = 0.0
     for k in sample:
-        xi = grid.points[int(k)]
+        xi = grid.point(int(k))
         for i, u in enumerate(profile.evaluators):
             for c in (-10.0, -1.0, 0.0, 1.0, 10.0):
                 worst_cash = max(worst_cash, check_cash_invariance(u, xi, i, c))
@@ -147,7 +152,7 @@ def _utility_checks(config: ScenarioConfig, grid, umat, seed: int) -> list[dict]
     worst_sup = 0.0
     pairs = rng.integers(0, grid.n_points, size=(min(50, grid.n_points), 2))
     for a, b in pairs:
-        xa, xb = grid.points[int(a)], grid.points[int(b)]
+        xa, xb = grid.point(int(a)), grid.point(int(b))
         for i, u in enumerate(profile.evaluators):
             ua = evaluate(u, xa, i)
             ub = evaluate(u, xb, i)
@@ -170,9 +175,7 @@ def _utility_checks(config: ScenarioConfig, grid, umat, seed: int) -> list[dict]
     credal_ok = True
     for i, u in enumerate(profile.evaluators):
         if isinstance(u, MaxMinUtility):
-            ref = reference_version(u, config.space)
-            ref_vals = ref.values(grid.points[:, i, :])
-            worst_dom = max(worst_dom, float((umat[:, i] - ref_vals).max()))
+            worst_dom = max(worst_dom, float((umat[:, i] - ref_vals[i]).max()))
             priors = u.credal.priors
             credal_ok = credal_ok and bool(
                 np.all(priors > 0.0)
@@ -316,10 +319,15 @@ def _run_experiment(config: ScenarioConfig, *,
         closed["tilt"] = [float(t) for t in cf.tilt]
         closed["grid_value_gap"] = abs(best.value - cf.value)
 
+    # Reference-prior values: a max-min agent's are evaluated once, for the
+    # dominance check and its avg; an entropic agent's are its umat column.
+    ref_vals = {i: evaluate_grid(reference_version(u, space), grid, i)
+                for i, u in enumerate(profile.evaluators)
+                if isinstance(u, MaxMinUtility)}
     checks = []
     checks += _space_checks(config, grid)
     checks += _metric_checks(grid, config.seed)
-    checks += _utility_checks(config, grid, umat, config.seed)
+    checks += _utility_checks(config, grid, umat, ref_vals, config.seed)
     feas = validate_feasible(best.allocation, x)
     checks.append(_check("welfare.argmax_feasible", feas.ok,
                          "feasibility of the optimizer's point"))
@@ -385,8 +393,8 @@ def _run_experiment(config: ScenarioConfig, *,
 
     agents = []
     for i in range(profile.n_agents):
-        ref = reference_version(profile.evaluators[i], space)
-        ref_avg = integrate(grid, ref.values(grid.points[:, i, :]))
+        ref_avg = integrate(grid, ref_vals[i] if i in ref_vals
+                            else np.ascontiguousarray(umat[:, i]))
         agents.append({
             "agent": i,
             "avg": float(ref_avg),

@@ -141,8 +141,7 @@ class UtilityProfile:
             raise StructuralError(
                 f"grid built for {grid.n_agents} agents, profile has {self.n_agents}"
             )
-        cols = [self.evaluators[i].values(grid.points[:, i, :])
-                for i in range(self.n_agents)]
+        cols = [evaluate_grid(u, grid, i) for i, u in enumerate(self.evaluators)]
         return np.stack(cols, axis=1)
 
     def at_point(self, xi: np.ndarray) -> np.ndarray:
@@ -167,9 +166,54 @@ def evaluate(u: Utility, xi, agent: int) -> float:
     return float(u.values(_agent_row(xi, agent)))
 
 
+def _table_ce(grid: MenuGrid, agent: int, prior: np.ndarray,
+              gamma: float) -> np.ndarray:
+    """Entropic certainty equivalent of every point of a multi-class grid.
+
+    E_nu[exp(-gamma xi)] is a sum of per-class terms: class c contributes
+    the K-vector S_c = sum_{w in c} nu(w) exp(-gamma q_{c,i} X(w) - a_c),
+    shifted by its own row maximum a_c, and the zero-risk states add their
+    mass.  On the product each term is rescaled to the point's shift
+    A = max(max_c a_c[j_c], 0 if X vanishes somewhere) before the log, so
+    no exponential can overflow.
+    """
+    cls, x, k = grid.class_of_state, grid.x, grid.table.shape[0]
+    q = grid.table[:, agent]
+    shift, terms = None, []
+    for c in range(grid.n_classes):
+        states = cls == c
+        z = -gamma * np.outer(q, x[states])
+        a = z.max(axis=1)
+        s = np.sum(prior[states] * np.exp(z - a[:, None]), axis=1)
+        along = (1,) * c + (k,) + (1,) * (grid.n_classes - 1 - c)
+        a, s = a.reshape(along), s.reshape(along)
+        shift = a if shift is None else np.maximum(shift, a)
+        terms.append((a, s))
+    total = 0.0
+    zero_mass = prior[cls < 0].sum()
+    if zero_mass > 0.0:
+        shift = np.maximum(shift, 0.0)
+        total = zero_mass * np.exp(-shift)
+    for a, s in terms:
+        total = total + s * np.exp(a - shift)
+    ce = -(shift + np.log(total) - np.log(prior.sum())) / gamma
+    return ce.reshape(grid.n_points)
+
+
 def evaluate_grid(u: Utility, grid: MenuGrid, agent: int) -> np.ndarray:
-    """Vectorized evaluate over every grid point."""
-    return np.asarray(u.values(grid.points[:, agent, :]), dtype=float)
+    """The utility of ``agent`` at every grid point, from the grid's tables.
+
+    With at most one class the points are ``grid.diagonal_points`` and the
+    row formula of ``evaluate`` runs on them, bit for bit.  On a product
+    grid each prior's values are summed from per-class K-vectors (see
+    ``_table_ce``); a max-min evaluator takes the minimum over its priors.
+    """
+    if grid.n_classes <= 1:
+        return np.asarray(u.values(grid.diagonal_points[:, agent, :]), dtype=float)
+    if isinstance(u, MaxMinUtility):
+        return np.min([_table_ce(grid, agent, nu, u.gamma)
+                       for nu in u.credal.priors], axis=0)
+    return _table_ce(grid, agent, u.probs, u.gamma)
 
 
 def worst_case_prior(u: MaxMinUtility, xi, agent: int) -> int:

@@ -149,13 +149,13 @@ def maximize_welfare(profile: UtilityProfile, grid: MenuGrid,
         umat = profile.matrix(grid)
     wvals = umat[:, from_agent:].sum(axis=1)
     idx = int(np.argmax(wvals))
-    shares = grid.shares[idx] if grid.n_classes else None
-    allocation = grid.points[idx]
+    shares = grid.share(idx) if grid.n_classes else None
+    allocation = grid.point(idx)
     per_agent = umat[idx]
     method = "grid"
 
     if refine and grid.n_classes:
-        q, refined_val = _refine_shares(profile, grid, grid.shares[idx],
+        q, refined_val = _refine_shares(profile, grid, shares,
                                         from_agent, refine_tol, max_sweeps)
         if refined_val > wvals[idx]:
             rows = [q[grid.class_of_state[w]] if grid.class_of_state[w] >= 0 else None

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +229,16 @@ def test_empty_deviation_audit_still_valid(tmp_path):
 
 def test_cli_validate_ok():
     assert main(["validate", "--scenario", "two-agent-hand"]) == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "pricechoose", "validate", "--scenario", "two-agent-hand"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "scenario OK" in done.stdout
 
 
 def test_cli_validate_reports_all_errors(tmp_path, capsys):

@@ -322,6 +322,56 @@ def test_distances_to_rejects_out_of_range_targets():
     assert pc.bump_profile(grid, grid.n_points - 1, 0.1)[-1] == 1.0
 
 
+def test_point_and_share_reject_out_of_range_indices():
+    space = pc.StateSpace(["a", "b"], [0.5, 0.5])
+    grid = pc.enumerate_grid(space, np.array([-1.0, -2.0]), 2, 3)
+    for k in (-1, grid.n_points):
+        for method in (grid.point, grid.share):
+            with pytest.raises(pc.StructuralError,
+                               match=rf"point index {k} is outside \[0, {grid.n_points}\)"):
+                method(k)
+        with pytest.raises(pc.StructuralError, match="outside"):
+            grid.distance(0, k)
+    last = grid.n_points - 1
+    assert np.array_equal(grid.point(last), grid.points[last])
+    assert np.array_equal(grid.share(last), grid.shares[last])
+
+
+def _implicit_grids():
+    space, endow = hurricane_space()
+    x = pc.aggregate_risk(endow)
+    yield pc.enumerate_grid(space, x, 3, 3, state_classes=[0, 1, 1, 2, 1, 2, 2, 3])
+    yield pc.enumerate_grid(space, x, 3, 6, state_classes="single")
+    two = pc.StateSpace(["a", "b", "c"], [0.2, 0.3, 0.5])
+    # a zero-risk state written as -0.0 still gets +0.0 entries
+    yield pc.enumerate_grid(two, np.array([-1.0, -0.0, 2.0]), 2, 4)
+    yield pc.enumerate_grid(two, np.zeros(3), 2, 4)
+
+
+@pytest.mark.parametrize("grid", list(_implicit_grids()))
+def test_implicit_grid_matches_its_arrays(grid):
+    """On a product grid enumerate_grid builds nothing with P rows but the
+    weights; point(k), share(k) and the diagonal points agree with the
+    arrays built on request."""
+    p = grid.n_points
+    if grid.n_classes > 1:
+        held = [v for k, v in vars(grid).items() if k != "weights"]
+        assert all(a.shape[0] < p for a in _arrays(held))
+    points, shares = grid.points, grid.shares
+    assert points.shape == (p, grid.n_agents, len(grid.x))
+    for k in range(p):
+        assert grid.point(k).tobytes() == points[k].tobytes()
+        assert grid.share(k).tobytes() == shares[k].tobytes()
+    rows = grid.diagonal_points
+    stride = sum(rows.shape[0] ** c for c in range(grid.n_classes))
+    for r in range(rows.shape[0]):
+        assert rows[r].tobytes() == points[r * stride].tobytes()
+    # Every entry of every point occurs among the diagonal rows.
+    for i in range(grid.n_agents):
+        for w in range(len(grid.x)):
+            assert set(points[:, i, w]) <= set(rows[:, i, w])
+
+
 def test_merged_features_one_per_class_and_agent():
     space, endow = hurricane_space()
     x = pc.aggregate_risk(endow)

@@ -2,6 +2,8 @@
 their margins; the report does not grow with the menu."""
 
 import dataclasses
+import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -34,7 +36,8 @@ def count_calls(monkeypatch, owner, name):
 def test_run_experiment_computes_shared_data_once(monkeypatch):
     """n = 3: one utility matrix and one set of averages; n + 1 mechanism runs
     (the main one and one per auction branch), each validating its n - 1
-    schedules once; calibration reads the matrix instead of re-evaluating."""
+    schedules once; the matrix evaluates each agent's column once, and
+    calibration and the report's averages read it instead of re-evaluating."""
     config = pc.load_scenario(SCENARIOS / "hurricane_three_farmers.json")
     assert config.profile.n_agents == 3 and config.mode == "exact"
     calls = {
@@ -48,7 +51,7 @@ def test_run_experiment_computes_shared_data_once(monkeypatch):
     assert result["all_invariants_pass"]
     assert {k: len(v) for k, v in calls.items()} == {
         "matrix": 1, "average_utilities": 1, "run_pnc": 4,
-        "validate_schedule": 8, "evaluate_grid": 0}
+        "validate_schedule": 8, "evaluate_grid": 3}
 
 
 def test_drawn_winner_run_is_its_branch(two_state):
@@ -110,6 +113,24 @@ def test_report_size_is_independent_of_the_menu_size():
     assert abs(len(a) - len(b)) < 1024
 
 
+def test_pipeline_reads_no_point_sized_grid_array(monkeypatch):
+    """The grid is implicit: a whole run on a 3-class grid, in both modes and
+    on both Lipschitz paths (exhaustive up to 512 points, sampled above),
+    never builds ``points``, ``shares`` or ``features``."""
+    def refuse(grid):
+        raise AssertionError("the pipeline read a point-sized grid array")
+
+    for name in ("points", "shares", "features"):
+        monkeypatch.setattr(pc.MenuGrid, name, property(refuse))
+    base = pc.load_scenario(SCENARIOS / "hurricane_three_farmers.json")
+    for resolution, mode in ((2, "exact"), (4, "perturbed")):
+        config = base.with_overrides(resolution=resolution, mode=mode,
+                                     state_classes=[0, 1, 1, 2, 1, 2, 2, 3])
+        result = pc.run_experiment(config)
+        assert result["grid"]["n_classes"] == 3
+        assert result["all_invariants_pass"]
+
+
 STRUCTURAL_CHECKS = {"utility.credal_sets", "welfare.argmax_feasible",
                      "auction.winner_argmax", "mechanism.perturbed_target"}
 LOWER_BOUND_CHECKS = {"space.probs_positive", "grid.weights_positive"}
@@ -132,6 +153,93 @@ def test_invariants_record_their_margins():
             elif name != "menu.sign_anchoring":
                 assert check["passed"] == (value <= tol)
             assert check["passed"], check
+
+
+# The behavioural contract: sha256 of the three files each bundled CLI run
+# writes.  The recorded report.json documents sit in data/bundled_reports and
+# locate a mismatch; a change that moves a report updates both on purpose.
+BUNDLED_RUNS = {
+    ("two-agent-hand", "run"): (
+        "1c0869a78fa50e545688b9a1e510ba516458b00d329d910e86732863c6896bc3",
+        "d4f002d601b7202f01c87da0579f844c66e9eb1d5b94961aafd64a0bec9015df",
+        "78c168ef0f918c7f75ec9891189c025c8916947e43ab056d813a2564b15c1afe"),
+    ("two-agent-hand", "run-perturbed"): (
+        "fc468476d88bbf8eeedf46bb09286d15f43a111a60f5cbb2d1c11a28a53fe776",
+        "3f963f5e5580cc9f1c55b0054840bf7a6e1e23d1ca1d3df90a4914b3b401bddf",
+        "be46471d172ad739c90d99cd58b9a4efbb81af0272d61994484a64213dd9041f"),
+    ("two-agent-hand", "audit"): (
+        "811ce4ebfacf59c2d6b67f1cf0c101482738068b58b46e6f65632fad4ad0a8ed",
+        "403db2b6e2719b55555c1f463a9ff75a32cc18ec083e2d396f396f9631f30a49",
+        "f4d404172eaab8bf53aeeae2ae5c61ebe02ca3726bcce77c9c030b75bb195f01"),
+    ("hurricane-three-farmers", "run"): (
+        "29a0f660c80fc57a56f9101ada23f1cc0bccbdc76ca950d38e474080f93870f4",
+        "c21bc4ed3bd31a90bbe7a37b6b50ff629e2af0b9c552c122e4e823932f2b16b5",
+        "9f31d2a1a41bf11acd8212941f49d8a9ec04e8b1c906ca91f260bd9df5d92fce"),
+    ("hurricane-three-farmers", "run-perturbed"): (
+        "203bcd0c6826c7f2daa3db3c8c855ef885ae41d0597d972a99a84f105d86a517",
+        "bf86669b733738b2f757a5722bccdc9fd00b449d91ef571490a82755ddd42933",
+        "8c100bd47212ca0354b2f10c3e5408cc816d5d772842791622cdfb2896d59df7"),
+    ("hurricane-three-farmers", "audit"): (
+        "f377038c9cebf59d59d9161c675ec141359595532b046feb2e5787266ef1f203",
+        "d0f5e655cd8b769fc52307d8ce96662cda7dcac22fc25822042cdcc7c84c153f",
+        "4477bde65568e3f7359a14648aa76587e403d2a0aa06ba35c9d695d3bfc0bea1"),
+}
+RECORDED = Path(__file__).resolve().parent / "data" / "bundled_reports"
+
+
+def _first_difference(new, old, path="$"):
+    """JSON path of the first value that differs, in document order."""
+    if isinstance(new, dict) and isinstance(old, dict):
+        for key in sorted(set(new) | set(old)):
+            if key not in new or key not in old:
+                return f"{path}.{key}"
+            found = _first_difference(new[key], old[key], f"{path}.{key}")
+            if found:
+                return found
+        return None
+    if isinstance(new, list) and isinstance(old, list):
+        for j, (a, b) in enumerate(zip(new, old)):
+            found = _first_difference(a, b, f"{path}[{j}]")
+            if found:
+                return found
+        return None if len(new) == len(old) else f"{path} (length)"
+    return None if new == old and type(new) is type(old) else path
+
+
+def test_bundled_reports_match_recorded_digests(tmp_path):
+    from pricechoose.cli import main
+
+    def sha(path: Path) -> str:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    for (scenario, command), digests in BUNDLED_RUNS.items():
+        out = tmp_path / f"{scenario}.{command}"
+        argv = ["run", "--mode", "perturbed"] if command == "run-perturbed" else [command]
+        assert main(argv + ["--scenario", scenario, "--out", str(out),
+                            "--format", "both"]) == 0
+        recorded = RECORDED / f"{scenario}.{command}.json"
+        assert sha(recorded) == digests[0], f"{recorded.name} is not the recorded document"
+        label = f"{scenario} {command}"
+        report_json, report_csv, npz = (out / "report.json", out / "report.csv",
+                                        out / "schedules.npz")
+        if sha(report_json) != digests[0]:
+            where = _first_difference(json.loads(report_json.read_text()),
+                                      json.loads(recorded.read_text()))
+            raise AssertionError(f"{label}: report.json differs first at {where}")
+        assert sha(report_csv) == digests[1], f"{label}: report.csv differs"
+        if sha(npz) != digests[2]:
+            # The report's schedule summaries carry each vector's sha256.
+            doc = json.loads(report_json.read_text())
+            summaries = {f"mechanism_{j}": s for j, s in
+                         enumerate(doc["mechanism"]["schedules"])}
+            if "auction" in doc:
+                summaries.update({f"auction_{j}": s for j, s in enumerate(
+                    doc["auction"]["transcript"]["schedules"])})
+            with np.load(npz, allow_pickle=False) as arrays:
+                moved = [key for key in arrays.files if key not in summaries or
+                         hashlib.sha256(arrays[key].astype("<f8").tobytes())
+                         .hexdigest() != summaries[key]["sha256"]]
+            raise AssertionError(f"{label}: schedules.npz differs; arrays {moved}")
 
 
 def test_non_finite_margin_is_recorded_as_null():

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import pricechoose as pc
 
+from conftest import hurricane_space
+
 
 def entropic_pair(space):
     return pc.EntropicUtility(1.0, space.probs)
@@ -220,3 +222,92 @@ def test_profile_matrix_matches_pointwise(two_state):
     umat = profile.matrix(grid)
     for k in (0, 17, grid.n_points - 1):
         assert umat[k] == pytest.approx(profile.at_point(grid.point(k)), abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# evaluate_grid: the per-class table evaluator against the row formula
+# ---------------------------------------------------------------------------
+
+def _row_formula(u, grid, agent):
+    """The row formula of ``evaluate`` on every point's row of the full array."""
+    return np.asarray(u.values(grid.points[:, agent, :]))
+
+
+def _table_vs_rows(u, grid, agent):
+    got = pc.evaluate_grid(u, grid, agent)
+    ref = _row_formula(u, grid, agent)
+    assert got.shape == (grid.n_points,) and np.all(np.isfinite(got))
+    return got, ref
+
+
+def _assert_close(got, ref):
+    """Within 1e-14 relative to the column's largest value: near U = 0 both
+    forms round the log of a sum of order 1, so pointwise ratios mean
+    nothing."""
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _maxmin(space, gamma, rng, count=3):
+    priors = [space.probs]
+    for _ in range(count - 1):
+        tilt = space.probs * np.exp(rng.uniform(-0.6, 0.6, len(space.probs)))
+        priors.append(tilt / tilt.sum())
+    return pc.MaxMinUtility(gamma, pc.CredalSet(np.array(priors), space.probs))
+
+
+def test_evaluate_grid_is_the_row_formula_on_single_class_grids():
+    space, endow = hurricane_space()
+    x = pc.aggregate_risk(endow)
+    rng = np.random.default_rng(5)
+    three = pc.StateSpace(["a", "b", "c"], [0.2, 0.3, 0.5])
+    grids = [
+        pc.enumerate_grid(space, x, 3, 12, state_classes="single"),
+        # one nonzero state plus a zero-risk state: one class
+        pc.enumerate_grid(three, np.array([0.0, -2.0, 0.0]), 3, 9),
+        pc.enumerate_grid(three, np.zeros(3), 2, 5),      # no class at all
+    ]
+    for grid in grids:
+        assert grid.n_classes <= 1
+        probs = grid.space.probs
+        for u in (pc.EntropicUtility(1.7, probs), _maxmin(grid.space, 0.9, rng)):
+            for agent in range(grid.n_agents):
+                got, ref = _table_vs_rows(u, grid, agent)
+                assert np.array_equal(got, ref)
+
+
+def test_evaluate_grid_matches_the_row_formula_on_product_grids():
+    space, endow = hurricane_space(hit_prob=0.2, loss=1.3)
+    x = pc.aggregate_risk(endow)
+    four = pc.StateSpace(["a", "b", "c", "d"], [0.1, 0.2, 0.3, 0.4])
+    grids = [
+        pc.enumerate_grid(space, x, 3, 4, state_classes=[0, 1, 1, 2, 1, 2, 2, 3]),
+        pc.enumerate_grid(four, np.array([-1.0, 2.0, -0.5, 1.5]), 2, 6),  # per_state
+        # labels with a zero-risk state, which belongs to no class
+        pc.enumerate_grid(four, np.array([-1.0, 0.0, 2.0, -3.0]), 3, 5,
+                          state_classes=["p", "p", "q", "r"]),
+    ]
+    rng = np.random.default_rng(11)
+    for grid in grids:
+        assert grid.n_classes > 1
+        probs = grid.space.probs
+        for u in (pc.EntropicUtility(0.8, probs), pc.EntropicUtility(2.5, probs),
+                  _maxmin(grid.space, 1.4, rng, count=3)):
+            for agent in range(grid.n_agents):
+                _assert_close(*_table_vs_rows(u, grid, agent))
+
+
+def test_evaluate_grid_shifts_large_exponents():
+    """gamma * ||X|| ~ 700: an unshifted sum of exponentials overflows; the
+    shifted tables stay finite and raise no RuntimeWarning."""
+    four = pc.StateSpace(["a", "b", "c", "d"], [0.1, 0.2, 0.3, 0.4])
+    x = np.array([-7.0, 7.0, 0.0, -3.5])
+    gamma = 105.0
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        np.exp(gamma * np.abs(x).max())
+    grid = pc.enumerate_grid(four, x, 2, 20)
+    assert grid.n_classes == 3
+    rng = np.random.default_rng(3)
+    for u in (pc.EntropicUtility(gamma, four.probs), _maxmin(four, gamma, rng)):
+        with np.errstate(all="raise", under="ignore"):
+            for agent in range(2):
+                _assert_close(*_table_vs_rows(u, grid, agent))
