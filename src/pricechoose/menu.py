@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, combinations
 from typing import TypeAlias
 
 import numpy as np
@@ -271,20 +272,19 @@ def metric_distance(metric: WeakStarMetric, a, b) -> float:
 
 def compositions(total: int, parts: int) -> np.ndarray:
     """All nonnegative integer tuples of length ``parts`` summing to ``total``,
-    in ascending lexicographic order."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    rows: list[tuple[int, ...]] = []
+    in ascending lexicographic order.
 
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 1:
-            rows.append(prefix + (remaining,))
-            return
-        for c in range(remaining + 1):
-            rec(prefix + (c,), remaining - c, slots - 1)
-
-    rec((), total, parts)
-    return np.array(rows, dtype=np.int64)
+    Stars and bars: the parts are the gaps between ``parts - 1`` bars placed
+    among ``total + parts - 1`` slots, and bar positions in lexicographic
+    order give the tuples in lexicographic order.
+    """
+    slots = total + parts - 1
+    rows = math.comb(slots, parts - 1)
+    bars = np.fromiter(chain.from_iterable(combinations(range(slots), parts - 1)),
+                       dtype=np.int64, count=rows * (parts - 1))
+    edges = np.concatenate([np.full((rows, 1), -1), bars.reshape(rows, parts - 1),
+                            np.full((rows, 1), slots)], axis=1)
+    return np.diff(edges, axis=1) - 1
 
 
 def _resolve_state_classes(x: np.ndarray, state_classes) -> tuple[np.ndarray, int]:
@@ -351,6 +351,8 @@ class MenuGrid:
         # (class -1) reads place 1, and every diagonal point is 0 there.
         self._place_values = table.shape[0] ** np.arange(self.n_classes - 1, -1, -1)
         self._state_places = np.append(self._place_values, 1)[class_of_state]
+        # lipschitz_ratio's point pairs and distances, per sampling arguments.
+        self._lipschitz_pairs: dict[tuple, tuple[np.ndarray, ...]] = {}
         for arr in (self.x, self.table, self.weights):
             arr.setflags(write=False)
 
@@ -659,39 +661,50 @@ def _pair_distances(g: np.ndarray, w: np.ndarray, lo: int, hi: int) -> np.ndarra
 PAIR_SEED = 2011
 
 
+def _lipschitz_pairs(grid: MenuGrid, exhaustive_threshold: int,
+                     num_samples: int, seed: int) -> tuple[np.ndarray, ...]:
+    """(a, b, d): the point pairs ``lipschitz_ratio`` scans, with their
+    distances, zero-distance pairs dropped.
+
+    Every pair a < b when the grid has at most ``exhaustive_threshold``
+    points (distances are symmetric bit for bit, so the pairs b > a add
+    nothing), a seeded random sample otherwise.  Only the values differ
+    between the calls on one grid, so the pairs are memoised on the grid per
+    sampling arguments: at most ~3 MB on the exhaustive path at 512 points.
+    """
+    key = (exhaustive_threshold, num_samples, seed)
+    if key in grid._lipschitz_pairs:
+        return grid._lipschitz_pairs[key]
+    p, w = grid.n_points, grid.feature_weights
+    if p <= exhaustive_threshold:
+        a, b = np.triu_indices(p, 1)
+        d = _pair_distances(grid._feature_rows(np.arange(p)), w, 0, p)[a, b]
+    else:
+        rng = np.random.default_rng([seed, p])
+        a = rng.integers(0, p, size=num_samples)
+        b = rng.integers(0, p, size=num_samples)
+        keep = a != b
+        a, b = a[keep], b[keep]
+        d = np.abs(grid._feature_rows(a) - grid._feature_rows(b)) @ w
+    keep = d > 0.0
+    pairs = grid._lipschitz_pairs[key] = (a[keep], b[keep], d[keep])
+    return pairs
+
+
 def lipschitz_ratio(values, grid: MenuGrid, *, exhaustive_threshold: int = 512,
                     num_samples: int = 4096, seed: int = PAIR_SEED) -> float:
     """Largest |f(xi)-f(eta)| / d(xi, eta) over grid point pairs.
 
     All pairs when the grid is small, a seeded random sample otherwise;
-    zero-distance pairs are skipped.
+    zero-distance pairs are skipped.  The pairs and their distances are
+    built once per grid and sampling arguments (see ``_lipschitz_pairs``).
     """
     v = np.asarray(values, dtype=float)
     if v.shape != (grid.n_points,):
         raise StructuralError("values must align with grid points")
-    p = grid.n_points
-    if p < 2:
+    if grid.n_points < 2:
         return 0.0
-    w = grid.feature_weights
-    if p <= exhaustive_threshold:
-        g = grid._feature_rows(np.arange(p))
-        best = 0.0
-        for lo in range(0, p, 256):
-            hi = min(lo + 256, p)
-            d = _pair_distances(g, w, lo, hi)
-            dv = np.abs(v[lo:hi, None] - v[None, :])
-            mask = d > 0.0
-            if mask.any():
-                best = max(best, float((dv[mask] / d[mask]).max()))
-        return best
-    rng = np.random.default_rng([seed, p])
-    a = rng.integers(0, p, size=num_samples)
-    b = rng.integers(0, p, size=num_samples)
-    keep = a != b
-    a, b = a[keep], b[keep]
-    d = np.abs(grid._feature_rows(a) - grid._feature_rows(b)) @ w
-    dv = np.abs(v[a] - v[b])
-    mask = d > 0.0
-    if not mask.any():
+    a, b, d = _lipschitz_pairs(grid, exhaustive_threshold, num_samples, seed)
+    if not d.size:
         return 0.0
-    return float((dv[mask] / d[mask]).max())
+    return float((np.abs(v[a] - v[b]) / d).max())

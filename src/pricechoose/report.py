@@ -39,7 +39,7 @@ from .mechanism import (
 from .menu import enumerate_grid, integrate, validate_feasible
 from .utility import (
     MaxMinUtility,
-    check_cash_invariance,
+    _agent_rows,
     evaluate,
     evaluate_grid,
     reference_version,
@@ -136,34 +136,40 @@ def _utility_checks(config: ScenarioConfig, grid, umat, ref_vals: dict,
     n0 = max(abs(evaluate(u, zero, i)) for i, u in enumerate(profile.evaluators))
     checks.append(_bound("utility.normalization", n0, 0.0, f"max |U(0)| = {n0!r}"))
 
+    # One stack of allocations serves every agent: the sampled points and
+    # their five cash shifts, the pair endpoints a and b, and the three
+    # convex mixes t a + (1 - t) b.  Each agent evaluates its rows of it,
+    # plus its own row of each a bumped by one unit, in one values call.
     rng = np.random.default_rng([seed, 11_03])
     sample = rng.integers(0, grid.n_points, size=min(10, grid.n_points))
-    worst_cash = 0.0
-    for k in sample:
-        xi = grid.point(int(k))
-        for i, u in enumerate(profile.evaluators):
-            for c in (-10.0, -1.0, 0.0, 1.0, 10.0):
-                worst_cash = max(worst_cash, check_cash_invariance(u, xi, i, c))
+    pairs = rng.integers(0, grid.n_points, size=(min(50, grid.n_points), 2))
+    shifts = np.array([-10.0, -1.0, 0.0, 1.0, 10.0])
+    mixes = np.array([0.25, 0.5, 0.75])
+    pts = np.stack([grid.point(int(k)) for k in sample])
+    xa = np.stack([grid.point(int(a)) for a in pairs[:, 0]])
+    xb = np.stack([grid.point(int(b)) for b in pairs[:, 1]])
+    stack = np.concatenate([
+        pts, (pts + shifts[:, None, None, None]).reshape(-1, n, m), xa, xb,
+        (mixes[:, None, None, None] * xa + (1 - mixes[:, None, None, None]) * xb
+         ).reshape(-1, n, m)])
+    sizes = np.cumsum([len(sample), 5 * len(sample), len(pairs), len(pairs),
+                       3 * len(pairs)])
+    worst_cash = worst_mono = worst_sup = worst_conc = 0.0
+    for i, u in enumerate(profile.evaluators):
+        rows = _agent_rows(stack, i)
+        a_rows, b_rows = rows[sizes[1]:sizes[2]], rows[sizes[2]:sizes[3]]
+        vals = u.values(np.concatenate([rows, a_rows + 1.0]))
+        base, shifted, ua, ub, mid, bumped = np.split(vals, sizes)
+        shifted, mid = shifted.reshape(5, -1), mid.reshape(3, -1)
+        cash = np.abs(shifted - base - shifts[:, None])
+        sup = np.abs(ua - ub) - np.abs(a_rows - b_rows).max(axis=1)
+        conc = mixes[:, None] * ua + (1 - mixes[:, None]) * ub - mid
+        worst_cash = max(worst_cash, float(cash.max()))
+        worst_mono = max(worst_mono, float((ua - bumped).max()))
+        worst_sup = max(worst_sup, float(sup.max()))
+        worst_conc = max(worst_conc, float(conc.max()))
     checks.append(_bound("utility.cash_invariance", worst_cash, 1e-9,
                          f"max residual {worst_cash:.3g}"))
-
-    worst_mono = 0.0
-    worst_conc = 0.0
-    worst_sup = 0.0
-    pairs = rng.integers(0, grid.n_points, size=(min(50, grid.n_points), 2))
-    for a, b in pairs:
-        xa, xb = grid.point(int(a)), grid.point(int(b))
-        for i, u in enumerate(profile.evaluators):
-            ua = evaluate(u, xa, i)
-            ub = evaluate(u, xb, i)
-            bumped = xa.copy()
-            bumped[i] = bumped[i] + 1.0
-            worst_mono = max(worst_mono, ua - evaluate(u, bumped, i))
-            worst_sup = max(worst_sup,
-                            abs(ua - ub) - float(np.abs(xa[i] - xb[i]).max()))
-            for t in (0.25, 0.5, 0.75):
-                mid = evaluate(u, t * xa + (1 - t) * xb, i)
-                worst_conc = max(worst_conc, t * ua + (1 - t) * ub - mid)
     checks.append(_bound("utility.monotonicity", worst_mono, 1e-12,
                          f"max violation {worst_mono:.3g}"))
     checks.append(_bound("utility.sup_lipschitz", worst_sup, 1e-9,

@@ -32,13 +32,20 @@ def _entropic_ce(values: np.ndarray, prior: np.ndarray, gamma: float) -> np.ndar
     """Certainty equivalent of each row of ``values`` under ``prior``.
 
     Accepts a single row (m,) or a batch (P, m); returns a scalar array or
-    a (P,) vector accordingly.
+    a (P,) vector accordingly.  A (k x m) stack of priors adds a leading
+    prior axis: the exponentials are computed once and shared, and each
+    prior's values are the floats it gets on its own.
     """
     z = -gamma * values
-    a = np.max(z, axis=-1, keepdims=True)
-    s = np.sum(prior * np.exp(z - a), axis=-1)
-    s0 = prior.sum()
-    return -(np.squeeze(a, axis=-1) + np.log(s) - np.log(s0)) / gamma
+    a = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - a)
+    a = np.squeeze(a, axis=-1)
+
+    def ce(nu: np.ndarray) -> np.ndarray:
+        s = np.add.reduce(nu * e, axis=-1)
+        return -(a + np.log(s) - np.log(np.add.reduce(nu))) / gamma
+
+    return ce(prior) if prior.ndim == 1 else np.stack([ce(nu) for nu in prior])
 
 
 @dataclass(frozen=True)
@@ -111,7 +118,7 @@ class MaxMinUtility:
 
     def values_per_prior(self, rows: np.ndarray) -> np.ndarray:
         """(k, ...) entropic values, one slice per prior."""
-        return np.stack([_entropic_ce(rows, nu, self.gamma) for nu in self.credal.priors])
+        return _entropic_ce(rows, self.credal.priors, self.gamma)
 
     def values(self, rows: np.ndarray) -> np.ndarray:
         return self.values_per_prior(rows).min(axis=0)
@@ -149,16 +156,25 @@ class UtilityProfile:
         return np.array([evaluate(u, xi, i) for i, u in enumerate(self.evaluators)])
 
 
+def _agent_rows(xi, agent: int) -> np.ndarray:
+    """Row ``agent`` of every allocation of a (... x n x m) stack, with one
+    shape and NaN check for the whole stack."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim < 2:
+        raise StructuralError(f"allocation must be 2-d, got shape {xi.shape}")
+    if not 0 <= agent < xi.shape[-2]:
+        raise StructuralError(f"agent {agent} out of range for {xi.shape[-2]} rows")
+    rows = xi[..., agent, :]
+    if np.any(np.isnan(rows)):
+        raise ValidationError("allocation contains NaN entries")
+    return rows
+
+
 def _agent_row(xi, agent: int) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 2:
         raise StructuralError(f"allocation must be 2-d, got shape {xi.shape}")
-    if not 0 <= agent < xi.shape[0]:
-        raise StructuralError(f"agent {agent} out of range for {xi.shape[0]} rows")
-    row = xi[agent]
-    if np.any(np.isnan(row)):
-        raise ValidationError("allocation contains NaN entries")
-    return row
+    return _agent_rows(xi, agent)
 
 
 def evaluate(u: Utility, xi, agent: int) -> float:

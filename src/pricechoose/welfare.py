@@ -6,7 +6,11 @@ The optimizer is two-tier: an exhaustive scan over the menu grid (which
 doubles as the brute-force oracle) followed by optional coordinate ascent
 over per-class shares with simplex projection.  Utilities are concave and
 the share space is a product of simplices, so local ascent from the grid
-winner is enough at desk scale.
+winner is enough at desk scale.  The ascent's line search is batched: a
+class block projects all of its halving steps onto the simplex in one call
+and evaluates their tail welfare as one stack of allocations, then accepts
+the largest improving step, so it takes the same steps as a serial halving
+search at a fraction of the Python calls.
 """
 
 from __future__ import annotations
@@ -63,74 +67,112 @@ def welfare(profile: UtilityProfile, xi, from_agent: int = 0) -> float:
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a vector onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u + (1.0 - css) / np.arange(1, len(v) + 1) > 0)[0][-1]
-    lam = (1.0 - css[rho]) / (rho + 1.0)
+    """Euclidean projection onto the probability simplex of a vector (n,),
+    or of each row of a stack (..., n) on its own, with the same floating
+    point operations a single row gets."""
+    n = v.shape[-1]
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1)
+    positive = u + (1.0 - css) / np.arange(1, n + 1) > 0
+    rho = n - 1 - np.argmax(positive[..., ::-1], axis=-1)[..., None]
+    lam = (1.0 - np.take_along_axis(css, rho, axis=-1)) / (rho + 1.0)
     return np.maximum(v + lam, 0.0)
 
 
-def _tail_value_and_grads(profile: UtilityProfile, grid: MenuGrid,
-                          q: np.ndarray, from_agent: int) -> tuple[float, np.ndarray]:
-    """Tail welfare at class shares ``q`` plus its (super)gradient in q.
+def _allocations(grid: MenuGrid, qs: np.ndarray) -> np.ndarray:
+    """(S x n x m) allocations of a stack of (S x C x n) class shares:
+    xi_i(w) = q_{c(w), i} X(w), and zero in the zero-risk states."""
+    x, cls = grid.x, grid.class_of_state
+    member = cls >= 0
+    xi = np.zeros((qs.shape[0], qs.shape[2], len(x)))
+    xi[:, :, member] = qs[:, cls[member], :].swapaxes(1, 2) * x[member]
+    return xi
+
+
+def _tail_values(profile: UtilityProfile, grid: MenuGrid, qs: np.ndarray,
+                 from_agent: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tail welfare at each of a stack of (S x C x n) class shares, with one
+    ``values_per_prior`` or ``values`` call per agent, and the (S x n) index
+    of each max-min agent's worst-case prior there (lowest index on ties;
+    0 for the other agents)."""
+    xi = _allocations(grid, qs)
+    total = np.zeros(qs.shape[0])
+    active = np.zeros((qs.shape[0], profile.n_agents), dtype=np.int64)
+    for i in range(from_agent, profile.n_agents):
+        u = profile.evaluators[i]
+        if isinstance(u, MaxMinUtility):
+            per = u.values_per_prior(xi[:, i, :])
+            active[:, i] = per.argmin(axis=0)
+            total += per.min(axis=0)
+        else:
+            total += u.values(xi[:, i, :])
+    return total, active
+
+
+def _tail_grads(profile: UtilityProfile, grid: MenuGrid, q: np.ndarray,
+                active: np.ndarray, from_agent: int) -> np.ndarray:
+    """(Super)gradient of tail welfare in the class shares ``q``, given each
+    agent's worst-case prior index ``active`` there (see ``_tail_values``).
 
     The gradient of an entropic certainty equivalent in the payoff is the
     exponentially tilted probability; for a max-min evaluator the tilt under
     the worst-case prior is a supergradient.
     """
-    x = grid.x
-    cls = grid.class_of_state
-    xi = np.zeros((profile.n_agents, len(x)))
-    for w in range(len(x)):
-        if cls[w] >= 0:
-            xi[:, w] = q[cls[w]] * x[w]
-    total = 0.0
+    x, cls = grid.x, grid.class_of_state
+    xi = _allocations(grid, q[None])[0]
+    classes = [cls == c for c in range(q.shape[0])]
     grad = np.zeros_like(q)
     for i in range(from_agent, profile.n_agents):
         u = profile.evaluators[i]
-        row = xi[i]
-        if isinstance(u, MaxMinUtility):
-            per = u.values_per_prior(row)
-            j = int(np.argmin(per))
-            nu = u.credal.priors[j]
-            total += float(per[j])
-        else:
-            nu = u.probs
-            total += float(_entropic_ce(row, nu, u.gamma))
-        z = -u.gamma * row
+        nu = u.credal.priors[active[i]] if isinstance(u, MaxMinUtility) else u.probs
+        z = -u.gamma * xi[i]
         z -= z.max()
         t = nu * np.exp(z)
         t /= t.sum()
-        for c in range(q.shape[0]):
-            mask = cls == c
+        for c, mask in enumerate(classes):
             grad[c, i] += float(np.dot(t[mask], x[mask]))
-    return total, grad
+    return grad
+
+
+def _halving_steps(floor: float) -> np.ndarray:
+    """The line-search steps 1, 1/2, 1/4, ... that exceed ``floor``."""
+    steps = [1.0]
+    while steps[-1] * 0.5 > floor:
+        steps.append(steps[-1] * 0.5)
+    return np.array(steps)
+
+
+# Steps 2^0 ... 2^-46: every halving step above 1e-14.
+LINE_STEPS = _halving_steps(1e-14)
 
 
 def _refine_shares(profile: UtilityProfile, grid: MenuGrid, q0: np.ndarray,
                    from_agent: int, tol: float, max_sweeps: int) -> tuple[np.ndarray, float]:
     """Blockwise projected gradient ascent over per-class shares.
 
+    Each class block takes the gradient at the current point and tries
+    every step of ``LINE_STEPS`` at once: the trial rows are projected onto
+    the simplex in one call and their tail welfare is evaluated in one
+    stack.  The largest improving step is accepted, the one a halving search
+    from step 1 stops at; when none improves the block keeps its shares.
     Only improving steps are accepted, so the welfare value never decreases
     and the iterate never leaves the product of simplices.
     """
     q = q0.copy()
-    best, _ = _tail_value_and_grads(profile, grid, q, from_agent)
+    vals, active = _tail_values(profile, grid, q[None], from_agent)
+    best, active = float(vals[0]), active[0]
     for _ in range(max_sweeps):
         sweep_gain = 0.0
         for c in range(q.shape[0]):
-            _, grad = _tail_value_and_grads(profile, grid, q, from_agent)
-            step = 1.0
-            while step > 1e-14:
-                trial = q.copy()
-                trial[c] = _project_simplex(q[c] + step * grad[c])
-                val, _ = _tail_value_and_grads(profile, grid, trial, from_agent)
-                if val > best:
-                    sweep_gain += val - best
-                    best, q = val, trial
-                    break
-                step *= 0.5
+            grad = _tail_grads(profile, grid, q, active, from_agent)
+            trials = np.repeat(q[None], len(LINE_STEPS), axis=0)
+            trials[:, c] = _project_simplex(q[c] + LINE_STEPS[:, None] * grad[c])
+            vals, actives = _tail_values(profile, grid, trials, from_agent)
+            better = np.flatnonzero(vals > best)
+            if better.size:
+                k = better[0]
+                sweep_gain += vals[k] - best
+                best, q, active = float(vals[k]), trials[k], actives[k]
         if sweep_gain < tol:
             break
     return q, best

@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -158,6 +159,22 @@ def test_compositions_count_and_order(total, parts):
     assert np.all(comp.sum(axis=1) == total)
     as_tuples = [tuple(r) for r in comp]
     assert as_tuples == sorted(as_tuples)
+
+
+def test_compositions_leave_no_reference_cycles():
+    # A self-referencing helper closure kept each composition list alive
+    # until a full garbage collection, so a long run's peak memory grew
+    # with the number of grids it built.
+    gc.collect()
+    gc.disable()
+    try:
+        comp = compositions(12, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert comp.dtype == np.int64 and comp.shape == (455, 4)
+    assert np.array_equal(compositions(3, 1), [[3]])
+    assert np.array_equal(compositions(0, 3), [[0, 0, 0]])
 
 
 def test_grid_points_all_feasible(two_state):
@@ -458,6 +475,61 @@ def test_lipschitz_ratio_sampled_branch_deterministic():
     exhaustive = pc.lipschitz_ratio(vals, grid, exhaustive_threshold=10_000)
     assert est1 == est2
     assert est1 <= exhaustive + 1e-12
+
+
+def serial_lipschitz_ratio(v, grid, exhaustive_threshold=512, num_samples=4096,
+                           seed=pc.menu.PAIR_SEED):
+    """The ratio scan with its pairs rebuilt on every call."""
+    p, w = grid.n_points, grid.feature_weights
+    if p <= exhaustive_threshold:
+        g = grid.features
+        best = 0.0
+        for lo in range(0, p, 256):
+            hi = min(lo + 256, p)
+            d = _pair_distances(g, w, lo, hi)
+            dv = np.abs(v[lo:hi, None] - v[None, :])
+            mask = d > 0.0
+            if mask.any():
+                best = max(best, float((dv[mask] / d[mask]).max()))
+        return best
+    rng = np.random.default_rng([seed, p])
+    a = rng.integers(0, p, size=num_samples)
+    b = rng.integers(0, p, size=num_samples)
+    keep = a != b
+    a, b = a[keep], b[keep]
+    d = np.abs(grid.features[a] - grid.features[b]) @ w
+    dv = np.abs(v[a] - v[b])
+    mask = d > 0.0
+    return float((dv[mask] / d[mask]).max()) if mask.any() else 0.0
+
+
+@pytest.mark.parametrize("threshold", [10_000, 100])
+def test_lipschitz_ratio_memoises_its_pairs_per_grid(threshold, monkeypatch):
+    space = pc.StateSpace(["a", "b", "c"], [0.5, 0.3, 0.2])
+    grid = pc.enumerate_grid(space, np.array([-1.0, 0.5, -2.0]), 2, 5)
+    assert 100 < grid.n_points <= 10_000
+    profile = pc.UtilityProfile((pc.EntropicUtility(1.3, space.probs),
+                                 pc.EntropicUtility(0.4, space.probs)))
+    umat = profile.matrix(grid)
+    columns = [umat[:, 0], umat[:, 1], umat.sum(axis=1), np.zeros(grid.n_points)]
+    expected = [serial_lipschitz_ratio(v, grid, threshold) for v in columns]
+    built = []
+    feature_rows = pc.MenuGrid._feature_rows
+    monkeypatch.setattr(pc.MenuGrid, "_feature_rows",
+                        lambda self, idx: built.append(len(idx)) or feature_rows(self, idx))
+    assert [pc.lipschitz_ratio(v, grid, exhaustive_threshold=threshold)
+            for v in columns] == expected
+    assert expected[0] > 0.0 and expected[3] == 0.0
+    # The pairs were built by the first call only, and kept once per
+    # sampling arguments; other arguments build their own.
+    assert len(built) == (1 if threshold > grid.n_points else 2)
+    assert list(grid._lipschitz_pairs) == [(threshold, 4096, pc.menu.PAIR_SEED)]
+    pc.lipschitz_ratio(columns[0], grid, exhaustive_threshold=threshold, seed=5)
+    assert len(grid._lipschitz_pairs) == 2
+    a, b, d = grid._lipschitz_pairs[(threshold, 4096, pc.menu.PAIR_SEED)]
+    assert np.all(d > 0.0) and len(a) == len(b) == len(d)
+    if threshold > grid.n_points:
+        assert np.all(a < b) and len(d) == grid.n_points * (grid.n_points - 1) // 2
 
 
 def test_diameter_exact_matches_bound(two_state):

@@ -5,9 +5,11 @@ import dataclasses
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import pricechoose as pc
 from pricechoose import mechanism, report, utility
@@ -156,8 +158,13 @@ def test_invariants_record_their_margins():
 
 
 # The behavioural contract: sha256 of the three files each bundled CLI run
-# writes.  The recorded report.json documents sit in data/bundled_reports and
-# locate a mismatch; a change that moves a report updates both on purpose.
+# writes, and of a seeded scenario with two max-min agents and two share
+# classes beside a zero-risk state (data/three_agent_maxmin.json), which
+# neither bundled scenario has.  The recorded report.json documents sit in
+# data/bundled_reports and locate a mismatch; a change that moves a report
+# updates both on purpose.
+DATA = Path(__file__).resolve().parent / "data"
+SCENARIO_FILES = {"three-agent-maxmin": DATA / "three_agent_maxmin.json"}
 BUNDLED_RUNS = {
     ("two-agent-hand", "run"): (
         "1c0869a78fa50e545688b9a1e510ba516458b00d329d910e86732863c6896bc3",
@@ -183,8 +190,12 @@ BUNDLED_RUNS = {
         "f377038c9cebf59d59d9161c675ec141359595532b046feb2e5787266ef1f203",
         "d0f5e655cd8b769fc52307d8ce96662cda7dcac22fc25822042cdcc7c84c153f",
         "4477bde65568e3f7359a14648aa76587e403d2a0aa06ba35c9d695d3bfc0bea1"),
+    ("three-agent-maxmin", "run"): (
+        "654f82a02a2b039dabb9cf787c853a42565a8a034c14092eb362c540affea79f",
+        "c3fb7ad29575541585e232dde3bce24e23c0bd325944cf7a4b89cfb265c9408d",
+        "b6bc66246bb109dc198991d10d42c76537daa2ea5a4a569abcdec83f10e60b4d"),
 }
-RECORDED = Path(__file__).resolve().parent / "data" / "bundled_reports"
+RECORDED = DATA / "bundled_reports"
 
 
 def _first_difference(new, old, path="$"):
@@ -215,7 +226,8 @@ def test_bundled_reports_match_recorded_digests(tmp_path):
     for (scenario, command), digests in BUNDLED_RUNS.items():
         out = tmp_path / f"{scenario}.{command}"
         argv = ["run", "--mode", "perturbed"] if command == "run-perturbed" else [command]
-        assert main(argv + ["--scenario", scenario, "--out", str(out),
+        source = str(SCENARIO_FILES.get(scenario, scenario))
+        assert main(argv + ["--scenario", source, "--out", str(out),
                             "--format", "both"]) == 0
         recorded = RECORDED / f"{scenario}.{command}.json"
         assert sha(recorded) == digests[0], f"{recorded.name} is not the recorded document"
@@ -247,3 +259,84 @@ def test_non_finite_margin_is_recorded_as_null():
     assert check["value"] is None and check["tol"] == 1e-9
     assert not check["passed"]
     assert '"value": null' in pc.structured_text({"invariants": [check]})
+
+
+UTILITY_CHECKS = ("utility.normalization", "utility.cash_invariance",
+                  "utility.monotonicity", "utility.sup_lipschitz",
+                  "utility.concavity")
+
+
+def serial_utility_checks(config, grid, seed):
+    """The five utility check values, one allocation per evaluate call."""
+    profile = config.profile
+    n, m = profile.n_agents, config.space.n_states
+    zero = np.zeros((n, m))
+    norm = max(abs(pc.evaluate(u, zero, i)) for i, u in enumerate(profile.evaluators))
+    rng = np.random.default_rng([seed, 11_03])
+    cash = mono = sup = conc = 0.0
+    for k in rng.integers(0, grid.n_points, size=min(10, grid.n_points)):
+        for i, u in enumerate(profile.evaluators):
+            for c in (-10.0, -1.0, 0.0, 1.0, 10.0):
+                cash = max(cash, pc.check_cash_invariance(u, grid.point(int(k)), i, c))
+    for a, b in rng.integers(0, grid.n_points, size=(min(50, grid.n_points), 2)):
+        xa, xb = grid.point(int(a)), grid.point(int(b))
+        for i, u in enumerate(profile.evaluators):
+            ua, ub = pc.evaluate(u, xa, i), pc.evaluate(u, xb, i)
+            bumped = xa.copy()
+            bumped[i] += 1.0
+            mono = max(mono, ua - pc.evaluate(u, bumped, i))
+            sup = max(sup, abs(ua - ub) - float(np.abs(xa[i] - xb[i]).max()))
+            for t in (0.25, 0.5, 0.75):
+                mid = pc.evaluate(u, t * xa + (1 - t) * xb, i)
+                conc = max(conc, t * ua + (1 - t) * ub - mid)
+    return dict(zip(UTILITY_CHECKS, (norm, cash, mono, sup, conc)))
+
+
+def batched_utility_checks(config, seed):
+    grid = pc.enumerate_grid(config.space, config.x, config.profile.n_agents,
+                             config.resolution, state_classes=config.state_classes)
+    umat = config.profile.matrix(grid)
+    ref_vals = {i: utility.evaluate_grid(utility.reference_version(u, config.space),
+                                         grid, i)
+                for i, u in enumerate(config.profile.evaluators)
+                if isinstance(u, pc.MaxMinUtility)}
+    checks = report._utility_checks(config, grid, umat, ref_vals, seed)
+    return grid, {c["name"]: c for c in checks}
+
+
+def test_batched_utility_checks_match_the_serial_loop():
+    configs = [pc.load_scenario(SCENARIOS / "two_agent_hand.json"),
+               pc.load_scenario(SCENARIOS / "hurricane_three_farmers.json"),
+               pc.load_scenario(SCENARIO_FILES["three-agent-maxmin"])]
+    assert any(isinstance(u, pc.MaxMinUtility) for u in configs[2].profile.evaluators)
+    for config in configs:
+        for seed in (config.seed, 1, 2):
+            grid, checks = batched_utility_checks(config, seed)
+            expected = serial_utility_checks(config, grid, seed)
+            for name in UTILITY_CHECKS:
+                got = checks[name]["value"]
+                assert type(got) is float and got == expected[name], (
+                    config.name, seed, name, got, expected[name])
+                assert checks[name]["passed"]
+
+
+def test_batched_utility_checks_are_warning_free_at_large_exponents():
+    # gamma * ||X|| ~ 300 on the max-min scenario: every stacked row,
+    # including the cash shifts by 10, evaluates without overflow.
+    doc = json.loads(SCENARIO_FILES["three-agent-maxmin"].read_text())
+    for u in doc["utilities"]:
+        u["gamma"] *= 100.0
+    config = pc.scenario_from_dict(doc)
+    assert max(u.gamma for u in config.profile.evaluators) * np.abs(config.x).max() > 300
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error")
+        grid, checks = batched_utility_checks(config, config.seed)
+    expected = serial_utility_checks(config, grid, config.seed)
+    assert {name: checks[name]["value"] for name in UTILITY_CHECKS} == expected
+
+
+def test_utility_checks_reject_a_nan_allocation_stack():
+    with pytest.raises(pc.ValidationError, match="NaN"):
+        utility._agent_rows(np.array([[[0.0, np.nan]], [[1.0, 2.0]]]), 0)
+    with pytest.raises(pc.StructuralError, match="out of range"):
+        utility._agent_rows(np.zeros((4, 2, 3)), 2)

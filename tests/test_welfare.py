@@ -1,10 +1,13 @@
 import math
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pricechoose as pc
+from pricechoose.welfare import LINE_STEPS, REFINE_TOL, _project_simplex, _refine_shares
 from conftest import hurricane_space
 
 
@@ -277,3 +280,181 @@ def test_pareto_verdicts_match_independent_scan():
             assert _naive_first_dominating(boundary, u0, slack) == expected
             assert verdict.dominating_index == expected and not verdict.optimal
             assert verdict.welfare_max.hex() == float(boundary.sum(axis=1).max()).hex()
+
+
+# ---------------------------------------------------------------------------
+# batched line search, against the serial halving search it replaces
+# ---------------------------------------------------------------------------
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def serial_project(v):
+    """Projection of one vector onto the simplex, one row per call."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    rho = np.nonzero(u + (1.0 - css) / np.arange(1, len(v) + 1) > 0)[0][-1]
+    lam = (1.0 - css[rho]) / (rho + 1.0)
+    return np.maximum(v + lam, 0.0)
+
+
+def serial_ce(row, nu, gamma):
+    z = -gamma * row
+    a = np.max(z)
+    return -(a + np.log(np.sum(nu * np.exp(z - a))) - np.log(nu.sum())) / gamma
+
+
+def serial_value_and_grads(profile, grid, q, from_agent):
+    """Tail welfare at one share array and its supergradient, agent by
+    agent and prior by prior."""
+    x, cls = grid.x, grid.class_of_state
+    xi = np.zeros((profile.n_agents, len(x)))
+    for w in range(len(x)):
+        if cls[w] >= 0:
+            xi[:, w] = q[cls[w]] * x[w]
+    total = 0.0
+    grad = np.zeros_like(q)
+    for i in range(from_agent, profile.n_agents):
+        u, row = profile.evaluators[i], xi[i]
+        priors = u.credal.priors if isinstance(u, pc.MaxMinUtility) else [u.probs]
+        per = [serial_ce(row, nu, u.gamma) for nu in priors]
+        j = int(np.argmin(per))
+        total += float(per[j])
+        z = -u.gamma * row
+        z -= z.max()
+        t = priors[j] * np.exp(z)
+        t /= t.sum()
+        for c in range(q.shape[0]):
+            mask = cls == c
+            grad[c, i] += float(np.dot(t[mask], x[mask]))
+    return total, grad
+
+
+def serial_refine(profile, grid, q0, from_agent, tol=1e-10, max_sweeps=200):
+    """The one-trial-per-call halving search; also returns the step each
+    block accepted (None when no step improved)."""
+    q = q0.copy()
+    best, _ = serial_value_and_grads(profile, grid, q, from_agent)
+    taken = []
+    for _ in range(max_sweeps):
+        sweep_gain = 0.0
+        for c in range(q.shape[0]):
+            _, grad = serial_value_and_grads(profile, grid, q, from_agent)
+            step, accepted = 1.0, None
+            while step > 1e-14:
+                trial = q.copy()
+                trial[c] = serial_project(q[c] + step * grad[c])
+                val, _ = serial_value_and_grads(profile, grid, trial, from_agent)
+                if val > best:
+                    sweep_gain += val - best
+                    best, q, accepted = val, trial, step
+                    break
+                step *= 0.5
+            taken.append(accepted)
+        if sweep_gain < tol:
+            break
+    return q, best, taken
+
+
+def maxmin_profile(space, gammas, maxmin, scale=1.0):
+    """Entropic agents, except the agents in ``maxmin``, which get the
+    reference prior and two tilted ones."""
+    p = space.probs
+    evaluators = []
+    for i, g in enumerate(gammas):
+        if i in maxmin:
+            tilts = [p * np.exp(0.4 * np.cos(np.arange(len(p)) + k + i)) for k in (1, 2)]
+            priors = np.array([p] + [t / t.sum() for t in tilts])
+            evaluators.append(pc.MaxMinUtility(g * scale, pc.CredalSet(priors, p)))
+        else:
+            evaluators.append(pc.EntropicUtility(g * scale, p))
+    return pc.UtilityProfile(tuple(evaluators))
+
+
+def line_search_cases():
+    space, endow = hurricane_space()
+    x = pc.aggregate_risk(endow)
+    coin = pc.StateSpace(["a", "b", "c"], [0.5, 0.3, 0.2])
+    xc = np.array([-1.0, 0.5, -2.0])
+    mm = pc.load_scenario(DATA / "three_agent_maxmin.json")
+    mm_grid = pc.enumerate_grid(mm.space, mm.x, 3, 3, state_classes="per_state")
+    return [
+        ("entropic single class", entropic_profile(space.probs, [1.0, 2.0, 4.0]),
+         pc.enumerate_grid(space, x, 3, 8, state_classes="single"), 0),
+        ("max-min single class", maxmin_profile(space, [1.0, 2.0, 4.0], {1}),
+         pc.enumerate_grid(space, x, 3, 6, state_classes="single"), 0),
+        ("entropic per state", entropic_profile(coin.probs, [0.7, 1.9]),
+         pc.enumerate_grid(coin, xc, 2, 6), 0),
+        ("max-min per state", maxmin_profile(coin, [0.7, 1.9, 1.1], {0, 2}),
+         pc.enumerate_grid(coin, xc, 3, 3), 0),
+        ("max-min tail", maxmin_profile(coin, [0.7, 1.9, 1.1], {0, 2}),
+         pc.enumerate_grid(coin, xc, 3, 3), 1),
+        ("max-min, zero-risk state", mm.profile, mm_grid, 0),
+    ]
+
+
+def test_batched_line_search_matches_the_serial_search_bit_for_bit():
+    taken = []
+    for label, profile, grid, from_agent in line_search_cases():
+        wvals = profile.matrix(grid)[:, from_agent:].sum(axis=1)
+        # From the grid winner, as maximize_welfare starts, and from the
+        # lowest-welfare point, where long steps pay.
+        for start in (int(np.argmax(wvals)), int(np.argmin(wvals))):
+            q0 = grid.share(start)
+            q_ref, best_ref, steps = serial_refine(profile, grid, q0, from_agent,
+                                                   max_sweeps=30)
+            q, best = _refine_shares(profile, grid, q0, from_agent, REFINE_TOL, 30)
+            assert q.tobytes() == q_ref.tobytes(), (label, start)
+            assert type(best) is float and best == best_ref, (label, start)
+            taken += steps
+    # Both ends of the search occur: blocks that take the full step, and
+    # blocks where no step improves and the shares stay put.
+    assert 1.0 in taken and None in taken
+    assert any(s is not None and s < 1.0 for s in taken)
+
+
+def test_line_search_has_the_halving_steps_above_the_floor():
+    steps = LINE_STEPS
+    assert len(steps) == 47 and steps[0] == 1.0
+    assert np.array_equal(steps[1:], steps[:-1] * 0.5)
+    assert steps[-1] > 1e-14 >= steps[-1] * 0.5
+
+
+def test_batched_line_search_is_warning_free_at_large_exponents():
+    # gamma * ||X|| ~ 300: the batch also evaluates the short steps a serial
+    # search would never have reached; none of them may overflow.
+    coin = pc.StateSpace(["a", "b", "c"], [0.5, 0.3, 0.2])
+    xc = np.array([-1.0, 0.5, -2.0])
+    profile = maxmin_profile(coin, [0.7, 1.9, 1.1], {0, 2}, scale=80.0)
+    assert max(u.gamma for u in profile.evaluators) * np.abs(xc).max() == 304.0
+    grid = pc.enumerate_grid(coin, xc, 3, 3)
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error")
+        res = pc.maximize_welfare(profile, grid, refine=True)
+        q_ref, best_ref, _ = serial_refine(profile, grid, grid.share(res.index), 0)
+    assert res.method == "refined" and np.isfinite(res.value)
+    assert res.shares.tobytes() == q_ref.tobytes()
+
+
+def test_row_wise_projection_matches_the_vector_projection():
+    rng = np.random.default_rng(5)
+    on_simplex = rng.dirichlet(np.ones(4), size=5)
+    rows = np.concatenate([
+        rng.normal(size=(20, 4)) * 3.0,
+        on_simplex,                                  # already projected
+        [[0.25, 0.25, 0.25, 0.25], [1.0, 0.0, 0.0, 0.0],
+         [2.0, 2.0, -1.0, -1.0], [0.5, 0.5, 0.5, 0.5],     # ties
+         [-3.0, -3.0, -3.0, -3.0], [0.0, -0.0, 0.0, -0.0]],
+    ])
+    batched = _project_simplex(rows)
+    for row, got in zip(rows, batched):
+        assert got.tobytes() == serial_project(row).tobytes(), row
+        assert _project_simplex(row).tobytes() == got.tobytes()
+    assert np.all(np.abs(batched[20:25] - on_simplex) <= 1e-15)
+    one_agent = rng.normal(size=(7, 1))
+    got = _project_simplex(one_agent)
+    assert np.all(np.abs(got - 1.0) <= 1e-15)
+    for row, g in zip(one_agent, got):
+        assert g.tobytes() == serial_project(row).tobytes()
+    stack = _project_simplex(rows[:30].reshape(2, 15, 4))
+    assert stack.tobytes() == batched[:30].tobytes()
