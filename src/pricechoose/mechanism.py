@@ -207,11 +207,15 @@ def equalizing_price(game: Game, leader: int, *, order=None) -> PriceSchedule:
     return _equalize(game, leader, _resolve_order(game.n_agents, order))[0]
 
 
-def bump_profile(grid: MenuGrid, target: int, iota: float) -> np.ndarray:
-    """psi(xi) = iota / (iota + d(xi, target)): 1 at the target, below 1 elsewhere."""
+def bump_profile(grid: MenuGrid, target: int, iota: float, *,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """psi(xi) = iota / (iota + d(xi, target)): 1 at the target, below 1
+    elsewhere.  Written into ``out`` when one is given."""
     if not 0.0 < iota < 1.0:
         raise ParameterError(f"iota must lie in (0, 1), got {iota}")
-    return iota / (iota + grid.distances_to(target))
+    psi = grid.distances_to(target, out=out)
+    psi += iota
+    return np.divide(iota, psi, out=psi)
 
 
 def perturbed_price(base: PriceSchedule, grid: MenuGrid, target: int,
@@ -407,7 +411,13 @@ def audit_first_mover_bound(game: Game, transcript: Transcript,
     plays its equilibrium response (argmax of continuation welfare net of
     the deviating schedule, lowest index on ties), the convention consistent
     with the one-sided upper bound being audited: sampling can fail to find
-    a violation, never fabricate one.
+    a violation, never fabricate one.  When the base schedule's declared
+    Lipschitz constant leaves no room below the stage cap, no deviation is
+    admissible and none is drawn.
+
+    The call holds two point-sized vectors besides the continuation welfare,
+    the deviating schedule and one bump, and updates both in place; each
+    bump is built by ``bump_profile`` into the same buffer.
     """
     if transcript.mode != "exact":
         raise ParameterError("the deviation audit runs on exact-mode transcripts")
@@ -415,16 +425,17 @@ def audit_first_mover_bound(game: Game, transcript: Transcript,
     umat, grid = game.umat, game.grid
     first = order[0]
     equilibrium = float(transcript.payoffs[first])
-    if num_deviations <= 0:
+    base = transcript.schedules[0]
+    headroom = game.stage_cap - base.declared_lip
+    if num_deviations <= 0 or headroom <= 0.0:
         return DeviationAudit(max_gain=None, num_deviations=0,
                               equilibrium_payoff=equilibrium)
 
-    base = transcript.schedules[0]
     tail1 = _tail_values(umat, order, 1)
     first_vals = umat[:, first]
-    headroom = game.stage_cap - base.declared_lip
     rng = np.random.default_rng([seed, _DEVIATION_SEED])
     p = grid.n_points
+    values, psi = np.empty(p), np.empty(p)
     best = -np.inf
     for _ in range(num_deviations):
         n_bumps = int(rng.integers(1, 4))
@@ -434,12 +445,16 @@ def audit_first_mover_bound(game: Game, transcript: Transcript,
         budget = rng.uniform(0.1, 1.0) * headroom
         mass = np.sum(np.abs(raw) / iotas)
         amps = raw * (budget / mass) if mass > 0 else raw * 0.0
-        values = base.values.copy()
+        src = base.values
         for t, io, a in zip(targets, iotas, amps):
-            psi = bump_profile(grid, int(t), float(io))
-            values += a * (psi - integrate(grid, psi))
-        values = values - integrate(grid, values)
-        response = int(np.argmax(tail1 - values))
+            bump_profile(grid, int(t), float(io), out=psi)
+            psi -= integrate(grid, psi)
+            psi *= a
+            np.add(src, psi, out=values)
+            src = values
+        values -= integrate(grid, values)
+        np.subtract(tail1, values, out=psi)
+        response = int(np.argmax(psi))
         gain = float(first_vals[response] + values[response]) - equilibrium
         best = max(best, gain)
     return DeviationAudit(max_gain=best, num_deviations=num_deviations,

@@ -109,19 +109,20 @@ def _tail_values(profile: UtilityProfile, grid: MenuGrid, qs: np.ndarray,
     return total, active
 
 
-def _tail_grads(profile: UtilityProfile, grid: MenuGrid, q: np.ndarray,
-                active: np.ndarray, from_agent: int) -> np.ndarray:
-    """(Super)gradient of tail welfare in the class shares ``q``, given each
-    agent's worst-case prior index ``active`` there (see ``_tail_values``).
+def _tail_grad(profile: UtilityProfile, grid: MenuGrid, q: np.ndarray, c: int,
+               active: np.ndarray, from_agent: int) -> np.ndarray:
+    """(Super)gradient of tail welfare in class ``c``'s shares (row c of the
+    gradient in the class shares ``q``), given each agent's worst-case
+    prior index ``active`` there (see ``_tail_values``).
 
     The gradient of an entropic certainty equivalent in the payoff is the
     exponentially tilted probability; for a max-min evaluator the tilt under
     the worst-case prior is a supergradient.
     """
-    x, cls = grid.x, grid.class_of_state
+    mask = grid.class_of_state == c
+    xc = grid.x[mask]
     xi = _allocations(grid, q[None])[0]
-    classes = [cls == c for c in range(q.shape[0])]
-    grad = np.zeros_like(q)
+    grad = np.zeros(q.shape[1])
     for i in range(from_agent, profile.n_agents):
         u = profile.evaluators[i]
         nu = u.credal.priors[active[i]] if isinstance(u, MaxMinUtility) else u.probs
@@ -129,8 +130,7 @@ def _tail_grads(profile: UtilityProfile, grid: MenuGrid, q: np.ndarray,
         z -= z.max()
         t = nu * np.exp(z)
         t /= t.sum()
-        for c, mask in enumerate(classes):
-            grad[c, i] += float(np.dot(t[mask], x[mask]))
+        grad[i] += float(np.dot(t[mask], xc))
     return grad
 
 
@@ -164,9 +164,9 @@ def _refine_shares(profile: UtilityProfile, grid: MenuGrid, q0: np.ndarray,
     for _ in range(max_sweeps):
         sweep_gain = 0.0
         for c in range(q.shape[0]):
-            grad = _tail_grads(profile, grid, q, active, from_agent)
+            grad = _tail_grad(profile, grid, q, c, active, from_agent)
             trials = np.repeat(q[None], len(LINE_STEPS), axis=0)
-            trials[:, c] = _project_simplex(q[c] + LINE_STEPS[:, None] * grad[c])
+            trials[:, c] = _project_simplex(q[c] + LINE_STEPS[:, None] * grad)
             vals, actives = _tail_values(profile, grid, trials, from_agent)
             better = np.flatnonzero(vals > best)
             if better.size:
