@@ -75,6 +75,61 @@ def test_all_errors_reported_at_once(tmp_path):
     assert len(err.value.errors) >= 3
 
 
+def _maxmin(priors, **extra):
+    return {"kind": "maxmin", "gamma": 1.0, "priors": priors, **extra}
+
+
+def _set_utility(i, spec):
+    return lambda doc: doc["utilities"].__setitem__(i, spec)
+
+
+def _several_rules(doc):
+    doc["probs"] = [0.5, 0.6]
+    doc["utilities"][0]["gamma"] = 0
+    doc["utilities"][1] = _maxmin([[0.5, 0.5], [0.5, 0.4]], gamma=-1.0)
+
+
+# One bad document per input rule of the probability space and the
+# utilities, and the exact error list loading it gives.
+RULE_ERRORS = {
+    "unique states": (lambda doc: doc.update(states=["a", "a"]),
+                      ["state identifiers are not unique"]),
+    "positive probs": (lambda doc: doc.update(probs=[1.0, 0.0]),
+                       ["probs must be strictly positive (drop zero-probability states)"]),
+    "probs sum": (lambda doc: doc.update(probs=[0.5, 0.6]),
+                  ["probs sum to 1.1, not 1"]),
+    "entropic gamma": (lambda doc: doc["utilities"][0].update(gamma=0),
+                       ["utilities[0]: gamma must be a positive number, got 0"]),
+    "maxmin gamma": (_set_utility(1, _maxmin([[0.5, 0.5]], gamma=-2.0)),
+                     ["utilities[1]: gamma must be a positive number, got -2.0"]),
+    "positive priors": (_set_utility(1, _maxmin([[0.5, 0.5], [1.0, 0.0]])),
+                        ["utilities[1].priors[1] has nonpositive entries"]),
+    "priors sum": (_set_utility(1, _maxmin([[0.5, 0.5], [0.5, 0.4]])),
+                   ["utilities[1].priors[1] sums to 0.9, not 1"]),
+    "reference among priors": (
+        _set_utility(1, _maxmin([[0.4, 0.6]])),
+        ["utilities[1]: the reference probability must be one of the priors"]),
+    "lip_bound": (_set_utility(1, _maxmin([[0.5, 0.5]], lip_bound=0)),
+                  ["utilities[1]: lip_bound must be positive when given"]),
+    "several rules": (_several_rules, [
+        "probs sum to 1.1, not 1",
+        "utilities[0]: gamma must be a positive number, got 0",
+        "utilities[1]: gamma must be a positive number, got -1.0",
+        "utilities[1].priors[1] sums to 0.9, not 1",
+        "utilities[1]: the reference probability must be one of the priors"]),
+}
+
+
+@pytest.mark.parametrize("rule", list(RULE_ERRORS))
+def test_each_input_rule_gives_its_exact_errors(rule):
+    setter, expected = RULE_ERRORS[rule]
+    doc = minimal_doc()
+    setter(doc)
+    with pytest.raises(pc.ValidationError) as err:
+        pc.scenario_from_dict(doc, source="doc")
+    assert err.value.errors == [f"doc: {e}" for e in expected]
+
+
 def test_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
