@@ -55,7 +55,6 @@ from .menu import (
     grid_point_count,
     integrate,
     lipschitz_ratio,
-    metric_distance,
     shares_to_allocation,
     validate_feasible,
 )

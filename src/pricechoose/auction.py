@@ -182,9 +182,9 @@ def expected_deviation_payoff(avg_i: float, eta: float, b_star: float,
     return avg_i + (eta - b_star) / n + rebate * (n - 1) / n
 
 
-def audit_bid_deviation(game: Game, *, bid_grid=None,
-                        num_bids: int = 101) -> BidAudit:
-    """Check no unilateral bid deviation beats the equilibrium expectation.
+def audit_bid_deviation(game: Game, *, num_bids: int = 101) -> BidAudit:
+    """Check no unilateral bid deviation beats the equilibrium expectation
+    over the ``num_bids`` bids of ``default_bid_grid``.
 
     Expected payoffs under the winner draw are computed analytically from
     (Avg_i, eta, b*); nothing is sampled.
@@ -192,11 +192,7 @@ def audit_bid_deviation(game: Game, *, bid_grid=None,
     n = game.n_agents
     surplus = efficient_surplus(game)
     b_star = equilibrium_bid(surplus.eta, n)
-    if bid_grid is None:
-        bid_grid = default_bid_grid(surplus.eta, b_star, num_bids)
-    bid_grid = np.asarray(bid_grid, dtype=float)
-    if np.any(bid_grid < 0.0):
-        raise ValidationError("bids must be nonnegative")
+    bid_grid = default_bid_grid(surplus.eta, b_star, num_bids)
     max_gain = -np.inf
     for i in range(n):
         avg_i = float(surplus.averages[i])

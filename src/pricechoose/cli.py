@@ -94,40 +94,27 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
+def _cmd_experiment(args) -> int:
+    """``run``, ``audit`` (no auction) and ``bench`` (closed-form comparison)."""
     config = _load(args)
-    report, arrays = _run_experiment(config)
-    _emit(report, arrays, args, config)
-    _print_summary(report)
-    return 0 if report["all_invariants_pass"] else 3
-
-
-def _cmd_audit(args) -> int:
-    config = _load(args)
-    report, arrays = _run_experiment(config, include_auction=False)
-    _emit(report, arrays, args, config)
-    _print_summary(report)
-    return 0 if report["all_invariants_pass"] else 3
-
-
-def _cmd_bench(args) -> int:
-    if args.scenario is None:
-        args.scenario = "hurricane-three-farmers"
-    config = _load(args)
-    if not all(isinstance(u, EntropicUtility) for u in config.profile.evaluators):
+    bench = args.command == "bench"
+    if bench and not all(isinstance(u, EntropicUtility)
+                         for u in config.profile.evaluators):
         print("bench needs an all-entropic scenario with a closed form",
               file=sys.stderr)
         return 2
-    report, arrays = _run_experiment(config)
+    report, arrays = _run_experiment(config,
+                                     include_auction=args.command != "audit")
     _emit(report, arrays, args, config)
     _print_summary(report)
-    cf = report["closed_form"]
-    print(f"bench: closed-form shares {cf['shares'][0]}")
-    grid_shares = report["welfare"]["shares"]
-    if grid_shares is not None:
-        w = cf["shares"][0]
-        gap = max(abs(a - b) for row in grid_shares for a, b in zip(row, w))
-        print(f"bench: max share gap vs closed form {gap:.3g}")
+    if bench:
+        cf = report["closed_form"]
+        print(f"bench: closed-form shares {cf['shares'][0]}")
+        grid_shares = report["welfare"]["shares"]
+        if grid_shares is not None:
+            w = cf["shares"][0]
+            gap = max(abs(a - b) for row in grid_shares for a, b in zip(row, w))
+            print(f"bench: max share gap vs closed form {gap:.3g}")
     return 0 if report["all_invariants_pass"] else 3
 
 
@@ -136,11 +123,12 @@ def main(argv=None) -> int:
         prog="pricechoose",
         description="Price-and-choose risk sharing engine and auditor.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("run", _cmd_run), ("validate", _cmd_validate),
-                     ("audit", _cmd_audit), ("bench", _cmd_bench)):
+    for name in ("run", "validate", "audit", "bench"):
         sub = subs.add_parser(name)
         _add_common(sub)
-        sub.set_defaults(fn=fn)
+        sub.set_defaults(
+            fn=_cmd_validate if name == "validate" else _cmd_experiment,
+            scenario="hurricane-three-farmers" if name == "bench" else None)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

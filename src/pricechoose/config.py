@@ -108,13 +108,36 @@ def _section(d: dict, name: str, defaults: dict, errors: list[str]) -> dict:
     return {**defaults, **given}
 
 
-def _validate_utilities(specs, n_agents: int, n_states: int, probs,
-                        errors: list[str]) -> None:
+def _is_int(v, least: int) -> bool:
+    """A JSON integer, not a boolean, of at least ``least``."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+def _built(errors: list[str], label: str, cls, *args):
+    """``cls(*args)``, or None with the problems its ValidationError lists
+    added to ``errors`` after ``label``."""
+    try:
+        return cls(*args)
+    except ValidationError as exc:
+        errors.extend(label + e for e in exc.errors)
+        return None
+
+
+def _utilities(specs, n_agents: int, n_states: int, reference,
+               errors: list[str]) -> list:
+    """One evaluator per utility spec.
+
+    Here go the checks numpy cannot make: JSON types, finiteness and row
+    lengths.  The rest are the constructors' own, run on a spec that passes
+    these once the reference probability ``reference`` is well-formed (None
+    until then).
+    """
     if not isinstance(specs, list):
         errors.append("utilities must be a list")
-        return
+        return []
     if len(specs) != n_agents:
         errors.append(f"expected one utility per agent ({n_agents}), got {len(specs)}")
+    evaluators = []
     for i, spec in enumerate(specs):
         label = f"utilities[{i}]"
         if not isinstance(spec, dict):
@@ -124,37 +147,34 @@ def _validate_utilities(specs, n_agents: int, n_states: int, probs,
         if kind not in ("entropic", "maxmin"):
             errors.append(f"{label}: kind must be 'entropic' or 'maxmin', got {kind!r}")
             continue
+        checked = len(errors)
         gamma = spec.get("gamma")
-        if not _is_number(gamma) or gamma <= 0:
+        if not _is_number(gamma):
             errors.append(f"{label}: gamma must be a positive number, got {gamma!r}")
+        priors, lip = spec.get("priors"), spec.get("lip_bound")
         if kind == "maxmin":
-            priors = spec.get("priors")
             if not isinstance(priors, list) or not priors:
                 errors.append(f"{label}: maxmin needs a nonempty prior list")
                 continue
-            found_reference = False
             for j, row in enumerate(priors):
                 plabel = f"{label}.priors[{j}]"
-                if not _check_number_list(row, plabel, errors):
-                    continue
-                if len(row) != n_states:
+                if _check_number_list(row, plabel, errors) and len(row) != n_states:
                     errors.append(f"{plabel} has {len(row)} entries for {n_states} states")
-                    continue
-                if any(v <= 0 for v in row):
-                    errors.append(f"{plabel} has nonpositive entries")
-                total = float(sum(row))
-                if abs(total - 1.0) > 1e-12:
-                    errors.append(f"{plabel} sums to {total!r}, not 1")
-                if probs is not None and len(row) == len(probs) and \
-                        max(abs(a - b) for a, b in zip(row, probs)) <= 1e-12:
-                    found_reference = True
-            if probs is not None and not found_reference:
-                errors.append(
-                    f"{label}: the reference probability must be one of the priors"
-                )
-            lip = spec.get("lip_bound")
-            if lip is not None and (not _is_number(lip) or lip <= 0):
+            if lip is not None and not _is_number(lip):
                 errors.append(f"{label}: lip_bound must be positive when given")
+        if reference is None or len(errors) > checked:
+            continue
+        if kind == "entropic":
+            evaluators.append(_built(errors, f"{label}: ", EntropicUtility,
+                                     float(gamma), reference))
+            continue
+        credal = _built(errors, f"{label}: ", CredalSet,
+                        np.asarray(priors, dtype=float), reference, lip)
+        # MaxMinUtility checks gamma alone, so a failed credal set (None) does
+        # not hide a bad gamma.
+        evaluators.append(_built(errors, f"{label}: ", MaxMinUtility,
+                                 float(gamma), credal))
+    return evaluators
 
 
 def scenario_from_dict(d: dict, source: str = "<dict>") -> ScenarioConfig:
@@ -173,20 +193,15 @@ def scenario_from_dict(d: dict, source: str = "<dict>") -> ScenarioConfig:
         errors.append("states must be a nonempty list of strings")
     else:
         n_states = len(states)
-        if len(set(states)) != n_states:
-            errors.append("state identifiers are not unique")
 
     probs = d.get("probs")
-    probs_ok = _check_number_list(probs, "probs", errors)
-    if probs_ok and n_states and len(probs) != n_states:
-        errors.append(f"probs has {len(probs)} entries for {n_states} states")
-        probs_ok = False
-    if probs_ok:
-        if any(v <= 0 for v in probs):
-            errors.append("probs must be strictly positive (drop zero-probability states)")
-        total = float(sum(probs))
-        if abs(total - 1.0) > 1e-12:
-            errors.append(f"probs sum to {total!r}, not 1")
+    reference = space = None
+    if _check_number_list(probs, "probs", errors) and n_states:
+        if len(probs) != n_states:
+            errors.append(f"probs has {len(probs)} entries for {n_states} states")
+        else:
+            reference = np.asarray(probs, dtype=float)
+            space = _built(errors, "", StateSpace, states, reference)
 
     endowments = d.get("endowments")
     n_agents = 0
@@ -201,12 +216,12 @@ def scenario_from_dict(d: dict, source: str = "<dict>") -> ScenarioConfig:
                     f"endowments[{i}] has {len(row)} entries for {n_states} states"
                 )
 
-    _validate_utilities(d.get("utilities"), n_agents, n_states,
-                        probs if probs_ok else None, errors)
+    evaluators = _utilities(d.get("utilities"), n_agents, n_states,
+                            reference if space is None else space.probs, errors)
 
     grid = _section(d, "grid", _GRID_DEFAULTS, errors)
     resolution = grid.get("resolution")
-    if not isinstance(resolution, int) or isinstance(resolution, bool) or resolution < 1:
+    if not _is_int(resolution, 1):
         errors.append(f"grid.resolution must be an integer >= 1, got {resolution!r}")
     sc = grid.get("state_classes")
     if isinstance(sc, str):
@@ -215,12 +230,17 @@ def scenario_from_dict(d: dict, source: str = "<dict>") -> ScenarioConfig:
     elif isinstance(sc, list):
         if n_states and len(sc) != n_states:
             errors.append(f"grid.state_classes has {len(sc)} entries for {n_states} states")
+        bad = [w for w, label in enumerate(sc)
+               if isinstance(label, bool) or not isinstance(label, (str, int))]
+        if bad:
+            errors.append("grid.state_classes labels must be strings or integers, "
+                          f"got others at {bad}")
     else:
         errors.append("grid.state_classes must be a string mode or a per-state list")
     if grid.get("weights") not in ("uniform", "geometric"):
         errors.append(f"grid.weights must be 'uniform' or 'geometric', got {grid.get('weights')!r}")
     budget = grid.get("budget")
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
+    if not _is_int(budget, 1):
         errors.append(f"grid.budget must be a positive integer, got {budget!r}")
 
     mech = _section(d, "mechanism", _MECH_DEFAULTS, errors)
@@ -237,10 +257,11 @@ def scenario_from_dict(d: dict, source: str = "<dict>") -> ScenarioConfig:
         errors.append(f"mechanism.epsilon must be positive when given, got {eps!r}")
 
     audits = _section(d, "audits", _AUDIT_DEFAULTS, errors)
-    for key in ("deviations", "bid_points"):
+    # A bid grid holds b* and its two offsets (see auction.default_bid_grid).
+    for key, least in (("deviations", 0), ("bid_points", 3)):
         v = audits.get(key)
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            errors.append(f"audits.{key} must be a nonnegative integer, got {v!r}")
+        if not _is_int(v, least):
+            errors.append(f"audits.{key} must be an integer >= {least}, got {v!r}")
 
     output = _section(d, "output", _OUTPUT_DEFAULTS, errors)
     if not isinstance(output.get("dir"), str) or not output["dir"]:
@@ -251,24 +272,13 @@ def scenario_from_dict(d: dict, source: str = "<dict>") -> ScenarioConfig:
             f"got {output.get('format')!r}")
 
     seed = d.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not _is_int(seed, 0):
         errors.append(f"seed must be a nonnegative integer, got {seed!r}")
 
     if errors:
         raise ValidationError([f"{source}: {e}" for e in errors])
 
-    space = StateSpace(states, probs)
     endow = EndowmentProfile(space, endowments)
-    evaluators = []
-    for spec in d["utilities"]:
-        if spec["kind"] == "entropic":
-            evaluators.append(EntropicUtility(gamma=float(spec["gamma"]),
-                                              probs=space.probs))
-        else:
-            credal = CredalSet(priors=np.asarray(spec["priors"], dtype=float),
-                               reference=space.probs,
-                               lip_bound=spec.get("lip_bound"))
-            evaluators.append(MaxMinUtility(gamma=float(spec["gamma"]), credal=credal))
     profile = UtilityProfile(tuple(evaluators))
 
     effective = {

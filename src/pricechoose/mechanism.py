@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, StructuralError
-from .menu import PAIR_SEED, MenuGrid, integrate, lipschitz_ratio
+from .menu import MenuGrid, integrate, lipschitz_ratio
 from .utility import UtilityProfile, average_utilities, warn_if_over_declared
 
 ZERO_MEAN_TOL = 1e-9
@@ -66,19 +66,19 @@ class Game:
 
 
 def calibrate(profile: UtilityProfile, grid: MenuGrid, *,
-              cap: float | None = None, seed: int = PAIR_SEED) -> Game:
+              cap: float | None = None) -> Game:
     """Evaluate the utility matrix once and derive everything else from it.
 
     Each agent's Lipschitz estimate is measured on its matrix column.  The
     default cap is 1.5x the largest estimate, which leaves the strict
     headroom the equalizing and bump constructions need; override it when a
-    scenario declares its own constant.  The default seed pins the canonical
-    pair sample so calibration and schedule validation measure alike.
+    scenario declares its own constant.  Calibration and schedule validation
+    measure on the same canonical pair sample.
     """
     if cap is not None and cap <= 0.0:
         raise ParameterError("Lipschitz cap must be positive")
     umat = profile.matrix(grid)
-    est = np.array([lipschitz_ratio(umat[:, i], grid, seed=seed)
+    est = np.array([lipschitz_ratio(umat[:, i], grid)
                     for i in range(profile.n_agents)])
     for i, u in enumerate(profile.evaluators):
         warn_if_over_declared(u, float(est[i]), i)
@@ -249,20 +249,19 @@ class BestResponse:
 
 def follower_best_response(tail_values, schedule: PriceSchedule,
                            grid: MenuGrid, *,
-                           selection_values=None,
-                           indifference_tol: float = ZERO_MEAN_TOL) -> BestResponse:
+                           selection_values=None) -> BestResponse:
     """Argmax of continuation value net of the posted schedule.
 
     Ties resolve to the lowest index.  When ``selection_values`` is given and
-    the net payoff is flat across the whole menu (the exact equalizing
-    schedule), the equilibrium selection applies instead: pick the point
-    maximizing ``selection_values``.
+    the net payoff is flat across the whole menu within ``ZERO_MEAN_TOL``
+    (the exact equalizing schedule), the equilibrium selection applies
+    instead: pick the point maximizing ``selection_values``.
     """
     tail = np.asarray(tail_values, dtype=float)
     if tail.shape != (grid.n_points,):
         raise StructuralError("tail values must align with grid points")
     net = tail - schedule.values
-    if selection_values is not None and net.max() - net.min() <= indifference_tol:
+    if selection_values is not None and net.max() - net.min() <= ZERO_MEAN_TOL:
         sel = np.asarray(selection_values, dtype=float)
         return BestResponse(index=int(np.argmax(sel)), rule="spne-welfare-argmax")
     return BestResponse(index=int(np.argmax(net)), rule="net-argmax")

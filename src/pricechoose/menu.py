@@ -52,18 +52,11 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
-from typing import TypeAlias
 
 import numpy as np
 
 from .errors import GridBudgetError, StructuralError, ValidationError
 from .space import StateSpace
-
-# An allocation is an (agents x states) float matrix; its invariants are
-# diagnosed by validate_feasible.  A share profile is a simplex point per
-# nonzero state: either (n,) applied everywhere or (k x n) row per state.
-Allocation: TypeAlias = np.ndarray
-ShareProfile: TypeAlias = np.ndarray
 
 SIMPLEX_TOL = 1e-12
 FEASIBILITY_TOL = 1e-12
@@ -113,7 +106,7 @@ def _check_allocation_shape(xi, x) -> tuple[np.ndarray, np.ndarray]:
     return xi, x
 
 
-def validate_feasible(xi, x, tol: float = FEASIBILITY_TOL) -> FeasibilityReport:
+def validate_feasible(xi, x) -> FeasibilityReport:
     """Diagnose one allocation: column sums, sign matching, zero anchoring, bound.
 
     Returns diagnostics rather than raising; offending indices are reported
@@ -121,6 +114,7 @@ def validate_feasible(xi, x, tol: float = FEASIBILITY_TOL) -> FeasibilityReport:
     """
     xi, x = _check_allocation_shape(xi, x)
     col = xi.sum(axis=0)
+    tol = FEASIBILITY_TOL
     sum_bad = np.nonzero(np.abs(col - x) > tol)[0]
 
     sign = np.sign(x)
@@ -266,11 +260,6 @@ def build_metric(space: StateSpace, n_agents: int,
         weights=weights,
         agent_mass_weights=c,
     )
-
-
-def metric_distance(metric: WeakStarMetric, a, b) -> float:
-    """Truncated-series distance between two allocation matrices."""
-    return metric.distance(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .mechanism import (
     run_pnc,
 )
 from .menu import enumerate_grid, integrate, validate_feasible
+from .space import PROB_TOL
 from .utility import (
     MaxMinUtility,
     _agent_rows,
@@ -75,7 +76,7 @@ def _space_checks(config: ScenarioConfig, grid) -> list[dict]:
     checks = [
         _check("space.probs_positive", bool(np.all(probs > 0)),
                f"min prob {probs.min():.3g}", probs.min(), 0.0),
-        _bound("space.probs_sum", abs(probs.sum() - 1.0), 1e-12,
+        _bound("space.probs_sum", abs(probs.sum() - 1.0), PROB_TOL,
                f"residual {abs(probs.sum() - 1.0):.3g}"),
         _check("grid.weights_positive", bool(np.all(grid.weights > 0)),
                f"min weight {grid.weights.min():.3g}", grid.weights.min(), 0.0),
@@ -182,12 +183,7 @@ def _utility_checks(config: ScenarioConfig, grid, umat, ref_vals: dict,
     for i, u in enumerate(profile.evaluators):
         if isinstance(u, MaxMinUtility):
             worst_dom = max(worst_dom, float((umat[:, i] - ref_vals[i]).max()))
-            priors = u.credal.priors
-            credal_ok = credal_ok and bool(
-                np.all(priors > 0.0)
-                and np.abs(priors.sum(axis=1) - 1.0).max() <= 1e-12
-                and np.any(np.all(np.abs(priors - config.space.probs) <= 1e-12,
-                                  axis=1)))
+            credal_ok = credal_ok and not u.credal.problems()
     checks.append(_bound("utility.maxmin_dominance", worst_dom, 1e-12,
                          f"max excess over single-prior value {worst_dom:.3g}"))
     checks.append(_check("utility.credal_sets", credal_ok,

@@ -8,17 +8,15 @@ surely" and "everywhere" coincide for everything built on top.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, TypeAlias
+from typing import Sequence
 
 import numpy as np
 
 from .errors import StructuralError, ValidationError
 
-PROB_SUM_TOL = 1e-12
-
-# A random variable is a 1-d float array with one entry per state; validated
-# against a StateSpace via check_variable.
-RandomVariable: TypeAlias = np.ndarray
+# How far a probability vector's sum may be from 1, and how close a prior must
+# come to the reference probability to count as it.
+PROB_TOL = 1e-12
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
@@ -53,15 +51,12 @@ class StateSpace:
             if not np.all(np.isfinite(probs)):
                 errors.append("probabilities contain non-finite entries")
             else:
-                bad = np.nonzero(probs <= 0.0)[0]
-                if bad.size:
-                    errors.append(
-                        "zero or negative probability at state index(es) "
-                        f"{bad.tolist()}: zero-probability states must be dropped "
-                        "before loading"
-                    )
-                if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
-                    errors.append(f"probabilities sum to {probs.sum()!r}, not 1")
+                if np.any(probs <= 0.0):
+                    errors.append("probs must be strictly positive "
+                                  "(drop zero-probability states)")
+                total = float(probs.sum())
+                if abs(total - 1.0) > PROB_TOL:
+                    errors.append(f"probs sum to {total!r}, not 1")
         if errors:
             raise ValidationError(errors)
         probs = probs.copy()

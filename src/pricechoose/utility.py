@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StructuralError, ValidationError
-from .menu import PAIR_SEED, MenuGrid, integrate, lipschitz_ratio
-from .space import PROB_SUM_TOL, StateSpace
+from .menu import MenuGrid, integrate, lipschitz_ratio
+from .space import PROB_TOL, StateSpace
 
 
 def _entropic_ce(values: np.ndarray, prior: np.ndarray, gamma: float) -> np.ndarray:
@@ -57,7 +57,7 @@ class EntropicUtility:
 
     def __post_init__(self) -> None:
         if not (self.gamma > 0.0):
-            raise ValidationError(f"risk aversion must be positive, got {self.gamma}")
+            raise ValidationError(f"gamma must be a positive number, got {self.gamma!r}")
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
 
     def values(self, rows: np.ndarray) -> np.ndarray:
@@ -75,34 +75,37 @@ class CredalSet:
     def __post_init__(self) -> None:
         priors = np.asarray(self.priors, dtype=float)
         reference = np.asarray(self.reference, dtype=float)
-        errors = []
         if priors.ndim != 2 or priors.shape[0] == 0:
             raise StructuralError(
                 f"priors must be a nonempty (k x states) matrix, got shape {priors.shape}"
             )
         if priors.shape[1] != reference.shape[0]:
-            errors.append(
+            raise ValidationError(
                 f"priors have {priors.shape[1]} states, reference has {reference.shape[0]}"
             )
-        else:
-            if np.any(priors <= 0.0):
-                errors.append("priors must be strictly positive wherever the reference is")
-            bad = np.nonzero(np.abs(priors.sum(axis=1) - 1.0) > PROB_SUM_TOL)[0]
-            if bad.size:
-                errors.append(f"prior rows {bad.tolist()} do not sum to 1")
-            member = np.any(np.all(np.abs(priors - reference) <= 1e-12, axis=1))
-            if not member:
-                errors.append("the reference probability must be a member of the credal set")
-        if self.lip_bound is not None and not (self.lip_bound > 0.0):
-            errors.append("declared Lipschitz bound must be positive")
-        if errors:
-            raise ValidationError(errors)
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "reference", reference)
+        errors = self.problems()
+        if errors:
+            raise ValidationError(errors)
 
-    @property
-    def n_priors(self) -> int:
-        return self.priors.shape[0]
+    def problems(self) -> list[str]:
+        """Every broken rule of a credal set: each prior strictly positive and
+        summing to 1, the reference probability among the priors, and a
+        declared Lipschitz bound positive."""
+        errors = []
+        for j, row in enumerate(self.priors):
+            if np.any(row <= 0.0):
+                errors.append(f"priors[{j}] must be strictly positive")
+            total = float(row.sum())
+            if abs(total - 1.0) > PROB_TOL:
+                errors.append(f"priors[{j}] sums to {total!r}, not 1")
+        if not np.any(np.all(np.abs(self.priors - self.reference) <= PROB_TOL, axis=1)):
+            errors.append("the reference probability must be one of the priors")
+        if self.lip_bound is not None and not (self.lip_bound > 0.0):
+            errors.append("lip_bound must be positive when given "
+                          "(a declared Lipschitz bound)")
+        return errors
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,7 @@ class MaxMinUtility:
 
     def __post_init__(self) -> None:
         if not (self.gamma > 0.0):
-            raise ValidationError(f"risk aversion must be positive, got {self.gamma}")
+            raise ValidationError(f"gamma must be a positive number, got {self.gamma!r}")
 
     def values_per_prior(self, rows: np.ndarray) -> np.ndarray:
         """(k, ...) entropic values, one slice per prior."""
@@ -244,9 +247,7 @@ def check_cash_invariance(u: Utility, xi, agent: int, c: float) -> float:
     return float(abs(float(u.values(row + c)) - float(u.values(row)) - c))
 
 
-def estimate_lipschitz(u: Utility, grid: MenuGrid, agent: int, *,
-                       exhaustive_threshold: int = 512,
-                       num_samples: int = 4096, seed: int = PAIR_SEED) -> float:
+def estimate_lipschitz(u: Utility, grid: MenuGrid, agent: int) -> float:
     """Empirical Lipschitz constant of the utility under the menu metric.
 
     Exhaustive over all point pairs below the size threshold, seeded random
@@ -254,8 +255,7 @@ def estimate_lipschitz(u: Utility, grid: MenuGrid, agent: int, *,
     sanity-check the mechanism's Lipschitz cap.
     """
     vals = evaluate_grid(u, grid, agent)
-    est = lipschitz_ratio(vals, grid, exhaustive_threshold=exhaustive_threshold,
-                          num_samples=num_samples, seed=seed)
+    est = lipschitz_ratio(vals, grid)
     warn_if_over_declared(u, est, agent)
     return est
 

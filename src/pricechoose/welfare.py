@@ -8,7 +8,7 @@ over per-class shares with simplex projection.  Utilities are concave and
 the share space is a product of simplices, so local ascent from the grid
 winner is enough at desk scale.  The ascent's line search is batched: a
 class block projects all of its halving steps onto the simplex in one call
-and evaluates their tail welfare as one stack of allocations, then accepts
+and evaluates their welfare as one stack of allocations, then accepts
 the largest improving step, so it takes the same steps as a serial halving
 search at a fraction of the Python calls.
 """
@@ -30,7 +30,12 @@ from .utility import (
 )
 
 PARETO_SLACK = 1e-12
+# A Pareto-checked allocation attains the grid maximum within this much welfare.
+WELFARE_TOL = 1e-9
+# Refinement stops after a sweep that gains less than REFINE_TOL, or after
+# MAX_SWEEPS sweeps.
 REFINE_TOL = 1e-10
+MAX_SWEEPS = 200
 
 
 @dataclass(frozen=True)
@@ -89,17 +94,16 @@ def _allocations(grid: MenuGrid, qs: np.ndarray) -> np.ndarray:
     return xi
 
 
-def _tail_values(profile: UtilityProfile, grid: MenuGrid, qs: np.ndarray,
-                 from_agent: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tail welfare at each of a stack of (S x C x n) class shares, with one
+def _welfare_values(profile: UtilityProfile, grid: MenuGrid,
+                    qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Welfare at each of a stack of (S x C x n) class shares, with one
     ``values_per_prior`` or ``values`` call per agent, and the (S x n) index
     of each max-min agent's worst-case prior there (lowest index on ties;
     0 for the other agents)."""
     xi = _allocations(grid, qs)
     total = np.zeros(qs.shape[0])
     active = np.zeros((qs.shape[0], profile.n_agents), dtype=np.int64)
-    for i in range(from_agent, profile.n_agents):
-        u = profile.evaluators[i]
+    for i, u in enumerate(profile.evaluators):
         if isinstance(u, MaxMinUtility):
             per = u.values_per_prior(xi[:, i, :])
             active[:, i] = per.argmin(axis=0)
@@ -109,11 +113,11 @@ def _tail_values(profile: UtilityProfile, grid: MenuGrid, qs: np.ndarray,
     return total, active
 
 
-def _tail_grad(profile: UtilityProfile, grid: MenuGrid, q: np.ndarray, c: int,
-               active: np.ndarray, from_agent: int) -> np.ndarray:
-    """(Super)gradient of tail welfare in class ``c``'s shares (row c of the
+def _welfare_grad(profile: UtilityProfile, grid: MenuGrid, q: np.ndarray, c: int,
+                  active: np.ndarray) -> np.ndarray:
+    """(Super)gradient of welfare in class ``c``'s shares (row c of the
     gradient in the class shares ``q``), given each agent's worst-case
-    prior index ``active`` there (see ``_tail_values``).
+    prior index ``active`` there (see ``_welfare_values``).
 
     The gradient of an entropic certainty equivalent in the payoff is the
     exponentially tilted probability; for a max-min evaluator the tilt under
@@ -123,8 +127,7 @@ def _tail_grad(profile: UtilityProfile, grid: MenuGrid, q: np.ndarray, c: int,
     xc = grid.x[mask]
     xi = _allocations(grid, q[None])[0]
     grad = np.zeros(q.shape[1])
-    for i in range(from_agent, profile.n_agents):
-        u = profile.evaluators[i]
+    for i, u in enumerate(profile.evaluators):
         nu = u.credal.priors[active[i]] if isinstance(u, MaxMinUtility) else u.probs
         z = -u.gamma * xi[i]
         z -= z.max()
@@ -146,50 +149,49 @@ def _halving_steps(floor: float) -> np.ndarray:
 LINE_STEPS = _halving_steps(1e-14)
 
 
-def _refine_shares(profile: UtilityProfile, grid: MenuGrid, q0: np.ndarray,
-                   from_agent: int, tol: float, max_sweeps: int) -> tuple[np.ndarray, float]:
+def _refine_shares(profile: UtilityProfile, grid: MenuGrid,
+                   q0: np.ndarray) -> tuple[np.ndarray, float]:
     """Blockwise projected gradient ascent over per-class shares.
 
     Each class block takes the gradient at the current point and tries
     every step of ``LINE_STEPS`` at once: the trial rows are projected onto
-    the simplex in one call and their tail welfare is evaluated in one
+    the simplex in one call and their welfare is evaluated in one
     stack.  The largest improving step is accepted, the one a halving search
     from step 1 stops at; when none improves the block keeps its shares.
     Only improving steps are accepted, so the welfare value never decreases
     and the iterate never leaves the product of simplices.
     """
     q = q0.copy()
-    vals, active = _tail_values(profile, grid, q[None], from_agent)
+    vals, active = _welfare_values(profile, grid, q[None])
     best, active = float(vals[0]), active[0]
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         sweep_gain = 0.0
         for c in range(q.shape[0]):
-            grad = _tail_grad(profile, grid, q, c, active, from_agent)
+            grad = _welfare_grad(profile, grid, q, c, active)
             trials = np.repeat(q[None], len(LINE_STEPS), axis=0)
             trials[:, c] = _project_simplex(q[c] + LINE_STEPS[:, None] * grad)
-            vals, actives = _tail_values(profile, grid, trials, from_agent)
+            vals, actives = _welfare_values(profile, grid, trials)
             better = np.flatnonzero(vals > best)
             if better.size:
                 k = better[0]
                 sweep_gain += vals[k] - best
                 best, q, active = float(vals[k]), trials[k], actives[k]
-        if sweep_gain < tol:
+        if sweep_gain < REFINE_TOL:
             break
     return q, best
 
 
-def maximize_welfare(profile: UtilityProfile, grid: MenuGrid,
-                     from_agent: int = 0, *, refine: bool = False,
-                     refine_tol: float = REFINE_TOL, max_sweeps: int = 200,
+def maximize_welfare(profile: UtilityProfile, grid: MenuGrid, *,
+                     refine: bool = False,
                      umat: np.ndarray | None = None) -> WelfareResult:
-    """Exhaustive grid argmax of tail welfare, optionally locally refined.
+    """Exhaustive grid argmax of welfare, optionally locally refined.
 
     Ties resolve to the lowest enumeration index.  A refined point is
     re-validated against the feasibility invariants before it is returned.
     """
     if umat is None:
         umat = profile.matrix(grid)
-    wvals = umat[:, from_agent:].sum(axis=1)
+    wvals = umat.sum(axis=1)
     idx = int(np.argmax(wvals))
     shares = grid.share(idx) if grid.n_classes else None
     allocation = grid.point(idx)
@@ -197,8 +199,7 @@ def maximize_welfare(profile: UtilityProfile, grid: MenuGrid,
     method = "grid"
 
     if refine and grid.n_classes:
-        q, refined_val = _refine_shares(profile, grid, shares,
-                                        from_agent, refine_tol, max_sweeps)
+        q, refined_val = _refine_shares(profile, grid, shares)
         if refined_val > wvals[idx]:
             rows = [q[grid.class_of_state[w]] if grid.class_of_state[w] >= 0 else None
                     for w in range(len(grid.x))]
@@ -211,7 +212,7 @@ def maximize_welfare(profile: UtilityProfile, grid: MenuGrid,
             shares = q
             method = "refined"
 
-    value = float(per_agent[from_agent:].sum())
+    value = float(per_agent.sum())
     return WelfareResult(value=value, per_agent=per_agent, allocation=allocation,
                          method=method, index=idx, shares=shares)
 
@@ -280,7 +281,6 @@ class ParetoCheck:
 
 
 def pareto_check(profile: UtilityProfile, grid: MenuGrid, xi, *,
-                 slack: float = PARETO_SLACK, welfare_tol: float = 1e-9,
                  umat: np.ndarray | None = None) -> ParetoCheck:
     """Scan the whole grid for a point that weakly improves every agent and
     strictly improves at least one, with slack separating ties from noise.
@@ -303,8 +303,8 @@ def pareto_check(profile: UtilityProfile, grid: MenuGrid, xi, *,
     strict = np.zeros(cols.shape[1], dtype=bool)
     totals = np.zeros(cols.shape[1])
     for i, col in enumerate(cols):
-        weak &= col >= u0[i] - slack
-        strict |= col > u0[i] + slack
+        weak &= col >= u0[i] - PARETO_SLACK
+        strict |= col > u0[i] + PARETO_SLACK
         totals += col
     dominating = weak & strict
     first = int(np.argmax(dominating))
@@ -316,5 +316,5 @@ def pareto_check(profile: UtilityProfile, grid: MenuGrid, xi, *,
         dominating_index=first if dominated else None,
         welfare_value=wval,
         welfare_max=wmax,
-        attains_max=bool(wval >= wmax - welfare_tol),
+        attains_max=bool(wval >= wmax - WELFARE_TOL),
     )

@@ -131,8 +131,3 @@ def test_bid_audit_never_gains(two_state):
     assert audit.num_bids == 101
     assert audit.max_gain <= 1e-9
 
-
-def test_bid_audit_rejects_negative_bids(two_state):
-    _, _, profile, grid = two_state
-    with pytest.raises(pc.ValidationError):
-        pc.audit_bid_deviation(pc.calibrate(profile, grid), bid_grid=[-0.5, 0.0])

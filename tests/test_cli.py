@@ -99,24 +99,25 @@ RULE_ERRORS = {
     "probs sum": (lambda doc: doc.update(probs=[0.5, 0.6]),
                   ["probs sum to 1.1, not 1"]),
     "entropic gamma": (lambda doc: doc["utilities"][0].update(gamma=0),
-                       ["utilities[0]: gamma must be a positive number, got 0"]),
+                       ["utilities[0]: gamma must be a positive number, got 0.0"]),
     "maxmin gamma": (_set_utility(1, _maxmin([[0.5, 0.5]], gamma=-2.0)),
                      ["utilities[1]: gamma must be a positive number, got -2.0"]),
     "positive priors": (_set_utility(1, _maxmin([[0.5, 0.5], [1.0, 0.0]])),
-                        ["utilities[1].priors[1] has nonpositive entries"]),
+                        ["utilities[1]: priors[1] must be strictly positive"]),
     "priors sum": (_set_utility(1, _maxmin([[0.5, 0.5], [0.5, 0.4]])),
-                   ["utilities[1].priors[1] sums to 0.9, not 1"]),
+                   ["utilities[1]: priors[1] sums to 0.9, not 1"]),
     "reference among priors": (
         _set_utility(1, _maxmin([[0.4, 0.6]])),
         ["utilities[1]: the reference probability must be one of the priors"]),
     "lip_bound": (_set_utility(1, _maxmin([[0.5, 0.5]], lip_bound=0)),
-                  ["utilities[1]: lip_bound must be positive when given"]),
+                  ["utilities[1]: lip_bound must be positive when given "
+                   "(a declared Lipschitz bound)"]),
     "several rules": (_several_rules, [
         "probs sum to 1.1, not 1",
-        "utilities[0]: gamma must be a positive number, got 0",
-        "utilities[1]: gamma must be a positive number, got -1.0",
-        "utilities[1].priors[1] sums to 0.9, not 1",
-        "utilities[1]: the reference probability must be one of the priors"]),
+        "utilities[0]: gamma must be a positive number, got 0.0",
+        "utilities[1]: priors[1] sums to 0.9, not 1",
+        "utilities[1]: the reference probability must be one of the priors",
+        "utilities[1]: gamma must be a positive number, got -1.0"]),
 }
 
 
@@ -284,6 +285,37 @@ def test_empty_deviation_audit_still_valid(tmp_path):
 
 def test_cli_validate_ok():
     assert main(["validate", "--scenario", "two-agent-hand"]) == 0
+
+
+# (section, key, value, the field a rejection names; None: the run goes through)
+EDGE_DOCUMENTS = {
+    "object label": ("grid", "state_classes", [{"a": 1}], "grid.state_classes"),
+    "list label": ("grid", "state_classes", [[1]], "grid.state_classes"),
+    "boolean label": ("grid", "state_classes", [True], "grid.state_classes"),
+    "string label": ("grid", "state_classes", ["loss"], None),
+    "integer label": ("grid", "state_classes", [7], None),
+    "no bid points": ("audits", "bid_points", 0, "audits.bid_points"),
+    "one bid point": ("audits", "bid_points", 1, "audits.bid_points"),
+    "two bid points": ("audits", "bid_points", 2, "audits.bid_points"),
+    "three bid points": ("audits", "bid_points", 3, None),
+    "no deviations": ("audits", "deviations", 0, None),
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_DOCUMENTS))
+def test_validate_and_run_agree(tmp_path, capsys, case):
+    section, key, value, named = EDGE_DOCUMENTS[case]
+    doc = json.loads((FIXTURES / "two_agent_hand.json").read_text())
+    doc[section][key] = value
+    path = write_scenario(tmp_path, doc)
+    checked = main(["validate", "--scenario", str(path)])
+    ran = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if named is None:
+        assert checked == 0 and ran in (0, 3), err
+    else:
+        assert checked == ran == 2
+        assert f"validation error: {path}: {named}" in err
 
 
 def test_python_dash_m_runs_the_cli():

@@ -210,7 +210,7 @@ def test_geometric_weights_full_support():
 
 def test_metric_zero_on_identical(two_state):
     _, _, _, grid = two_state
-    assert pc.metric_distance(grid.metric, grid.point(3), grid.point(3)) == 0.0
+    assert grid.metric.distance(grid.point(3), grid.point(3)) == 0.0
 
 
 def test_metric_agent_mass_certificate(two_state):
@@ -220,7 +220,7 @@ def test_metric_agent_mass_certificate(two_state):
     b = a.copy()
     b[0, 0] += 0.25        # only agent 0 differs
     b[0, 1] -= 0.1
-    d = pc.metric_distance(metric, a, b)
+    d = metric.distance(a, b)
     mean_gap = abs(float(np.dot(space.probs, a[0] - b[0])))
     assert d >= metric.weights[0] * mean_gap - 1e-15
     assert mean_gap <= metric.agent_mass_weights[0] * d + 1e-15
@@ -232,7 +232,7 @@ def test_metric_positive_on_row_swap():
     grid = pc.enumerate_grid(space, x, 2, 2)
     a = pc.shares_to_allocation(np.array([0.5, 0.5]), x)
     b = pc.shares_to_allocation(np.array([[1.0, 0.0], [0.0, 1.0]]), x)
-    assert pc.metric_distance(grid.metric, a, b) > 0.0
+    assert grid.metric.distance(a, b) > 0.0
 
 
 def test_metric_separates_grid_points_exhaustively():
@@ -290,7 +290,7 @@ def test_grid_distance_matches_metric_definition_all_pairs(grid):
         assert row.shape == (grid.n_points,)
         assert row[k] == 0.0
         for j in range(grid.n_points):
-            ref = pc.metric_distance(grid.metric, grid.points[j], grid.points[k])
+            ref = grid.metric.distance(grid.points[j], grid.points[k])
             got = grid.distance(j, k)
             assert (got == 0.0) == (ref == 0.0)
             if ref:
@@ -581,7 +581,7 @@ def test_vertex_diameter_exact_above_4096_points():
     assert exact
     vertices = np.nonzero(np.all(grid.shares.max(axis=2) == 1.0, axis=1))[0]
     assert len(vertices) == 2 ** 3
-    best = max(pc.metric_distance(grid.metric, grid.points[a], grid.points[b])
+    best = max(grid.metric.distance(grid.points[a], grid.points[b])
                for a in vertices for b in vertices)
     assert abs(diam - best) <= 1e-14 * best
     g = grid.metric.features(grid.points)
