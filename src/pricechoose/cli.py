@@ -12,7 +12,8 @@ from importlib import resources
 from pathlib import Path
 
 from .config import load_scenario
-from .errors import EngineError, ValidationError
+from .errors import EngineError, GridBudgetError, ValidationError
+from .menu import check_grid_size
 from .report import _run_experiment, emit_report
 from .utility import EntropicUtility
 
@@ -46,12 +47,21 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _load(args) -> object:
+    """The scenario with the command's overrides, refused when its grid
+    breaks a size rule of ``check_grid_size``, so that ``validate`` refuses
+    every grid ``run`` would."""
     if args.scenario is None:
         raise ValidationError(["--scenario is required for this command"])
-    config = load_scenario(_resolve_scenario(args.scenario))
-    return config.with_overrides(resolution=args.resolution, mode=args.mode,
-                                 epsilon=args.epsilon, iota=args.iota,
-                                 seed=args.seed)
+    path = _resolve_scenario(args.scenario)
+    config = load_scenario(path).with_overrides(
+        resolution=args.resolution, mode=args.mode, epsilon=args.epsilon,
+        iota=args.iota, seed=args.seed)
+    try:
+        check_grid_size(config.x, config.profile.n_agents, config.resolution,
+                        config.state_classes, config.grid_weights, config.budget)
+    except (GridBudgetError, ValidationError) as exc:
+        raise ValidationError([f"{path}: grid.{exc}"]) from exc
+    return config
 
 
 def _print_summary(report: dict) -> None:

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
+from .menu import check_state_class_labels
 from .space import EndowmentProfile, StateSpace, aggregate_risk
 from .utility import CredalSet, EntropicUtility, MaxMinUtility, UtilityProfile
 
@@ -230,11 +231,7 @@ def scenario_from_dict(d: dict, source: str = "<dict>") -> ScenarioConfig:
     elif isinstance(sc, list):
         if n_states and len(sc) != n_states:
             errors.append(f"grid.state_classes has {len(sc)} entries for {n_states} states")
-        bad = [w for w, label in enumerate(sc)
-               if isinstance(label, bool) or not isinstance(label, (str, int))]
-        if bad:
-            errors.append("grid.state_classes labels must be strings or integers, "
-                          f"got others at {bad}")
+        _built(errors, "grid.", check_state_class_labels, sc)
     else:
         errors.append("grid.state_classes must be a string mode or a per-state list")
     if grid.get("weights") not in ("uniform", "geometric"):

@@ -52,6 +52,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
+from numbers import Integral
 
 import numpy as np
 
@@ -283,6 +284,16 @@ def compositions(total: int, parts: int) -> np.ndarray:
     return np.diff(edges, axis=1) - 1
 
 
+def check_state_class_labels(labels) -> None:
+    """Per-state class labels must be strings or integers, not booleans:
+    labels are compared by hash, and a list or dict label has none."""
+    bad = [w for w, label in enumerate(labels)
+           if isinstance(label, bool) or not isinstance(label, (str, Integral))]
+    if bad:
+        raise ValidationError("state_classes labels must be strings or integers, "
+                              f"got others at {bad}")
+
+
 def _resolve_state_classes(x: np.ndarray, state_classes) -> tuple[np.ndarray, int]:
     nonzero = x != 0.0
     cls = np.full(len(x), -1, dtype=np.int64)
@@ -301,6 +312,7 @@ def _resolve_state_classes(x: np.ndarray, state_classes) -> tuple[np.ndarray, in
         raise StructuralError(
             f"state_classes has {len(labels)} entries for {len(x)} states"
         )
+    check_state_class_labels(labels)
     seen: dict[object, int] = {}
     for w in np.nonzero(nonzero)[0]:
         lab = labels[w]
@@ -630,6 +642,27 @@ def grid_point_count(x, n_agents: int, resolution: int,
     return per_class ** n_classes
 
 
+def check_grid_size(x, n_agents: int, resolution: int,
+                    state_classes="per_state", weights: str = "uniform",
+                    budget: int = DEFAULT_GRID_BUDGET) -> int:
+    """Point count of the grid ``enumerate_grid`` would build, once it passes
+    the two size rules: at most ``budget`` points (GridBudgetError), and at
+    most ``GEOMETRIC_WEIGHT_LIMIT`` under geometric weights
+    (ValidationError)."""
+    p = grid_point_count(x, n_agents, resolution, state_classes)
+    if p > budget:
+        raise GridBudgetError(
+            f"budget {budget} is below the grid's {p} points; "
+            "lower the resolution or merge state classes"
+        )
+    if weights == "geometric" and p > GEOMETRIC_WEIGHT_LIMIT:
+        raise ValidationError(
+            f"weights 'geometric' underflow beyond {GEOMETRIC_WEIGHT_LIMIT} "
+            f"points, and the grid has {p}"
+        )
+    return p
+
+
 def enumerate_grid(space: StateSpace, x, n_agents: int, resolution: int, *,
                    state_classes="per_state", weights: str = "uniform",
                    budget: int = DEFAULT_GRID_BUDGET,
@@ -638,30 +671,22 @@ def enumerate_grid(space: StateSpace, x, n_agents: int, resolution: int, *,
 
     Per nonzero-state class, all simplex compositions with the given
     denominator; the cartesian product runs across classes.  A state whose
-    aggregate risk is zero carries no decision variables.  Exceeding the
-    point budget raises instead of silently subsampling.  Only the
+    aggregate risk is zero carries no decision variables.  A grid that
+    breaks a size rule of ``check_grid_size`` raises instead of being
+    subsampled.  Only the
     composition table and the point weights are built: the grid is implicit.
     """
     x = space.check_variable(x, "aggregate risk")
     if resolution < 1:
         raise ValidationError("resolution must be >= 1")
     cls, _ = _resolve_state_classes(x, state_classes)
-    p = grid_point_count(x, n_agents, resolution, state_classes)
-    if p > budget:
-        raise GridBudgetError(
-            f"grid would hold {p} points, over the budget of {budget}; "
-            "lower the resolution or merge state classes"
-        )
+    p = check_grid_size(x, n_agents, resolution, state_classes, weights, budget)
     if metric is None:
         metric = build_metric(space, n_agents)
 
     if weights == "uniform":
         wts = np.full(p, 1.0 / p)
     elif weights == "geometric":
-        if p > GEOMETRIC_WEIGHT_LIMIT:
-            raise ValidationError(
-                f"geometric weights underflow beyond {GEOMETRIC_WEIGHT_LIMIT} points"
-            )
         raw = 0.5 ** np.arange(1, p + 1)
         wts = raw / raw.sum()
     else:

@@ -48,6 +48,14 @@ def _entropic_ce(values: np.ndarray, prior: np.ndarray, gamma: float) -> np.ndar
     return ce(prior) if prior.ndim == 1 else np.stack([ce(nu) for nu in prior])
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy, as ``StateSpace`` keeps its ``probs``: an
+    in-place edit could otherwise break a rule the constructor checked."""
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class EntropicUtility:
     """Entropic certainty equivalent under the reference probability."""
@@ -58,7 +66,7 @@ class EntropicUtility:
     def __post_init__(self) -> None:
         if not (self.gamma > 0.0):
             raise ValidationError(f"gamma must be a positive number, got {self.gamma!r}")
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
+        object.__setattr__(self, "probs", _frozen(self.probs))
 
     def values(self, rows: np.ndarray) -> np.ndarray:
         return _entropic_ce(rows, self.probs, self.gamma)
@@ -73,8 +81,7 @@ class CredalSet:
     lip_bound: float | None = None
 
     def __post_init__(self) -> None:
-        priors = np.asarray(self.priors, dtype=float)
-        reference = np.asarray(self.reference, dtype=float)
+        priors, reference = _frozen(self.priors), _frozen(self.reference)
         if priors.ndim != 2 or priors.shape[0] == 0:
             raise StructuralError(
                 f"priors must be a nonempty (k x states) matrix, got shape {priors.shape}"

@@ -287,26 +287,33 @@ def test_cli_validate_ok():
     assert main(["validate", "--scenario", "two-agent-hand"]) == 0
 
 
-# (section, key, value, the field a rejection names; None: the run goes through)
+# (section, its changed keys, the field a rejection names; None: the run goes
+# through)
 EDGE_DOCUMENTS = {
-    "object label": ("grid", "state_classes", [{"a": 1}], "grid.state_classes"),
-    "list label": ("grid", "state_classes", [[1]], "grid.state_classes"),
-    "boolean label": ("grid", "state_classes", [True], "grid.state_classes"),
-    "string label": ("grid", "state_classes", ["loss"], None),
-    "integer label": ("grid", "state_classes", [7], None),
-    "no bid points": ("audits", "bid_points", 0, "audits.bid_points"),
-    "one bid point": ("audits", "bid_points", 1, "audits.bid_points"),
-    "two bid points": ("audits", "bid_points", 2, "audits.bid_points"),
-    "three bid points": ("audits", "bid_points", 3, None),
-    "no deviations": ("audits", "deviations", 0, None),
+    "object label": ("grid", {"state_classes": [{"a": 1}]}, "grid.state_classes"),
+    "list label": ("grid", {"state_classes": [[1]]}, "grid.state_classes"),
+    "boolean label": ("grid", {"state_classes": [True]}, "grid.state_classes"),
+    "string label": ("grid", {"state_classes": ["loss"]}, None),
+    "integer label": ("grid", {"state_classes": [7]}, None),
+    "geometric weights past 1000 points": (
+        "grid", {"weights": "geometric", "resolution": 2000}, "grid.weights"),
+    "geometric weights at 1000 points": (
+        "grid", {"weights": "geometric", "resolution": 999}, None),
+    "grid over budget": ("grid", {"resolution": 30, "budget": 30}, "grid.budget"),
+    "grid at budget": ("grid", {"resolution": 29, "budget": 30}, None),
+    "no bid points": ("audits", {"bid_points": 0}, "audits.bid_points"),
+    "one bid point": ("audits", {"bid_points": 1}, "audits.bid_points"),
+    "two bid points": ("audits", {"bid_points": 2}, "audits.bid_points"),
+    "three bid points": ("audits", {"bid_points": 3}, None),
+    "no deviations": ("audits", {"deviations": 0}, None),
 }
 
 
 @pytest.mark.parametrize("case", list(EDGE_DOCUMENTS))
 def test_validate_and_run_agree(tmp_path, capsys, case):
-    section, key, value, named = EDGE_DOCUMENTS[case]
+    section, changes, named = EDGE_DOCUMENTS[case]
     doc = json.loads((FIXTURES / "two_agent_hand.json").read_text())
-    doc[section][key] = value
+    doc[section].update(changes)
     path = write_scenario(tmp_path, doc)
     checked = main(["validate", "--scenario", str(path)])
     ran = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])

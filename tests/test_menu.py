@@ -151,6 +151,20 @@ def test_grid_point_count_matches_enumeration():
         assert grid.n_points == math.comb(res + 2, 2) ** 2
 
 
+def test_unhashable_state_class_labels_are_validation_errors():
+    """The labels rule scenario loading applies, for library callers too."""
+    space = pc.StateSpace(["a", "b"], [0.5, 0.5])
+    x = np.array([-1.0, -2.0])
+    for labels in ([[1], [1]], [{"a": 1}, 0], [True, 0], [0, 1.5]):
+        with pytest.raises(pc.ValidationError,
+                           match=r"labels must be strings or integers, got others"):
+            pc.enumerate_grid(space, x, 2, 3, state_classes=labels)
+        with pytest.raises(pc.ValidationError, match="labels must be"):
+            pc.grid_point_count(x, 2, 3, labels)
+    grid = pc.enumerate_grid(space, x, 2, 3, state_classes=np.array([4, 4]))
+    assert grid.n_classes == 1 and grid.n_points == 4
+
+
 @given(st.integers(1, 8), st.integers(2, 4))
 @settings(max_examples=40, deadline=None)
 def test_compositions_count_and_order(total, parts):

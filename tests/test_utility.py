@@ -180,6 +180,20 @@ def test_credal_set_validation(coin):
         pc.CredalSet(coin.probs[None, :], coin.probs, lip_bound=-1.0)
 
 
+def test_evaluator_arrays_are_read_only(coin, maxmin_coin):
+    """An in-place write cannot break a rule the constructor checked; the
+    caller's own arrays stay writable."""
+    priors = np.array([[0.5, 0.5], [0.3, 0.7]])
+    credal = pc.CredalSet(priors, coin.probs)
+    entropic = pc.EntropicUtility(1.0, priors[1])
+    for arr in (credal.priors, credal.reference, entropic.probs,
+                maxmin_coin.credal.priors):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 2.0
+    priors[0, 0] = 2.0
+    assert credal.priors[0, 0] == 0.5 and not credal.problems()
+
+
 def test_estimate_lipschitz_deterministic(two_state):
     _, _, profile, grid = two_state
     a = pc.estimate_lipschitz(profile.evaluators[0], grid, 0)
