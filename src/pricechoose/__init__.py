@@ -14,7 +14,6 @@ from .auction import (
     CombinedOutcome,
     SurplusReport,
     audit_bid_deviation,
-    default_bid_grid,
     efficient_surplus,
     equilibrium_bid,
     run_auction_then_pnc,

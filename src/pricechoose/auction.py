@@ -145,25 +145,14 @@ def run_auction_then_pnc(game: Game, seed: int = 0, *,
                            surplus=surplus, final_payoffs=final)
 
 
-def default_bid_grid(eta: float, b_star: float, num: int = 101) -> np.ndarray:
-    """Deviation bids covering [0, eta] plus small offsets around b*."""
-    if num < 3:
-        raise ParameterError("bid grid needs at least three points")
-    offset = max(1e-3 * eta, 1e-6)
-    body = np.linspace(0.0, max(eta, offset), num - 2)
-    grid = np.concatenate([body, [max(b_star - offset, 0.0), b_star + offset]])
-    return np.sort(grid)
-
-
 @dataclass(frozen=True)
 class BidAudit:
-    """Largest expected gain over unilateral bid deviations."""
+    """Supremum of the expected gain over unilateral bid deviations."""
 
     max_gain: float
-    num_bids: int
 
     def to_dict(self) -> dict:
-        return {"max_gain": self.max_gain, "num_bids": self.num_bids}
+        return {"max_gain": self.max_gain}
 
 
 def expected_deviation_payoff(avg_i: float, eta: float, b_star: float,
@@ -182,23 +171,16 @@ def expected_deviation_payoff(avg_i: float, eta: float, b_star: float,
     return avg_i + (eta - b_star) / n + rebate * (n - 1) / n
 
 
-def audit_bid_deviation(game: Game, *, num_bids: int = 101) -> BidAudit:
-    """Check no unilateral bid deviation beats the equilibrium expectation
-    over the ``num_bids`` bids of ``default_bid_grid``.
+def audit_bid_deviation(game: Game) -> BidAudit:
+    """Check no unilateral bid b >= 0 beats the equilibrium expectation.
 
-    Expected payoffs under the winner draw are computed analytically from
-    (Avg_i, eta, b*); nothing is sampled.
+    By ``expected_deviation_payoff``, an overbid earns Avg_i + eta - b,
+    which falls with b, an underbid earns Avg_i + b*/(n-1) whatever it is,
+    and the equilibrium bid earns Avg_i + eta/n.  So the supremum of the
+    gain over every bid is max(eta - b*, b*/(n-1)) - eta/n, the same for
+    every agent.
     """
     n = game.n_agents
-    surplus = efficient_surplus(game)
-    b_star = equilibrium_bid(surplus.eta, n)
-    bid_grid = default_bid_grid(surplus.eta, b_star, num_bids)
-    max_gain = -np.inf
-    for i in range(n):
-        avg_i = float(surplus.averages[i])
-        base = expected_deviation_payoff(avg_i, surplus.eta, b_star, b_star, n)
-        for b in bid_grid:
-            gain = expected_deviation_payoff(avg_i, surplus.eta, b_star,
-                                             float(b), n) - base
-            max_gain = max(max_gain, gain)
-    return BidAudit(max_gain=float(max_gain), num_bids=len(bid_grid))
+    eta = efficient_surplus(game).eta
+    b_star = equilibrium_bid(eta, n)
+    return BidAudit(max_gain=max(eta - b_star, b_star / (n - 1)) - eta / n)

@@ -25,7 +25,6 @@ _GRID_DEFAULTS = {"state_classes": "per_state", "weights": "uniform",
                   "budget": 200_000}
 _MECH_DEFAULTS = {"mode": "exact", "lipschitz_cap": None, "iota": 0.1,
                   "epsilon": None}
-_AUDIT_DEFAULTS = {"deviations": 100, "bid_points": 101}
 _OUTPUT_DEFAULTS = {"dir": "out", "format": "both"}
 
 
@@ -45,8 +44,6 @@ class ScenarioConfig:
     lipschitz_cap: float | None
     iota: float
     epsilon: float | None
-    num_deviations: int
-    bid_points: int
     seed: int
     out_dir: str
     out_format: str
@@ -253,13 +250,6 @@ def scenario_from_dict(d: dict, source: str = "<dict>") -> ScenarioConfig:
     if eps is not None and (not _is_number(eps) or eps <= 0):
         errors.append(f"mechanism.epsilon must be positive when given, got {eps!r}")
 
-    audits = _section(d, "audits", _AUDIT_DEFAULTS, errors)
-    # A bid grid holds b* and its two offsets (see auction.default_bid_grid).
-    for key, least in (("deviations", 0), ("bid_points", 3)):
-        v = audits.get(key)
-        if not _is_int(v, least):
-            errors.append(f"audits.{key} must be an integer >= {least}, got {v!r}")
-
     output = _section(d, "output", _OUTPUT_DEFAULTS, errors)
     if not isinstance(output.get("dir"), str) or not output["dir"]:
         errors.append(f"output.dir must be a nonempty string, got {output.get('dir')!r}")
@@ -287,7 +277,6 @@ def scenario_from_dict(d: dict, source: str = "<dict>") -> ScenarioConfig:
         "utilities": d["utilities"],
         "grid": grid,
         "mechanism": mech,
-        "audits": audits,
         "output": output,
         "seed": seed,
     }
@@ -304,8 +293,6 @@ def scenario_from_dict(d: dict, source: str = "<dict>") -> ScenarioConfig:
         lipschitz_cap=None if cap is None else float(cap),
         iota=float(iota),
         epsilon=None if eps is None else float(eps),
-        num_deviations=int(audits["deviations"]),
-        bid_points=int(audits["bid_points"]),
         seed=int(seed),
         out_dir=output["dir"],
         out_format=output["format"],

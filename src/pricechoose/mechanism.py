@@ -35,8 +35,8 @@ ZERO_MEAN_TOL = 1e-9
 LIP_SLACK = 1e-9
 DEFAULT_IOTA = 0.1
 CAP_SAFETY = 1.5
-
-_DEVIATION_SEED = 86_01      # first-mover deviation sampling
+# A grid point whose welfare is this close to W_max ties for the selection.
+TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -207,13 +207,12 @@ def equalizing_price(game: Game, leader: int, *, order=None) -> PriceSchedule:
     return _equalize(game, leader, _resolve_order(game.n_agents, order))[0]
 
 
-def bump_profile(grid: MenuGrid, target: int, iota: float, *,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def bump_profile(grid: MenuGrid, target: int, iota: float) -> np.ndarray:
     """psi(xi) = iota / (iota + d(xi, target)): 1 at the target, below 1
-    elsewhere.  Written into ``out`` when one is given."""
+    elsewhere."""
     if not 0.0 < iota < 1.0:
         raise ParameterError(f"iota must lie in (0, 1), got {iota}")
-    psi = grid.distances_to(target, out=out)
+    psi = grid.distances_to(target)
     psi += iota
     return np.divide(iota, psi, out=psi)
 
@@ -387,74 +386,60 @@ def run_pnc(game: Game, mode: str = "exact", *,
 
 @dataclass(frozen=True)
 class DeviationAudit:
-    """Best gain a first-mover deviation found; the contract is <= 1e-9."""
+    """Certified bound on a first mover's gain from deviating; the contract
+    is ``max_gain`` <= 1e-9.
 
-    max_gain: float | None
-    num_deviations: int
+    ``welfare_margin`` and ``indifference_margin`` are the two slack terms
+    of the bound at the equilibrium schedule, and ``ties`` counts the grid
+    points whose welfare is within ``TIE_TOL`` of W_max: the selection's
+    tie set.
+    """
+
+    max_gain: float
     equilibrium_payoff: float
+    welfare_margin: float
+    indifference_margin: float
+    ties: int
 
     def to_dict(self) -> dict:
         return {
             "max_gain": self.max_gain,
-            "num_deviations": self.num_deviations,
             "equilibrium_payoff": self.equilibrium_payoff,
+            "welfare_margin": self.welfare_margin,
+            "indifference_margin": self.indifference_margin,
+            "ties": self.ties,
         }
 
 
-def audit_first_mover_bound(game: Game, transcript: Transcript,
-                            num_deviations: int, seed: int = 0) -> DeviationAudit:
-    """Replay random admissible first-mover deviations against best response.
+def audit_first_mover_bound(game: Game, transcript: Transcript) -> DeviationAudit:
+    """Largest gain any zero-mean first-mover schedule can reach, in closed
+    form.
 
-    Each deviation perturbs the equilibrium first-stage schedule with a few
-    re-centered bumps scaled inside the Lipschitz cap.  The continuation
-    plays its equilibrium response (argmax of continuation welfare net of
-    the deviating schedule, lowest index on ties), the convention consistent
-    with the one-sided upper bound being audited: sampling can fail to find
-    a violation, never fabricate one.  When the base schedule's declared
-    Lipschitz constant leaves no room below the stage cap, no deviation is
-    admissible and none is drawn.
+    Against a schedule p the continuation picks k* = argmax(tail_1 - p),
+    where tail_1 is the welfare of every later mover, so the first mover
+    collects U_1(k*) + p(k*) = W(k*) - max(tail_1 - p).  Since
+    W(k*) <= W_max and max(tail_1 - p) >= E[tail_1 - p] = E[tail_1],
 
-    The call holds two point-sized vectors besides the continuation welfare,
-    the deviating schedule and one bump, and updates both in place; each
-    bump is built by ``bump_profile`` into the same buffer.
+        gain(p) = max_gain - (W_max - W(k*))
+                           - (max(tail_1 - p) - E[tail_1 - p])
+                <= max_gain = W_max - E[tail_1] - g_1,
+
+    for every p with E[p] = 0, whatever its Lipschitz constant, so the
+    bound covers every admissible deviation.  Both margins are recorded at
+    the equilibrium schedule, where they vanish up to rounding.
     """
     if transcript.mode != "exact":
         raise ParameterError("the deviation audit runs on exact-mode transcripts")
     order = list(transcript.order)
     umat, grid = game.umat, game.grid
-    first = order[0]
-    equilibrium = float(transcript.payoffs[first])
-    base = transcript.schedules[0]
-    headroom = game.stage_cap - base.declared_lip
-    if num_deviations <= 0 or headroom <= 0.0:
-        return DeviationAudit(max_gain=None, num_deviations=0,
-                              equilibrium_payoff=equilibrium)
-
+    equilibrium = float(transcript.payoffs[order[0]])
     tail1 = _tail_values(umat, order, 1)
-    first_vals = umat[:, first]
-    rng = np.random.default_rng([seed, _DEVIATION_SEED])
-    p = grid.n_points
-    values, psi = np.empty(p), np.empty(p)
-    best = -np.inf
-    for _ in range(num_deviations):
-        n_bumps = int(rng.integers(1, 4))
-        targets = rng.integers(0, p, size=n_bumps)
-        iotas = rng.uniform(0.05, 0.5, size=n_bumps)
-        raw = rng.uniform(-1.0, 1.0, size=n_bumps)
-        budget = rng.uniform(0.1, 1.0) * headroom
-        mass = np.sum(np.abs(raw) / iotas)
-        amps = raw * (budget / mass) if mass > 0 else raw * 0.0
-        src = base.values
-        for t, io, a in zip(targets, iotas, amps):
-            bump_profile(grid, int(t), float(io), out=psi)
-            psi -= integrate(grid, psi)
-            psi *= a
-            np.add(src, psi, out=values)
-            src = values
-        values -= integrate(grid, values)
-        np.subtract(tail1, values, out=psi)
-        response = int(np.argmax(psi))
-        gain = float(first_vals[response] + values[response]) - equilibrium
-        best = max(best, gain)
-    return DeviationAudit(max_gain=best, num_deviations=num_deviations,
-                          equilibrium_payoff=equilibrium)
+    net = tail1 - transcript.schedules[0].values
+    welfare = umat.sum(axis=1)
+    wmax = game.welfare_max
+    return DeviationAudit(
+        max_gain=wmax - integrate(grid, tail1) - equilibrium,
+        equilibrium_payoff=equilibrium,
+        welfare_margin=wmax - float(welfare[transcript.chosen]),
+        indifference_margin=float(net.max()) - integrate(grid, net),
+        ties=int(np.count_nonzero(welfare >= wmax - TIE_TOL)))

@@ -34,9 +34,7 @@ terms, g_f(j) = sum_c t_fc[j_c], with t_fc a K-vector.  Distances to one point
 are built from these O(F*C*K) tables: a feature that touches one class gives
 a K-vector of weighted gaps along that class's axis, and only the few
 features spanning several classes need their per-class gaps summed over the
-whole grid.  That sum runs one slab of at most 2^15 points at a time, so its
-(features x slab) gap stays in cache, and writes into a caller's buffer,
-so a loop of distance calls allocates nothing point-sized.
+whole grid.
 
 The distance is convex in the pair of share profiles, and the share set is a
 product of simplices, so the menu diameter is reached at a pair of vertices
@@ -62,11 +60,6 @@ from .space import StateSpace
 SIMPLEX_TOL = 1e-12
 FEASIBILITY_TOL = 1e-12
 DEFAULT_GRID_BUDGET = 200_000
-
-# distances_to sweeps a multi-class grid in slabs of at most this many points,
-# so the (features x slab) gap, 0.8 MB with three spanning features, stays
-# in a per-core L2 cache.
-SLAB_POINTS = 2 ** 15
 
 # Geometric point weights 2^-(k+1) underflow to zero past ~1070 points,
 # which would break the full-support invariant.
@@ -510,92 +503,36 @@ class MenuGrid:
             multi.append(np.ascontiguousarray(table[:, spans].T))
         return one, multi, fw[spans]
 
-    def distances_to(self, k: int, *, out: np.ndarray | None = None) -> np.ndarray:
-        """Metric distance from every grid point to point ``k``, written into
-        ``out`` when one is given.
+    def distances_to(self, k: int) -> np.ndarray:
+        """Metric distance from every grid point to point ``k``.
 
         Per point: the weighted |sum of per-class gaps| of the features
-        spanning several classes (one gemv), then each class's weighted
-        |gap| of its one-class features, in class order.  On a grid with at
-        most one class this is |g - g_k| . feature_weights over the features
-        in column order, bit for bit; a multi-class grid is swept in slabs
-        (``_slab_distances``).  Raises StructuralError unless
-        0 <= k < n_points.
+        spanning several classes (one gemv over the grid), plus each class's
+        weighted |gap| of its one-class features, in class order, each
+        broadcast along its class axis.  On a grid with at most one class
+        this is |g - g_k| . feature_weights over the features in column
+        order, bit for bit.  Raises StructuralError unless 0 <= k < n_points.
         """
         k = self._check_index(k)
-        if out is None:
-            out = np.empty(self.n_points)
-        one = self._class_tables[0]
-        if len(one) > 1:
-            self._slab_distances(k, out)
-        elif one:
-            # The table is ``features``: one gemv over the whole grid.
-            t, w = one[0]
-            gap = t - t[k]
-            np.abs(gap, out=gap)
-            np.matmul(gap, w, out=out)
-        else:
-            out[0] = 0.0
-        return out
-
-    def _slab_distances(self, k: int, out: np.ndarray) -> None:
-        """``distances_to`` on a multi-class grid, from the per-class tables
-        of ``_class_tables``, one contiguous slab of ``out`` at a time.
-
-        A slab is a run of first-class rows, at most ``SLAB_POINTS`` points
-        unless one row is longer, so its (features x slab) gap stays in
-        cache through the abs and the gemv.  The gap is laid out with the
-        last class outermost and built as one rank-2 product per feature,
-        [last gap, 1] @ [1; gap summed over the earlier classes]: products
-        with 1.0 are exact, so each entry is the one rounding of the same
-        two-term sum a broadcast add makes.  (A broadcast add into this
-        layout costs ~3.5x as much: its inner axis is a few hundred points,
-        and numpy's buffered iterator then copies the broadcast operand.)
-        The gemv's result is copied into canonical point order, where the
-        one-class terms are added, the later classes' terms tiled over a
-        first-class row.  Every point gets the same operations in the same
-        order as in one pass over the whole grid.
-        """
         one, multi, multi_w = self._class_tables
-        classes, f, size = len(one), multi_w.size, self.table.shape[0]
+        if not one:
+            return np.zeros(1)
+        size, classes = self.table.shape[0], len(one)
         digits = np.unravel_index(k, (size,) * classes)
-        terms = []
-        for (t, w), j in zip(one, digits):
-            gap = t - t[j]
+
+        def along(c: int, *lead: int) -> tuple[int, ...]:
+            return lead + (1,) * c + (size,) + (1,) * (classes - 1 - c)
+
+        total = 0.0
+        if multi_w.size:
+            gap = 0.0
+            for c, (u, j) in enumerate(zip(multi, digits)):
+                gap = gap + (u - u[:, j, None]).reshape(along(c, multi_w.size))
             np.abs(gap, out=gap)
-            terms.append(gap @ w)
-        inner = size ** (classes - 1)          # points in a first-class row
-        # The later classes' one-class terms at each point of such a row.
-        tiled = [np.broadcast_to(term.reshape((size,) + (1,) * (classes - 1 - c)),
-                                 (size,) * (classes - 1)).ravel()
-                 for c, term in enumerate(terms[1:], 1)]
-        head = 0.0
-        for c, (u, j) in enumerate(zip(multi[:-1], digits)):
-            axis = (1,) * c + (size,) + (1,) * (classes - 2 - c)
-            head = head + (u - u[:, j, None]).reshape((f,) + axis)
-        ones_head = np.ones((f, 2, inner))
-        ones_head[:, 1] = np.reshape(head, (f, inner))
-        last_ones = np.ones((f, size, 2))
-        last_ones[:, :, 0] = multi[-1] - multi[-1][:, digits[-1], None]
-        part = inner // size                   # head columns per first-class row
-        rows = max(1, SLAB_POINTS // inner)
-        gap_buf = np.empty(f * rows * inner)
-        total_buf = np.empty(rows * inner)
-        for r0 in range(0, size, rows):
-            r1 = min(r0 + rows, size)
-            s = (r1 - r0) * inner
-            block = (r1 - r0) * part           # slab points per last-class row
-            gap = gap_buf[:f * s].reshape(f, size, block)
-            np.matmul(last_ones, ones_head[:, :, r0 * part:r1 * part], out=gap)
-            np.abs(gap, out=gap)
-            total = total_buf[:s]
-            np.matmul(multi_w, gap.reshape(f, s), out=total)
-            slab = out[r0 * inner:r1 * inner]
-            np.copyto(slab.reshape(block, size), total.reshape(size, block).T)
-            slab = slab.reshape(r1 - r0, inner)
-            slab += terms[0][r0:r1, None]
-            for term in tiled:
-                slab += term
+            total = (multi_w @ gap.reshape(multi_w.size, -1)).reshape((size,) * classes)
+        for c, ((t, w), j) in enumerate(zip(one, digits)):
+            total = total + (np.abs(t - t[j]) @ w).reshape(along(c))
+        return total.reshape(self.n_points)
 
     def distance(self, j: int, k: int) -> float:
         g = self._feature_rows(np.array([self._check_index(j), self._check_index(k)]))

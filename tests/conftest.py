@@ -88,3 +88,47 @@ def make_scenarios(count: int, master_seed: int = 20_260_808,
                    max_points: int = 20_000):
     rng = np.random.default_rng(master_seed)
     return [random_scenario(rng, max_points) for _ in range(count)]
+
+
+def sampled_deviations(game, transcript, count: int, seed: int, *,
+                       over_cap: bool = False, bump=pc.bump_profile):
+    """Yield ``count`` seeded zero-mean first-mover schedules: the
+    equilibrium first-stage schedule plus one to three re-centred bumps.
+
+    The bumps' summed Lipschitz mass |a| / iota is a random share of the
+    headroom below the stage cap (the equilibrium schedule's declared
+    constant to the cap), or with ``over_cap`` one to three times the whole
+    stage cap, beyond it.  ``bump(grid, target, iota)`` builds each bump.
+    """
+    grid, base = game.grid, transcript.schedules[0]
+    headroom = game.stage_cap - base.declared_lip
+    rng = np.random.default_rng([seed, 86_01])
+    for _ in range(count):
+        n_bumps = int(rng.integers(1, 4))
+        targets = rng.integers(0, grid.n_points, size=n_bumps)
+        iotas = rng.uniform(0.05, 0.5, size=n_bumps)
+        raw = rng.uniform(-1.0, 1.0, size=n_bumps)
+        budget = (rng.uniform(1.0, 3.0) * game.stage_cap if over_cap
+                  else rng.uniform(0.1, 1.0) * headroom)
+        amps = raw * (budget / np.sum(np.abs(raw) / iotas))
+        values = base.values.copy()
+        for t, io, a in zip(targets, iotas, amps):
+            psi = bump(grid, int(t), float(io))
+            values += a * (psi - pc.integrate(grid, psi))
+        yield values - pc.integrate(grid, values)
+
+
+def deviation_gain(game, transcript, values) -> tuple[float, float, float, int]:
+    """The first mover's gain from posting ``values`` instead of its
+    equilibrium schedule, the two margins at ``values`` (W_max minus the
+    welfare of the continuation's response, and max(tail - values) minus
+    its menu average) and that response.  The continuation responds with
+    argmax(tail - values), lowest index on ties, tail being the welfare of
+    every later mover."""
+    order = list(transcript.order)
+    first = order[0]
+    net = game.umat[:, order[1:]].sum(axis=1) - values
+    k = int(np.argmax(net))
+    gain = float(game.umat[k, first] + values[k]) - float(transcript.payoffs[first])
+    return (gain, game.welfare_max - float(game.umat[k].sum()),
+            float(net.max()) - pc.integrate(game.grid, net), k)

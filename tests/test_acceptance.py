@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import pricechoose as pc
-from conftest import hurricane_space, make_scenarios
+from conftest import deviation_gain, hurricane_space, make_scenarios, sampled_deviations
 from pricechoose.mechanism import _tail_values, bump_profile
 
 TOL = 1e-9
@@ -186,7 +186,7 @@ def test_criterion_6_auction_fairness(runs):
         worst_fair = max(worst_fair,
                          float(np.abs(stack[0] - (game.averages + eta / n)).max()))
         worst_total = max(worst_total, abs(float(stack[0].sum()) - game.welfare_max))
-        audit = pc.audit_bid_deviation(game, num_bids=101)
+        audit = pc.audit_bid_deviation(game)
         worst_bid = max(worst_bid, audit.max_gain)
     assert worst_fair <= TOL
     assert worst_spread <= TOL
@@ -245,12 +245,17 @@ def test_criterion_7_regularity_suite(runs):
 
 
 def test_criterion_8_deviation_audit(runs):
-    """A hundred sampled admissible first-mover deviations never gain."""
-    worst = -np.inf
+    """A hundred sampled admissible first-mover deviations never gain, and
+    the certified bound over every zero-mean deviation holds."""
+    worst = worst_bound = -np.inf
     for s, (game, exact) in enumerate(runs):
-        audit = pc.audit_first_mover_bound(game, exact, 100, seed=s)
-        assert audit.num_deviations == 100
-        worst = max(worst, audit.max_gain)
+        bound = pc.audit_first_mover_bound(game, exact).max_gain
+        worst_bound = max(worst_bound, bound)
+        for values in sampled_deviations(game, exact, 100, seed=s):
+            gain = deviation_gain(game, exact, values)[0]
+            assert gain <= bound
+            worst = max(worst, gain)
     assert worst <= TOL
+    assert worst_bound <= TOL
     print(f"\nACCEPTANCE 8 deviation audit: PASS (max gain {worst:.2e} over "
-          f"{100 * len(runs)} deviations)")
+          f"{100 * len(runs)} deviations, certified bound {worst_bound:.2e})")

@@ -3,6 +3,7 @@ import pytest
 
 import pricechoose as pc
 from conftest import hurricane_space
+from pricechoose.auction import expected_deviation_payoff
 
 
 def test_surplus_is_zero_for_pure_transfers(hand):
@@ -102,21 +103,12 @@ def test_winner_draw_deterministic(two_state):
     assert np.array_equal(a.final_payoffs, b.final_payoffs)
 
 
-def test_bid_grid_covers_surplus_and_offsets():
-    grid = pc.default_bid_grid(1.0, 0.5, 11)
-    assert grid.min() == 0.0
-    assert grid.max() >= 1.0
-    assert len(grid) == 11
-    assert np.any(np.isclose(grid, 0.5 - 1e-3)) and np.any(np.isclose(grid, 0.5 + 1e-3))
-
-
 def test_bid_deviation_cases(two_state):
     _, _, profile, grid = two_state
     s = pc.efficient_surplus(pc.calibrate(profile, grid))
     n = 2
     b_star = pc.equilibrium_bid(s.eta, n)
     avg = float(s.averages[0])
-    from pricechoose.auction import expected_deviation_payoff
     base = expected_deviation_payoff(avg, s.eta, b_star, b_star, n)
     assert base == pytest.approx(avg + s.eta / n, abs=1e-12)
     overbid = expected_deviation_payoff(avg, s.eta, b_star, b_star + 0.01, n)
@@ -127,7 +119,30 @@ def test_bid_deviation_cases(two_state):
 
 def test_bid_audit_never_gains(two_state):
     _, _, profile, grid = two_state
-    audit = pc.audit_bid_deviation(pc.calibrate(profile, grid), num_bids=101)
-    assert audit.num_bids == 101
+    audit = pc.audit_bid_deviation(pc.calibrate(profile, grid))
+    assert audit.to_dict() == {"max_gain": audit.max_gain}
     assert audit.max_gain <= 1e-9
 
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_no_scanned_bid_beats_the_closed_form(two_state, n):
+    """A dense scan of bids over [0, 2 eta], tightest around b*, finds no
+    expected gain above the audit's supremum, and comes within the step of
+    it from above b*."""
+    _, _, profile, grid = two_state
+    game = pc.calibrate(pc.UtilityProfile(profile.evaluators[:1] * n),
+                        pc.enumerate_grid(grid.space, grid.x, n, 2))
+    eta = pc.efficient_surplus(game).eta
+    assert eta > 0.0
+    b_star = pc.equilibrium_bid(eta, n)
+    supremum = pc.audit_bid_deviation(game).max_gain
+    offsets = np.geomspace(1e-15, 1.0, 400) * eta
+    bids = np.concatenate([np.linspace(0.0, 2.0 * eta, 2001),
+                           b_star - offsets, b_star + offsets, [b_star]])
+    bids = bids[bids >= 0.0]
+    for avg in game.averages:
+        base = expected_deviation_payoff(float(avg), eta, b_star, b_star, n)
+        gains = [expected_deviation_payoff(float(avg), eta, b_star, float(b), n) - base
+                 for b in bids]
+        assert max(gains) <= supremum + 1e-15
+        assert max(gains) >= supremum - 1e-12

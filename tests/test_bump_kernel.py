@@ -1,12 +1,14 @@
-"""The slab-swept distance kernel and the in-place first-mover audit.
+"""The distance kernel and the certified first-mover audit.
 
-``reference_distances_to``, ``reference_bump_profile`` and
-``reference_audit`` are verbatim copies of the whole-grid versions they
-replaced: one broadcast of the spanning-feature gaps over all P points in
-canonical order, a fresh array per step, and a copy of the base schedule per
-deviation.  The kernel must reproduce them bit for bit.
+``reference_distances_to`` and ``reference_bump_profile`` are verbatim
+copies of whole-grid versions: one broadcast of the spanning-feature gaps
+over all P points in canonical order, and a fresh array per step.  The
+kernel must reproduce them bit for bit.  The sampled first-mover replay the
+audit used to run is kept here as a property test of the certificate that
+replaced it, with bumps built by the reference kernel.
 """
 
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -15,10 +17,9 @@ import numpy as np
 import pytest
 
 import pricechoose as pc
-from conftest import hurricane_space
+from conftest import deviation_gain, hurricane_space, sampled_deviations
 from pricechoose.errors import ParameterError
-from pricechoose.mechanism import _DEVIATION_SEED, _tail_values
-from pricechoose.menu import SLAB_POINTS, WeakStarMetric, build_metric, integrate
+from pricechoose.menu import WeakStarMetric, build_metric
 
 # ---------------------------------------------------------------------------
 # Whole-grid reference versions
@@ -64,36 +65,33 @@ def reference_bump_profile(grid, target: int, iota: float) -> np.ndarray:
     return iota / (iota + reference_distances_to(grid, target))
 
 
-def reference_audit(game, transcript, num_deviations: int, seed: int = 0):
-    """The audit loop, returning (max_gain, num_deviations)."""
-    order = list(transcript.order)
-    umat, grid = game.umat, game.grid
-    first = order[0]
-    equilibrium = float(transcript.payoffs[first])
-    base = transcript.schedules[0]
-    tail1 = _tail_values(umat, order, 1)
-    first_vals = umat[:, first]
-    headroom = game.stage_cap - base.declared_lip
-    rng = np.random.default_rng([seed, _DEVIATION_SEED])
-    p = grid.n_points
-    best = -np.inf
-    for _ in range(num_deviations):
-        n_bumps = int(rng.integers(1, 4))
-        targets = rng.integers(0, p, size=n_bumps)
-        iotas = rng.uniform(0.05, 0.5, size=n_bumps)
-        raw = rng.uniform(-1.0, 1.0, size=n_bumps)
-        budget = rng.uniform(0.1, 1.0) * headroom
-        mass = np.sum(np.abs(raw) / iotas)
-        amps = raw * (budget / mass) if mass > 0 else raw * 0.0
-        values = base.values.copy()
-        for t, io, a in zip(targets, iotas, amps):
-            psi = reference_bump_profile(grid, int(t), float(io))
-            values += a * (psi - integrate(grid, psi))
-        values = values - integrate(grid, values)
-        response = int(np.argmax(tail1 - values))
-        gain = float(first_vals[response] + values[response]) - equilibrium
-        best = max(best, gain)
-    return best, num_deviations
+def check_certificate_covers_samples(game, t, count: int, seed: int) -> None:
+    """Every sampled deviation, within the cap (when there is headroom) and
+    over it, gains exactly the certified gain minus its two margins, to
+    1e-12 of the scale of W_max and of the deviating schedule, and never
+    more than the certified gain.  (The no-spanning-feature grid declares a
+    Lipschitz constant of ~2e5, so its deviations lose ~4e4 and round at
+    ~1e-11.)  Audited on a transcript that posts the deviation, the audit
+    reports the same bound and the margins at the deviation."""
+    audit = pc.audit_first_mover_bound(game, t)
+    over = [True] + ([False] if game.stage_cap > t.schedules[0].declared_lip else [])
+    for over_cap in over:
+        for values in sampled_deviations(game, t, count, seed, over_cap=over_cap,
+                                         bump=reference_bump_profile):
+            tol = 1e-12 * (1.0 + abs(game.welfare_max) + float(np.abs(values).max()))
+            gain, welfare_margin, indifference_margin, response = \
+                deviation_gain(game, t, values)
+            assert gain <= audit.max_gain
+            assert abs(gain - (audit.max_gain - welfare_margin - indifference_margin)) <= tol
+            assert welfare_margin >= -tol and indifference_margin >= -tol
+            posted = dataclasses.replace(
+                t, chosen=response,
+                schedules=(pc.PriceSchedule(values, 0.0),) + t.schedules[1:])
+            at_posted = pc.audit_first_mover_bound(game, posted)
+            assert at_posted.max_gain == audit.max_gain
+            assert at_posted.welfare_margin == pytest.approx(welfare_margin, abs=tol)
+            assert at_posted.indifference_margin == pytest.approx(indifference_margin,
+                                                                  abs=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +149,14 @@ def no_risk_grid():
     return profile, pc.enumerate_grid(space, np.zeros(2), 2, 4)
 
 
+def geometric_grid():
+    """Two loss states in two classes under geometric point weights: the
+    menu averages are not plain means."""
+    profile, uniform = two_state_grid()
+    return profile, pc.enumerate_grid(uniform.space, uniform.x, 2, 20,
+                                      weights="geometric")
+
+
 GRIDS = {
     "single-class": lambda: hurricane_grid(20, "single"),
     "two-class-no-zero-risk": two_state_grid,
@@ -159,6 +165,7 @@ GRIDS = {
     "four-class": lambda: hurricane_grid(4, "four"),
     "no-spanning-feature": no_spanning_feature_grid,
     "no-risk": no_risk_grid,
+    "geometric-weights": geometric_grid,
 }
 
 
@@ -185,27 +192,13 @@ def sample_targets(grid, count: int = 12) -> list[int]:
 # Bit identity
 # ---------------------------------------------------------------------------
 
-def test_three_class_grid_sweeps_three_slabs(three_class):
-    """45 first-class rows of 45^2 points each: slabs of 16 + 16 + 13 rows."""
-    grid = three_class[0].grid
-    rows = SLAB_POINTS // grid.table.shape[0] ** 2
-    assert (grid.n_points, grid.n_classes, rows) == (91_125, 3, 16)
-    assert [min(rows, 45 - r0) for r0 in range(0, 45, rows)] == [16, 16, 13]
-
-
 def test_distances_and_bumps_match_the_whole_grid_versions(scenario):
     _, grid = scenario
-    out = np.full(grid.n_points, np.nan)
     for k in sample_targets(grid):
-        expected = reference_distances_to(grid, k)
-        assert np.array_equal(grid.distances_to(k), expected)
-        assert grid.distances_to(k, out=out) is out
-        assert np.array_equal(out, expected)
+        assert np.array_equal(grid.distances_to(k), reference_distances_to(grid, k))
         for iota in (0.05, 0.1, 0.45):
-            bump = reference_bump_profile(grid, k, iota)
-            assert np.array_equal(pc.bump_profile(grid, k, iota), bump)
-            assert pc.bump_profile(grid, k, iota, out=out) is out
-            assert np.array_equal(out, bump)
+            assert np.array_equal(pc.bump_profile(grid, k, iota),
+                                  reference_bump_profile(grid, k, iota))
 
 
 def test_target_is_exactly_at_distance_zero(scenario):
@@ -215,43 +208,33 @@ def test_target_is_exactly_at_distance_zero(scenario):
         assert pc.bump_profile(grid, k, 0.1)[k] == 1.0
 
 
+# ---------------------------------------------------------------------------
+# The certificate against the sampled replay
+# ---------------------------------------------------------------------------
+
 def test_audit_matches_the_whole_grid_loop(scenario):
     profile, grid = scenario
     game = pc.calibrate(profile, grid)
     t = pc.run_pnc(game)
     for seed in (0, 3):
-        audit = pc.audit_first_mover_bound(game, t, 40, seed=seed)
-        if game.stage_cap - t.schedules[0].declared_lip <= 0.0:
-            # The one-point grid: a zero cap leaves no admissible bump.
-            assert (audit.max_gain, audit.num_deviations) == (None, 0)
-        else:
-            assert (audit.max_gain, audit.num_deviations) == \
-                reference_audit(game, t, 40, seed=seed)
+        check_certificate_covers_samples(game, t, 20, seed)
 
 
 def test_three_class_audit_matches_the_whole_grid_loop(three_class):
     game, t = three_class
-    audit = pc.audit_first_mover_bound(game, t, 25, seed=5)
-    assert (audit.max_gain, audit.num_deviations) == reference_audit(game, t, 25, seed=5)
+    check_certificate_covers_samples(game, t, 6, seed=5)
 
 
-# ---------------------------------------------------------------------------
-# Memory
-# ---------------------------------------------------------------------------
-
-def test_audit_holds_a_few_point_vectors_and_one_slab(three_class):
-    """Peak traced memory of one audit: three point-sized vectors
-    (continuation welfare, deviating schedule, bump) and the distance
-    kernel's slab buffers, a (features x slab) gap and the slab's totals,
-    stay under four P-vectors plus four slabs.  The whole-grid loop peaked
-    at seven P-vectors, with its (features x P) gap and a fresh vector per
-    step."""
+def test_audit_holds_a_few_point_vectors(three_class):
+    """Peak traced memory of one audit stays under four point-sized
+    vectors: at most three are alive at once (the continuation welfare with
+    its two-column stack, then that welfare, the net schedule and the
+    total welfare)."""
     game, t = three_class
-    p = game.grid.n_points
-    bound = 4 * p * 8 + 4 * SLAB_POINTS * 8
+    bound = 4 * game.grid.n_points * 8
     tracemalloc.start()
     try:
-        pc.audit_first_mover_bound(game, t, 3, seed=1)
+        pc.audit_first_mover_bound(game, t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -262,9 +245,10 @@ def test_audit_holds_a_few_point_vectors_and_one_slab(three_class):
 # No bump headroom
 # ---------------------------------------------------------------------------
 
-def test_audit_draws_nothing_without_bump_headroom():
-    """A cap below the followers' declared constant leaves negative headroom:
-    no admissible deviation exists, so none is drawn, as in perturbed mode."""
+def test_audit_draws_nothing_without_bump_headroom(monkeypatch):
+    """A cap below the followers' declared constant leaves no headroom: no
+    admissible bump exists, and perturbed mode refuses to run.  The audit
+    needs none, and measures no distance, with or without headroom."""
     space, endow = hurricane_space()
     profile = pc.UtilityProfile(tuple(pc.EntropicUtility(g, space.probs)
                                       for g in (1.0, 2.0, 4.0)))
@@ -272,26 +256,41 @@ def test_audit_draws_nothing_without_bump_headroom():
                              state_classes="single")
     calibrated = pc.calibrate(profile, grid)
     declared = float(calibrated.agent_lipschitz[1:].sum())
-    for cap in (declared / 2.5, declared / 2.0):       # headroom < 0, == 0
+
+    def refuse(self, k):
+        raise AssertionError("the audit measured a distance")
+
+    for cap in (declared / 2.5, declared / 2.0, None):    # headroom < 0, == 0, > 0
         game = pc.calibrate(profile, grid, cap=cap)
         t = pc.run_pnc(game)
-        assert game.stage_cap - t.schedules[0].declared_lip <= 0.0
-        audit = pc.audit_first_mover_bound(game, t, 100)
-        assert (audit.max_gain, audit.num_deviations) == (None, 0)
-        with pytest.raises(ParameterError, match="no bump headroom"):
-            pc.run_pnc(game, "perturbed")
+        with monkeypatch.context() as patch:
+            patch.setattr(pc.MenuGrid, "distances_to", refuse)
+            audit = pc.audit_first_mover_bound(game, t)
+        assert audit.max_gain <= 1e-9
+        check_certificate_covers_samples(game, t, 20, seed=1)
+        if cap is not None:
+            assert game.stage_cap - t.schedules[0].declared_lip <= 0.0
+            with pytest.raises(ParameterError, match="no bump headroom"):
+                pc.run_pnc(game, "perturbed")
 
 
-def test_report_omits_the_audit_without_bump_headroom():
+def test_report_carries_the_audit_without_bump_headroom():
     """Bundled hurricane with lipschitz_cap 13: stage cap 26 against a
-    declared 32.5.  The audit used to draw 100 deviations over the cap."""
+    declared 32.5.  The certificate needs no headroom, so the report keeps
+    the check; the sampled replay it replaced drew nothing here."""
     path = Path(pc.__file__).parent / "scenarios" / "hurricane_three_farmers.json"
     doc = json.loads(path.read_text())
     doc["mechanism"]["lipschitz_cap"] = 13.0
-    report = pc.run_experiment(pc.scenario_from_dict(doc, source=str(path)))
+    config = pc.scenario_from_dict(doc, source=str(path))
+    report = pc.run_experiment(config)
     assert report["calibration"]["stage_cap"] == 26.0
-    assert report["audits"]["first_mover"]["max_gain"] is None
-    assert report["audits"]["first_mover"]["num_deviations"] == 0
-    names = [c["name"] for c in report["invariants"]]
-    assert "audit.first_mover_bound" not in names
+    first_mover = report["audits"]["first_mover"]
+    assert first_mover["max_gain"] <= 1e-9
+    checks = {c["name"]: c for c in report["invariants"]}
+    assert checks["audit.first_mover_bound"]["value"] == first_mover["max_gain"]
     assert all(c["passed"] for c in report["invariants"])
+
+    grid = pc.enumerate_grid(config.space, config.x, 3, config.resolution,
+                             state_classes=config.state_classes)
+    game = pc.calibrate(config.profile, grid, cap=13.0)
+    check_certificate_covers_samples(game, pc.run_pnc(game), 30, seed=config.seed)

@@ -146,7 +146,7 @@ def test_overrides_revalidate(tmp_path):
         config.with_overrides(iota=2.0)
 
 
-@pytest.mark.parametrize("section", ["grid", "mechanism", "audits", "output"])
+@pytest.mark.parametrize("section", ["grid", "mechanism", "output"])
 def test_non_object_section_is_validation_error(tmp_path, capsys, section):
     doc = minimal_doc()
     doc[section] = None
@@ -269,14 +269,19 @@ def test_benchmark_report_matches_closed_form_weights():
 
 
 def test_empty_deviation_audit_still_valid(tmp_path):
+    """An ``audits`` section asking for no sampled deviations is ignored, as
+    any unknown key is: the report still carries both certified audits."""
     doc = minimal_doc()
     doc["audits"] = {"deviations": 0, "bid_points": 11}
     config = pc.load_scenario(write_scenario(tmp_path, doc))
     report = run_experiment(config)
-    assert report["audits"]["first_mover"]["max_gain"] is None
     assert report["all_invariants_pass"]
-    text = structured_text(report)
-    assert json.loads(text)["audits"]["first_mover"]["num_deviations"] == 0
+    assert "audits" not in report["scenario"]
+    names = [c["name"] for c in report["invariants"]]
+    assert {"audit.first_mover_bound", "audit.bid_deviations"} <= set(names)
+    assert report["audits"]["first_mover"]["max_gain"] <= 1e-9
+    assert structured_text(report) == structured_text(
+        run_experiment(pc.load_scenario(write_scenario(tmp_path, minimal_doc(), "plain.json"))))
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +306,10 @@ EDGE_DOCUMENTS = {
         "grid", {"weights": "geometric", "resolution": 999}, None),
     "grid over budget": ("grid", {"resolution": 30, "budget": 30}, "grid.budget"),
     "grid at budget": ("grid", {"resolution": 29, "budget": 30}, None),
-    "no bid points": ("audits", {"bid_points": 0}, "audits.bid_points"),
-    "one bid point": ("audits", {"bid_points": 1}, "audits.bid_points"),
-    "two bid points": ("audits", {"bid_points": 2}, "audits.bid_points"),
+    # An old ``audits`` section is ignored, as any unknown key is.
+    "no bid points": ("audits", {"bid_points": 0}, None),
+    "one bid point": ("audits", {"bid_points": 1}, None),
+    "two bid points": ("audits", {"bid_points": 2}, None),
     "three bid points": ("audits", {"bid_points": 3}, None),
     "no deviations": ("audits", {"deviations": 0}, None),
 }
@@ -313,7 +319,7 @@ EDGE_DOCUMENTS = {
 def test_validate_and_run_agree(tmp_path, capsys, case):
     section, changes, named = EDGE_DOCUMENTS[case]
     doc = json.loads((FIXTURES / "two_agent_hand.json").read_text())
-    doc[section].update(changes)
+    doc.setdefault(section, {}).update(changes)
     path = write_scenario(tmp_path, doc)
     checked = main(["validate", "--scenario", str(path)])
     ran = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pricechoose as pc
+from conftest import deviation_gain, sampled_deviations
 from pricechoose.mechanism import default_epsilon
 
 
@@ -323,13 +324,6 @@ def test_transcript_roundtrip(two_state):
 # first-mover deviation audit
 # ---------------------------------------------------------------------------
 
-def test_audit_zero_deviations_reports_none(two_state):
-    _, _, profile, grid = two_state
-    _, game, t = exact_run(profile, grid)
-    audit = pc.audit_first_mover_bound(game, t, 0)
-    assert audit.max_gain is None and audit.num_deviations == 0
-
-
 def test_audit_epsilon_sweep_matches_proof_identity(two_state):
     """Deviating to the bump family loses exactly eps * (1 - beta)."""
     _, _, profile, grid = two_state
@@ -353,11 +347,30 @@ def test_audit_epsilon_sweep_matches_proof_identity(two_state):
 
 
 def test_audit_hundred_random_deviations_never_gain(two_state):
+    """A hundred sampled deviations within the cap never gain, and none
+    reaches the certified bound, which sits at zero up to rounding with
+    both of its margins."""
     _, _, profile, grid = two_state
     _, game, t = exact_run(profile, grid)
-    audit = pc.audit_first_mover_bound(game, t, 100, seed=11)
-    assert audit.num_deviations == 100
-    assert audit.max_gain <= 1e-9
+    audit = pc.audit_first_mover_bound(game, t)
+    assert abs(audit.max_gain) <= 1e-12
+    assert audit.welfare_margin == 0.0 and abs(audit.indifference_margin) <= 1e-12
+    welfare = game.umat.sum(axis=1)
+    assert audit.ties == sum(w >= game.welfare_max - 1e-9 for w in welfare) >= 1
+    assert audit.equilibrium_payoff == float(t.payoffs[t.order[0]])
+    gains = [deviation_gain(game, t, values)[0]
+             for values in sampled_deviations(game, t, 100, seed=11)]
+    assert max(gains) <= audit.max_gain and max(gains) <= 1e-9
+
+
+def test_audit_counts_the_welfare_ties(hand):
+    """On one loss state every split is a transfer: all three points tie
+    for W_max, and no net value breaks the tie."""
+    _, _, profile, grid = hand
+    _, game, t = exact_run(profile, grid)
+    audit = pc.audit_first_mover_bound(game, t)
+    assert audit.ties == grid.n_points == 3
+    assert audit.max_gain <= 1e-12
 
 
 def test_audit_requires_exact_transcript(two_state):
@@ -365,4 +378,4 @@ def test_audit_requires_exact_transcript(two_state):
     game = pc.calibrate(profile, grid)
     t = pc.run_pnc(game, "perturbed")
     with pytest.raises(pc.ParameterError):
-        pc.audit_first_mover_bound(game, t, 5)
+        pc.audit_first_mover_bound(game, t)

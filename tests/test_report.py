@@ -3,6 +3,7 @@ their margins; the report does not grow with the menu."""
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import sys
 import warnings
@@ -39,7 +40,8 @@ def test_run_experiment_computes_shared_data_once(monkeypatch):
     """n = 3: one utility matrix and one set of averages; n + 1 mechanism runs
     (the main one and one per auction branch), each validating its n - 1
     schedules once; the matrix evaluates each agent's column once, and
-    calibration and the report's averages read it instead of re-evaluating."""
+    calibration and the report's averages read it instead of re-evaluating.
+    Both audits are closed forms, so no distance vector is built."""
     config = pc.load_scenario(SCENARIOS / "hurricane_three_farmers.json")
     assert config.profile.n_agents == 3 and config.mode == "exact"
     calls = {
@@ -48,12 +50,35 @@ def test_run_experiment_computes_shared_data_once(monkeypatch):
         "run_pnc": count_calls(monkeypatch, mechanism, "run_pnc"),
         "validate_schedule": count_calls(monkeypatch, mechanism, "validate_schedule"),
         "evaluate_grid": count_calls(monkeypatch, utility, "evaluate_grid"),
+        "distances_to": count_calls(monkeypatch, pc.MenuGrid, "distances_to"),
     }
     result = pc.run_experiment(config)
     assert result["all_invariants_pass"]
     assert {k: len(v) for k, v in calls.items()} == {
         "matrix": 1, "average_utilities": 1, "run_pnc": 4,
-        "validate_schedule": 8, "evaluate_grid": 3}
+        "validate_schedule": 8, "evaluate_grid": 3, "distances_to": 0}
+
+    # Perturbed mode bumps each of the n - 1 posted schedules toward one
+    # target: one distance vector per schedule.
+    calls["distances_to"].clear()
+    result = pc.run_experiment(config.with_overrides(mode="perturbed"))
+    assert result["all_invariants_pass"]
+    assert len(calls["distances_to"]) == 2
+
+
+def test_traced_names_resolve_in_the_package():
+    """perfbench/spans.py wraps these functions and members by name, and a
+    traced benchmark run fails on one that is gone."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name in spans.FUNCTIONS:
+        module, attr = name.split(".")
+        assert callable(getattr(importlib.import_module(f"pricechoose.{module}"),
+                                attr, None)), name
+    for name, (owner, attr) in spans.METHODS.items():
+        assert hasattr(owner, attr), name
 
 
 def test_drawn_winner_run_is_its_branch(two_state):
@@ -167,31 +192,31 @@ DATA = Path(__file__).resolve().parent / "data"
 SCENARIO_FILES = {"three-agent-maxmin": DATA / "three_agent_maxmin.json"}
 BUNDLED_RUNS = {
     ("two-agent-hand", "run"): (
-        "1c0869a78fa50e545688b9a1e510ba516458b00d329d910e86732863c6896bc3",
+        "a51aec0249b3cc104f2565f684c00b83433cb4d97f1ab314f1761c5d8c4d5ac6",
         "d4f002d601b7202f01c87da0579f844c66e9eb1d5b94961aafd64a0bec9015df",
         "78c168ef0f918c7f75ec9891189c025c8916947e43ab056d813a2564b15c1afe"),
     ("two-agent-hand", "run-perturbed"): (
-        "fc468476d88bbf8eeedf46bb09286d15f43a111a60f5cbb2d1c11a28a53fe776",
+        "737cf1abb3ece895d6b11b767f728353fb7ef4a930eb4ce980df18f24a2e9ae9",
         "3f963f5e5580cc9f1c55b0054840bf7a6e1e23d1ca1d3df90a4914b3b401bddf",
         "be46471d172ad739c90d99cd58b9a4efbb81af0272d61994484a64213dd9041f"),
     ("two-agent-hand", "audit"): (
-        "811ce4ebfacf59c2d6b67f1cf0c101482738068b58b46e6f65632fad4ad0a8ed",
+        "84a64bd70880e9464cf5b83d7ad8178f4a7310b5f052f5bb1398649d54dc2eec",
         "403db2b6e2719b55555c1f463a9ff75a32cc18ec083e2d396f396f9631f30a49",
         "f4d404172eaab8bf53aeeae2ae5c61ebe02ca3726bcce77c9c030b75bb195f01"),
     ("hurricane-three-farmers", "run"): (
-        "29a0f660c80fc57a56f9101ada23f1cc0bccbdc76ca950d38e474080f93870f4",
+        "e79955f04622cc287e0a765deb5ceb29eb28e489bd56143aad694187ea90c1be",
         "c21bc4ed3bd31a90bbe7a37b6b50ff629e2af0b9c552c122e4e823932f2b16b5",
         "9f31d2a1a41bf11acd8212941f49d8a9ec04e8b1c906ca91f260bd9df5d92fce"),
     ("hurricane-three-farmers", "run-perturbed"): (
-        "203bcd0c6826c7f2daa3db3c8c855ef885ae41d0597d972a99a84f105d86a517",
+        "4c15b06c19147d256fc4651518375b2869b3997c84c523735846811caee8c02e",
         "bf86669b733738b2f757a5722bccdc9fd00b449d91ef571490a82755ddd42933",
         "8c100bd47212ca0354b2f10c3e5408cc816d5d772842791622cdfb2896d59df7"),
     ("hurricane-three-farmers", "audit"): (
-        "f377038c9cebf59d59d9161c675ec141359595532b046feb2e5787266ef1f203",
+        "c283b0c4af53c8150f20143dbfc655f473d415c6586fb77629c36ddf2859c174",
         "d0f5e655cd8b769fc52307d8ce96662cda7dcac22fc25822042cdcc7c84c153f",
         "4477bde65568e3f7359a14648aa76587e403d2a0aa06ba35c9d695d3bfc0bea1"),
     ("three-agent-maxmin", "run"): (
-        "654f82a02a2b039dabb9cf787c853a42565a8a034c14092eb362c540affea79f",
+        "51eaf7677e8c4366521aae56b7df97387665b974f3cef16cd70cab90da05c912",
         "c3fb7ad29575541585e232dde3bce24e23c0bd325944cf7a4b89cfb265c9408d",
         "b6bc66246bb109dc198991d10d42c76537daa2ea5a4a569abcdec83f10e60b4d"),
 }
