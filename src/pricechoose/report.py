@@ -393,8 +393,7 @@ def _run_experiment(config: ScenarioConfig, *,
 
     agents = []
     for i in range(profile.n_agents):
-        ref_avg = integrate(grid, ref_vals[i] if i in ref_vals
-                            else np.ascontiguousarray(umat[:, i]))
+        ref_avg = integrate(grid, ref_vals[i] if i in ref_vals else umat[:, i])
         agents.append({
             "agent": i,
             "avg": float(ref_avg),

@@ -153,13 +153,14 @@ class UtilityProfile:
         return len(self.evaluators)
 
     def matrix(self, grid: MenuGrid) -> np.ndarray:
-        """(points x agents) utility values over a whole grid."""
+        """(points x agents) utility values over a whole grid, column-major:
+        each agent's column is contiguous, as the column scans read it."""
         if grid.n_agents != self.n_agents:
             raise StructuralError(
                 f"grid built for {grid.n_agents} agents, profile has {self.n_agents}"
             )
         cols = [evaluate_grid(u, grid, i) for i, u in enumerate(self.evaluators)]
-        return np.stack(cols, axis=1)
+        return np.stack(cols).T
 
     def at_point(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)

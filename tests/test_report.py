@@ -204,20 +204,20 @@ BUNDLED_RUNS = {
         "403db2b6e2719b55555c1f463a9ff75a32cc18ec083e2d396f396f9631f30a49",
         "f4d404172eaab8bf53aeeae2ae5c61ebe02ca3726bcce77c9c030b75bb195f01"),
     ("hurricane-three-farmers", "run"): (
-        "e79955f04622cc287e0a765deb5ceb29eb28e489bd56143aad694187ea90c1be",
-        "c21bc4ed3bd31a90bbe7a37b6b50ff629e2af0b9c552c122e4e823932f2b16b5",
+        "9715d03cd3a09cd49c458ad5d88eeedc0f08807a4e17ccc4aa0ec5776350c250",
+        "3a52bd52199642899e197c793752902c06e730a8e521bb7cea7843592d1c7cc2",
         "9f31d2a1a41bf11acd8212941f49d8a9ec04e8b1c906ca91f260bd9df5d92fce"),
     ("hurricane-three-farmers", "run-perturbed"): (
-        "4c15b06c19147d256fc4651518375b2869b3997c84c523735846811caee8c02e",
-        "bf86669b733738b2f757a5722bccdc9fd00b449d91ef571490a82755ddd42933",
+        "a5092894daaac64d8cd5e5ac235bec7db852238565f9121046ba45f939faf04c",
+        "7233424c3d86bd99ae541054a61aa68093094358e3a3431523d7246fbc044885",
         "8c100bd47212ca0354b2f10c3e5408cc816d5d772842791622cdfb2896d59df7"),
     ("hurricane-three-farmers", "audit"): (
-        "c283b0c4af53c8150f20143dbfc655f473d415c6586fb77629c36ddf2859c174",
-        "d0f5e655cd8b769fc52307d8ce96662cda7dcac22fc25822042cdcc7c84c153f",
+        "618ac2cf517ddd55da9b2eeff218162e15f5cc7604f5277cf48388a6bea3ddc7",
+        "8fb16b301188ebee71a00033aa4dc1e39e7b9f31c9db1908807dcd5ff01d3c94",
         "4477bde65568e3f7359a14648aa76587e403d2a0aa06ba35c9d695d3bfc0bea1"),
     ("three-agent-maxmin", "run"): (
-        "51eaf7677e8c4366521aae56b7df97387665b974f3cef16cd70cab90da05c912",
-        "c3fb7ad29575541585e232dde3bce24e23c0bd325944cf7a4b89cfb265c9408d",
+        "df5b242016b7b905d8ad3996be49835f623bdcefd5eeca9a9edfcc32135f2f92",
+        "9481b568b3e3cb3268c360221e651c236f6012f4d9c547511ec6b7ec38fec7aa",
         "b6bc66246bb109dc198991d10d42c76537daa2ea5a4a569abcdec83f10e60b4d"),
 }
 RECORDED = DATA / "bundled_reports"
