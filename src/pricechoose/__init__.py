@@ -29,7 +29,6 @@ from .errors import (
     ValidationError,
 )
 from .mechanism import (
-    BestResponse,
     DeviationAudit,
     Game,
     PriceSchedule,
@@ -60,10 +59,8 @@ from .menu import (
 from .report import emit_report, load_report, run_experiment, structured_text
 from .space import (
     EndowmentProfile,
-    SignPartition,
     StateSpace,
     aggregate_risk,
-    sign_partition,
 )
 from .utility import (
     CredalSet,
@@ -71,7 +68,6 @@ from .utility import (
     MaxMinUtility,
     UtilityProfile,
     average_utilities,
-    avg_utility,
     check_cash_invariance,
     estimate_lipschitz,
     evaluate,

@@ -15,15 +15,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .menu import check_state_class_labels
+from .mechanism import DEFAULT_IOTA
+from .menu import DEFAULT_GRID_BUDGET, check_state_class_labels
 from .space import EndowmentProfile, StateSpace, aggregate_risk
 from .utility import CredalSet, EntropicUtility, MaxMinUtility, UtilityProfile
 
 SCENARIO_SCHEMA = "pnc-scenario/v1"
 
 _GRID_DEFAULTS = {"state_classes": "per_state", "weights": "uniform",
-                  "budget": 200_000}
-_MECH_DEFAULTS = {"mode": "exact", "lipschitz_cap": None, "iota": 0.1,
+                  "budget": DEFAULT_GRID_BUDGET}
+_MECH_DEFAULTS = {"mode": "exact", "lipschitz_cap": None, "iota": DEFAULT_IOTA,
                   "epsilon": None}
 _OUTPUT_DEFAULTS = {"dir": "out", "format": "both"}
 

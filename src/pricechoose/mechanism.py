@@ -7,18 +7,19 @@ point, and the posted transfers settle.  With payoffs
 
 the equalizing schedule at each stage subtracts the menu average from the
 continuation welfare, making every follower coalition exactly indifferent
-across the menu.  Exact mode resolves that indifference with the
-welfare-maximizing selection; perturbed mode adds a small Lipschitz bump
+across the menu.  Exact mode resolves that indifference with the welfare
+selection: the lowest-index argmax of the menu welfare W, whatever the
+posting order.  Perturbed mode adds a small Lipschitz bump
 
     psi(xi) = iota / (iota + d(xi, target))
 
-to every posted schedule (re-centered to zero mean), which makes the
-terminal choice a strict, selection-free argmax at the target.
+at that same target to every posted schedule (re-centered to zero mean),
+which makes the terminal choice a strict, selection-free argmax there.
 
 Admissible schedules have zero menu mean, Lipschitz constant at most
 (n-1) * cap under the menu metric, and sup norm at most that cap times the
 menu diameter.  Every entry point reads its menu data (utility matrix,
-cap, averages, W_max) from one ``Game`` built by ``calibrate``.
+cap, averages, W and W_max) from one ``Game`` built by ``calibrate``.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ class Game:
     """One prepared menu: the data every payoff and audit reads.
 
     Holds the utility matrix, the calibrated Lipschitz data, the menu
-    averages Avg_i and the grid welfare maximum W_max.  Build it once with
-    ``calibrate`` and pass it along.
+    averages Avg_i, the welfare W of every grid point (its row sum, added
+    in agent order) and W_max.  Build it once with ``calibrate`` and pass
+    it along.
     """
 
     profile: UtilityProfile
@@ -54,6 +56,7 @@ class Game:
     agent_lipschitz: np.ndarray = field(repr=False)
     cap: float
     averages: np.ndarray = field(repr=False)
+    welfare: np.ndarray = field(repr=False)
     welfare_max: float
 
     @property
@@ -85,11 +88,12 @@ def calibrate(profile: UtilityProfile, grid: MenuGrid, *,
     if cap is None:
         cap = CAP_SAFETY * float(est.max())
     averages = average_utilities(grid, umat)
-    for shared in (umat, est, averages):
+    welfare = umat.sum(axis=1)
+    for shared in (umat, est, averages, welfare):
         shared.setflags(write=False)
     return Game(profile=profile, grid=grid, umat=umat, agent_lipschitz=est,
-                cap=float(cap), averages=averages,
-                welfare_max=float(umat.sum(axis=1).max()))
+                cap=float(cap), averages=averages, welfare=welfare,
+                welfare_max=float(welfare.max()))
 
 
 @dataclass(frozen=True)
@@ -217,16 +221,15 @@ def bump_profile(grid: MenuGrid, target: int, iota: float) -> np.ndarray:
     return np.divide(iota, psi, out=psi)
 
 
-def perturbed_price(base: PriceSchedule, grid: MenuGrid, target: int,
+def perturbed_price(base: PriceSchedule, grid: MenuGrid, psi: np.ndarray,
                     epsilon: float, iota: float,
                     stage_cap: float) -> PriceSchedule:
-    """Subtract a re-centered bump from ``base`` so the follower strictly
-    prefers the target.
+    """Subtract the re-centered bump ``psi`` (from ``bump_profile``) from
+    ``base`` so the follower strictly prefers the bump's target.
 
     Admissible range: 0 < epsilon <= iota * (stage_cap - Lip(base)); the bump
     contributes at most epsilon/iota of extra Lipschitz mass.
     """
-    psi = bump_profile(grid, target, iota)
     headroom = iota * (stage_cap - base.declared_lip)
     if not (0.0 < epsilon <= headroom + 1e-12):
         raise ParameterError(
@@ -238,32 +241,16 @@ def perturbed_price(base: PriceSchedule, grid: MenuGrid, target: int,
                          declared_lip=base.declared_lip + epsilon / iota)
 
 
-@dataclass(frozen=True)
-class BestResponse:
-    """Chosen grid index plus the rule that produced it."""
-
-    index: int
-    rule: str          # net-argmax | spne-welfare-argmax
-
-
 def follower_best_response(tail_values, schedule: PriceSchedule,
-                           grid: MenuGrid, *,
-                           selection_values=None) -> BestResponse:
-    """Argmax of continuation value net of the posted schedule.
+                           grid: MenuGrid) -> int:
+    """Index of the argmax of continuation value net of the posted schedule.
 
-    Ties resolve to the lowest index.  When ``selection_values`` is given and
-    the net payoff is flat across the whole menu within ``ZERO_MEAN_TOL``
-    (the exact equalizing schedule), the equilibrium selection applies
-    instead: pick the point maximizing ``selection_values``.
+    Ties resolve to the lowest index.
     """
     tail = np.asarray(tail_values, dtype=float)
     if tail.shape != (grid.n_points,):
         raise StructuralError("tail values must align with grid points")
-    net = tail - schedule.values
-    if selection_values is not None and net.max() - net.min() <= ZERO_MEAN_TOL:
-        sel = np.asarray(selection_values, dtype=float)
-        return BestResponse(index=int(np.argmax(sel)), rule="spne-welfare-argmax")
-    return BestResponse(index=int(np.argmax(net)), rule="net-argmax")
+    return int(np.argmax(tail - schedule.values))
 
 
 @dataclass(frozen=True)
@@ -323,15 +310,17 @@ def run_pnc(game: Game, mode: str = "exact", *,
             order=None) -> Transcript:
     """Simulate the equilibrium path of the sequential mechanism.
 
-    Exact mode posts the equalizing schedule at every stage and resolves the
-    terminal indifference with the welfare-maximizing selection; the chosen
-    point attains the menu welfare maximum, every non-first mover collects
-    exactly its menu average, and the first mover collects the remainder.
+    Exact mode posts the equalizing schedule at every stage, which leaves the
+    last mover indifferent across the menu, and always resolves that
+    indifference with the welfare selection: the lowest-index argmax of
+    ``game.welfare``, the same point for every posting order.  The chosen
+    point attains W_max, every non-first mover collects exactly its menu
+    average, and the first mover collects the remainder.
 
-    Perturbed mode additionally bends every posted schedule toward the menu
-    welfare argmax with a shared (epsilon, iota) bump, so the terminal choice
-    is a strict argmax with no selection rule; middle movers' bumps cancel
-    and the epsilon cost falls on the first mover.
+    Perturbed mode additionally bends every posted schedule toward that
+    point with one shared (epsilon, iota) bump, so the terminal choice is a
+    strict argmax with no selection rule; middle movers' bumps cancel and
+    the epsilon cost falls on the first mover.
     """
     n = game.n_agents
     if n < 2:
@@ -343,16 +332,12 @@ def run_pnc(game: Game, mode: str = "exact", *,
 
     bases, diagnostics = zip(*(_equalize(game, leader, order)
                                for leader in range(n - 1)))
-    full_welfare = _tail_values(umat, order, 0)
-    target = int(np.argmax(full_welfare))
+    target = int(np.argmax(game.welfare))
 
     if mode == "exact":
         schedules = bases
-        response = follower_best_response(
-            _tail_values(umat, order, n - 1), schedules[-1], grid,
-            selection_values=full_welfare)
-        chosen = response.index
-        rule = response.rule
+        chosen = target
+        rule = "spne-welfare-argmax"
         eps_used = iota_used = None
         target_used = None
     else:
@@ -364,13 +349,13 @@ def run_pnc(game: Game, mode: str = "exact", *,
                     "no bump headroom: the Lipschitz cap leaves no room below "
                     f"{stage_cap:.6g}"
                 )
-        schedules = [perturbed_price(b, grid, target, epsilon, iota, stage_cap)
+        psi = bump_profile(grid, target, iota)
+        schedules = [perturbed_price(b, grid, psi, epsilon, iota, stage_cap)
                      for b in bases]
         diagnostics = [validate_schedule(s, grid, stage_cap) for s in schedules]
-        response = follower_best_response(
+        chosen = follower_best_response(
             _tail_values(umat, order, n - 1), schedules[-1], grid)
-        chosen = response.index
-        rule = "perturbed-" + response.rule
+        rule = "perturbed-net-argmax"
         if chosen != target:
             raise ConfigurationError(
                 f"perturbed choice {chosen} missed the target {target}; "
@@ -435,8 +420,7 @@ def audit_first_mover_bound(game: Game, transcript: Transcript) -> DeviationAudi
     equilibrium = float(transcript.payoffs[order[0]])
     tail1 = _tail_values(umat, order, 1)
     net = tail1 - transcript.schedules[0].values
-    welfare = umat.sum(axis=1)
-    wmax = game.welfare_max
+    welfare, wmax = game.welfare, game.welfare_max
     return DeviationAudit(
         max_gain=wmax - integrate(grid, tail1) - equilibrium,
         equilibrium_payoff=equilibrium,

@@ -216,7 +216,7 @@ def _mechanism_checks(transcript, game) -> list[dict]:
     order = list(transcript.order)
     n = len(order)
     chosen = transcript.chosen
-    telescoping = abs(float(transcript.payoffs.sum()) - float(umat[chosen].sum()))
+    telescoping = abs(float(transcript.payoffs.sum()) - float(game.welfare[chosen]))
     checks.append(_bound("mechanism.telescoping", telescoping, 1e-9,
                          f"residual {telescoping:.3g}"))
     paid = [0.0] + [s.values[chosen] for s in transcript.schedules] + [0.0]
@@ -244,7 +244,7 @@ def _mechanism_checks(transcript, game) -> list[dict]:
                              f"max |g_i - Avg_i| = {worst_id:.3g}"))
         checks.append(_bound("mechanism.leader_payoff", lead, 1e-9,
                              f"|g_1 - (W_max - sum Avg)| = {lead:.3g}"))
-        chosen_w = float(umat[chosen].sum())
+        chosen_w = float(game.welfare[chosen])
         checks.append(_bound("mechanism.efficiency", abs(chosen_w - wmax), 1e-9,
                              f"chosen welfare {chosen_w:.9g} vs max {wmax:.9g}"))
     else:
@@ -278,7 +278,7 @@ def _auction_checks(combined, branches, game) -> list[dict]:
                          f"residual {total:.3g}"))
     stack = np.stack([b.final_payoffs for b in branches])
     spread = float((stack.max(axis=0) - stack.min(axis=0)).max())
-    eff = max(abs(float(game.umat[b.transcript.chosen].sum()) - wmax)
+    eff = max(abs(float(game.welfare[b.transcript.chosen]) - wmax)
               for b in branches)
     checks.append(_bound("auction.winner_invariance", spread, 1e-9,
                          f"max payoff spread across winners {spread:.3g}"))
@@ -299,6 +299,12 @@ def _schedule_arrays(section: str, transcript) -> dict[str, np.ndarray]:
 def _run_experiment(config: ScenarioConfig, *,
                     include_auction: bool = True) -> tuple[dict, dict]:
     """The report plus the posted schedule vectors it summarizes.
+
+    Each equilibrium path runs once.  With the auction, ``run_pnc`` runs
+    once per winner branch; without it, once in order 0..n-1.  The exact
+    order-0..n-1 transcript (the branch whose winner is 0) serves both the
+    exact-mode ``mechanism`` section and the first-mover audit, so a
+    perturbed-mode report adds only its own perturbed run.
 
     The vectors are keyed ``mechanism_<j>`` and ``auction_<j>`` after the
     report section and the position in its ``schedules`` list.
@@ -336,7 +342,7 @@ def _run_experiment(config: ScenarioConfig, *,
     checks.append(_bound("welfare.value_sum",
                          abs(best.value - float(best.per_agent.sum())), 1e-9,
                          "value equals the per-agent sum"))
-    sup_bound = float((umat.sum(axis=1) - game.welfare_max).max())
+    sup_bound = float((game.welfare - game.welfare_max).max())
     checks.append(_bound("welfare.supconv_bound", sup_bound, 1e-12,
                          f"max excess over W_max = {sup_bound:.3g}"))
 
@@ -361,15 +367,6 @@ def _run_experiment(config: ScenarioConfig, *,
         "closed_form": closed,
     }
 
-    transcript = run_pnc(game, config.mode, epsilon=config.epsilon,
-                         iota=config.iota)
-    report["mechanism"] = transcript.to_dict()
-    arrays = _schedule_arrays("mechanism", transcript)
-    checks += _schedule_checks(transcript)
-    checks += _mechanism_checks(transcript, game)
-
-    report["surplus"] = efficient_surplus(game).to_dict()
-
     combined = None
     if include_auction:
         # The drawn winner's run is its branch; the others are replays.
@@ -377,11 +374,24 @@ def _run_experiment(config: ScenarioConfig, *,
         branches = [combined if w == combined.auction.winner
                     else run_auction_then_pnc(game, config.seed, winner=w)
                     for w in range(profile.n_agents)]
+        exact = branches[0].transcript
+    else:
+        exact = run_pnc(game, "exact")
+    transcript = exact if config.mode == "exact" else run_pnc(
+        game, config.mode, epsilon=config.epsilon, iota=config.iota)
+
+    report["mechanism"] = transcript.to_dict()
+    arrays = _schedule_arrays("mechanism", transcript)
+    checks += _schedule_checks(transcript)
+    checks += _mechanism_checks(transcript, game)
+
+    report["surplus"] = efficient_surplus(game).to_dict()
+
+    if combined is not None:
         report["auction"] = combined.to_dict()
         arrays.update(_schedule_arrays("auction", combined.transcript))
         checks += _auction_checks(combined, branches, game)
 
-    exact = transcript if transcript.mode == "exact" else run_pnc(game, "exact")
     dev = audit_first_mover_bound(game, exact)
     checks.append(_bound("audit.first_mover_bound", dev.max_gain, 1e-9,
                          f"certified max gain {dev.max_gain:.3g} over every "

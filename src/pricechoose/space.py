@@ -112,25 +112,3 @@ class EndowmentProfile:
 def aggregate_risk(profile: EndowmentProfile) -> np.ndarray:
     """Total risk: the coordinatewise sum of all agents' endowments."""
     return profile.endowments.sum(axis=0)
-
-
-@dataclass(frozen=True)
-class SignPartition:
-    """State indices split by the sign of the aggregate risk."""
-
-    positive: tuple[int, ...]
-    negative: tuple[int, ...]
-    zero: tuple[int, ...]
-
-
-def sign_partition(x) -> SignPartition:
-    """Partition state indices by sign(X(w)), with exact zero comparison.
-
-    Endowments are inputs rather than computed noise, so exact equality
-    with zero is the intended test.
-    """
-    arr = _as_float_array(x, "aggregate risk")
-    pos = tuple(int(i) for i in np.nonzero(arr > 0.0)[0])
-    neg = tuple(int(i) for i in np.nonzero(arr < 0.0)[0])
-    zero = tuple(int(i) for i in np.nonzero(arr == 0.0)[0])
-    return SignPartition(pos, neg, zero)

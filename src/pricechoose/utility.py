@@ -279,15 +279,6 @@ def warn_if_over_declared(u: Utility, est: float, agent: int) -> None:
         )
 
 
-def avg_utility(u: Utility, grid: MenuGrid, agent: int) -> float:
-    """Menu average of the agent's utility under the grid measure.
-
-    For a max-min evaluator this is the ambiguity-adjusted (lower) average,
-    the non-first-mover's equilibrium payoff.
-    """
-    return integrate(grid, evaluate_grid(u, grid, agent))
-
-
 def average_utilities(grid: MenuGrid, umat: np.ndarray) -> np.ndarray:
     """Menu average of every column of a (points x agents) utility matrix."""
     return np.array([integrate(grid, umat[:, i]) for i in range(umat.shape[1])])

@@ -30,7 +30,8 @@ def test_enlarging_credal_set_weakly_lowers_average(two_state):
     extra = np.array([space.probs, [0.4, 0.6], [0.2, 0.8]])
     u_small = pc.MaxMinUtility(1.2, pc.CredalSet(small, space.probs))
     u_big = pc.MaxMinUtility(1.2, pc.CredalSet(extra, space.probs))
-    assert pc.avg_utility(u_big, grid, 0) <= pc.avg_utility(u_small, grid, 0) + 1e-12
+    avg = lambda u: pc.integrate(grid, pc.evaluate_grid(u, grid, 0))
+    assert avg(u_big) <= avg(u_small) + 1e-12
 
 
 def test_equilibrium_bid_examples():

@@ -48,6 +48,12 @@ def test_load_minimal_scenario(tmp_path):
     assert config.mode == "exact"
 
 
+def test_minimal_scenario_takes_the_library_defaults():
+    config = pc.scenario_from_dict(minimal_doc())
+    assert config.budget == pc.menu.DEFAULT_GRID_BUDGET
+    assert config.iota == pc.mechanism.DEFAULT_IOTA
+
+
 def test_prior_not_summing_is_named(tmp_path):
     doc = minimal_doc()
     doc["utilities"][1] = {"kind": "maxmin", "gamma": 1.0,

@@ -120,7 +120,8 @@ def test_perturbed_tends_to_base_as_epsilon_vanishes(two_state):
     game = pc.calibrate(profile, grid)
     base = pc.equalizing_price(game, 0)
     eps = 1e-12
-    p = pc.perturbed_price(base, grid, 0, eps, 0.1, game.stage_cap)
+    psi = pc.bump_profile(grid, 0, 0.1)
+    p = pc.perturbed_price(base, grid, psi, eps, 0.1, game.stage_cap)
     assert float(np.abs(p.values - base.values).max()) <= 2 * eps
 
 
@@ -129,7 +130,8 @@ def test_perturbed_unique_argmax_hand(hand):
     game = pc.calibrate(profile, grid)
     base = pc.equalizing_price(game, 0)
     eps = default_epsilon(0.1, game.stage_cap, base.declared_lip)
-    p = pc.perturbed_price(base, grid, 0, eps, 0.1, game.stage_cap)
+    psi = pc.bump_profile(grid, 0, 0.1)
+    p = pc.perturbed_price(base, grid, psi, eps, 0.1, game.stage_cap)
     net = pc.evaluate_grid(profile.evaluators[1], grid, 1) - p.values
     assert int(np.argmax(net)) == 0
     assert net[0] > np.delete(net, 0).max()
@@ -142,13 +144,15 @@ def test_perturbed_parameter_errors(two_state):
     game = pc.calibrate(profile, grid)
     base = pc.equalizing_price(game, 0)
     cap = game.stage_cap
+    psi = pc.bump_profile(grid, 0, 0.1)
     with pytest.raises(pc.ParameterError):
-        pc.perturbed_price(base, grid, 0, -0.1, 0.1, cap)
+        pc.perturbed_price(base, grid, psi, -0.1, 0.1, cap)
     with pytest.raises(pc.ParameterError):
-        pc.perturbed_price(base, grid, 0, 10 * 0.1 * (cap - base.declared_lip),
+        pc.perturbed_price(base, grid, psi, 10 * 0.1 * (cap - base.declared_lip),
                            0.1, cap)
+    # iota is checked where the bump is built.
     with pytest.raises(pc.ParameterError):
-        pc.perturbed_price(base, grid, 0, 1e-3, 1.5, cap)
+        pc.bump_profile(grid, 0, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +163,7 @@ def test_best_response_zero_price_maximizes_raw_tail(two_state):
     _, _, profile, grid = two_state
     u2 = pc.evaluate_grid(profile.evaluators[1], grid, 1)
     zero = pc.PriceSchedule(np.zeros(grid.n_points), 0.0)
-    br = pc.follower_best_response(u2, zero, grid)
-    assert br.index == int(np.argmax(u2))
-    assert br.rule == "net-argmax"
+    assert pc.follower_best_response(u2, zero, grid) == int(np.argmax(u2))
 
 
 def test_best_response_tie_breaks_low():
@@ -169,18 +171,23 @@ def test_best_response_tie_breaks_low():
     grid = pc.enumerate_grid(space, np.array([-1.0]), 2, 2)
     tail = np.array([1.0, 1.0, 0.0])
     zero = pc.PriceSchedule(np.zeros(3), 0.0)
-    assert pc.follower_best_response(tail, zero, grid).index == 0
+    assert pc.follower_best_response(tail, zero, grid) == 0
 
 
 def test_best_response_spne_selection_under_equalizer(two_state):
+    """The equalizer leaves the follower indifferent; exact mode then picks
+    the lowest-index argmax of the Game's welfare, in every order."""
     _, _, profile, grid = two_state
     game = pc.calibrate(profile, grid)
     umat = game.umat
-    p = pc.equalizing_price(game, 0)
-    w = umat.sum(axis=1)
-    br = pc.follower_best_response(umat[:, 1], p, grid, selection_values=w)
-    assert br.rule == "spne-welfare-argmax"
-    assert br.index == int(np.argmax(w))
+    net = umat[:, 1] - pc.equalizing_price(game, 0).values
+    assert float(net.max() - net.min()) <= 1e-9
+    assert np.array_equal(game.welfare, umat.sum(axis=1))
+    assert not game.welfare.flags.writeable
+    for order in ([0, 1], [1, 0]):
+        t = pc.run_pnc(game, order=order)
+        assert t.selection_rule == "spne-welfare-argmax"
+        assert t.chosen == int(np.argmax(game.welfare))
 
 
 def test_best_response_constant_shift_leaves_argmax():
@@ -190,11 +197,12 @@ def test_best_response_constant_shift_leaves_argmax():
     grid = pc.enumerate_grid(space, np.array([-1.0, -2.0]), 2, 5)
     u2 = pc.evaluate_grid(profile.evaluators[1], grid, 1)
     base = pc.equalizing_price(pc.calibrate(profile, grid), 0)
-    bumped = pc.perturbed_price(base, grid, 7, 1e-3, 0.1, 1e9)
+    bumped = pc.perturbed_price(base, grid, pc.bump_profile(grid, 7, 0.1),
+                                1e-3, 0.1, 1e9)
     for c in (0.5, -2.0, 10.0):
         shifted = pc.PriceSchedule(bumped.values + c, bumped.declared_lip)
-        assert pc.follower_best_response(u2, shifted, grid).index == \
-            pc.follower_best_response(u2, bumped, grid).index
+        assert pc.follower_best_response(u2, shifted, grid) == \
+            pc.follower_best_response(u2, bumped, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +346,7 @@ def test_audit_epsilon_sweep_matches_proof_identity(two_state):
     equilibrium = float(t.payoffs[t.order[0]])
     for frac in (0.2, 0.5, 0.9):
         eps = frac * eps_cap
-        dev = pc.perturbed_price(base, grid, target, eps, 0.1, game.stage_cap)
+        dev = pc.perturbed_price(base, grid, psi, eps, 0.1, game.stage_cap)
         response = int(np.argmax(umat[:, 1] - dev.values))
         assert response == target
         payoff = float(umat[response, 0] + dev.values[response])

@@ -4,6 +4,7 @@ their margins; the report does not grow with the menu."""
 import dataclasses
 import hashlib
 import importlib.util
+import inspect
 import json
 import sys
 import warnings
@@ -37,11 +38,12 @@ def count_calls(monkeypatch, owner, name):
 
 
 def test_run_experiment_computes_shared_data_once(monkeypatch):
-    """n = 3: one utility matrix and one set of averages; n + 1 mechanism runs
-    (the main one and one per auction branch), each validating its n - 1
-    schedules once; the matrix evaluates each agent's column once, and
-    calibration and the report's averages read it instead of re-evaluating.
-    Both audits are closed forms, so no distance vector is built."""
+    """n = 3: one utility matrix and one set of averages; n mechanism runs
+    (one per auction branch, the winner-0 branch doubling as the exact
+    mechanism run), each validating its n - 1 schedules once; the matrix
+    evaluates each agent's column once, and calibration and the report's
+    averages read it instead of re-evaluating.  Both audits are closed
+    forms, so no distance vector is built."""
     config = pc.load_scenario(SCENARIOS / "hurricane_three_farmers.json")
     assert config.profile.n_agents == 3 and config.mode == "exact"
     calls = {
@@ -55,15 +57,52 @@ def test_run_experiment_computes_shared_data_once(monkeypatch):
     result = pc.run_experiment(config)
     assert result["all_invariants_pass"]
     assert {k: len(v) for k, v in calls.items()} == {
-        "matrix": 1, "average_utilities": 1, "run_pnc": 4,
-        "validate_schedule": 8, "evaluate_grid": 3, "distances_to": 0}
+        "matrix": 1, "average_utilities": 1, "run_pnc": 3,
+        "validate_schedule": 6, "evaluate_grid": 3, "distances_to": 0}
 
-    # Perturbed mode bumps each of the n - 1 posted schedules toward one
-    # target: one distance vector per schedule.
-    calls["distances_to"].clear()
+    # Perturbed mode adds one run; its n - 1 posted schedules share one
+    # bump, so one distance vector.
+    for log in calls.values():
+        log.clear()
     result = pc.run_experiment(config.with_overrides(mode="perturbed"))
     assert result["all_invariants_pass"]
-    assert len(calls["distances_to"]) == 2
+    assert len(calls["run_pnc"]) == 4
+    assert len(calls["distances_to"]) == 1
+
+    # Without the auction, one exact run serves the mechanism and the audit.
+    calls["run_pnc"].clear()
+    result = pc.run_experiment(config, include_auction=False)
+    assert result["all_invariants_pass"]
+    assert len(calls["run_pnc"]) == 1
+
+
+def test_every_posting_order_implements_the_same_point_on_a_welfare_tie():
+    """Two identical farmers: grid points 7 and 10 tie exactly on welfare.
+    The mechanism, every auction branch and the welfare optimizer all
+    report the lowest-index maximizer."""
+    config = pc.scenario_from_dict({
+        "schema": "pnc-scenario/v1",
+        "name": "welfare-tie",
+        "states": ["a", "b", "c"],
+        "probs": [0.2, 0.3, 0.5],
+        "endowments": [[-1, 0, 0], [0, -2, 0], [0, 0, -3]],
+        "utilities": [{"kind": "entropic", "gamma": 1.0},
+                      {"kind": "entropic", "gamma": 1.0},
+                      {"kind": "entropic", "gamma": 2.0}],
+        "grid": {"resolution": 4, "state_classes": "single"},
+        "seed": 0,
+    })
+    result = pc.run_experiment(config)
+    assert result["all_invariants_pass"]
+    chosen = result["auction"]["transcript"]["chosen"]
+    assert chosen == result["mechanism"]["chosen"] == result["welfare"]["index"]
+
+    grid = pc.enumerate_grid(config.space, config.x, 3, config.resolution,
+                             state_classes=config.state_classes)
+    game = pc.calibrate(config.profile, grid)
+    assert game.welfare[7] == game.welfare[10] == game.welfare_max
+    assert {pc.run_auction_then_pnc(game, 0, winner=w).transcript.chosen
+            for w in range(3)} == {chosen}
 
 
 def test_traced_names_resolve_in_the_package():
@@ -79,6 +118,11 @@ def test_traced_names_resolve_in_the_package():
                                 attr, None)), name
     for name, (owner, attr) in spans.METHODS.items():
         assert hasattr(owner, attr), name
+    # The shape counters bind these parameters by name.
+    for fn, params in ((pc.lipschitz_ratio,
+                        {"grid", "exhaustive_threshold", "num_samples"}),
+                       (pc.pareto_check, {"grid", "profile"})):
+        assert params <= set(inspect.signature(fn).parameters), fn.__name__
 
 
 def test_drawn_winner_run_is_its_branch(two_state):

@@ -39,25 +39,6 @@ def test_aggregate_is_linear(n, m, data):
     assert np.array_equal(agg(a + b), agg(a) + agg(b))
 
 
-@pytest.mark.parametrize("x,expected", [
-    ([1.0, -1.0, 0.0], ((0,), (1,), (2,))),
-    ([0.0, 0.0], ((), (), (0, 1))),
-    ([-3.0, -1.0], ((), (0, 1), ())),
-])
-def test_sign_partition_examples(x, expected):
-    part = pc.sign_partition(np.array(x))
-    assert (part.positive, part.negative, part.zero) == expected
-
-
-@given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=8))
-@settings(max_examples=100, deadline=None)
-def test_sign_partition_covers_disjointly(values):
-    part = pc.sign_partition(np.array(values))
-    cells = part.positive + part.negative + part.zero
-    assert sorted(cells) == list(range(len(values)))
-    assert len(set(cells)) == len(cells)
-
-
 def test_zero_probability_state_rejected():
     with pytest.raises(pc.ValidationError, match="zero-probability"):
         pc.StateSpace(["a", "b"], [1.0, 0.0])
