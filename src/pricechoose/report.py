@@ -318,7 +318,7 @@ def _run_experiment(config: ScenarioConfig, *,
     game = calibrate(profile, grid, cap=config.lipschitz_cap)
     umat = game.umat
 
-    best = maximize_welfare(profile, grid, refine=True, umat=umat)
+    best = maximize_welfare(profile, grid, refine=True, game=game)
 
     closed = None
     if all(not isinstance(u, MaxMinUtility) for u in profile.evaluators):

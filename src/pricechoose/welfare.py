@@ -8,9 +8,18 @@ over per-class shares with simplex projection.  Utilities are concave and
 the share space is a product of simplices, so local ascent from the grid
 winner is enough at desk scale.  The ascent's line search is batched: a
 class block projects all of its halving steps onto the simplex in one call
-and evaluates their welfare as one stack of allocations, then accepts
-the largest improving step, so it takes the same steps as a serial halving
-search at a fraction of the Python calls.
+and evaluates their welfare as one stack of allocations, with every agent's
+priors stacked into one table, then accepts the largest improving step, so
+it takes the same steps as a serial halving search at a fraction of the
+Python calls.
+
+On a smooth profile (every agent entropic) each block's stack first holds
+the halving steps along a diagonal-Newton direction, which scales each
+agent's gradient by the curvature of its utility in its own share; a class
+that carries little tilted mass has a tiny gradient, and raw gradient steps
+from step 1 creep there.  A max-min utility has kinks where its worst-case
+prior switches, so its curvature says nothing about the next step; those
+profiles try gradient steps only.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, StructuralError, UnsupportedProfileError
+from .mechanism import Game
 from .menu import MenuGrid, shares_to_allocation, validate_feasible
 from .utility import (
     EntropicUtility,
@@ -94,47 +104,93 @@ def _allocations(grid: MenuGrid, qs: np.ndarray) -> np.ndarray:
     return xi
 
 
-def _welfare_values(profile: UtilityProfile, grid: MenuGrid,
+@dataclass(frozen=True)
+class _PriorRows:
+    """Every agent's priors stacked in agent order: one row for an entropic
+    agent, one per prior for a max-min agent."""
+
+    agent: np.ndarray       # (R,) the agent each row belongs to
+    gamma: np.ndarray       # (R,) that agent's risk aversion
+    priors: np.ndarray      # (R x m)
+    log_mass: np.ndarray    # (R,) log of each prior's total mass
+    starts: np.ndarray      # (n + 1,) agent i owns rows starts[i]:starts[i+1]
+
+    @classmethod
+    def of(cls, profile: UtilityProfile) -> _PriorRows:
+        blocks = [u.credal.priors if isinstance(u, MaxMinUtility) else u.probs[None]
+                  for u in profile.evaluators]
+        sizes = [len(b) for b in blocks]
+        priors = np.concatenate(blocks)
+        return cls(agent=np.repeat(np.arange(len(blocks)), sizes),
+                   gamma=np.repeat([u.gamma for u in profile.evaluators], sizes),
+                   priors=priors,
+                   log_mass=np.log(np.add.reduce(priors, axis=-1)),
+                   starts=np.cumsum([0] + sizes))
+
+
+def _welfare_values(rows: _PriorRows, grid: MenuGrid,
                     qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Welfare at each of a stack of (S x C x n) class shares, with one
-    ``values_per_prior`` or ``values`` call per agent, and the (S x n) index
-    of each max-min agent's worst-case prior there (lowest index on ties;
-    0 for the other agents)."""
-    xi = _allocations(grid, qs)
+    """Welfare at each of a stack of (S x C x n) class shares, and the (S x n)
+    index of each agent's worst-case prior there (lowest index on ties; 0
+    for an entropic agent).
+
+    All prior rows are evaluated at once, with one exponential over
+    (S x R x m); each row gets the floats ``_entropic_ce`` gives it, and the
+    agents' values are added in agent order.
+    """
+    xi = _allocations(grid, qs)[:, rows.agent, :]
+    z = -rows.gamma[:, None] * xi
+    a = z.max(axis=-1, keepdims=True)
+    s = np.add.reduce(rows.priors * np.exp(z - a), axis=-1)
+    ce = -(a[..., 0] + np.log(s) - rows.log_mass) / rows.gamma
     total = np.zeros(qs.shape[0])
-    active = np.zeros((qs.shape[0], profile.n_agents), dtype=np.int64)
-    for i, u in enumerate(profile.evaluators):
-        if isinstance(u, MaxMinUtility):
-            per = u.values_per_prior(xi[:, i, :])
-            active[:, i] = per.argmin(axis=0)
-            total += per.min(axis=0)
-        else:
-            total += u.values(xi[:, i, :])
+    active = np.zeros((qs.shape[0], len(rows.starts) - 1), dtype=np.int64)
+    for i, (lo, hi) in enumerate(zip(rows.starts[:-1], rows.starts[1:])):
+        active[:, i] = ce[:, lo:hi].argmin(axis=1)
+        total += ce[:, lo:hi].min(axis=1)
     return total, active
 
 
-def _welfare_grad(profile: UtilityProfile, grid: MenuGrid, q: np.ndarray, c: int,
-                  active: np.ndarray) -> np.ndarray:
-    """(Super)gradient of welfare in class ``c``'s shares (row c of the
-    gradient in the class shares ``q``), given each agent's worst-case
-    prior index ``active`` there (see ``_welfare_values``).
+def _welfare_grad(rows: _PriorRows, grid: MenuGrid, q: np.ndarray, c: int,
+                  active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Super)gradient g of welfare in class ``c``'s shares (row c of the
+    gradient in the class shares ``q``) and the curvature h of each agent's
+    utility along its own share there, given each agent's worst-case prior
+    index ``active`` (see ``_welfare_values``).
 
     The gradient of an entropic certainty equivalent in the payoff is the
-    exponentially tilted probability; for a max-min evaluator the tilt under
-    the worst-case prior is a supergradient.
+    exponentially tilted probability t_i; for a max-min evaluator the tilt
+    under the worst-case prior is a supergradient.  Differentiating g_i
+    once more along agent i's own share gives -h_i, with
+    h_i = gamma_i * (sum_{w in c} t_i(w) X(w)^2 - g_i^2) >= 0.
     """
     mask = grid.class_of_state == c
     xc = grid.x[mask]
     xi = _allocations(grid, q[None])[0]
-    grad = np.zeros(q.shape[1])
-    for i, u in enumerate(profile.evaluators):
-        nu = u.credal.priors[active[i]] if isinstance(u, MaxMinUtility) else u.probs
-        z = -u.gamma * xi[i]
-        z -= z.max()
-        t = nu * np.exp(z)
-        t /= t.sum()
-        grad[i] += float(np.dot(t[mask], xc))
-    return grad
+    gamma = rows.gamma[rows.starts[:-1]]
+    z = -gamma[:, None] * xi
+    z -= z.max(axis=1, keepdims=True)
+    t = rows.priors[rows.starts[:-1] + active] * np.exp(z)
+    t /= t.sum(axis=1, keepdims=True)
+    # One fresh array per dot: BLAS can round the dot of a row that sits
+    # inside a matrix differently (it depends on memory alignment), and a
+    # fresh row keeps the bits of a per-agent evaluation.
+    tc = [t[i, mask] for i in range(len(t))]
+    grad = np.array([float(np.dot(ti, xc)) for ti in tc])
+    curv = gamma * (np.array([float(np.dot(ti, xc * xc)) for ti in tc]) - grad * grad)
+    return grad, curv
+
+
+def _newton_direction(grad: np.ndarray, curv: np.ndarray) -> np.ndarray | None:
+    """The diagonal-Newton step d = (g - lam) / h with lam = sum(g/h) /
+    sum(1/h), which maximizes g.d - sum(h d^2)/2 subject to sum(d) = 0; None
+    when a curvature is zero or so small that the step is not finite."""
+    if not np.all(curv > 0.0):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = np.sum(grad / curv) / np.sum(1.0 / curv)
+        d = (grad - lam) / curv
+        return d if np.sum(np.abs(d)) <= NEWTON_MAX else None
 
 
 def _halving_steps(floor: float) -> np.ndarray:
@@ -147,30 +203,43 @@ def _halving_steps(floor: float) -> np.ndarray:
 
 # Steps 2^0 ... 2^-46: every halving step above 1e-14.
 LINE_STEPS = _halving_steps(1e-14)
+# Newton directions longer than this (in l1) are not tried: the simplex
+# projection's running sums of the trial rows must stay finite.
+NEWTON_MAX = 1e300
 
 
 def _refine_shares(profile: UtilityProfile, grid: MenuGrid,
                    q0: np.ndarray) -> tuple[np.ndarray, float]:
-    """Blockwise projected gradient ascent over per-class shares.
+    """Blockwise projected ascent over per-class shares.
 
     Each class block takes the gradient at the current point and tries
-    every step of ``LINE_STEPS`` at once: the trial rows are projected onto
-    the simplex in one call and their welfare is evaluated in one
-    stack.  The largest improving step is accepted, the one a halving search
-    from step 1 stops at; when none improves the block keeps its shares.
-    Only improving steps are accepted, so the welfare value never decreases
-    and the iterate never leaves the product of simplices.
+    every step of ``LINE_STEPS`` along it at once: the trial rows are
+    projected onto the simplex in one call and their welfare is evaluated
+    in one stack.  The largest improving step is accepted, the one a
+    halving search from step 1 stops at; when none improves the block keeps
+    its shares.  On a smooth profile (no max-min agent) the same stack
+    first holds every step along the diagonal-Newton direction, and the
+    block accepts the first improving row in that order: Newton steps, then
+    gradient steps.  Only improving steps are accepted, so the welfare
+    value never decreases and the iterate never leaves the product of
+    simplices.
     """
+    rows = _PriorRows.of(profile)
+    smooth = not any(isinstance(u, MaxMinUtility) for u in profile.evaluators)
+    steps = LINE_STEPS[:, None]
     q = q0.copy()
-    vals, active = _welfare_values(profile, grid, q[None])
+    vals, active = _welfare_values(rows, grid, q[None])
     best, active = float(vals[0]), active[0]
     for _ in range(MAX_SWEEPS):
         sweep_gain = 0.0
         for c in range(q.shape[0]):
-            grad = _welfare_grad(profile, grid, q, c, active)
-            trials = np.repeat(q[None], len(LINE_STEPS), axis=0)
-            trials[:, c] = _project_simplex(q[c] + LINE_STEPS[:, None] * grad)
-            vals, actives = _welfare_values(profile, grid, trials)
+            grad, curv = _welfare_grad(rows, grid, q, c, active)
+            newton = _newton_direction(grad, curv) if smooth else None
+            directions = [grad] if newton is None else [newton, grad]
+            trials = np.repeat(q[None], len(LINE_STEPS) * len(directions), axis=0)
+            trials[:, c] = _project_simplex(
+                np.concatenate([q[c] + steps * d for d in directions]))
+            vals, actives = _welfare_values(rows, grid, trials)
             better = np.flatnonzero(vals > best)
             if better.size:
                 k = better[0]
@@ -182,16 +251,21 @@ def _refine_shares(profile: UtilityProfile, grid: MenuGrid,
 
 
 def maximize_welfare(profile: UtilityProfile, grid: MenuGrid, *,
-                     refine: bool = False,
-                     umat: np.ndarray | None = None) -> WelfareResult:
+                     refine: bool = False, game: Game | None = None) -> WelfareResult:
     """Exhaustive grid argmax of welfare, optionally locally refined.
 
-    Ties resolve to the lowest enumeration index.  A refined point is
+    Pass the ``Game`` prepared for this profile and grid to read its utility
+    matrix and welfare vector instead of evaluating them again.  Ties
+    resolve to the lowest enumeration index.  A refined point is
     re-validated against the feasibility invariants before it is returned.
     """
-    if umat is None:
+    if game is None:
         umat = profile.matrix(grid)
-    wvals = umat.sum(axis=1)
+        wvals = umat.sum(axis=1)
+    elif game.profile is not profile or game.grid is not grid:
+        raise StructuralError("game was prepared for another profile or grid")
+    else:
+        umat, wvals = game.umat, game.welfare
     idx = int(np.argmax(wvals))
     shares = grid.share(idx) if grid.n_classes else None
     allocation = grid.point(idx)

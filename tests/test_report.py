@@ -248,15 +248,15 @@ BUNDLED_RUNS = {
         "403db2b6e2719b55555c1f463a9ff75a32cc18ec083e2d396f396f9631f30a49",
         "f4d404172eaab8bf53aeeae2ae5c61ebe02ca3726bcce77c9c030b75bb195f01"),
     ("hurricane-three-farmers", "run"): (
-        "9715d03cd3a09cd49c458ad5d88eeedc0f08807a4e17ccc4aa0ec5776350c250",
+        "98de4e1b704cb5849f425127367015546fecbe1ad4c02eba73e544c6b46ce44a",
         "3a52bd52199642899e197c793752902c06e730a8e521bb7cea7843592d1c7cc2",
         "9f31d2a1a41bf11acd8212941f49d8a9ec04e8b1c906ca91f260bd9df5d92fce"),
     ("hurricane-three-farmers", "run-perturbed"): (
-        "a5092894daaac64d8cd5e5ac235bec7db852238565f9121046ba45f939faf04c",
+        "50076cdd0148b73c8d2e7f218bbb47481774328be8b81a4f217e5c96bfe0c273",
         "7233424c3d86bd99ae541054a61aa68093094358e3a3431523d7246fbc044885",
         "8c100bd47212ca0354b2f10c3e5408cc816d5d772842791622cdfb2896d59df7"),
     ("hurricane-three-farmers", "audit"): (
-        "618ac2cf517ddd55da9b2eeff218162e15f5cc7604f5277cf48388a6bea3ddc7",
+        "1ccba652cb8d717011e3d1dda69005a8cdbd8ca52ff7e4a55989759a945e7358",
         "8fb16b301188ebee71a00033aa4dc1e39e7b9f31c9db1908807dcd5ff01d3c94",
         "4477bde65568e3f7359a14648aa76587e403d2a0aa06ba35c9d695d3bfc0bea1"),
     ("three-agent-maxmin", "run"): (

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pricechoose as pc
-from pricechoose.welfare import LINE_STEPS, _project_simplex, _refine_shares
+from pricechoose.welfare import LINE_STEPS, NEWTON_MAX, _project_simplex, _refine_shares
 from conftest import hurricane_space
 
 
@@ -159,11 +159,39 @@ def test_refined_optimum_approaches_closed_form():
     assert res.value <= oracle + 1e-12
 
 
+HURRICANE_CLASSES = [0, 1, 1, 2, 1, 2, 2, 3]
+
+
+def test_refinement_reaches_the_closed_form_on_a_product_grid():
+    # On an all-entropic profile the proportional closed form is the exact
+    # optimum over class shares too; the Newton rows reach it to rounding.
+    config = pc.load_scenario(Path(pc.__file__).parent / "scenarios"
+                              / "hurricane_three_farmers.json")
+    grid = pc.enumerate_grid(config.space, config.x, 3, 3,
+                             state_classes=HURRICANE_CLASSES)
+    assert grid.n_points == 1000
+    res = pc.maximize_welfare(config.profile, grid, refine=True)
+    closed = pc.closed_form_entropic(config.profile, config.x, config.space.probs)
+    assert res.method == "refined"
+    assert abs(res.value - closed.value) <= 1e-11 * abs(closed.value)
+
+
+def test_maximizer_reads_the_prepared_game(two_state):
+    _, _, profile, grid = two_state
+    game = pc.calibrate(profile, grid)
+    res = pc.maximize_welfare(profile, grid, refine=True, game=game)
+    assert res.index == int(np.argmax(game.welfare))
+    assert res.value == pc.maximize_welfare(profile, grid, refine=True).value
+    other = pc.UtilityProfile(profile.evaluators)
+    with pytest.raises(pc.StructuralError):
+        pc.maximize_welfare(other, grid, game=game)
+
+
 def test_sup_convolution_bound_over_grid(two_state):
     _, _, profile, grid = two_state
-    umat = profile.matrix(grid)
-    res = pc.maximize_welfare(profile, grid, umat=umat)
-    assert float((umat.sum(axis=1) - res.value).max()) <= 1e-12
+    game = pc.calibrate(profile, grid)
+    res = pc.maximize_welfare(profile, grid, game=game)
+    assert float((game.umat.sum(axis=1) - res.value).max()) <= 1e-12
 
 
 def test_welfare_result_value_is_per_agent_sum(two_state):
@@ -306,8 +334,9 @@ def serial_ce(row, nu, gamma):
 
 
 def serial_value_and_grads(profile, grid, q):
-    """Welfare at one share array and its supergradient, agent by agent and
-    prior by prior."""
+    """Welfare at one share array, its supergradient and the curvature of
+    each agent's utility along its own share, agent by agent and prior by
+    prior."""
     x, cls = grid.x, grid.class_of_state
     xi = np.zeros((profile.n_agents, len(x)))
     for w in range(len(x)):
@@ -315,6 +344,7 @@ def serial_value_and_grads(profile, grid, q):
             xi[:, w] = q[cls[w]] * x[w]
     total = 0.0
     grad = np.zeros_like(q)
+    curv = np.zeros_like(q)
     for i, u in enumerate(profile.evaluators):
         row = xi[i]
         priors = u.credal.priors if isinstance(u, pc.MaxMinUtility) else [u.probs]
@@ -327,30 +357,51 @@ def serial_value_and_grads(profile, grid, q):
         t /= t.sum()
         for c in range(q.shape[0]):
             mask = cls == c
-            grad[c, i] += float(np.dot(t[mask], x[mask]))
-    return total, grad
+            g = float(np.dot(t[mask], x[mask]))
+            grad[c, i] = g
+            curv[c, i] = u.gamma * (float(np.dot(t[mask], x[mask] * x[mask])) - g * g)
+    return total, grad, curv
+
+
+def serial_newton(g, h):
+    """The diagonal-Newton step (g - lam) / h with sum zero, or None when
+    it is not usable."""
+    if not np.all(h > 0.0):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = np.sum(g / h) / np.sum(1.0 / h)
+        d = (g - lam) / h
+        return d if np.sum(np.abs(d)) <= NEWTON_MAX else None
 
 
 def serial_refine(profile, grid, q0, tol=1e-10, max_sweeps=200):
     """The one-trial-per-call halving search; also returns the step each
-    block accepted (None when no step improved)."""
+    block accepted, as (direction, step), or None when no step improved.
+    A smooth profile (no max-min agent) tries the Newton direction's steps
+    before the gradient's."""
+    smooth = not any(isinstance(u, pc.MaxMinUtility) for u in profile.evaluators)
     q = q0.copy()
-    best, _ = serial_value_and_grads(profile, grid, q)
+    best, _, _ = serial_value_and_grads(profile, grid, q)
     taken = []
     for _ in range(max_sweeps):
         sweep_gain = 0.0
         for c in range(q.shape[0]):
-            _, grad = serial_value_and_grads(profile, grid, q)
-            step, accepted = 1.0, None
-            while step > 1e-14:
-                trial = q.copy()
-                trial[c] = serial_project(q[c] + step * grad[c])
-                val, _ = serial_value_and_grads(profile, grid, trial)
-                if val > best:
-                    sweep_gain += val - best
-                    best, q, accepted = val, trial, step
-                    break
-                step *= 0.5
+            _, grad, curv = serial_value_and_grads(profile, grid, q)
+            newton = serial_newton(grad[c], curv[c]) if smooth else None
+            directions = [("gradient", grad[c])]
+            if newton is not None:
+                directions.insert(0, ("newton", newton))
+            accepted = None
+            for kind, d in directions:
+                step = 1.0
+                while step > 1e-14 and accepted is None:
+                    trial = q.copy()
+                    trial[c] = serial_project(q[c] + step * d)
+                    val, _, _ = serial_value_and_grads(profile, grid, trial)
+                    if val > best:
+                        sweep_gain += val - best
+                        best, q, accepted = val, trial, (kind, step)
+                    step *= 0.5
             taken.append(accepted)
         if sweep_gain < tol:
             break
@@ -389,6 +440,8 @@ def line_search_cases():
         ("max-min per state", maxmin_profile(coin, [0.7, 1.9, 1.1], {0, 2}),
          pc.enumerate_grid(coin, xc, 3, 3)),
         ("max-min, zero-risk state", mm.profile, mm_grid),
+        ("entropic, three classes and a zero-risk state", entropic_profile(space.probs, [1.0, 2.0, 4.0]),
+         pc.enumerate_grid(space, x, 3, 3, state_classes=HURRICANE_CLASSES)),
     ]
 
 
@@ -407,10 +460,13 @@ def test_batched_line_search_matches_the_serial_search_bit_for_bit(monkeypatch):
             assert q.tobytes() == q_ref.tobytes(), (label, start)
             assert type(best) is float and best == best_ref, (label, start)
             taken += steps
-    # Both ends of the search occur: blocks that take the full step, and
-    # blocks where no step improves and the shares stay put.
-    assert 1.0 in taken and None in taken
-    assert any(s is not None and s < 1.0 for s in taken)
+    # Both ends of the gradient search occur: blocks that take the full
+    # step, and blocks where no step improves and the shares stay put; the
+    # smooth cases take full Newton steps.
+    steps = {kind: [s for k, s in filter(None, taken) if k == kind]
+             for kind in ("newton", "gradient")}
+    assert None in taken and 1.0 in steps["newton"]
+    assert 1.0 in steps["gradient"] and any(s < 1.0 for s in steps["gradient"])
 
 
 def test_line_search_has_the_halving_steps_above_the_floor():
@@ -434,6 +490,25 @@ def test_batched_line_search_is_warning_free_at_large_exponents():
         q_ref, best_ref, _ = serial_refine(profile, grid, grid.share(res.index))
     assert res.method == "refined" and np.isfinite(res.value)
     assert res.shares.tobytes() == q_ref.tobytes()
+
+
+@pytest.mark.parametrize("scale, newton_taken", [(80.0, True), (300.0, False)])
+def test_newton_rows_are_warning_free_at_large_exponents(scale, newton_taken):
+    # The all-entropic twin, at gamma * ||X|| = 304 and 1140.  Where one
+    # state carries nearly all the tilt, a class's curvature rounds to 0
+    # and its block has no Newton direction; elsewhere curvatures reach
+    # 1e-43 (and 1e-166 at the larger scale), and the Newton rows are tried.
+    coin = pc.StateSpace(["a", "b", "c"], [0.5, 0.3, 0.2])
+    xc = np.array([-1.0, 0.5, -2.0])
+    profile = maxmin_profile(coin, [0.7, 1.9, 1.1], set(), scale=scale)
+    grid = pc.enumerate_grid(coin, xc, 3, 3)
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error")
+        res = pc.maximize_welfare(profile, grid, refine=True)
+        q_ref, best_ref, taken = serial_refine(profile, grid, grid.share(res.index))
+    assert res.method == "refined" and np.isfinite(res.value)
+    assert res.shares.tobytes() == q_ref.tobytes()
+    assert (("newton", 1.0) in taken) == newton_taken
 
 
 def test_row_wise_projection_matches_the_vector_projection():
