@@ -25,6 +25,7 @@ cap, averages, W and W_max) from one ``Game`` built by ``calibrate``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -108,16 +109,21 @@ class PriceSchedule:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
+    @cached_property
+    def sha256(self) -> str:
+        """sha256 of the values' little-endian float64 bytes, hashed in place
+        and once per schedule."""
+        import hashlib
+
+        raw = np.ascontiguousarray(self.values, dtype="<f8")
+        return hashlib.sha256(memoryview(raw)).hexdigest()
+
     def summary(self, chosen: int, diag: ScheduleDiagnostics) -> dict:
         """Fixed-size record: the vector itself is identified by the sha256 of
         its little-endian float64 bytes and kept outside the report."""
-        import hashlib
-
-        raw = self.values.astype("<f8", copy=False).tobytes()
-        digest = hashlib.sha256(raw).hexdigest()
         return {"declared_lip": self.declared_lip,
                 "at_chosen": float(self.values[chosen]),
-                "sup_norm": diag.sup_norm, "sha256": digest}
+                "sup_norm": diag.sup_norm, "sha256": self.sha256}
 
 
 @dataclass(frozen=True)
@@ -165,9 +171,15 @@ def validate_schedule(schedule: PriceSchedule, grid: MenuGrid,
 
 
 def _tail_values(umat: np.ndarray, order: list[int], position: int) -> np.ndarray:
-    """Continuation welfare from a position to the end, in posting order."""
-    cols = [umat[:, order[j]] for j in range(position, len(order))]
-    return np.sum(cols, axis=0)
+    """Continuation welfare from a position to the end, in posting order.
+
+    The columns are added one after another, the order in which an axis-0
+    sum of their stack adds its rows, without building the stack.
+    """
+    tail = umat[:, order[position]].copy()
+    for j in order[position + 1:]:
+        tail += umat[:, j]
+    return tail
 
 
 def _resolve_order(n: int, order) -> list[int]:

@@ -110,16 +110,21 @@ def _metric_checks(grid, seed: int) -> list[dict]:
     d0 = grid.distance(0, 0)
     checks.append(_bound("metric.identity", d0, 0.0, f"d(x,x) = {d0!r}"))
     rng = np.random.default_rng([seed, 31_07])
+    triples = np.array([rng.integers(0, grid.n_points, size=3)
+                        for _ in range(min(30, grid.n_points ** 2))])
+    # Every sampled point's feature row in one read; each distance is then
+    # the dot of a fresh |difference| row, as in ``grid.distance``.
+    rows = grid._feature_rows(triples.ravel()).reshape(len(triples), 3, -1)
+
+    def dist(g, h) -> float:
+        return float(np.dot(grid.feature_weights, np.abs(g - h)))
+
     worst_sym = 0.0
     worst_tri = 0.0
-    for _ in range(min(30, grid.n_points ** 2)):
-        a, b, c = rng.integers(0, grid.n_points, size=3)
-        dab = grid.distance(int(a), int(b))
-        dba = grid.distance(int(b), int(a))
-        dac = grid.distance(int(a), int(c))
-        dcb = grid.distance(int(c), int(b))
-        worst_sym = max(worst_sym, abs(dab - dba))
-        worst_tri = max(worst_tri, dab - (dac + dcb))
+    for ga, gb, gc in rows:
+        dab = dist(ga, gb)
+        worst_sym = max(worst_sym, abs(dab - dist(gb, ga)))
+        worst_tri = max(worst_tri, dab - (dist(ga, gc) + dist(gc, gb)))
     checks.append(_bound("metric.symmetry", worst_sym, 1e-15,
                          f"max asymmetry {worst_sym:.3g}"))
     checks.append(_bound("metric.triangle", worst_tri, 1e-12,
@@ -146,9 +151,9 @@ def _utility_checks(config: ScenarioConfig, grid, umat, ref_vals: dict,
     pairs = rng.integers(0, grid.n_points, size=(min(50, grid.n_points), 2))
     shifts = np.array([-10.0, -1.0, 0.0, 1.0, 10.0])
     mixes = np.array([0.25, 0.5, 0.75])
-    pts = np.stack([grid.point(int(k)) for k in sample])
-    xa = np.stack([grid.point(int(a)) for a in pairs[:, 0]])
-    xb = np.stack([grid.point(int(b)) for b in pairs[:, 1]])
+    pts = grid._points_at(sample)
+    xa = grid._points_at(pairs[:, 0])
+    xb = grid._points_at(pairs[:, 1])
     stack = np.concatenate([
         pts, (pts + shifts[:, None, None, None]).reshape(-1, n, m), xa, xb,
         (mixes[:, None, None, None] * xa + (1 - mixes[:, None, None, None]) * xb

@@ -8,10 +8,19 @@ over per-class shares with simplex projection.  Utilities are concave and
 the share space is a product of simplices, so local ascent from the grid
 winner is enough at desk scale.  The ascent's line search is batched: a
 class block projects all of its halving steps onto the simplex in one call
-and evaluates their welfare as one stack of allocations, with every agent's
-priors stacked into one table, then accepts the largest improving step, so
-it takes the same steps as a serial halving search at a fraction of the
-Python calls.
+and evaluates their welfare as one stack, then accepts the largest
+improving step, so it takes the same steps as a serial halving search at a
+fraction of the Python calls.
+
+The stack is state-major: the short axes (states, every agent's prior
+rows) lead and the trial axis is contiguous, so the max over states and
+the min over an agent's priors are elementwise ops on whole planes rather
+than one short numpy reduce per row.  The one exception is the sum over
+states, which stays on a contiguous last axis: numpy adds such an axis in
+8-way pairwise partial sums from 8 entries on, and only the same reduce
+gives each trial the floats of a one-allocation evaluation.  The tilts
+that the next gradient reads come from the accepted trial's row of the
+same table, so the refined shares equal the serial search's bit for bit.
 
 On a smooth profile (every agent entropic) each block's stack first holds
 the halving steps along a diagonal-Newton direction, which scales each
@@ -86,77 +95,118 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     or of each row of a stack (..., n) on its own, with the same floating
     point operations a single row gets."""
     n = v.shape[-1]
-    u = np.sort(v, axis=-1)[..., ::-1]
-    css = np.cumsum(u, axis=-1)
+    rows = v.reshape(-1, n)
+    u = rows.copy()
+    u.sort(axis=-1)
+    u = u[:, ::-1]
+    css = u.cumsum(axis=-1)
     positive = u + (1.0 - css) / np.arange(1, n + 1) > 0
-    rho = n - 1 - np.argmax(positive[..., ::-1], axis=-1)[..., None]
-    lam = (1.0 - np.take_along_axis(css, rho, axis=-1)) / (rho + 1.0)
-    return np.maximum(v + lam, 0.0)
-
-
-def _allocations(grid: MenuGrid, qs: np.ndarray) -> np.ndarray:
-    """(S x n x m) allocations of a stack of (S x C x n) class shares:
-    xi_i(w) = q_{c(w), i} X(w), and zero in the zero-risk states."""
-    x, cls = grid.x, grid.class_of_state
-    member = cls >= 0
-    xi = np.zeros((qs.shape[0], qs.shape[2], len(x)))
-    xi[:, :, member] = qs[:, cls[member], :].swapaxes(1, 2) * x[member]
-    return xi
+    # rho + 1, rho being the last index where ``positive`` holds
+    count = n - positive[:, ::-1].argmax(axis=-1)
+    lam = (1.0 - css[np.arange(len(rows)), count - 1]) / count
+    return np.maximum(v + lam.reshape(v.shape[:-1] + (1,)), 0.0)
 
 
 @dataclass(frozen=True)
 class _PriorRows:
-    """Every agent's priors stacked in agent order: one row for an entropic
-    agent, one per prior for a max-min agent."""
+    """Every agent's priors stacked in agent order (one row for an entropic
+    agent, one per prior for a max-min agent), and where each row reads its
+    allocation from a share stack.
 
-    agent: np.ndarray       # (R,) the agent each row belongs to
-    gamma: np.ndarray       # (R,) that agent's risk aversion
+    A share stack is (C n + 1 x T): column k holds trial k's class shares
+    flattened, row c n + i agent i's share of class c, and the last row is
+    a zero that the zero-risk states read.
+    """
+
+    gamma: np.ndarray       # (n,) each agent's risk aversion
+    neg_gamma: np.ndarray   # (R x 1) minus the risk aversion of each row's agent
     priors: np.ndarray      # (R x m)
-    log_mass: np.ndarray    # (R,) log of each prior's total mass
-    starts: np.ndarray      # (n + 1,) agent i owns rows starts[i]:starts[i+1]
+    log_mass: np.ndarray    # (R x 1) log of each prior's total mass
+    spans: tuple            # agent i owns rows spans[i][0]:spans[i][1]
+    x: np.ndarray           # (m,) X(w), and 0 in the zero-risk states
+    take: np.ndarray        # (m x R) share-stack row of prior row r in state w
+    class_states: tuple     # the states of each class
+    class_x: tuple          # X on the states of each class
 
     @classmethod
-    def of(cls, profile: UtilityProfile) -> _PriorRows:
+    def of(cls, profile: UtilityProfile, grid: MenuGrid) -> _PriorRows:
         blocks = [u.credal.priors if isinstance(u, MaxMinUtility) else u.probs[None]
                   for u in profile.evaluators]
         sizes = [len(b) for b in blocks]
         priors = np.concatenate(blocks)
-        return cls(agent=np.repeat(np.arange(len(blocks)), sizes),
-                   gamma=np.repeat([u.gamma for u in profile.evaluators], sizes),
+        n, of_state = len(blocks), grid.class_of_state
+        member = of_state >= 0
+        agent_take = np.where(member, of_state * n + np.arange(n)[:, None],
+                              grid.n_classes * n)
+        class_states = tuple(np.flatnonzero(of_state == c)
+                             for c in range(grid.n_classes))
+        gamma = np.array([u.gamma for u in profile.evaluators])
+        starts = np.cumsum([0] + sizes).tolist()
+        return cls(gamma=gamma,
+                   neg_gamma=-np.repeat(gamma, sizes)[:, None],
                    priors=priors,
-                   log_mass=np.log(np.add.reduce(priors, axis=-1)),
-                   starts=np.cumsum([0] + sizes))
+                   log_mass=np.log(np.add.reduce(priors, axis=-1))[:, None],
+                   spans=tuple(zip(starts[:-1], starts[1:])),
+                   x=np.where(member, grid.x, 0.0),
+                   take=np.repeat(agent_take, sizes, axis=0).T.copy(),
+                   class_states=class_states,
+                   class_x=tuple(grid.x[s] for s in class_states))
 
 
-def _welfare_values(rows: _PriorRows, grid: MenuGrid,
-                    qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Welfare at each of a stack of (S x C x n) class shares, and the (S x n)
-    index of each agent's worst-case prior there (lowest index on ties; 0
-    for an entropic agent).
+@dataclass(frozen=True)
+class _Evaluation:
+    """A share stack's welfare, and what the gradient at a trial reads."""
 
-    All prior rows are evaluated at once, with one exponential over
-    (S x R x m); each row gets the floats ``_entropic_ce`` gives it, and the
-    agents' values are added in agent order.
+    values: np.ndarray      # (T,) welfare of each trial
+    ce: np.ndarray          # (R x T) certainty equivalent of each prior row
+    terms: np.ndarray       # (R x T x m) nu(w) exp(z(w) - max z), unnormalized tilts
+    mass: np.ndarray        # (R x T) each row's sum of terms over the states
+
+    def tilts(self, rows: _PriorRows, k: int) -> np.ndarray:
+        """(n x m) each agent's exponentially tilted probability at trial
+        ``k``, under its worst-case prior there (lowest index on ties)."""
+        ce = self.ce[:, k]
+        worst = [lo if hi - lo == 1 else lo + int(ce[lo:hi].argmin())
+                 for lo, hi in rows.spans]
+        return self.terms[worst, k] / self.mass[worst, k][:, None]
+
+
+def _welfare_values(rows: _PriorRows, stack: np.ndarray) -> _Evaluation:
+    """Welfare at each trial of a (C n + 1 x T) share stack.
+
+    Every prior row of every trial is evaluated at once: one gather and one
+    multiply give the (m x R x T) allocations q X(w), the max over states
+    and the min over an agent's priors are taken plane by plane, and the
+    state sum runs over the contiguous last axis of the transposed exp
+    table, as in ``_entropic_ce`` (see the module docstring).  Each row gets
+    the floats ``_entropic_ce`` gives it, and the agents' values are added
+    in agent order.
     """
-    xi = _allocations(grid, qs)[:, rows.agent, :]
-    z = -rows.gamma[:, None] * xi
-    a = z.max(axis=-1, keepdims=True)
-    s = np.add.reduce(rows.priors * np.exp(z - a), axis=-1)
-    ce = -(a[..., 0] + np.log(s) - rows.log_mass) / rows.gamma
-    total = np.zeros(qs.shape[0])
-    active = np.zeros((qs.shape[0], len(rows.starts) - 1), dtype=np.int64)
-    for i, (lo, hi) in enumerate(zip(rows.starts[:-1], rows.starts[1:])):
-        active[:, i] = ce[:, lo:hi].argmin(axis=1)
-        total += ce[:, lo:hi].min(axis=1)
-    return total, active
+    z = np.take(stack, rows.take, axis=0)
+    z *= rows.x[:, None, None]
+    z *= rows.neg_gamma
+    a = np.maximum.reduce(z, axis=0)
+    z -= a
+    m, n_rows, n_trials = z.shape
+    terms = np.exp(z.transpose(1, 2, 0), out=np.empty((n_rows, n_trials, m)))
+    terms *= rows.priors[:, None, :]
+    mass = np.add.reduce(terms, axis=-1)
+    ce = np.log(mass)
+    ce += a
+    ce -= rows.log_mass
+    ce /= rows.neg_gamma
+    values = np.zeros(n_trials)
+    for lo, hi in rows.spans:
+        values += ce[lo] if hi - lo == 1 else np.minimum.reduce(ce[lo:hi], axis=0)
+    return _Evaluation(values, ce, terms, mass)
 
 
-def _welfare_grad(rows: _PriorRows, grid: MenuGrid, q: np.ndarray, c: int,
-                  active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Super)gradient g of welfare in class ``c``'s shares (row c of the
-    gradient in the class shares ``q``) and the curvature h of each agent's
-    utility along its own share there, given each agent's worst-case prior
-    index ``active`` (see ``_welfare_values``).
+def _welfare_grad(rows: _PriorRows, tilt: np.ndarray, c: int,
+                  curvature: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """(Super)gradient g of welfare in class ``c``'s shares, from each
+    agent's tilt at the current shares (``_Evaluation.tilts``), and with
+    ``curvature`` also the curvature h of each agent's utility along its
+    own share there (None without).
 
     The gradient of an entropic certainty equivalent in the payoff is the
     exponentially tilted probability t_i; for a max-min evaluator the tilt
@@ -164,21 +214,16 @@ def _welfare_grad(rows: _PriorRows, grid: MenuGrid, q: np.ndarray, c: int,
     once more along agent i's own share gives -h_i, with
     h_i = gamma_i * (sum_{w in c} t_i(w) X(w)^2 - g_i^2) >= 0.
     """
-    mask = grid.class_of_state == c
-    xc = grid.x[mask]
-    xi = _allocations(grid, q[None])[0]
-    gamma = rows.gamma[rows.starts[:-1]]
-    z = -gamma[:, None] * xi
-    z -= z.max(axis=1, keepdims=True)
-    t = rows.priors[rows.starts[:-1] + active] * np.exp(z)
-    t /= t.sum(axis=1, keepdims=True)
-    # One fresh array per dot: BLAS can round the dot of a row that sits
-    # inside a matrix differently (it depends on memory alignment), and a
-    # fresh row keeps the bits of a per-agent evaluation.
-    tc = [t[i, mask] for i in range(len(t))]
-    grad = np.array([float(np.dot(ti, xc)) for ti in tc])
-    curv = gamma * (np.array([float(np.dot(ti, xc * xc)) for ti in tc]) - grad * grad)
-    return grad, curv
+    xc = rows.class_x[c]
+    # One dot per contiguous row: BLAS rounds the dot of a strided row (a
+    # row of ``tilt[:, states]``, which numpy lays out column-major)
+    # differently, and a matrix-vector product differently again.
+    tc = np.take(tilt, rows.class_states[c], axis=1)
+    grad = np.array([float(np.dot(t, xc)) for t in tc])
+    if not curvature:
+        return grad, None
+    return grad, rows.gamma * (np.array([float(np.dot(t, xc * xc)) for t in tc])
+                               - grad * grad)
 
 
 def _newton_direction(grad: np.ndarray, curv: np.ndarray) -> np.ndarray | None:
@@ -224,30 +269,34 @@ def _refine_shares(profile: UtilityProfile, grid: MenuGrid,
     value never decreases and the iterate never leaves the product of
     simplices.
     """
-    rows = _PriorRows.of(profile)
+    rows = _PriorRows.of(profile, grid)
     smooth = not any(isinstance(u, MaxMinUtility) for u in profile.evaluators)
     steps = LINE_STEPS[:, None]
-    q = q0.copy()
-    vals, active = _welfare_values(rows, grid, q[None])
-    best, active = float(vals[0]), active[0]
+    n_classes, n = q0.shape
+    qz = np.append(q0, 0.0)
+    ev = _welfare_values(rows, qz[:, None])
+    best, tilt = float(ev.values[0]), ev.tilts(rows, 0)
     for _ in range(MAX_SWEEPS):
         sweep_gain = 0.0
-        for c in range(q.shape[0]):
-            grad, curv = _welfare_grad(rows, grid, q, c, active)
+        for c in range(n_classes):
+            block = slice(c * n, (c + 1) * n)
+            grad, curv = _welfare_grad(rows, tilt, c, smooth)
             newton = _newton_direction(grad, curv) if smooth else None
-            directions = [grad] if newton is None else [newton, grad]
-            trials = np.repeat(q[None], len(LINE_STEPS) * len(directions), axis=0)
-            trials[:, c] = _project_simplex(
-                np.concatenate([q[c] + steps * d for d in directions]))
-            vals, actives = _welfare_values(rows, grid, trials)
-            better = np.flatnonzero(vals > best)
-            if better.size:
-                k = better[0]
-                sweep_gain += vals[k] - best
-                best, q, active = float(vals[k]), trials[k], actives[k]
+            directions = grad[None] if newton is None else np.stack([newton, grad])
+            trials = _project_simplex(
+                qz[block] + (directions[:, None] * steps).reshape(-1, n))
+            stack = np.repeat(qz[:, None], len(trials), axis=1)
+            stack[block] = trials.T
+            ev = _welfare_values(rows, stack)
+            better = ev.values > best
+            k = int(better.argmax())
+            if better[k]:
+                sweep_gain += ev.values[k] - best
+                best, qz = float(ev.values[k]), stack[:, k].copy()
+                tilt = ev.tilts(rows, k)
         if sweep_gain < REFINE_TOL:
             break
-    return q, best
+    return qz[:-1].reshape(n_classes, n), best
 
 
 def maximize_welfare(profile: UtilityProfile, grid: MenuGrid, *,

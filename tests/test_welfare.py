@@ -442,6 +442,8 @@ def line_search_cases():
         ("max-min, zero-risk state", mm.profile, mm_grid),
         ("entropic, three classes and a zero-risk state", entropic_profile(space.probs, [1.0, 2.0, 4.0]),
          pc.enumerate_grid(space, x, 3, 3, state_classes=HURRICANE_CLASSES)),
+        ("max-min, three classes and a zero-risk state", maxmin_profile(space, [1.0, 2.0, 4.0], {1}),
+         pc.enumerate_grid(space, x, 3, 3, state_classes=HURRICANE_CLASSES)),
     ]
 
 
@@ -467,6 +469,44 @@ def test_batched_line_search_matches_the_serial_search_bit_for_bit(monkeypatch):
              for kind in ("newton", "gradient")}
     assert None in taken and 1.0 in steps["newton"]
     assert 1.0 in steps["gradient"] and any(s < 1.0 for s in steps["gradient"])
+
+
+def test_batched_line_search_breaks_prior_ties_at_the_lowest_index(monkeypatch):
+    monkeypatch.setattr(sys.modules[_refine_shares.__module__], "MAX_SWEEPS", 30)
+    # At the vertex where the max-min agent holds no share in any class its
+    # allocation is zero, so all of its priors tie at a certainty equivalent
+    # of exactly 0 and the lowest-index prior gives the first gradient; the
+    # hurricane grid has 8 states (a pairwise state sum) and a zero-risk one.
+    label, profile, grid = line_search_cases()[-1]
+    assert label.startswith("max-min, three classes")
+    q0 = np.zeros((grid.n_classes, 3))
+    q0[:, 0] = 1.0
+    u = profile.evaluators[1]
+    zero = np.zeros(len(grid.x))
+    assert len(grid.x) == 8 and np.any(grid.class_of_state < 0)
+    assert all(serial_ce(zero, nu, u.gamma) == 0.0 for nu in u.credal.priors)
+    q_ref, best_ref, taken = serial_refine(profile, grid, q0, max_sweeps=30)
+    q, best = _refine_shares(profile, grid, q0)
+    assert q.tobytes() == q_ref.tobytes() and best == best_ref
+    assert taken[0] is not None
+
+
+def test_refinement_does_not_depend_on_the_heap_layout():
+    # Shaped like the benchmark's sweep-4x4-single scenarios: four agents,
+    # two of them max-min, four states, one share class.  Between the two
+    # runs the odd-sized arrays held here move where the kernel's
+    # temporaries land; the refined bytes must not move with them.
+    space = pc.StateSpace(["a", "b", "c", "d"], [0.4, 0.3, 0.2, 0.1])
+    x = np.array([-1.0, 0.5, -2.0, 1.5])
+    profile = maxmin_profile(space, [0.7, 1.9, 1.1, 2.3], {1, 3})
+    grid = pc.enumerate_grid(space, x, 4, 6, state_classes="single")
+    q0 = grid.share(int(np.argmax(profile.matrix(grid).sum(axis=1))))
+    q1, best1 = _refine_shares(profile, grid, q0)
+    held = [np.full(k, float(k)) for k in (1, 3, 5, 7, 9, 11, 13, 47, 141)]
+    q2, best2 = _refine_shares(profile, grid, q0)
+    del held
+    assert not np.array_equal(q1, q0)
+    assert q1.tobytes() == q2.tobytes() and best1.hex() == best2.hex()
 
 
 def test_line_search_has_the_halving_steps_above_the_floor():
