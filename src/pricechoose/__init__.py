@@ -46,8 +46,6 @@ from .mechanism import (
 from .menu import (
     FeasibilityReport,
     MenuGrid,
-    WeakStarMetric,
-    build_metric,
     compositions,
     enumerate_grid,
     grid_point_count,
@@ -72,7 +70,6 @@ from .utility import (
     estimate_lipschitz,
     evaluate,
     evaluate_grid,
-    worst_case_prior,
 )
 from .welfare import (
     ParetoCheck,
@@ -80,5 +77,4 @@ from .welfare import (
     closed_form_entropic,
     maximize_welfare,
     pareto_check,
-    welfare,
 )

@@ -7,13 +7,19 @@ X(w), every feasible allocation obeys the coordinatewise bound |xi_i| <= |X|.
 
 Menus are finite grids over this set, parameterized by per-state share points
 on the (n-1)-simplex, together with a full-support probability weighting and
-a weak*-style metric
+one fixed weak*-style metric
 
-    d(xi, eta) = sum_k 2^-(k+1) * |<xi - eta, h_k>|,
+    d(xi, eta) = sum_k 2^-(k+1) * |<xi - eta, h_k>|,   <xi, h> = E_P[xi . h],
 
-where the test family {h_k} starts with the per-agent mass functionals
-e_i (x) 1 and continues with per-(agent, state) coordinate indicators, each
-normalized to unit L1 norm under the reference probability.
+over n + n*m test functions, each of unit L1 norm under the reference
+probability P: first the agent mass functionals h_i = e_i (x) 1 (k = i),
+then the coordinate indicators h = e_i (x) 1_w / P(w) (k = n + i*m + w).
+Agent i's mass functional enters with weight 2^-(i+1), so every pair of
+allocations obeys the mass certificate
+
+    |E_P[xi_i - eta_i]| <= 2^(i+1) * d(xi, eta).
+
+The indicators make d separate allocations: d(xi, eta) = 0 forces xi = eta.
 
 On a grid every allocation is linear in its class shares q (one simplex point
 per state class), so each pairing <xi, h_k> is a row of coefficients on q.
@@ -47,7 +53,7 @@ back to the coordinatewise-range upper bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 from numbers import Integral
@@ -172,91 +178,6 @@ def shares_to_allocation(q, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Weak*-style metric
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WeakStarMetric:
-    """Truncated series metric over a finite family of unit-norm test functions.
-
-    The first n members are the agent mass functionals e_i (x) 1 (already of
-    unit L1 norm under the reference probability); the rest are per-(agent,
-    state) coordinate indicators scaled by 1/P(w).  Member k enters with
-    series weight 2^-(k+1), so the mass functional of agent i certifies
-
-        |E_P[xi_i - eta_i]| <= c_i * d(xi, eta),   c_i = 2^(i+1).
-    """
-
-    probs: np.ndarray = field(repr=False)
-    test_functions: np.ndarray = field(repr=False)   # (M, n, m)
-    weights: np.ndarray = field(repr=False)          # (M,)
-    agent_mass_weights: np.ndarray = field(repr=False)  # (n,) the c_i
-
-    @property
-    def n_members(self) -> int:
-        return self.test_functions.shape[0]
-
-    @property
-    def n_agents(self) -> int:
-        return self.test_functions.shape[1]
-
-    def features(self, points: np.ndarray) -> np.ndarray:
-        """Pairings <xi, h_k> for a (P x n x m) stack of allocations."""
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 2
-        if single:
-            pts = pts[None]
-        p, n, m = pts.shape
-        weighted = self.test_functions * self.probs[None, None, :]
-        g = pts.reshape(p, n * m) @ weighted.reshape(self.n_members, n * m).T
-        return g[0] if single else g
-
-    def distance(self, a, b) -> float:
-        ga = self.features(np.asarray(a, dtype=float))
-        gb = self.features(np.asarray(b, dtype=float))
-        return float(np.dot(self.weights, np.abs(ga - gb)))
-
-
-def build_metric(space: StateSpace, n_agents: int,
-                 max_members: int | None = None) -> WeakStarMetric:
-    """Default test family: n agent-mass functionals, then all coordinate indicators.
-
-    The full family separates allocations exactly: d(a, b) = 0 forces a = b
-    entrywise.  Truncating below n + n*m loses that separation and is only
-    allowed down to the n mandatory members.
-    """
-    m = space.n_states
-    members = []
-    for i in range(n_agents):
-        h = np.zeros((n_agents, m))
-        h[i, :] = 1.0
-        members.append(h)
-    for i in range(n_agents):
-        for w in range(m):
-            h = np.zeros((n_agents, m))
-            h[i, w] = 1.0 / space.probs[w]
-            members.append(h)
-    if max_members is not None:
-        if max_members < n_agents:
-            raise ValidationError(
-                f"metric family needs at least the {n_agents} agent mass members"
-            )
-        members = members[:max_members]
-    fam = np.array(members)
-    weights = 0.5 ** np.arange(1, len(members) + 1)
-    c = 2.0 ** np.arange(1, n_agents + 1)
-    fam.setflags(write=False)
-    weights.setflags(write=False)
-    c.setflags(write=False)
-    return WeakStarMetric(
-        probs=space.probs,
-        test_functions=fam,
-        weights=weights,
-        agent_mass_weights=c,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Grid enumeration
 # ---------------------------------------------------------------------------
 
@@ -335,8 +256,7 @@ class MenuGrid:
 
     def __init__(self, space: StateSpace, x: np.ndarray, n_agents: int,
                  resolution: int, class_of_state: np.ndarray, table: np.ndarray,
-                 weights: np.ndarray, metric: WeakStarMetric,
-                 weights_kind: str) -> None:
+                 weights: np.ndarray, weights_kind: str) -> None:
         self.space = space
         self.x = x
         self.n_agents = n_agents
@@ -346,7 +266,6 @@ class MenuGrid:
         self.table = table
         self.n_points = table.shape[0] ** self.n_classes
         self.weights = weights
-        self.metric = metric
         self.weights_kind = weights_kind
         # Point k's class-c digit is k // K^(C-1-c) % K; a zero-risk state
         # (class -1) reads place 1, and every diagonal point is 0 there.
@@ -425,24 +344,33 @@ class MenuGrid:
         """(feature map, feature weights) of the metric on this grid.
 
         Row k of the coefficient matrix is <xi, h_k> as a linear form in the
-        flattened (class, agent) shares: the sum over the states w of class
-        c of h_k[i, w] P(w) X(w).  Single-entry rows merge into their column
-        with weight sum 2^-(k+1) |coef|; all-zero rows drop out; the rest
-        stay as they are.
+        flattened (class, agent) shares.  The mass member of agent i sums
+        P(w) X(w) over the states w of class c into column (c, i); the
+        indicator of (i, w) puts (1/P(w)) P(w) X(w) into column (c(w), i)
+        alone.  Single-entry rows merge into their column with weight sum
+        2^-(k+1) |coef|; all-zero rows drop out; the rest stay as they are.
         """
-        metric, cls = self.metric, self.class_of_state
+        n, probs, cls = self.n_agents, self.space.probs, self.class_of_state
         onehot = np.zeros((len(self.x), self.n_classes))
         member = cls >= 0
         onehot[member, cls[member]] = 1.0
-        weighted = metric.test_functions * (metric.probs * self.x)[None, None, :]
-        rows = (weighted @ onehot).transpose(0, 2, 1).reshape(metric.n_members, -1)
+        px = probs * self.x
+        eye = np.eye(n)
+        # One (n x m) @ (m x C) product per mass member, and the merge's
+        # gemv over every member row, zero rows included: a closed-form
+        # class sum or a merge over nonzero rows alone rounds differently.
+        mass = (eye[:, :, None] * px) @ onehot                     # (n, n, C)
+        coord = eye[:, None, None, :] * ((1.0 / probs * px)[:, None] * onehot)[..., None]
+        rows = np.concatenate([mass.transpose(0, 2, 1).reshape(n, -1),
+                               coord.reshape(n * len(self.x), -1)])
+        series = 0.5 ** np.arange(1, len(rows) + 1)
         nnz = np.count_nonzero(rows, axis=1)
         single = nnz == 1
         kept = nnz > 1
-        merged = metric.weights[single] @ np.abs(rows[single])
+        merged = series[single] @ np.abs(rows[single])
         cols = np.nonzero(merged)[0]
         feature_map = np.concatenate([rows[kept], np.eye(rows.shape[1])[cols]])
-        weights = np.concatenate([metric.weights[kept], merged[cols]])
+        weights = np.concatenate([series[kept], merged[cols]])
         feature_map.setflags(write=False)
         weights.setflags(write=False)
         return feature_map, weights
@@ -602,8 +530,7 @@ def check_grid_size(x, n_agents: int, resolution: int,
 
 def enumerate_grid(space: StateSpace, x, n_agents: int, resolution: int, *,
                    state_classes="per_state", weights: str = "uniform",
-                   budget: int = DEFAULT_GRID_BUDGET,
-                   metric: WeakStarMetric | None = None) -> MenuGrid:
+                   budget: int = DEFAULT_GRID_BUDGET) -> MenuGrid:
     """Enumerate the share grid with denominators equal to ``resolution``.
 
     Per nonzero-state class, all simplex compositions with the given
@@ -618,8 +545,6 @@ def enumerate_grid(space: StateSpace, x, n_agents: int, resolution: int, *,
         raise ValidationError("resolution must be >= 1")
     cls, _ = _resolve_state_classes(x, state_classes)
     p = check_grid_size(x, n_agents, resolution, state_classes, weights, budget)
-    if metric is None:
-        metric = build_metric(space, n_agents)
 
     if weights == "uniform":
         wts = np.full(p, 1.0 / p)
@@ -630,8 +555,7 @@ def enumerate_grid(space: StateSpace, x, n_agents: int, resolution: int, *,
         raise ValidationError(f"unknown weights kind {weights!r}")
 
     table = compositions(resolution, n_agents) / float(resolution)
-    return MenuGrid(space, x, n_agents, resolution, cls, table, wts, metric,
-                    weights)
+    return MenuGrid(space, x, n_agents, resolution, cls, table, wts, weights)
 
 
 def integrate(grid: MenuGrid, f) -> float:

@@ -105,31 +105,30 @@ def _space_checks(config: ScenarioConfig, grid) -> list[dict]:
     return checks
 
 
-def _metric_checks(grid, seed: int) -> list[dict]:
-    checks = []
+def _metric_checks(grid) -> list[dict]:
+    """The metric axioms, read off the metric's structure.
+
+    Every grid distance is d(a, b) = |g_a - g_b| . w, with features g linear
+    in the shares and one dot in a fixed order.  fl(x - y) = -fl(y - x), so
+    d(a, b) and d(b, a) agree bit for bit when every weight is finite; the
+    triangle inequality holds feature by feature, so it holds for d up to
+    rounding when every weight is also >= 0.  ``metric.symmetry`` counts
+    the weights that are not finite, and ``metric.triangle`` records the
+    largest negative weight (inf when a weight is not finite); both pass at
+    0.  ``metric.identity`` measures d(x, x) at point 0.
+    """
     d0 = grid.distance(0, 0)
-    checks.append(_bound("metric.identity", d0, 0.0, f"d(x,x) = {d0!r}"))
-    rng = np.random.default_rng([seed, 31_07])
-    triples = np.array([rng.integers(0, grid.n_points, size=3)
-                        for _ in range(min(30, grid.n_points ** 2))])
-    # Every sampled point's feature row in one read; each distance is then
-    # the dot of a fresh |difference| row, as in ``grid.distance``.
-    rows = grid._feature_rows(triples.ravel()).reshape(len(triples), 3, -1)
-
-    def dist(g, h) -> float:
-        return float(np.dot(grid.feature_weights, np.abs(g - h)))
-
-    worst_sym = 0.0
-    worst_tri = 0.0
-    for ga, gb, gc in rows:
-        dab = dist(ga, gb)
-        worst_sym = max(worst_sym, abs(dab - dist(gb, ga)))
-        worst_tri = max(worst_tri, dab - (dist(ga, gc) + dist(gc, gb)))
-    checks.append(_bound("metric.symmetry", worst_sym, 1e-15,
-                         f"max asymmetry {worst_sym:.3g}"))
-    checks.append(_bound("metric.triangle", worst_tri, 1e-12,
-                         f"max violation {worst_tri:.3g}"))
-    return checks
+    w = grid.feature_weights
+    finite = np.isfinite(w)
+    bad = int(np.count_nonzero(~finite))
+    worst = float(np.max(-w, initial=0.0)) if finite.all() else math.inf
+    low = f"{w.min():.3g}" if w.size else "none"
+    return [
+        _bound("metric.identity", d0, 0.0, f"d(x,x) = {d0!r}"),
+        _bound("metric.symmetry", float(bad), 0.0,
+               f"{bad} of {w.size} feature weights not finite"),
+        _bound("metric.triangle", worst, 0.0, f"min feature weight {low}"),
+    ]
 
 
 def _utility_checks(config: ScenarioConfig, grid, umat, ref_vals: dict,
@@ -323,7 +322,7 @@ def _run_experiment(config: ScenarioConfig, *,
     game = calibrate(profile, grid, cap=config.lipschitz_cap)
     umat = game.umat
 
-    best = maximize_welfare(profile, grid, refine=True, game=game)
+    best = maximize_welfare(game)
 
     closed = None
     if all(not isinstance(u, MaxMinUtility) for u in profile.evaluators):
@@ -339,7 +338,7 @@ def _run_experiment(config: ScenarioConfig, *,
                 if isinstance(u, MaxMinUtility)}
     checks = []
     checks += _space_checks(config, grid)
-    checks += _metric_checks(grid, config.seed)
+    checks += _metric_checks(grid)
     checks += _utility_checks(config, grid, umat, ref_vals, config.seed)
     feas = validate_feasible(best.allocation, x)
     checks.append(_check("welfare.argmax_feasible", feas.ok,

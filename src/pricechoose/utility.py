@@ -243,12 +243,6 @@ def evaluate_grid(u: Utility, grid: MenuGrid, agent: int) -> np.ndarray:
     return _table_ce(grid, agent, u.probs, u.gamma)
 
 
-def worst_case_prior(u: MaxMinUtility, xi, agent: int) -> int:
-    """Index of a minimizing prior; ties resolve to the lowest index."""
-    vals = u.values_per_prior(_agent_row(xi, agent))
-    return int(np.argmin(vals))
-
-
 def check_cash_invariance(u: Utility, xi, agent: int, c: float) -> float:
     """Residual |U(xi + c) - U(xi) - c|; the contract is <= 1e-9."""
     row = _agent_row(xi, agent)

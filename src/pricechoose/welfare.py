@@ -1,12 +1,11 @@
-"""Welfare functionals, the grid welfare maximizer with local share refinement,
-the proportional closed form for entropic agents, and a brute-force Pareto
-scan.
+"""The grid welfare maximizer with local share refinement, the proportional
+closed form for entropic agents, and a brute-force Pareto scan.
 
 The optimizer is two-tier: an exhaustive scan over the menu grid (which
-doubles as the brute-force oracle) followed by optional coordinate ascent
-over per-class shares with simplex projection.  Utilities are concave and
-the share space is a product of simplices, so local ascent from the grid
-winner is enough at desk scale.  The ascent's line search is batched: a
+doubles as the brute-force oracle) followed by coordinate ascent over
+per-class shares with simplex projection.  Utilities are concave and the
+share space is a product of simplices, so local ascent from the grid winner
+is enough at desk scale.  The ascent's line search is batched: a
 class block projects all of its halving steps onto the simplex in one call
 and evaluates their welfare as one stack, then accepts the largest
 improving step, so it takes the same steps as a serial halving search at a
@@ -37,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, StructuralError, UnsupportedProfileError
+from .errors import ConfigurationError, UnsupportedProfileError
 from .mechanism import Game
 from .menu import MenuGrid, shares_to_allocation, validate_feasible
 from .utility import (
@@ -45,7 +44,6 @@ from .utility import (
     MaxMinUtility,
     UtilityProfile,
     _entropic_ce,
-    evaluate,
 )
 
 PARETO_SLACK = 1e-12
@@ -80,14 +78,6 @@ class WelfareResult:
             "lam": self.lam,
             "allocation": np.asarray(self.allocation).tolist(),
         }
-
-
-def welfare(profile: UtilityProfile, xi, from_agent: int = 0) -> float:
-    """Tail welfare: the sum of utilities of agents from ``from_agent`` on."""
-    if not 0 <= from_agent < profile.n_agents:
-        raise StructuralError(f"from_agent {from_agent} out of range")
-    return float(sum(evaluate(u, xi, i)
-                     for i, u in enumerate(profile.evaluators) if i >= from_agent))
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -299,29 +289,21 @@ def _refine_shares(profile: UtilityProfile, grid: MenuGrid,
     return qz[:-1].reshape(n_classes, n), best
 
 
-def maximize_welfare(profile: UtilityProfile, grid: MenuGrid, *,
-                     refine: bool = False, game: Game | None = None) -> WelfareResult:
-    """Exhaustive grid argmax of welfare, optionally locally refined.
+def maximize_welfare(game: Game) -> WelfareResult:
+    """Exhaustive grid argmax of welfare, locally refined.
 
-    Pass the ``Game`` prepared for this profile and grid to read its utility
-    matrix and welfare vector instead of evaluating them again.  Ties
+    Reads the utility matrix and welfare vector the ``Game`` holds.  Ties
     resolve to the lowest enumeration index.  A refined point is
     re-validated against the feasibility invariants before it is returned.
     """
-    if game is None:
-        umat = profile.matrix(grid)
-        wvals = umat.sum(axis=1)
-    elif game.profile is not profile or game.grid is not grid:
-        raise StructuralError("game was prepared for another profile or grid")
-    else:
-        umat, wvals = game.umat, game.welfare
+    profile, grid, wvals = game.profile, game.grid, game.welfare
     idx = int(np.argmax(wvals))
     shares = grid.share(idx) if grid.n_classes else None
     allocation = grid.point(idx)
-    per_agent = umat[idx]
+    per_agent = game.umat[idx]
     method = "grid"
 
-    if refine and grid.n_classes:
+    if grid.n_classes:
         q, refined_val = _refine_shares(profile, grid, shares)
         if refined_val > wvals[idx]:
             rows = [q[grid.class_of_state[w]] if grid.class_of_state[w] >= 0 else None
@@ -340,7 +322,7 @@ def maximize_welfare(profile: UtilityProfile, grid: MenuGrid, *,
                          method=method, index=idx, shares=shares)
 
 
-def closed_form_entropic(profile_or_gammas, x, probs) -> WelfareResult:
+def closed_form_entropic(profile: UtilityProfile, x, probs) -> WelfareResult:
     """Proportional optimum for single-prior entropic agents.
 
     Weights are reciprocal risk aversions normalized to the simplex,
@@ -348,17 +330,9 @@ def closed_form_entropic(profile_or_gammas, x, probs) -> WelfareResult:
     exponential tilt with rate lam = (sum_j 1/gamma_j)^-1, and gamma_i * w_i
     = lam for all i (checked to 1e-12).
     """
-    if isinstance(profile_or_gammas, UtilityProfile):
-        gammas = []
-        for u in profile_or_gammas.evaluators:
-            if not isinstance(u, EntropicUtility):
-                raise UnsupportedProfileError(
-                    "closed form requires single-prior entropic agents"
-                )
-            gammas.append(u.gamma)
-    else:
-        gammas = [float(g) for g in profile_or_gammas]
-    gammas = np.asarray(gammas, dtype=float)
+    if not all(isinstance(u, EntropicUtility) for u in profile.evaluators):
+        raise UnsupportedProfileError("closed form requires single-prior entropic agents")
+    gammas = np.array([u.gamma for u in profile.evaluators])
     x = np.asarray(x, dtype=float)
     probs = np.asarray(probs, dtype=float)
 

@@ -38,7 +38,7 @@ def test_criterion_1_entropic_benchmark():
     profile = pc.UtilityProfile(tuple(pc.EntropicUtility(g, space.probs)
                                       for g in gammas))
     grid = pc.enumerate_grid(space, x, 3, 70, state_classes="single")
-    best = pc.maximize_welfare(profile, grid, refine=True)
+    best = pc.maximize_welfare(pc.calibrate(profile, grid))
     closed = pc.closed_form_entropic(profile, x, space.probs)
     elapsed = time.perf_counter() - started
 

@@ -19,7 +19,6 @@ import pytest
 import pricechoose as pc
 from conftest import deviation_gain, hurricane_space, sampled_deviations
 from pricechoose.errors import ParameterError
-from pricechoose.menu import WeakStarMetric, build_metric
 
 # ---------------------------------------------------------------------------
 # Whole-grid reference versions
@@ -126,17 +125,15 @@ def two_state_grid():
 
 
 def no_spanning_feature_grid():
-    """Three hurricane classes under a metric of coordinate indicators
-    alone: every feature touches one class, so no gap spans classes."""
-    space, endow = hurricane_space()
-    full = build_metric(space, 3)
-    metric = WeakStarMetric(probs=full.probs, test_functions=full.test_functions[3:],
-                            weights=full.weights[3:],
-                            agent_mass_weights=full.agent_mass_weights)
+    """Three classes, two of them mixed-sign with zero mass (sum over the
+    class of P(w) X(w) = 0), and a zero-risk state: every agent-mass
+    functional touches the third class alone, so no gap spans classes."""
+    space = pc.StateSpace(["calm", "a1", "a2", "b1", "b2", "c"],
+                          [0.2, 0.2, 0.2, 0.15, 0.15, 0.1])
     profile = pc.UtilityProfile(tuple(pc.EntropicUtility(g, space.probs)
                                       for g in (1.0, 2.0, 4.0)))
-    grid = pc.enumerate_grid(space, pc.aggregate_risk(endow), 3, 6,
-                             state_classes=CLASSES["three"], metric=metric)
+    grid = pc.enumerate_grid(space, np.array([0.0, -1.0, 1.0, -2.0, 2.0, -3.0]),
+                             3, 6, state_classes=[0, 1, 1, 2, 2, 3])
     assert grid.n_classes == 3 and grid._class_tables[2].size == 0
     return profile, grid
 

@@ -222,22 +222,52 @@ def test_geometric_weights_full_support():
 # metric
 # ---------------------------------------------------------------------------
 
+def series_pairings(space, points):
+    """<xi, h_k> = E_P[xi . h_k] for a (... x n x m) stack of allocations,
+    over the family the menu metric fixes: the agent mass functionals
+    e_i (x) 1, then the coordinate indicators e_i (x) 1_w / P(w) in (agent,
+    state) order."""
+    pts = np.asarray(points, dtype=float)
+    n, m = pts.shape[-2:]
+    family = [np.outer(np.eye(n)[i], np.ones(m)) for i in range(n)]
+    family += [np.outer(np.eye(n)[i], np.eye(m)[w] / space.probs[w])
+               for i in range(n) for w in range(m)]
+    return np.einsum("...im,kim,m->...k", pts, np.array(family), space.probs)
+
+
+def series_weights(n_members):
+    return 0.5 ** np.arange(1, n_members + 1)
+
+
+def series_distance(space, a, b):
+    """The series definition d(a, b) = sum_k 2^-(k+1) |<a - b, h_k>|."""
+    g = series_pairings(space, np.stack([a, b]))
+    return float(np.dot(series_weights(g.shape[1]), np.abs(g[0] - g[1])))
+
+
 def test_metric_zero_on_identical(two_state):
-    _, _, _, grid = two_state
-    assert grid.metric.distance(grid.point(3), grid.point(3)) == 0.0
+    space, _, _, grid = two_state
+    assert series_distance(space, grid.point(3), grid.point(3)) == 0.0
+    assert grid.distance(3, 3) == 0.0
+    assert grid.distances_to(3)[3] == 0.0
 
 
 def test_metric_agent_mass_certificate(two_state):
     space, x, _, grid = two_state
-    metric = grid.metric
     a = grid.point(10)
     b = a.copy()
     b[0, 0] += 0.25        # only agent 0 differs
     b[0, 1] -= 0.1
-    d = metric.distance(a, b)
+    d = series_distance(space, a, b)
     mean_gap = abs(float(np.dot(space.probs, a[0] - b[0])))
-    assert d >= metric.weights[0] * mean_gap - 1e-15
-    assert mean_gap <= metric.agent_mass_weights[0] * d + 1e-15
+    assert d >= 0.5 * mean_gap - 1e-15
+    assert mean_gap <= 2.0 * d + 1e-15
+    # On the grid: |E_P[xi_i - eta_i]| <= 2^(i+1) d(xi, eta) for every pair.
+    means = grid.points @ space.probs
+    for k in range(grid.n_points):
+        gaps = np.abs(means - means[k])
+        assert np.all(gaps <= 2.0 ** np.arange(1, 3) * grid.distances_to(k)[:, None]
+                      * (1 + 1e-14))
 
 
 def test_metric_positive_on_row_swap():
@@ -246,8 +276,11 @@ def test_metric_positive_on_row_swap():
     grid = pc.enumerate_grid(space, x, 2, 2)
     a = pc.shares_to_allocation(np.array([0.5, 0.5]), x)
     b = pc.shares_to_allocation(np.array([[1.0, 0.0], [0.0, 1.0]]), x)
-    assert grid.metric.distance(a, b) > 0.0
-
+    # Both agents hold the same mass in a and b: only the indicators see it.
+    assert np.array_equal(a @ space.probs, b @ space.probs)
+    assert series_distance(space, a, b) > 0.0
+    j, k = (int(np.flatnonzero((grid.points == p).all(axis=(1, 2)))[0]) for p in (a, b))
+    assert grid.distance(j, k) > 0.0
 
 def test_metric_separates_grid_points_exhaustively():
     space = pc.StateSpace(["a", "b"], [0.5, 0.5])
@@ -259,13 +292,6 @@ def test_metric_separates_grid_points_exhaustively():
     assert np.allclose(d, d.T)
 
 
-def _custom_metric(space, n_agents, members):
-    return pc.WeakStarMetric(probs=space.probs,
-                             test_functions=np.array(members, dtype=float),
-                             weights=0.5 ** np.arange(1, len(members) + 1),
-                             agent_mass_weights=2.0 ** np.arange(1, n_agents + 1))
-
-
 def _all_pairs_grids():
     space = pc.StateSpace(["a", "b", "c"], [0.5, 0.3, 0.2])
     x = np.array([-1.0, 0.0, 2.5])
@@ -273,43 +299,44 @@ def _all_pairs_grids():
     yield pc.enumerate_grid(space, x, 3, 5, state_classes="single")
     yield pc.enumerate_grid(space, np.array([-1.0, -2.0, -0.5]), 2, 5,
                             state_classes=["u", "v", "u"])
-    for k in (2, 4, 7):
-        yield pc.enumerate_grid(space, x, 2, 4,
-                                metric=pc.build_metric(space, 2, max_members=k))
     x3 = np.array([-1.0, -2.0, 3.0])
     yield pc.enumerate_grid(space, x3, 2, 4)
     yield pc.enumerate_grid(space, np.array([-1.0, 0.0, -0.5]), 3, 3,
                             state_classes=["u", "z", "v"])
     yield pc.enumerate_grid(space, np.zeros(3), 3, 4)
-    # The default family plus a test function pairing agents 0 and 1 in
-    # state a (one class) and one spanning states a and c.
-    pairs_agents = [[2.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-    spans_states = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 3.0]]
-    default = list(pc.build_metric(space, 3).test_functions)
-    yield pc.enumerate_grid(space, x3, 3, 2, metric=_custom_metric(
-        space, 3, default + [pairs_agents, spans_states]))
-    # Only state a is tested: the other two classes carry no feature.
-    yield pc.enumerate_grid(space, x3, 2, 3,
-                            metric=_custom_metric(space, 2, [pairs_agents[:2]]))
+    # A mixed-sign class of zero mass: P(a) X(a) + P(b) X(b) = 0, so every
+    # mass functional touches class v alone and no feature spans classes.
+    yield pc.enumerate_grid(space, np.array([-0.6, 1.0, 2.0]), 3, 3,
+                            state_classes=["u", "u", "v"])
+    # One class of zero mass: the mass functionals drop out.
+    yield pc.enumerate_grid(space, np.array([-0.6, 1.0, 0.0]), 3, 4,
+                            state_classes="single")
+    yield pc.enumerate_grid(space, np.array([-1.0, -2.0, 0.5]), 4, 2,
+                            state_classes=["u", "v", "u"])
+    # A mixed-sign class whose mass does not cancel.
+    yield pc.enumerate_grid(space, np.array([-1.0, 2.0, -0.5]), 2, 3,
+                            state_classes=["u", "u", "v"])
+    skewed = pc.StateSpace(["a", "b", "c"], [0.98, 0.01, 0.01])
+    yield pc.enumerate_grid(skewed, np.array([-1e3, 5e2, -2e2]), 2, 4)
 
 
 @pytest.mark.parametrize("grid", list(_all_pairs_grids()))
 def test_grid_distance_matches_metric_definition_all_pairs(grid):
-    # distances_to sums per-class terms, so a pair at zero distance in exact
-    # arithmetic (truncated families) may round to a few 1e-18 either way.
-    floor = 1e-16 * grid.diameter[0]
+    g = series_pairings(grid.space, grid.points)
+    w = series_weights(g.shape[1])
     worst = 0.0
     for k in range(grid.n_points):
         row = grid.distances_to(k)
         assert row.shape == (grid.n_points,)
         assert row[k] == 0.0
+        refs = np.abs(g - g[k]) @ w
         for j in range(grid.n_points):
-            ref = grid.metric.distance(grid.points[j], grid.points[k])
+            ref = refs[j]
             got = grid.distance(j, k)
             assert (got == 0.0) == (ref == 0.0)
             if ref:
                 worst = max(worst, abs(got - ref) / ref)
-            assert abs(row[j] - ref) <= 1e-14 * ref + floor
+            assert abs(row[j] - ref) <= 1e-14 * ref
     assert worst <= 1e-14
 
 
@@ -413,8 +440,12 @@ def test_merged_features_one_per_class_and_agent():
     # 3 classes x 3 agents, plus the 3 agent-mass functionals spanning them
     assert classes.features.shape == (classes.n_points, 12)
     assert classes.feature_weights.shape == (12,)
+    # n + n*m members; state 000 carries no risk, so its 3 indicators drop.
     per_state = pc.enumerate_grid(space, x, 3, 1)
-    assert per_state.features.shape[1] == per_state.metric.n_members - 3
+    assert per_state.features.shape[1] == 3 + 3 * 8 - 3
+    g = series_pairings(space, per_state.points)
+    d = np.abs(g - g[0]) @ series_weights(g.shape[1])
+    assert np.allclose(per_state.distances_to(0), d, rtol=1e-14, atol=0.0)
 
 
 @given(st.data())
@@ -426,14 +457,6 @@ def test_metric_triangle_inequality(data):
     dij = grid.distance(i, j)
     assert dij <= grid.distance(i, k) + grid.distance(k, j) + 1e-12
     assert dij == pytest.approx(grid.distance(j, i), abs=1e-15)
-
-
-def test_truncated_metric_keeps_mandatory_members():
-    space = pc.StateSpace(["a", "b"], [0.5, 0.5])
-    metric = pc.build_metric(space, 3, max_members=4)
-    assert metric.n_members == 4
-    with pytest.raises(pc.ValidationError):
-        pc.build_metric(space, 3, max_members=2)
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +618,9 @@ def test_vertex_diameter_exact_above_4096_points():
     assert exact
     vertices = np.nonzero(np.all(grid.shares.max(axis=2) == 1.0, axis=1))[0]
     assert len(vertices) == 2 ** 3
-    best = max(grid.metric.distance(grid.points[a], grid.points[b])
+    best = max(series_distance(grid.space, grid.points[a], grid.points[b])
                for a in vertices for b in vertices)
     assert abs(diam - best) <= 1e-14 * best
-    g = grid.metric.features(grid.points)
-    bound = float(np.dot(grid.metric.weights, g.max(axis=0) - g.min(axis=0)))
+    g = series_pairings(grid.space, grid.points)
+    bound = float(np.dot(series_weights(g.shape[1]), g.max(axis=0) - g.min(axis=0)))
     assert diam <= bound

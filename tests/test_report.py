@@ -226,6 +226,25 @@ def test_invariants_record_their_margins():
             assert check["passed"], check
 
 
+@pytest.mark.parametrize("weight, failing", [
+    (-1e-300, {"metric.triangle"}),
+    (float("nan"), {"metric.identity", "metric.symmetry", "metric.triangle"}),
+    (float("inf"), {"metric.identity", "metric.symmetry", "metric.triangle"}),
+    (-float("inf"), {"metric.identity", "metric.symmetry", "metric.triangle"}),
+])
+def test_metric_checks_fail_on_a_negative_or_non_finite_weight(two_state, weight,
+                                                               failing):
+    _, _, _, grid = two_state
+    assert all(c["passed"] for c in report._metric_checks(grid))
+    fmap, w = grid._merged_metric
+    w = w.copy()
+    w[1] = weight
+    grid.__dict__["_merged_metric"] = (fmap, w)
+    with np.errstate(invalid="ignore"):       # d(x, x) = inf * 0
+        checks = report._metric_checks(grid)
+    assert {c["name"] for c in checks if not c["passed"]} == failing
+
+
 # The behavioural contract: sha256 of the three files each bundled CLI run
 # writes, and of a seeded scenario with two max-min agents and two share
 # classes beside a zero-risk state (data/three_agent_maxmin.json), which
@@ -236,31 +255,31 @@ DATA = Path(__file__).resolve().parent / "data"
 SCENARIO_FILES = {"three-agent-maxmin": DATA / "three_agent_maxmin.json"}
 BUNDLED_RUNS = {
     ("two-agent-hand", "run"): (
-        "a51aec0249b3cc104f2565f684c00b83433cb4d97f1ab314f1761c5d8c4d5ac6",
+        "59bca4a3c4dd4579787e65c0c1f04c1d209d1fced63169b7eef5d0651355eb04",
         "d4f002d601b7202f01c87da0579f844c66e9eb1d5b94961aafd64a0bec9015df",
         "78c168ef0f918c7f75ec9891189c025c8916947e43ab056d813a2564b15c1afe"),
     ("two-agent-hand", "run-perturbed"): (
-        "737cf1abb3ece895d6b11b767f728353fb7ef4a930eb4ce980df18f24a2e9ae9",
+        "3d916ad4586239e107e33018d4d88fc8556c338169584721cf1e0218409cae67",
         "3f963f5e5580cc9f1c55b0054840bf7a6e1e23d1ca1d3df90a4914b3b401bddf",
         "be46471d172ad739c90d99cd58b9a4efbb81af0272d61994484a64213dd9041f"),
     ("two-agent-hand", "audit"): (
-        "84a64bd70880e9464cf5b83d7ad8178f4a7310b5f052f5bb1398649d54dc2eec",
+        "d6d4668a690ba853109387e29f95b7417eb424d06399d349b823182e484e9bb0",
         "403db2b6e2719b55555c1f463a9ff75a32cc18ec083e2d396f396f9631f30a49",
         "f4d404172eaab8bf53aeeae2ae5c61ebe02ca3726bcce77c9c030b75bb195f01"),
     ("hurricane-three-farmers", "run"): (
-        "98de4e1b704cb5849f425127367015546fecbe1ad4c02eba73e544c6b46ce44a",
+        "77489da132fab4b21abbb0307310e4eacb3bf75eb6a9df7e69834a76c46da513",
         "3a52bd52199642899e197c793752902c06e730a8e521bb7cea7843592d1c7cc2",
         "9f31d2a1a41bf11acd8212941f49d8a9ec04e8b1c906ca91f260bd9df5d92fce"),
     ("hurricane-three-farmers", "run-perturbed"): (
-        "50076cdd0148b73c8d2e7f218bbb47481774328be8b81a4f217e5c96bfe0c273",
+        "121eb02207a5230847fe32826ff5923955dc248f22b20d0b64fdbaab238be92a",
         "7233424c3d86bd99ae541054a61aa68093094358e3a3431523d7246fbc044885",
         "8c100bd47212ca0354b2f10c3e5408cc816d5d772842791622cdfb2896d59df7"),
     ("hurricane-three-farmers", "audit"): (
-        "1ccba652cb8d717011e3d1dda69005a8cdbd8ca52ff7e4a55989759a945e7358",
+        "5e596e0dcd535dd95eefa12875fa905b80e97b2e98a89ec0eaf1491ef02ad57b",
         "8fb16b301188ebee71a00033aa4dc1e39e7b9f31c9db1908807dcd5ff01d3c94",
         "4477bde65568e3f7359a14648aa76587e403d2a0aa06ba35c9d695d3bfc0bea1"),
     ("three-agent-maxmin", "run"): (
-        "df5b242016b7b905d8ad3996be49835f623bdcefd5eeca9a9edfcc32135f2f92",
+        "f1d7170222fad48bbb99679a6c6fccfaa2dea72159fbf1db0e7206408cfd8c26",
         "9481b568b3e3cb3268c360221e651c236f6012f4d9c547511ec6b7ec38fec7aa",
         "b6bc66246bb109dc198991d10d42c76537daa2ea5a4a569abcdec83f10e60b4d"),
 }

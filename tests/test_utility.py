@@ -59,23 +59,14 @@ def test_entropic_closed_form_value(coin):
     assert pc.evaluate(u, as_alloc([0.0, -1.0]), 0) == pytest.approx(expected, abs=1e-14)
 
 
-def test_worst_case_prior_singleton(coin):
-    u = pc.MaxMinUtility(1.0, pc.CredalSet(coin.probs[None, :], coin.probs))
-    assert pc.worst_case_prior(u, as_alloc([1.0, -2.0]), 0) == 0
-
-
 def test_worst_case_prior_picks_pessimistic(coin):
     priors = np.array([[0.5, 0.5], [0.2, 0.8]])   # prior 1 loads the loss state
     u = pc.MaxMinUtility(1.0, pc.CredalSet(priors, coin.probs))
     xi = as_alloc([0.0, -1.0])
     vals = [-math.log(p0 + p1 * math.e) for p0, p1 in priors]
     assert vals[1] < vals[0]
-    assert pc.worst_case_prior(u, xi, 0) == 1
+    assert int(np.argmin(u.values_per_prior(xi[0]))) == 1
     assert pc.evaluate(u, xi, 0) == pytest.approx(min(vals), abs=1e-14)
-
-
-def test_worst_case_prior_tie_goes_to_lowest_index(maxmin_coin):
-    assert pc.worst_case_prior(maxmin_coin, as_alloc([2.0, 2.0]), 0) == 0
 
 
 def test_maxmin_is_minimum_over_priors(coin, maxmin_coin):
@@ -203,10 +194,10 @@ def test_estimate_lipschitz_deterministic(two_state):
 
 def test_estimate_lipschitz_risk_neutral_mass_bound(two_state):
     _, _, _, grid = two_state
-    u = pc.EntropicUtility(1e-9, grid.metric.probs)
+    u = pc.EntropicUtility(1e-9, grid.space.probs)
     for agent in range(2):
         est = pc.estimate_lipschitz(u, grid, agent)
-        c = grid.metric.agent_mass_weights[agent]
+        c = 2.0 ** (agent + 1)      # the mass certificate's constant
         assert est <= c * (1.0 + 1e-6) + 1e-9
 
 

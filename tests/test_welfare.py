@@ -23,38 +23,14 @@ def sup_convolution_value(gammas, x, probs):
 
 
 # ---------------------------------------------------------------------------
-# tail welfare
-# ---------------------------------------------------------------------------
-
-def test_welfare_tail_sums(two_state):
-    _, _, profile, grid = two_state
-    xi = grid.point(13)
-    u0 = pc.evaluate(profile.evaluators[0], xi, 0)
-    u1 = pc.evaluate(profile.evaluators[1], xi, 1)
-    assert pc.welfare(profile, xi, 1) == pytest.approx(u1, abs=1e-14)
-    assert pc.welfare(profile, xi, 0) == pytest.approx(u0 + u1, abs=1e-14)
-
-
-def test_welfare_zero_allocation_is_zero():
-    space = pc.StateSpace(["a", "b"], [0.5, 0.5])
-    profile = entropic_profile(space.probs, [1.0, 2.0, 3.0])
-    assert pc.welfare(profile, np.zeros((3, 2)), 0) == 0.0
-
-
-def test_welfare_from_agent_out_of_range(two_state):
-    _, _, profile, grid = two_state
-    with pytest.raises(pc.StructuralError):
-        pc.welfare(profile, grid.point(0), 2)
-
-
-# ---------------------------------------------------------------------------
 # closed form
 # ---------------------------------------------------------------------------
 
 def test_closed_form_weights_and_tilt_rate():
     space, endow = hurricane_space()
     x = pc.aggregate_risk(endow)
-    res = pc.closed_form_entropic([1.0, 2.0, 4.0], x, space.probs)
+    res = pc.closed_form_entropic(entropic_profile(space.probs, [1.0, 2.0, 4.0]), x,
+                                  space.probs)
     expected_w = [float(Fraction(4, 7)), float(Fraction(2, 7)), float(Fraction(1, 7))]
     assert res.shares[0] == pytest.approx(expected_w, abs=1e-15)
     assert res.lam == pytest.approx(float(Fraction(4, 7)), abs=1e-15)
@@ -71,15 +47,16 @@ def test_closed_form_weights_and_tilt_rate():
 
 def test_closed_form_equal_gammas_split_evenly():
     space = pc.StateSpace(["a", "b"], [0.5, 0.5])
-    res = pc.closed_form_entropic([2.0, 2.0, 2.0, 2.0], np.array([-1.0, -2.0]),
-                                  space.probs)
+    res = pc.closed_form_entropic(entropic_profile(space.probs, [2.0] * 4),
+                                  np.array([-1.0, -2.0]), space.probs)
     assert res.shares[0] == pytest.approx([0.25] * 4, abs=1e-15)
 
 
 def test_closed_form_value_matches_sup_convolution_oracle():
     space, endow = hurricane_space()
     x = pc.aggregate_risk(endow)
-    res = pc.closed_form_entropic([1.0, 2.0, 4.0], x, space.probs)
+    res = pc.closed_form_entropic(entropic_profile(space.probs, [1.0, 2.0, 4.0]), x,
+                                  space.probs)
     assert res.value == pytest.approx(
         sup_convolution_value([1.0, 2.0, 4.0], x, space.probs), abs=1e-12)
     # every agent shares the same exponential tilt
@@ -94,7 +71,8 @@ def test_closed_form_matches_welfare_evaluation():
     x = pc.aggregate_risk(endow)
     profile = entropic_profile(space.probs, [1.0, 2.0, 4.0])
     res = pc.closed_form_entropic(profile, x, space.probs)
-    assert pc.welfare(profile, res.allocation, 0) == pytest.approx(res.value, abs=1e-12)
+    assert float(profile.at_point(res.allocation).sum()) == pytest.approx(res.value,
+                                                                           abs=1e-12)
 
 
 def test_closed_form_rejects_maxmin():
@@ -113,8 +91,8 @@ def test_single_point_grid_maximizer():
     space = pc.StateSpace(["a"], [1.0])
     profile = entropic_profile(space.probs, [1.0, 1.0])
     grid = pc.enumerate_grid(space, np.array([0.0]), 2, 5)
-    res = pc.maximize_welfare(profile, grid)
-    assert res.index == 0 and res.value == 0.0
+    res = pc.maximize_welfare(pc.calibrate(profile, grid))
+    assert res.index == 0 and res.value == 0.0 and res.method == "grid"
 
 
 def test_risk_neutral_agent_absorbs_the_loss():
@@ -123,23 +101,24 @@ def test_risk_neutral_agent_absorbs_the_loss():
     profile = pc.UtilityProfile((pc.EntropicUtility(2.0, space.probs),
                                  pc.EntropicUtility(1e-6, space.probs)))
     grid = pc.enumerate_grid(space, x, 2, 10)
-    res = pc.maximize_welfare(profile, grid)
-    assert np.array_equal(res.allocation[1], x)
-    assert np.all(res.allocation[0] == 0.0)
+    game = pc.calibrate(profile, grid)
+    best = grid.point(int(np.argmax(game.welfare)))
+    assert np.array_equal(best[1], x)
+    assert np.all(best[0] == 0.0)
 
 
 def test_grid_argmax_tie_breaks_low(hand):
     # all three menu points have identical total welfare (pure transfers)
     _, _, profile, grid = hand
-    res = pc.maximize_welfare(profile, grid)
+    res = pc.maximize_welfare(pc.calibrate(profile, grid))
     assert res.index == 0
 
 
 def test_refinement_never_decreases_and_stays_feasible(two_state):
     _, x, profile, grid = two_state
-    coarse = pc.maximize_welfare(profile, grid)
-    refined = pc.maximize_welfare(profile, grid, refine=True)
-    assert refined.value >= coarse.value
+    game = pc.calibrate(profile, grid)
+    refined = pc.maximize_welfare(game)
+    assert refined.value >= game.welfare.max()
     assert pc.validate_feasible(refined.allocation, x).ok
     if refined.method == "refined":
         assert refined.shares is not None
@@ -153,7 +132,7 @@ def test_refined_optimum_approaches_closed_form():
     gammas = [1.0, 2.0, 4.0]
     profile = entropic_profile(space.probs, gammas)
     grid = pc.enumerate_grid(space, x, 3, 10, state_classes="single")
-    res = pc.maximize_welfare(profile, grid, refine=True)
+    res = pc.maximize_welfare(pc.calibrate(profile, grid))
     oracle = sup_convolution_value(gammas, x, space.probs)
     assert res.value == pytest.approx(oracle, abs=1e-3)
     assert res.value <= oracle + 1e-12
@@ -170,33 +149,34 @@ def test_refinement_reaches_the_closed_form_on_a_product_grid():
     grid = pc.enumerate_grid(config.space, config.x, 3, 3,
                              state_classes=HURRICANE_CLASSES)
     assert grid.n_points == 1000
-    res = pc.maximize_welfare(config.profile, grid, refine=True)
+    res = pc.maximize_welfare(pc.calibrate(config.profile, grid))
     closed = pc.closed_form_entropic(config.profile, config.x, config.space.probs)
     assert res.method == "refined"
     assert abs(res.value - closed.value) <= 1e-11 * abs(closed.value)
 
 
-def test_maximizer_reads_the_prepared_game(two_state):
+def test_maximizer_reads_the_prepared_game(two_state, monkeypatch):
     _, _, profile, grid = two_state
     game = pc.calibrate(profile, grid)
-    res = pc.maximize_welfare(profile, grid, refine=True, game=game)
+
+    def no_matrix(self, grid):
+        raise AssertionError("maximize_welfare evaluated the utility matrix")
+
+    monkeypatch.setattr(pc.UtilityProfile, "matrix", no_matrix)
+    res = pc.maximize_welfare(game)
     assert res.index == int(np.argmax(game.welfare))
-    assert res.value == pc.maximize_welfare(profile, grid, refine=True).value
-    other = pc.UtilityProfile(profile.evaluators)
-    with pytest.raises(pc.StructuralError):
-        pc.maximize_welfare(other, grid, game=game)
 
 
 def test_sup_convolution_bound_over_grid(two_state):
     _, _, profile, grid = two_state
     game = pc.calibrate(profile, grid)
-    res = pc.maximize_welfare(profile, grid, game=game)
+    res = pc.maximize_welfare(game)
     assert float((game.umat.sum(axis=1) - res.value).max()) <= 1e-12
 
 
 def test_welfare_result_value_is_per_agent_sum(two_state):
     _, _, profile, grid = two_state
-    res = pc.maximize_welfare(profile, grid, refine=True)
+    res = pc.maximize_welfare(pc.calibrate(profile, grid))
     assert res.value == pytest.approx(float(res.per_agent.sum()), abs=1e-9)
 
 
@@ -206,7 +186,7 @@ def test_welfare_result_value_is_per_agent_sum(two_state):
 
 def test_welfare_maximizer_is_undominated(two_state):
     _, _, profile, grid = two_state
-    res = pc.maximize_welfare(profile, grid)
+    res = pc.maximize_welfare(pc.calibrate(profile, grid))
     check = pc.pareto_check(profile, grid, grid.point(res.index))
     assert check.optimal and check.attains_max
     assert check.dominating_index is None
@@ -526,7 +506,7 @@ def test_batched_line_search_is_warning_free_at_large_exponents():
     grid = pc.enumerate_grid(coin, xc, 3, 3)
     with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
         warnings.simplefilter("error")
-        res = pc.maximize_welfare(profile, grid, refine=True)
+        res = pc.maximize_welfare(pc.calibrate(profile, grid))
         q_ref, best_ref, _ = serial_refine(profile, grid, grid.share(res.index))
     assert res.method == "refined" and np.isfinite(res.value)
     assert res.shares.tobytes() == q_ref.tobytes()
@@ -544,7 +524,7 @@ def test_newton_rows_are_warning_free_at_large_exponents(scale, newton_taken):
     grid = pc.enumerate_grid(coin, xc, 3, 3)
     with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
         warnings.simplefilter("error")
-        res = pc.maximize_welfare(profile, grid, refine=True)
+        res = pc.maximize_welfare(pc.calibrate(profile, grid))
         q_ref, best_ref, taken = serial_refine(profile, grid, grid.share(res.index))
     assert res.method == "refined" and np.isfinite(res.value)
     assert res.shares.tobytes() == q_ref.tobytes()
