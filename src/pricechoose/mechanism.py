@@ -48,7 +48,8 @@ class Game:
     Holds the utility matrix, the calibrated Lipschitz data, the menu
     averages Avg_i, the welfare W of every grid point (its row sum, added
     in agent order) and W_max.  Build it once with ``calibrate`` and pass
-    it along.
+    it along.  Each equalizing schedule is built once per tail of the
+    posting order and kept here.
     """
 
     profile: UtilityProfile
@@ -59,6 +60,8 @@ class Game:
     averages: np.ndarray = field(repr=False)
     welfare: np.ndarray = field(repr=False)
     welfare_max: float
+    _schedules: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     @property
     def n_agents(self) -> int:
@@ -154,6 +157,14 @@ class ScheduleDiagnostics:
         return self.zero_mean_ok and self.lip_ok and self.sup_ok
 
 
+def _sup_norm(values: np.ndarray) -> float:
+    """max |v| without a |v| temporary; NaN propagates, and + 0.0 turns a
+    -0.0 into the +0.0 that |v| gives."""
+    if not values.size:
+        return 0.0
+    return float(np.maximum(values.max(), -values.min()) + 0.0)
+
+
 def validate_schedule(schedule: PriceSchedule, grid: MenuGrid,
                       stage_cap: float) -> ScheduleDiagnostics:
     """Check zero mean, the Lipschitz cap, and the diameter sup-norm bound."""
@@ -164,7 +175,7 @@ def validate_schedule(schedule: PriceSchedule, grid: MenuGrid,
         zero_mean_residual=residual,
         empirical_lip=emp,
         lip_cap=stage_cap,
-        sup_norm=float(np.abs(schedule.values).max()) if schedule.values.size else 0.0,
+        sup_norm=_sup_norm(schedule.values),
         sup_bound=stage_cap * diam,
         diameter_exact=exact,
     )
@@ -193,14 +204,20 @@ def _resolve_order(n: int, order) -> list[int]:
 
 def _equalize(game: Game, leader: int,
               order: list[int]) -> tuple[PriceSchedule, ScheduleDiagnostics]:
-    """Equalizing schedule of ``leader`` plus the diagnostics that admitted it."""
+    """Equalizing schedule of ``leader`` plus the diagnostics that admitted it.
+
+    The schedule depends only on the agents after the leader, in posting
+    order, so it is built once per such tail and memoised on the game.
+    """
     n = game.n_agents
     if not 0 <= leader <= n - 2:
         raise StructuralError(f"leader {leader} out of range for {n} agents")
+    key = tuple(order[leader + 1:])
+    if key in game._schedules:
+        return game._schedules[key]
     tail = _tail_values(game.umat, order, leader + 1)
     values = tail - integrate(game.grid, tail)
-    declared = float(sum(game.agent_lipschitz[order[j]]
-                         for j in range(leader + 1, n)))
+    declared = float(sum(game.agent_lipschitz[j] for j in key))
     schedule = PriceSchedule(values=values, declared_lip=declared)
     diag = validate_schedule(schedule, game.grid, game.stage_cap)
     if not diag.lip_ok:
@@ -209,6 +226,7 @@ def _equalize(game: Game, leader: int,
             f"over the cap {game.stage_cap:.6g}; the cap is too small for the "
             "declared utilities"
         )
+    game._schedules[key] = schedule, diag
     return schedule, diag
 
 

@@ -70,6 +70,9 @@ DEFAULT_GRID_BUDGET = 200_000
 # Geometric point weights 2^-(k+1) underflow to zero past ~1070 points,
 # which would break the full-support invariant.
 GEOMETRIC_WEIGHT_LIMIT = 1000
+# The metric's series weight 2^-(k+1) is a positive float64 only up to
+# k = 1073, so a family of more members (n + n*m) stops separating points.
+METRIC_MEMBER_LIMIT = 1074
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +514,9 @@ def check_grid_size(x, n_agents: int, resolution: int,
                     state_classes="per_state", weights: str = "uniform",
                     budget: int = DEFAULT_GRID_BUDGET) -> int:
     """Point count of the grid ``enumerate_grid`` would build, once it passes
-    the two size rules: at most ``budget`` points (GridBudgetError), and at
-    most ``GEOMETRIC_WEIGHT_LIMIT`` under geometric weights
-    (ValidationError)."""
+    the three size rules: at most ``budget`` points (GridBudgetError), at
+    most ``GEOMETRIC_WEIGHT_LIMIT`` under geometric weights, and at most
+    ``METRIC_MEMBER_LIMIT`` metric members n + n*m (both ValidationError)."""
     p = grid_point_count(x, n_agents, resolution, state_classes)
     if p > budget:
         raise GridBudgetError(
@@ -524,6 +527,12 @@ def check_grid_size(x, n_agents: int, resolution: int,
         raise ValidationError(
             f"weights 'geometric' underflow beyond {GEOMETRIC_WEIGHT_LIMIT} "
             f"points, and the grid has {p}"
+        )
+    members = n_agents + n_agents * len(x)
+    if members > METRIC_MEMBER_LIMIT:
+        raise ValidationError(
+            f"the metric's weights 2^-(k+1) underflow beyond {METRIC_MEMBER_LIMIT} "
+            f"members, and {n_agents} agents over {len(x)} states make {members}"
         )
     return p
 

@@ -14,6 +14,11 @@ priors is stable.
 Max-min utility takes the minimum of the entropic value across a finite list
 of priors; the inner objective is linear in the prior, so for polytope credal
 sets evaluating the vertex list loses nothing.
+
+On a menu grid an agent's random variable is fixed by its share level in
+each state class, and its column of the composition table holds L <= K
+distinct levels, so ``evaluate_grid`` evaluates the agent L^C times, once
+per tuple of levels, and gathers the values onto the K^C grid points.
 """
 
 from __future__ import annotations
@@ -193,26 +198,25 @@ def evaluate(u: Utility, xi, agent: int) -> float:
     return float(u.values(_agent_row(xi, agent)))
 
 
-def _table_ce(grid: MenuGrid, agent: int, prior: np.ndarray,
-              gamma: float) -> np.ndarray:
-    """Entropic certainty equivalent of every point of a multi-class grid.
+def _product_ce(grid: MenuGrid, levels: np.ndarray, prior: np.ndarray,
+                gamma: float) -> np.ndarray:
+    """Entropic certainty equivalent on the (L,)*C product of share levels.
 
     E_nu[exp(-gamma xi)] is a sum of per-class terms: class c contributes
-    the K-vector S_c = sum_{w in c} nu(w) exp(-gamma q_{c,i} X(w) - a_c),
-    shifted by its own row maximum a_c, and the zero-risk states add their
-    mass.  On the product each term is rescaled to the point's shift
-    A = max(max_c a_c[j_c], 0 if X vanishes somewhere) before the log, so
-    no exponential can overflow.
+    the L-vector S_c = sum_{w in c} nu(w) exp(-gamma q X(w) - a_c) over the
+    levels q, shifted by its own row maximum a_c, and the zero-risk states
+    add their mass.  On the product each term is rescaled to the entry's
+    shift A = max(max_c a_c[l_c], 0 if X vanishes somewhere) before the
+    log, so no exponential can overflow.
     """
-    cls, x, k = grid.class_of_state, grid.x, grid.table.shape[0]
-    q = grid.table[:, agent]
+    cls, x, size, classes = grid.class_of_state, grid.x, len(levels), grid.n_classes
     shift, terms = None, []
-    for c in range(grid.n_classes):
+    for c in range(classes):
         states = cls == c
-        z = -gamma * np.outer(q, x[states])
+        z = -gamma * np.outer(levels, x[states])
         a = z.max(axis=1)
         s = np.sum(prior[states] * np.exp(z - a[:, None]), axis=1)
-        along = (1,) * c + (k,) + (1,) * (grid.n_classes - 1 - c)
+        along = (1,) * c + (size,) + (1,) * (classes - 1 - c)
         a, s = a.reshape(along), s.reshape(along)
         shift = a if shift is None else np.maximum(shift, a)
         terms.append((a, s))
@@ -223,24 +227,35 @@ def _table_ce(grid: MenuGrid, agent: int, prior: np.ndarray,
         total = zero_mass * np.exp(-shift)
     for a, s in terms:
         total = total + s * np.exp(a - shift)
-    ce = -(shift + np.log(total) - np.log(prior.sum())) / gamma
-    return ce.reshape(grid.n_points)
+    return -(shift + np.log(total) - np.log(prior.sum())) / gamma
 
 
 def evaluate_grid(u: Utility, grid: MenuGrid, agent: int) -> np.ndarray:
-    """The utility of ``agent`` at every grid point, from the grid's tables.
+    """The utility of ``agent`` at every grid point, from its share levels.
 
-    With at most one class the points are ``grid.diagonal_points`` and the
-    row formula of ``evaluate`` runs on them, bit for bit.  On a product
-    grid each prior's values are summed from per-class K-vectors (see
-    ``_table_ce``); a max-min evaluator takes the minimum over its priors.
+    The agent's random variable at a point is fixed by the agent's share
+    level in each class, and its column of ``grid.table`` holds L <= K
+    distinct levels, so the utility is evaluated L^C times and gathered
+    onto the P = K^C points.  With at most one class the row formula of
+    ``evaluate`` runs on each level's row, bit for bit.  On a product grid
+    each prior's values are summed from per-class L-vectors (see
+    ``_product_ce``); a max-min evaluator takes the minimum over its priors.
+    Every point's value is the float its own table rows would give.
     """
+    column = grid.table[:, agent] if grid.n_classes else grid.table[:1, agent]
+    levels, inv = np.unique(column, return_inverse=True)
     if grid.n_classes <= 1:
-        return np.asarray(u.values(grid.diagonal_points[:, agent, :]), dtype=float)
+        # x + 0.0 turns a -0.0 entry into +0.0, as in ``diagonal_points``.
+        rows = levels[:, None] * (grid.x + 0.0)
+        return np.asarray(u.values(rows), dtype=float)[inv]
     if isinstance(u, MaxMinUtility):
-        return np.min([_table_ce(grid, agent, nu, u.gamma)
-                       for nu in u.credal.priors], axis=0)
-    return _table_ce(grid, agent, u.probs, u.gamma)
+        values = np.min([_product_ce(grid, levels, nu, u.gamma)
+                         for nu in u.credal.priors], axis=0)
+    else:
+        values = _product_ce(grid, levels, u.probs, u.gamma)
+    for axis in range(grid.n_classes):
+        values = values.take(inv, axis=axis)
+    return values.reshape(grid.n_points)
 
 
 def check_cash_invariance(u: Utility, xi, agent: int, c: float) -> float:

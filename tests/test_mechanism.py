@@ -6,7 +6,7 @@ import pytest
 
 import pricechoose as pc
 from conftest import deviation_gain, sampled_deviations
-from pricechoose.mechanism import default_epsilon
+from pricechoose.mechanism import _sup_norm, default_epsilon
 
 
 def exact_run(profile, grid):
@@ -87,6 +87,23 @@ def test_equalizing_zero_mean_and_admissible(two_state):
     diag = pc.validate_schedule(p, grid, game.stage_cap)
     assert diag.ok
     assert diag.zero_mean_residual <= 1e-9
+
+
+@pytest.mark.parametrize("values", [
+    [0.0], [-0.0], [0.0, -0.0], [-0.0, 0.0], [-3.0, 2.5], [1.0, np.nan, -4.0],
+    [-np.inf, 1.0], [], np.linspace(-2.0, 1.0, 97)])
+def test_sup_norm_is_the_largest_absolute_value_bit_for_bit(values):
+    v = np.array(values, dtype=float)
+    expected = float(np.abs(v).max()) if v.size else 0.0
+    assert np.float64(_sup_norm(v)).tobytes() == np.float64(expected).tobytes()
+
+
+def test_equalizing_schedule_is_built_once_per_tail(two_state):
+    _, _, profile, grid = two_state
+    game = pc.calibrate(profile, grid)
+    first = pc.equalizing_price(game, 0)
+    assert pc.equalizing_price(game, 0) is first
+    assert pc.equalizing_price(game, 0, order=[1, 0]) is not first
 
 
 def test_equalizing_rejects_too_small_cap(two_state):

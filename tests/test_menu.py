@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pricechoose as pc
-from pricechoose.menu import _pair_distances, compositions
+from pricechoose.menu import (METRIC_MEMBER_LIMIT, _pair_distances, check_grid_size,
+                              compositions)
 
 from conftest import hurricane_space
 
@@ -216,6 +217,26 @@ def test_geometric_weights_full_support():
     assert grid.weights[0] > grid.weights[-1]
     with pytest.raises(pc.ValidationError, match="underflow"):
         pc.enumerate_grid(space, np.array([-1.0]), 2, 2000, weights="geometric")
+
+
+def test_metric_member_limit_rejects_underflowing_series_weights():
+    """Past METRIC_MEMBER_LIMIT members the series weight 2^-(k+1) is 0.
+    On this 3-agent, 1,100-state grid (class 1 alternates -1/+1, so it has
+    zero mass) points 6 and 7 differ by 1.0 in agents 1 and 2's class-1
+    entries, yet the underflowed weights would put them at distance 0."""
+    assert 0.5 ** METRIC_MEMBER_LIMIT > 0.0 == 0.5 ** (METRIC_MEMBER_LIMIT + 1)
+    m = 1100
+    space = pc.StateSpace([f"s{w}" for w in range(m)], np.full(m, 1.0 / m))
+    x = np.concatenate([np.full(550, -1.0), np.tile([-1.0, 1.0], 275)])
+    classes = [0] * 550 + [1] * 550
+    with pytest.raises(pc.ValidationError, match="underflow beyond 1074 members"):
+        pc.enumerate_grid(space, x, 3, 1, state_classes=classes)
+    with pytest.raises(pc.ValidationError, match="3 agents over 1100 states make 3303"):
+        check_grid_size(x, 3, 1, classes)
+    # n + n*m = 1074 is the largest family the weights keep apart.
+    assert check_grid_size(np.ones(536), 2, 3, "single") == 4
+    with pytest.raises(pc.ValidationError, match="underflow"):
+        check_grid_size(np.ones(537), 2, 3, "single")
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,10 @@ def count_calls(monkeypatch, owner, name):
 def test_run_experiment_computes_shared_data_once(monkeypatch):
     """n = 3: one utility matrix and one set of averages; n mechanism runs
     (one per auction branch, the winner-0 branch doubling as the exact
-    mechanism run), each validating its n - 1 schedules once; the matrix
-    evaluates each agent's column once, and calibration and the report's
-    averages read it instead of re-evaluating.  Both audits are closed
+    mechanism run), whose orders 012, 102 and 201 post schedules for six
+    tails, of which (2,) repeats, so five schedules are built and validated
+    once each; the matrix evaluates each agent's column once, and
+    calibration and the report's averages read it instead of re-evaluating.  Both audits are closed
     forms, so no distance vector is built."""
     config = pc.load_scenario(SCENARIOS / "hurricane_three_farmers.json")
     assert config.profile.n_agents == 3 and config.mode == "exact"
@@ -58,7 +59,7 @@ def test_run_experiment_computes_shared_data_once(monkeypatch):
     assert result["all_invariants_pass"]
     assert {k: len(v) for k, v in calls.items()} == {
         "matrix": 1, "average_utilities": 1, "run_pnc": 3,
-        "validate_schedule": 6, "evaluate_grid": 3, "distances_to": 0}
+        "validate_schedule": 5, "evaluate_grid": 3, "distances_to": 0}
 
     # Perturbed mode adds one run; its n - 1 posted schedules share one
     # bump, so one distance vector.

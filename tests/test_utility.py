@@ -234,7 +234,7 @@ def test_profile_matrix_matches_pointwise(two_state):
 
 
 # ---------------------------------------------------------------------------
-# evaluate_grid: the per-class table evaluator against the row formula
+# evaluate_grid against the row formula
 # ---------------------------------------------------------------------------
 
 def _row_formula(u, grid, agent):
@@ -320,3 +320,86 @@ def test_evaluate_grid_shifts_large_exponents():
         with np.errstate(all="raise", under="ignore"):
             for agent in range(2):
                 _assert_close(*_table_vs_rows(u, grid, agent))
+
+
+# ---------------------------------------------------------------------------
+# evaluate_grid: the share-level path against the per-point table evaluator
+# ---------------------------------------------------------------------------
+
+def _per_point_table_ce(grid, agent, prior, gamma):
+    """The K^C evaluator the share-level path replaced: every class's
+    K-vector from the whole table column, combined on the (K,)*C product."""
+    cls, x, k = grid.class_of_state, grid.x, grid.table.shape[0]
+    q = grid.table[:, agent]
+    shift, terms = None, []
+    for c in range(grid.n_classes):
+        states = cls == c
+        z = -gamma * np.outer(q, x[states])
+        a = z.max(axis=1)
+        s = np.sum(prior[states] * np.exp(z - a[:, None]), axis=1)
+        along = (1,) * c + (k,) + (1,) * (grid.n_classes - 1 - c)
+        a, s = a.reshape(along), s.reshape(along)
+        shift = a if shift is None else np.maximum(shift, a)
+        terms.append((a, s))
+    total = 0.0
+    zero_mass = prior[cls < 0].sum()
+    if zero_mass > 0.0:
+        shift = np.maximum(shift, 0.0)
+        total = zero_mass * np.exp(-shift)
+    for a, s in terms:
+        total = total + s * np.exp(a - shift)
+    ce = -(shift + np.log(total) - np.log(prior.sum())) / gamma
+    return ce.reshape(grid.n_points)
+
+
+def _per_point_reference(u, grid, agent):
+    if grid.n_classes <= 1:
+        return np.asarray(u.values(grid.diagonal_points[:, agent, :]), dtype=float)
+    if isinstance(u, pc.MaxMinUtility):
+        return np.min([_per_point_table_ce(grid, agent, nu, u.gamma)
+                       for nu in u.credal.priors], axis=0)
+    return _per_point_table_ce(grid, agent, u.probs, u.gamma)
+
+
+def _level_path_grids():
+    space, endow = hurricane_space(hit_prob=0.2, loss=1.3)
+    x = pc.aggregate_risk(endow)
+    four = pc.StateSpace(["a", "b", "c", "d"], [0.1, 0.2, 0.3, 0.4])
+    three = pc.StateSpace(["a", "b", "c"], [0.2, 0.3, 0.5])
+    return {
+        "hurricane-labelled": (pc.enumerate_grid(
+            space, x, 3, 4, state_classes=[0, 1, 1, 2, 1, 2, 2, 3]), (0.8, 2.5)),
+        "per-state-n2": (pc.enumerate_grid(
+            four, np.array([-1.0, 2.0, -0.5, 1.5]), 2, 6), (0.8, 2.5)),
+        "labels-zero-risk": (pc.enumerate_grid(
+            four, np.array([-1.0, 0.0, 2.0, -3.0]), 3, 5,
+            state_classes=["p", "p", "q", "r"]), (0.8, 2.5)),
+        # gamma * ||X|| ~ 700
+        "large-exponent": (pc.enumerate_grid(
+            four, np.array([-7.0, 7.0, 0.0, -3.5]), 2, 20), (105.0,)),
+        "one-agent": (pc.enumerate_grid(
+            four, np.array([-1.0, 2.0, 0.0, -3.0]), 1, 4), (0.8,)),
+        "single-class": (pc.enumerate_grid(
+            space, x, 3, 12, state_classes="single"), (1.7,)),
+        "one-state-zero-risk": (pc.enumerate_grid(
+            three, np.array([0.0, -2.0, 0.0]), 3, 9), (1.7,)),
+        "no-class": (pc.enumerate_grid(three, np.zeros(3), 2, 5), (1.7,)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_level_path_grids()))
+def test_evaluate_grid_is_the_per_point_evaluator_bit_for_bit(name):
+    grid, gammas = _level_path_grids()[name]
+    rng = np.random.default_rng(17)
+    probs = grid.space.probs
+    for gamma in gammas:
+        for u in (pc.EntropicUtility(gamma, probs), _maxmin(grid.space, gamma, rng)):
+            for agent in range(grid.n_agents):
+                got = pc.evaluate_grid(u, grid, agent)
+                ref = _per_point_reference(u, grid, agent)
+                assert got.dtype == ref.dtype and got.shape == (grid.n_points,)
+                assert got.tobytes() == ref.tobytes()
+    if name == "per-state-n2":
+        assert len(np.unique(grid.table[:, 0])) == grid.table.shape[0]   # L = K
+    if name == "one-agent":
+        assert grid.n_classes == 3 and grid.n_points == 1 and grid.table.shape == (1, 1)
