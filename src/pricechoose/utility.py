@@ -19,6 +19,10 @@ On a menu grid an agent's random variable is fixed by its share level in
 each state class, and its column of the composition table holds L <= K
 distinct levels, so ``evaluate_grid`` evaluates the agent L^C times, once
 per tuple of levels, and gathers the values onto the K^C grid points.
+
+One kernel, ``_tilted_ce``, computes every certainty equivalent (a point,
+a grid's level tuples, the share refinement's trials) with the same floats
+for the same allocation, so a grid value is the value of its point.
 """
 
 from __future__ import annotations
@@ -32,6 +36,35 @@ from .errors import StructuralError, ValidationError
 from .menu import MenuGrid, integrate, lipschitz_ratio
 from .space import PROB_TOL, StateSpace
 
+# Most (state, level tuple) entries ``evaluate_grid`` evaluates at once.
+GRID_BLOCK = 2 ** 16
+
+
+def _tilted_ce(z: np.ndarray, priors: np.ndarray,
+               neg_gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Certainty equivalents of an (m x R x T) exponent table -gamma xi(w),
+    states first, under the prior rows ``priors`` (R x m); an (m x 1 x T)
+    table is shared by every row.  ``z`` is overwritten; ``neg_gamma`` is
+    -gamma, a scalar or (R x 1).  The max and the exponentials are taken
+    plane by plane, and the prior-weighted terms are written transposed
+    into a contiguous (R x T x m) table whose last axis is summed: numpy
+    adds a contiguous axis in 8-way pairwise partial sums from 8 entries on,
+    so each (row, trial) gets the floats of a one-allocation evaluation.
+    Returns the (R x T) values, the tilts nu(w) exp(z(w) - max z) and their
+    (R x T) sums.
+    """
+    a = np.maximum.reduce(z, axis=0)
+    z -= a
+    np.exp(z, out=z)
+    terms = np.empty((len(priors), z.shape[2], z.shape[0]))
+    np.multiply(z, priors.T[:, :, None], out=terms.transpose(2, 0, 1))
+    mass = np.add.reduce(terms, axis=-1)
+    ce = np.log(mass)
+    ce += a
+    ce -= np.log(np.add.reduce(priors, axis=-1))[:, None]
+    ce /= neg_gamma
+    return ce, terms, mass
+
 
 def _entropic_ce(values: np.ndarray, prior: np.ndarray, gamma: float) -> np.ndarray:
     """Certainty equivalent of each row of ``values`` under ``prior``.
@@ -41,16 +74,10 @@ def _entropic_ce(values: np.ndarray, prior: np.ndarray, gamma: float) -> np.ndar
     prior axis: the exponentials are computed once and shared, and each
     prior's values are the floats it gets on its own.
     """
-    z = -gamma * values
-    a = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - a)
-    a = np.squeeze(a, axis=-1)
-
-    def ce(nu: np.ndarray) -> np.ndarray:
-        s = np.add.reduce(nu * e, axis=-1)
-        return -(a + np.log(s) - np.log(np.add.reduce(nu))) / gamma
-
-    return ce(prior) if prior.ndim == 1 else np.stack([ce(nu) for nu in prior])
+    m = values.shape[-1]
+    z = np.multiply(values.reshape(-1, m).T, -gamma, order="C")
+    ce = _tilted_ce(z[:, None], prior.reshape(-1, m), -gamma)[0]
+    return ce.reshape(prior.shape[:-1] + values.shape[:-1])
 
 
 def _frozen(values) -> np.ndarray:
@@ -164,8 +191,10 @@ class UtilityProfile:
             raise StructuralError(
                 f"grid built for {grid.n_agents} agents, profile has {self.n_agents}"
             )
-        cols = [evaluate_grid(u, grid, i) for i, u in enumerate(self.evaluators)]
-        return np.stack(cols).T
+        out = np.empty((self.n_agents, grid.n_points))
+        for i, u in enumerate(self.evaluators):
+            out[i] = evaluate_grid(u, grid, i)
+        return out.T
 
     def at_point(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
@@ -198,62 +227,35 @@ def evaluate(u: Utility, xi, agent: int) -> float:
     return float(u.values(_agent_row(xi, agent)))
 
 
-def _product_ce(grid: MenuGrid, levels: np.ndarray, prior: np.ndarray,
-                gamma: float) -> np.ndarray:
-    """Entropic certainty equivalent on the (L,)*C product of share levels.
-
-    E_nu[exp(-gamma xi)] is a sum of per-class terms: class c contributes
-    the L-vector S_c = sum_{w in c} nu(w) exp(-gamma q X(w) - a_c) over the
-    levels q, shifted by its own row maximum a_c, and the zero-risk states
-    add their mass.  On the product each term is rescaled to the entry's
-    shift A = max(max_c a_c[l_c], 0 if X vanishes somewhere) before the
-    log, so no exponential can overflow.
-    """
-    cls, x, size, classes = grid.class_of_state, grid.x, len(levels), grid.n_classes
-    shift, terms = None, []
-    for c in range(classes):
-        states = cls == c
-        z = -gamma * np.outer(levels, x[states])
-        a = z.max(axis=1)
-        s = np.sum(prior[states] * np.exp(z - a[:, None]), axis=1)
-        along = (1,) * c + (size,) + (1,) * (classes - 1 - c)
-        a, s = a.reshape(along), s.reshape(along)
-        shift = a if shift is None else np.maximum(shift, a)
-        terms.append((a, s))
-    total = 0.0
-    zero_mass = prior[cls < 0].sum()
-    if zero_mass > 0.0:
-        shift = np.maximum(shift, 0.0)
-        total = zero_mass * np.exp(-shift)
-    for a, s in terms:
-        total = total + s * np.exp(a - shift)
-    return -(shift + np.log(total) - np.log(prior.sum())) / gamma
-
-
 def evaluate_grid(u: Utility, grid: MenuGrid, agent: int) -> np.ndarray:
     """The utility of ``agent`` at every grid point, from its share levels.
 
     The agent's random variable at a point is fixed by the agent's share
     level in each class, and its column of ``grid.table`` holds L <= K
-    distinct levels, so the utility is evaluated L^C times and gathered
-    onto the P = K^C points.  With at most one class the row formula of
-    ``evaluate`` runs on each level's row, bit for bit.  On a product grid
-    each prior's values are summed from per-class L-vectors (see
-    ``_product_ce``); a max-min evaluator takes the minimum over its priors.
-    Every point's value is the float its own table rows would give.
+    distinct levels, so the utility is evaluated L^C times, once per tuple
+    of levels, and gathered onto the P = K^C points.  Tuple t takes level
+    t // L^(C-1-c) % L in class c, and a zero-risk state reads +0.0.  The
+    tuples' state-major allocations go through ``_tilted_ce`` in blocks of
+    at most ``GRID_BLOCK`` (state, tuple) entries, so every point's value is
+    the float ``evaluate`` gives at that point.
     """
-    column = grid.table[:, agent] if grid.n_classes else grid.table[:1, agent]
-    levels, inv = np.unique(column, return_inverse=True)
-    if grid.n_classes <= 1:
-        # x + 0.0 turns a -0.0 entry into +0.0, as in ``diagonal_points``.
-        rows = levels[:, None] * (grid.x + 0.0)
-        return np.asarray(u.values(rows), dtype=float)[inv]
-    if isinstance(u, MaxMinUtility):
-        values = np.min([_product_ce(grid, levels, nu, u.gamma)
-                         for nu in u.credal.priors], axis=0)
-    else:
-        values = _product_ce(grid, levels, u.probs, u.gamma)
-    for axis in range(grid.n_classes):
+    levels, inv = np.unique(grid.table[:, agent], return_inverse=True)
+    size, classes = len(levels), grid.n_classes
+    places = np.append(size ** np.arange(classes - 1, -1, -1), 1)[:, None]
+    # x + 0.0 turns a -0.0 entry into +0.0, as in ``diagonal_points``.
+    x = (grid.x + 0.0)[:, None]
+    priors = u.credal.priors if isinstance(u, MaxMinUtility) else u.probs[None]
+    values = np.empty(size ** classes)
+    step = max(1, GRID_BLOCK // len(x))
+    for lo in range(0, len(values), step):
+        t = np.arange(lo, min(lo + step, len(values)))
+        z = levels[t // places % size][grid.class_of_state]
+        z *= x
+        z *= -u.gamma
+        ce = _tilted_ce(z[:, None], priors, -u.gamma)[0]
+        values[lo:lo + step] = np.minimum.reduce(ce, axis=0)
+    values = values.reshape((size,) * classes)
+    for axis in range(classes):
         values = values.take(inv, axis=axis)
     return values.reshape(grid.n_points)
 

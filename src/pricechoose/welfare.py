@@ -14,12 +14,12 @@ fraction of the Python calls.
 The stack is state-major: the short axes (states, every agent's prior
 rows) lead and the trial axis is contiguous, so the max over states and
 the min over an agent's priors are elementwise ops on whole planes rather
-than one short numpy reduce per row.  The one exception is the sum over
-states, which stays on a contiguous last axis: numpy adds such an axis in
-8-way pairwise partial sums from 8 entries on, and only the same reduce
-gives each trial the floats of a one-allocation evaluation.  The tilts
-that the next gradient reads come from the accepted trial's row of the
-same table, so the refined shares equal the serial search's bit for bit.
+than one short numpy reduce per row.  The stack is evaluated by
+``utility._tilted_ce``, the kernel behind ``evaluate`` and
+``evaluate_grid`` too, so each trial gets the floats of a one-allocation
+evaluation.  The tilts that the next gradient reads come from the
+accepted trial's row of the kernel's tilt table, so the refined shares
+equal the serial search's bit for bit.
 
 On a smooth profile (every agent entropic) each block's stack first holds
 the halving steps along a diagonal-Newton direction, which scales each
@@ -44,6 +44,7 @@ from .utility import (
     MaxMinUtility,
     UtilityProfile,
     _entropic_ce,
+    _tilted_ce,
 )
 
 PARETO_SLACK = 1e-12
@@ -111,7 +112,6 @@ class _PriorRows:
     gamma: np.ndarray       # (n,) each agent's risk aversion
     neg_gamma: np.ndarray   # (R x 1) minus the risk aversion of each row's agent
     priors: np.ndarray      # (R x m)
-    log_mass: np.ndarray    # (R x 1) log of each prior's total mass
     spans: tuple            # agent i owns rows spans[i][0]:spans[i][1]
     x: np.ndarray           # (m,) X(w), and 0 in the zero-risk states
     take: np.ndarray        # (m x R) share-stack row of prior row r in state w
@@ -135,7 +135,6 @@ class _PriorRows:
         return cls(gamma=gamma,
                    neg_gamma=-np.repeat(gamma, sizes)[:, None],
                    priors=priors,
-                   log_mass=np.log(np.add.reduce(priors, axis=-1))[:, None],
                    spans=tuple(zip(starts[:-1], starts[1:])),
                    x=np.where(member, grid.x, 0.0),
                    take=np.repeat(agent_take, sizes, axis=0).T.copy(),
@@ -164,28 +163,17 @@ class _Evaluation:
 def _welfare_values(rows: _PriorRows, stack: np.ndarray) -> _Evaluation:
     """Welfare at each trial of a (C n + 1 x T) share stack.
 
-    Every prior row of every trial is evaluated at once: one gather and one
-    multiply give the (m x R x T) allocations q X(w), the max over states
-    and the min over an agent's priors are taken plane by plane, and the
-    state sum runs over the contiguous last axis of the transposed exp
-    table, as in ``_entropic_ce`` (see the module docstring).  Each row gets
-    the floats ``_entropic_ce`` gives it, and the agents' values are added
-    in agent order.
+    One gather and one multiply give the (m x R x T) exponents -gamma q X(w)
+    of every prior row of every trial, and ``_tilted_ce`` evaluates them
+    all at once, so each row gets the floats ``evaluate`` gives it (see the
+    module docstring).  The min over an agent's priors is taken plane by
+    plane, and the agents' values are added in agent order.
     """
     z = np.take(stack, rows.take, axis=0)
     z *= rows.x[:, None, None]
     z *= rows.neg_gamma
-    a = np.maximum.reduce(z, axis=0)
-    z -= a
-    m, n_rows, n_trials = z.shape
-    terms = np.exp(z.transpose(1, 2, 0), out=np.empty((n_rows, n_trials, m)))
-    terms *= rows.priors[:, None, :]
-    mass = np.add.reduce(terms, axis=-1)
-    ce = np.log(mass)
-    ce += a
-    ce -= rows.log_mass
-    ce /= rows.neg_gamma
-    values = np.zeros(n_trials)
+    ce, terms, mass = _tilted_ce(z, rows.priors, rows.neg_gamma)
+    values = np.zeros(ce.shape[1])
     for lo, hi in rows.spans:
         values += ce[lo] if hi - lo == 1 else np.minimum.reduce(ce[lo:hi], axis=0)
     return _Evaluation(values, ce, terms, mass)

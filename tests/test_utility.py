@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pricechoose as pc
+from pricechoose.menu import grid_point_count
 
 from conftest import hurricane_space
 
@@ -229,31 +230,18 @@ def test_avg_utility_maxmin_below_reference(two_state):
 def test_profile_matrix_matches_pointwise(two_state):
     _, _, profile, grid = two_state
     umat = profile.matrix(grid)
-    for k in (0, 17, grid.n_points - 1):
-        assert umat[k] == pytest.approx(profile.at_point(grid.point(k)), abs=1e-14)
+    assert umat.flags.f_contiguous
+    for k in range(grid.n_points):
+        assert umat[k].tobytes() == profile.at_point(grid.point(k)).tobytes()
 
 
 # ---------------------------------------------------------------------------
-# evaluate_grid against the row formula
+# evaluate_grid: one kernel with ``evaluate``, bit for bit
 # ---------------------------------------------------------------------------
 
-def _row_formula(u, grid, agent):
-    """The row formula of ``evaluate`` on every point's row of the full array."""
-    return np.asarray(u.values(grid.points[:, agent, :]))
-
-
-def _table_vs_rows(u, grid, agent):
-    got = pc.evaluate_grid(u, grid, agent)
-    ref = _row_formula(u, grid, agent)
-    assert got.shape == (grid.n_points,) and np.all(np.isfinite(got))
-    return got, ref
-
-
-def _assert_close(got, ref):
-    """Within 1e-14 relative to the column's largest value: near U = 0 both
-    forms round the log of a sum of order 1, so pointwise ratios mean
-    nothing."""
-    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+def _per_point(u, grid, agent):
+    """``evaluate``'s row formula on every point's row of the full array."""
+    return np.asarray(u.values(grid.points[:, agent, :]), dtype=float)
 
 
 def _maxmin(space, gamma, rng, count=3):
@@ -264,50 +252,10 @@ def _maxmin(space, gamma, rng, count=3):
     return pc.MaxMinUtility(gamma, pc.CredalSet(np.array(priors), space.probs))
 
 
-def test_evaluate_grid_is_the_row_formula_on_single_class_grids():
-    space, endow = hurricane_space()
-    x = pc.aggregate_risk(endow)
-    rng = np.random.default_rng(5)
-    three = pc.StateSpace(["a", "b", "c"], [0.2, 0.3, 0.5])
-    grids = [
-        pc.enumerate_grid(space, x, 3, 12, state_classes="single"),
-        # one nonzero state plus a zero-risk state: one class
-        pc.enumerate_grid(three, np.array([0.0, -2.0, 0.0]), 3, 9),
-        pc.enumerate_grid(three, np.zeros(3), 2, 5),      # no class at all
-    ]
-    for grid in grids:
-        assert grid.n_classes <= 1
-        probs = grid.space.probs
-        for u in (pc.EntropicUtility(1.7, probs), _maxmin(grid.space, 0.9, rng)):
-            for agent in range(grid.n_agents):
-                got, ref = _table_vs_rows(u, grid, agent)
-                assert np.array_equal(got, ref)
-
-
-def test_evaluate_grid_matches_the_row_formula_on_product_grids():
-    space, endow = hurricane_space(hit_prob=0.2, loss=1.3)
-    x = pc.aggregate_risk(endow)
-    four = pc.StateSpace(["a", "b", "c", "d"], [0.1, 0.2, 0.3, 0.4])
-    grids = [
-        pc.enumerate_grid(space, x, 3, 4, state_classes=[0, 1, 1, 2, 1, 2, 2, 3]),
-        pc.enumerate_grid(four, np.array([-1.0, 2.0, -0.5, 1.5]), 2, 6),  # per_state
-        # labels with a zero-risk state, which belongs to no class
-        pc.enumerate_grid(four, np.array([-1.0, 0.0, 2.0, -3.0]), 3, 5,
-                          state_classes=["p", "p", "q", "r"]),
-    ]
-    rng = np.random.default_rng(11)
-    for grid in grids:
-        assert grid.n_classes > 1
-        probs = grid.space.probs
-        for u in (pc.EntropicUtility(0.8, probs), pc.EntropicUtility(2.5, probs),
-                  _maxmin(grid.space, 1.4, rng, count=3)):
-            for agent in range(grid.n_agents):
-                _assert_close(*_table_vs_rows(u, grid, agent))
-
-
 def test_evaluate_grid_shifts_large_exponents():
     """gamma * ||X|| ~ 700: an unshifted sum of exponentials overflows; the
-    shifted tables stay finite and raise no RuntimeWarning."""
+    shifted tables stay finite, raise no RuntimeWarning and give each point
+    its own value."""
     four = pc.StateSpace(["a", "b", "c", "d"], [0.1, 0.2, 0.3, 0.4])
     x = np.array([-7.0, 7.0, 0.0, -3.5])
     gamma = 105.0
@@ -319,46 +267,9 @@ def test_evaluate_grid_shifts_large_exponents():
     for u in (pc.EntropicUtility(gamma, four.probs), _maxmin(four, gamma, rng)):
         with np.errstate(all="raise", under="ignore"):
             for agent in range(2):
-                _assert_close(*_table_vs_rows(u, grid, agent))
-
-
-# ---------------------------------------------------------------------------
-# evaluate_grid: the share-level path against the per-point table evaluator
-# ---------------------------------------------------------------------------
-
-def _per_point_table_ce(grid, agent, prior, gamma):
-    """The K^C evaluator the share-level path replaced: every class's
-    K-vector from the whole table column, combined on the (K,)*C product."""
-    cls, x, k = grid.class_of_state, grid.x, grid.table.shape[0]
-    q = grid.table[:, agent]
-    shift, terms = None, []
-    for c in range(grid.n_classes):
-        states = cls == c
-        z = -gamma * np.outer(q, x[states])
-        a = z.max(axis=1)
-        s = np.sum(prior[states] * np.exp(z - a[:, None]), axis=1)
-        along = (1,) * c + (k,) + (1,) * (grid.n_classes - 1 - c)
-        a, s = a.reshape(along), s.reshape(along)
-        shift = a if shift is None else np.maximum(shift, a)
-        terms.append((a, s))
-    total = 0.0
-    zero_mass = prior[cls < 0].sum()
-    if zero_mass > 0.0:
-        shift = np.maximum(shift, 0.0)
-        total = zero_mass * np.exp(-shift)
-    for a, s in terms:
-        total = total + s * np.exp(a - shift)
-    ce = -(shift + np.log(total) - np.log(prior.sum())) / gamma
-    return ce.reshape(grid.n_points)
-
-
-def _per_point_reference(u, grid, agent):
-    if grid.n_classes <= 1:
-        return np.asarray(u.values(grid.diagonal_points[:, agent, :]), dtype=float)
-    if isinstance(u, pc.MaxMinUtility):
-        return np.min([_per_point_table_ce(grid, agent, nu, u.gamma)
-                       for nu in u.credal.priors], axis=0)
-    return _per_point_table_ce(grid, agent, u.probs, u.gamma)
+                got = pc.evaluate_grid(u, grid, agent)
+                assert np.all(np.isfinite(got))
+                assert got.tobytes() == _per_point(u, grid, agent).tobytes()
 
 
 def _level_path_grids():
@@ -396,10 +307,79 @@ def test_evaluate_grid_is_the_per_point_evaluator_bit_for_bit(name):
         for u in (pc.EntropicUtility(gamma, probs), _maxmin(grid.space, gamma, rng)):
             for agent in range(grid.n_agents):
                 got = pc.evaluate_grid(u, grid, agent)
-                ref = _per_point_reference(u, grid, agent)
+                ref = _per_point(u, grid, agent)
                 assert got.dtype == ref.dtype and got.shape == (grid.n_points,)
                 assert got.tobytes() == ref.tobytes()
     if name == "per-state-n2":
         assert len(np.unique(grid.table[:, 0])) == grid.table.shape[0]   # L = K
     if name == "one-agent":
         assert grid.n_classes == 3 and grid.n_points == 1 and grid.table.shape == (1, 1)
+
+
+def test_evaluate_grid_evaluates_in_bounded_blocks(monkeypatch):
+    """No kernel call holds more than GRID_BLOCK (state, tuple) entries, so
+    a fine grid over many states is not evaluated in one table."""
+    from pricechoose import utility
+
+    kernel, sizes = utility._tilted_ce, []
+
+    def counting(z, *args):
+        sizes.append(z.size)
+        return kernel(z, *args)
+
+    monkeypatch.setattr(utility, "_tilted_ce", counting)
+    m = 536                    # the most states a 2-agent metric separates
+    space = pc.StateSpace([f"s{w}" for w in range(m)], np.full(m, 1.0 / m))
+    x = -1.0 - np.arange(m) % 7 / 7.0
+    grids = [pc.enumerate_grid(space, x, 2, 20_000, state_classes="single"),
+             pc.enumerate_grid(space, x, 2, 140, state_classes=np.arange(m) % 2)]
+    for grid in grids:
+        sizes.clear()
+        vals = pc.evaluate_grid(pc.EntropicUtility(0.5, space.probs), grid, 0)
+        assert len(sizes) > 1 and max(sizes) <= utility.GRID_BLOCK
+        assert sum(sizes) == m * len(np.unique(grid.table[:, 0])) ** grid.n_classes
+        assert vals[0] == 0.0       # point 0 gives agent 0 nothing in every class
+
+
+@st.composite
+def small_scenarios(draw):
+    """A profile and a grid of at most 5,000 points: 1-4 agents, 1-6 states,
+    some of them zero-risk, random class labels, entropic and max-min
+    agents."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    coord = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    x = np.array(draw(st.lists(st.one_of(st.just(0.0), coord), min_size=m, max_size=m)))
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=m, max_size=m)))
+    space = pc.StateSpace([f"s{w}" for w in range(m)], weights / weights.sum())
+    labels = draw(st.one_of(st.sampled_from(["per_state", "single"]),
+                            st.lists(st.integers(0, 2), min_size=m, max_size=m)))
+    resolution = draw(st.integers(1, 6))
+    while resolution > 1 and grid_point_count(x, n, resolution, labels) > 5_000:
+        resolution -= 1
+    assume(grid_point_count(x, n, resolution, labels) <= 5_000)
+    evaluators = []
+    for _ in range(n):
+        gamma = draw(st.floats(0.05, 20.0))
+        count = draw(st.integers(1, 3))
+        if count == 1:
+            evaluators.append(pc.EntropicUtility(gamma, space.probs))
+            continue
+        tilts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m * (count - 1),
+                                       max_size=m * (count - 1)))).reshape(count - 1, m)
+        others = space.probs * np.exp(tilts)
+        priors = np.vstack([space.probs, others / others.sum(axis=1, keepdims=True)])
+        evaluators.append(pc.MaxMinUtility(gamma, pc.CredalSet(priors, space.probs)))
+    grid = pc.enumerate_grid(space, x, n, resolution, state_classes=labels)
+    return pc.UtilityProfile(tuple(evaluators)), grid
+
+
+@given(small_scenarios())
+@settings(max_examples=60, deadline=None)
+def test_every_grid_value_is_the_value_of_its_point(scenario):
+    profile, grid = scenario
+    umat = profile.matrix(grid)
+    for k in range(grid.n_points):
+        assert umat[k].tobytes() == profile.at_point(grid.point(k)).tobytes()
+    for i in range(grid.n_agents):
+        holds_nothing = np.all(grid.points[:, i, :] == 0.0, axis=1)
+        assert np.all(umat[holds_nothing, i] == 0.0)
