@@ -51,7 +51,6 @@ from .menu import (
     grid_point_count,
     integrate,
     lipschitz_ratio,
-    shares_to_allocation,
     validate_feasible,
 )
 from .report import emit_report, load_report, run_experiment, structured_text

@@ -59,7 +59,6 @@ class ScenarioConfig:
         d = json.loads(json.dumps(self.effective))
         mapping = {
             "resolution": ("grid", "resolution"),
-            "state_classes": ("grid", "state_classes"),
             "mode": ("mechanism", "mode"),
             "epsilon": ("mechanism", "epsilon"),
             "iota": ("mechanism", "iota"),

@@ -63,7 +63,6 @@ import numpy as np
 from .errors import GridBudgetError, StructuralError, ValidationError
 from .space import StateSpace
 
-SIMPLEX_TOL = 1e-12
 FEASIBILITY_TOL = 1e-12
 DEFAULT_GRID_BUDGET = 200_000
 
@@ -139,45 +138,6 @@ def validate_feasible(xi, x) -> FeasibilityReport:
         anchored_violations=pairs(anchored_bad),
         bound_violations=pairs(bound_bad),
     )
-
-
-def _check_simplex_rows(q: np.ndarray) -> None:
-    problems = []
-    if np.any(q < -SIMPLEX_TOL):
-        problems.append("negative share entries")
-    bad = np.nonzero(np.abs(q.sum(axis=1) - 1.0) > SIMPLEX_TOL)[0]
-    if bad.size:
-        problems.append(f"share rows {bad.tolist()} do not sum to 1")
-    if problems:
-        raise ValidationError(problems)
-
-
-def shares_to_allocation(q, x) -> np.ndarray:
-    """Turn per-state simplex shares into an allocation: xi_i(w) = q_i(w) X(w).
-
-    ``q`` is either a single simplex point of length n (applied to every
-    nonzero state) or a (k x n) matrix with one row per nonzero state of X,
-    rows ordered by ascending state index.  States with X(w) = 0 receive
-    exactly zero.
-    """
-    x = np.asarray(x, dtype=float)
-    q = np.asarray(q, dtype=float)
-    nonzero = np.nonzero(x != 0.0)[0]
-    if q.ndim == 1:
-        q = np.repeat(q[None, :], len(nonzero), axis=0)
-    if q.ndim != 2:
-        raise StructuralError(f"shares must be 1-d or 2-d, got shape {q.shape}")
-    if q.shape[0] != len(nonzero):
-        raise StructuralError(
-            f"got {q.shape[0]} share rows for {len(nonzero)} nonzero states"
-        )
-    if len(nonzero):
-        _check_simplex_rows(q)
-    n = q.shape[1]
-    xi = np.zeros((n, len(x)))
-    for row, w in enumerate(nonzero):
-        xi[:, w] = q[row] * x[w]
-    return xi
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +270,15 @@ class MenuGrid:
         exactly zero where X is.  Raises StructuralError unless
         0 <= k < n_points."""
         return self._points_at(self._check_index(k))
+
+    def allocation(self, shares) -> np.ndarray:
+        """(n x m) allocation of the (C x n) class shares ``shares``:
+        xi_i(w) = q_{c(w), i} X(w), and +0.0 where X is zero.  The products
+        are the ones ``diagonal_points`` takes, so ``allocation(share(k))``
+        is ``point(k)`` byte for byte."""
+        # A zero-risk state (class -1) reads the appended zero row.
+        q = np.vstack([shares, np.zeros(self.n_agents)])
+        return np.ascontiguousarray((q[self.class_of_state] * (self.x + 0.0)[:, None]).T)
 
     @cached_property
     def shares(self) -> np.ndarray:

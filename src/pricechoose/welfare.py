@@ -1,33 +1,32 @@
-"""The grid welfare maximizer with local share refinement, the proportional
-closed form for entropic agents, and a brute-force Pareto scan.
+"""The welfare maximizer, the proportional closed form for entropic agents,
+and a brute-force Pareto scan.
 
 The optimizer is two-tier: an exhaustive scan over the menu grid (which
-doubles as the brute-force oracle) followed by coordinate ascent over
-per-class shares with simplex projection.  Utilities are concave and the
-share space is a product of simplices, so local ascent from the grid winner
-is enough at desk scale.  The ascent's line search is batched: a
-class block projects all of its halving steps onto the simplex in one call
-and evaluates their welfare as one stack, then accepts the largest
-improving step, so it takes the same steps as a serial halving search at a
-fraction of the Python calls.
+doubles as the brute-force oracle), then one candidate off the grid that
+replaces the grid winner when its welfare is strictly greater.  When every
+agent is entropic under one common prior, the candidate is the
+proportional closed form (Borch 1962; Barrieu & El Karoui 2005), the
+exact optimum over every class-share profile: each agent takes the share
+w_i = (1/gamma_i) / sum_j (1/gamma_j) of every state.  Any other profile
+refines the grid winner by coordinate ascent over per-class shares with
+simplex projection.  Utilities are concave and the share space is a
+product of simplices, so local ascent from the grid winner is enough at
+desk scale.  Either candidate's allocation is built as a grid point is,
+by ``MenuGrid.allocation``.
 
-The stack is state-major: the short axes (states, every agent's prior
-rows) lead and the trial axis is contiguous, so the max over states and
-the min over an agent's priors are elementwise ops on whole planes rather
-than one short numpy reduce per row.  The stack is evaluated by
-``utility._tilted_ce``, the kernel behind ``evaluate`` and
+The ascent's line search is batched: a class block projects all of its
+halving steps along the (super)gradient onto the simplex in one call and
+evaluates their welfare as one stack, then accepts the largest improving
+step, so it takes the same steps as a serial halving search at a fraction
+of the Python calls.  The stack is state-major: the short axes (states,
+every agent's prior rows) lead and the trial axis is contiguous, so the
+max over states and the min over an agent's priors are elementwise ops on
+whole planes rather than one short numpy reduce per row.  The stack is
+evaluated by ``utility._tilted_ce``, the kernel behind ``evaluate`` and
 ``evaluate_grid`` too, so each trial gets the floats of a one-allocation
 evaluation.  The tilts that the next gradient reads come from the
 accepted trial's row of the kernel's tilt table, so the refined shares
 equal the serial search's bit for bit.
-
-On a smooth profile (every agent entropic) each block's stack first holds
-the halving steps along a diagonal-Newton direction, which scales each
-agent's gradient by the curvature of its utility in its own share; a class
-that carries little tilted mass has a tiny gradient, and raw gradient steps
-from step 1 creep there.  A max-min utility has kinks where its worst-case
-prior switches, so its curvature says nothing about the next step; those
-profiles try gradient steps only.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigurationError, UnsupportedProfileError
 from .mechanism import Game
-from .menu import MenuGrid, shares_to_allocation, validate_feasible
+from .menu import MenuGrid, validate_feasible
 from .utility import (
     EntropicUtility,
     MaxMinUtility,
@@ -109,7 +108,6 @@ class _PriorRows:
     a zero that the zero-risk states read.
     """
 
-    gamma: np.ndarray       # (n,) each agent's risk aversion
     neg_gamma: np.ndarray   # (R x 1) minus the risk aversion of each row's agent
     priors: np.ndarray      # (R x m)
     spans: tuple            # agent i owns rows spans[i][0]:spans[i][1]
@@ -132,8 +130,7 @@ class _PriorRows:
                              for c in range(grid.n_classes))
         gamma = np.array([u.gamma for u in profile.evaluators])
         starts = np.cumsum([0] + sizes).tolist()
-        return cls(gamma=gamma,
-                   neg_gamma=-np.repeat(gamma, sizes)[:, None],
+        return cls(neg_gamma=-np.repeat(gamma, sizes)[:, None],
                    priors=priors,
                    spans=tuple(zip(starts[:-1], starts[1:])),
                    x=np.where(member, grid.x, 0.0),
@@ -179,41 +176,20 @@ def _welfare_values(rows: _PriorRows, stack: np.ndarray) -> _Evaluation:
     return _Evaluation(values, ce, terms, mass)
 
 
-def _welfare_grad(rows: _PriorRows, tilt: np.ndarray, c: int,
-                  curvature: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """(Super)gradient g of welfare in class ``c``'s shares, from each
-    agent's tilt at the current shares (``_Evaluation.tilts``), and with
-    ``curvature`` also the curvature h of each agent's utility along its
-    own share there (None without).
+def _welfare_grad(rows: _PriorRows, tilt: np.ndarray, c: int) -> np.ndarray:
+    """(Super)gradient of welfare in class ``c``'s shares, from each agent's
+    tilt at the current shares (``_Evaluation.tilts``).
 
     The gradient of an entropic certainty equivalent in the payoff is the
     exponentially tilted probability t_i; for a max-min evaluator the tilt
-    under the worst-case prior is a supergradient.  Differentiating g_i
-    once more along agent i's own share gives -h_i, with
-    h_i = gamma_i * (sum_{w in c} t_i(w) X(w)^2 - g_i^2) >= 0.
+    under the worst-case prior is a supergradient.
     """
     xc = rows.class_x[c]
     # One dot per contiguous row: BLAS rounds the dot of a strided row (a
     # row of ``tilt[:, states]``, which numpy lays out column-major)
     # differently, and a matrix-vector product differently again.
     tc = np.take(tilt, rows.class_states[c], axis=1)
-    grad = np.array([float(np.dot(t, xc)) for t in tc])
-    if not curvature:
-        return grad, None
-    return grad, rows.gamma * (np.array([float(np.dot(t, xc * xc)) for t in tc])
-                               - grad * grad)
-
-
-def _newton_direction(grad: np.ndarray, curv: np.ndarray) -> np.ndarray | None:
-    """The diagonal-Newton step d = (g - lam) / h with lam = sum(g/h) /
-    sum(1/h), which maximizes g.d - sum(h d^2)/2 subject to sum(d) = 0; None
-    when a curvature is zero or so small that the step is not finite."""
-    if not np.all(curv > 0.0):
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam = np.sum(grad / curv) / np.sum(1.0 / curv)
-        d = (grad - lam) / curv
-        return d if np.sum(np.abs(d)) <= NEWTON_MAX else None
+    return np.array([float(np.dot(t, xc)) for t in tc])
 
 
 def _halving_steps(floor: float) -> np.ndarray:
@@ -226,9 +202,6 @@ def _halving_steps(floor: float) -> np.ndarray:
 
 # Steps 2^0 ... 2^-46: every halving step above 1e-14.
 LINE_STEPS = _halving_steps(1e-14)
-# Newton directions longer than this (in l1) are not tried: the simplex
-# projection's running sums of the trial rows must stay finite.
-NEWTON_MAX = 1e300
 
 
 def _refine_shares(profile: UtilityProfile, grid: MenuGrid,
@@ -240,15 +213,10 @@ def _refine_shares(profile: UtilityProfile, grid: MenuGrid,
     projected onto the simplex in one call and their welfare is evaluated
     in one stack.  The largest improving step is accepted, the one a
     halving search from step 1 stops at; when none improves the block keeps
-    its shares.  On a smooth profile (no max-min agent) the same stack
-    first holds every step along the diagonal-Newton direction, and the
-    block accepts the first improving row in that order: Newton steps, then
-    gradient steps.  Only improving steps are accepted, so the welfare
-    value never decreases and the iterate never leaves the product of
-    simplices.
+    its shares.  Only improving steps are accepted, so the welfare value
+    never decreases and the iterate never leaves the product of simplices.
     """
     rows = _PriorRows.of(profile, grid)
-    smooth = not any(isinstance(u, MaxMinUtility) for u in profile.evaluators)
     steps = LINE_STEPS[:, None]
     n_classes, n = q0.shape
     qz = np.append(q0, 0.0)
@@ -258,11 +226,7 @@ def _refine_shares(profile: UtilityProfile, grid: MenuGrid,
         sweep_gain = 0.0
         for c in range(n_classes):
             block = slice(c * n, (c + 1) * n)
-            grad, curv = _welfare_grad(rows, tilt, c, smooth)
-            newton = _newton_direction(grad, curv) if smooth else None
-            directions = grad[None] if newton is None else np.stack([newton, grad])
-            trials = _project_simplex(
-                qz[block] + (directions[:, None] * steps).reshape(-1, n))
+            trials = _project_simplex(qz[block] + steps * _welfare_grad(rows, tilt, c))
             stack = np.repeat(qz[:, None], len(trials), axis=1)
             stack[block] = trials.T
             ev = _welfare_values(rows, stack)
@@ -277,37 +241,54 @@ def _refine_shares(profile: UtilityProfile, grid: MenuGrid,
     return qz[:-1].reshape(n_classes, n), best
 
 
-def maximize_welfare(game: Game) -> WelfareResult:
-    """Exhaustive grid argmax of welfare, locally refined.
+def _common_prior(profile: UtilityProfile) -> np.ndarray | None:
+    """The prior of an all-entropic profile whose agents share one, else None."""
+    evaluators = profile.evaluators
+    if all(isinstance(u, EntropicUtility) for u in evaluators):
+        probs = evaluators[0].probs
+        if all(np.array_equal(u.probs, probs) for u in evaluators[1:]):
+            return probs
+    return None
 
-    Reads the utility matrix and welfare vector the ``Game`` holds.  Ties
-    resolve to the lowest enumeration index.  A refined point is
-    re-validated against the feasibility invariants before it is returned.
+
+def maximize_welfare(game: Game) -> WelfareResult:
+    """Exhaustive grid argmax of welfare, then one candidate off the grid.
+
+    Reads the utility matrix and welfare vector the ``Game`` holds; ties
+    resolve to the lowest enumeration index.  On an all-entropic profile
+    with one common prior the candidate is the proportional closed form,
+    its shares tiled over the classes; on any other profile it is the grid
+    winner refined by ``_refine_shares``.  The candidate's allocation is
+    built as a grid point is (``MenuGrid.allocation``), and it replaces the
+    grid winner only when its welfare, evaluated there, is strictly greater.
+    An accepted candidate is re-validated against the feasibility
+    invariants before it is returned.
     """
     profile, grid, wvals = game.profile, game.grid, game.welfare
     idx = int(np.argmax(wvals))
-    shares = grid.share(idx) if grid.n_classes else None
-    allocation = grid.point(idx)
-    per_agent = game.umat[idx]
-    method = "grid"
+    result = WelfareResult(value=float(game.umat[idx].sum()), per_agent=game.umat[idx],
+                           allocation=grid.point(idx), index=idx,
+                           shares=grid.share(idx) if grid.n_classes else None)
+    if not grid.n_classes:
+        return result
 
-    if grid.n_classes:
-        q, refined_val = _refine_shares(profile, grid, shares)
-        if refined_val > wvals[idx]:
-            rows = [q[grid.class_of_state[w]] if grid.class_of_state[w] >= 0 else None
-                    for w in range(len(grid.x))]
-            q_states = np.array([r for r in rows if r is not None])
-            allocation = shares_to_allocation(q_states, grid.x)
-            report = validate_feasible(allocation, grid.x)
-            if not report.ok:
-                raise ConfigurationError("refined point left the feasible set")
-            per_agent = profile.at_point(allocation)
-            shares = q
-            method = "refined"
-
+    probs, lam = _common_prior(profile), None
+    if probs is None:
+        q, _ = _refine_shares(profile, grid, result.shares)
+        method = "refined"
+    else:
+        closed = closed_form_entropic(profile, grid.x, probs)
+        q, lam = np.tile(closed.shares, (grid.n_classes, 1)), closed.lam
+        method = "closed_form"
+    allocation = grid.allocation(q)
+    per_agent = profile.at_point(allocation)
     value = float(per_agent.sum())
+    if not value > wvals[idx]:
+        return result
+    if not validate_feasible(allocation, grid.x).ok:
+        raise ConfigurationError(f"{method} point left the feasible set")
     return WelfareResult(value=value, per_agent=per_agent, allocation=allocation,
-                         method=method, index=idx, shares=shares)
+                         method=method, index=idx, shares=q, lam=lam)
 
 
 def closed_form_entropic(profile: UtilityProfile, x, probs) -> WelfareResult:
@@ -316,7 +297,8 @@ def closed_form_entropic(profile: UtilityProfile, x, probs) -> WelfareResult:
     Weights are reciprocal risk aversions normalized to the simplex,
     w_i = (1/gamma_i) / sum_j (1/gamma_j); every agent then shares the same
     exponential tilt with rate lam = (sum_j 1/gamma_j)^-1, and gamma_i * w_i
-    = lam for all i (checked to 1e-12).
+    = lam for all i (checked to a few ulps of lam, the rounding error of the
+    three operations that form gamma_i * w_i).
     """
     if not all(isinstance(u, EntropicUtility) for u in profile.evaluators):
         raise UnsupportedProfileError("closed form requires single-prior entropic agents")
@@ -328,7 +310,7 @@ def closed_form_entropic(profile: UtilityProfile, x, probs) -> WelfareResult:
     lam = 1.0 / inv.sum()
     w = inv * lam
     mismatch = np.abs(gammas * w - lam).max()
-    if mismatch > 1e-12:
+    if mismatch > 4.0 * np.finfo(float).eps * lam:
         raise ConfigurationError(
             f"tilt-rate identity gamma_i * w_i = lam off by {mismatch:.3g}"
         )

@@ -337,6 +337,39 @@ def test_validate_and_run_agree(tmp_path, capsys, case):
         assert f"validation error: {path}: {named}" in err
 
 
+def _hurricane_variant(gammas=(1.0, 2.0, 4.0), scale=1.0, resolution=70):
+    doc = json.loads((FIXTURES / "hurricane_three_farmers.json").read_text())
+    doc["endowments"] = [[v * scale for v in row] for row in doc["endowments"]]
+    for u, g in zip(doc["utilities"], gammas):
+        u["gamma"] = g
+    doc["grid"]["resolution"] = resolution
+    return doc
+
+
+# Valid hurricane variants that once ended in exit 2: an absolute 1e-12
+# bound on the closed form's tilt-rate identity (one ulp of lam ~ 9,170 is
+# 1.8e-12), and refined points that failed the feasibility recheck at
+# endowments x100 and x1e3 and under (X, gamma) -> (lam X, gamma / lam).
+SCALED_HURRICANES = {
+    "large gammas": _hurricane_variant(gammas=(12345.6, 98765.4, 55555.5)),
+    "endowments x100": _hurricane_variant(scale=1e2, resolution=20),
+    "endowments x1e3": _hurricane_variant(scale=1e3, resolution=20),
+    "scale map at 1e2": _hurricane_variant(gammas=(1e-2, 2e-2, 4e-2), scale=1e2,
+                                           resolution=20),
+}
+
+
+@pytest.mark.parametrize("case", list(SCALED_HURRICANES))
+def test_scaled_hurricanes_run_with_every_invariant(tmp_path, capsys, case):
+    path = write_scenario(tmp_path, SCALED_HURRICANES[case])
+    assert main(["validate", "--scenario", str(path)]) == 0
+    ran = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert ran == 0, capsys.readouterr().err
+    report = load_report(tmp_path / "out" / "report.json")
+    assert report["all_invariants_pass"]
+    assert all(c["passed"] for c in report["invariants"])
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(

@@ -15,45 +15,58 @@ from conftest import hurricane_space
 
 
 # ---------------------------------------------------------------------------
-# shares_to_allocation
+# MenuGrid.allocation
 # ---------------------------------------------------------------------------
 
+def single_class_grid(x, n_agents):
+    """A resolution-1 grid with one share class over ``x``, uniform P."""
+    space = pc.StateSpace([f"s{w}" for w in range(len(x))], [1.0 / len(x)] * len(x))
+    return pc.enumerate_grid(space, np.asarray(x, dtype=float), n_agents, 1,
+                             state_classes="single")
+
+
 def test_shares_single_state():
-    xi = pc.shares_to_allocation(np.array([0.25, 0.75]), np.array([-1.0]))
+    xi = single_class_grid([-1.0], 2).allocation(np.array([[0.25, 0.75]]))
     assert xi.tolist() == [[-0.25], [-0.75]]
 
 
 def test_shares_vertex_gives_everything_to_one_agent():
     x = np.array([-2.0, 3.0])
-    xi = pc.shares_to_allocation(np.array([1.0, 0.0, 0.0]), x)
+    xi = single_class_grid(x, 3).allocation(np.array([[1.0, 0.0, 0.0]]))
     assert np.array_equal(xi[0], x)
     assert np.all(xi[1:] == 0.0)
 
 
 def test_shares_three_agent_arithmetic():
-    q = np.array([4, 2, 1], dtype=float) / 7.0
-    xi = pc.shares_to_allocation(q, np.array([-2.0]))
+    q = np.array([[4, 2, 1]], dtype=float) / 7.0
+    xi = single_class_grid([-2.0], 3).allocation(q)
     expected = [float(Fraction(-8, 7)), float(Fraction(-4, 7)), float(Fraction(-2, 7))]
     assert xi[:, 0] == pytest.approx(expected, abs=1e-15)
     assert xi[:, 0].sum() == pytest.approx(-2.0, abs=1e-15)
 
 
 def test_shares_zero_states_get_zero():
-    xi = pc.shares_to_allocation(np.array([0.5, 0.5]), np.array([0.0, -4.0]))
-    assert xi[:, 0].tolist() == [0.0, 0.0]
-    assert xi[:, 1].tolist() == [-2.0, -2.0]
+    xi = single_class_grid([0.0, -4.0, -0.0], 2).allocation(np.array([[0.5, 0.5]]))
+    assert xi.tolist() == [[0.0, -2.0, 0.0], [0.0, -2.0, 0.0]]
+    # +0.0, as on every grid point, also where X holds -0.0
+    assert not np.signbit(xi[:, [0, 2]]).any()
 
 
-def test_shares_simplex_violation():
-    with pytest.raises(pc.ValidationError):
-        pc.shares_to_allocation(np.array([0.7, 0.7]), np.array([-1.0]))
-    with pytest.raises(pc.ValidationError):
-        pc.shares_to_allocation(np.array([-0.2, 1.2]), np.array([-1.0]))
+def allocation_grids():
+    space = pc.StateSpace(["a", "b", "c", "d"], [0.4, 0.3, 0.2, 0.1])
+    x = np.array([-1.0, 0.0, 2.5, -0.0])
+    yield pc.enumerate_grid(space, x, 3, 4, state_classes="single")
+    yield pc.enumerate_grid(space, x, 2, 3, state_classes="per_state")
+    yield pc.enumerate_grid(space, np.array([-1.0, 0.5, -2.0, -0.0]), 2, 2,
+                            state_classes=["u", "v", "u", "v"])
+    yield pc.enumerate_grid(space, np.array([0.0, -0.0, 0.0, -0.0]), 2, 3)
 
 
-def test_shares_row_count_mismatch():
-    with pytest.raises(pc.StructuralError):
-        pc.shares_to_allocation(np.array([[0.5, 0.5]]), np.array([-1.0, -1.0]))
+@pytest.mark.parametrize("grid", allocation_grids())
+def test_allocation_is_the_grid_point_byte_for_byte(grid):
+    assert np.any(grid.x == 0.0) and np.any(np.signbit(grid.x) & (grid.x == 0.0))
+    for k in range(grid.n_points):
+        assert grid.allocation(grid.share(k)).tobytes() == grid.point(k).tobytes(), k
 
 
 @given(st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3),
@@ -61,9 +74,9 @@ def test_shares_row_count_mismatch():
 @settings(max_examples=100, deadline=None)
 def test_simplex_shares_always_feasible(raw, x):
     q = np.array(raw) / np.sum(raw)
-    x = np.array(x)
-    xi = pc.shares_to_allocation(q, x)
-    assert pc.validate_feasible(xi, x).ok
+    grid = single_class_grid(x, 3)
+    xi = grid.allocation(np.tile(q, (grid.n_classes, 1)))
+    assert pc.validate_feasible(xi, grid.x).ok
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +308,8 @@ def test_metric_positive_on_row_swap():
     space = pc.StateSpace(["a", "b"], [0.5, 0.5])
     x = np.array([-1.0, -1.0])
     grid = pc.enumerate_grid(space, x, 2, 2)
-    a = pc.shares_to_allocation(np.array([0.5, 0.5]), x)
-    b = pc.shares_to_allocation(np.array([[1.0, 0.0], [0.0, 1.0]]), x)
+    a = np.array([[-0.5, -0.5], [-0.5, -0.5]])
+    b = np.array([[-1.0, 0.0], [0.0, -1.0]])
     # Both agents hold the same mass in a and b: only the indicators see it.
     assert np.array_equal(a @ space.probs, b @ space.probs)
     assert series_distance(space, a, b) > 0.0

@@ -167,14 +167,21 @@ def _lists(node):
             yield from _lists(v)
 
 
+def three_class_hurricane() -> pc.ScenarioConfig:
+    """The bundled hurricane with its farmers' hits in three share classes
+    beside the zero-risk state."""
+    doc = json.loads((SCENARIOS / "hurricane_three_farmers.json").read_text())
+    doc["grid"]["state_classes"] = [0, 1, 1, 2, 1, 2, 2, 3]
+    return pc.scenario_from_dict(doc)
+
+
 def test_report_size_is_independent_of_the_menu_size():
     """Schedules enter the report as fixed-size summaries: on a multi-class
     menu, 15x more points change the document by a few digits."""
-    base = pc.load_scenario(SCENARIOS / "hurricane_three_farmers.json")
+    base = three_class_hurricane()
     texts = {}
     for resolution in (2, 4):
-        config = base.with_overrides(resolution=resolution,
-                                     state_classes=[0, 1, 1, 2, 1, 2, 2, 3])
+        config = base.with_overrides(resolution=resolution)
         result = pc.run_experiment(config)
         assert result["all_invariants_pass"] and result["grid"]["n_classes"] == 3
         longest = max(len(node) for node in _lists(result))
@@ -194,10 +201,9 @@ def test_pipeline_reads_no_point_sized_grid_array(monkeypatch):
 
     for name in ("points", "shares", "features"):
         monkeypatch.setattr(pc.MenuGrid, name, property(refuse))
-    base = pc.load_scenario(SCENARIOS / "hurricane_three_farmers.json")
+    base = three_class_hurricane()
     for resolution, mode in ((2, "exact"), (4, "perturbed")):
-        config = base.with_overrides(resolution=resolution, mode=mode,
-                                     state_classes=[0, 1, 1, 2, 1, 2, 2, 3])
+        config = base.with_overrides(resolution=resolution, mode=mode)
         result = pc.run_experiment(config)
         assert result["grid"]["n_classes"] == 3
         assert result["all_invariants_pass"]
@@ -268,15 +274,15 @@ BUNDLED_RUNS = {
         "403db2b6e2719b55555c1f463a9ff75a32cc18ec083e2d396f396f9631f30a49",
         "f4d404172eaab8bf53aeeae2ae5c61ebe02ca3726bcce77c9c030b75bb195f01"),
     ("hurricane-three-farmers", "run"): (
-        "77489da132fab4b21abbb0307310e4eacb3bf75eb6a9df7e69834a76c46da513",
+        "f02cdda3e47b84118d090245ab0e2576c153149b1768f97fb7390ae1ab0703fe",
         "3a52bd52199642899e197c793752902c06e730a8e521bb7cea7843592d1c7cc2",
         "9f31d2a1a41bf11acd8212941f49d8a9ec04e8b1c906ca91f260bd9df5d92fce"),
     ("hurricane-three-farmers", "run-perturbed"): (
-        "121eb02207a5230847fe32826ff5923955dc248f22b20d0b64fdbaab238be92a",
+        "d3b6d677d8ed048ff30f5a4fa3e2f470e295b69aabc5d00968509874dffc7a22",
         "7233424c3d86bd99ae541054a61aa68093094358e3a3431523d7246fbc044885",
         "8c100bd47212ca0354b2f10c3e5408cc816d5d772842791622cdfb2896d59df7"),
     ("hurricane-three-farmers", "audit"): (
-        "5e596e0dcd535dd95eefa12875fa905b80e97b2e98a89ec0eaf1491ef02ad57b",
+        "1adc04d0cb402e03c38dc972df0f92e4803bbe328b84bbf8b6832d383d831878",
         "8fb16b301188ebee71a00033aa4dc1e39e7b9f31c9db1908807dcd5ff01d3c94",
         "4477bde65568e3f7359a14648aa76587e403d2a0aa06ba35c9d695d3bfc0bea1"),
     ("three-agent-maxmin", "run"): (

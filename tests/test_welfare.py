@@ -6,9 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pricechoose as pc
-from pricechoose.welfare import LINE_STEPS, NEWTON_MAX, _project_simplex, _refine_shares
+from pricechoose.menu import grid_point_count
+from pricechoose.welfare import LINE_STEPS, _project_simplex, _refine_shares
 from conftest import hurricane_space
 
 
@@ -120,7 +123,7 @@ def test_refinement_never_decreases_and_stays_feasible(two_state):
     refined = pc.maximize_welfare(game)
     assert refined.value >= game.welfare.max()
     assert pc.validate_feasible(refined.allocation, x).ok
-    if refined.method == "refined":
+    if refined.method != "grid":
         assert refined.shares is not None
         assert np.all(refined.shares >= 0.0)
         assert refined.shares.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-9)
@@ -143,16 +146,35 @@ HURRICANE_CLASSES = [0, 1, 1, 2, 1, 2, 2, 3]
 
 def test_refinement_reaches_the_closed_form_on_a_product_grid():
     # On an all-entropic profile the proportional closed form is the exact
-    # optimum over class shares too; the Newton rows reach it to rounding.
+    # optimum over class shares too: the maximizer takes it, its shares
+    # tiled over the classes, in place of the grid winner.
     config = pc.load_scenario(Path(pc.__file__).parent / "scenarios"
                               / "hurricane_three_farmers.json")
     grid = pc.enumerate_grid(config.space, config.x, 3, 3,
                              state_classes=HURRICANE_CLASSES)
     assert grid.n_points == 1000
-    res = pc.maximize_welfare(pc.calibrate(config.profile, grid))
+    game = pc.calibrate(config.profile, grid)
+    res = pc.maximize_welfare(game)
     closed = pc.closed_form_entropic(config.profile, config.x, config.space.probs)
-    assert res.method == "refined"
-    assert abs(res.value - closed.value) <= 1e-11 * abs(closed.value)
+    assert res.method == "closed_form" and res.lam == closed.lam
+    assert res.value > game.welfare_max
+    assert res.shares.tobytes() == np.tile(closed.shares, (grid.n_classes, 1)).tobytes()
+    assert res.value == closed.value
+    assert res.allocation.tobytes() == grid.allocation(res.shares).tobytes()
+
+
+def test_closed_form_equal_to_a_grid_point_keeps_the_grid_point():
+    # At resolution 70 the grid holds (4/7, 2/7, 1/7) exactly; the closed
+    # form is no better there, so the grid winner stands.
+    config = pc.load_scenario(Path(pc.__file__).parent / "scenarios"
+                              / "hurricane_three_farmers.json")
+    grid = pc.enumerate_grid(config.space, config.x, 3, 70, state_classes="single")
+    game = pc.calibrate(config.profile, grid)
+    res = pc.maximize_welfare(game)
+    closed = pc.closed_form_entropic(config.profile, config.x, config.space.probs)
+    assert res.method == "grid" and res.lam is None
+    assert res.shares.tobytes() == closed.shares.tobytes()
+    assert res.value == closed.value == game.welfare_max
 
 
 def test_maximizer_reads_the_prepared_game(two_state, monkeypatch):
@@ -180,6 +202,43 @@ def test_welfare_result_value_is_per_agent_sum(two_state):
     assert res.value == pytest.approx(float(res.per_agent.sum()), abs=1e-9)
 
 
+@st.composite
+def common_prior_games(draw):
+    """An all-entropic profile under one prior on a grid of at most 5,000
+    points: 1-4 agents, 1-6 states (zero-risk ones and -0.0 included), and
+    single, per-state or labelled state classes."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
+    space = pc.StateSpace([f"s{w}" for w in range(m)], raw / raw.sum())
+    x = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                                         st.floats(-4.0, 4.0, allow_subnormal=False)),
+                               min_size=m, max_size=m)))
+    gammas = draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n))
+    classes = draw(st.one_of(st.sampled_from(["single", "per_state"]),
+                             st.lists(st.integers(0, 2), min_size=m, max_size=m)))
+    resolution = max(r for r in range(1, 13)
+                     if r == 1 or grid_point_count(x, n, r, classes) <= 5_000)
+    grid = pc.enumerate_grid(space, x, n, resolution, state_classes=classes)
+    return pc.calibrate(entropic_profile(space.probs, gammas), grid)
+
+
+@given(common_prior_games())
+@settings(max_examples=60, deadline=None)
+def test_common_prior_optimum_is_the_closed_form(game):
+    res = pc.maximize_welfare(game)
+    assert res.value >= game.welfare_max
+    assert pc.validate_feasible(res.allocation, game.grid.x).ok
+    assert res.method in ("grid", "closed_form")
+    if res.method == "closed_form":
+        closed = pc.closed_form_entropic(game.profile, game.grid.x,
+                                         game.grid.space.probs)
+        tol = 4.0 * np.finfo(float).eps
+        assert abs(res.value - closed.value) <= tol * abs(closed.value)
+        assert np.all(np.abs(res.per_agent - closed.per_agent)
+                      <= tol * np.abs(closed.per_agent))
+
+
 # ---------------------------------------------------------------------------
 # Pareto scan
 # ---------------------------------------------------------------------------
@@ -195,7 +254,7 @@ def test_welfare_maximizer_is_undominated(two_state):
 def test_mismatched_state_profile_is_dominated(two_state):
     # agent 0 takes all of state a, agent 1 all of state b: both can gain
     _, x, profile, grid = two_state
-    xi = pc.shares_to_allocation(np.array([[1.0, 0.0], [0.0, 1.0]]), x)
+    xi = np.array([[x[0], 0.0], [0.0, x[1]]])
     check = pc.pareto_check(profile, grid, xi)
     assert not check.optimal and not check.attains_max
     witness = grid.point(check.dominating_index)
@@ -314,9 +373,8 @@ def serial_ce(row, nu, gamma):
 
 
 def serial_value_and_grads(profile, grid, q):
-    """Welfare at one share array, its supergradient and the curvature of
-    each agent's utility along its own share, agent by agent and prior by
-    prior."""
+    """Welfare at one share array and its supergradient, agent by agent and
+    prior by prior."""
     x, cls = grid.x, grid.class_of_state
     xi = np.zeros((profile.n_agents, len(x)))
     for w in range(len(x)):
@@ -324,7 +382,6 @@ def serial_value_and_grads(profile, grid, q):
             xi[:, w] = q[cls[w]] * x[w]
     total = 0.0
     grad = np.zeros_like(q)
-    curv = np.zeros_like(q)
     for i, u in enumerate(profile.evaluators):
         row = xi[i]
         priors = u.credal.priors if isinstance(u, pc.MaxMinUtility) else [u.probs]
@@ -337,51 +394,30 @@ def serial_value_and_grads(profile, grid, q):
         t /= t.sum()
         for c in range(q.shape[0]):
             mask = cls == c
-            g = float(np.dot(t[mask], x[mask]))
-            grad[c, i] = g
-            curv[c, i] = u.gamma * (float(np.dot(t[mask], x[mask] * x[mask])) - g * g)
-    return total, grad, curv
-
-
-def serial_newton(g, h):
-    """The diagonal-Newton step (g - lam) / h with sum zero, or None when
-    it is not usable."""
-    if not np.all(h > 0.0):
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam = np.sum(g / h) / np.sum(1.0 / h)
-        d = (g - lam) / h
-        return d if np.sum(np.abs(d)) <= NEWTON_MAX else None
+            grad[c, i] = float(np.dot(t[mask], x[mask]))
+    return total, grad
 
 
 def serial_refine(profile, grid, q0, tol=1e-10, max_sweeps=200):
     """The one-trial-per-call halving search; also returns the step each
-    block accepted, as (direction, step), or None when no step improved.
-    A smooth profile (no max-min agent) tries the Newton direction's steps
-    before the gradient's."""
-    smooth = not any(isinstance(u, pc.MaxMinUtility) for u in profile.evaluators)
+    block accepted, or None when no step improved."""
     q = q0.copy()
-    best, _, _ = serial_value_and_grads(profile, grid, q)
+    best, _ = serial_value_and_grads(profile, grid, q)
     taken = []
     for _ in range(max_sweeps):
         sweep_gain = 0.0
         for c in range(q.shape[0]):
-            _, grad, curv = serial_value_and_grads(profile, grid, q)
-            newton = serial_newton(grad[c], curv[c]) if smooth else None
-            directions = [("gradient", grad[c])]
-            if newton is not None:
-                directions.insert(0, ("newton", newton))
+            _, grad = serial_value_and_grads(profile, grid, q)
             accepted = None
-            for kind, d in directions:
-                step = 1.0
-                while step > 1e-14 and accepted is None:
-                    trial = q.copy()
-                    trial[c] = serial_project(q[c] + step * d)
-                    val, _, _ = serial_value_and_grads(profile, grid, trial)
-                    if val > best:
-                        sweep_gain += val - best
-                        best, q, accepted = val, trial, (kind, step)
-                    step *= 0.5
+            step = 1.0
+            while step > 1e-14 and accepted is None:
+                trial = q.copy()
+                trial[c] = serial_project(q[c] + step * grad[c])
+                val, _ = serial_value_and_grads(profile, grid, trial)
+                if val > best:
+                    sweep_gain += val - best
+                    best, q, accepted = val, trial, step
+                step *= 0.5
             taken.append(accepted)
         if sweep_gain < tol:
             break
@@ -442,13 +478,10 @@ def test_batched_line_search_matches_the_serial_search_bit_for_bit(monkeypatch):
             assert q.tobytes() == q_ref.tobytes(), (label, start)
             assert type(best) is float and best == best_ref, (label, start)
             taken += steps
-    # Both ends of the gradient search occur: blocks that take the full
-    # step, and blocks where no step improves and the shares stay put; the
-    # smooth cases take full Newton steps.
-    steps = {kind: [s for k, s in filter(None, taken) if k == kind]
-             for kind in ("newton", "gradient")}
-    assert None in taken and 1.0 in steps["newton"]
-    assert 1.0 in steps["gradient"] and any(s < 1.0 for s in steps["gradient"])
+    # Both ends of the search occur: blocks that take the full step, blocks
+    # that halve, and blocks where no step improves and the shares stay put.
+    steps = list(filter(None, taken))
+    assert None in taken and 1.0 in steps and any(s < 1.0 for s in steps)
 
 
 def test_batched_line_search_breaks_prior_ties_at_the_lowest_index(monkeypatch):
@@ -512,23 +545,22 @@ def test_batched_line_search_is_warning_free_at_large_exponents():
     assert res.shares.tobytes() == q_ref.tobytes()
 
 
-@pytest.mark.parametrize("scale, newton_taken", [(80.0, True), (300.0, False)])
-def test_newton_rows_are_warning_free_at_large_exponents(scale, newton_taken):
-    # The all-entropic twin, at gamma * ||X|| = 304 and 1140.  Where one
-    # state carries nearly all the tilt, a class's curvature rounds to 0
-    # and its block has no Newton direction; elsewhere curvatures reach
-    # 1e-43 (and 1e-166 at the larger scale), and the Newton rows are tried.
+@pytest.mark.parametrize("scale", [80.0, 300.0])
+def test_closed_form_path_is_warning_free_at_large_exponents(scale):
+    # The all-entropic twin, at gamma * ||X|| = 304 and 1140: the closed
+    # form's point and its evaluation must not overflow either.
     coin = pc.StateSpace(["a", "b", "c"], [0.5, 0.3, 0.2])
     xc = np.array([-1.0, 0.5, -2.0])
     profile = maxmin_profile(coin, [0.7, 1.9, 1.1], set(), scale=scale)
     grid = pc.enumerate_grid(coin, xc, 3, 3)
     with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
         warnings.simplefilter("error")
-        res = pc.maximize_welfare(pc.calibrate(profile, grid))
-        q_ref, best_ref, taken = serial_refine(profile, grid, grid.share(res.index))
-    assert res.method == "refined" and np.isfinite(res.value)
-    assert res.shares.tobytes() == q_ref.tobytes()
-    assert (("newton", 1.0) in taken) == newton_taken
+        game = pc.calibrate(profile, grid)
+        res = pc.maximize_welfare(game)
+        closed = pc.closed_form_entropic(profile, xc, coin.probs)
+    assert res.method == "closed_form" and np.isfinite(res.value)
+    assert res.value > game.welfare_max
+    assert res.per_agent.tobytes() == closed.per_agent.tobytes()
 
 
 def test_row_wise_projection_matches_the_vector_projection():
