@@ -37,7 +37,6 @@ from .mechanism import (
     audit_first_mover_bound,
     bump_profile,
     calibrate,
-    equalizing_price,
     follower_best_response,
     perturbed_price,
     run_pnc,

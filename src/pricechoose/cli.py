@@ -58,7 +58,7 @@ def _load(args) -> object:
         iota=args.iota, seed=args.seed)
     try:
         check_grid_size(config.x, config.profile.n_agents, config.resolution,
-                        config.state_classes, config.grid_weights, config.budget)
+                        config.state_classes, config.budget)
     except (GridBudgetError, ValidationError) as exc:
         raise ValidationError([f"{path}: grid.{exc}"]) from exc
     return config

@@ -39,7 +39,6 @@ class ScenarioConfig:
     profile: UtilityProfile
     resolution: int
     state_classes: object
-    grid_weights: str
     budget: int
     mode: str
     lipschitz_cap: float | None
@@ -231,8 +230,11 @@ def scenario_from_dict(d: dict, source: str = "<dict>") -> ScenarioConfig:
         _built(errors, "grid.", check_state_class_labels, sc)
     else:
         errors.append("grid.state_classes must be a string mode or a per-state list")
-    if grid.get("weights") not in ("uniform", "geometric"):
-        errors.append(f"grid.weights must be 'uniform' or 'geometric', got {grid.get('weights')!r}")
+    # The menu measure is uniform; the key stays so that documents which
+    # name it keep validating.
+    if grid.get("weights") != "uniform":
+        errors.append("grid.weights must be 'uniform' (the geometric measure "
+                      f"was removed), got {grid.get('weights')!r}")
     budget = grid.get("budget")
     if not _is_int(budget, 1):
         errors.append(f"grid.budget must be a positive integer, got {budget!r}")
@@ -287,7 +289,6 @@ def scenario_from_dict(d: dict, source: str = "<dict>") -> ScenarioConfig:
         profile=profile,
         resolution=int(resolution),
         state_classes=sc,
-        grid_weights=grid["weights"],
         budget=int(budget),
         mode=mech["mode"],
         lipschitz_cap=None if cap is None else float(cap),

@@ -206,8 +206,12 @@ def _equalize(game: Game, leader: int,
               order: list[int]) -> tuple[PriceSchedule, ScheduleDiagnostics]:
     """Equalizing schedule of ``leader`` plus the diagnostics that admitted it.
 
-    The schedule depends only on the agents after the leader, in posting
-    order, so it is built once per such tail and memoised on the game.
+    Values are the tail welfare of the agents after the leader minus its
+    menu average, which makes the continuation coalition indifferent across
+    every menu point; a schedule over the Lipschitz cap raises, since the
+    cap is then too small for the declared utilities.  The schedule depends
+    only on that tail, in posting order, so it is built once per tail and
+    memoised on the game.
     """
     n = game.n_agents
     if not 0 <= leader <= n - 2:
@@ -228,17 +232,6 @@ def _equalize(game: Game, leader: int,
         )
     game._schedules[key] = schedule, diag
     return schedule, diag
-
-
-def equalizing_price(game: Game, leader: int, *, order=None) -> PriceSchedule:
-    """Schedule posted by ``leader`` (0-based) equalizing continuation welfare.
-
-    Values are the tail welfare of agents after the leader minus its menu
-    average, which makes the continuation coalition indifferent across every
-    menu point.  Raises when the result breaks the Lipschitz cap: the cap is
-    too small for the declared utilities.
-    """
-    return _equalize(game, leader, _resolve_order(game.n_agents, order))[0]
 
 
 def bump_profile(grid: MenuGrid, target: int, iota: float) -> np.ndarray:

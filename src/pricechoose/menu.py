@@ -6,8 +6,8 @@ vanish exactly where X does.  Because each agent's piece lies between 0 and
 X(w), every feasible allocation obeys the coordinatewise bound |xi_i| <= |X|.
 
 Menus are finite grids over this set, parameterized by per-state share points
-on the (n-1)-simplex, together with a full-support probability weighting and
-one fixed weak*-style metric
+on the (n-1)-simplex, together with the uniform probability measure on the
+points and one fixed weak*-style metric
 
     d(xi, eta) = sum_k 2^-(k+1) * |<xi - eta, h_k>|,   <xi, h> = E_P[xi . h],
 
@@ -31,12 +31,12 @@ functionals that span several classes.
 
 The grid is the Cartesian product of one composition table per class, the
 same (K x n) table of simplex points for every class, so P = K^C.  A grid
-stores that table and P, never a P-sized array of allocations: point k takes
-row j_c of the table in class c, where (j_1, ..., j_C) are the base-K digits
-of k, and ``point(k)``/``share(k)`` are computed from those digits.  The
-``points``, ``shares`` and ``features`` arrays are built only on request, and
-nothing in the pipeline requests them.  Every feature is a sum of per-class
-terms, g_f(j) = sum_c t_fc[j_c], with t_fc a K-vector.  Distances to one point
+stores that table and P, never a P-sized array: point k takes row j_c of the
+table in class c, where (j_1, ..., j_C) are the base-K digits of k, and
+``point(k)``/``share(k)`` are computed from those digits.  The ``points`` and
+``features`` arrays are built only on request, and nothing in the pipeline
+requests them.  Every feature is a sum of per-class terms,
+g_f(j) = sum_c t_fc[j_c], with t_fc a K-vector.  Distances to one point
 are built from these O(F*C*K) tables: a feature that touches one class gives
 a K-vector of weighted gaps along that class's axis, and only the few
 features spanning several classes need their per-class gaps summed over the
@@ -65,10 +65,6 @@ from .space import StateSpace
 
 FEASIBILITY_TOL = 1e-12
 DEFAULT_GRID_BUDGET = 200_000
-
-# Geometric point weights 2^-(k+1) underflow to zero past ~1070 points,
-# which would break the full-support invariant.
-GEOMETRIC_WEIGHT_LIMIT = 1000
 # The metric's series weight 2^-(k+1) is a positive float64 only up to
 # k = 1073, so a family of more members (n + n*m) stops separating points.
 METRIC_MEMBER_LIMIT = 1074
@@ -116,7 +112,8 @@ def validate_feasible(xi, x) -> FeasibilityReport:
     """
     xi, x = _check_allocation_shape(xi, x)
     col = xi.sum(axis=0)
-    tol = FEASIBILITY_TOL
+    # Relative above unit scale: a few ulps of a large X exceed 1e-12.
+    tol = FEASIBILITY_TOL * max(1.0, float(np.abs(x).max(initial=0.0)))
     sum_bad = np.nonzero(np.abs(col - x) > tol)[0]
 
     sign = np.sign(x)
@@ -205,21 +202,20 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 class MenuGrid:
-    """Finite menu: share-parameterized allocations, weights, and a metric.
+    """Finite menu: share-parameterized allocations and a metric.
 
     Implicit and immutable: the grid keeps the (K x n) composition table
     ``table``, whose rows are the share vectors of one class, and the point
     count P = K^C.  Point k takes row j_c in class c, where (j_1, ..., j_C)
     are the base-K digits of k, so points are ordered lexicographically in
     composition indices, class-major, and every lowest-index tie-break
-    downstream is deterministic.  The only P-sized array a grid holds is
-    its point weights, until ``points``, ``shares`` or ``features`` is
-    requested.
+    downstream is deterministic.  A grid holds no P-sized array until
+    ``points`` or ``features`` is requested; its measure is the uniform one,
+    1/P at every point (``integrate``).
     """
 
     def __init__(self, space: StateSpace, x: np.ndarray, n_agents: int,
-                 resolution: int, class_of_state: np.ndarray, table: np.ndarray,
-                 weights: np.ndarray, weights_kind: str) -> None:
+                 resolution: int, class_of_state: np.ndarray, table: np.ndarray) -> None:
         self.space = space
         self.x = x
         self.n_agents = n_agents
@@ -228,15 +224,13 @@ class MenuGrid:
         self.n_classes = int(class_of_state.max()) + 1 if class_of_state.size else 0
         self.table = table
         self.n_points = table.shape[0] ** self.n_classes
-        self.weights = weights
-        self.weights_kind = weights_kind
         # Point k's class-c digit is k // K^(C-1-c) % K; a zero-risk state
         # (class -1) reads place 1, and every diagonal point is 0 there.
         self._place_values = table.shape[0] ** np.arange(self.n_classes - 1, -1, -1)
         self._state_places = np.append(self._place_values, 1)[class_of_state]
         # lipschitz_ratio's point pairs and distances, per sampling arguments.
         self._lipschitz_pairs: dict[tuple, tuple[np.ndarray, ...]] = {}
-        for arr in (self.x, self.table, self.weights):
+        for arr in (self.x, self.table):
             arr.setflags(write=False)
 
     def _check_index(self, k) -> int:
@@ -279,15 +273,6 @@ class MenuGrid:
         # A zero-risk state (class -1) reads the appended zero row.
         q = np.vstack([shares, np.zeros(self.n_agents)])
         return np.ascontiguousarray((q[self.class_of_state] * (self.x + 0.0)[:, None]).T)
-
-    @cached_property
-    def shares(self) -> np.ndarray:
-        """(points x C x n) class shares of every point.
-
-        Built only on request, for tests and inspection: the pipeline reads
-        ``share(k)`` and the per-class tables instead.
-        """
-        return _read_only(self._shares_at(np.arange(self.n_points)))
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -480,22 +465,16 @@ def grid_point_count(x, n_agents: int, resolution: int,
 
 
 def check_grid_size(x, n_agents: int, resolution: int,
-                    state_classes="per_state", weights: str = "uniform",
+                    state_classes="per_state",
                     budget: int = DEFAULT_GRID_BUDGET) -> int:
     """Point count of the grid ``enumerate_grid`` would build, once it passes
-    the three size rules: at most ``budget`` points (GridBudgetError), at
-    most ``GEOMETRIC_WEIGHT_LIMIT`` under geometric weights, and at most
-    ``METRIC_MEMBER_LIMIT`` metric members n + n*m (both ValidationError)."""
+    the two size rules: at most ``budget`` points (GridBudgetError) and at
+    most ``METRIC_MEMBER_LIMIT`` metric members n + n*m (ValidationError)."""
     p = grid_point_count(x, n_agents, resolution, state_classes)
     if p > budget:
         raise GridBudgetError(
             f"budget {budget} is below the grid's {p} points; "
             "lower the resolution or merge state classes"
-        )
-    if weights == "geometric" and p > GEOMETRIC_WEIGHT_LIMIT:
-        raise ValidationError(
-            f"weights 'geometric' underflow beyond {GEOMETRIC_WEIGHT_LIMIT} "
-            f"points, and the grid has {p}"
         )
     members = n_agents + n_agents * len(x)
     if members > METRIC_MEMBER_LIMIT:
@@ -507,7 +486,7 @@ def check_grid_size(x, n_agents: int, resolution: int,
 
 
 def enumerate_grid(space: StateSpace, x, n_agents: int, resolution: int, *,
-                   state_classes="per_state", weights: str = "uniform",
+                   state_classes="per_state",
                    budget: int = DEFAULT_GRID_BUDGET) -> MenuGrid:
     """Enumerate the share grid with denominators equal to ``resolution``.
 
@@ -515,35 +494,26 @@ def enumerate_grid(space: StateSpace, x, n_agents: int, resolution: int, *,
     denominator; the cartesian product runs across classes.  A state whose
     aggregate risk is zero carries no decision variables.  A grid that
     breaks a size rule of ``check_grid_size`` raises instead of being
-    subsampled.  Only the
-    composition table and the point weights are built: the grid is implicit.
+    subsampled.  Only the composition table is built: the grid is implicit.
     """
     x = space.check_variable(x, "aggregate risk")
     if resolution < 1:
         raise ValidationError("resolution must be >= 1")
     cls, _ = _resolve_state_classes(x, state_classes)
-    p = check_grid_size(x, n_agents, resolution, state_classes, weights, budget)
-
-    if weights == "uniform":
-        wts = np.full(p, 1.0 / p)
-    elif weights == "geometric":
-        raw = 0.5 ** np.arange(1, p + 1)
-        wts = raw / raw.sum()
-    else:
-        raise ValidationError(f"unknown weights kind {weights!r}")
-
+    check_grid_size(x, n_agents, resolution, state_classes, budget)
     table = compositions(resolution, n_agents) / float(resolution)
-    return MenuGrid(space, x, n_agents, resolution, cls, table, wts, weights)
+    return MenuGrid(space, x, n_agents, resolution, cls, table)
 
 
 def integrate(grid: MenuGrid, f) -> float:
-    """Integral against the grid measure: the weighted sum over points."""
+    """Integral against the grid measure, uniform over the points: the mean
+    of ``f``, summed pairwise as numpy's ``sum`` does."""
     f = np.asarray(f, dtype=float)
     if f.shape != (grid.n_points,):
         raise StructuralError(
             f"expected {grid.n_points} per-point values, got shape {f.shape}"
         )
-    return float(np.dot(grid.weights, f))
+    return float(f.sum()) / grid.n_points
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from .utility import (
     evaluate_grid,
     reference_version,
 )
-from .welfare import closed_form_entropic, maximize_welfare
+from .welfare import maximize_welfare
 
 REPORT_SCHEMA = "pnc-report/v2"
 
@@ -72,14 +72,12 @@ def _bound(name: str, value: float, tol: float, detail: str) -> dict:
 
 def _space_checks(config: ScenarioConfig, grid) -> list[dict]:
     probs = config.space.probs
-    # The positivity checks are lower bounds: they pass when value > tol = 0.
+    # The positivity check is a lower bound: it passes when value > tol = 0.
     checks = [
         _check("space.probs_positive", bool(np.all(probs > 0)),
                f"min prob {probs.min():.3g}", probs.min(), 0.0),
         _bound("space.probs_sum", abs(probs.sum() - 1.0), PROB_TOL,
                f"residual {abs(probs.sum() - 1.0):.3g}"),
-        _check("grid.weights_positive", bool(np.all(grid.weights > 0)),
-               f"min weight {grid.weights.min():.3g}", grid.weights.min(), 0.0),
         _bound("grid.integrate_one",
                abs(integrate(grid, np.ones(grid.n_points)) - 1.0), 1e-12,
                "weighted mass of the constant 1"),
@@ -317,22 +315,21 @@ def _run_experiment(config: ScenarioConfig, *,
     space = config.space
     x = config.x
     grid = enumerate_grid(space, x, profile.n_agents, config.resolution,
-                          state_classes=config.state_classes,
-                          weights=config.grid_weights, budget=config.budget)
+                          state_classes=config.state_classes, budget=config.budget)
     game = calibrate(profile, grid, cap=config.lipschitz_cap)
     umat = game.umat
 
     best = maximize_welfare(game)
 
-    closed = None
-    if all(not isinstance(u, MaxMinUtility) for u in profile.evaluators):
-        cf = closed_form_entropic(profile, x, space.probs)
+    closed, cf = None, best.closed_form
+    if cf is not None:
         closed = cf.to_dict()
         closed["tilt"] = [float(t) for t in cf.tilt]
         closed["grid_value_gap"] = abs(best.value - cf.value)
 
     # Reference-prior values: a max-min agent's are evaluated once, for the
-    # dominance check and its avg; an entropic agent's are its umat column.
+    # dominance check and its avg; an entropic agent's are its umat column,
+    # whose menu average the game already holds.
     ref_vals = {i: evaluate_grid(reference_version(u, space), grid, i)
                 for i, u in enumerate(profile.evaluators)
                 if isinstance(u, MaxMinUtility)}
@@ -358,7 +355,6 @@ def _run_experiment(config: ScenarioConfig, *,
             "n_points": grid.n_points,
             "resolution": grid.resolution,
             "n_classes": grid.n_classes,
-            "weights_kind": grid.weights_kind,
             "diameter": grid.diameter[0],
             "diameter_exact": grid.diameter[1],
         },
@@ -407,7 +403,7 @@ def _run_experiment(config: ScenarioConfig, *,
 
     agents = []
     for i in range(profile.n_agents):
-        ref_avg = integrate(grid, ref_vals[i] if i in ref_vals else umat[:, i])
+        ref_avg = integrate(grid, ref_vals[i]) if i in ref_vals else game.averages[i]
         agents.append({
             "agent": i,
             "avg": float(ref_avg),

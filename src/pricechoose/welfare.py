@@ -67,6 +67,8 @@ class WelfareResult:
     shares: np.ndarray | None = field(default=None, repr=False)
     lam: float | None = None                  # closed form: shared tilt rate
     tilt: np.ndarray | None = field(default=None, repr=False)
+    # maximize_welfare: the common-prior closed form, when the profile has one
+    closed_form: WelfareResult | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -262,22 +264,25 @@ def maximize_welfare(game: Game) -> WelfareResult:
     built as a grid point is (``MenuGrid.allocation``), and it replaces the
     grid winner only when its welfare, evaluated there, is strictly greater.
     An accepted candidate is re-validated against the feasibility
-    invariants before it is returned.
+    invariants before it is returned.  The closed form, when built, rides
+    along as ``closed_form``, also on a grid without a class, which has no
+    candidate.
     """
     profile, grid, wvals = game.profile, game.grid, game.welfare
+    probs = _common_prior(profile)
+    closed = None if probs is None else closed_form_entropic(profile, grid.x, probs)
     idx = int(np.argmax(wvals))
     result = WelfareResult(value=float(game.umat[idx].sum()), per_agent=game.umat[idx],
                            allocation=grid.point(idx), index=idx,
-                           shares=grid.share(idx) if grid.n_classes else None)
+                           shares=grid.share(idx) if grid.n_classes else None,
+                           closed_form=closed)
     if not grid.n_classes:
         return result
 
-    probs, lam = _common_prior(profile), None
-    if probs is None:
+    if closed is None:
         q, _ = _refine_shares(profile, grid, result.shares)
-        method = "refined"
+        method, lam = "refined", None
     else:
-        closed = closed_form_entropic(profile, grid.x, probs)
         q, lam = np.tile(closed.shares, (grid.n_classes, 1)), closed.lam
         method = "closed_form"
     allocation = grid.allocation(q)
@@ -288,7 +293,8 @@ def maximize_welfare(game: Game) -> WelfareResult:
     if not validate_feasible(allocation, grid.x).ok:
         raise ConfigurationError(f"{method} point left the feasible set")
     return WelfareResult(value=value, per_agent=per_agent, allocation=allocation,
-                         method=method, index=idx, shares=q, lam=lam)
+                         method=method, index=idx, shares=q, lam=lam,
+                         closed_form=closed)
 
 
 def closed_form_entropic(profile: UtilityProfile, x, probs) -> WelfareResult:

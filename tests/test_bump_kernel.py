@@ -146,14 +146,6 @@ def no_risk_grid():
     return profile, pc.enumerate_grid(space, np.zeros(2), 2, 4)
 
 
-def geometric_grid():
-    """Two loss states in two classes under geometric point weights: the
-    menu averages are not plain means."""
-    profile, uniform = two_state_grid()
-    return profile, pc.enumerate_grid(uniform.space, uniform.x, 2, 20,
-                                      weights="geometric")
-
-
 GRIDS = {
     "single-class": lambda: hurricane_grid(20, "single"),
     "two-class-no-zero-risk": two_state_grid,
@@ -162,7 +154,6 @@ GRIDS = {
     "four-class": lambda: hurricane_grid(4, "four"),
     "no-spanning-feature": no_spanning_feature_grid,
     "no-risk": no_risk_grid,
-    "geometric-weights": geometric_grid,
 }
 
 

@@ -306,10 +306,9 @@ EDGE_DOCUMENTS = {
     "boolean label": ("grid", {"state_classes": [True]}, "grid.state_classes"),
     "string label": ("grid", {"state_classes": ["loss"]}, None),
     "integer label": ("grid", {"state_classes": [7]}, None),
-    "geometric weights past 1000 points": (
-        "grid", {"weights": "geometric", "resolution": 2000}, "grid.weights"),
-    "geometric weights at 1000 points": (
-        "grid", {"weights": "geometric", "resolution": 999}, None),
+    "geometric weights": ("grid", {"weights": "geometric"},
+                          "grid.weights must be 'uniform' (the geometric measure was removed)"),
+    "uniform weights": ("grid", {"weights": "uniform"}, None),
     "grid over budget": ("grid", {"resolution": 30, "budget": 30}, "grid.budget"),
     "grid at budget": ("grid", {"resolution": 29, "budget": 30}, None),
     # An old ``audits`` section is ignored, as any unknown key is.
@@ -346,16 +345,26 @@ def _hurricane_variant(gammas=(1.0, 2.0, 4.0), scale=1.0, resolution=70):
     return doc
 
 
+def _scale_map(lam):
+    """The hurricane at resolution 20 under (X, gamma) -> (lam X, gamma / lam)."""
+    return _hurricane_variant(gammas=(1.0 / lam, 2.0 / lam, 4.0 / lam), scale=lam,
+                              resolution=20)
+
+
 # Valid hurricane variants that once ended in exit 2: an absolute 1e-12
 # bound on the closed form's tilt-rate identity (one ulp of lam ~ 9,170 is
-# 1.8e-12), and refined points that failed the feasibility recheck at
-# endowments x100 and x1e3 and under (X, gamma) -> (lam X, gamma / lam).
+# 1.8e-12), refined points that failed the feasibility recheck at
+# endowments x100 and x1e3 and under (X, gamma) -> (lam X, gamma / lam), and
+# closed-form points whose column sums round more than an absolute 1e-12
+# away from X ~ 3e4 and beyond.
 SCALED_HURRICANES = {
     "large gammas": _hurricane_variant(gammas=(12345.6, 98765.4, 55555.5)),
     "endowments x100": _hurricane_variant(scale=1e2, resolution=20),
     "endowments x1e3": _hurricane_variant(scale=1e3, resolution=20),
-    "scale map at 1e2": _hurricane_variant(gammas=(1e-2, 2e-2, 4e-2), scale=1e2,
-                                           resolution=20),
+    "endowments x1e4": _hurricane_variant(scale=1e4, resolution=20),
+    "scale map at 1e2": _scale_map(1e2),
+    "scale map at 1e4": _scale_map(1e4),
+    "scale map at 1e5": _scale_map(1e5),
 }
 
 
@@ -368,6 +377,21 @@ def test_scaled_hurricanes_run_with_every_invariant(tmp_path, capsys, case):
     report = load_report(tmp_path / "out" / "report.json")
     assert report["all_invariants_pass"]
     assert all(c["passed"] for c in report["invariants"])
+
+
+@pytest.mark.parametrize("lam", [1e2, 1e3, 1e4, 1e5])
+def test_scale_map_keeps_the_choice_and_scales_the_payoffs(lam):
+    """(X, gamma) -> (lam X, gamma / lam) multiplies every certainty
+    equivalent by lam: the chosen point and its ties stay, and the payoffs
+    divided by lam are the unit-scale ones up to rounding."""
+    unit = run_experiment(pc.scenario_from_dict(_hurricane_variant(resolution=20)))
+    scaled = run_experiment(pc.scenario_from_dict(_scale_map(lam)))
+    assert scaled["all_invariants_pass"]
+    assert scaled["mechanism"]["chosen"] == unit["mechanism"]["chosen"]
+    assert scaled["audits"]["first_mover"]["ties"] == unit["audits"]["first_mover"]["ties"]
+    for field in ("avg", "mechanism_payoff", "final_payoff"):
+        got = [a[field] / lam for a in scaled["agents"]]
+        assert got == pytest.approx([a[field] for a in unit["agents"]], rel=1e-13)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -420,7 +444,7 @@ def _transcripts(config):
     """The bundled run's mechanism and auction transcripts, rebuilt here."""
     grid = pc.enumerate_grid(config.space, config.x, config.profile.n_agents,
                              config.resolution, state_classes=config.state_classes,
-                             weights=config.grid_weights, budget=config.budget)
+                             budget=config.budget)
     game = pc.calibrate(config.profile, grid, cap=config.lipschitz_cap)
     mechanism = pc.run_pnc(game, config.mode, epsilon=config.epsilon,
                            iota=config.iota)

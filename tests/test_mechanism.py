@@ -6,12 +6,19 @@ import pytest
 
 import pricechoose as pc
 from conftest import deviation_gain, sampled_deviations
-from pricechoose.mechanism import _sup_norm, default_epsilon
+from pricechoose.mechanism import _equalize, _sup_norm, default_epsilon
 
 
 def exact_run(profile, grid):
     game = pc.calibrate(profile, grid)
     return game.umat, game, pc.run_pnc(game)
+
+
+def equalizer(game, leader=0, order=None):
+    """The equalizing schedule ``leader`` posts, in posting order ``order``
+    (0..n-1 by default), as ``run_pnc`` builds it."""
+    order = list(range(game.n_agents)) if order is None else order
+    return _equalize(game, leader, order)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +53,9 @@ def test_calibrate_matches_per_utility_estimates(two_state, resolution):
 
 def test_equalizing_hand_example(hand):
     _, _, profile, grid = hand
-    p = pc.equalizing_price(pc.calibrate(profile, grid), 0)
+    game = pc.calibrate(profile, grid)
+    p = equalizer(game)
+    assert pc.run_pnc(game).schedules[0] is p
     assert p.values == pytest.approx([-0.5, 0.0, 0.5], abs=1e-12)
     u2 = pc.evaluate_grid(profile.evaluators[1], grid, 1)
     net = u2 - p.values
@@ -58,14 +67,14 @@ def test_equalizing_constant_welfare_is_zero():
     profile = pc.UtilityProfile((pc.EntropicUtility(1.0, space.probs),
                                  pc.EntropicUtility(1.0, space.probs)))
     grid = pc.enumerate_grid(space, np.array([0.0]), 2, 3)
-    p = pc.equalizing_price(pc.calibrate(profile, grid), 0)
+    p = equalizer(pc.calibrate(profile, grid))
     assert np.all(p.values == 0.0)
 
 
 def test_equalizing_indifference_spread(two_state):
     _, _, profile, grid = two_state
     game = pc.calibrate(profile, grid)
-    p = pc.equalizing_price(game, 0)
+    p = equalizer(game)
     net = game.umat[:, 1] - p.values
     assert float(net.max() - net.min()) <= 1e-9
 
@@ -73,7 +82,7 @@ def test_equalizing_indifference_spread(two_state):
 def test_equalizer_is_unique_given_normalization(two_state):
     _, _, profile, grid = two_state
     game = pc.calibrate(profile, grid)
-    p_star = pc.equalizing_price(game, 0)
+    p_star = equalizer(game)
     # any schedule flattening the net payoff, once zero-meaned, is the same
     flat = game.umat[:, 1] - 7.3
     candidate = flat - pc.integrate(grid, flat)
@@ -83,7 +92,7 @@ def test_equalizer_is_unique_given_normalization(two_state):
 def test_equalizing_zero_mean_and_admissible(two_state):
     _, _, profile, grid = two_state
     game = pc.calibrate(profile, grid)
-    p = pc.equalizing_price(game, 0)
+    p = equalizer(game)
     diag = pc.validate_schedule(p, grid, game.stage_cap)
     assert diag.ok
     assert diag.zero_mean_residual <= 1e-9
@@ -101,22 +110,25 @@ def test_sup_norm_is_the_largest_absolute_value_bit_for_bit(values):
 def test_equalizing_schedule_is_built_once_per_tail(two_state):
     _, _, profile, grid = two_state
     game = pc.calibrate(profile, grid)
-    first = pc.equalizing_price(game, 0)
-    assert pc.equalizing_price(game, 0) is first
-    assert pc.equalizing_price(game, 0, order=[1, 0]) is not first
+    first = equalizer(game)
+    assert equalizer(game) is first
+    assert pc.run_pnc(game).schedules[0] is first
+    assert equalizer(game, order=[1, 0]) is not first
 
 
 def test_equalizing_rejects_too_small_cap(two_state):
     _, _, profile, grid = two_state
     game = pc.calibrate(profile, grid, cap=1e-8)
     with pytest.raises(pc.ConfigurationError, match="too small"):
-        pc.equalizing_price(game, 0)
+        equalizer(game)
+    with pytest.raises(pc.ConfigurationError, match="too small"):
+        pc.run_pnc(game)
 
 
 def test_equalizing_leader_range(two_state):
     _, _, profile, grid = two_state
     with pytest.raises(pc.StructuralError):
-        pc.equalizing_price(pc.calibrate(profile, grid), 1)
+        equalizer(pc.calibrate(profile, grid), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +147,7 @@ def test_bump_is_one_at_target_below_elsewhere(two_state):
 def test_perturbed_tends_to_base_as_epsilon_vanishes(two_state):
     _, _, profile, grid = two_state
     game = pc.calibrate(profile, grid)
-    base = pc.equalizing_price(game, 0)
+    base = equalizer(game)
     eps = 1e-12
     psi = pc.bump_profile(grid, 0, 0.1)
     p = pc.perturbed_price(base, grid, psi, eps, 0.1, game.stage_cap)
@@ -145,7 +157,7 @@ def test_perturbed_tends_to_base_as_epsilon_vanishes(two_state):
 def test_perturbed_unique_argmax_hand(hand):
     _, _, profile, grid = hand
     game = pc.calibrate(profile, grid)
-    base = pc.equalizing_price(game, 0)
+    base = equalizer(game)
     eps = default_epsilon(0.1, game.stage_cap, base.declared_lip)
     psi = pc.bump_profile(grid, 0, 0.1)
     p = pc.perturbed_price(base, grid, psi, eps, 0.1, game.stage_cap)
@@ -159,7 +171,7 @@ def test_perturbed_unique_argmax_hand(hand):
 def test_perturbed_parameter_errors(two_state):
     _, _, profile, grid = two_state
     game = pc.calibrate(profile, grid)
-    base = pc.equalizing_price(game, 0)
+    base = equalizer(game)
     cap = game.stage_cap
     psi = pc.bump_profile(grid, 0, 0.1)
     with pytest.raises(pc.ParameterError):
@@ -197,7 +209,7 @@ def test_best_response_spne_selection_under_equalizer(two_state):
     _, _, profile, grid = two_state
     game = pc.calibrate(profile, grid)
     umat = game.umat
-    net = umat[:, 1] - pc.equalizing_price(game, 0).values
+    net = umat[:, 1] - equalizer(game).values
     assert float(net.max() - net.min()) <= 1e-9
     assert np.array_equal(game.welfare, umat.sum(axis=1))
     assert not game.welfare.flags.writeable
@@ -213,7 +225,7 @@ def test_best_response_constant_shift_leaves_argmax():
                                  pc.EntropicUtility(2.0, space.probs)))
     grid = pc.enumerate_grid(space, np.array([-1.0, -2.0]), 2, 5)
     u2 = pc.evaluate_grid(profile.evaluators[1], grid, 1)
-    base = pc.equalizing_price(pc.calibrate(profile, grid), 0)
+    base = equalizer(pc.calibrate(profile, grid))
     bumped = pc.perturbed_price(base, grid, pc.bump_profile(grid, 7, 0.1),
                                 1e-3, 0.1, 1e9)
     for c in (0.5, -2.0, 10.0):

@@ -122,6 +122,22 @@ def test_sum_telescope_required():
     assert report.sign_ok and report.anchored_ok and report.bound_ok
 
 
+@pytest.mark.parametrize("scale", [1e4, 1e5, 1e9])
+def test_feasibility_tolerance_scales_with_the_largest_risk(scale):
+    """The tolerance is FEASIBILITY_TOL * max(1, |X|_inf): a few ulps of a
+    large X pass, a miss of 4e-12 |X|_inf does not."""
+    x = np.array([-3.0 * scale, 0.0])
+    ulps = 8 * np.spacing(3.0 * scale)
+    assert ulps > 1e-12
+    xi = np.array([[-scale - ulps, 0.0], [-2.0 * scale, 0.0]])
+    assert pc.validate_feasible(xi, x).ok
+    over = 4e-12 * scale
+    assert not pc.validate_feasible(xi + [[-over, 0.0], [0.0, 0.0]], x).sum_ok
+    # At |X| <= 1 the tolerance stays the absolute FEASIBILITY_TOL.
+    assert not pc.validate_feasible(np.array([[-0.5 - 2e-12], [-0.5]]),
+                                    np.array([-1.0])).sum_ok
+
+
 # ---------------------------------------------------------------------------
 # grid enumeration
 # ---------------------------------------------------------------------------
@@ -129,7 +145,6 @@ def test_sum_telescope_required():
 def test_grid_two_agents_resolution_two(hand):
     _, x, _, grid = hand
     assert grid.n_points == 3
-    assert np.allclose(grid.weights, 1.0 / 3.0)
     # ascending lexicographic order: all mass on the last agent first
     assert grid.points[:, 1, 0].tolist() == [-1.0, -0.5, 0.0]
     assert grid.points[:, 0, 0].tolist() == [0.0, -0.5, -1.0]
@@ -146,7 +161,7 @@ def test_grid_zero_aggregate_single_point():
     grid = pc.enumerate_grid(space, np.zeros(2), 3, 5)
     assert grid.n_points == 1
     assert np.all(grid.points == 0.0)
-    assert grid.weights.tolist() == [1.0]
+    assert pc.integrate(grid, np.array([2.5])) == 2.5
 
 
 def test_grid_budget_exceeded():
@@ -222,14 +237,25 @@ def test_grid_single_class_ties_states():
     assert np.allclose(grid.points[:, 0, 1], 2.0 * grid.points[:, 0, 0])
 
 
-def test_geometric_weights_full_support():
+def test_geometric_weights_are_rejected():
+    """The menu measure is uniform: enumerate_grid takes no weights, and a
+    scenario may name only the uniform one."""
     space = pc.StateSpace(["w"], [1.0])
-    grid = pc.enumerate_grid(space, np.array([-1.0]), 2, 6, weights="geometric")
-    assert np.all(grid.weights > 0)
-    assert grid.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    assert grid.weights[0] > grid.weights[-1]
-    with pytest.raises(pc.ValidationError, match="underflow"):
-        pc.enumerate_grid(space, np.array([-1.0]), 2, 2000, weights="geometric")
+    with pytest.raises(TypeError, match="weights"):
+        pc.enumerate_grid(space, np.array([-1.0]), 2, 6, weights="geometric")
+    doc = {"states": ["w"], "probs": [1.0], "endowments": [[-1.0], [0.0]],
+           "utilities": [{"kind": "entropic", "gamma": 1.0}] * 2,
+           "grid": {"resolution": 4}}
+    assert pc.scenario_from_dict(doc).effective["grid"]["weights"] == "uniform"
+    for kind in ("geometric", "Uniform", None):
+        doc["grid"]["weights"] = kind
+        with pytest.raises(pc.ValidationError) as info:
+            pc.scenario_from_dict(doc)
+        assert info.value.errors == [
+            "<dict>: grid.weights must be 'uniform' (the geometric measure "
+            f"was removed), got {kind!r}"]
+    doc["grid"]["weights"] = "uniform"
+    assert pc.scenario_from_dict(doc).effective["grid"]["weights"] == "uniform"
 
 
 def test_metric_member_limit_rejects_underflowing_series_weights():
@@ -426,7 +452,7 @@ def test_point_and_share_reject_out_of_range_indices():
             grid.distance(0, k)
     last = grid.n_points - 1
     assert np.array_equal(grid.point(last), grid.points[last])
-    assert np.array_equal(grid.share(last), grid.shares[last])
+    assert np.array_equal(grid.share(last), grid._shares_at(np.arange(grid.n_points))[last])
 
 
 def _implicit_grids():
@@ -442,14 +468,12 @@ def _implicit_grids():
 
 @pytest.mark.parametrize("grid", list(_implicit_grids()))
 def test_implicit_grid_matches_its_arrays(grid):
-    """On a product grid enumerate_grid builds nothing with P rows but the
-    weights; point(k), share(k) and the diagonal points agree with the
-    arrays built on request."""
+    """On a product grid enumerate_grid builds nothing with P rows; point(k),
+    share(k) and the diagonal points agree with the arrays built on request."""
     p = grid.n_points
     if grid.n_classes > 1:
-        held = [v for k, v in vars(grid).items() if k != "weights"]
-        assert all(a.shape[0] < p for a in _arrays(held))
-    points, shares = grid.points, grid.shares
+        assert all(a.shape[0] < p for a in _arrays(list(vars(grid).values())))
+    points, shares = grid.points, grid._shares_at(np.arange(p))
     assert points.shape == (p, grid.n_agents, len(grid.x))
     for k in range(p):
         assert grid.point(k).tobytes() == points[k].tobytes()
@@ -506,7 +530,7 @@ def test_integrate_indicator_returns_weight(two_state):
     _, _, _, grid = two_state
     f = np.zeros(grid.n_points)
     f[11] = 1.0
-    assert pc.integrate(grid, f) == grid.weights[11]
+    assert pc.integrate(grid, f) == 1.0 / grid.n_points
 
 
 def test_integrate_follower_utilities_hand_example(hand):
@@ -650,7 +674,8 @@ def test_vertex_diameter_exact_above_4096_points():
     assert grid.n_points == 9261
     diam, exact = grid.diameter
     assert exact
-    vertices = np.nonzero(np.all(grid.shares.max(axis=2) == 1.0, axis=1))[0]
+    shares = grid._shares_at(np.arange(grid.n_points))
+    vertices = np.nonzero(np.all(shares.max(axis=2) == 1.0, axis=1))[0]
     assert len(vertices) == 2 ** 3
     best = max(series_distance(grid.space, grid.points[a], grid.points[b])
                for a in vertices for b in vertices)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import pricechoose as pc
-from pricechoose import mechanism, report, utility
+from pricechoose import mechanism, report, utility, welfare
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "pricechoose" / "scenarios"
 
@@ -44,7 +44,8 @@ def test_run_experiment_computes_shared_data_once(monkeypatch):
     tails, of which (2,) repeats, so five schedules are built and validated
     once each; the matrix evaluates each agent's column once, and
     calibration and the report's averages read it instead of re-evaluating.  Both audits are closed
-    forms, so no distance vector is built."""
+    forms, so no distance vector is built.  The closed form is built once,
+    by the welfare step, and the report reads it from there."""
     config = pc.load_scenario(SCENARIOS / "hurricane_three_farmers.json")
     assert config.profile.n_agents == 3 and config.mode == "exact"
     calls = {
@@ -54,12 +55,14 @@ def test_run_experiment_computes_shared_data_once(monkeypatch):
         "validate_schedule": count_calls(monkeypatch, mechanism, "validate_schedule"),
         "evaluate_grid": count_calls(monkeypatch, utility, "evaluate_grid"),
         "distances_to": count_calls(monkeypatch, pc.MenuGrid, "distances_to"),
+        "closed_form_entropic": count_calls(monkeypatch, welfare, "closed_form_entropic"),
     }
     result = pc.run_experiment(config)
     assert result["all_invariants_pass"]
     assert {k: len(v) for k, v in calls.items()} == {
         "matrix": 1, "average_utilities": 1, "run_pnc": 3,
-        "validate_schedule": 5, "evaluate_grid": 3, "distances_to": 0}
+        "validate_schedule": 5, "evaluate_grid": 3, "distances_to": 0,
+        "closed_form_entropic": 1}
 
     # Perturbed mode adds one run; its n - 1 posted schedules share one
     # bump, so one distance vector.
@@ -75,6 +78,24 @@ def test_run_experiment_computes_shared_data_once(monkeypatch):
     result = pc.run_experiment(config, include_auction=False)
     assert result["all_invariants_pass"]
     assert len(calls["run_pnc"]) == 1
+
+
+def test_risk_free_entropic_report_keeps_its_closed_form():
+    """A grid without a class has no welfare candidate, yet the report's
+    closed_form section is still the closed form of the profile."""
+    doc = {"states": ["a", "b"], "probs": [0.25, 0.75],
+           "endowments": [[1.0, -1.0], [-1.0, 1.0]],
+           "utilities": [{"kind": "entropic", "gamma": 1.0},
+                         {"kind": "entropic", "gamma": 3.0}],
+           "grid": {"resolution": 4}}
+    config = pc.scenario_from_dict(doc)
+    result = pc.run_experiment(config)
+    assert result["grid"]["n_classes"] == 0 and result["all_invariants_pass"]
+    cf = pc.closed_form_entropic(config.profile, config.x, config.space.probs)
+    expected = dict(cf.to_dict(), tilt=[float(t) for t in cf.tilt],
+                    grid_value_gap=abs(result["welfare"]["value"] - cf.value))
+    assert result["closed_form"] == expected
+    assert expected["tilt"] == [0.25, 0.75]
 
 
 def test_every_posting_order_implements_the_same_point_on_a_welfare_tie():
@@ -199,7 +220,7 @@ def test_pipeline_reads_no_point_sized_grid_array(monkeypatch):
     def refuse(grid):
         raise AssertionError("the pipeline read a point-sized grid array")
 
-    for name in ("points", "shares", "features"):
+    for name in ("points", "features"):
         monkeypatch.setattr(pc.MenuGrid, name, property(refuse))
     base = three_class_hurricane()
     for resolution, mode in ((2, "exact"), (4, "perturbed")):
@@ -211,7 +232,7 @@ def test_pipeline_reads_no_point_sized_grid_array(monkeypatch):
 
 STRUCTURAL_CHECKS = {"utility.credal_sets", "welfare.argmax_feasible",
                      "auction.winner_argmax", "mechanism.perturbed_target"}
-LOWER_BOUND_CHECKS = {"space.probs_positive", "grid.weights_positive"}
+LOWER_BOUND_CHECKS = {"space.probs_positive"}
 
 
 def test_invariants_record_their_margins():
@@ -262,62 +283,95 @@ DATA = Path(__file__).resolve().parent / "data"
 SCENARIO_FILES = {"three-agent-maxmin": DATA / "three_agent_maxmin.json"}
 BUNDLED_RUNS = {
     ("two-agent-hand", "run"): (
-        "59bca4a3c4dd4579787e65c0c1f04c1d209d1fced63169b7eef5d0651355eb04",
+        "a65ebbbe0867531b53e59b3903df750fdb04ea8f844632ce50fc4173c425bc50",
         "d4f002d601b7202f01c87da0579f844c66e9eb1d5b94961aafd64a0bec9015df",
         "78c168ef0f918c7f75ec9891189c025c8916947e43ab056d813a2564b15c1afe"),
     ("two-agent-hand", "run-perturbed"): (
-        "3d916ad4586239e107e33018d4d88fc8556c338169584721cf1e0218409cae67",
+        "f75070f1e3bce7a639c2303e4dd16a9e03123490fc1badda1f6c7a4468e28b7d",
         "3f963f5e5580cc9f1c55b0054840bf7a6e1e23d1ca1d3df90a4914b3b401bddf",
-        "be46471d172ad739c90d99cd58b9a4efbb81af0272d61994484a64213dd9041f"),
+        "aa120f87069c1e353f46a629c304f61e3dc65c7141e08d7ded4b2fa520b450f2"),
     ("two-agent-hand", "audit"): (
-        "d6d4668a690ba853109387e29f95b7417eb424d06399d349b823182e484e9bb0",
+        "c239854f21b3c26df3bd1f229279c95a02b51503b7d1ceff02c1ff8afa9d2456",
         "403db2b6e2719b55555c1f463a9ff75a32cc18ec083e2d396f396f9631f30a49",
         "f4d404172eaab8bf53aeeae2ae5c61ebe02ca3726bcce77c9c030b75bb195f01"),
     ("hurricane-three-farmers", "run"): (
-        "f02cdda3e47b84118d090245ab0e2576c153149b1768f97fb7390ae1ab0703fe",
-        "3a52bd52199642899e197c793752902c06e730a8e521bb7cea7843592d1c7cc2",
-        "9f31d2a1a41bf11acd8212941f49d8a9ec04e8b1c906ca91f260bd9df5d92fce"),
+        "ef8c79bbaee4b0c4c3590f6bcbea7d4ddf68c7fad9fb84795eb1fe766e1a0f49",
+        "724d685fe74ad52bb81aa18f94b2472678d731e52063f2ff0a0df9998e3ff888",
+        "9fb0c758ff828ee9fdca5404a84af65c8dbe551fee382fffadbe255f411d3d48"),
     ("hurricane-three-farmers", "run-perturbed"): (
-        "d3b6d677d8ed048ff30f5a4fa3e2f470e295b69aabc5d00968509874dffc7a22",
-        "7233424c3d86bd99ae541054a61aa68093094358e3a3431523d7246fbc044885",
-        "8c100bd47212ca0354b2f10c3e5408cc816d5d772842791622cdfb2896d59df7"),
+        "7701f6419c73318ff948a9e0e08d8a8e3a8986b5c94b646a60107c243a6026dd",
+        "58065725dcd15ffda3c87727432c90d286c72e113ec252d8be0b42a533146fbb",
+        "7625d706f386e9bddfa0204e5af1f7e67ee2612370fb8daf6eb5ee168f145dc7"),
     ("hurricane-three-farmers", "audit"): (
-        "1adc04d0cb402e03c38dc972df0f92e4803bbe328b84bbf8b6832d383d831878",
-        "8fb16b301188ebee71a00033aa4dc1e39e7b9f31c9db1908807dcd5ff01d3c94",
-        "4477bde65568e3f7359a14648aa76587e403d2a0aa06ba35c9d695d3bfc0bea1"),
+        "ec583c86d4d3b31de5750d430832f2d2515866a5b80ff32e60631fdec8ed4314",
+        "171b772ad2cd55e8440079649ca617999f8a905b2a4ca8cc418c1e5d7c325f75",
+        "0a560e9a38ac9db62c757aaa61540a0b570f8638c49e5fd8636a5296f3b44de2"),
     ("three-agent-maxmin", "run"): (
-        "f1d7170222fad48bbb99679a6c6fccfaa2dea72159fbf1db0e7206408cfd8c26",
-        "9481b568b3e3cb3268c360221e651c236f6012f4d9c547511ec6b7ec38fec7aa",
+        "b61b489f96d177c4ed825977c8da1f5573d3ebeaea9bc4e10961d890cee7e28e",
+        "1c6df763eebbeee19b1b41f0a3ad70a0768dfb8cf23faeaca2a31fd4b148b765",
         "b6bc66246bb109dc198991d10d42c76537daa2ea5a4a569abcdec83f10e60b4d"),
 }
 RECORDED = DATA / "bundled_reports"
 
 
-def _first_difference(new, old, path="$"):
-    """JSON path of the first value that differs, in document order."""
+def _named(items) -> bool:
+    return bool(items) and all(isinstance(v, dict) and "name" in v for v in items)
+
+
+def _moved_paths(new, old, path=""):
+    """Every JSON path whose value differs, list indices collapsed to ``[]``.
+
+    Lists of named records (the invariants) are matched by name, so a record
+    added or dropped reads ``invariants[<name>]`` and does not move the
+    records after it; other lists are matched by position.
+    """
     if isinstance(new, dict) and isinstance(old, dict):
         for key in sorted(set(new) | set(old)):
+            sub = f"{path}.{key}" if path else key
             if key not in new or key not in old:
-                return f"{path}.{key}"
-            found = _first_difference(new[key], old[key], f"{path}.{key}")
-            if found:
-                return found
-        return None
-    if isinstance(new, list) and isinstance(old, list):
-        for j, (a, b) in enumerate(zip(new, old)):
-            found = _first_difference(a, b, f"{path}[{j}]")
-            if found:
-                return found
-        return None if len(new) == len(old) else f"{path} (length)"
-    return None if new == old and type(new) is type(old) else path
+                yield sub
+            else:
+                yield from _moved_paths(new[key], old[key], sub)
+    elif isinstance(new, list) and isinstance(old, list):
+        if _named(new) and _named(old):
+            new, old = ({v["name"]: v for v in items} for items in (new, old))
+            for name in sorted(set(new) ^ set(old)):
+                yield f"{path}[{name}]"
+            for name in sorted(set(new) & set(old)):
+                yield from _moved_paths(new[name], old[name], f"{path}[]")
+            return
+        if len(new) != len(old):
+            yield f"{path} (length)"
+        for a, b in zip(new, old):
+            yield from _moved_paths(a, b, f"{path}[]")
+    elif not (new == old and type(new) is type(old)):
+        yield path
+
+
+def moved_paths(new, old) -> list[str]:
+    """The distinct moved paths of ``_moved_paths``, sorted."""
+    return sorted(set(_moved_paths(new, old)))
+
+
+def test_moved_paths_collapse_indices_and_match_records_by_name():
+    old = {"a": [{"x": 1, "y": 2}, {"x": 3, "y": 4}], "b": 1.0, "gone": 0,
+           "invariants": [{"name": "p", "value": 1.0}, {"name": "q", "value": 2.0},
+                          {"name": "r", "value": 3.0}]}
+    new = {"a": [{"x": 1, "y": 5}, {"x": 6, "y": 4}], "b": 1, "added": 0,
+           "invariants": [{"name": "p", "value": 1.0}, {"name": "r", "value": 3.5}]}
+    assert moved_paths(new, old) == ["a[].x", "a[].y", "added", "b", "gone",
+                                     "invariants[].value", "invariants[q]"]
+    assert moved_paths(old, old) == []
 
 
 def test_bundled_reports_match_recorded_digests(tmp_path):
+    """Every run is compared, and every moved file and report path is listed."""
     from pricechoose.cli import main
 
     def sha(path: Path) -> str:
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
+    problems = []
     for (scenario, command), digests in BUNDLED_RUNS.items():
         out = tmp_path / f"{scenario}.{command}"
         argv = ["run", "--mode", "perturbed"] if command == "run-perturbed" else [command]
@@ -330,13 +384,14 @@ def test_bundled_reports_match_recorded_digests(tmp_path):
         report_json, report_csv, npz = (out / "report.json", out / "report.csv",
                                         out / "schedules.npz")
         if sha(report_json) != digests[0]:
-            where = _first_difference(json.loads(report_json.read_text()),
-                                      json.loads(recorded.read_text()))
-            raise AssertionError(f"{label}: report.json differs first at {where}")
-        assert sha(report_csv) == digests[1], f"{label}: report.csv differs"
+            moved = moved_paths(json.loads(report_json.read_text()),
+                                json.loads(recorded.read_text()))
+            problems.append(f"{label}: report.json differs at {moved}")
+        if sha(report_csv) != digests[1]:
+            problems.append(f"{label}: report.csv differs")
         if sha(npz) != digests[2]:
-            # The report's schedule summaries carry each vector's sha256.
-            doc = json.loads(report_json.read_text())
+            # The recorded schedule summaries carry each vector's sha256.
+            doc = json.loads(recorded.read_text())
             summaries = {f"mechanism_{j}": s for j, s in
                          enumerate(doc["mechanism"]["schedules"])}
             if "auction" in doc:
@@ -346,7 +401,8 @@ def test_bundled_reports_match_recorded_digests(tmp_path):
                 moved = [key for key in arrays.files if key not in summaries or
                          hashlib.sha256(arrays[key].astype("<f8").tobytes())
                          .hexdigest() != summaries[key]["sha256"]]
-            raise AssertionError(f"{label}: schedules.npz differs; arrays {moved}")
+            problems.append(f"{label}: schedules.npz differs; arrays {moved}")
+    assert not problems, "\n".join(problems)
 
 
 def test_non_finite_margin_is_recorded_as_null():
