@@ -27,6 +27,8 @@ _GRID_DEFAULTS = {"state_classes": "per_state", "weights": "uniform",
 _MECH_DEFAULTS = {"mode": "exact", "lipschitz_cap": None, "iota": DEFAULT_IOTA,
                   "epsilon": None}
 _OUTPUT_DEFAULTS = {"dir": "out", "format": "both"}
+_SPEC_KEYS = {"entropic": ("kind", "gamma"),
+              "maxmin": ("kind", "gamma", "priors", "lip_bound")}
 
 
 @dataclass(frozen=True)
@@ -96,12 +98,22 @@ def _check_number_list(values, name: str, errors: list[str]) -> bool:
     return True
 
 
-def _section(d: dict, name: str, defaults: dict, errors: list[str]) -> dict:
-    """A top-level object section over its defaults; a non-object is an error."""
+def _check_keys(given: dict, known, label: str, errors: list[str]) -> None:
+    """A key outside ``known`` is a typo or a misplaced option: an error."""
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        errors.append(f"{label} has unknown keys {unknown}")
+
+
+def _section(d: dict, name: str, defaults: dict, errors: list[str],
+             required=()) -> dict:
+    """A top-level object section over its defaults; a non-object, or a key
+    that is neither defaulted nor ``required``, is an error."""
     given = d.get(name, {})
     if not isinstance(given, dict):
         errors.append(f"{name} must be an object")
         given = {}
+    _check_keys(given, [*defaults, *required], name, errors)
     return {**defaults, **given}
 
 
@@ -145,6 +157,7 @@ def _utilities(specs, n_agents: int, n_states: int, reference,
             errors.append(f"{label}: kind must be 'entropic' or 'maxmin', got {kind!r}")
             continue
         checked = len(errors)
+        _check_keys(spec, _SPEC_KEYS[kind], label, errors)
         gamma = spec.get("gamma")
         if not _is_number(gamma):
             errors.append(f"{label}: gamma must be a positive number, got {gamma!r}")
@@ -216,7 +229,7 @@ def scenario_from_dict(d: dict, source: str = "<dict>") -> ScenarioConfig:
     evaluators = _utilities(d.get("utilities"), n_agents, n_states,
                             reference if space is None else space.probs, errors)
 
-    grid = _section(d, "grid", _GRID_DEFAULTS, errors)
+    grid = _section(d, "grid", _GRID_DEFAULTS, errors, required=("resolution",))
     resolution = grid.get("resolution")
     if not _is_int(resolution, 1):
         errors.append(f"grid.resolution must be an integer >= 1, got {resolution!r}")

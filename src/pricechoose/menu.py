@@ -22,12 +22,16 @@ allocations obeys the mass certificate
 The indicators make d separate allocations: d(xi, eta) = 0 forces xi = eta.
 
 On a grid every allocation is linear in its class shares q (one simplex point
-per state class), so each pairing <xi, h_k> is a row of coefficients on q.
-A member whose row has one nonzero entry contributes 2^-(k+1) |coef| |dq_ci|,
-so all such members merge into one feature per (class, agent) whose weight is
-the sum of theirs; members with all-zero rows drop out.  The distance stays
-exact while the feature count falls from n + n*m to n*C, plus the agent-mass
-functionals that span several classes.
+per state class), and the series takes a closed form in them.  Each share
+q_ci is a feature whose weight sums the indicators of (i, w) over w in c,
+
+    omega_ci = sum_{w in c} 2^-(n + i*m + w + 1) |(1/P(w)) (P(w) X(w))|.
+
+Agent i's mass functional is sum_c M_c q_ci, with class mass
+M_c = sum_{w in c} P(w) X(w).  It stays a feature of weight 2^-(i+1) when
+two or more classes carry mass; with one, it adds 2^-(i+1) |M_c| to that
+class's omega_ci; with none, it drops out.  Each omega and M is a
+``math.fsum``, so the weights do not depend on the BLAS build.
 
 The grid is the Cartesian product of one composition table per class, the
 same (K x n) table of simplex points for every class, so P = K^C.  A grid
@@ -35,12 +39,10 @@ stores that table and P, never a P-sized array: point k takes row j_c of the
 table in class c, where (j_1, ..., j_C) are the base-K digits of k, and
 ``point(k)``/``share(k)`` are computed from those digits.  The ``points`` and
 ``features`` arrays are built only on request, and nothing in the pipeline
-requests them.  Every feature is a sum of per-class terms,
-g_f(j) = sum_c t_fc[j_c], with t_fc a K-vector.  Distances to one point
-are built from these O(F*C*K) tables: a feature that touches one class gives
-a K-vector of weighted gaps along that class's axis, and only the few
-features spanning several classes need their per-class gaps summed over the
-whole grid.
+requests them.  Distances to one point are sums along the class axes of
+O(C*K*n) tables: each class's weighted share gaps give a K-vector along its
+axis, and only the mass sums, when there are any, are summed over the whole
+grid.
 
 The distance is convex in the pair of share profiles, and the share set is a
 product of simplices, so the menu diameter is reached at a pair of vertices
@@ -297,126 +299,90 @@ class MenuGrid:
         return _read_only(rows[:, :, None] * (self.x + 0.0))
 
     @cached_property
-    def _merged_metric(self) -> tuple[np.ndarray, np.ndarray]:
-        """(feature map, feature weights) of the metric on this grid.
+    def _metric(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(omega, mass, mass_weights): the metric's closed form on this grid.
 
-        Row k of the coefficient matrix is <xi, h_k> as a linear form in the
-        flattened (class, agent) shares.  The mass member of agent i sums
-        P(w) X(w) over the states w of class c into column (c, i); the
-        indicator of (i, w) puts (1/P(w)) P(w) X(w) into column (c(w), i)
-        alone.  Single-entry rows merge into their column with weight sum
-        2^-(k+1) |coef|; all-zero rows drop out; the rest stay as they are.
+        ``omega`` (C x n) weighs the class shares, ``mass`` (C,) holds each
+        class mass M_c and ``mass_weights`` weighs the n mass sums: 2^-(i+1)
+        when two or more classes carry mass, empty otherwise.  Each omega
+        and M is one ``math.fsum`` of its terms (module docstring).
         """
-        n, probs, cls = self.n_agents, self.space.probs, self.class_of_state
-        onehot = np.zeros((len(self.x), self.n_classes))
-        member = cls >= 0
-        onehot[member, cls[member]] = 1.0
+        n, m, probs = self.n_agents, len(self.x), self.space.probs
         px = probs * self.x
-        eye = np.eye(n)
-        # One (n x m) @ (m x C) product per mass member, and the merge's
-        # gemv over every member row, zero rows included: a closed-form
-        # class sum or a merge over nonzero rows alone rounds differently.
-        mass = (eye[:, :, None] * px) @ onehot                     # (n, n, C)
-        coord = eye[:, None, None, :] * ((1.0 / probs * px)[:, None] * onehot)[..., None]
-        rows = np.concatenate([mass.transpose(0, 2, 1).reshape(n, -1),
-                               coord.reshape(n * len(self.x), -1)])
-        series = 0.5 ** np.arange(1, len(rows) + 1)
-        nnz = np.count_nonzero(rows, axis=1)
-        single = nnz == 1
-        kept = nnz > 1
-        merged = series[single] @ np.abs(rows[single])
-        cols = np.nonzero(merged)[0]
-        feature_map = np.concatenate([rows[kept], np.eye(rows.shape[1])[cols]])
-        weights = np.concatenate([series[kept], merged[cols]])
-        feature_map.setflags(write=False)
-        weights.setflags(write=False)
-        return feature_map, weights
+        k = n + np.arange(n)[:, None] * m + np.arange(m)           # (n x m)
+        coord = np.ldexp(np.abs(1.0 / probs * px), -(k + 1))
+        members = [np.flatnonzero(self.class_of_state == c)
+                   for c in range(self.n_classes)]
+        mass = np.array([math.fsum(px[w]) for w in members])
+        carriers = np.count_nonzero(mass)
+        mass_weights = np.ldexp(1.0, -np.arange(1, n + 1))
+        # A lone carrier's |M_c| is the only nonzero mass: fold it into omega.
+        folded = np.abs(mass) if carriers == 1 else np.zeros_like(mass)
+        omega = np.array([[math.fsum([*coord[i, w], folded[c] * mass_weights[i]])
+                           for i in range(n)] for c, w in enumerate(members)])
+        omega = omega.reshape(self.n_classes, n)
+        if carriers < 2:
+            mass_weights = mass_weights[:0]
+        return _read_only(omega), _read_only(mass), _read_only(mass_weights)
 
     @property
     def feature_weights(self) -> np.ndarray:
-        """Series weight of each column of ``features``."""
-        return self._merged_metric[1]
+        """Series weight of each column of ``features``: the mass sums', then
+        omega in (class, agent) order."""
+        omega, _, mass_weights = self._metric
+        return np.concatenate([mass_weights, omega.ravel()])
 
     @cached_property
     def features(self) -> np.ndarray:
-        """(points x features) distance features, linear in the class shares.
-
-        Members of the metric's test family whose share-coefficient row has
-        a single nonzero entry are merged into one feature per (class,
-        agent); the others, the agent-mass functionals of a multi-class
-        grid, are kept as they are.  With ``feature_weights`` they give the
-        metric exactly: d(j, k) = |g_j - g_k| . feature_weights.  Built only
-        on request, for tests and inspection: the pipeline reads the feature
-        rows of the points it touches and the per-class tables instead.
-        """
+        """(points x features) distance features: the n mass sums, when
+        there are any, then the class shares in (class, agent) order, so
+        that d(j, k) = |g_j - g_k| . feature_weights.  Built only on request,
+        for tests and inspection."""
         return self._feature_rows(np.arange(self.n_points))
 
     def _feature_rows(self, idx: np.ndarray) -> np.ndarray:
-        """Rows ``idx`` of ``features``: with one class, rows of the table of
-        ``_class_tables``; otherwise computed from the points' shares."""
-        one = self._class_tables[0]
-        if len(one) == 1:
-            return one[0][0][idx]
-        flat = self._shares_at(idx).reshape(len(idx), self.n_classes * self.n_agents)
-        return flat @ self._merged_metric[0].T
-
-    @cached_property
-    def _class_tables(self) -> tuple[list, list, np.ndarray]:
-        """Per-class feature tables: ``features`` without the P-sized matrix.
-
-        Point j takes composition row j_c in every class c, so feature f is
-        a sum of per-class terms, g_f(j) = sum_c t_fc[j_c], and t_fc is the
-        composition table ``table`` times feature f's coefficients on class
-        c.  Returns ``one``, ``multi`` and ``multi_weights``: ``one[c]`` is
-        the (K x features) table and the weights of the features that touch
-        class c alone, in column order; ``multi[c]`` is the (features x K)
-        table of class c's terms of the features spanning several classes,
-        which ``multi_weights`` weigh.  On a single-class grid ``one[0][0]``
-        is ``features``; nothing here has P rows otherwise.
-        """
-        fmap, fw = self._merged_metric
-        classes, n = self.n_classes, self.n_agents
-        blocks = fmap.reshape(len(fw), classes, n)
-        touched = np.any(blocks != 0.0, axis=2)
-        spans = touched.sum(axis=1) > 1
-        one, multi = [], []
-        for c in range(classes):
-            table = self.table @ blocks[:, c, :].T
-            own = touched[:, c] & ~spans
-            # Row-major, as ``features`` is: the gemv rounding depends on it.
-            one.append((np.ascontiguousarray(table[:, own]), fw[own]))
-            multi.append(np.ascontiguousarray(table[:, spans].T))
-        return one, multi, fw[spans]
+        """Rows ``idx`` of ``features``."""
+        shares = self._shares_at(idx)
+        flat = shares.reshape(len(idx), self.n_classes * self.n_agents)
+        _, mass, mass_weights = self._metric
+        if not mass_weights.size:
+            return flat
+        return np.concatenate([mass @ shares, flat], axis=1)
 
     def distances_to(self, k: int) -> np.ndarray:
         """Metric distance from every grid point to point ``k``.
 
-        Per point: the weighted |sum of per-class gaps| of the features
-        spanning several classes (one gemv over the grid), plus each class's
-        weighted |gap| of its one-class features, in class order, each
-        broadcast along its class axis.  On a grid with at most one class
-        this is |g - g_k| . feature_weights over the features in column
-        order, bit for bit.  Raises StructuralError unless 0 <= k < n_points.
+        Per point: the weighted |sum_c M_c (q_c - q_c(k))| of the mass sums
+        (one gemv over the grid), when there are any, plus each class's
+        |q_c - q_c(k)| . omega_c, in class order, each a K-vector broadcast
+        along its class axis.  Raises StructuralError unless
+        0 <= k < n_points.
         """
         k = self._check_index(k)
-        one, multi, multi_w = self._class_tables
-        if not one:
+        if not self.n_classes:
             return np.zeros(1)
-        size, classes = self.table.shape[0], len(one)
-        digits = np.unravel_index(k, (size,) * classes)
+        omega, mass, mass_weights = self._metric
+        size, classes, n = self.table.shape[0], self.n_classes, self.n_agents
+        gaps = [self.table - self.table[j]
+                for j in np.unravel_index(k, (size,) * classes)]
 
         def along(c: int, *lead: int) -> tuple[int, ...]:
             return lead + (1,) * c + (size,) + (1,) * (classes - 1 - c)
 
-        total = 0.0
-        if multi_w.size:
-            gap = 0.0
-            for c, (u, j) in enumerate(zip(multi, digits)):
-                gap = gap + (u - u[:, j, None]).reshape(along(c, multi_w.size))
+        if mass_weights.size:
+            moved = 0.0
+            for c, gap in enumerate(gaps):
+                # C order, so that ``moved`` is too and reshapes without a copy.
+                term = np.ascontiguousarray(mass[c] * gap.T)
+                moved = moved + term.reshape(along(c, n))
+            np.abs(moved, out=moved)
+            total = (mass_weights @ moved.reshape(n, -1)).reshape((size,) * classes)
+            del moved           # (n x P): freed before the class terms are added
+        else:
+            total = np.zeros((size,) * classes)
+        for c, gap in enumerate(gaps):
             np.abs(gap, out=gap)
-            total = (multi_w @ gap.reshape(multi_w.size, -1)).reshape((size,) * classes)
-        for c, ((t, w), j) in enumerate(zip(one, digits)):
-            total = total + (np.abs(t - t[j]) @ w).reshape(along(c))
+            total += (gap @ omega[c]).reshape(along(c))
         return total.reshape(self.n_points)
 
     def distance(self, j: int, k: int) -> float:

@@ -78,9 +78,6 @@ def _space_checks(config: ScenarioConfig, grid) -> list[dict]:
                f"min prob {probs.min():.3g}", probs.min(), 0.0),
         _bound("space.probs_sum", abs(probs.sum() - 1.0), PROB_TOL,
                f"residual {abs(probs.sum() - 1.0):.3g}"),
-        _bound("grid.integrate_one",
-               abs(integrate(grid, np.ones(grid.n_points)) - 1.0), 1e-12,
-               "weighted mass of the constant 1"),
     ]
     # Every entry of every grid point occurs among the diagonal points, so
     # these maxima are the grid's own.

@@ -1,9 +1,10 @@
 """The distance kernel and the certified first-mover audit.
 
-``reference_distances_to`` and ``reference_bump_profile`` are verbatim
-copies of whole-grid versions: one broadcast of the spanning-feature gaps
-over all P points in canonical order, and a fresh array per step.  The
-kernel must reproduce them bit for bit.  The sampled first-mover replay the
+``reference_distances_to`` and ``reference_bump_profile`` are whole-grid
+versions: they read the gaps of every point's ``features`` row, weigh them
+by ``feature_weights`` in the kernel's order (the mass sums' gaps, then each
+class's share gaps), and take a fresh array per step.  The kernel must
+reproduce them bit for bit.  The sampled first-mover replay the
 audit used to run is kept here as a property test of the certificate that
 replaced it, with bumps built by the reference kernel.
 """
@@ -26,36 +27,26 @@ from pricechoose.errors import ParameterError
 
 
 def reference_distances_to(self, k: int) -> np.ndarray:
-    p = self.n_points
     k = self._check_index(k)
-    one, multi, multi_w = self._class_tables
-    classes = len(one)
-    if classes == 1:
-        # The table is ``features``: skip the per-axis bookkeeping, which
-        # costs more than the scan on a few thousand points.
-        t, w = one[0]
-        gap = t - t[k]
-        np.abs(gap, out=gap)
-        return gap @ w
-    shape = tuple(t.shape[0] for t, _ in one)
-    digits = np.unravel_index(k, shape)
-
-    def along(c: int, *lead: int) -> tuple[int, ...]:
-        return lead + (1,) * c + (-1,) + (1,) * (classes - 1 - c)
-
-    if multi_w.size:
-        gap = 0.0
-        for c, (u, j) in enumerate(zip(multi, digits)):
-            gap = gap + (u - u[:, j, None]).reshape(along(c, multi_w.size))
-        np.abs(gap, out=gap)
-        total = (multi_w @ gap.reshape(multi_w.size, p)).reshape(shape)
+    if not self.n_classes:
+        return np.zeros(1)
+    g, w = self.features, self.feature_weights
+    _, mass, mass_w = self._metric
+    n, lead = self.n_agents, mass_w.size
+    gap = g[:, lead:] - g[k, lead:]
+    if lead:
+        moved = 0.0
+        for c in range(self.n_classes):
+            moved = moved + mass[c] * gap[:, c * n:(c + 1) * n]
+        np.abs(moved, out=moved)
+        total = w[:lead] @ np.ascontiguousarray(moved.T)
     else:
-        total = np.zeros(shape)
-    for c, ((t, w), j) in enumerate(zip(one, digits)):
-        gap = t - t[j]
-        np.abs(gap, out=gap)
-        total += (gap @ w).reshape(along(c))
-    return total.reshape(p)
+        total = np.zeros(self.n_points)
+    np.abs(gap, out=gap)
+    for c in range(self.n_classes):
+        cols = slice(c * n, (c + 1) * n)
+        total += np.ascontiguousarray(gap[:, cols]) @ w[lead:][cols]
+    return total
 
 
 def reference_bump_profile(grid, target: int, iota: float) -> np.ndarray:
@@ -134,7 +125,7 @@ def no_spanning_feature_grid():
                                       for g in (1.0, 2.0, 4.0)))
     grid = pc.enumerate_grid(space, np.array([0.0, -1.0, 1.0, -2.0, 2.0, -3.0]),
                              3, 6, state_classes=[0, 1, 1, 2, 2, 3])
-    assert grid.n_classes == 3 and grid._class_tables[2].size == 0
+    assert grid.n_classes == 3 and grid._metric[2].size == 0
     return profile, grid
 
 
@@ -227,6 +218,24 @@ def test_audit_holds_a_few_point_vectors(three_class):
     finally:
         tracemalloc.stop()
     assert peak < bound, (peak, bound)
+
+
+def test_distances_to_holds_a_few_point_vectors(three_class):
+    """Peak traced memory of one distance scan stays under five point-sized
+    vectors on a grid with mass sums: their (n x P) gaps, then the P-vector
+    of distances into which each class's term is added in place."""
+    game, _ = three_class
+    grid = game.grid
+    n = grid.n_agents
+    assert grid._metric[2].size == n
+    grid.distances_to(0)
+    tracemalloc.start()
+    try:
+        grid.distances_to(grid.n_points // 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (n + 2) * grid.n_points * 8, peak / (grid.n_points * 8)
 
 
 # ---------------------------------------------------------------------------

@@ -276,7 +276,8 @@ def test_benchmark_report_matches_closed_form_weights():
 
 def test_empty_deviation_audit_still_valid(tmp_path):
     """An ``audits`` section asking for no sampled deviations is ignored, as
-    any unknown key is: the report still carries both certified audits."""
+    any unknown top-level section is: the report still carries both
+    certified audits."""
     doc = minimal_doc()
     doc["audits"] = {"deviations": 0, "bid_points": 11}
     config = pc.load_scenario(write_scenario(tmp_path, doc))
@@ -298,8 +299,8 @@ def test_cli_validate_ok():
     assert main(["validate", "--scenario", "two-agent-hand"]) == 0
 
 
-# (section, its changed keys, the field a rejection names; None: the run goes
-# through)
+# (section, or a path to one, its changed keys, the field a rejection names;
+# None: the run goes through)
 EDGE_DOCUMENTS = {
     "object label": ("grid", {"state_classes": [{"a": 1}]}, "grid.state_classes"),
     "list label": ("grid", {"state_classes": [[1]]}, "grid.state_classes"),
@@ -311,7 +312,11 @@ EDGE_DOCUMENTS = {
     "uniform weights": ("grid", {"weights": "uniform"}, None),
     "grid over budget": ("grid", {"resolution": 30, "budget": 30}, "grid.budget"),
     "grid at budget": ("grid", {"resolution": 29, "budget": 30}, None),
-    # An old ``audits`` section is ignored, as any unknown key is.
+    "misspelt mechanism key": ("mechanism", {"mdoe": "perturbed"},
+                               "mechanism has unknown keys ['mdoe']"),
+    "priors on an entropic spec": (("utilities", 0), {"priors": [[0.5, 0.5]]},
+                                   "utilities[0] has unknown keys ['priors']"),
+    # An old ``audits`` section is ignored, as any unknown top-level section is.
     "no bid points": ("audits", {"bid_points": 0}, None),
     "one bid point": ("audits", {"bid_points": 1}, None),
     "two bid points": ("audits", {"bid_points": 2}, None),
@@ -324,7 +329,10 @@ EDGE_DOCUMENTS = {
 def test_validate_and_run_agree(tmp_path, capsys, case):
     section, changes, named = EDGE_DOCUMENTS[case]
     doc = json.loads((FIXTURES / "two_agent_hand.json").read_text())
-    doc.setdefault(section, {}).update(changes)
+    target = doc
+    for key in section if isinstance(section, tuple) else (section,):
+        target = target.setdefault(key, {}) if isinstance(target, dict) else target[key]
+    target.update(changes)
     path = write_scenario(tmp_path, doc)
     checked = main(["validate", "--scenario", str(path)])
     ran = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])

@@ -400,6 +400,36 @@ def test_grid_distance_matches_metric_definition_all_pairs(grid):
     assert worst <= 1e-14
 
 
+@pytest.mark.parametrize("grid", list(_all_pairs_grids()))
+def test_metric_weights_are_exact_sums_of_their_terms(grid):
+    """Every class mass and every omega is math.fsum of its explicit terms,
+    bit for bit, so no BLAS build can round them differently; a lone
+    mass-carrying class takes its agents' mass terms into omega."""
+    omega, mass, mass_weights = grid._metric
+    n, m, classes = grid.n_agents, len(grid.x), grid.n_classes
+    probs, x = grid.space.probs.tolist(), grid.x.tolist()
+    members = [[w for w in range(m) if grid.class_of_state[w] == c] for c in range(classes)]
+    expected_mass = [math.fsum(probs[w] * x[w] for w in ws) for ws in members]
+    assert mass.tolist() == expected_mass
+    carriers = [c for c in range(classes) if expected_mass[c] != 0.0]
+    for c, ws in enumerate(members):
+        for i in range(n):
+            terms = [math.ldexp(abs((1.0 / probs[w]) * (probs[w] * x[w])),
+                                -(n + i * m + w + 1)) for w in ws]
+            if carriers == [c]:
+                terms.append(math.ldexp(abs(expected_mass[c]), -(i + 1)))
+            assert omega[c, i] == math.fsum(terms), (c, i)
+    expected = [0.5 ** (i + 1) for i in range(n)] if len(carriers) >= 2 else []
+    assert mass_weights.tolist() == expected
+    assert grid.feature_weights.tolist() == expected + omega.ravel().tolist()
+
+
+def test_all_pairs_grids_cover_every_mass_case():
+    """No class, one class or several carry mass among the grids above."""
+    carriers = {min(np.count_nonzero(g._metric[1]), 2) for g in _all_pairs_grids()}
+    assert carriers == {0, 1, 2}
+
+
 @pytest.mark.parametrize("grid", [g for g in _all_pairs_grids() if g.n_classes <= 1])
 def test_distances_to_single_class_is_the_feature_scan(grid):
     g, w = grid.features, grid.feature_weights

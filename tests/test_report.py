@@ -127,13 +127,19 @@ def test_every_posting_order_implements_the_same_point_on_a_welfare_tie():
             for w in range(3)} == {chosen}
 
 
-def test_traced_names_resolve_in_the_package():
-    """perfbench/spans.py wraps these functions and members by name, and a
-    traced benchmark run fails on one that is gone."""
+def load_spans():
+    """perfbench/spans.py, loaded by file path: it is read, not changed."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_names_resolve_in_the_package():
+    """perfbench/spans.py wraps these functions and members by name, and a
+    traced benchmark run fails on one that is gone."""
+    spans = load_spans()
     for name in spans.FUNCTIONS:
         module, attr = name.split(".")
         assert callable(getattr(importlib.import_module(f"pricechoose.{module}"),
@@ -145,6 +151,30 @@ def test_traced_names_resolve_in_the_package():
                         {"grid", "exhaustive_threshold", "num_samples"}),
                        (pc.pareto_check, {"grid", "profile"})):
         assert params <= set(inspect.signature(fn).parameters), fn.__name__
+
+
+def test_tracer_installs_counts_and_uninstalls(two_state):
+    """The tracer's shape counters bind ``lipschitz_ratio``'s and
+    ``pareto_check``'s parameters by name: a traced call through the
+    installed wrappers counts, and uninstalling puts every original back."""
+    _, _, profile, grid = two_state
+    originals = (pc.lipschitz_ratio, welfare.pareto_check,
+                 vars(pc.MenuGrid)["features"])
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        assert pc.lipschitz_ratio is not originals[0]
+        assert {"grid", "exhaustive_threshold", "num_samples"} <= set(
+            inspect.signature(pc.lipschitz_ratio).parameters)
+        assert {"grid", "profile"} <= set(inspect.signature(pc.pareto_check).parameters)
+        pc.lipschitz_ratio(np.zeros(grid.n_points), grid, exhaustive_threshold=4)
+        pc.pareto_check(profile, grid, grid.point(0))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["menu.lipschitz_ratio.pairs"] == 4096
+    assert tracer.counts["welfare.pareto_check.comparisons"] == grid.n_points * 2
+    assert (pc.lipschitz_ratio, welfare.pareto_check,
+            vars(pc.MenuGrid)["features"]) == originals
 
 
 def test_drawn_winner_run_is_its_branch(two_state):
@@ -264,10 +294,10 @@ def test_metric_checks_fail_on_a_negative_or_non_finite_weight(two_state, weight
                                                                failing):
     _, _, _, grid = two_state
     assert all(c["passed"] for c in report._metric_checks(grid))
-    fmap, w = grid._merged_metric
-    w = w.copy()
-    w[1] = weight
-    grid.__dict__["_merged_metric"] = (fmap, w)
+    omega, mass, mass_weights = grid._metric
+    omega = omega.copy()
+    omega[0, 1] = weight
+    grid.__dict__["_metric"] = (omega, mass, mass_weights)
     with np.errstate(invalid="ignore"):       # d(x, x) = inf * 0
         checks = report._metric_checks(grid)
     assert {c["name"] for c in checks if not c["passed"]} == failing
@@ -283,31 +313,31 @@ DATA = Path(__file__).resolve().parent / "data"
 SCENARIO_FILES = {"three-agent-maxmin": DATA / "three_agent_maxmin.json"}
 BUNDLED_RUNS = {
     ("two-agent-hand", "run"): (
-        "a65ebbbe0867531b53e59b3903df750fdb04ea8f844632ce50fc4173c425bc50",
+        "3af4d43e9573b5f8a47f85f0f55cf31ccf770238d64bb304f205fa3560a4831f",
         "d4f002d601b7202f01c87da0579f844c66e9eb1d5b94961aafd64a0bec9015df",
         "78c168ef0f918c7f75ec9891189c025c8916947e43ab056d813a2564b15c1afe"),
     ("two-agent-hand", "run-perturbed"): (
-        "f75070f1e3bce7a639c2303e4dd16a9e03123490fc1badda1f6c7a4468e28b7d",
+        "6ad9645c58c885a5aecc0003fcbeec7fadfe4ec38ae55a61e506dc25625baf46",
         "3f963f5e5580cc9f1c55b0054840bf7a6e1e23d1ca1d3df90a4914b3b401bddf",
         "aa120f87069c1e353f46a629c304f61e3dc65c7141e08d7ded4b2fa520b450f2"),
     ("two-agent-hand", "audit"): (
-        "c239854f21b3c26df3bd1f229279c95a02b51503b7d1ceff02c1ff8afa9d2456",
+        "bb71b49bcacee098e7439dce9478c65423b519da8a09ac1fda562f21ad13981e",
         "403db2b6e2719b55555c1f463a9ff75a32cc18ec083e2d396f396f9631f30a49",
         "f4d404172eaab8bf53aeeae2ae5c61ebe02ca3726bcce77c9c030b75bb195f01"),
     ("hurricane-three-farmers", "run"): (
-        "ef8c79bbaee4b0c4c3590f6bcbea7d4ddf68c7fad9fb84795eb1fe766e1a0f49",
+        "6c25da105c18f40144f6ad08f61cbccbd057473a5185d95530772f062beb51e6",
         "724d685fe74ad52bb81aa18f94b2472678d731e52063f2ff0a0df9998e3ff888",
         "9fb0c758ff828ee9fdca5404a84af65c8dbe551fee382fffadbe255f411d3d48"),
     ("hurricane-three-farmers", "run-perturbed"): (
-        "7701f6419c73318ff948a9e0e08d8a8e3a8986b5c94b646a60107c243a6026dd",
+        "6a2e6ebb24a3f57e33ef540412d1e7960eea1d1b732e22f42059b13625786e86",
         "58065725dcd15ffda3c87727432c90d286c72e113ec252d8be0b42a533146fbb",
         "7625d706f386e9bddfa0204e5af1f7e67ee2612370fb8daf6eb5ee168f145dc7"),
     ("hurricane-three-farmers", "audit"): (
-        "ec583c86d4d3b31de5750d430832f2d2515866a5b80ff32e60631fdec8ed4314",
+        "7daf9b7534f45ae3ec90312f694046989604189e0899c686f91117e9c0573a78",
         "171b772ad2cd55e8440079649ca617999f8a905b2a4ca8cc418c1e5d7c325f75",
         "0a560e9a38ac9db62c757aaa61540a0b570f8638c49e5fd8636a5296f3b44de2"),
     ("three-agent-maxmin", "run"): (
-        "b61b489f96d177c4ed825977c8da1f5573d3ebeaea9bc4e10961d890cee7e28e",
+        "c1f5d9d44f2ee6c2c267a1e36c47b66278e2862e9ee22e90db16b1039ad9021a",
         "1c6df763eebbeee19b1b41f0a3ad70a0768dfb8cf23faeaca2a31fd4b148b765",
         "b6bc66246bb109dc198991d10d42c76537daa2ea5a4a569abcdec83f10e60b4d"),
 }
