@@ -69,7 +69,8 @@ def equilibrium_bid(eta: float, n: int) -> float:
             "cover the average benchmark"
         )
     b = (n - 1) * eta / n
-    if abs((eta - b) - b / (n - 1)) > 1e-12:
+    # Relative above unit scale, as in ``validate_feasible``.
+    if abs((eta - b) - b / (n - 1)) > 1e-12 * max(1.0, eta):
         raise ValidationError("bid indifference identity failed")
     return b
 

@@ -47,9 +47,9 @@ class Game:
 
     Holds the utility matrix, the calibrated Lipschitz data, the menu
     averages Avg_i, the welfare W of every grid point (its row sum, added
-    in agent order) and W_max.  Build it once with ``calibrate`` and pass
-    it along.  Each equalizing schedule is built once per tail of the
-    posting order and kept here.
+    in agent order), and W_max at its lowest-index argmax, found once.
+    Build it once with ``calibrate`` and pass it along.  Each equalizing
+    schedule is built once per tail of the posting order and kept here.
     """
 
     profile: UtilityProfile
@@ -60,6 +60,7 @@ class Game:
     averages: np.ndarray = field(repr=False)
     welfare: np.ndarray = field(repr=False)
     welfare_max: float
+    _welfare_argmax: int = field(repr=False)
     _schedules: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
@@ -93,11 +94,12 @@ def calibrate(profile: UtilityProfile, grid: MenuGrid, *,
         cap = CAP_SAFETY * float(est.max())
     averages = average_utilities(grid, umat)
     welfare = umat.sum(axis=1)
+    target = int(np.argmax(welfare))
     for shared in (umat, est, averages, welfare):
         shared.setflags(write=False)
     return Game(profile=profile, grid=grid, umat=umat, agent_lipschitz=est,
                 cap=float(cap), averages=averages, welfare=welfare,
-                welfare_max=float(welfare.max()))
+                welfare_max=float(welfare[target]), _welfare_argmax=target)
 
 
 @dataclass(frozen=True)
@@ -219,8 +221,8 @@ def _equalize(game: Game, leader: int,
     key = tuple(order[leader + 1:])
     if key in game._schedules:
         return game._schedules[key]
-    tail = _tail_values(game.umat, order, leader + 1)
-    values = tail - integrate(game.grid, tail)
+    values = _tail_values(game.umat, order, leader + 1)
+    values -= integrate(game.grid, values)
     declared = float(sum(game.agent_lipschitz[j] for j in key))
     schedule = PriceSchedule(values=values, declared_lip=declared)
     diag = validate_schedule(schedule, game.grid, game.stage_cap)
@@ -355,7 +357,7 @@ def run_pnc(game: Game, mode: str = "exact", *,
 
     bases, diagnostics = zip(*(_equalize(game, leader, order)
                                for leader in range(n - 1)))
-    target = int(np.argmax(game.welfare))
+    target = game._welfare_argmax
 
     if mode == "exact":
         schedules = bases

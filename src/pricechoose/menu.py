@@ -35,14 +35,15 @@ class's omega_ci; with none, it drops out.  Each omega and M is a
 
 The grid is the Cartesian product of one composition table per class, the
 same (K x n) table of simplex points for every class, so P = K^C.  A grid
-stores that table and P, never a P-sized array: point k takes row j_c of the
-table in class c, where (j_1, ..., j_C) are the base-K digits of k, and
-``point(k)``/``share(k)`` are computed from those digits.  The ``points`` and
-``features`` arrays are built only on request, and nothing in the pipeline
-requests them.  Distances to one point are sums along the class axes of
-O(C*K*n) tables: each class's weighted share gaps give a K-vector along its
-axis, and only the mass sums, when there are any, are summed over the whole
-grid.
+stores it as integer counts and as shares counts / r, K rows each (K = P
+only on one class), and P.  Point k takes row j_c of the table in class c,
+where (j_1, ..., j_C) are the base-K digits of k; ``point(k)``, ``share(k)``
+and the r + 1 share levels j / r are read off those tables.  The ``points``
+and ``features`` arrays are built only on request, and nothing in the
+pipeline requests them.  Distances to one point are sums along the class
+axes of O(C*K*n) tables: each class's weighted share gaps give a K-vector
+along its axis, and only the mass sums, when there are any, are summed over
+the whole grid.
 
 The distance is convex in the pair of share profiles, and the share set is a
 product of simplices, so the menu diameter is reached at a pair of vertices
@@ -57,7 +58,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
 from numbers import Integral
 
 import numpy as np
@@ -145,19 +145,18 @@ def validate_feasible(xi, x) -> FeasibilityReport:
 
 def compositions(total: int, parts: int) -> np.ndarray:
     """All nonnegative integer tuples of length ``parts`` summing to ``total``,
-    in ascending lexicographic order.
-
-    Stars and bars: the parts are the gaps between ``parts - 1`` bars placed
-    among ``total + parts - 1`` slots, and bar positions in lexicographic
-    order give the tuples in lexicographic order.
-    """
-    slots = total + parts - 1
-    rows = math.comb(slots, parts - 1)
-    bars = np.fromiter(chain.from_iterable(combinations(range(slots), parts - 1)),
-                       dtype=np.int64, count=rows * (parts - 1))
-    edges = np.concatenate([np.full((rows, 1), -1), bars.reshape(rows, parts - 1),
-                            np.full((rows, 1), slots)], axis=1)
-    return np.diff(edges, axis=1) - 1
+    in ascending lexicographic order: the differences of the prefix sums
+    0 = s_0 <= s_1 <= ... <= s_parts = total, in the sums' own order.  Column
+    j repeats a row whose s_(j-1) is v once for each s_j in v..total."""
+    sums = np.zeros((1, parts + 1), dtype=np.int64)
+    sums[:, -1] = total
+    for j in range(1, parts):
+        low = sums[:, j - 1]
+        counts = total + 1 - low
+        start = np.repeat(np.cumsum(counts) - counts - low, counts)
+        sums = np.repeat(sums, counts, axis=0)
+        sums[:, j] = np.arange(len(start)) - start
+    return np.diff(sums, axis=1)
 
 
 def check_state_class_labels(labels) -> None:
@@ -206,33 +205,35 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class MenuGrid:
     """Finite menu: share-parameterized allocations and a metric.
 
-    Implicit and immutable: the grid keeps the (K x n) composition table
-    ``table``, whose rows are the share vectors of one class, and the point
-    count P = K^C.  Point k takes row j_c in class c, where (j_1, ..., j_C)
-    are the base-K digits of k, so points are ordered lexicographically in
-    composition indices, class-major, and every lowest-index tie-break
-    downstream is deterministic.  A grid holds no P-sized array until
-    ``points`` or ``features`` is requested; its measure is the uniform one,
-    1/P at every point (``integrate``).
+    Implicit and immutable: the grid keeps the (K x n) compositions
+    ``counts`` of the resolution r, their shares ``table = counts / r`` (one
+    class's share vectors) and the point count P = K^C.  Point k takes row
+    j_c in class c, where (j_1, ..., j_C) are the base-K digits of k, so
+    points are ordered lexicographically in composition indices,
+    class-major, and every lowest-index tie-break downstream is
+    deterministic.  The tables have P rows only on one class; ``points``
+    and ``features`` are built only on request.  Its measure is the uniform
+    one, 1/P at every point (``integrate``).
     """
 
     def __init__(self, space: StateSpace, x: np.ndarray, n_agents: int,
-                 resolution: int, class_of_state: np.ndarray, table: np.ndarray) -> None:
+                 resolution: int, class_of_state: np.ndarray, counts: np.ndarray) -> None:
         self.space = space
         self.x = x
         self.n_agents = n_agents
         self.resolution = resolution
         self.class_of_state = class_of_state
         self.n_classes = int(class_of_state.max()) + 1 if class_of_state.size else 0
-        self.table = table
-        self.n_points = table.shape[0] ** self.n_classes
+        self.counts = counts
+        self.table = counts / float(resolution)
+        self.n_points = counts.shape[0] ** self.n_classes
         # Point k's class-c digit is k // K^(C-1-c) % K; a zero-risk state
-        # (class -1) reads place 1, and every diagonal point is 0 there.
-        self._place_values = table.shape[0] ** np.arange(self.n_classes - 1, -1, -1)
+        # (class -1) reads place 1, and every table row times +0.0 is 0 there.
+        self._place_values = counts.shape[0] ** np.arange(self.n_classes - 1, -1, -1)
         self._state_places = np.append(self._place_values, 1)[class_of_state]
         # lipschitz_ratio's point pairs and distances, per sampling arguments.
         self._lipschitz_pairs: dict[tuple, tuple[np.ndarray, ...]] = {}
-        for arr in (self.x, self.table):
+        for arr in (self.x, self.counts, self.table):
             arr.setflags(write=False)
 
     def _check_index(self, k) -> int:
@@ -248,11 +249,20 @@ class MenuGrid:
 
     def _points_at(self, idx) -> np.ndarray:
         """Allocations of the points ``idx``: (n x m) for one index, with a
-        leading axis for an array of them.  Column w is read from the
-        diagonal point whose table row point k takes in class c(w)."""
+        leading axis for an array of them.  Column w is the table row that
+        point k takes in class c(w) times X(w) + 0.0."""
         rows = np.asarray(idx)[..., None] // self._state_places % self.table.shape[0]
-        cols = self.diagonal_points[rows, :, np.arange(len(self.x))]
+        cols = self.table[rows]
+        cols *= (self.x + 0.0)[:, None]
         return np.ascontiguousarray(cols.swapaxes(-1, -2))
+
+    def _share_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(levels, index): the sorted distinct entries of every column of
+        ``table`` and each entry's position among them.  With n >= 2 every
+        count 0..r occurs in every column; a lone agent's level is 1.0."""
+        if self.n_agents > 1:
+            return np.arange(self.resolution + 1) / float(self.resolution), self.counts
+        return np.ones(1), np.zeros_like(self.counts)
 
     def share(self, k: int) -> np.ndarray:
         """(C x n) class shares of point ``k``, one table row per class.
@@ -270,8 +280,8 @@ class MenuGrid:
     def allocation(self, shares) -> np.ndarray:
         """(n x m) allocation of the (C x n) class shares ``shares``:
         xi_i(w) = q_{c(w), i} X(w), and +0.0 where X is zero.  The products
-        are the ones ``diagonal_points`` takes, so ``allocation(share(k))``
-        is ``point(k)`` byte for byte."""
+        are the ones ``point`` takes, so ``allocation(share(k))`` is
+        ``point(k)`` byte for byte."""
         # A zero-risk state (class -1) reads the appended zero row.
         q = np.vstack([shares, np.zeros(self.n_agents)])
         return np.ascontiguousarray((q[self.class_of_state] * (self.x + 0.0)[:, None]).T)
@@ -281,22 +291,9 @@ class MenuGrid:
         """(points x n x m) allocation of every point.
 
         Built only on request, for tests and inspection: the pipeline reads
-        ``point(k)`` and ``diagonal_points`` instead.
+        ``point(k)`` instead.
         """
         return _read_only(self._points_at(np.arange(self.n_points)))
-
-    @cached_property
-    def diagonal_points(self) -> np.ndarray:
-        """(K x n x m) allocations of the points that take the same table row
-        in every class (the single point when there is no class).
-
-        Entry (i, w) of a grid point depends only on the table row its class
-        c(w) takes, so every entry of every grid point occurs among these
-        rows; with at most one class they are the points themselves.
-        """
-        rows = self.table if self.n_classes else self.table[:1]
-        # x + 0.0 turns a -0.0 entry into +0.0: zero-risk states hold +0.0.
-        return _read_only(rows[:, :, None] * (self.x + 0.0))
 
     @cached_property
     def _metric(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -424,10 +421,7 @@ def grid_point_count(x, n_agents: int, resolution: int,
     """Number of points enumerate_grid would produce, without materializing."""
     x = np.asarray(x, dtype=float)
     _, n_classes = _resolve_state_classes(x, state_classes)
-    if n_classes == 0:
-        return 1
-    per_class = math.comb(resolution + n_agents - 1, n_agents - 1)
-    return per_class ** n_classes
+    return math.comb(resolution + n_agents - 1, n_agents - 1) ** n_classes
 
 
 def check_grid_size(x, n_agents: int, resolution: int,
@@ -467,8 +461,8 @@ def enumerate_grid(space: StateSpace, x, n_agents: int, resolution: int, *,
         raise ValidationError("resolution must be >= 1")
     cls, _ = _resolve_state_classes(x, state_classes)
     check_grid_size(x, n_agents, resolution, state_classes, budget)
-    table = compositions(resolution, n_agents) / float(resolution)
-    return MenuGrid(space, x, n_agents, resolution, cls, table)
+    return MenuGrid(space, x, n_agents, resolution, cls,
+                    compositions(resolution, n_agents))
 
 
 def integrate(grid: MenuGrid, f) -> float:

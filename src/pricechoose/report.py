@@ -79,19 +79,22 @@ def _space_checks(config: ScenarioConfig, grid) -> list[dict]:
         _bound("space.probs_sum", abs(probs.sum() - 1.0), PROB_TOL,
                f"residual {abs(probs.sum() - 1.0):.3g}"),
     ]
-    # Every entry of every grid point occurs among the diagonal points, so
-    # these maxima are the grid's own.
-    rows = grid.diagonal_points
-    bound_slack = float((np.abs(rows) - np.abs(grid.x)[None, None, :]).max())
+    # Entry (i, w) of a point is a share level times X(w) + 0.0 and column w
+    # sums one table row's products: these tables reach the grid's maxima.
+    x = grid.x + 0.0
+    products = grid._share_levels()[0][:, None] * x
+    bound_slack = float((np.abs(products) - np.abs(grid.x)).max())
     checks.append(_bound("menu.coordinate_bound", bound_slack, 1e-12,
                          f"max |xi|-|X| = {bound_slack:.3g}"))
-    col_slack = float(np.abs(rows.sum(axis=1) - grid.x[None, :]).max())
+    sums = np.multiply.outer(x, grid.table[:, 0])       # (states x rows)
+    for i in range(1, grid.n_agents):
+        sums += np.multiply.outer(x, grid.table[:, i])
+    sums -= grid.x[:, None]
+    col_slack = float(np.abs(sums, out=sums).max())
     checks.append(_bound("menu.column_sums", col_slack, 1e-12,
                          f"max |sum_i xi - X| = {col_slack:.3g}"))
-    sign = np.sign(grid.x)
-    sign_slack = float(-(rows * sign[None, None, :]).min())
-    zero_mask = grid.x == 0.0
-    anchored = float(np.abs(rows[:, :, zero_mask]).max()) if zero_mask.any() else 0.0
+    sign_slack = float(-(products * np.sign(x)).min())
+    anchored = float(np.abs(products[:, grid.x == 0.0]).max(initial=0.0))
     # value is the sign slack; the zero-state mass must also be exactly 0.
     checks.append(_check("menu.sign_anchoring",
                          sign_slack <= 1e-12 and anchored == 0.0,

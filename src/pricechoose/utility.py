@@ -16,9 +16,8 @@ of priors; the inner objective is linear in the prior, so for polytope credal
 sets evaluating the vertex list loses nothing.
 
 On a menu grid an agent's random variable is fixed by its share level in
-each state class, and its column of the composition table holds L <= K
-distinct levels, so ``evaluate_grid`` evaluates the agent L^C times, once
-per tuple of levels, and gathers the values onto the K^C grid points.
+each state class, one of L levels j / r, so ``evaluate_grid`` evaluates
+the agent L^C times and gathers the values onto the K^C grid points.
 
 One kernel, ``_tilted_ce``, computes every certainty equivalent (a point,
 a grid's level tuples, the share refinement's trials) with the same floats
@@ -231,18 +230,18 @@ def evaluate_grid(u: Utility, grid: MenuGrid, agent: int) -> np.ndarray:
     """The utility of ``agent`` at every grid point, from its share levels.
 
     The agent's random variable at a point is fixed by the agent's share
-    level in each class, and its column of ``grid.table`` holds L <= K
-    distinct levels, so the utility is evaluated L^C times, once per tuple
-    of levels, and gathered onto the P = K^C points.  Tuple t takes level
+    level in each class, one of the L levels ``grid._share_levels`` reads
+    off the integer table, so the utility is evaluated L^C times, once per
+    tuple of levels, and gathered onto the P = K^C points.  Tuple t takes level
     t // L^(C-1-c) % L in class c, and a zero-risk state reads +0.0.  The
     tuples' state-major allocations go through ``_tilted_ce`` in blocks of
     at most ``GRID_BLOCK`` (state, tuple) entries, so every point's value is
     the float ``evaluate`` gives at that point.
     """
-    levels, inv = np.unique(grid.table[:, agent], return_inverse=True)
+    levels, index = grid._share_levels()
     size, classes = len(levels), grid.n_classes
     places = np.append(size ** np.arange(classes - 1, -1, -1), 1)[:, None]
-    # x + 0.0 turns a -0.0 entry into +0.0, as in ``diagonal_points``.
+    # x + 0.0 turns a -0.0 entry into +0.0, as in ``MenuGrid.point``.
     x = (grid.x + 0.0)[:, None]
     priors = u.credal.priors if isinstance(u, MaxMinUtility) else u.probs[None]
     values = np.empty(size ** classes)
@@ -256,7 +255,7 @@ def evaluate_grid(u: Utility, grid: MenuGrid, agent: int) -> np.ndarray:
         values[lo:lo + step] = np.minimum.reduce(ce, axis=0)
     values = values.reshape((size,) * classes)
     for axis in range(classes):
-        values = values.take(inv, axis=axis)
+        values = values.take(index[:, agent], axis=axis)
     return values.reshape(grid.n_points)
 
 

@@ -268,10 +268,10 @@ def maximize_welfare(game: Game) -> WelfareResult:
     along as ``closed_form``, also on a grid without a class, which has no
     candidate.
     """
-    profile, grid, wvals = game.profile, game.grid, game.welfare
+    profile, grid = game.profile, game.grid
     probs = _common_prior(profile)
     closed = None if probs is None else closed_form_entropic(profile, grid.x, probs)
-    idx = int(np.argmax(wvals))
+    idx = game._welfare_argmax
     result = WelfareResult(value=float(game.umat[idx].sum()), per_agent=game.umat[idx],
                            allocation=grid.point(idx), index=idx,
                            shares=grid.share(idx) if grid.n_classes else None,
@@ -288,7 +288,7 @@ def maximize_welfare(game: Game) -> WelfareResult:
     allocation = grid.allocation(q)
     per_agent = profile.at_point(allocation)
     value = float(per_agent.sum())
-    if not value > wvals[idx]:
+    if not value > game.welfare_max:
         return result
     if not validate_feasible(allocation, grid.x).ok:
         raise ConfigurationError(f"{method} point left the feasible set")

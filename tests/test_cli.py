@@ -364,7 +364,8 @@ def _scale_map(lam):
 # 1.8e-12), refined points that failed the feasibility recheck at
 # endowments x100 and x1e3 and under (X, gamma) -> (lam X, gamma / lam), and
 # closed-form points whose column sums round more than an absolute 1e-12
-# away from X ~ 3e4 and beyond.
+# away from X ~ 3e4 and beyond, and an absolute 1e-12 bound on the bid
+# indifference identity at eta ~ 3.4e4 and 5.1e4.
 SCALED_HURRICANES = {
     "large gammas": _hurricane_variant(gammas=(12345.6, 98765.4, 55555.5)),
     "endowments x100": _hurricane_variant(scale=1e2, resolution=20),
@@ -373,6 +374,8 @@ SCALED_HURRICANES = {
     "scale map at 1e2": _scale_map(1e2),
     "scale map at 1e4": _scale_map(1e4),
     "scale map at 1e5": _scale_map(1e5),
+    "scale map at 2e5": _scale_map(2e5),
+    "scale map at 3e5": _scale_map(3e5),
 }
 
 

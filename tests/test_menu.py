@@ -1,6 +1,7 @@
 import gc
 import math
 from fractions import Fraction
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -202,6 +203,27 @@ def test_compositions_count_and_order(total, parts):
     assert np.all(comp.sum(axis=1) == total)
     as_tuples = [tuple(r) for r in comp]
     assert as_tuples == sorted(as_tuples)
+
+
+def _itertools_compositions(total, parts):
+    """Stars and bars over ``itertools.combinations``: the bar positions,
+    in lexicographic order, give the tuples in lexicographic order."""
+    slots = total + parts - 1
+    rows = math.comb(slots, parts - 1)
+    bars = np.fromiter(chain.from_iterable(combinations(range(slots), parts - 1)),
+                       dtype=np.int64, count=rows * (parts - 1))
+    edges = np.concatenate([np.full((rows, 1), -1), bars.reshape(rows, parts - 1),
+                            np.full((rows, 1), slots)], axis=1)
+    return np.diff(edges, axis=1) - 1
+
+
+@pytest.mark.parametrize("total, parts", [
+    *((t, p) for t in range(13) for p in range(1, 7)),
+    (70, 3), *((0, k) for k in range(1, 11)), *((k, 1) for k in range(1, 40, 7))])
+def test_compositions_equal_the_itertools_recipe(total, parts):
+    got, ref = compositions(total, parts), _itertools_compositions(total, parts)
+    assert got.dtype == ref.dtype == np.int64
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 def test_compositions_leave_no_reference_cycles():
@@ -499,23 +521,20 @@ def _implicit_grids():
 @pytest.mark.parametrize("grid", list(_implicit_grids()))
 def test_implicit_grid_matches_its_arrays(grid):
     """On a product grid enumerate_grid builds nothing with P rows; point(k),
-    share(k) and the diagonal points agree with the arrays built on request."""
+    points[k] and allocation(share(k)) agree byte for byte, and share(k)
+    agrees with the shares built on request."""
     p = grid.n_points
     if grid.n_classes > 1:
         assert all(a.shape[0] < p for a in _arrays(list(vars(grid).values())))
     points, shares = grid.points, grid._shares_at(np.arange(p))
     assert points.shape == (p, grid.n_agents, len(grid.x))
     for k in range(p):
-        assert grid.point(k).tobytes() == points[k].tobytes()
+        point = grid.point(k)
+        assert point.tobytes() == points[k].tobytes()
         assert grid.share(k).tobytes() == shares[k].tobytes()
-    rows = grid.diagonal_points
-    stride = sum(rows.shape[0] ** c for c in range(grid.n_classes))
-    for r in range(rows.shape[0]):
-        assert rows[r].tobytes() == points[r * stride].tobytes()
-    # Every entry of every point occurs among the diagonal rows.
-    for i in range(grid.n_agents):
-        for w in range(len(grid.x)):
-            assert set(points[:, i, w]) <= set(rows[:, i, w])
+        assert grid.allocation(grid.share(k)).tobytes() == point.tobytes()
+    # A zero-risk state, also one written as -0.0, holds +0.0 at every point.
+    assert not np.signbit(points[:, :, grid.x == 0.0]).any()
 
 
 def test_merged_features_one_per_class_and_agent():

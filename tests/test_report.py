@@ -7,14 +7,21 @@ import importlib.util
 import inspect
 import json
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pricechoose as pc
 from pricechoose import mechanism, report, utility, welfare
+from pricechoose.menu import grid_point_count
+
+from conftest import hurricane_space
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "pricechoose" / "scenarios"
 
@@ -246,7 +253,8 @@ def test_report_size_is_independent_of_the_menu_size():
 def test_pipeline_reads_no_point_sized_grid_array(monkeypatch):
     """The grid is implicit: a whole run on a 3-class grid, in both modes and
     on both Lipschitz paths (exhaustive up to 512 points, sampled above),
-    never builds ``points``, ``shares`` or ``features``."""
+    and a run on the bundled single-class hurricane never build ``points``
+    or ``features``."""
     def refuse(grid):
         raise AssertionError("the pipeline read a point-sized grid array")
 
@@ -258,6 +266,84 @@ def test_pipeline_reads_no_point_sized_grid_array(monkeypatch):
         result = pc.run_experiment(config)
         assert result["grid"]["n_classes"] == 3
         assert result["all_invariants_pass"]
+    single = pc.load_scenario(SCENARIOS / "hurricane_three_farmers.json")
+    result = pc.run_experiment(single)
+    assert result["grid"]["n_classes"] == 1 and result["grid"]["n_points"] == 2556
+    assert result["all_invariants_pass"]
+
+
+MENU_CHECKS = ("menu.coordinate_bound", "menu.column_sums", "menu.sign_anchoring")
+
+
+def _menu_checks_from_points(grid) -> list[dict]:
+    """The menu.* records measured on the whole (P x n x m) point stack,
+    its columns summed in agent order."""
+    pts, x = grid.points, grid.x
+    bound = float((np.abs(pts) - np.abs(x)).max())
+    col = float(np.abs(sum(pts[:, i] for i in range(grid.n_agents)) - x).max())
+    # A zero-risk state holds +0.0, so its sign is read from X + 0.0.
+    sign = float(-(pts * np.sign(x + 0.0)).min())
+    zero = x == 0.0
+    anchored = float(np.abs(pts[:, :, zero]).max()) if zero.any() else 0.0
+    return [
+        report._bound("menu.coordinate_bound", bound, 1e-12, f"max |xi|-|X| = {bound:.3g}"),
+        report._bound("menu.column_sums", col, 1e-12,
+                      f"max |sum_i xi - X| = {col:.3g}"),
+        report._check("menu.sign_anchoring", sign <= 1e-12 and anchored == 0.0,
+                      f"sign slack {sign:.3g}, zero-state mass {anchored:.3g}",
+                      sign, 1e-12),
+    ]
+
+
+@st.composite
+def menu_grids(draw):
+    """Grids of 1-10 agents over 1-6 states, with zero-risk states written
+    as 0.0 and -0.0, under per-state, single or labelled classes, and at
+    most 5,000 points."""
+    n, m = draw(st.integers(1, 10)), draw(st.integers(1, 6))
+    value = st.one_of(st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False),
+                      st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+    x = np.array(draw(st.lists(value, min_size=m, max_size=m)))
+    classes = draw(st.one_of(st.sampled_from(["per_state", "single"]),
+                             st.lists(st.sampled_from(["a", "b", 7]),
+                                      min_size=m, max_size=m)))
+    resolution = draw(st.integers(1, 12))
+    while grid_point_count(x, n, resolution, classes) > 5000:
+        if resolution > 1:
+            resolution -= 1
+        else:
+            classes = "single"
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
+    space = pc.StateSpace([f"s{w}" for w in range(m)], weights / weights.sum())
+    return pc.enumerate_grid(space, x, n, resolution, state_classes=classes)
+
+
+@given(menu_grids())
+@settings(max_examples=80, deadline=None)
+def test_menu_checks_equal_the_point_stack_records(grid):
+    """The share-level and table-row tables give the same records, signed
+    zeros included, as the maxima over every point of the grid."""
+    checks = report._space_checks(SimpleNamespace(space=grid.space), grid)
+    got = [c for c in checks if c["name"] in MENU_CHECKS]
+    assert json.dumps(got) == json.dumps(_menu_checks_from_points(grid))
+
+
+def test_space_checks_hold_a_few_row_tables():
+    """On a single-class hurricane grid (K = P = 2,556 rows, m = 8 states)
+    the menu checks peak below four (K x m) float tables: the row sums and
+    one agent's products, beside the (levels x states) products."""
+    space, endow = hurricane_space()
+    grid = pc.enumerate_grid(space, pc.aggregate_risk(endow), 3, 70,
+                             state_classes="single")
+    k, m = grid.table.shape[0], len(grid.x)
+    assert k == grid.n_points == 2556 and m == 8
+    tracemalloc.start()
+    try:
+        report._space_checks(SimpleNamespace(space=space), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * k * m * 8, peak / (k * m * 8)
 
 
 STRUCTURAL_CHECKS = {"utility.credal_sets", "welfare.argmax_feasible",

@@ -290,6 +290,8 @@ def _level_path_grids():
             four, np.array([-7.0, 7.0, 0.0, -3.5]), 2, 20), (105.0,)),
         "one-agent": (pc.enumerate_grid(
             four, np.array([-1.0, 2.0, 0.0, -3.0]), 1, 4), (0.8,)),
+        "one-agent-single": (pc.enumerate_grid(
+            space, x, 1, 7, state_classes="single"), (1.7,)),
         "single-class": (pc.enumerate_grid(
             space, x, 3, 12, state_classes="single"), (1.7,)),
         "one-state-zero-risk": (pc.enumerate_grid(
@@ -314,6 +316,21 @@ def test_evaluate_grid_is_the_per_point_evaluator_bit_for_bit(name):
         assert len(np.unique(grid.table[:, 0])) == grid.table.shape[0]   # L = K
     if name == "one-agent":
         assert grid.n_classes == 3 and grid.n_points == 1 and grid.table.shape == (1, 1)
+
+
+@pytest.mark.parametrize("name", list(_level_path_grids()))
+def test_share_levels_are_the_sorted_distinct_table_entries(name):
+    """The levels evaluate_grid reads from the integer table are the ones
+    np.unique finds in each column of the share table, byte for byte."""
+    grid, _ = _level_path_grids()[name]
+    levels, index = grid._share_levels()
+    assert index.shape == grid.table.shape
+    for agent in range(grid.n_agents):
+        ref, inv = np.unique(grid.table[:, agent], return_inverse=True)
+        assert levels.tobytes() == ref.tobytes()
+        assert np.array_equal(index[:, agent], inv)
+    if grid.n_agents == 1:
+        assert levels.tolist() == [1.0]
 
 
 def test_evaluate_grid_evaluates_in_bounded_blocks(monkeypatch):
