@@ -2,7 +2,7 @@
 
 Library layout mirrors the pipeline: ``space`` (probability space and
 aggregate risk), ``menu`` (feasible allocations, grids, metric), ``utility``
-(entropic and max-min evaluators), ``welfare`` (optima and Pareto scans),
+(max-min entropic evaluators), ``welfare`` (optima and Pareto scans),
 ``mechanism`` (price schedules and equilibrium transcripts), ``auction``
 (first-mover bidding), and ``config``/``report``/``cli`` for the harness.
 """

@@ -15,7 +15,7 @@ from .config import load_scenario
 from .errors import EngineError, GridBudgetError, ValidationError
 from .menu import check_grid_size
 from .report import _run_experiment, emit_report
-from .utility import EntropicUtility
+from .welfare import _common_prior
 
 
 def _resolve_scenario(name_or_path: str) -> Path:
@@ -108,8 +108,7 @@ def _cmd_experiment(args) -> int:
     """``run``, ``audit`` (no auction) and ``bench`` (closed-form comparison)."""
     config = _load(args)
     bench = args.command == "bench"
-    if bench and not all(isinstance(u, EntropicUtility)
-                         for u in config.profile.evaluators):
+    if bench and _common_prior(config.profile) is None:
         print("bench needs an all-entropic scenario with a closed form",
               file=sys.stderr)
         return 2

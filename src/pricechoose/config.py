@@ -18,7 +18,7 @@ from .errors import ValidationError
 from .mechanism import DEFAULT_IOTA
 from .menu import DEFAULT_GRID_BUDGET, check_state_class_labels
 from .space import EndowmentProfile, StateSpace, aggregate_risk
-from .utility import CredalSet, EntropicUtility, MaxMinUtility, UtilityProfile
+from .utility import CredalSet, MaxMinUtility, UtilityProfile
 
 SCENARIO_SCHEMA = "pnc-scenario/v1"
 
@@ -132,14 +132,15 @@ def _built(errors: list[str], label: str, cls, *args):
         return None
 
 
-def _utilities(specs, n_agents: int, n_states: int, reference,
+def _utilities(specs, n_agents: int, n_states: int, reference, single,
                errors: list[str]) -> list:
     """One evaluator per utility spec.
 
     Here go the checks numpy cannot make: JSON types, finiteness and row
     lengths.  The rest are the constructors' own, run on a spec that passes
     these once the reference probability ``reference`` is well-formed (None
-    until then).
+    until then).  Every entropic spec gets ``single``, the scenario's one
+    credal set {P} (None when the state space is invalid).
     """
     if not isinstance(specs, list):
         errors.append("utilities must be a list")
@@ -174,12 +175,9 @@ def _utilities(specs, n_agents: int, n_states: int, reference,
                 errors.append(f"{label}: lip_bound must be positive when given")
         if reference is None or len(errors) > checked:
             continue
-        if kind == "entropic":
-            evaluators.append(_built(errors, f"{label}: ", EntropicUtility,
-                                     float(gamma), reference))
-            continue
-        credal = _built(errors, f"{label}: ", CredalSet,
-                        np.asarray(priors, dtype=float), reference, lip)
+        credal = single if kind == "entropic" else _built(
+            errors, f"{label}: ", CredalSet, np.asarray(priors, dtype=float),
+            reference, lip)
         # MaxMinUtility checks gamma alone, so a failed credal set (None) does
         # not hide a bad gamma.
         evaluators.append(_built(errors, f"{label}: ", MaxMinUtility,
@@ -226,8 +224,10 @@ def scenario_from_dict(d: dict, source: str = "<dict>") -> ScenarioConfig:
                     f"endowments[{i}] has {len(row)} entries for {n_states} states"
                 )
 
+    single = None if space is None else CredalSet(space.probs[None], space.probs)
     evaluators = _utilities(d.get("utilities"), n_agents, n_states,
-                            reference if space is None else space.probs, errors)
+                            reference if space is None else space.probs, single,
+                            errors)
 
     grid = _section(d, "grid", _GRID_DEFAULTS, errors, required=("resolution",))
     resolution = grid.get("resolution")

@@ -38,13 +38,7 @@ from .mechanism import (
 )
 from .menu import enumerate_grid, integrate, validate_feasible
 from .space import PROB_TOL
-from .utility import (
-    MaxMinUtility,
-    _agent_rows,
-    evaluate,
-    evaluate_grid,
-    reference_version,
-)
+from .utility import EntropicUtility, _agent_rows, evaluate, evaluate_grid
 from .welfare import maximize_welfare
 
 REPORT_SCHEMA = "pnc-report/v2"
@@ -131,7 +125,8 @@ def _metric_checks(grid) -> list[dict]:
 
 def _utility_checks(config: ScenarioConfig, grid, umat, ref_vals: dict,
                     seed: int) -> list[dict]:
-    """``ref_vals`` maps each max-min agent to its reference-prior values."""
+    """``ref_vals`` maps each agent whose credal set is not {P} to its
+    values under the reference probability P."""
     profile = config.profile
     n, m = profile.n_agents, config.space.n_states
     checks = []
@@ -180,12 +175,13 @@ def _utility_checks(config: ScenarioConfig, grid, umat, ref_vals: dict,
     checks.append(_bound("utility.concavity", worst_conc, 1e-9,
                          f"max gap {worst_conc:.3g}"))
 
+    # A credal set {P} breaks a credal rule only where P breaks a space
+    # check, so the sets checked are those of the agents in ``ref_vals``.
     worst_dom = 0.0
     credal_ok = True
-    for i, u in enumerate(profile.evaluators):
-        if isinstance(u, MaxMinUtility):
-            worst_dom = max(worst_dom, float((umat[:, i] - ref_vals[i]).max()))
-            credal_ok = credal_ok and not u.credal.problems()
+    for i, vals in ref_vals.items():
+        worst_dom = max(worst_dom, float((umat[:, i] - vals).max()))
+        credal_ok = credal_ok and not profile.evaluators[i].credal.problems()
     checks.append(_bound("utility.maxmin_dominance", worst_dom, 1e-12,
                          f"max excess over single-prior value {worst_dom:.3g}"))
     checks.append(_check("utility.credal_sets", credal_ok,
@@ -327,12 +323,12 @@ def _run_experiment(config: ScenarioConfig, *,
         closed["tilt"] = [float(t) for t in cf.tilt]
         closed["grid_value_gap"] = abs(best.value - cf.value)
 
-    # Reference-prior values: a max-min agent's are evaluated once, for the
-    # dominance check and its avg; an entropic agent's are its umat column,
-    # whose menu average the game already holds.
-    ref_vals = {i: evaluate_grid(reference_version(u, space), grid, i)
+    # Values under P: an agent whose credal set is not exactly {P} is
+    # evaluated once more, for the dominance check and its avg; on {P} they
+    # are its umat column, whose menu average the game already holds.
+    ref_vals = {i: evaluate_grid(EntropicUtility(u.gamma, space.probs), grid, i)
                 for i, u in enumerate(profile.evaluators)
-                if isinstance(u, MaxMinUtility)}
+                if not np.array_equal(u.credal.priors, space.probs[None])}
     checks = []
     checks += _space_checks(config, grid)
     checks += _metric_checks(grid)
@@ -343,9 +339,6 @@ def _run_experiment(config: ScenarioConfig, *,
     checks.append(_bound("welfare.value_sum",
                          abs(best.value - float(best.per_agent.sum())), 1e-9,
                          "value equals the per-agent sum"))
-    sup_bound = float((game.welfare - game.welfare_max).max())
-    checks.append(_bound("welfare.supconv_bound", sup_bound, 1e-12,
-                         f"max excess over W_max = {sup_bound:.3g}"))
 
     report: dict = {
         "schema": REPORT_SCHEMA,

@@ -1,5 +1,5 @@
-"""Monetary utility evaluators: entropic certainty equivalents and max-min
-utilities over finite credal sets of priors.
+"""Monetary utility evaluators: max-min entropic utilities over finite
+credal sets of priors.
 
 Entropic certainty equivalent with risk aversion gamma under a prior nu:
 
@@ -11,9 +11,11 @@ own mass, which pins U(0) = 0 exactly and makes constants evaluate
 identically under every prior, so the lowest-index tie rule for worst-case
 priors is stable.
 
-Max-min utility takes the minimum of the entropic value across a finite list
-of priors; the inner objective is linear in the prior, so for polytope credal
-sets evaluating the vertex list loses nothing.
+Every agent is a ``MaxMinUtility``: the minimum of the entropic value across
+a finite list of priors (Gilboa & Schmeidler 1989); the inner objective is
+linear in the prior, so for polytope credal sets evaluating the vertex list
+loses nothing.  A single-prior entropic agent is the one-prior credal set
+{P}, which ``EntropicUtility`` builds.
 
 On a menu grid an agent's random variable is fixed by its share level in
 each state class, one of L levels j / r, so ``evaluate_grid`` evaluates
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import StructuralError, ValidationError
 from .menu import MenuGrid, integrate, lipschitz_ratio
-from .space import PROB_TOL, StateSpace
+from .space import PROB_TOL
 
 # Most (state, level tuple) entries ``evaluate_grid`` evaluates at once.
 GRID_BLOCK = 2 ** 16
@@ -65,42 +67,12 @@ def _tilted_ce(z: np.ndarray, priors: np.ndarray,
     return ce, terms, mass
 
 
-def _entropic_ce(values: np.ndarray, prior: np.ndarray, gamma: float) -> np.ndarray:
-    """Certainty equivalent of each row of ``values`` under ``prior``.
-
-    Accepts a single row (m,) or a batch (P, m); returns a scalar array or
-    a (P,) vector accordingly.  A (k x m) stack of priors adds a leading
-    prior axis: the exponentials are computed once and shared, and each
-    prior's values are the floats it gets on its own.
-    """
-    m = values.shape[-1]
-    z = np.multiply(values.reshape(-1, m).T, -gamma, order="C")
-    ce = _tilted_ce(z[:, None], prior.reshape(-1, m), -gamma)[0]
-    return ce.reshape(prior.shape[:-1] + values.shape[:-1])
-
-
 def _frozen(values) -> np.ndarray:
     """A read-only float copy, as ``StateSpace`` keeps its ``probs``: an
     in-place edit could otherwise break a rule the constructor checked."""
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class EntropicUtility:
-    """Entropic certainty equivalent under the reference probability."""
-
-    gamma: float
-    probs: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if not (self.gamma > 0.0):
-            raise ValidationError(f"gamma must be a positive number, got {self.gamma!r}")
-        object.__setattr__(self, "probs", _frozen(self.probs))
-
-    def values(self, rows: np.ndarray) -> np.ndarray:
-        return _entropic_ce(rows, self.probs, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -158,21 +130,30 @@ class MaxMinUtility:
             raise ValidationError(f"gamma must be a positive number, got {self.gamma!r}")
 
     def values_per_prior(self, rows: np.ndarray) -> np.ndarray:
-        """(k, ...) entropic values, one slice per prior."""
-        return _entropic_ce(rows, self.credal.priors, self.gamma)
+        """(k, ...) entropic values of a row (m,) or a batch of rows (..., m),
+        one slice per prior.  The exponentials are computed once and shared,
+        and each prior's values are the floats it gets on its own."""
+        m = rows.shape[-1]
+        z = np.multiply(rows.reshape(-1, m).T, -self.gamma, order="C")
+        ce = _tilted_ce(z[:, None], self.credal.priors, -self.gamma)[0]
+        return ce.reshape(ce.shape[:1] + rows.shape[:-1])
 
     def values(self, rows: np.ndarray) -> np.ndarray:
         return self.values_per_prior(rows).min(axis=0)
 
 
-Utility = EntropicUtility | MaxMinUtility
+def EntropicUtility(gamma: float, probs) -> MaxMinUtility:
+    """Entropic certainty equivalent under the one prior ``probs``: the
+    max-min utility over the credal set {probs}."""
+    probs = np.asarray(probs, dtype=float)
+    return MaxMinUtility(gamma, CredalSet(probs[None], probs))
 
 
 @dataclass(frozen=True)
 class UtilityProfile:
     """One monetary utility evaluator per agent."""
 
-    evaluators: tuple[Utility, ...]
+    evaluators: tuple[MaxMinUtility, ...]
 
     def __post_init__(self) -> None:
         if not self.evaluators:
@@ -221,12 +202,12 @@ def _agent_row(xi, agent: int) -> np.ndarray:
     return _agent_rows(xi, agent)
 
 
-def evaluate(u: Utility, xi, agent: int) -> float:
+def evaluate(u: MaxMinUtility, xi, agent: int) -> float:
     """Agent's certainty equivalent of its row of the allocation."""
     return float(u.values(_agent_row(xi, agent)))
 
 
-def evaluate_grid(u: Utility, grid: MenuGrid, agent: int) -> np.ndarray:
+def evaluate_grid(u: MaxMinUtility, grid: MenuGrid, agent: int) -> np.ndarray:
     """The utility of ``agent`` at every grid point, from its share levels.
 
     The agent's random variable at a point is fixed by the agent's share
@@ -243,7 +224,6 @@ def evaluate_grid(u: Utility, grid: MenuGrid, agent: int) -> np.ndarray:
     places = np.append(size ** np.arange(classes - 1, -1, -1), 1)[:, None]
     # x + 0.0 turns a -0.0 entry into +0.0, as in ``MenuGrid.point``.
     x = (grid.x + 0.0)[:, None]
-    priors = u.credal.priors if isinstance(u, MaxMinUtility) else u.probs[None]
     values = np.empty(size ** classes)
     step = max(1, GRID_BLOCK // len(x))
     for lo in range(0, len(values), step):
@@ -251,7 +231,7 @@ def evaluate_grid(u: Utility, grid: MenuGrid, agent: int) -> np.ndarray:
         z = levels[t // places % size][grid.class_of_state]
         z *= x
         z *= -u.gamma
-        ce = _tilted_ce(z[:, None], priors, -u.gamma)[0]
+        ce = _tilted_ce(z[:, None], u.credal.priors, -u.gamma)[0]
         values[lo:lo + step] = np.minimum.reduce(ce, axis=0)
     values = values.reshape((size,) * classes)
     for axis in range(classes):
@@ -259,13 +239,13 @@ def evaluate_grid(u: Utility, grid: MenuGrid, agent: int) -> np.ndarray:
     return values.reshape(grid.n_points)
 
 
-def check_cash_invariance(u: Utility, xi, agent: int, c: float) -> float:
+def check_cash_invariance(u: MaxMinUtility, xi, agent: int, c: float) -> float:
     """Residual |U(xi + c) - U(xi) - c|; the contract is <= 1e-9."""
     row = _agent_row(xi, agent)
     return float(abs(float(u.values(row + c)) - float(u.values(row)) - c))
 
 
-def estimate_lipschitz(u: Utility, grid: MenuGrid, agent: int) -> float:
+def estimate_lipschitz(u: MaxMinUtility, grid: MenuGrid, agent: int) -> float:
     """Empirical Lipschitz constant of the utility under the menu metric.
 
     Exhaustive over all point pairs below the size threshold, seeded random
@@ -278,9 +258,9 @@ def estimate_lipschitz(u: Utility, grid: MenuGrid, agent: int) -> float:
     return est
 
 
-def warn_if_over_declared(u: Utility, est: float, agent: int) -> None:
+def warn_if_over_declared(u: MaxMinUtility, est: float, agent: int) -> None:
     """Warn when an empirical Lipschitz estimate exceeds the declared bound."""
-    declared = getattr(getattr(u, "credal", None), "lip_bound", None)
+    declared = u.credal.lip_bound
     if declared is not None and est > declared + 1e-9:
         warnings.warn(
             f"empirical Lipschitz {est:.6g} exceeds the declared bound {declared:.6g} "
@@ -292,10 +272,3 @@ def warn_if_over_declared(u: Utility, est: float, agent: int) -> None:
 def average_utilities(grid: MenuGrid, umat: np.ndarray) -> np.ndarray:
     """Menu average of every column of a (points x agents) utility matrix."""
     return np.array([integrate(grid, umat[:, i]) for i in range(umat.shape[1])])
-
-
-def reference_version(u: Utility, space: StateSpace) -> EntropicUtility:
-    """Single-prior twin of an evaluator under the reference probability."""
-    if isinstance(u, EntropicUtility):
-        return u
-    return EntropicUtility(gamma=u.gamma, probs=space.probs)

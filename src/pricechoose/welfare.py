@@ -1,10 +1,10 @@
-"""The welfare maximizer, the proportional closed form for entropic agents,
-and a brute-force Pareto scan.
+"""The welfare maximizer, the proportional closed form for single-prior
+agents, and a brute-force Pareto scan.
 
 The optimizer is two-tier: an exhaustive scan over the menu grid (which
 doubles as the brute-force oracle), then one candidate off the grid that
 replaces the grid winner when its welfare is strictly greater.  When every
-agent is entropic under one common prior, the candidate is the
+agent's credal set is the same single prior, the candidate is the
 proportional closed form (Borch 1962; Barrieu & El Karoui 2005), the
 exact optimum over every class-share profile: each agent takes the share
 w_i = (1/gamma_i) / sum_j (1/gamma_j) of every state.  Any other profile
@@ -38,13 +38,7 @@ import numpy as np
 from .errors import ConfigurationError, UnsupportedProfileError
 from .mechanism import Game
 from .menu import MenuGrid, validate_feasible
-from .utility import (
-    EntropicUtility,
-    MaxMinUtility,
-    UtilityProfile,
-    _entropic_ce,
-    _tilted_ce,
-)
+from .utility import UtilityProfile, _tilted_ce
 
 PARETO_SLACK = 1e-12
 # A Pareto-checked allocation attains the grid maximum within this much welfare.
@@ -101,9 +95,8 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _PriorRows:
-    """Every agent's priors stacked in agent order (one row for an entropic
-    agent, one per prior for a max-min agent), and where each row reads its
-    allocation from a share stack.
+    """Every agent's priors stacked in agent order, one row per prior of its
+    credal set, and where each row reads its allocation from a share stack.
 
     A share stack is (C n + 1 x T): column k holds trial k's class shares
     flattened, row c n + i agent i's share of class c, and the last row is
@@ -120,8 +113,7 @@ class _PriorRows:
 
     @classmethod
     def of(cls, profile: UtilityProfile, grid: MenuGrid) -> _PriorRows:
-        blocks = [u.credal.priors if isinstance(u, MaxMinUtility) else u.probs[None]
-                  for u in profile.evaluators]
+        blocks = [u.credal.priors for u in profile.evaluators]
         sizes = [len(b) for b in blocks]
         priors = np.concatenate(blocks)
         n, of_state = len(blocks), grid.class_of_state
@@ -244,12 +236,12 @@ def _refine_shares(profile: UtilityProfile, grid: MenuGrid,
 
 
 def _common_prior(profile: UtilityProfile) -> np.ndarray | None:
-    """The prior of an all-entropic profile whose agents share one, else None."""
-    evaluators = profile.evaluators
-    if all(isinstance(u, EntropicUtility) for u in evaluators):
-        probs = evaluators[0].probs
-        if all(np.array_equal(u.probs, probs) for u in evaluators[1:]):
-            return probs
+    """The prior of a profile whose agents all hold the same single prior,
+    else None."""
+    priors = profile.evaluators[0].credal.priors
+    if len(priors) == 1 and all(np.array_equal(u.credal.priors, priors)
+                                for u in profile.evaluators[1:]):
+        return priors[0]
     return None
 
 
@@ -257,8 +249,8 @@ def maximize_welfare(game: Game) -> WelfareResult:
     """Exhaustive grid argmax of welfare, then one candidate off the grid.
 
     Reads the utility matrix and welfare vector the ``Game`` holds; ties
-    resolve to the lowest enumeration index.  On an all-entropic profile
-    with one common prior the candidate is the proportional closed form,
+    resolve to the lowest enumeration index.  When every agent holds the
+    same single prior the candidate is the proportional closed form,
     its shares tiled over the classes; on any other profile it is the grid
     winner refined by ``_refine_shares``.  The candidate's allocation is
     built as a grid point is (``MenuGrid.allocation``), and it replaces the
@@ -304,9 +296,10 @@ def closed_form_entropic(profile: UtilityProfile, x, probs) -> WelfareResult:
     w_i = (1/gamma_i) / sum_j (1/gamma_j); every agent then shares the same
     exponential tilt with rate lam = (sum_j 1/gamma_j)^-1, and gamma_i * w_i
     = lam for all i (checked to a few ulps of lam, the rounding error of the
-    three operations that form gamma_i * w_i).
+    three operations that form gamma_i * w_i).  The tilt is taken under
+    ``probs``, the agents' common prior.
     """
-    if not all(isinstance(u, EntropicUtility) for u in profile.evaluators):
+    if any(len(u.credal.priors) != 1 for u in profile.evaluators):
         raise UnsupportedProfileError("closed form requires single-prior entropic agents")
     gammas = np.array([u.gamma for u in profile.evaluators])
     x = np.asarray(x, dtype=float)
@@ -322,8 +315,7 @@ def closed_form_entropic(profile: UtilityProfile, x, probs) -> WelfareResult:
         )
 
     allocation = np.outer(w, x)
-    per_agent = np.array([float(_entropic_ce(allocation[i], probs, gammas[i]))
-                          for i in range(len(gammas))])
+    per_agent = profile.at_point(allocation)
     z = -lam * x
     z = z - z.max()
     tilt = probs * np.exp(z)

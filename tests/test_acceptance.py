@@ -227,7 +227,7 @@ def test_criterion_7_regularity_suite(runs):
                     mid = pc.evaluate(u, t * xa + (1 - t) * xc, i)
                     worst_conc = max(worst_conc, t * ua + (1 - t) * uc - mid)
         for i, u in enumerate(game.profile.evaluators):
-            if isinstance(u, pc.MaxMinUtility):
+            if len(u.credal.priors) > 1:
                 ref = pc.EntropicUtility(u.gamma, grid.space.probs)
                 gap = game.umat[:, i] - pc.evaluate_grid(ref, grid, i)
                 worst_dom = max(worst_dom, float(gap.max()))

@@ -274,6 +274,21 @@ def test_benchmark_report_matches_closed_form_weights():
     assert report["all_invariants_pass"]
 
 
+@pytest.mark.parametrize("name", ["hurricane_three_farmers", "two_agent_hand"])
+def test_one_prior_maxmin_specs_report_as_entropic(name):
+    """An entropic agent is the max-min agent over {P}: spelling every spec
+    as a one-prior max-min spec moves only the echoed specs."""
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    entropic = run_experiment(pc.scenario_from_dict(doc))
+    doc["utilities"] = [{"kind": "maxmin", "gamma": u["gamma"], "priors": [doc["probs"]]}
+                        for u in doc["utilities"]]
+    maxmin = run_experiment(pc.scenario_from_dict(doc))
+    assert maxmin["closed_form"] is not None
+    for report in (entropic, maxmin):
+        del report["scenario"]["utilities"]
+    assert structured_text(maxmin) == structured_text(entropic)
+
+
 def test_empty_deviation_audit_still_valid(tmp_path):
     """An ``audits`` section asking for no sampled deviations is ignored, as
     any unknown top-level section is: the report still carries both
@@ -543,6 +558,16 @@ def test_cli_bench_rejects_maxmin_before_running(tmp_path, monkeypatch, capsys):
     assert "bench needs an all-entropic scenario with a closed form" in (
         capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_bench_runs_a_one_prior_maxmin_scenario(tmp_path, capsys):
+    """bench needs the closed form, which every profile of agents holding
+    the one prior P has, whatever kind their specs name."""
+    doc = minimal_doc()
+    doc["utilities"][1] = _maxmin([doc["probs"]], gamma=2.0)
+    path = write_scenario(tmp_path, doc)
+    assert main(["bench", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "closed-form shares" in capsys.readouterr().out
 
 
 def test_cli_tabular_only(tmp_path):

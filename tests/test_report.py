@@ -134,19 +134,31 @@ def test_every_posting_order_implements_the_same_point_on_a_welfare_tie():
             for w in range(3)} == {chosen}
 
 
-def load_spans():
-    """perfbench/spans.py, loaded by file path: it is read, not changed."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+def load_perfbench(name):
+    """perfbench/<name>.py, loaded by file path: it is read, not changed."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pareto_oracle_matches_the_utility_matrix():
+    """The benchmark's ``pareto`` gate scores verdicts against
+    ``independent_utilities``, which reads each evaluator's priors itself:
+    on an entropic and a max-min agent it agrees with ``profile.matrix``."""
+    workloads = load_perfbench("workloads")
+    space, x, profile = workloads.pareto_profile(workloads.op_rng("pareto", 0, 0))
+    assert [len(u.credal.priors) > 1 for u in profile.evaluators] == [False, True]
+    grid = pc.enumerate_grid(space, x, 2, 6)
+    np.testing.assert_allclose(workloads.independent_utilities(profile, grid.points),
+                               profile.matrix(grid), rtol=0.0, atol=1e-12)
 
 
 def test_traced_names_resolve_in_the_package():
     """perfbench/spans.py wraps these functions and members by name, and a
     traced benchmark run fails on one that is gone."""
-    spans = load_spans()
+    spans = load_perfbench("spans")
     for name in spans.FUNCTIONS:
         module, attr = name.split(".")
         assert callable(getattr(importlib.import_module(f"pricechoose.{module}"),
@@ -167,7 +179,7 @@ def test_tracer_installs_counts_and_uninstalls(two_state):
     _, _, profile, grid = two_state
     originals = (pc.lipschitz_ratio, welfare.pareto_check,
                  vars(pc.MenuGrid)["features"])
-    tracer = load_spans().Tracer()
+    tracer = load_perfbench("spans").Tracer()
     tracer.install()
     try:
         assert pc.lipschitz_ratio is not originals[0]
@@ -399,31 +411,31 @@ DATA = Path(__file__).resolve().parent / "data"
 SCENARIO_FILES = {"three-agent-maxmin": DATA / "three_agent_maxmin.json"}
 BUNDLED_RUNS = {
     ("two-agent-hand", "run"): (
-        "3af4d43e9573b5f8a47f85f0f55cf31ccf770238d64bb304f205fa3560a4831f",
+        "bea101ade779a4442b18d1670aaf4dac91ea23314a653dce7f763dc6c8c3bffd",
         "d4f002d601b7202f01c87da0579f844c66e9eb1d5b94961aafd64a0bec9015df",
         "78c168ef0f918c7f75ec9891189c025c8916947e43ab056d813a2564b15c1afe"),
     ("two-agent-hand", "run-perturbed"): (
-        "6ad9645c58c885a5aecc0003fcbeec7fadfe4ec38ae55a61e506dc25625baf46",
+        "44eddf4770a994c40e8d7bf1b40fb3441751880060a4ff52deeaa48ba5a2fd7c",
         "3f963f5e5580cc9f1c55b0054840bf7a6e1e23d1ca1d3df90a4914b3b401bddf",
         "aa120f87069c1e353f46a629c304f61e3dc65c7141e08d7ded4b2fa520b450f2"),
     ("two-agent-hand", "audit"): (
-        "bb71b49bcacee098e7439dce9478c65423b519da8a09ac1fda562f21ad13981e",
+        "7720e9028d0aa0a2827942e1bff4903e52319f6d30aaba393daec113ca8a021b",
         "403db2b6e2719b55555c1f463a9ff75a32cc18ec083e2d396f396f9631f30a49",
         "f4d404172eaab8bf53aeeae2ae5c61ebe02ca3726bcce77c9c030b75bb195f01"),
     ("hurricane-three-farmers", "run"): (
-        "6c25da105c18f40144f6ad08f61cbccbd057473a5185d95530772f062beb51e6",
+        "cb30dbc679519514e3badc82599cf5fb91de3b8fe149b6cc74b6e0056fc2dca5",
         "724d685fe74ad52bb81aa18f94b2472678d731e52063f2ff0a0df9998e3ff888",
         "9fb0c758ff828ee9fdca5404a84af65c8dbe551fee382fffadbe255f411d3d48"),
     ("hurricane-three-farmers", "run-perturbed"): (
-        "6a2e6ebb24a3f57e33ef540412d1e7960eea1d1b732e22f42059b13625786e86",
+        "8b12b581fc90699024ca6aeaae6b6e2bf95e92a39b7254c766389673ada6d9e6",
         "58065725dcd15ffda3c87727432c90d286c72e113ec252d8be0b42a533146fbb",
         "7625d706f386e9bddfa0204e5af1f7e67ee2612370fb8daf6eb5ee168f145dc7"),
     ("hurricane-three-farmers", "audit"): (
-        "7daf9b7534f45ae3ec90312f694046989604189e0899c686f91117e9c0573a78",
+        "642bf821835724de64c05bfe6e707457cf62f3786a7b3156900d068daa8bf066",
         "171b772ad2cd55e8440079649ca617999f8a905b2a4ca8cc418c1e5d7c325f75",
         "0a560e9a38ac9db62c757aaa61540a0b570f8638c49e5fd8636a5296f3b44de2"),
     ("three-agent-maxmin", "run"): (
-        "c1f5d9d44f2ee6c2c267a1e36c47b66278e2862e9ee22e90db16b1039ad9021a",
+        "6a1e74801457085ad36bbf710ccd08f7030af0df52a0c8ca4a0db6b2c51a22c3",
         "1c6df763eebbeee19b1b41f0a3ad70a0768dfb8cf23faeaca2a31fd4b148b765",
         "b6bc66246bb109dc198991d10d42c76537daa2ea5a4a569abcdec83f10e60b4d"),
 }
@@ -563,10 +575,10 @@ def batched_utility_checks(config, seed):
     grid = pc.enumerate_grid(config.space, config.x, config.profile.n_agents,
                              config.resolution, state_classes=config.state_classes)
     umat = config.profile.matrix(grid)
-    ref_vals = {i: utility.evaluate_grid(utility.reference_version(u, config.space),
+    ref_vals = {i: utility.evaluate_grid(pc.EntropicUtility(u.gamma, config.space.probs),
                                          grid, i)
                 for i, u in enumerate(config.profile.evaluators)
-                if isinstance(u, pc.MaxMinUtility)}
+                if len(u.credal.priors) > 1}
     checks = report._utility_checks(config, grid, umat, ref_vals, seed)
     return grid, {c["name"]: c for c in checks}
 
@@ -575,7 +587,7 @@ def test_batched_utility_checks_match_the_serial_loop():
     configs = [pc.load_scenario(SCENARIOS / "two_agent_hand.json"),
                pc.load_scenario(SCENARIOS / "hurricane_three_farmers.json"),
                pc.load_scenario(SCENARIO_FILES["three-agent-maxmin"])]
-    assert any(isinstance(u, pc.MaxMinUtility) for u in configs[2].profile.evaluators)
+    assert any(len(u.credal.priors) > 1 for u in configs[2].profile.evaluators)
     for config in configs:
         for seed in (config.seed, 1, 2):
             grid, checks = batched_utility_checks(config, seed)

@@ -153,6 +153,15 @@ def test_nonpositive_gamma_rejected(coin):
         pc.MaxMinUtility(-1.0, pc.CredalSet(coin.probs[None, :], coin.probs))
 
 
+def test_entropic_probs_must_be_a_probability():
+    """An entropic agent is the max-min agent over {probs}, so its probs
+    pass the credal-set rules."""
+    with pytest.raises(pc.ValidationError, match="strictly positive"):
+        pc.EntropicUtility(1.0, [1.0, 0.0])
+    with pytest.raises(pc.ValidationError, match="sums to"):
+        pc.EntropicUtility(1.0, [0.5, 0.4])
+
+
 def test_large_gamma_no_overflow(coin):
     u = pc.EntropicUtility(200.0, coin.probs)
     val = pc.evaluate(u, as_alloc([0.0, -3.0]), 0)
@@ -178,8 +187,8 @@ def test_evaluator_arrays_are_read_only(coin, maxmin_coin):
     priors = np.array([[0.5, 0.5], [0.3, 0.7]])
     credal = pc.CredalSet(priors, coin.probs)
     entropic = pc.EntropicUtility(1.0, priors[1])
-    for arr in (credal.priors, credal.reference, entropic.probs,
-                maxmin_coin.credal.priors):
+    for arr in (credal.priors, credal.reference, entropic.credal.priors,
+                entropic.credal.reference, maxmin_coin.credal.priors):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 2.0
     priors[0, 0] = 2.0

@@ -80,7 +80,8 @@ def test_closed_form_matches_welfare_evaluation():
 
 def test_closed_form_rejects_maxmin():
     space = pc.StateSpace(["a", "b"], [0.5, 0.5])
-    mm = pc.MaxMinUtility(1.0, pc.CredalSet(space.probs[None, :], space.probs))
+    mm = pc.MaxMinUtility(1.0, pc.CredalSet(
+        np.array([space.probs, [0.3, 0.7]]), space.probs))
     profile = pc.UtilityProfile((pc.EntropicUtility(1.0, space.probs), mm))
     with pytest.raises(pc.UnsupportedProfileError):
         pc.closed_form_entropic(profile, np.array([-1.0, 0.0]), space.probs)
@@ -297,8 +298,7 @@ def _naive_utilities(profile, points):
     the minimum over priors for a max-min agent."""
     cols = []
     for i, u in enumerate(profile.evaluators):
-        priors = u.credal.priors if isinstance(u, pc.MaxMinUtility) else u.probs[None, :]
-        per_prior = -np.log(np.exp(-u.gamma * points[:, i, :]) @ priors.T) / u.gamma
+        per_prior = -np.log(np.exp(-u.gamma * points[:, i, :]) @ u.credal.priors.T) / u.gamma
         cols.append(per_prior.min(axis=1))
     return np.stack(cols, axis=1)
 
@@ -384,13 +384,12 @@ def serial_value_and_grads(profile, grid, q):
     grad = np.zeros_like(q)
     for i, u in enumerate(profile.evaluators):
         row = xi[i]
-        priors = u.credal.priors if isinstance(u, pc.MaxMinUtility) else [u.probs]
-        per = [serial_ce(row, nu, u.gamma) for nu in priors]
+        per = [serial_ce(row, nu, u.gamma) for nu in u.credal.priors]
         j = int(np.argmin(per))
         total += float(per[j])
         z = -u.gamma * row
         z -= z.max()
-        t = priors[j] * np.exp(z)
+        t = u.credal.priors[j] * np.exp(z)
         t /= t.sum()
         for c in range(q.shape[0]):
             mask = cls == c
