@@ -23,7 +23,8 @@ the agent L^C times and gathers the values onto the K^C grid points.
 
 One kernel, ``_tilted_ce``, computes every certainty equivalent (a point,
 a grid's level tuples, the share refinement's trials) with the same floats
-for the same allocation, so a grid value is the value of its point.
+for the same allocation, so a grid value is the value of its point; a
+profile stacks its agents' priors once, to evaluate them all in one call.
 """
 
 from __future__ import annotations
@@ -151,14 +152,26 @@ def EntropicUtility(gamma: float, probs) -> MaxMinUtility:
 
 @dataclass(frozen=True)
 class UtilityProfile:
-    """One monetary utility evaluator per agent."""
+    """One monetary utility evaluator per agent, and their priors stacked."""
 
     evaluators: tuple[MaxMinUtility, ...]
+    priors: np.ndarray = field(init=False, repr=False, compare=False)     # (R x m)
+    neg_gamma: np.ndarray = field(init=False, repr=False, compare=False)  # (R x 1)
+    owner: np.ndarray = field(init=False, repr=False, compare=False)      # (R,) agent of row r
+    starts: np.ndarray = field(init=False, repr=False, compare=False)     # (n,) agent i's first row
 
     def __post_init__(self) -> None:
         if not self.evaluators:
             raise ValidationError("profile needs at least one evaluator")
         object.__setattr__(self, "evaluators", tuple(self.evaluators))
+        sizes = [len(u.credal.priors) for u in self.evaluators]
+        for name, value in (
+                ("priors", np.concatenate([u.credal.priors for u in self.evaluators])),
+                ("neg_gamma", -np.repeat([u.gamma for u in self.evaluators], sizes)[:, None]),
+                ("owner", np.repeat(np.arange(len(sizes)), sizes)),
+                ("starts", np.cumsum([0] + sizes[:-1]))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n_agents(self) -> int:
@@ -177,8 +190,17 @@ class UtilityProfile:
         return out.T
 
     def at_point(self, xi: np.ndarray) -> np.ndarray:
+        """Every agent's ``evaluate`` value, from one ``_tilted_ce`` call over
+        the stacked prior rows and a minimum over each agent's own rows."""
         xi = np.asarray(xi, dtype=float)
-        return np.array([evaluate(u, xi, i) for i, u in enumerate(self.evaluators)])
+        shape = (self.n_agents, self.priors.shape[1])
+        if xi.shape != shape:
+            raise StructuralError(f"allocation must be (agents x states) {shape}, got {xi.shape}")
+        if np.any(np.isnan(xi)):
+            raise ValidationError("allocation contains NaN entries")
+        z = np.multiply(xi[self.owner].T, self.neg_gamma.T, order="C")
+        ce = _tilted_ce(z[:, :, None], self.priors, self.neg_gamma)[0]
+        return np.minimum.reduceat(ce[:, 0], self.starts)
 
 
 def _agent_rows(xi, agent: int) -> np.ndarray:

@@ -26,7 +26,9 @@ evaluated by ``utility._tilted_ce``, the kernel behind ``evaluate`` and
 ``evaluate_grid`` too, so each trial gets the floats of a one-allocation
 evaluation.  The tilts that the next gradient reads come from the
 accepted trial's row of the kernel's tilt table, so the refined shares
-equal the serial search's bit for bit.
+equal the serial search's bit for bit.  The Pareto scan is a brute-force
+dominance test (the maxima-of-vectors setting of Kung, Luccio & Preparata
+1975); it reads the grid in blocks and stops at the first dominating one.
 """
 
 from __future__ import annotations
@@ -35,12 +37,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, UnsupportedProfileError
+from .errors import ConfigurationError, StructuralError, UnsupportedProfileError
 from .mechanism import Game
 from .menu import MenuGrid, validate_feasible
 from .utility import UtilityProfile, _tilted_ce
 
 PARETO_SLACK = 1e-12
+# Grid points per block of the Pareto scan, which stops at the first dominating block.
+PARETO_BLOCK = 8192
 # A Pareto-checked allocation attains the grid maximum within this much welfare.
 WELFARE_TOL = 1e-9
 # Refinement stops after a sweep that gains less than REFINE_TOL, or after
@@ -95,17 +99,15 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _PriorRows:
-    """Every agent's priors stacked in agent order, one row per prior of its
-    credal set, and where each row reads its allocation from a share stack.
+    """Where each of the profile's stacked prior rows reads its allocation
+    from a share stack.
 
     A share stack is (C n + 1 x T): column k holds trial k's class shares
     flattened, row c n + i agent i's share of class c, and the last row is
     a zero that the zero-risk states read.
     """
 
-    neg_gamma: np.ndarray   # (R x 1) minus the risk aversion of each row's agent
-    priors: np.ndarray      # (R x m)
-    spans: tuple            # agent i owns rows spans[i][0]:spans[i][1]
+    profile: UtilityProfile
     x: np.ndarray           # (m,) X(w), and 0 in the zero-risk states
     take: np.ndarray        # (m x R) share-stack row of prior row r in state w
     class_states: tuple     # the states of each class
@@ -113,22 +115,15 @@ class _PriorRows:
 
     @classmethod
     def of(cls, profile: UtilityProfile, grid: MenuGrid) -> _PriorRows:
-        blocks = [u.credal.priors for u in profile.evaluators]
-        sizes = [len(b) for b in blocks]
-        priors = np.concatenate(blocks)
-        n, of_state = len(blocks), grid.class_of_state
+        n, of_state = profile.n_agents, grid.class_of_state
         member = of_state >= 0
         agent_take = np.where(member, of_state * n + np.arange(n)[:, None],
                               grid.n_classes * n)
         class_states = tuple(np.flatnonzero(of_state == c)
                              for c in range(grid.n_classes))
-        gamma = np.array([u.gamma for u in profile.evaluators])
-        starts = np.cumsum([0] + sizes).tolist()
-        return cls(neg_gamma=-np.repeat(gamma, sizes)[:, None],
-                   priors=priors,
-                   spans=tuple(zip(starts[:-1], starts[1:])),
+        return cls(profile=profile,
                    x=np.where(member, grid.x, 0.0),
-                   take=np.repeat(agent_take, sizes, axis=0).T.copy(),
+                   take=agent_take[profile.owner].T.copy(),
                    class_states=class_states,
                    class_x=tuple(grid.x[s] for s in class_states))
 
@@ -144,10 +139,10 @@ class _Evaluation:
 
     def tilts(self, rows: _PriorRows, k: int) -> np.ndarray:
         """(n x m) each agent's exponentially tilted probability at trial
-        ``k``, under its worst-case prior there (lowest index on ties)."""
-        ce = self.ce[:, k]
-        worst = [lo if hi - lo == 1 else lo + int(ce[lo:hi].argmin())
-                 for lo, hi in rows.spans]
+        ``k``, under its worst-case prior there (lowest index on ties: the
+        first of the agent's rows in a stable sort by value)."""
+        p = rows.profile
+        worst = np.lexsort((self.ce[:, k], p.owner))[p.starts]
         return self.terms[worst, k] / self.mass[worst, k][:, None]
 
 
@@ -160,13 +155,14 @@ def _welfare_values(rows: _PriorRows, stack: np.ndarray) -> _Evaluation:
     module docstring).  The min over an agent's priors is taken plane by
     plane, and the agents' values are added in agent order.
     """
+    p = rows.profile
     z = np.take(stack, rows.take, axis=0)
     z *= rows.x[:, None, None]
-    z *= rows.neg_gamma
-    ce, terms, mass = _tilted_ce(z, rows.priors, rows.neg_gamma)
+    z *= p.neg_gamma
+    ce, terms, mass = _tilted_ce(z, p.priors, p.neg_gamma)
     values = np.zeros(ce.shape[1])
-    for lo, hi in rows.spans:
-        values += ce[lo] if hi - lo == 1 else np.minimum.reduce(ce[lo:hi], axis=0)
+    for agent_values in np.minimum.reduceat(ce, p.starts, axis=0):
+        values += agent_values
     return _Evaluation(values, ce, terms, mass)
 
 
@@ -238,11 +234,8 @@ def _refine_shares(profile: UtilityProfile, grid: MenuGrid,
 def _common_prior(profile: UtilityProfile) -> np.ndarray | None:
     """The prior of a profile whose agents all hold the same single prior,
     else None."""
-    priors = profile.evaluators[0].credal.priors
-    if len(priors) == 1 and all(np.array_equal(u.credal.priors, priors)
-                                for u in profile.evaluators[1:]):
-        return priors[0]
-    return None
+    priors = profile.priors
+    return priors[0] if len(priors) == profile.n_agents and (priors == priors[0]).all() else None
 
 
 def maximize_welfare(game: Game) -> WelfareResult:
@@ -261,8 +254,7 @@ def maximize_welfare(game: Game) -> WelfareResult:
     candidate.
     """
     profile, grid = game.profile, game.grid
-    probs = _common_prior(profile)
-    closed = None if probs is None else closed_form_entropic(profile, grid.x, probs)
+    closed = None if _common_prior(profile) is None else closed_form_entropic(profile, grid.x)
     idx = game._welfare_argmax
     result = WelfareResult(value=float(game.umat[idx].sum()), per_agent=game.umat[idx],
                            allocation=grid.point(idx), index=idx,
@@ -289,21 +281,21 @@ def maximize_welfare(game: Game) -> WelfareResult:
                          closed_form=closed)
 
 
-def closed_form_entropic(profile: UtilityProfile, x, probs) -> WelfareResult:
+def closed_form_entropic(profile: UtilityProfile, x) -> WelfareResult:
     """Proportional optimum for single-prior entropic agents.
 
     Weights are reciprocal risk aversions normalized to the simplex,
     w_i = (1/gamma_i) / sum_j (1/gamma_j); every agent then shares the same
     exponential tilt with rate lam = (sum_j 1/gamma_j)^-1, and gamma_i * w_i
     = lam for all i (checked to a few ulps of lam, the rounding error of the
-    three operations that form gamma_i * w_i).  The tilt is taken under
-    ``probs``, the agents' common prior.
+    three operations that form gamma_i * w_i).  The tilt is taken under the
+    agents' common prior; without one it raises ``UnsupportedProfileError``.
     """
-    if any(len(u.credal.priors) != 1 for u in profile.evaluators):
-        raise UnsupportedProfileError("closed form requires single-prior entropic agents")
+    probs = _common_prior(profile)
+    if probs is None:
+        raise UnsupportedProfileError("closed form needs every agent on the same single prior")
     gammas = np.array([u.gamma for u in profile.evaluators])
     x = np.asarray(x, dtype=float)
-    probs = np.asarray(probs, dtype=float)
 
     inv = 1.0 / gammas
     lam = 1.0 / inv.sum()
@@ -347,39 +339,39 @@ class ParetoCheck:
 
 def pareto_check(profile: UtilityProfile, grid: MenuGrid, xi, *,
                  umat: np.ndarray | None = None) -> ParetoCheck:
-    """Scan the whole grid for a point that weakly improves every agent and
+    """Scan the grid for a point that weakly improves every agent and
     strictly improves at least one, with slack separating ties from noise.
 
     Also reports whether the allocation's total welfare attains the grid
     maximum, so the optimality-equals-maximality equivalence can be checked
     in both directions on the discretization.
 
-    The scan runs one agent column at a time over an agent-major copy of
-    ``umat`` (no copy when ``umat`` is already column-major), so every pass
-    is contiguous.  Grid welfare is summed column by column from zero in
-    agent order; up to 7 agents that equals ``umat.sum(axis=1)`` bit for
-    bit, from 8 agents numpy's pairwise summation can differ by a few ulp.
+    ``umat`` has one column per agent, and any rows above the grid's are
+    scanned too.  The scan reads an agent-major copy of it (no copy when
+    ``umat`` is column-major) in blocks of ``PARETO_BLOCK`` points, all agents
+    at once, and stops at the first block holding a dominating point, the
+    lowest one.  Welfare is summed over every row from zero, column by
+    column in agent order; up to 7 agents that equals ``umat.sum(axis=1)``
+    bit for bit, from 8 agents numpy's pairwise summation can differ by a
+    few ulp.
     """
     if umat is None:
         umat = profile.matrix(grid)
-    u0 = profile.at_point(np.asarray(xi, dtype=float))
+    if umat.ndim != 2 or umat.shape[1] != profile.n_agents:
+        raise StructuralError(f"umat must have one column per agent, got shape {umat.shape}")
+    u0 = profile.at_point(xi)
     cols = np.ascontiguousarray(umat.T)
-    weak = np.ones(cols.shape[1], dtype=bool)
-    strict = np.zeros(cols.shape[1], dtype=bool)
-    totals = np.zeros(cols.shape[1])
-    for i, col in enumerate(cols):
-        weak &= col >= u0[i] - PARETO_SLACK
-        strict |= col > u0[i] + PARETO_SLACK
+    totals = cols[0] + 0.0
+    for col in cols[1:]:
         totals += col
-    dominating = weak & strict
-    first = int(np.argmax(dominating))
-    dominated = bool(dominating[first])
-    wmax = float(totals.max())
-    wval = float(u0.sum())
-    return ParetoCheck(
-        optimal=not dominated,
-        dominating_index=first if dominated else None,
-        welfare_value=wval,
-        welfare_max=wmax,
-        attains_max=bool(wval >= wmax - WELFARE_TOL),
-    )
+    lower, upper = (u0 - PARETO_SLACK)[:, None], (u0 + PARETO_SLACK)[:, None]
+    first = None
+    for lo in range(0, cols.shape[1], PARETO_BLOCK):
+        block = cols[:, lo:lo + PARETO_BLOCK]
+        dominating = (block >= lower).all(axis=0) & (block > upper).any(axis=0)
+        if dominating.any():
+            first = lo + int(dominating.argmax())
+            break
+    wmax, wval = float(totals.max()), float(u0.sum())
+    return ParetoCheck(optimal=first is None, dominating_index=first, welfare_value=wval,
+                       welfare_max=wmax, attains_max=bool(wval >= wmax - WELFARE_TOL))

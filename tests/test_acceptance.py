@@ -39,7 +39,7 @@ def test_criterion_1_entropic_benchmark():
                                       for g in gammas))
     grid = pc.enumerate_grid(space, x, 3, 70, state_classes="single")
     best = pc.maximize_welfare(pc.calibrate(profile, grid))
-    closed = pc.closed_form_entropic(profile, x, space.probs)
+    closed = pc.closed_form_entropic(profile, x)
     elapsed = time.perf_counter() - started
 
     w = np.array([4.0, 2.0, 1.0]) / 7.0

@@ -278,7 +278,7 @@ def test_run_three_agents_matches_closed_form():
                                       for g in (1.0, 2.0, 4.0)))
     grid = pc.enumerate_grid(space, x, 3, 7, state_classes="single")
     umat, _, t = exact_run(profile, grid)
-    cf = pc.closed_form_entropic(profile, x, space.probs)
+    cf = pc.closed_form_entropic(profile, x)
     chosen_welfare = float(umat[t.chosen].sum())
     assert chosen_welfare == pytest.approx(cf.value, abs=1e-12)
     for i in (1, 2):

@@ -98,7 +98,7 @@ def test_risk_free_entropic_report_keeps_its_closed_form():
     config = pc.scenario_from_dict(doc)
     result = pc.run_experiment(config)
     assert result["grid"]["n_classes"] == 0 and result["all_invariants_pass"]
-    cf = pc.closed_form_entropic(config.profile, config.x, config.space.probs)
+    cf = pc.closed_form_entropic(config.profile, config.x)
     expected = dict(cf.to_dict(), tilt=[float(t) for t in cf.tilt],
                     grid_value_gap=abs(result["welfare"]["value"] - cf.value))
     assert result["closed_form"] == expected

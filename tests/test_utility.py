@@ -245,6 +245,76 @@ def test_profile_matrix_matches_pointwise(two_state):
 
 
 # ---------------------------------------------------------------------------
+# at_point: every agent in one kernel call, bit for bit with ``evaluate``
+# ---------------------------------------------------------------------------
+
+def _at_point_profiles():
+    """Profiles of 1 to 4 agents on three states, mixing {P} agents with
+    max-min agents over 2 or 3 priors."""
+    space = pc.StateSpace(["a", "b", "c"], [0.2, 0.5, 0.3])
+    rng = np.random.default_rng(11)
+    single = pc.EntropicUtility(1.3, space.probs)
+    return {
+        "one-entropic": (single,),
+        "one-maxmin": (_maxmin(space, 0.9, rng),),
+        "mixed": (single, _maxmin(space, 2.2, rng, 2), _maxmin(space, 0.4, rng, 3)),
+        "all-maxmin": tuple(_maxmin(space, g, rng, 2 + k % 2)
+                            for k, g in enumerate((0.5, 1.7, 3.1, 0.8))),
+    }
+
+
+@pytest.mark.parametrize("name", ["one-entropic", "one-maxmin", "mixed", "all-maxmin"])
+def test_at_point_is_the_per_agent_evaluator_bit_for_bit(name):
+    """Random allocations with a zero-risk state (column 1 all zero), and
+    the same allocations scaled to gamma ||X|| ~ 300: each agent's value is
+    the float ``evaluate`` gives it, with no floating-point warning."""
+    profile = pc.UtilityProfile(_at_point_profiles()[name])
+    n = profile.n_agents
+    rng = np.random.default_rng(5)
+    gamma = max(u.gamma for u in profile.evaluators)
+    for scale in (1.0, 300.0 / gamma):
+        for _ in range(200):
+            xi = rng.normal(size=(n, 3)) * scale
+            xi[:, 1] = 0.0
+            with np.errstate(all="raise", under="ignore"):
+                got = profile.at_point(xi)
+                expected = [pc.evaluate(u, xi, i) for i, u in enumerate(profile.evaluators)]
+            assert got.tobytes() == np.array(expected).tobytes()
+    assert profile.at_point(np.zeros((n, 3))).tobytes() == np.array(
+        [pc.evaluate(u, np.zeros((n, 3)), i)
+         for i, u in enumerate(profile.evaluators)]).tobytes()
+
+
+def test_at_point_rejects_malformed_allocations():
+    profile = pc.UtilityProfile(_at_point_profiles()["mixed"])
+    with pytest.raises(pc.StructuralError):
+        profile.at_point(np.zeros(3))
+    with pytest.raises(pc.StructuralError):
+        profile.at_point(np.zeros((2, 3)))
+    with pytest.raises(pc.StructuralError):
+        profile.at_point(np.zeros((4, 3)))
+    with pytest.raises(pc.StructuralError):
+        profile.at_point(np.zeros((3, 2)))
+    xi = np.zeros((3, 3))
+    xi[2, 0] = np.nan
+    with pytest.raises(pc.ValidationError, match="NaN"):
+        profile.at_point(xi)
+
+
+def test_profile_stacks_every_prior_row_read_only():
+    profile = pc.UtilityProfile(_at_point_profiles()["mixed"])
+    assert profile.priors.tobytes() == np.concatenate(
+        [u.credal.priors for u in profile.evaluators]).tobytes()
+    assert profile.owner.tolist() == [0, 1, 1, 2, 2, 2]
+    assert profile.starts.tolist() == [0, 1, 3]
+    assert profile.neg_gamma[:, 0].tolist() == [-u.gamma for u in profile.evaluators
+                                                for _ in u.credal.priors]
+    for arr in (profile.priors, profile.neg_gamma, profile.owner, profile.starts):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+# ---------------------------------------------------------------------------
 # evaluate_grid: one kernel with ``evaluate``, bit for bit
 # ---------------------------------------------------------------------------
 

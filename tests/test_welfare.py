@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pricechoose as pc
+from pricechoose import welfare
 from pricechoose.menu import grid_point_count
-from pricechoose.welfare import LINE_STEPS, _project_simplex, _refine_shares
+from pricechoose.welfare import LINE_STEPS, PARETO_SLACK, _project_simplex, _refine_shares
 from conftest import hurricane_space
 
 
@@ -32,8 +33,7 @@ def sup_convolution_value(gammas, x, probs):
 def test_closed_form_weights_and_tilt_rate():
     space, endow = hurricane_space()
     x = pc.aggregate_risk(endow)
-    res = pc.closed_form_entropic(entropic_profile(space.probs, [1.0, 2.0, 4.0]), x,
-                                  space.probs)
+    res = pc.closed_form_entropic(entropic_profile(space.probs, [1.0, 2.0, 4.0]), x)
     expected_w = [float(Fraction(4, 7)), float(Fraction(2, 7)), float(Fraction(1, 7))]
     assert res.shares[0] == pytest.approx(expected_w, abs=1e-15)
     assert res.lam == pytest.approx(float(Fraction(4, 7)), abs=1e-15)
@@ -51,15 +51,14 @@ def test_closed_form_weights_and_tilt_rate():
 def test_closed_form_equal_gammas_split_evenly():
     space = pc.StateSpace(["a", "b"], [0.5, 0.5])
     res = pc.closed_form_entropic(entropic_profile(space.probs, [2.0] * 4),
-                                  np.array([-1.0, -2.0]), space.probs)
+                                  np.array([-1.0, -2.0]))
     assert res.shares[0] == pytest.approx([0.25] * 4, abs=1e-15)
 
 
 def test_closed_form_value_matches_sup_convolution_oracle():
     space, endow = hurricane_space()
     x = pc.aggregate_risk(endow)
-    res = pc.closed_form_entropic(entropic_profile(space.probs, [1.0, 2.0, 4.0]), x,
-                                  space.probs)
+    res = pc.closed_form_entropic(entropic_profile(space.probs, [1.0, 2.0, 4.0]), x)
     assert res.value == pytest.approx(
         sup_convolution_value([1.0, 2.0, 4.0], x, space.probs), abs=1e-12)
     # every agent shares the same exponential tilt
@@ -73,7 +72,7 @@ def test_closed_form_matches_welfare_evaluation():
     space, endow = hurricane_space()
     x = pc.aggregate_risk(endow)
     profile = entropic_profile(space.probs, [1.0, 2.0, 4.0])
-    res = pc.closed_form_entropic(profile, x, space.probs)
+    res = pc.closed_form_entropic(profile, x)
     assert float(profile.at_point(res.allocation).sum()) == pytest.approx(res.value,
                                                                            abs=1e-12)
 
@@ -84,7 +83,20 @@ def test_closed_form_rejects_maxmin():
         np.array([space.probs, [0.3, 0.7]]), space.probs))
     profile = pc.UtilityProfile((pc.EntropicUtility(1.0, space.probs), mm))
     with pytest.raises(pc.UnsupportedProfileError):
-        pc.closed_form_entropic(profile, np.array([-1.0, 0.0]), space.probs)
+        pc.closed_form_entropic(profile, np.array([-1.0, 0.0]))
+
+
+def test_closed_form_rejects_agents_on_different_priors():
+    """One prior each, but not the same one: there is no common tilt, so no
+    closed form, and the maximizer refines the grid winner instead."""
+    space = pc.StateSpace(["a", "b"], [0.5, 0.5])
+    x = np.array([-1.0, 0.0])
+    profile = pc.UtilityProfile((pc.EntropicUtility(1.0, space.probs),
+                                 pc.EntropicUtility(2.0, [0.2, 0.8])))
+    with pytest.raises(pc.UnsupportedProfileError, match="same single prior"):
+        pc.closed_form_entropic(profile, x)
+    res = pc.maximize_welfare(pc.calibrate(profile, pc.enumerate_grid(space, x, 2, 6)))
+    assert res.closed_form is None and res.method in ("grid", "refined")
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +168,7 @@ def test_refinement_reaches_the_closed_form_on_a_product_grid():
     assert grid.n_points == 1000
     game = pc.calibrate(config.profile, grid)
     res = pc.maximize_welfare(game)
-    closed = pc.closed_form_entropic(config.profile, config.x, config.space.probs)
+    closed = pc.closed_form_entropic(config.profile, config.x)
     assert res.method == "closed_form" and res.lam == closed.lam
     assert res.value > game.welfare_max
     assert res.shares.tobytes() == np.tile(closed.shares, (grid.n_classes, 1)).tobytes()
@@ -172,7 +184,7 @@ def test_closed_form_equal_to_a_grid_point_keeps_the_grid_point():
     grid = pc.enumerate_grid(config.space, config.x, 3, 70, state_classes="single")
     game = pc.calibrate(config.profile, grid)
     res = pc.maximize_welfare(game)
-    closed = pc.closed_form_entropic(config.profile, config.x, config.space.probs)
+    closed = pc.closed_form_entropic(config.profile, config.x)
     assert res.method == "grid" and res.lam is None
     assert res.shares.tobytes() == closed.shares.tobytes()
     assert res.value == closed.value == game.welfare_max
@@ -232,8 +244,7 @@ def test_common_prior_optimum_is_the_closed_form(game):
     assert pc.validate_feasible(res.allocation, game.grid.x).ok
     assert res.method in ("grid", "closed_form")
     if res.method == "closed_form":
-        closed = pc.closed_form_entropic(game.profile, game.grid.x,
-                                         game.grid.space.probs)
+        closed = pc.closed_form_entropic(game.profile, game.grid.x)
         tol = 4.0 * np.finfo(float).eps
         assert abs(res.value - closed.value) <= tol * abs(closed.value)
         assert np.all(np.abs(res.per_agent - closed.per_agent)
@@ -271,6 +282,10 @@ def test_single_point_grid_always_optimal():
     grid = pc.enumerate_grid(space, np.array([0.0]), 2, 1)
     check = pc.pareto_check(profile, grid, grid.point(0))
     assert check.optimal and check.attains_max
+    # U(0) is -0.0, and the welfare summed from zero is +0.0, as numpy sums it
+    umat = profile.matrix(grid)
+    assert np.signbit(umat).all()
+    assert check.welfare_max.hex() == float(umat.sum(axis=1).max()).hex() == "0x0.0p+0"
 
 
 def _pareto_case(n_agents):
@@ -348,6 +363,65 @@ def test_pareto_verdicts_match_independent_scan():
             assert _naive_first_dominating(boundary, u0, slack) == expected
             assert verdict.dominating_index == expected and not verdict.optimal
             assert verdict.welfare_max.hex() == float(boundary.sum(axis=1).max()).hex()
+
+
+def _block_scan_matrix(u0, size, dominators, rng):
+    """(size x n) utilities around u0 where only the rows ``dominators``
+    dominate u0: every other row leaves agent 0 strictly worse off and may
+    leave the others better off, so the welfare varies across the rows."""
+    n = len(u0)
+    umat = u0 + rng.uniform(-1.0, 1.0, size=(size, n))
+    umat[:, 0] = u0[0] - rng.uniform(1e-6, 1.0, size=size)
+    umat[dominators] = u0 + rng.uniform(0.0, 1.0, size=(len(dominators), n))
+    umat[dominators, 0] = u0[0] + 1e-6
+    return umat
+
+
+@pytest.mark.parametrize("n_agents", [1, 2, 3])
+def test_pareto_block_scan_stops_at_the_first_dominating_block(n_agents):
+    """Dominating rows at the last index of a block, at the first index of
+    the next one, only in the final partial block, and nowhere: the scan
+    reports the lowest dominating index and the welfare maximum over every
+    row, whichever block it stops in, on row- and column-major matrices."""
+    block = welfare.PARETO_BLOCK
+    size = 3 * block + 17
+    profile, coarse, oracle = _pareto_case(n_agents)
+    xi = coarse.point(0)
+    u0 = profile.at_point(xi)
+    rng = np.random.default_rng(n_agents)
+    cases = {
+        "last-of-block": [block - 1, block, 2 * block + 5],
+        "first-of-next": [block, 3 * block + 3],
+        "final-partial": [3 * block + 16],
+        "two-in-final": [3 * block + 2, 3 * block],
+        "nowhere": [],
+    }
+    for name, dominators in cases.items():
+        base = _block_scan_matrix(u0, size, dominators, rng)
+        expected = _naive_first_dominating(base, u0, PARETO_SLACK)
+        assert expected == (min(dominators) if dominators else None), name
+        for order in ("C", "F"):
+            umat = np.asarray(base, order=order)
+            verdict = pc.pareto_check(profile, oracle, xi, umat=umat)
+            assert verdict.dominating_index == expected, (name, order)
+            assert verdict.optimal == (expected is None)
+            assert verdict.welfare_max.hex() == float(umat.sum(axis=1).max()).hex()
+
+
+def test_pareto_check_needs_one_utility_column_per_agent():
+    """Too many columns, too few (which would drop an agent from the
+    dominance test) and a 1-d matrix are refused; extra rows are scanned."""
+    profile, coarse, oracle = _pareto_case(3)
+    umat = profile.matrix(oracle)
+    xi = coarse.point(0)
+    for bad in (np.hstack([umat, umat[:, :1]]), umat[:, :2], umat[:, 0]):
+        with pytest.raises(pc.StructuralError, match="one column per agent"):
+            pc.pareto_check(profile, oracle, xi, umat=bad)
+    extra = np.vstack([umat, umat[:3]])
+    assert pc.pareto_check(profile, oracle, xi, umat=extra).dominating_index == (
+        _naive_first_dominating(extra, profile.at_point(xi), PARETO_SLACK))
+    with pytest.raises(pc.StructuralError):
+        pc.pareto_check(profile, oracle, np.vstack([xi, xi[:1]]), umat=umat)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +630,7 @@ def test_closed_form_path_is_warning_free_at_large_exponents(scale):
         warnings.simplefilter("error")
         game = pc.calibrate(profile, grid)
         res = pc.maximize_welfare(game)
-        closed = pc.closed_form_entropic(profile, xc, coin.probs)
+        closed = pc.closed_form_entropic(profile, xc)
     assert res.method == "closed_form" and np.isfinite(res.value)
     assert res.value > game.welfare_max
     assert res.per_agent.tobytes() == closed.per_agent.tobytes()
