@@ -38,7 +38,7 @@ from .mechanism import (
 )
 from .menu import enumerate_grid, integrate, validate_feasible
 from .space import PROB_TOL
-from .utility import EntropicUtility, _agent_rows, evaluate, evaluate_grid
+from .utility import EntropicUtility, evaluate_grid
 from .welfare import maximize_welfare
 
 REPORT_SCHEMA = "pnc-report/v2"
@@ -130,14 +130,13 @@ def _utility_checks(config: ScenarioConfig, grid, umat, ref_vals: dict,
     profile = config.profile
     n, m = profile.n_agents, config.space.n_states
     checks = []
-    zero = np.zeros((n, m))
-    n0 = max(abs(evaluate(u, zero, i)) for i, u in enumerate(profile.evaluators))
+    n0 = float(np.abs(profile.at_point(np.zeros((n, m)))).max())
     checks.append(_bound("utility.normalization", n0, 0.0, f"max |U(0)| = {n0!r}"))
 
-    # One stack of allocations serves every agent: the sampled points and
-    # their five cash shifts, the pair endpoints a and b, and the three
-    # convex mixes t a + (1 - t) b.  Each agent evaluates its rows of it,
-    # plus its own row of each a bumped by one unit, in one values call.
+    # One stack of allocations, evaluated for every agent in one values
+    # call: the sampled points and their five cash shifts, the pair
+    # endpoints a and b, the three convex mixes t a + (1 - t) b, and each a
+    # bumped by one unit.
     rng = np.random.default_rng([seed, 11_03])
     sample = rng.integers(0, grid.n_points, size=min(10, grid.n_points))
     pairs = rng.integers(0, grid.n_points, size=(min(50, grid.n_points), 2))
@@ -146,26 +145,20 @@ def _utility_checks(config: ScenarioConfig, grid, umat, ref_vals: dict,
     pts = grid._points_at(sample)
     xa = grid._points_at(pairs[:, 0])
     xb = grid._points_at(pairs[:, 1])
-    stack = np.concatenate([
+    vals = profile.values(np.concatenate([
         pts, (pts + shifts[:, None, None, None]).reshape(-1, n, m), xa, xb,
         (mixes[:, None, None, None] * xa + (1 - mixes[:, None, None, None]) * xb
-         ).reshape(-1, n, m)])
+         ).reshape(-1, n, m), xa + 1.0]))
     sizes = np.cumsum([len(sample), 5 * len(sample), len(pairs), len(pairs),
                        3 * len(pairs)])
-    worst_cash = worst_mono = worst_sup = worst_conc = 0.0
-    for i, u in enumerate(profile.evaluators):
-        rows = _agent_rows(stack, i)
-        a_rows, b_rows = rows[sizes[1]:sizes[2]], rows[sizes[2]:sizes[3]]
-        vals = u.values(np.concatenate([rows, a_rows + 1.0]))
-        base, shifted, ua, ub, mid, bumped = np.split(vals, sizes)
-        shifted, mid = shifted.reshape(5, -1), mid.reshape(3, -1)
-        cash = np.abs(shifted - base - shifts[:, None])
-        sup = np.abs(ua - ub) - np.abs(a_rows - b_rows).max(axis=1)
-        conc = mixes[:, None] * ua + (1 - mixes[:, None]) * ub - mid
-        worst_cash = max(worst_cash, float(cash.max()))
-        worst_mono = max(worst_mono, float((ua - bumped).max()))
-        worst_sup = max(worst_sup, float(sup.max()))
-        worst_conc = max(worst_conc, float(conc.max()))
+    base, shifted, ua, ub, mid, bumped = np.split(vals, sizes)
+    shifted, mid = shifted.reshape(5, -1, n), mid.reshape(3, -1, n)
+    cash = np.abs(shifted - base - shifts[:, None, None])
+    sup = np.abs(ua - ub) - np.abs(xa - xb).max(axis=2)
+    conc = mixes[:, None, None] * ua + (1 - mixes[:, None, None]) * ub - mid
+    # Each worst residual is at least +0.0, and NaN when any residual is.
+    worst_cash, worst_mono, worst_sup, worst_conc = (
+        float(np.max(v, initial=0.0)) + 0.0 for v in (cash, ua - bumped, sup, conc))
     checks.append(_bound("utility.cash_invariance", worst_cash, 1e-9,
                          f"max residual {worst_cash:.3g}"))
     checks.append(_bound("utility.monotonicity", worst_mono, 1e-12,
@@ -179,8 +172,8 @@ def _utility_checks(config: ScenarioConfig, grid, umat, ref_vals: dict,
     # check, so the sets checked are those of the agents in ``ref_vals``.
     worst_dom = 0.0
     credal_ok = True
-    for i, vals in ref_vals.items():
-        worst_dom = max(worst_dom, float((umat[:, i] - vals).max()))
+    for i, ref in ref_vals.items():
+        worst_dom = max(worst_dom, float((umat[:, i] - ref).max()))
         credal_ok = credal_ok and not profile.evaluators[i].credal.problems()
     checks.append(_bound("utility.maxmin_dominance", worst_dom, 1e-12,
                          f"max excess over single-prior value {worst_dom:.3g}"))

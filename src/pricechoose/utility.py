@@ -17,18 +17,22 @@ linear in the prior, so for polytope credal sets evaluating the vertex list
 loses nothing.  A single-prior entropic agent is the one-prior credal set
 {P}, which ``EntropicUtility`` builds.
 
-On a menu grid an agent's random variable is fixed by its share level in
-each state class, one of L levels j / r, so ``evaluate_grid`` evaluates
-the agent L^C times and gathers the values onto the K^C grid points.
-
-One kernel, ``_tilted_ce``, computes every certainty equivalent (a point,
-a grid's level tuples, the share refinement's trials) with the same floats
-for the same allocation, so a grid value is the value of its point; a
-profile stacks its agents' priors once, to evaluate them all in one call.
+Evaluators are plain data; a ``UtilityProfile`` evaluates them.  It stacks
+its agents' prior rows once, and its one entry, ``_evaluate``, computes every
+certainty equivalent (an allocation stack, a point, a grid's level tuples,
+the share refinement's trials): one ``_tilted_ce`` call over the stacked
+rows and a minimum over each agent's own rows.  The kernel gives the same
+floats for the same allocation whatever else it evaluates alongside, so a
+grid value is the value of its point.  On a menu grid an agent's random
+variable is fixed by its share level in each state class, one of L levels
+j / r, so ``matrix`` evaluates the L^C level tuples and gathers the values
+onto the K^C grid points.  ``evaluate``, ``evaluate_grid`` and the other
+one-agent functions run a one-evaluator profile.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -38,22 +42,22 @@ from .errors import StructuralError, ValidationError
 from .menu import MenuGrid, integrate, lipschitz_ratio
 from .space import PROB_TOL
 
-# Most (state, level tuple) entries ``evaluate_grid`` evaluates at once.
+# Most (state, prior row, level tuple) entries ``UtilityProfile.matrix``
+# evaluates at once.
 GRID_BLOCK = 2 ** 16
 
 
 def _tilted_ce(z: np.ndarray, priors: np.ndarray,
-               neg_gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               neg_gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Certainty equivalents of an (m x R x T) exponent table -gamma xi(w),
-    states first, under the prior rows ``priors`` (R x m); an (m x 1 x T)
-    table is shared by every row.  ``z`` is overwritten; ``neg_gamma`` is
-    -gamma, a scalar or (R x 1).  The max and the exponentials are taken
-    plane by plane, and the prior-weighted terms are written transposed
-    into a contiguous (R x T x m) table whose last axis is summed: numpy
-    adds a contiguous axis in 8-way pairwise partial sums from 8 entries on,
-    so each (row, trial) gets the floats of a one-allocation evaluation.
-    Returns the (R x T) values, the tilts nu(w) exp(z(w) - max z) and their
-    (R x T) sums.
+    states first, under the prior rows ``priors`` (R x m).  ``z`` is
+    overwritten; ``neg_gamma`` is each row's -gamma (R x 1).  The max and
+    the exponentials are taken plane by plane, and the prior-weighted terms
+    are written transposed into a contiguous (R x T x m) table whose last
+    axis is summed: numpy adds a contiguous axis in 8-way pairwise partial
+    sums from 8 entries on, so each (row, trial) gets the floats of a
+    one-allocation evaluation.  Returns the (R x T) values, the tilts
+    nu(w) exp(z(w) - max z) and their (R x T) sums.
     """
     a = np.maximum.reduce(z, axis=0)
     z -= a
@@ -101,11 +105,13 @@ class CredalSet:
             raise ValidationError(errors)
 
     def problems(self) -> list[str]:
-        """Every broken rule of a credal set: each prior strictly positive and
-        summing to 1, the reference probability among the priors, and a
-        declared Lipschitz bound positive."""
+        """Every broken rule of a credal set: each prior finite, strictly
+        positive and summing to 1, the reference probability among the
+        priors, and a declared Lipschitz bound positive."""
         errors = []
         for j, row in enumerate(self.priors):
+            if not np.all(np.isfinite(row)):
+                errors.append(f"priors[{j}] has non-finite entries")
             if np.any(row <= 0.0):
                 errors.append(f"priors[{j}] must be strictly positive")
             total = float(row.sum())
@@ -121,26 +127,15 @@ class CredalSet:
 
 @dataclass(frozen=True)
 class MaxMinUtility:
-    """Worst-case entropic certainty equivalent over a credal set."""
+    """Worst-case entropic certainty equivalent over a credal set: the risk
+    aversion and the priors.  A ``UtilityProfile`` evaluates it."""
 
     gamma: float
     credal: CredalSet
 
     def __post_init__(self) -> None:
-        if not (self.gamma > 0.0):
+        if not 0.0 < self.gamma < math.inf:
             raise ValidationError(f"gamma must be a positive number, got {self.gamma!r}")
-
-    def values_per_prior(self, rows: np.ndarray) -> np.ndarray:
-        """(k, ...) entropic values of a row (m,) or a batch of rows (..., m),
-        one slice per prior.  The exponentials are computed once and shared,
-        and each prior's values are the floats it gets on its own."""
-        m = rows.shape[-1]
-        z = np.multiply(rows.reshape(-1, m).T, -self.gamma, order="C")
-        ce = _tilted_ce(z[:, None], self.credal.priors, -self.gamma)[0]
-        return ce.reshape(ce.shape[:1] + rows.shape[:-1])
-
-    def values(self, rows: np.ndarray) -> np.ndarray:
-        return self.values_per_prior(rows).min(axis=0)
 
 
 def EntropicUtility(gamma: float, probs) -> MaxMinUtility:
@@ -152,7 +147,12 @@ def EntropicUtility(gamma: float, probs) -> MaxMinUtility:
 
 @dataclass(frozen=True)
 class UtilityProfile:
-    """One monetary utility evaluator per agent, and their priors stacked."""
+    """One monetary utility evaluator per agent, and their priors stacked.
+
+    Every evaluation goes through ``_evaluate``: each caller gathers the
+    state-major payoffs of the stacked prior rows, and one ``_tilted_ce``
+    call and a minimum over each agent's own rows give the agents' values.
+    """
 
     evaluators: tuple[MaxMinUtility, ...]
     priors: np.ndarray = field(init=False, repr=False, compare=False)     # (R x m)
@@ -177,6 +177,37 @@ class UtilityProfile:
     def n_agents(self) -> int:
         return len(self.evaluators)
 
+    def _evaluate(self, payoff: np.ndarray):
+        """Values of an (m x R x T) state-major payoff table, row r read by
+        prior row r; an (m x 1 x T) table is shared by every row.  Returns
+        the agents' (n x T) values, each the minimum over its own rows, and
+        ``_tilted_ce``'s (ce, terms, mass) of every row."""
+        z = np.multiply(payoff, self.neg_gamma, order="C")
+        ce, terms, mass = _tilted_ce(z, self.priors, self.neg_gamma)
+        return np.minimum.reduceat(ce, self.starts, axis=0), ce, terms, mass
+
+    def _checked(self, xi, stacked: bool) -> np.ndarray:
+        """``xi`` as floats: one (n x m) allocation, or a stack of them."""
+        xi = np.asarray(xi, dtype=float)
+        shape = (self.n_agents, self.priors.shape[1])
+        if (xi.shape[-2:] if stacked else xi.shape) != shape:
+            raise StructuralError(f"allocation must be (agents x states) {shape}, got {xi.shape}")
+        if np.isnan(xi).any():
+            raise ValidationError("allocation contains NaN entries")
+        return xi
+
+    def values(self, xi) -> np.ndarray:
+        """(..., n) every agent's value at each allocation of a (..., n x m)
+        stack."""
+        xi = self._checked(xi, stacked=True)
+        rows = xi.reshape((-1,) + xi.shape[-2:])[:, self.owner]
+        return self._evaluate(rows.transpose(2, 1, 0))[0].T.reshape(xi.shape[:-1])
+
+    def at_point(self, xi: np.ndarray) -> np.ndarray:
+        """(n,) every agent's value at the one (n x m) allocation ``xi``."""
+        xi = self._checked(xi, stacked=False)
+        return self._evaluate(xi[self.owner].T[:, :, None])[0][:, 0]
+
     def matrix(self, grid: MenuGrid) -> np.ndarray:
         """(points x agents) utility values over a whole grid, column-major:
         each agent's column is contiguous, as the column scans read it."""
@@ -184,95 +215,70 @@ class UtilityProfile:
             raise StructuralError(
                 f"grid built for {grid.n_agents} agents, profile has {self.n_agents}"
             )
-        out = np.empty((self.n_agents, grid.n_points))
-        for i, u in enumerate(self.evaluators):
-            out[i] = evaluate_grid(u, grid, i)
-        return out.T
+        return self._grid_values(grid, range(self.n_agents)).T
 
-    def at_point(self, xi: np.ndarray) -> np.ndarray:
-        """Every agent's ``evaluate`` value, from one ``_tilted_ce`` call over
-        the stacked prior rows and a minimum over each agent's own rows."""
-        xi = np.asarray(xi, dtype=float)
-        shape = (self.n_agents, self.priors.shape[1])
-        if xi.shape != shape:
-            raise StructuralError(f"allocation must be (agents x states) {shape}, got {xi.shape}")
-        if np.any(np.isnan(xi)):
-            raise ValidationError("allocation contains NaN entries")
-        z = np.multiply(xi[self.owner].T, self.neg_gamma.T, order="C")
-        ce = _tilted_ce(z[:, :, None], self.priors, self.neg_gamma)[0]
-        return np.minimum.reduceat(ce[:, 0], self.starts)
+    def _grid_values(self, grid: MenuGrid, agents) -> np.ndarray:
+        """(len(agents) x P): evaluator j's utility at every grid point, read
+        at agent ``agents[j]``'s share levels.
 
-
-def _agent_rows(xi, agent: int) -> np.ndarray:
-    """Row ``agent`` of every allocation of a (... x n x m) stack, with one
-    shape and NaN check for the whole stack."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim < 2:
-        raise StructuralError(f"allocation must be 2-d, got shape {xi.shape}")
-    if not 0 <= agent < xi.shape[-2]:
-        raise StructuralError(f"agent {agent} out of range for {xi.shape[-2]} rows")
-    rows = xi[..., agent, :]
-    if np.any(np.isnan(rows)):
-        raise ValidationError("allocation contains NaN entries")
-    return rows
-
-
-def _agent_row(xi, agent: int) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim != 2:
-        raise StructuralError(f"allocation must be 2-d, got shape {xi.shape}")
-    return _agent_rows(xi, agent)
+        An agent's random variable at a point is fixed by its share level in
+        each class, one of the L levels ``grid._share_levels`` reads off the
+        integer table, and the levels are the same for every agent.  So the
+        L^C level tuples are evaluated once for all stacked rows, and each
+        agent's values are gathered onto the P = K^C points by its own level
+        index.  Tuple t takes level t // L^(C-1-c) % L in class c, and a
+        zero-risk state reads +0.0.  The tuples go through ``_evaluate`` in
+        blocks of at most ``GRID_BLOCK`` (state, row, tuple) entries, so every
+        point's value is the float ``at_point`` gives at that point.
+        """
+        levels, index = grid._share_levels()
+        size, classes = len(levels), grid.n_classes
+        places = np.append(size ** np.arange(classes - 1, -1, -1), 1)[:, None]
+        # x + 0.0 turns a -0.0 entry into +0.0, as in ``MenuGrid.point``.
+        x = (grid.x + 0.0)[:, None]
+        tuple_values = np.empty((self.n_agents, size ** classes))
+        step = max(1, GRID_BLOCK // (len(x) * len(self.priors)))
+        for lo in range(0, tuple_values.shape[1], step):
+            t = np.arange(lo, min(lo + step, tuple_values.shape[1]))
+            payoff = levels[t // places % size][grid.class_of_state]
+            payoff *= x
+            tuple_values[:, lo:lo + step] = self._evaluate(payoff[:, None])[0]
+        out = np.empty((len(agents), grid.n_points))
+        for j, agent in enumerate(agents):
+            values = tuple_values[j].reshape((size,) * classes)
+            for axis in range(classes):
+                values = values.take(index[:, agent], axis=axis)
+            out[j] = values.reshape(grid.n_points)
+        return out
 
 
 def evaluate(u: MaxMinUtility, xi, agent: int) -> float:
-    """Agent's certainty equivalent of its row of the allocation."""
-    return float(u.values(_agent_row(xi, agent)))
+    """Agent's certainty equivalent of its row of the (n x m) allocation."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim != 2 or not 0 <= agent < len(xi):
+        raise StructuralError(f"allocation must be 2-d with a row {agent}, got shape {xi.shape}")
+    return float(UtilityProfile((u,)).at_point(xi[agent, None])[0])
 
 
 def evaluate_grid(u: MaxMinUtility, grid: MenuGrid, agent: int) -> np.ndarray:
-    """The utility of ``agent`` at every grid point, from its share levels.
-
-    The agent's random variable at a point is fixed by the agent's share
-    level in each class, one of the L levels ``grid._share_levels`` reads
-    off the integer table, so the utility is evaluated L^C times, once per
-    tuple of levels, and gathered onto the P = K^C points.  Tuple t takes level
-    t // L^(C-1-c) % L in class c, and a zero-risk state reads +0.0.  The
-    tuples' state-major allocations go through ``_tilted_ce`` in blocks of
-    at most ``GRID_BLOCK`` (state, tuple) entries, so every point's value is
-    the float ``evaluate`` gives at that point.
-    """
-    levels, index = grid._share_levels()
-    size, classes = len(levels), grid.n_classes
-    places = np.append(size ** np.arange(classes - 1, -1, -1), 1)[:, None]
-    # x + 0.0 turns a -0.0 entry into +0.0, as in ``MenuGrid.point``.
-    x = (grid.x + 0.0)[:, None]
-    values = np.empty(size ** classes)
-    step = max(1, GRID_BLOCK // len(x))
-    for lo in range(0, len(values), step):
-        t = np.arange(lo, min(lo + step, len(values)))
-        z = levels[t // places % size][grid.class_of_state]
-        z *= x
-        z *= -u.gamma
-        ce = _tilted_ce(z[:, None], u.credal.priors, -u.gamma)[0]
-        values[lo:lo + step] = np.minimum.reduce(ce, axis=0)
-    values = values.reshape((size,) * classes)
-    for axis in range(classes):
-        values = values.take(index[:, agent], axis=axis)
-    return values.reshape(grid.n_points)
+    """The utility ``u`` gives ``agent`` at every grid point: a
+    ``UtilityProfile.matrix`` column, for one evaluator."""
+    return UtilityProfile((u,))._grid_values(grid, [agent])[0]
 
 
 def check_cash_invariance(u: MaxMinUtility, xi, agent: int, c: float) -> float:
     """Residual |U(xi + c) - U(xi) - c|; the contract is <= 1e-9."""
-    row = _agent_row(xi, agent)
-    return float(abs(float(u.values(row + c)) - float(u.values(row)) - c))
+    xi = np.asarray(xi, dtype=float)
+    return abs(evaluate(u, xi + c, agent) - evaluate(u, xi, agent) - c)
 
 
 def estimate_lipschitz(u: MaxMinUtility, grid: MenuGrid, agent: int) -> float:
     """Empirical Lipschitz constant of the utility under the menu metric.
 
     Exhaustive over all point pairs below the size threshold, seeded random
-    pairs above it; zero-distance pairs are skipped.  Used to set and to
-    sanity-check the mechanism's Lipschitz cap.
+    pairs above it; zero-distance pairs are skipped.  A standalone estimate
+    for one agent: ``calibrate`` sets the mechanism's cap from the utility
+    matrix's columns, with the same ``lipschitz_ratio``.
     """
     vals = evaluate_grid(u, grid, agent)
     est = lipschitz_ratio(vals, grid)

@@ -22,11 +22,11 @@ of the Python calls.  The stack is state-major: the short axes (states,
 every agent's prior rows) lead and the trial axis is contiguous, so the
 max over states and the min over an agent's priors are elementwise ops on
 whole planes rather than one short numpy reduce per row.  The stack is
-evaluated by ``utility._tilted_ce``, the kernel behind ``evaluate`` and
-``evaluate_grid`` too, so each trial gets the floats of a one-allocation
-evaluation.  The tilts that the next gradient reads come from the
-accepted trial's row of the kernel's tilt table, so the refined shares
-equal the serial search's bit for bit.  The Pareto scan is a brute-force
+evaluated by ``UtilityProfile._evaluate``, the entry behind every utility
+value (points, grids, the report's checks), so each trial gets the floats
+of a one-allocation evaluation.  The tilts that the next gradient reads
+come from the accepted trial's row of the kernel's tilt table, so the
+refined shares equal the serial search's bit for bit.  The Pareto scan is a brute-force
 dominance test (the maxima-of-vectors setting of Kung, Luccio & Preparata
 1975); it reads the grid in blocks and stops at the first dominating one.
 """
@@ -40,7 +40,7 @@ import numpy as np
 from .errors import ConfigurationError, StructuralError, UnsupportedProfileError
 from .mechanism import Game
 from .menu import MenuGrid, validate_feasible
-from .utility import UtilityProfile, _tilted_ce
+from .utility import UtilityProfile
 
 PARETO_SLACK = 1e-12
 # Grid points per block of the Pareto scan, which stops at the first dominating block.
@@ -149,19 +149,16 @@ class _Evaluation:
 def _welfare_values(rows: _PriorRows, stack: np.ndarray) -> _Evaluation:
     """Welfare at each trial of a (C n + 1 x T) share stack.
 
-    One gather and one multiply give the (m x R x T) exponents -gamma q X(w)
-    of every prior row of every trial, and ``_tilted_ce`` evaluates them
-    all at once, so each row gets the floats ``evaluate`` gives it (see the
-    module docstring).  The min over an agent's priors is taken plane by
-    plane, and the agents' values are added in agent order.
+    One gather and one multiply give the (m x R x T) payoffs q X(w) of
+    every prior row of every trial, and the profile's ``_evaluate`` takes
+    them all at once, so each row gets the floats ``at_point`` gives it (see
+    the module docstring).  The agents' values are added in agent order.
     """
-    p = rows.profile
-    z = np.take(stack, rows.take, axis=0)
-    z *= rows.x[:, None, None]
-    z *= p.neg_gamma
-    ce, terms, mass = _tilted_ce(z, p.priors, p.neg_gamma)
+    payoff = np.take(stack, rows.take, axis=0)
+    payoff *= rows.x[:, None, None]
+    per_agent, ce, terms, mass = rows.profile._evaluate(payoff)
     values = np.zeros(ce.shape[1])
-    for agent_values in np.minimum.reduceat(ce, p.starts, axis=0):
+    for agent_values in per_agent:
         values += agent_values
     return _Evaluation(values, ce, terms, mass)
 

@@ -49,8 +49,11 @@ def test_run_experiment_computes_shared_data_once(monkeypatch):
     (one per auction branch, the winner-0 branch doubling as the exact
     mechanism run), whose orders 012, 102 and 201 post schedules for six
     tails, of which (2,) repeats, so five schedules are built and validated
-    once each; the matrix evaluates each agent's column once, and
-    calibration and the report's averages read it instead of re-evaluating.  Both audits are closed
+    once each; calibration and the report's averages read the one matrix
+    instead of re-evaluating.  Every utility value comes from the profile's
+    one kernel entry, in five calls: the matrix's one block for all agents,
+    the closed form, the welfare candidate, the utility checks' zero
+    allocation and their one stack.  Both audits are closed
     forms, so no distance vector is built.  The closed form is built once,
     by the welfare step, and the report reads it from there."""
     config = pc.load_scenario(SCENARIOS / "hurricane_three_farmers.json")
@@ -60,7 +63,7 @@ def test_run_experiment_computes_shared_data_once(monkeypatch):
         "average_utilities": count_calls(monkeypatch, utility, "average_utilities"),
         "run_pnc": count_calls(monkeypatch, mechanism, "run_pnc"),
         "validate_schedule": count_calls(monkeypatch, mechanism, "validate_schedule"),
-        "evaluate_grid": count_calls(monkeypatch, utility, "evaluate_grid"),
+        "_evaluate": count_calls(monkeypatch, utility.UtilityProfile, "_evaluate"),
         "distances_to": count_calls(monkeypatch, pc.MenuGrid, "distances_to"),
         "closed_form_entropic": count_calls(monkeypatch, welfare, "closed_form_entropic"),
     }
@@ -68,7 +71,7 @@ def test_run_experiment_computes_shared_data_once(monkeypatch):
     assert result["all_invariants_pass"]
     assert {k: len(v) for k, v in calls.items()} == {
         "matrix": 1, "average_utilities": 1, "run_pnc": 3,
-        "validate_schedule": 5, "evaluate_grid": 3, "distances_to": 0,
+        "validate_schedule": 5, "_evaluate": 5, "distances_to": 0,
         "closed_form_entropic": 1}
 
     # Perturbed mode adds one run; its n - 1 posted schedules share one
@@ -402,13 +405,17 @@ def test_metric_checks_fail_on_a_negative_or_non_finite_weight(two_state, weight
 
 
 # The behavioural contract: sha256 of the three files each bundled CLI run
-# writes, and of a seeded scenario with two max-min agents and two share
-# classes beside a zero-risk state (data/three_agent_maxmin.json), which
-# neither bundled scenario has.  The recorded report.json documents sit in
-# data/bundled_reports and locate a mismatch; a change that moves a report
-# updates both on purpose.
+# writes, and of three seeded scenarios whose agents hold 1, 2 and 3 priors,
+# which neither bundled scenario has: two per-state share classes beside a
+# zero-risk state (data/three_agent_maxmin.json), one class over four agents
+# (data/four_agent_maxmin_single.json), and two labelled classes beside a
+# zero-risk state (data/three_agent_maxmin_classes.json).  The recorded
+# report.json documents sit in data/bundled_reports and locate a mismatch; a
+# change that moves a report updates both on purpose.
 DATA = Path(__file__).resolve().parent / "data"
-SCENARIO_FILES = {"three-agent-maxmin": DATA / "three_agent_maxmin.json"}
+SCENARIO_FILES = {"three-agent-maxmin": DATA / "three_agent_maxmin.json",
+                  "four-agent-maxmin-single": DATA / "four_agent_maxmin_single.json",
+                  "three-agent-maxmin-classes": DATA / "three_agent_maxmin_classes.json"}
 BUNDLED_RUNS = {
     ("two-agent-hand", "run"): (
         "bea101ade779a4442b18d1670aaf4dac91ea23314a653dce7f763dc6c8c3bffd",
@@ -438,6 +445,14 @@ BUNDLED_RUNS = {
         "6a1e74801457085ad36bbf710ccd08f7030af0df52a0c8ca4a0db6b2c51a22c3",
         "1c6df763eebbeee19b1b41f0a3ad70a0768dfb8cf23faeaca2a31fd4b148b765",
         "b6bc66246bb109dc198991d10d42c76537daa2ea5a4a569abcdec83f10e60b4d"),
+    ("four-agent-maxmin-single", "run"): (
+        "7f25b54df9b68b85f228da0743232df58db3243dbeec2b863d6244cf5a6c084c",
+        "55fe650ce4d321d9da1fcd63efc7f81eafa1053fae60b8209bd7259ef628be61",
+        "e3021d60846393d9bd011af0da9d1606f809f6d87f4d10c7bdbf06ab560adc01"),
+    ("three-agent-maxmin-classes", "run"): (
+        "cf790df1c4010161a1cead54d8ecff8bb2462fc870dc2b98c325e8c38d6811cc",
+        "eaa85ab429f87cbb3490c17769e759b828b5b2b87393bfd5828095c9ff58a654",
+        "a49a610682beaf4f6d5c53cc4c5e27cfed251ed0c8dfd54d8386ccd9c781cb5b"),
 }
 RECORDED = DATA / "bundled_reports"
 
@@ -571,7 +586,9 @@ def serial_utility_checks(config, grid, seed):
     return dict(zip(UTILITY_CHECKS, (norm, cash, mono, sup, conc)))
 
 
-def batched_utility_checks(config, seed):
+def utility_check_inputs(config):
+    """The grid, utility matrix and reference columns the report's utility
+    checks read."""
     grid = pc.enumerate_grid(config.space, config.x, config.profile.n_agents,
                              config.resolution, state_classes=config.state_classes)
     umat = config.profile.matrix(grid)
@@ -579,6 +596,11 @@ def batched_utility_checks(config, seed):
                                          grid, i)
                 for i, u in enumerate(config.profile.evaluators)
                 if len(u.credal.priors) > 1}
+    return grid, umat, ref_vals
+
+
+def batched_utility_checks(config, seed):
+    grid, umat, ref_vals = utility_check_inputs(config)
     checks = report._utility_checks(config, grid, umat, ref_vals, seed)
     return grid, {c["name"]: c for c in checks}
 
@@ -615,7 +637,95 @@ def test_batched_utility_checks_are_warning_free_at_large_exponents():
 
 
 def test_utility_checks_reject_a_nan_allocation_stack():
+    """The checks' one ``values`` call rejects a NaN anywhere in its stack,
+    and a stack with too few agent rows."""
+    coin = pc.StateSpace(["h", "t"], [0.5, 0.5])
     with pytest.raises(pc.ValidationError, match="NaN"):
-        utility._agent_rows(np.array([[[0.0, np.nan]], [[1.0, 2.0]]]), 0)
-    with pytest.raises(pc.StructuralError, match="out of range"):
-        utility._agent_rows(np.zeros((4, 2, 3)), 2)
+        pc.UtilityProfile((pc.EntropicUtility(1.0, coin.probs),)).values(
+            np.array([[[0.0, np.nan]], [[1.0, 2.0]]]))
+    three = pc.StateSpace(["a", "b", "c"], [0.2, 0.3, 0.5])
+    profile = pc.UtilityProfile((pc.EntropicUtility(1.0, three.probs),) * 3)
+    with pytest.raises(pc.StructuralError, match="agents x states"):
+        profile.values(np.zeros((4, 2, 3)))
+
+
+# Planted defects in the utility values the report's checks read: each one
+# must turn its check false.  A kernel mutant maps the unmutated entry
+# ``UtilityProfile._evaluate``, a profile and a payoff table to the agents'
+# values the checks then read.
+KERNEL_MUTANTS = {
+    # U(0) = 1e-3
+    "utility.normalization": lambda entry, p, payoff: entry(p, payoff)[0] + 1e-3,
+    # U(xi + c) - U(xi) = 1.001 c
+    "utility.cash_invariance": lambda entry, p, payoff: 1.001 * entry(p, payoff)[0],
+    # U(-xi): decreasing in the payoff
+    "utility.monotonicity": lambda entry, p, payoff: entry(p, -payoff)[0],
+    # slope 2: |U(a) - U(b)| up to 2 ||a - b||
+    "utility.sup_lipschitz": lambda entry, p, payoff: 2.0 * entry(p, payoff)[0],
+    # U + U^2: a convex term
+    "utility.concavity": lambda entry, p, payoff: (
+        lambda v: v + v * v)(entry(p, payoff)[0]),
+}
+MUTANT_SCENARIOS = [SCENARIOS / "hurricane_three_farmers.json",
+                    SCENARIO_FILES["three-agent-maxmin"],
+                    SCENARIO_FILES["four-agent-maxmin-single"],
+                    SCENARIO_FILES["three-agent-maxmin-classes"]]
+
+
+@pytest.mark.parametrize("check", list(KERNEL_MUTANTS))
+def test_each_utility_check_fails_on_its_planted_kernel_defect(check, monkeypatch):
+    entry, mutant = utility.UtilityProfile._evaluate, KERNEL_MUTANTS[check]
+    for path in MUTANT_SCENARIOS:
+        config = pc.load_scenario(path)
+        grid, umat, ref_vals = utility_check_inputs(config)
+
+        def checks():
+            found = report._utility_checks(config, grid, umat, ref_vals, config.seed)
+            return {c["name"]: c for c in found}
+
+        assert checks()[check]["passed"], (path.name, check)
+        with monkeypatch.context() as m:
+            m.setattr(utility.UtilityProfile, "_evaluate",
+                      lambda p, payoff: (mutant(entry, p, payoff),))
+            assert not checks()[check]["passed"], (path.name, check)
+
+
+def test_sampled_utility_checks_fail_on_a_nan_value(monkeypatch):
+    """With agent 0's values all NaN, each of the four sampled checks reads
+    NaN and fails."""
+    entry = utility.UtilityProfile._evaluate
+
+    def nan_first(p, payoff):
+        values = entry(p, payoff)[0].copy()
+        values[0] = np.nan
+        return (values,)
+
+    for path in MUTANT_SCENARIOS:
+        config = pc.load_scenario(path)
+        grid, umat, ref_vals = utility_check_inputs(config)
+        with monkeypatch.context() as m:
+            m.setattr(utility.UtilityProfile, "_evaluate", nan_first)
+            checks = {c["name"]: c for c in
+                      report._utility_checks(config, grid, umat, ref_vals, config.seed)}
+        for name in UTILITY_CHECKS[1:]:
+            assert not checks[name]["passed"] and checks[name]["value"] is None, name
+
+
+def test_maxmin_dominance_fails_on_a_lowered_reference_column():
+    """A reference column lowered by 1e-9 puts the max-min value above it.
+    On a profile of single-prior agents the check reads no column, so no
+    defect in the columns can turn it false there."""
+    for path in MUTANT_SCENARIOS:
+        config = pc.load_scenario(path)
+        grid, umat, ref_vals = utility_check_inputs(config)
+        lowered = {i: ref - 1e-9 for i, ref in ref_vals.items()}
+
+        def dominance(columns):
+            found = report._utility_checks(config, grid, umat, columns, config.seed)
+            return next(c for c in found if c["name"] == "utility.maxmin_dominance")
+
+        assert dominance(ref_vals)["passed"]
+        if path.name == "hurricane_three_farmers.json":
+            assert ref_vals == {} and dominance(lowered)["value"] == 0.0
+        else:
+            assert ref_vals and not dominance(lowered)["passed"], path.name

@@ -66,7 +66,8 @@ def test_worst_case_prior_picks_pessimistic(coin):
     xi = as_alloc([0.0, -1.0])
     vals = [-math.log(p0 + p1 * math.e) for p0, p1 in priors]
     assert vals[1] < vals[0]
-    assert int(np.argmin(u.values_per_prior(xi[0]))) == 1
+    per_prior = [pc.evaluate(pc.EntropicUtility(1.0, p), xi, 0) for p in priors]
+    assert int(np.argmin(per_prior)) == 1
     assert pc.evaluate(u, xi, 0) == pytest.approx(min(vals), abs=1e-14)
 
 
@@ -151,6 +152,26 @@ def test_nonpositive_gamma_rejected(coin):
         pc.EntropicUtility(0.0, coin.probs)
     with pytest.raises(pc.ValidationError):
         pc.MaxMinUtility(-1.0, pc.CredalSet(coin.probs[None, :], coin.probs))
+    # gamma = inf would make every value nan.
+    for gamma in (math.inf, math.nan):
+        with pytest.raises(pc.ValidationError, match="gamma must be a positive number"):
+            pc.MaxMinUtility(gamma, pc.CredalSet(coin.probs[None, :], coin.probs))
+
+
+def test_wrong_state_counts_are_structural_errors():
+    """An allocation whose state count is not the agent's is a
+    StructuralError, not numpy's broadcasting error, and so is a 1-d one."""
+    three = pc.StateSpace(["a", "b", "c"], [0.2, 0.3, 0.5])
+    u = pc.MaxMinUtility(1.0, pc.CredalSet(
+        np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2]]), three.probs))
+    for xi in (np.zeros((2, 1)), np.ones((2, 4)), np.zeros(3)):
+        with pytest.raises(pc.StructuralError):
+            pc.evaluate(u, xi, 0)
+        with pytest.raises(pc.StructuralError):
+            pc.check_cash_invariance(u, xi, 0, 1.0)
+    assert pc.evaluate(u, np.zeros((2, 3)), 1) == 0.0
+    with pytest.raises(pc.StructuralError):
+        pc.evaluate(u, np.zeros((2, 3)), 2)
 
 
 def test_entropic_probs_must_be_a_probability():
@@ -179,6 +200,11 @@ def test_credal_set_validation(coin):
         pc.CredalSet(np.array([[0.4, 0.6]]), coin.probs)
     with pytest.raises(pc.ValidationError, match="Lipschitz"):
         pc.CredalSet(coin.probs[None, :], coin.probs, lip_bound=-1.0)
+    # A NaN row passes the positivity and sum tests: every comparison with
+    # NaN is false.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(pc.ValidationError, match=r"priors\[0\] has non-finite entries"):
+            pc.CredalSet(np.array([[bad, bad], [0.5, 0.5]]), coin.probs)
 
 
 def test_evaluator_arrays_are_read_only(coin, maxmin_coin):
@@ -319,8 +345,9 @@ def test_profile_stacks_every_prior_row_read_only():
 # ---------------------------------------------------------------------------
 
 def _per_point(u, grid, agent):
-    """``evaluate``'s row formula on every point's row of the full array."""
-    return np.asarray(u.values(grid.points[:, agent, :]), dtype=float)
+    """A one-evaluator profile's values at every point's row of the full
+    array."""
+    return pc.UtilityProfile((u,)).values(grid.points[:, agent:agent + 1, :])[:, 0]
 
 
 def _maxmin(space, gamma, rng, count=3):
@@ -413,8 +440,9 @@ def test_share_levels_are_the_sorted_distinct_table_entries(name):
 
 
 def test_evaluate_grid_evaluates_in_bounded_blocks(monkeypatch):
-    """No kernel call holds more than GRID_BLOCK (state, tuple) entries, so
-    a fine grid over many states is not evaluated in one table."""
+    """No kernel call holds more than GRID_BLOCK (state, prior row, tuple)
+    entries, so a fine grid over many states is not evaluated in one table,
+    and a block holds fewer tuples the more prior rows a profile stacks."""
     from pricechoose import utility
 
     kernel, sizes = utility._tilted_ce, []
@@ -435,6 +463,14 @@ def test_evaluate_grid_evaluates_in_bounded_blocks(monkeypatch):
         assert len(sizes) > 1 and max(sizes) <= utility.GRID_BLOCK
         assert sum(sizes) == m * len(np.unique(grid.table[:, 0])) ** grid.n_classes
         assert vals[0] == 0.0       # point 0 gives agent 0 nothing in every class
+    rng = np.random.default_rng(2)
+    profile = pc.UtilityProfile((pc.EntropicUtility(0.5, space.probs),
+                                 _maxmin(space, 1.5, rng, 3)))
+    grid = pc.enumerate_grid(space, x, 2, 30, state_classes="single")
+    sizes.clear()
+    profile.matrix(grid)
+    assert len(sizes) == 2 and max(sizes) <= utility.GRID_BLOCK
+    assert sum(sizes) == m * 4 * 31
 
 
 @st.composite
