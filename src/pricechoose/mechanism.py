@@ -366,18 +366,23 @@ def run_pnc(game: Game, mode: str = "exact", *,
         eps_used = iota_used = None
         target_used = None
     else:
-        max_base_lip = max(s.declared_lip for s in bases)
-        if epsilon is None:
-            epsilon = default_epsilon(iota, stage_cap, max_base_lip)
-            if epsilon <= 0.0:
-                raise ParameterError(
-                    "no bump headroom: the Lipschitz cap leaves no room below "
-                    f"{stage_cap:.6g}"
-                )
-        psi = bump_profile(grid, target, iota)
-        schedules = [perturbed_price(b, grid, psi, epsilon, iota, stage_cap)
-                     for b in bases]
-        diagnostics = [validate_schedule(s, grid, stage_cap) for s in schedules]
+        if grid.n_points == 1:
+            # The re-centered bump is identically 0 on one point and the
+            # choice is forced, so the bases are posted unbent.
+            schedules, epsilon = bases, 0.0
+        else:
+            if epsilon is None:
+                epsilon = default_epsilon(iota, stage_cap,
+                                          max(s.declared_lip for s in bases))
+                if epsilon <= 0.0:
+                    raise ParameterError(
+                        "no bump headroom: the Lipschitz cap leaves no room below "
+                        f"{stage_cap:.6g}"
+                    )
+            psi = bump_profile(grid, target, iota)
+            schedules = [perturbed_price(b, grid, psi, epsilon, iota, stage_cap)
+                         for b in bases]
+            diagnostics = [validate_schedule(s, grid, stage_cap) for s in schedules]
         chosen = follower_best_response(
             _tail_values(umat, order, n - 1), schedules[-1], grid)
         rule = "perturbed-net-argmax"

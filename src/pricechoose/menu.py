@@ -38,7 +38,9 @@ same (K x n) table of simplex points for every class, so P = K^C.  A grid
 stores it as integer counts and as shares counts / r, K rows each (K = P
 only on one class), and P.  Point k takes row j_c of the table in class c,
 where (j_1, ..., j_C) are the base-K digits of k; ``point(k)``, ``share(k)``
-and the r + 1 share levels j / r are read off those tables.  The ``points``
+and the r + 1 share levels j / r are read off those tables.  Every
+allocation the engine evaluates is built by one map, ``payoffs``: per-class
+shares or levels q give q_{c(w)} X(w), and +0.0 where X is zero.  The ``points``
 and ``features`` arrays are built only on request, and nothing in the
 pipeline requests them.  Distances to one point are sums along the class
 axes of O(C*K*n) tables: each class's weighted share gaps give a K-vector
@@ -94,7 +96,12 @@ class FeasibilityReport:
         return self.sum_ok and self.sign_ok and self.anchored_ok and self.bound_ok
 
 
-def _check_allocation_shape(xi, x) -> tuple[np.ndarray, np.ndarray]:
+def validate_feasible(xi, x) -> FeasibilityReport:
+    """Diagnose one allocation: column sums, sign matching, zero anchoring, bound.
+
+    Returns diagnostics rather than raising; offending indices are reported
+    per failed invariant.  A malformed shape raises StructuralError.
+    """
     xi = np.asarray(xi, dtype=float)
     x = np.asarray(x, dtype=float)
     if xi.ndim != 2:
@@ -103,16 +110,6 @@ def _check_allocation_shape(xi, x) -> tuple[np.ndarray, np.ndarray]:
         raise StructuralError(
             f"allocation has {xi.shape[1]} state columns, aggregate risk has {x.shape}"
         )
-    return xi, x
-
-
-def validate_feasible(xi, x) -> FeasibilityReport:
-    """Diagnose one allocation: column sums, sign matching, zero anchoring, bound.
-
-    Returns diagnostics rather than raising; offending indices are reported
-    per failed invariant.
-    """
-    xi, x = _check_allocation_shape(xi, x)
     col = xi.sum(axis=0)
     # Relative above unit scale: a few ulps of a large X exceed 1e-12.
     tol = FEASIBILITY_TOL * max(1.0, float(np.abs(x).max(initial=0.0)))
@@ -213,7 +210,8 @@ class MenuGrid:
     class-major, and every lowest-index tie-break downstream is
     deterministic.  The tables have P rows only on one class; ``points``
     and ``features`` are built only on request.  Its measure is the uniform
-    one, 1/P at every point (``integrate``).
+    one, 1/P at every point (``integrate``).  ``payoffs`` is the one map
+    from class shares or share levels to evaluated payoffs.
     """
 
     def __init__(self, space: StateSpace, x: np.ndarray, n_agents: int,
@@ -227,10 +225,11 @@ class MenuGrid:
         self.counts = counts
         self.table = counts / float(resolution)
         self.n_points = counts.shape[0] ** self.n_classes
-        # Point k's class-c digit is k // K^(C-1-c) % K; a zero-risk state
-        # (class -1) reads place 1, and every table row times +0.0 is 0 there.
+        # Point k's class-c digit is k // K^(C-1-c) % K.
         self._place_values = counts.shape[0] ** np.arange(self.n_classes - 1, -1, -1)
-        self._state_places = np.append(self._place_values, 1)[class_of_state]
+        # ``payoffs``: a zero-risk state (class -1) reads class 0 times +0.0.
+        self._payoff_class = np.maximum(class_of_state, 0)
+        self._payoff_x = _read_only((x + 0.0)[:, None])
         # lipschitz_ratio's point pairs and distances, per sampling arguments.
         self._lipschitz_pairs: dict[tuple, tuple[np.ndarray, ...]] = {}
         for arr in (self.x, self.counts, self.table):
@@ -247,14 +246,27 @@ class MenuGrid:
         return self.table[np.asarray(idx)[..., None] // self._place_values
                           % self.table.shape[0]]
 
+    def payoffs(self, q) -> np.ndarray:
+        """The state-major (m x ...) payoffs of the nonnegative per-class
+        values ``q`` (C x ...): entry w is q[c(w)] (X(w) + 0.0), and +0.0 in
+        a zero-risk state.  Every allocation the engine evaluates is built
+        here, from class shares or share levels."""
+        q = np.asarray(q, dtype=float)
+        if not self.n_classes:
+            return np.zeros(self.x.shape + q.shape[1:])
+        # ``take`` writes C order, so ``states`` is a view of ``out``.
+        out = np.take(q, self._payoff_class, axis=0)
+        states = out.reshape(len(out), -1)
+        states *= self._payoff_x
+        return out
+
     def _points_at(self, idx) -> np.ndarray:
-        """Allocations of the points ``idx``: (n x m) for one index, with a
-        leading axis for an array of them.  Column w is the table row that
-        point k takes in class c(w) times X(w) + 0.0."""
-        rows = np.asarray(idx)[..., None] // self._state_places % self.table.shape[0]
-        cols = self.table[rows]
-        cols *= (self.x + 0.0)[:, None]
-        return np.ascontiguousarray(cols.swapaxes(-1, -2))
+        """Allocations of the points ``idx``: (n x m) for one index, with
+        leading axes for an array of them; ``payoffs`` of their class shares."""
+        idx = np.asarray(idx)
+        xi = self.payoffs(self._shares_at(idx.reshape(-1)).swapaxes(0, 1))  # (m x P x n)
+        return np.ascontiguousarray(xi.transpose(1, 2, 0)).reshape(
+            idx.shape + (self.n_agents, len(self.x)))
 
     def _share_levels(self) -> tuple[np.ndarray, np.ndarray]:
         """(levels, index): the sorted distinct entries of every column of
@@ -275,16 +287,13 @@ class MenuGrid:
         """(n x m) allocation of point ``k``: xi_i(w) = q_{c(w), i} X(w), and
         exactly zero where X is.  Raises StructuralError unless
         0 <= k < n_points."""
-        return self._points_at(self._check_index(k))
+        return self.allocation(self.share(k))
 
     def allocation(self, shares) -> np.ndarray:
-        """(n x m) allocation of the (C x n) class shares ``shares``:
-        xi_i(w) = q_{c(w), i} X(w), and +0.0 where X is zero.  The products
-        are the ones ``point`` takes, so ``allocation(share(k))`` is
-        ``point(k)`` byte for byte."""
-        # A zero-risk state (class -1) reads the appended zero row.
-        q = np.vstack([shares, np.zeros(self.n_agents)])
-        return np.ascontiguousarray((q[self.class_of_state] * (self.x + 0.0)[:, None]).T)
+        """(n x m) allocation of the (C x n) nonnegative class shares ``shares``:
+        xi_i(w) = q_{c(w), i} X(w), and +0.0 where X is zero: ``payoffs`` of
+        the shares, transposed.  ``point(k)`` is ``allocation(share(k))``."""
+        return np.ascontiguousarray(self.payoffs(shares).T)
 
     @cached_property
     def points(self) -> np.ndarray:

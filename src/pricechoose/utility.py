@@ -226,22 +226,20 @@ class UtilityProfile:
         integer table, and the levels are the same for every agent.  So the
         L^C level tuples are evaluated once for all stacked rows, and each
         agent's values are gathered onto the P = K^C points by its own level
-        index.  Tuple t takes level t // L^(C-1-c) % L in class c, and a
-        zero-risk state reads +0.0.  The tuples go through ``_evaluate`` in
-        blocks of at most ``GRID_BLOCK`` (state, row, tuple) entries, so every
-        point's value is the float ``at_point`` gives at that point.
+        index.  Tuple t takes level t // L^(C-1-c) % L in class c, and
+        ``grid.payoffs`` turns each block's (C x tuples) levels into its
+        payoffs.  The tuples go through ``_evaluate`` in blocks of at most
+        ``GRID_BLOCK`` (state, row, tuple) entries, so every point's value is
+        the float ``at_point`` gives at that point.
         """
         levels, index = grid._share_levels()
         size, classes = len(levels), grid.n_classes
-        places = np.append(size ** np.arange(classes - 1, -1, -1), 1)[:, None]
-        # x + 0.0 turns a -0.0 entry into +0.0, as in ``MenuGrid.point``.
-        x = (grid.x + 0.0)[:, None]
+        places = (size ** np.arange(classes - 1, -1, -1))[:, None]
         tuple_values = np.empty((self.n_agents, size ** classes))
-        step = max(1, GRID_BLOCK // (len(x) * len(self.priors)))
+        step = max(1, GRID_BLOCK // (len(grid.x) * len(self.priors)))
         for lo in range(0, tuple_values.shape[1], step):
             t = np.arange(lo, min(lo + step, tuple_values.shape[1]))
-            payoff = levels[t // places % size][grid.class_of_state]
-            payoff *= x
+            payoff = grid.payoffs(levels[t // places % size])
             tuple_values[:, lo:lo + step] = self._evaluate(payoff[:, None])[0]
         out = np.empty((len(agents), grid.n_points))
         for j, agent in enumerate(agents):

@@ -18,17 +18,19 @@ The ascent's line search is batched: a class block projects all of its
 halving steps along the (super)gradient onto the simplex in one call and
 evaluates their welfare as one stack, then accepts the largest improving
 step, so it takes the same steps as a serial halving search at a fraction
-of the Python calls.  The stack is state-major: the short axes (states,
-every agent's prior rows) lead and the trial axis is contiguous, so the
-max over states and the min over an agent's priors are elementwise ops on
-whole planes rather than one short numpy reduce per row.  The stack is
-evaluated by ``UtilityProfile._evaluate``, the entry behind every utility
-value (points, grids, the report's checks), so each trial gets the floats
-of a one-allocation evaluation.  The tilts that the next gradient reads
-come from the accepted trial's row of the kernel's tilt table, so the
-refined shares equal the serial search's bit for bit.  The Pareto scan is a brute-force
-dominance test (the maxima-of-vectors setting of Kung, Luccio & Preparata
-1975); it reads the grid in blocks and stops at the first dominating one.
+of the Python calls.  ``MenuGrid.payoffs`` turns the (C x R x T) share
+stack, one column per prior row, into state-major (m x R x T) payoffs:
+the short axes (states, every agent's prior rows) lead and the trial axis
+is contiguous, so the max over states and the min over an agent's priors
+are elementwise ops on whole planes rather than one short numpy reduce
+per row.  They are evaluated by ``UtilityProfile._evaluate``, the entry
+behind every utility value (points, grids, the report's checks), so each
+trial gets the floats of a one-allocation evaluation.  The tilts that the
+next gradient reads come from the accepted trial's row of the kernel's
+tilt table, so the refined shares equal the serial search's bit for bit.
+The Pareto scan is a brute-force dominance test (the maxima-of-vectors
+setting of Kung, Luccio & Preparata 1975); it reads the grid in blocks and
+stops at the first dominating one.
 """
 
 from __future__ import annotations
@@ -98,37 +100,6 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _PriorRows:
-    """Where each of the profile's stacked prior rows reads its allocation
-    from a share stack.
-
-    A share stack is (C n + 1 x T): column k holds trial k's class shares
-    flattened, row c n + i agent i's share of class c, and the last row is
-    a zero that the zero-risk states read.
-    """
-
-    profile: UtilityProfile
-    x: np.ndarray           # (m,) X(w), and 0 in the zero-risk states
-    take: np.ndarray        # (m x R) share-stack row of prior row r in state w
-    class_states: tuple     # the states of each class
-    class_x: tuple          # X on the states of each class
-
-    @classmethod
-    def of(cls, profile: UtilityProfile, grid: MenuGrid) -> _PriorRows:
-        n, of_state = profile.n_agents, grid.class_of_state
-        member = of_state >= 0
-        agent_take = np.where(member, of_state * n + np.arange(n)[:, None],
-                              grid.n_classes * n)
-        class_states = tuple(np.flatnonzero(of_state == c)
-                             for c in range(grid.n_classes))
-        return cls(profile=profile,
-                   x=np.where(member, grid.x, 0.0),
-                   take=agent_take[profile.owner].T.copy(),
-                   class_states=class_states,
-                   class_x=tuple(grid.x[s] for s in class_states))
-
-
-@dataclass(frozen=True)
 class _Evaluation:
     """A share stack's welfare, and what the gradient at a trial reads."""
 
@@ -137,58 +108,49 @@ class _Evaluation:
     terms: np.ndarray       # (R x T x m) nu(w) exp(z(w) - max z), unnormalized tilts
     mass: np.ndarray        # (R x T) each row's sum of terms over the states
 
-    def tilts(self, rows: _PriorRows, k: int) -> np.ndarray:
+    def tilts(self, profile: UtilityProfile, k: int) -> np.ndarray:
         """(n x m) each agent's exponentially tilted probability at trial
         ``k``, under its worst-case prior there (lowest index on ties: the
         first of the agent's rows in a stable sort by value)."""
-        p = rows.profile
-        worst = np.lexsort((self.ce[:, k], p.owner))[p.starts]
+        worst = np.lexsort((self.ce[:, k], profile.owner))[profile.starts]
         return self.terms[worst, k] / self.mass[worst, k][:, None]
 
 
-def _welfare_values(rows: _PriorRows, stack: np.ndarray) -> _Evaluation:
-    """Welfare at each trial of a (C n + 1 x T) share stack.
+def _welfare_values(profile: UtilityProfile, grid: MenuGrid,
+                    stack: np.ndarray) -> _Evaluation:
+    """Welfare at each trial of a (C x R x T) share stack, entry (c, r, k)
+    the class-c share of prior row r's agent in trial k.
 
-    One gather and one multiply give the (m x R x T) payoffs q X(w) of
-    every prior row of every trial, and the profile's ``_evaluate`` takes
-    them all at once, so each row gets the floats ``at_point`` gives it (see
-    the module docstring).  The agents' values are added in agent order.
+    ``grid.payoffs`` gives the (m x R x T) payoffs of every prior row of
+    every trial, and the profile's ``_evaluate`` takes them all at once, so
+    each row gets the floats ``at_point`` gives it (see the module
+    docstring).  The agents' values are added in agent order.
     """
-    payoff = np.take(stack, rows.take, axis=0)
-    payoff *= rows.x[:, None, None]
-    per_agent, ce, terms, mass = rows.profile._evaluate(payoff)
+    per_agent, ce, terms, mass = profile._evaluate(grid.payoffs(stack))
     values = np.zeros(ce.shape[1])
     for agent_values in per_agent:
         values += agent_values
     return _Evaluation(values, ce, terms, mass)
 
 
-def _welfare_grad(rows: _PriorRows, tilt: np.ndarray, c: int) -> np.ndarray:
-    """(Super)gradient of welfare in class ``c``'s shares, from each agent's
-    tilt at the current shares (``_Evaluation.tilts``).
+def _welfare_grad(tilt: np.ndarray, states: np.ndarray, xc: np.ndarray) -> np.ndarray:
+    """(Super)gradient of welfare in one class's shares, from each agent's
+    tilt at the current shares (``_Evaluation.tilts``), the class's
+    ``states`` and X on them, ``xc``.
 
     The gradient of an entropic certainty equivalent in the payoff is the
     exponentially tilted probability t_i; for a max-min evaluator the tilt
     under the worst-case prior is a supergradient.
     """
-    xc = rows.class_x[c]
     # One dot per contiguous row: BLAS rounds the dot of a strided row (a
     # row of ``tilt[:, states]``, which numpy lays out column-major)
     # differently, and a matrix-vector product differently again.
-    tc = np.take(tilt, rows.class_states[c], axis=1)
+    tc = np.take(tilt, states, axis=1)
     return np.array([float(np.dot(t, xc)) for t in tc])
 
 
-def _halving_steps(floor: float) -> np.ndarray:
-    """The line-search steps 1, 1/2, 1/4, ... that exceed ``floor``."""
-    steps = [1.0]
-    while steps[-1] * 0.5 > floor:
-        steps.append(steps[-1] * 0.5)
-    return np.array(steps)
-
-
-# Steps 2^0 ... 2^-46: every halving step above 1e-14.
-LINE_STEPS = _halving_steps(1e-14)
+# The line-search steps 2^0 ... 2^-46: every halving step above 1e-14.
+LINE_STEPS = np.ldexp(1.0, -np.arange(47))
 
 
 def _refine_shares(profile: UtilityProfile, grid: MenuGrid,
@@ -202,30 +164,34 @@ def _refine_shares(profile: UtilityProfile, grid: MenuGrid,
     halving search from step 1 stops at; when none improves the block keeps
     its shares.  Only improving steps are accepted, so the welfare value
     never decreases and the iterate never leaves the product of simplices.
+    The iterate is carried as (C x R) shares, column r the shares of prior
+    row r's agent, and a block's trials as a (C x R x T) stack of it.
     """
-    rows = _PriorRows.of(profile, grid)
+    owner, starts = profile.owner, profile.starts
+    class_states = [np.flatnonzero(grid.class_of_state == c) for c in range(grid.n_classes)]
+    class_x = [grid.x[states] for states in class_states]
     steps = LINE_STEPS[:, None]
-    n_classes, n = q0.shape
-    qz = np.append(q0, 0.0)
-    ev = _welfare_values(rows, qz[:, None])
-    best, tilt = float(ev.values[0]), ev.tilts(rows, 0)
+    q = q0[:, owner]
+    stack = np.empty(q.shape + LINE_STEPS.shape)
+    ev = _welfare_values(profile, grid, q[:, :, None])
+    best, tilt = float(ev.values[0]), ev.tilts(profile, 0)
     for _ in range(MAX_SWEEPS):
         sweep_gain = 0.0
-        for c in range(n_classes):
-            block = slice(c * n, (c + 1) * n)
-            trials = _project_simplex(qz[block] + steps * _welfare_grad(rows, tilt, c))
-            stack = np.repeat(qz[:, None], len(trials), axis=1)
-            stack[block] = trials.T
-            ev = _welfare_values(rows, stack)
+        for c, (states, xc) in enumerate(zip(class_states, class_x)):
+            grad = _welfare_grad(tilt, states, xc)
+            trials = _project_simplex(q[c, starts] + steps * grad)
+            stack[...] = q[:, :, None]
+            stack[c] = trials[:, owner].T
+            ev = _welfare_values(profile, grid, stack)
             better = ev.values > best
             k = int(better.argmax())
             if better[k]:
                 sweep_gain += ev.values[k] - best
-                best, qz = float(ev.values[k]), stack[:, k].copy()
-                tilt = ev.tilts(rows, k)
+                best, q = float(ev.values[k]), stack[:, :, k].copy()
+                tilt = ev.tilts(profile, k)
         if sweep_gain < REFINE_TOL:
             break
-    return qz[:-1].reshape(n_classes, n), best
+    return q[:, starts], best
 
 
 def _common_prior(profile: UtilityProfile) -> np.ndarray | None:

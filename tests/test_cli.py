@@ -534,6 +534,27 @@ def test_cli_run_perturbed_mode(tmp_path):
     assert report["mechanism"]["chosen"] == report["mechanism"]["target"]
 
 
+@pytest.mark.parametrize("command", ["run", "audit"])
+def test_cli_perturbed_mode_on_a_menu_with_no_risk(tmp_path, capsys, command):
+    """X = 0 in every state: the menu is one point, every Lipschitz estimate
+    and so the cap is 0, and the re-centered bump is identically 0 there.
+    The choice is forced, so the bases are posted unbent with epsilon 0."""
+    doc = minimal_doc()
+    doc["endowments"] = [[0.0, 0.0], [0.0, 0.0]]
+    doc["mechanism"] = {"mode": "perturbed"}
+    path = write_scenario(tmp_path, doc)
+    assert main(["validate", "--scenario", str(path)]) == 0
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(path), "--out", str(out)]) == 0, \
+        capsys.readouterr().err
+    report = load_report(out / "report.json")
+    assert report["grid"]["n_points"] == 1 and report["all_invariants_pass"]
+    mechanism = report["mechanism"]
+    assert (mechanism["mode"], mechanism["epsilon"], mechanism["target"],
+            mechanism["chosen"]) == ("perturbed", 0.0, 0, 0)
+    assert [s["declared_lip"] for s in mechanism["schedules"]] == [0.0]
+
+
 def test_cli_bench_resolution_override(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["bench", "--resolution", "14", "--out", str(out)])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pricechoose as pc
+from pricechoose import welfare
 from pricechoose.menu import (METRIC_MEMBER_LIMIT, _pair_distances, check_grid_size,
                               compositions)
 
@@ -68,6 +69,51 @@ def test_allocation_is_the_grid_point_byte_for_byte(grid):
     assert np.any(grid.x == 0.0) and np.any(np.signbit(grid.x) & (grid.x == 0.0))
     for k in range(grid.n_points):
         assert grid.allocation(grid.share(k)).tobytes() == grid.point(k).tobytes(), k
+
+
+@pytest.mark.parametrize("grid", allocation_grids())
+def test_payoffs_is_the_one_share_to_payoff_map(grid, monkeypatch):
+    """``payoffs`` of point k's class shares is, byte for byte, point k, its
+    ``allocation``, the level-tuple payoffs the utility matrix evaluates for
+    each agent at k, and the payoffs of every prior row in a welfare trial
+    stack built from k's shares."""
+    probs = grid.space.probs
+    tilted = probs * np.array([1.2, 0.9, 1.1, 0.6])
+    agents = [pc.MaxMinUtility(1.5, pc.CredalSet([probs, tilted / tilted.sum()], probs))]
+    agents += [pc.EntropicUtility(0.5 + i, probs) for i in range(1, grid.n_agents)]
+    profile = pc.UtilityProfile(tuple(agents))
+    evaluated = []
+    kernel = pc.UtilityProfile._evaluate
+
+    def recorded(self, payoff):
+        evaluated.append(payoff.copy())
+        return kernel(self, payoff)
+
+    monkeypatch.setattr(pc.UtilityProfile, "_evaluate", recorded)
+    profile.matrix(grid)
+    tuples = np.concatenate(evaluated, axis=2)[:, 0]          # (m x L^C)
+    # Tuple t takes level t // L^(C-1-c) % L in class c.
+    levels, index = grid._share_levels()
+    places = len(levels) ** np.arange(grid.n_classes - 1, -1, -1)
+    for k in range(grid.n_points):
+        q = grid.share(k)
+        xi = grid.payoffs(q)
+        assert xi.shape == (len(grid.x), grid.n_agents)
+        assert xi.T.tobytes() == grid.point(k).tobytes(), k
+        assert xi.T.tobytes() == grid.allocation(q).tobytes(), k
+        # +0.0 in every zero-risk state, also one written as -0.0.
+        assert not np.signbit(xi[grid.x == 0.0]).any(), k
+        for i in range(grid.n_agents):
+            t = int(index[k // grid._place_values % len(grid.counts), i] @ places)
+            assert tuples[:, t].tobytes() == xi[:, i].tobytes(), (k, i)
+        evaluated.clear()
+        # A (C x R x T) stack in Fortran order: the map reads any layout.
+        stack = np.asfortranarray(np.repeat(q[:, profile.owner, None], 2, axis=2))
+        welfare._welfare_values(profile, grid, stack)
+        (trials,) = evaluated
+        for r, i in enumerate(profile.owner):
+            for trial in trials[:, r].T:
+                assert trial.tobytes() == xi[:, i].tobytes(), (k, r)
 
 
 @given(st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3),

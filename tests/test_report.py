@@ -548,6 +548,31 @@ def test_bundled_reports_match_recorded_digests(tmp_path):
     assert not problems, "\n".join(problems)
 
 
+# Seeded random reports: the first twelve seed-0 ``sweep`` scenarios of the
+# benchmark pool, one per sweep shape (2-4 agents, per-state and single-class
+# grids, max-min agents refined off the grid), with the sha256 of each
+# report's structured text and of each posted schedule vector.
+SWEEP_PINS = DATA / "sweep_pins.json"
+
+
+def test_seeded_sweep_reports_match_recorded_digests():
+    pins = json.loads(SWEEP_PINS.read_text())
+    assert len(pins) == 12
+    problems = []
+    for pin in pins:
+        doc = pin["scenario"]
+        rep, arrays = report._run_experiment(pc.scenario_from_dict(doc, source=doc["name"]))
+        if hashlib.sha256(pc.structured_text(rep).encode()).hexdigest() != pin["report_sha256"]:
+            problems.append(f"{doc['name']} (seed {doc['seed']}): report differs")
+        digests = {key: hashlib.sha256(values.astype("<f8").tobytes()).hexdigest()
+                   for key, values in arrays.items()}
+        if digests != pin["schedules_sha256"]:
+            moved = sorted(k for k in digests.keys() | pin["schedules_sha256"].keys()
+                           if digests.get(k) != pin["schedules_sha256"].get(k))
+            problems.append(f"{doc['name']} (seed {doc['seed']}): schedules {moved} differ")
+    assert not problems, "\n".join(problems)
+
+
 def test_non_finite_margin_is_recorded_as_null():
     check = report._bound("x", float("nan"), 1e-9, "residual nan")
     assert check["value"] is None and check["tol"] == 1e-9
