@@ -42,10 +42,10 @@ and the r + 1 share levels j / r are read off those tables.  Every
 allocation the engine evaluates is built by one map, ``payoffs``: per-class
 shares or levels q give q_{c(w)} X(w), and +0.0 where X is zero.  The ``points``
 and ``features`` arrays are built only on request, and nothing in the
-pipeline requests them.  Distances to one point are sums along the class
-axes of O(C*K*n) tables: each class's weighted share gaps give a K-vector
-along its axis, and only the mass sums, when there are any, are summed over
-the whole grid.
+pipeline requests them.  Every distance sum_k w_k |g_a,k - g_b,k| over the
+features g (the mass sums, each added in class order, then the shares) is
+added from +0.0 in one order by one kernel, ``_metric_sum``, with no BLAS
+call: a pair gets one float on every path and every build.
 
 The distance is convex in the pair of share profiles, and the share set is a
 product of simplices, so the menu diameter is reached at a pair of vertices
@@ -252,6 +252,9 @@ class MenuGrid:
         a zero-risk state.  Every allocation the engine evaluates is built
         here, from class shares or share levels."""
         q = np.asarray(q, dtype=float)
+        if q.ndim < 1 or q.shape[0] != self.n_classes:
+            raise StructuralError(f"expected values for {self.n_classes} classes "
+                                  f"on the first axis, got shape {q.shape}")
         if not self.n_classes:
             return np.zeros(self.x.shape + q.shape[1:])
         # ``take`` writes C order, so ``states`` is a view of ``out``.
@@ -287,12 +290,19 @@ class MenuGrid:
         """(n x m) allocation of point ``k``: xi_i(w) = q_{c(w), i} X(w), and
         exactly zero where X is.  Raises StructuralError unless
         0 <= k < n_points."""
-        return self.allocation(self.share(k))
+        return np.ascontiguousarray(self.payoffs(self.share(k)).T)
 
     def allocation(self, shares) -> np.ndarray:
         """(n x m) allocation of the (C x n) nonnegative class shares ``shares``:
         xi_i(w) = q_{c(w), i} X(w), and +0.0 where X is zero: ``payoffs`` of
-        the shares, transposed.  ``point(k)`` is ``allocation(share(k))``."""
+        the shares, transposed, as ``point(k)`` is of ``share(k)``.  Raises
+        StructuralError unless (C x n), ValidationError unless finite and >= 0."""
+        shares = np.asarray(shares, dtype=float)
+        if shares.shape != (self.n_classes, self.n_agents):
+            raise StructuralError(f"expected ({self.n_classes} x {self.n_agents}) "
+                                  f"class shares, got shape {shares.shape}")
+        if not (np.isfinite(shares) & (shares >= 0.0)).all():
+            raise ValidationError("class shares must be finite and nonnegative")
         return np.ascontiguousarray(self.payoffs(shares).T)
 
     @cached_property
@@ -334,7 +344,8 @@ class MenuGrid:
     @property
     def feature_weights(self) -> np.ndarray:
         """Series weight of each column of ``features``: the mass sums', then
-        omega in (class, agent) order."""
+        omega in (class, agent) order: the one order in which every distance
+        adds its terms (``_metric_sum``)."""
         omega, _, mass_weights = self._metric
         return np.concatenate([mass_weights, omega.ravel()])
 
@@ -342,58 +353,49 @@ class MenuGrid:
     def features(self) -> np.ndarray:
         """(points x features) distance features: the n mass sums, when
         there are any, then the class shares in (class, agent) order, so
-        that d(j, k) = |g_j - g_k| . feature_weights.  Built only on request,
-        for tests and inspection."""
+        that d(j, k) = sum_f w_f |g_j,f - g_k,f| with w = feature_weights.
+        Built only on request, for tests and inspection."""
         return self._feature_rows(np.arange(self.n_points))
+
+    def _mass_sums(self, class_shares) -> np.ndarray:
+        """sum_c M_c q_c over the ``class_shares``, added from 0 in class order."""
+        return sum(mass * q for mass, q in zip(self._metric[1], class_shares))
 
     def _feature_rows(self, idx: np.ndarray) -> np.ndarray:
         """Rows ``idx`` of ``features``."""
         shares = self._shares_at(idx)
         flat = shares.reshape(len(idx), self.n_classes * self.n_agents)
-        _, mass, mass_weights = self._metric
-        if not mass_weights.size:
+        if not self._metric[2].size:
             return flat
-        return np.concatenate([mass @ shares, flat], axis=1)
+        return np.concatenate([self._mass_sums(shares.swapaxes(0, 1)), flat], axis=1)
 
     def distances_to(self, k: int) -> np.ndarray:
         """Metric distance from every grid point to point ``k``.
 
-        Per point: the weighted |sum_c M_c (q_c - q_c(k))| of the mass sums
-        (one gemv over the grid), when there are any, plus each class's
-        |q_c - q_c(k)| . omega_c, in class order, each a K-vector broadcast
-        along its class axis.  Raises StructuralError unless
-        0 <= k < n_points.
+        ``_metric_sum`` on the (K x ... x K) class axes: a share's gap is a
+        K-vector along its class axis, a mass sum's gap is built over the
+        grid.  Raises StructuralError unless 0 <= k < n_points.
         """
         k = self._check_index(k)
         if not self.n_classes:
             return np.zeros(1)
-        omega, mass, mass_weights = self._metric
-        size, classes, n = self.table.shape[0], self.n_classes, self.n_agents
-        gaps = [self.table - self.table[j]
-                for j in np.unravel_index(k, (size,) * classes)]
+        size, classes = self.table.shape[0], self.n_classes
+        cols = [self.table.T.reshape((-1,) + (1,) * c + (size,) + (1,) * (classes - 1 - c))
+                for c in range(classes)]    # cols[c][i]: agent i's shares along axis c
 
-        def along(c: int, *lead: int) -> tuple[int, ...]:
-            return lead + (1,) * c + (size,) + (1,) * (classes - 1 - c)
+        def gaps():
+            for i in range(self._metric[2].size):
+                sums = self._mass_sums(col[i] for col in cols)
+                sums -= sums.flat[k]
+                yield sums
+            for col, j in zip(cols, np.unravel_index(k, (size,) * classes)):
+                yield from (q - q.flat[j] for q in col)
 
-        if mass_weights.size:
-            moved = 0.0
-            for c, gap in enumerate(gaps):
-                # C order, so that ``moved`` is too and reshapes without a copy.
-                term = np.ascontiguousarray(mass[c] * gap.T)
-                moved = moved + term.reshape(along(c, n))
-            np.abs(moved, out=moved)
-            total = (mass_weights @ moved.reshape(n, -1)).reshape((size,) * classes)
-            del moved           # (n x P): freed before the class terms are added
-        else:
-            total = np.zeros((size,) * classes)
-        for c, gap in enumerate(gaps):
-            np.abs(gap, out=gap)
-            total += (gap @ omega[c]).reshape(along(c))
-        return total.reshape(self.n_points)
+        return _metric_sum(self.feature_weights, gaps(), (size,) * classes).ravel()
 
     def distance(self, j: int, k: int) -> float:
         g = self._feature_rows(np.array([self._check_index(j), self._check_index(k)]))
-        return float(np.dot(self.feature_weights, np.abs(g[0] - g[1])))
+        return _metric_sum(self.feature_weights.tolist(), (g[0] - g[1]).tolist())
 
     @cached_property
     def diameter(self) -> tuple[float, bool]:
@@ -413,16 +415,15 @@ class MenuGrid:
         for _ in range(self.n_classes):
             vertices = (vertices[:, None] * self.table.shape[0] + corners).ravel()
         g = self._feature_rows(vertices)
-        w = self.feature_weights
-        v = g.shape[0]
+        w, v = self.feature_weights, len(vertices)
         if v <= 4096:
-            best = 0.0
-            for lo in range(0, v, 256):
-                hi = min(lo + 256, v)
-                best = max(best, float(_pair_distances(g, w, lo, hi).max()))
+            best, rows = 0.0, max(1, 2 ** 14 // v)    # (rows x v) blocks stay in cache
+            for lo in range(0, v, rows):
+                block = g[lo:lo + rows]
+                gaps = (block[:, f, None] - g[:, f] for f in range(w.size))
+                best = max(best, float(_metric_sum(w, gaps, (len(block), v)).max()))
             return best, True
-        span = g.max(axis=0) - g.min(axis=0)
-        return float(np.dot(w, span)), False
+        return float(_metric_sum(w, g.max(axis=0) - g.min(axis=0))), False
 
 
 def grid_point_count(x, n_agents: int, resolution: int,
@@ -489,13 +490,14 @@ def integrate(grid: MenuGrid, f) -> float:
 # Pairwise Lipschitz estimation (shared by utilities and price schedules)
 # ---------------------------------------------------------------------------
 
-def _pair_distances(g: np.ndarray, w: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Distances from feature rows lo:hi to every row, feature by feature,
-    keeping temporaries at (chunk x points)."""
-    acc = np.zeros((hi - lo, g.shape[0]))
-    for k in range(g.shape[1]):
-        acc += w[k] * np.abs(g[lo:hi, k][:, None] - g[None, :, k])
-    return acc
+def _metric_sum(weights, gaps, shape=None):
+    """The one distance kernel: sum_k w_k |gap_k| added from +0.0 in
+    ``feature_weights`` order.  ``gaps`` yields each feature's gap: arrays
+    that broadcast to ``shape``, or floats (which round as float64) if None."""
+    total = 0.0 if shape is None else np.zeros(shape)
+    for w, gap in zip(weights, gaps):
+        total += w * abs(gap)
+    return total
 
 
 # One canonical pair sample keeps every empirical Lipschitz figure on the same
@@ -503,6 +505,8 @@ def _pair_distances(g: np.ndarray, w: np.ndarray, lo: int, hi: int) -> np.ndarra
 # built from utility tails can never out-measure the cap calibrated from the
 # same pairs.
 PAIR_SEED = 2011
+EXHAUSTIVE_PAIRS = 512
+PAIR_SAMPLES = 4096
 
 
 def _lipschitz_pairs(grid: MenuGrid, exhaustive_threshold: int,
@@ -519,24 +523,25 @@ def _lipschitz_pairs(grid: MenuGrid, exhaustive_threshold: int,
     key = (exhaustive_threshold, num_samples, seed)
     if key in grid._lipschitz_pairs:
         return grid._lipschitz_pairs[key]
-    p, w = grid.n_points, grid.feature_weights
+    p = grid.n_points
     if p <= exhaustive_threshold:
         a, b = np.triu_indices(p, 1)
-        d = _pair_distances(grid._feature_rows(np.arange(p)), w, 0, p)[a, b]
+        gaps = (f[a] - f[b] for f in grid._feature_rows(np.arange(p)).T)
     else:
         rng = np.random.default_rng([seed, p])
         a = rng.integers(0, p, size=num_samples)
         b = rng.integers(0, p, size=num_samples)
         keep = a != b
         a, b = a[keep], b[keep]
-        d = np.abs(grid._feature_rows(a) - grid._feature_rows(b)) @ w
+        gaps = grid._feature_rows(a).T - grid._feature_rows(b).T
+    d = _metric_sum(grid.feature_weights, gaps, a.shape)
     keep = d > 0.0
     pairs = grid._lipschitz_pairs[key] = (a[keep], b[keep], d[keep])
     return pairs
 
 
-def lipschitz_ratio(values, grid: MenuGrid, *, exhaustive_threshold: int = 512,
-                    num_samples: int = 4096, seed: int = PAIR_SEED) -> float:
+def lipschitz_ratio(values, grid: MenuGrid, *, exhaustive_threshold: int = EXHAUSTIVE_PAIRS,
+                    num_samples: int = PAIR_SAMPLES, seed: int = PAIR_SEED) -> float:
     """Largest |f(xi)-f(eta)| / d(xi, eta) over grid point pairs.
 
     All pairs when the grid is small, a seeded random sample otherwise;
@@ -546,9 +551,14 @@ def lipschitz_ratio(values, grid: MenuGrid, *, exhaustive_threshold: int = 512,
     v = np.asarray(values, dtype=float)
     if v.shape != (grid.n_points,):
         raise StructuralError("values must align with grid points")
-    if grid.n_points < 2:
-        return 0.0
     a, b, d = _lipschitz_pairs(grid, exhaustive_threshold, num_samples, seed)
     if not d.size:
         return 0.0
     return float((np.abs(v[a] - v[b]) / d).max())
+
+
+def lipschitz_scan(grid: MenuGrid) -> dict:
+    """What ``lipschitz_ratio`` reads with its default arguments, from the
+    memoised pair set: the kind of scan and the number of pairs at d > 0."""
+    a = _lipschitz_pairs(grid, EXHAUSTIVE_PAIRS, PAIR_SAMPLES, PAIR_SEED)[0]
+    return {"kind": "sampled" if grid.n_points > EXHAUSTIVE_PAIRS else "exhaustive", "pairs": len(a)}

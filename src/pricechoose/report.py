@@ -36,7 +36,7 @@ from .mechanism import (
     calibrate,
     run_pnc,
 )
-from .menu import enumerate_grid, integrate, validate_feasible
+from .menu import enumerate_grid, integrate, lipschitz_scan, validate_feasible
 from .space import PROB_TOL
 from .utility import EntropicUtility, evaluate_grid
 from .welfare import maximize_welfare
@@ -85,7 +85,11 @@ def _space_checks(config: ScenarioConfig, grid) -> list[dict]:
         sums += np.multiply.outer(x, grid.table[:, i])
     sums -= grid.x[:, None]
     col_slack = float(np.abs(sums, out=sums).max())
-    checks.append(_bound("menu.column_sums", col_slack, 1e-12,
+    # n terms fl(fl(c_i / r) X), each rounded twice and added n - 1 times, with c_i / r
+    # summing to 1: slack <= gamma_(n+1) max |X| (Higham 2002, Lemma 3.1).
+    k = (grid.n_agents + 1) * 2.0 ** -53
+    col_tol = k / (1.0 - k) * float(np.abs(grid.x).max(initial=0.0))
+    checks.append(_bound("menu.column_sums", col_slack, col_tol,
                          f"max |sum_i xi - X| = {col_slack:.3g}"))
     sign_slack = float(-(products * np.sign(x)).min())
     anchored = float(np.abs(products[:, grid.x == 0.0]).max(initial=0.0))
@@ -100,14 +104,14 @@ def _space_checks(config: ScenarioConfig, grid) -> list[dict]:
 def _metric_checks(grid) -> list[dict]:
     """The metric axioms, read off the metric's structure.
 
-    Every grid distance is d(a, b) = |g_a - g_b| . w, with features g linear
-    in the shares and one dot in a fixed order.  fl(x - y) = -fl(y - x), so
-    d(a, b) and d(b, a) agree bit for bit when every weight is finite; the
-    triangle inequality holds feature by feature, so it holds for d up to
-    rounding when every weight is also >= 0.  ``metric.symmetry`` counts
-    the weights that are not finite, and ``metric.triangle`` records the
-    largest negative weight (inf when a weight is not finite); both pass at
-    0.  ``metric.identity`` measures d(x, x) at point 0.
+    Every grid distance d(a, b) = sum_k w_k |g_a,k - g_b,k| is added in one
+    fixed order (``menu._metric_sum``), with features g linear in the shares.
+    fl(x - y) = -fl(y - x), so d(a, b) and d(b, a) agree bit for bit when
+    every weight is finite; the triangle inequality holds feature by feature,
+    so it holds for d up to rounding when every weight is also >= 0.
+    ``metric.symmetry`` counts the weights that are not finite, and
+    ``metric.triangle`` records the largest negative weight (inf when a
+    weight is not finite); both pass at 0.  ``metric.identity`` is d(0, 0).
     """
     d0 = grid.distance(0, 0)
     w = grid.feature_weights
@@ -175,14 +179,16 @@ def _utility_checks(config: ScenarioConfig, grid, umat, ref_vals: dict,
     for i, ref in ref_vals.items():
         worst_dom = max(worst_dom, float((umat[:, i] - ref).max()))
         credal_ok = credal_ok and not profile.evaluators[i].credal.problems()
+    read = f"{len(ref_vals)} of {n} agents"
     checks.append(_bound("utility.maxmin_dominance", worst_dom, 1e-12,
-                         f"max excess over single-prior value {worst_dom:.3g}"))
+                         f"max excess over single-prior value {worst_dom:.3g} ({read})"))
     checks.append(_check("utility.credal_sets", credal_ok,
-                         "positivity, normalization, reference membership"))
+                         f"positivity, normalization, reference membership ({read})"))
     return checks
 
 
-def _schedule_checks(transcript) -> list[dict]:
+def _schedule_checks(transcript, scan: dict) -> list[dict]:
+    pairs = f"{scan['kind']}, {scan['pairs']} pairs"
     checks = []
     for j, diag in enumerate(transcript.diagnostics):
         checks.append(_check(
@@ -191,7 +197,7 @@ def _schedule_checks(transcript) -> list[dict]:
             diag.zero_mean_residual, ZERO_MEAN_TOL))
         checks.append(_check(
             f"schedule[{j}].lipschitz", diag.lip_ok,
-            f"empirical {diag.empirical_lip:.6g} vs cap {diag.lip_cap:.6g}",
+            f"empirical {diag.empirical_lip:.6g} vs cap {diag.lip_cap:.6g} ({pairs})",
             diag.empirical_lip, diag.lip_cap + LIP_SLACK))
         checks.append(_check(
             f"schedule[{j}].sup_norm", diag.sup_ok,
@@ -348,6 +354,7 @@ def _run_experiment(config: ScenarioConfig, *,
             "agent_lipschitz": [float(v) for v in game.agent_lipschitz],
             "cap": game.cap,
             "stage_cap": game.stage_cap,
+            "lipschitz_scan": lipschitz_scan(grid),
         },
         "welfare": best.to_dict(),
         "closed_form": closed,
@@ -368,7 +375,7 @@ def _run_experiment(config: ScenarioConfig, *,
 
     report["mechanism"] = transcript.to_dict()
     arrays = _schedule_arrays("mechanism", transcript)
-    checks += _schedule_checks(transcript)
+    checks += _schedule_checks(transcript, report["calibration"]["lipschitz_scan"])
     checks += _mechanism_checks(transcript, game)
 
     report["surplus"] = efficient_surplus(game).to_dict()

@@ -2,8 +2,9 @@
 
 ``reference_distances_to`` and ``reference_bump_profile`` are whole-grid
 versions: they read the gaps of every point's ``features`` row, weigh them
-by ``feature_weights`` in the kernel's order (the mass sums' gaps, then each
-class's share gaps), and take a fresh array per step.  The kernel must
+by ``feature_weights`` and add them from +0.0 in the kernel's order (the
+mass sums' gaps, then the share gaps in (class, agent) order), one feature
+column of the whole grid per step.  The kernel must
 reproduce them bit for bit.  The sampled first-mover replay the
 audit used to run is kept here as a property test of the certificate that
 replaced it, with bumps built by the reference kernel.
@@ -31,21 +32,9 @@ def reference_distances_to(self, k: int) -> np.ndarray:
     if not self.n_classes:
         return np.zeros(1)
     g, w = self.features, self.feature_weights
-    _, mass, mass_w = self._metric
-    n, lead = self.n_agents, mass_w.size
-    gap = g[:, lead:] - g[k, lead:]
-    if lead:
-        moved = 0.0
-        for c in range(self.n_classes):
-            moved = moved + mass[c] * gap[:, c * n:(c + 1) * n]
-        np.abs(moved, out=moved)
-        total = w[:lead] @ np.ascontiguousarray(moved.T)
-    else:
-        total = np.zeros(self.n_points)
-    np.abs(gap, out=gap)
-    for c in range(self.n_classes):
-        cols = slice(c * n, (c + 1) * n)
-        total += np.ascontiguousarray(gap[:, cols]) @ w[lead:][cols]
+    total = np.zeros(self.n_points)
+    for f in range(w.size):
+        total += w[f] * np.abs(g[:, f] - g[k, f])
     return total
 
 
@@ -222,8 +211,9 @@ def test_audit_holds_a_few_point_vectors(three_class):
 
 def test_distances_to_holds_a_few_point_vectors(three_class):
     """Peak traced memory of one distance scan stays under five point-sized
-    vectors on a grid with mass sums: their (n x P) gaps, then the P-vector
-    of distances into which each class's term is added in place."""
+    vectors on a grid with mass sums: the P-vector of distances, into which
+    each feature's term is added in place, one agent's mass-sum gap and its
+    term."""
     game, _ = three_class
     grid = game.grid
     n = grid.n_agents

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 import pricechoose as pc
 from pricechoose import welfare
-from pricechoose.menu import (METRIC_MEMBER_LIMIT, _pair_distances, check_grid_size,
-                              compositions)
+from pricechoose.menu import METRIC_MEMBER_LIMIT, check_grid_size, compositions
 
 from conftest import hurricane_space
 
@@ -52,6 +51,36 @@ def test_shares_zero_states_get_zero():
     assert xi.tolist() == [[0.0, -2.0, 0.0], [0.0, -2.0, 0.0]]
     # +0.0, as on every grid point, also where X holds -0.0
     assert not np.signbit(xi[:, [0, 2]]).any()
+
+
+def two_class_grid():
+    """Two classes over three states, the middle one free of risk; two agents."""
+    space = pc.StateSpace(["a", "b", "c"], [0.5, 0.3, 0.2])
+    return pc.enumerate_grid(space, np.array([-1.0, 0.0, 2.0]), 2, 2)
+
+
+@pytest.mark.parametrize("shares", [np.full((3, 2), 0.5), np.full((2, 3), 1.0 / 3.0),
+                                    np.array([0.5, 0.5])],
+                         ids=["extra-class-row", "extra-agent-column", "one-dimensional"])
+def test_allocation_rejects_shares_of_the_wrong_shape(shares):
+    with pytest.raises(pc.StructuralError, match=r"expected \(2 x 2\) class shares"):
+        two_class_grid().allocation(shares)
+
+
+@pytest.mark.parametrize("row", [[1.5, -0.5], [np.nan, 1.0], [np.inf, 0.0]],
+                         ids=["negative", "nan", "inf"])
+def test_allocation_rejects_negative_or_non_finite_shares(row):
+    with pytest.raises(pc.ValidationError, match="finite and nonnegative"):
+        two_class_grid().allocation(np.array([row, [0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("q", [np.full((3, 2), 0.5), np.full((1, 4), 0.5), np.float64(0.5)],
+                         ids=["three-classes", "one-class", "scalar"])
+def test_payoffs_rejects_a_first_axis_that_is_not_the_classes(q):
+    grid = two_class_grid()
+    with pytest.raises(pc.StructuralError, match="values for 2 classes"):
+        grid.payoffs(q)
+    assert grid.payoffs(np.full((2, 5, 7), 0.5)).shape == (3, 5, 7)
 
 
 def allocation_grids():
@@ -498,11 +527,42 @@ def test_all_pairs_grids_cover_every_mass_case():
     assert carriers == {0, 1, 2}
 
 
+def feature_scan(ga, gb, w):
+    """sum_f w_f |ga[..., f] - gb[..., f]|, added feature by feature from
+    +0.0 in ``feature_weights`` order."""
+    total = np.zeros(np.broadcast_shapes(ga.shape[:-1], gb.shape[:-1]))
+    for f in range(len(w)):
+        total += w[f] * np.abs(ga[..., f] - gb[..., f])
+    return total
+
+
 @pytest.mark.parametrize("grid", [g for g in _all_pairs_grids() if g.n_classes <= 1])
 def test_distances_to_single_class_is_the_feature_scan(grid):
     g, w = grid.features, grid.feature_weights
     for k in range(grid.n_points):
-        assert np.array_equal(grid.distances_to(k), np.abs(g - g[k]) @ w)
+        assert np.array_equal(grid.distances_to(k), feature_scan(g, g[k], w))
+
+
+def python_distance(grid, j, k):
+    """d(j, k) in Python floats, with no BLAS call and no FMA: each point's
+    mass sums sum_c M_c q_c, then sum_f w_f |g_j,f - g_k,f|, each added left
+    to right from 0.0."""
+    mass, weights = grid._metric[1].tolist(), grid.feature_weights.tolist()
+
+    def row(p):
+        q = grid.share(p).tolist()
+        sums = []
+        for i in range(grid.n_agents if grid._metric[2].size else 0):
+            s = 0.0
+            for c in range(grid.n_classes):
+                s = s + mass[c] * q[c][i]
+            sums.append(s)
+        return sums + [v for shares in q for v in shares]
+
+    total = 0.0
+    for w, a, b in zip(weights, row(j), row(k)):
+        total = total + w * abs(a - b)
+    return total
 
 
 def _arrays(value):
@@ -676,7 +736,7 @@ def serial_lipschitz_ratio(v, grid, exhaustive_threshold=512, num_samples=4096,
         best = 0.0
         for lo in range(0, p, 256):
             hi = min(lo + 256, p)
-            d = _pair_distances(g, w, lo, hi)
+            d = feature_scan(g[lo:hi, None], g[None], w)
             dv = np.abs(v[lo:hi, None] - v[None, :])
             mask = d > 0.0
             if mask.any():
@@ -687,7 +747,7 @@ def serial_lipschitz_ratio(v, grid, exhaustive_threshold=512, num_samples=4096,
     b = rng.integers(0, p, size=num_samples)
     keep = a != b
     a, b = a[keep], b[keep]
-    d = np.abs(grid.features[a] - grid.features[b]) @ w
+    d = feature_scan(grid.features[a], grid.features[b], w)
     dv = np.abs(v[a] - v[b])
     mask = d > 0.0
     return float((dv[mask] / d[mask]).max()) if mask.any() else 0.0
@@ -734,7 +794,7 @@ def test_diameter_exact_matches_bound(two_state):
 
 def _full_scan_diameter(grid):
     g, w, p = grid.features, grid.feature_weights, grid.n_points
-    return max(float(_pair_distances(g, w, lo, min(lo + 256, p)).max())
+    return max(float(feature_scan(g[lo:lo + 256, None], g[None], w).max())
                for lo in range(0, p, 256))
 
 
@@ -754,6 +814,54 @@ def test_vertex_diameter_equals_full_scan(grid):
     diam, exact = grid.diameter
     assert exact
     assert diam == _full_scan_diameter(grid)
+
+
+def _pair_sets(grid):
+    """The exhaustive pair set and a sampled one of the same grid."""
+    yield pc.menu._lipschitz_pairs(grid, grid.n_points, 4096, pc.menu.PAIR_SEED)
+    yield pc.menu._lipschitz_pairs(grid, 1, 256, pc.menu.PAIR_SEED)
+
+
+def _vertices(grid):
+    shares = grid._shares_at(np.arange(grid.n_points))
+    return np.flatnonzero(np.all(shares.max(axis=2) == 1.0, axis=1)).tolist()
+
+
+@pytest.mark.parametrize("grid", list(_all_pairs_grids()) + list(_small_grids()))
+def test_every_path_gives_a_pair_the_same_float(grid):
+    """distances_to, distance both ways, both pair sets and the vertex
+    diameter read one float per pair, bit for bit.  ``distance`` is one call
+    per pair, so it is compared on every ordered pair up to 256 points (with
+    the symmetric rows, that is both ways) and on the rows of 16 sampled
+    points beyond."""
+    p = grid.n_points
+    rows = np.array([grid.distances_to(k) for k in range(p)])
+    assert np.array_equal(rows, rows.T)
+    if p <= 256:
+        for k in range(p):
+            assert rows[k].tolist() == [grid.distance(j, k) for j in range(p)]
+    else:
+        for k in np.random.default_rng(p).choice(p, 16, replace=False).tolist():
+            assert rows[k].tolist() == [grid.distance(j, k) for j in range(p)]
+            assert rows[k].tolist() == [grid.distance(k, j) for j in range(p)]
+    for a, b, d in _pair_sets(grid):
+        assert np.array_equal(d, rows[a, b])
+        if p <= 256 or len(d) <= 256:
+            assert d.tolist() == [grid.distance(int(x), int(y)) for x, y in zip(a, b)]
+    vertices = _vertices(grid)
+    diameter, exact = grid.diameter
+    assert exact
+    assert diameter == max(grid.distance(a, b) for a in vertices for b in vertices)
+
+
+@pytest.mark.parametrize("grid", list(_all_pairs_grids()) + list(_small_grids()))
+def test_distance_is_the_left_to_right_feature_sum(grid):
+    """The summation order is pinned: a pure-Python left-to-right sum gives
+    every sampled pair's distance bit for bit."""
+    rng = np.random.default_rng(grid.n_points)
+    pairs = rng.integers(0, grid.n_points, size=(200, 2)).tolist()
+    for j, k in pairs + [[0, grid.n_points - 1]]:
+        assert grid.distance(j, k) == python_distance(grid, j, k), (j, k)
 
 
 def test_all_zero_risk_diameter_is_zero():

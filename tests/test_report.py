@@ -300,9 +300,12 @@ def _menu_checks_from_points(grid) -> list[dict]:
     sign = float(-(pts * np.sign(x + 0.0)).min())
     zero = x == 0.0
     anchored = float(np.abs(pts[:, :, zero]).max()) if zero.any() else 0.0
+    # gamma_(n+1) max |X|: n terms, each rounded twice and added n - 1 times.
+    k = (grid.n_agents + 1) * 2.0 ** -53
+    col_tol = k / (1 - k) * float(np.abs(x).max(initial=0.0))
     return [
         report._bound("menu.coordinate_bound", bound, 1e-12, f"max |xi|-|X| = {bound:.3g}"),
-        report._bound("menu.column_sums", col, 1e-12,
+        report._bound("menu.column_sums", col, col_tol,
                       f"max |sum_i xi - X| = {col:.3g}"),
         report._check("menu.sign_anchoring", sign <= 1e-12 and anchored == 0.0,
                       f"sign slack {sign:.3g}, zero-state mass {anchored:.3g}",
@@ -341,6 +344,8 @@ def test_menu_checks_equal_the_point_stack_records(grid):
     checks = report._space_checks(SimpleNamespace(space=grid.space), grid)
     got = [c for c in checks if c["name"] in MENU_CHECKS]
     assert json.dumps(got) == json.dumps(_menu_checks_from_points(grid))
+    # The rounding bound holds at every scale the strategy draws (|X| <= 1e6).
+    assert got[1]["name"] == "menu.column_sums" and got[1]["passed"]
 
 
 def test_space_checks_hold_a_few_row_tables():
@@ -418,39 +423,39 @@ SCENARIO_FILES = {"three-agent-maxmin": DATA / "three_agent_maxmin.json",
                   "three-agent-maxmin-classes": DATA / "three_agent_maxmin_classes.json"}
 BUNDLED_RUNS = {
     ("two-agent-hand", "run"): (
-        "bea101ade779a4442b18d1670aaf4dac91ea23314a653dce7f763dc6c8c3bffd",
+        "59854fff0069146281a5c8be6cced8d676cca83d4c7dde58c9af627e7ebd5c90",
         "d4f002d601b7202f01c87da0579f844c66e9eb1d5b94961aafd64a0bec9015df",
         "78c168ef0f918c7f75ec9891189c025c8916947e43ab056d813a2564b15c1afe"),
     ("two-agent-hand", "run-perturbed"): (
-        "44eddf4770a994c40e8d7bf1b40fb3441751880060a4ff52deeaa48ba5a2fd7c",
+        "c86179c98fa6d3642ebd4542fe04a2f8800786aa7761ea3c76b7085cbe1a9ca6",
         "3f963f5e5580cc9f1c55b0054840bf7a6e1e23d1ca1d3df90a4914b3b401bddf",
         "aa120f87069c1e353f46a629c304f61e3dc65c7141e08d7ded4b2fa520b450f2"),
     ("two-agent-hand", "audit"): (
-        "7720e9028d0aa0a2827942e1bff4903e52319f6d30aaba393daec113ca8a021b",
+        "4e60c94843842f59615ae4af4cf675d910977716225732da7d756b8dcd381f9a",
         "403db2b6e2719b55555c1f463a9ff75a32cc18ec083e2d396f396f9631f30a49",
         "f4d404172eaab8bf53aeeae2ae5c61ebe02ca3726bcce77c9c030b75bb195f01"),
     ("hurricane-three-farmers", "run"): (
-        "cb30dbc679519514e3badc82599cf5fb91de3b8fe149b6cc74b6e0056fc2dca5",
+        "f3a788bca07a64d73d6c1c569ea0374c758bfb3a2c8a0c2fef21b525058134db",
         "724d685fe74ad52bb81aa18f94b2472678d731e52063f2ff0a0df9998e3ff888",
         "9fb0c758ff828ee9fdca5404a84af65c8dbe551fee382fffadbe255f411d3d48"),
     ("hurricane-three-farmers", "run-perturbed"): (
-        "8b12b581fc90699024ca6aeaae6b6e2bf95e92a39b7254c766389673ada6d9e6",
+        "7a2285a25c0656dc043aec6115860511364685c47eeb567bea48b5fbf4f1e9dd",
         "58065725dcd15ffda3c87727432c90d286c72e113ec252d8be0b42a533146fbb",
-        "7625d706f386e9bddfa0204e5af1f7e67ee2612370fb8daf6eb5ee168f145dc7"),
+        "823ef2b433f219c12b1c942275efdaaa8f47047b179540ac1be27a8f2a275ac1"),
     ("hurricane-three-farmers", "audit"): (
-        "642bf821835724de64c05bfe6e707457cf62f3786a7b3156900d068daa8bf066",
+        "8d41f84399808aaae7ea3045ace780336762d687af25ff80f115b950ba1a1f90",
         "171b772ad2cd55e8440079649ca617999f8a905b2a4ca8cc418c1e5d7c325f75",
         "0a560e9a38ac9db62c757aaa61540a0b570f8638c49e5fd8636a5296f3b44de2"),
     ("three-agent-maxmin", "run"): (
-        "6a1e74801457085ad36bbf710ccd08f7030af0df52a0c8ca4a0db6b2c51a22c3",
+        "16bb78913f2e8a24f3250752ffdc0f52c09d1ff6d3d4a4c664fb6f44c5726f37",
         "1c6df763eebbeee19b1b41f0a3ad70a0768dfb8cf23faeaca2a31fd4b148b765",
         "b6bc66246bb109dc198991d10d42c76537daa2ea5a4a569abcdec83f10e60b4d"),
     ("four-agent-maxmin-single", "run"): (
-        "7f25b54df9b68b85f228da0743232df58db3243dbeec2b863d6244cf5a6c084c",
+        "97822b450d78ddd8089dbf9aa214612842b408d003e3ac9c8f64f2286ad28577",
         "55fe650ce4d321d9da1fcd63efc7f81eafa1053fae60b8209bd7259ef628be61",
         "e3021d60846393d9bd011af0da9d1606f809f6d87f4d10c7bdbf06ab560adc01"),
     ("three-agent-maxmin-classes", "run"): (
-        "cf790df1c4010161a1cead54d8ecff8bb2462fc870dc2b98c325e8c38d6811cc",
+        "308aac0cbee8c0032abd6ac7c0b58f513359f6ab55ad5d6ae9ff41dc53c9011f",
         "eaa85ab429f87cbb3490c17769e759b828b5b2b87393bfd5828095c9ff58a654",
         "a49a610682beaf4f6d5c53cc4c5e27cfed251ed0c8dfd54d8386ccd9c781cb5b"),
 }
@@ -571,6 +576,52 @@ def test_seeded_sweep_reports_match_recorded_digests():
                            if digests.get(k) != pin["schedules_sha256"].get(k))
             problems.append(f"{doc['name']} (seed {doc['seed']}): schedules {moved} differ")
     assert not problems, "\n".join(problems)
+
+
+def test_column_sums_tolerance_scales_with_the_risk(tmp_path):
+    """The (X, gamma) -> (lambda X, gamma / lambda) map at lambda = 1e4 on a
+    pinned sweep scenario: the column sums' rounding exceeds an absolute
+    1e-12, and stays within gamma_(n+1) max |X|, so every invariant passes
+    and the CLI exits 0."""
+    from pricechoose.cli import main
+
+    doc = json.loads(SWEEP_PINS.read_text())[1]["scenario"]
+    doc["endowments"] = [[1e4 * v for v in row] for row in doc["endowments"]]
+    for spec in doc["utilities"]:
+        spec["gamma"] /= 1e4
+    doc["grid"]["resolution"] = 8
+    config = pc.scenario_from_dict(doc, source=doc["name"])
+    rep = pc.run_experiment(config)
+    check = next(c for c in rep["invariants"] if c["name"] == "menu.column_sums")
+    k = (config.profile.n_agents + 1) * 2.0 ** -53
+    assert check["tol"] == k / (1 - k) * float(np.abs(config.x).max())
+    assert 1e-12 < check["value"] <= check["tol"]
+    assert rep["all_invariants_pass"]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_reports_say_which_pairs_and_agents_their_checks_read():
+    """calibration.lipschitz_scan holds the kind and count of the memoised
+    Lipschitz pairs, each schedule's Lipschitz detail repeats them, and the
+    credal checks name how many agents they read."""
+    for path, kind, credal in [(SCENARIOS / "two_agent_hand.json", "exhaustive", 0),
+                               (SCENARIOS / "hurricane_three_farmers.json", "sampled", 0),
+                               (SCENARIO_FILES["three-agent-maxmin"], "exhaustive", 2)]:
+        config = pc.load_scenario(path)
+        grid = pc.enumerate_grid(config.space, config.x, config.profile.n_agents,
+                                 config.resolution, state_classes=config.state_classes)
+        a, _, _ = pc.menu._lipschitz_pairs(grid, 512, 4096, pc.menu.PAIR_SEED)
+        rep = pc.run_experiment(config)
+        scan = rep["calibration"]["lipschitz_scan"]
+        assert scan == {"kind": kind, "pairs": len(a)}
+        checks = {c["name"]: c["detail"] for c in rep["invariants"]}
+        for j in range(config.profile.n_agents - 1):
+            assert checks[f"schedule[{j}].lipschitz"].endswith(f"({kind}, {len(a)} pairs)")
+        read = f"({credal} of {config.profile.n_agents} agents)"
+        assert checks["utility.maxmin_dominance"].endswith(read), path.name
+        assert checks["utility.credal_sets"].endswith(read)
 
 
 def test_non_finite_margin_is_recorded_as_null():
