@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .mechanism import Game, Transcript, run_pnc
+from .mechanism import Game, Transcript, first_mover_order, run_pnc
 
 _WINNER_SEED = 47_02    # uniform winner draw label
 
@@ -137,7 +137,7 @@ def run_auction_then_pnc(game: Game, seed: int = 0, *,
         tie_set = np.nonzero(bids == bids.max())[0]
         winner = int(tie_set[rng.integers(len(tie_set))])
     transfers = _transfers(bids, winner)
-    order = [winner] + [i for i in range(n) if i != winner]
+    order = first_mover_order(n, winner)
     transcript = run_pnc(game, "exact", order=order)
     final = transcript.payoffs + transfers
     outcome = AuctionOutcome(bids=bids, winner=winner, transfers=transfers,

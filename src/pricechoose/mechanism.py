@@ -20,10 +20,20 @@ Admissible schedules have zero menu mean, Lipschitz constant at most
 (n-1) * cap under the menu metric, and sup norm at most that cap times the
 menu diameter.  Every entry point reads its menu data (utility matrix,
 cap, averages, W and W_max) from one ``Game`` built by ``calibrate``.
+
+The ``Game`` keeps every P-sized vector it holds in one float block of
+R x P, allocated once when ``calibrate`` evaluates the utility matrix: the
+n utility columns (``umat`` is a column-major view of the first n rows),
+the welfare row, one scratch row that the report's indifference check and
+the first-mover audit rebuild their tails into, and one row for each
+distinct equalizing tail of the auction's n posting orders.  A posting order with tails beyond those takes
+its rows from another block, added when no free row is left.  A menu run
+thus touches one allocation instead of one per vector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,6 +51,19 @@ CAP_SAFETY = 1.5
 TIE_TOL = 1e-9
 
 
+def first_mover_order(n: int, first: int) -> list[int]:
+    """Posting order of the auction branch that ``first`` wins: ``first``,
+    then every other agent in index order."""
+    return [first] + [i for i in range(n) if i != first]
+
+
+def _auction_tails(n: int) -> set[tuple[int, ...]]:
+    """The distinct equalizing tails of the n auction posting orders:
+    n + (n - 2)(n + 1) / 2 of them for n >= 2."""
+    return {tuple(order[k:]) for order in (first_mover_order(n, w) for w in range(n))
+            for k in range(1, n)}
+
+
 @dataclass(frozen=True)
 class Game:
     """One prepared menu: the data every payoff and audit reads.
@@ -50,6 +73,12 @@ class Game:
     in agent order), and W_max at its lowest-index argmax, found once.
     Build it once with ``calibrate`` and pass it along.  Each equalizing
     schedule is built once per tail of the posting order and kept here.
+
+    Every P-sized vector is a row of the block ``calibrate`` builds:
+    ``umat`` (a read-only column-major view of the first n rows),
+    ``welfare``, the writable ``_scratch`` row, and the ``_spare`` rows
+    that ``_equalize`` fills with schedules, one per auction tail.
+    ``_free_row`` adds another block when a posting order needs more.
     """
 
     profile: UtilityProfile
@@ -61,6 +90,8 @@ class Game:
     welfare: np.ndarray = field(repr=False)
     welfare_max: float
     _welfare_argmax: int = field(repr=False)
+    _scratch: np.ndarray = field(repr=False, compare=False)
+    _spare: list = field(repr=False, compare=False)
     _schedules: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
@@ -72,6 +103,14 @@ class Game:
     def stage_cap(self) -> float:
         return (self.n_agents - 1) * self.cap
 
+    def _free_row(self) -> np.ndarray:
+        """The next unused schedule row; when none is left, a new block of
+        as many rows as the auction tails is added first."""
+        if not self._spare:
+            self._spare.extend(np.empty((len(_auction_tails(self.n_agents)),
+                                         self.grid.n_points)))
+        return self._spare.pop(0)
+
 
 def calibrate(profile: UtilityProfile, grid: MenuGrid, *,
               cap: float | None = None) -> Game:
@@ -80,26 +119,34 @@ def calibrate(profile: UtilityProfile, grid: MenuGrid, *,
     Each agent's Lipschitz estimate is measured on its matrix column.  The
     default cap is 1.5x the largest estimate, which leaves the strict
     headroom the equalizing and bump constructions need; override it when a
-    scenario declares its own constant.  Calibration and schedule validation
-    measure on the same canonical pair sample.
+    scenario declares its own constant, a finite positive number.
+    Calibration and schedule validation measure on the same canonical pair
+    sample.
+
+    One (n + 2 + T) x P block holds the game's P-sized vectors: ``matrix``
+    allocates it and writes the columns into its first n rows, W goes into
+    row n, row n + 1 is scratch, and the last T rows wait for the schedules
+    of the T distinct tails of the auction's posting orders.
     """
-    if cap is not None and cap <= 0.0:
-        raise ParameterError("Lipschitz cap must be positive")
-    umat = profile.matrix(grid)
-    est = np.array([lipschitz_ratio(umat[:, i], grid)
-                    for i in range(profile.n_agents)])
+    if cap is not None and not 0.0 < cap < math.inf:
+        raise ParameterError(f"Lipschitz cap must be finite and positive, got {cap!r}")
+    n = profile.n_agents
+    umat = profile.matrix(grid, spare_rows=2 + len(_auction_tails(n)))
+    block = umat.base
+    est = np.array([lipschitz_ratio(umat[:, i], grid) for i in range(n)])
     for i, u in enumerate(profile.evaluators):
         warn_if_over_declared(u, float(est[i]), i)
     if cap is None:
         cap = CAP_SAFETY * float(est.max())
     averages = average_utilities(grid, umat)
-    welfare = umat.sum(axis=1)
+    welfare = umat.sum(axis=1, out=block[n])
     target = int(np.argmax(welfare))
     for shared in (umat, est, averages, welfare):
         shared.setflags(write=False)
     return Game(profile=profile, grid=grid, umat=umat, agent_lipschitz=est,
                 cap=float(cap), averages=averages, welfare=welfare,
-                welfare_max=float(welfare[target]), _welfare_argmax=target)
+                welfare_max=float(welfare[target]), _welfare_argmax=target,
+                _scratch=block[n + 1], _spare=list(block[n + 2:]))
 
 
 @dataclass(frozen=True)
@@ -183,13 +230,17 @@ def validate_schedule(schedule: PriceSchedule, grid: MenuGrid,
     )
 
 
-def _tail_values(umat: np.ndarray, order: list[int], position: int) -> np.ndarray:
+def _tail_values(umat: np.ndarray, order: list[int], position: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Continuation welfare from a position to the end, in posting order.
 
     The columns are added one after another, the order in which an axis-0
-    sum of their stack adds its rows, without building the stack.
+    sum of their stack adds its rows, without building the stack.  The sum
+    is written into ``out`` when given, a row of the game's block (a
+    schedule row or the scratch row), and into a new vector otherwise.
     """
-    tail = umat[:, order[position]].copy()
+    tail = np.empty(len(umat)) if out is None else out
+    tail[:] = umat[:, order[position]]
     for j in order[position + 1:]:
         tail += umat[:, j]
     return tail
@@ -213,7 +264,8 @@ def _equalize(game: Game, leader: int,
     every menu point; a schedule over the Lipschitz cap raises, since the
     cap is then too small for the declared utilities.  The schedule depends
     only on that tail, in posting order, so it is built once per tail and
-    memoised on the game.
+    memoised on the game: the tail is written into the game's next free
+    row and centred there in place.
     """
     n = game.n_agents
     if not 0 <= leader <= n - 2:
@@ -221,7 +273,7 @@ def _equalize(game: Game, leader: int,
     key = tuple(order[leader + 1:])
     if key in game._schedules:
         return game._schedules[key]
-    values = _tail_values(game.umat, order, leader + 1)
+    values = _tail_values(game.umat, order, leader + 1, out=game._free_row())
     values -= integrate(game.grid, values)
     declared = float(sum(game.agent_lipschitz[j] for j in key))
     schedule = PriceSchedule(values=values, declared_lip=declared)
@@ -448,11 +500,14 @@ def audit_first_mover_bound(game: Game, transcript: Transcript) -> DeviationAudi
     order = list(transcript.order)
     umat, grid = game.umat, game.grid
     equilibrium = float(transcript.payoffs[order[0]])
-    tail1 = _tail_values(umat, order, 1)
-    net = tail1 - transcript.schedules[0].values
+    # The scratch row holds tail_1, then, once its mean is read, the net
+    # tail_1 - p in place.
+    net = _tail_values(umat, order, 1, out=game._scratch)
+    tail1_mean = integrate(grid, net)
+    net -= transcript.schedules[0].values
     welfare, wmax = game.welfare, game.welfare_max
     return DeviationAudit(
-        max_gain=wmax - integrate(grid, tail1) - equilibrium,
+        max_gain=wmax - tail1_mean - equilibrium,
         equilibrium_payoff=equilibrium,
         welfare_margin=wmax - float(welfare[transcript.chosen]),
         indifference_margin=float(net.max()) - integrate(grid, net),

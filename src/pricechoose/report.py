@@ -127,10 +127,10 @@ def _metric_checks(grid) -> list[dict]:
     ]
 
 
-def _utility_checks(config: ScenarioConfig, grid, umat, ref_vals: dict,
-                    seed: int) -> list[dict]:
-    """``ref_vals`` maps each agent whose credal set is not {P} to its
-    values under the reference probability P."""
+def _utility_checks(config: ScenarioConfig, grid, seed: int) -> list[dict]:
+    """The evaluators' axioms at seeded grid points: normalization, cash
+    invariance, monotonicity, sup-norm Lipschitz and concavity.  They read
+    the profile and the grid only, not the utility matrix."""
     profile = config.profile
     n, m = profile.n_agents, config.space.n_states
     checks = []
@@ -171,7 +171,15 @@ def _utility_checks(config: ScenarioConfig, grid, umat, ref_vals: dict,
                          f"max excess {worst_sup:.3g}"))
     checks.append(_bound("utility.concavity", worst_conc, 1e-9,
                          f"max gap {worst_conc:.3g}"))
+    return checks
 
+
+def _credal_checks(config: ScenarioConfig, umat, ref_vals: dict) -> list[dict]:
+    """``ref_vals`` maps each agent whose credal set is not {P} to its
+    values under the reference probability P."""
+    profile = config.profile
+    n = profile.n_agents
+    checks = []
     # A credal set {P} breaks a credal rule only where P breaks a space
     # check, so the sets checked are those of the agents in ``ref_vals``.
     worst_dom = 0.0
@@ -225,7 +233,10 @@ def _mechanism_checks(transcript, game) -> list[dict]:
     if transcript.mode == "exact":
         worst = 0.0
         for j, schedule in enumerate(transcript.schedules):
-            net = _tail_values(umat, order, j + 1) - schedule.values
+            # Rebuilt, not read from the schedule memo, so the check stays
+            # independent of it; the scratch row holds each net in turn.
+            net = _tail_values(umat, order, j + 1, out=game._scratch)
+            net -= schedule.values
             worst = max(worst, float(net.max() - net.min()))
         checks.append(_bound("mechanism.indifference", worst, 1e-9,
                              f"max net spread {worst:.3g}"))
@@ -311,6 +322,19 @@ def _run_experiment(config: ScenarioConfig, *,
     x = config.x
     grid = enumerate_grid(space, x, profile.n_agents, config.resolution,
                           state_classes=config.state_classes, budget=config.budget)
+    # What reads only the grid and the profile comes first: the checks, the
+    # canonical pair sample that every Lipschitz figure reads, and the
+    # values under P.  Their temporaries then never sit on top of the
+    # game's block.
+    checks = _space_checks(config, grid) + _metric_checks(grid)
+    checks += _utility_checks(config, grid, config.seed)
+    scan = lipschitz_scan(grid)
+    # Values under P: an agent whose credal set is not exactly {P} is
+    # evaluated once more, for the dominance check and its avg; on {P} they
+    # are its umat column, whose menu average the game already holds.
+    ref_vals = {i: evaluate_grid(EntropicUtility(u.gamma, space.probs), grid, i)
+                for i, u in enumerate(profile.evaluators)
+                if not np.array_equal(u.credal.priors, space.probs[None])}
     game = calibrate(profile, grid, cap=config.lipschitz_cap)
     umat = game.umat
 
@@ -322,16 +346,7 @@ def _run_experiment(config: ScenarioConfig, *,
         closed["tilt"] = [float(t) for t in cf.tilt]
         closed["grid_value_gap"] = abs(best.value - cf.value)
 
-    # Values under P: an agent whose credal set is not exactly {P} is
-    # evaluated once more, for the dominance check and its avg; on {P} they
-    # are its umat column, whose menu average the game already holds.
-    ref_vals = {i: evaluate_grid(EntropicUtility(u.gamma, space.probs), grid, i)
-                for i, u in enumerate(profile.evaluators)
-                if not np.array_equal(u.credal.priors, space.probs[None])}
-    checks = []
-    checks += _space_checks(config, grid)
-    checks += _metric_checks(grid)
-    checks += _utility_checks(config, grid, umat, ref_vals, config.seed)
+    checks += _credal_checks(config, umat, ref_vals)
     feas = validate_feasible(best.allocation, x)
     checks.append(_check("welfare.argmax_feasible", feas.ok,
                          "feasibility of the optimizer's point"))
@@ -354,7 +369,7 @@ def _run_experiment(config: ScenarioConfig, *,
             "agent_lipschitz": [float(v) for v in game.agent_lipschitz],
             "cap": game.cap,
             "stage_cap": game.stage_cap,
-            "lipschitz_scan": lipschitz_scan(grid),
+            "lipschitz_scan": scan,
         },
         "welfare": best.to_dict(),
         "closed_form": closed,

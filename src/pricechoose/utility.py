@@ -208,18 +208,24 @@ class UtilityProfile:
         xi = self._checked(xi, stacked=False)
         return self._evaluate(xi[self.owner].T[:, :, None])[0][:, 0]
 
-    def matrix(self, grid: MenuGrid) -> np.ndarray:
+    def matrix(self, grid: MenuGrid, spare_rows: int = 0) -> np.ndarray:
         """(points x agents) utility values over a whole grid, column-major:
-        each agent's column is contiguous, as the column scans read it."""
+        each agent's column is contiguous, as the column scans read it.
+        The columns are the first rows of one ((agents + spare_rows) x
+        points) block, the matrix's ``base``: ``calibrate`` keeps the game's
+        other P-sized vectors in the rows below them."""
         if grid.n_agents != self.n_agents:
             raise StructuralError(
                 f"grid built for {grid.n_agents} agents, profile has {self.n_agents}"
             )
-        return self._grid_values(grid, range(self.n_agents)).T
+        return self._grid_values(grid, range(self.n_agents), spare_rows)[:self.n_agents].T
 
-    def _grid_values(self, grid: MenuGrid, agents) -> np.ndarray:
-        """(len(agents) x P): evaluator j's utility at every grid point, read
-        at agent ``agents[j]``'s share levels.
+    def _grid_values(self, grid: MenuGrid, agents, spare_rows: int = 0) -> np.ndarray:
+        """(len(agents) + spare_rows) x P: row j is evaluator j's utility at
+        every grid point, read at agent ``agents[j]``'s share levels, and the
+        ``spare_rows`` after them are left unwritten.  The rows are allocated
+        once the level tuples are evaluated, so the kernel's tables never sit
+        on top of them.
 
         An agent's random variable at a point is fixed by its share level in
         each class, one of the L levels ``grid._share_levels`` reads off the
@@ -241,7 +247,7 @@ class UtilityProfile:
             t = np.arange(lo, min(lo + step, tuple_values.shape[1]))
             payoff = grid.payoffs(levels[t // places % size])
             tuple_values[:, lo:lo + step] = self._evaluate(payoff[:, None])[0]
-        out = np.empty((len(agents), grid.n_points))
+        out = np.empty((len(agents) + spare_rows, grid.n_points))
         for j, agent in enumerate(agents):
             values = tuple_values[j].reshape((size,) * classes)
             for axis in range(classes):

@@ -1,12 +1,26 @@
 import hashlib
+import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pricechoose as pc
-from conftest import deviation_gain, sampled_deviations
-from pricechoose.mechanism import _equalize, _sup_norm, default_epsilon
+from conftest import deviation_gain, hurricane_space, sampled_deviations
+from pricechoose.mechanism import (
+    _equalize,
+    _payoffs_from_schedules,
+    _sup_norm,
+    _tail_values,
+    default_epsilon,
+)
+
+BLOCK_SCENARIOS = {
+    "hurricane": Path(pc.__file__).resolve().parent / "scenarios"
+    / "hurricane_three_farmers.json",
+    "four-agent": Path(__file__).resolve().parent / "data" / "four_agent_maxmin_single.json",
+}
 
 
 def exact_run(profile, grid):
@@ -45,6 +59,80 @@ def test_calibrate_matches_per_utility_estimates(two_state, resolution):
     assert np.array_equal(game.umat, umat)
     assert game.averages.tolist() == [pc.integrate(grid, umat[:, i]) for i in range(2)]
     assert game.welfare_max == float(umat.sum(axis=1).max())
+
+
+@pytest.mark.parametrize("cap", [float("nan"), float("inf")])
+def test_calibrate_rejects_a_non_finite_cap(cap):
+    """A nan cap used to surface as a misleading too-small-cap error in
+    run_pnc, and an infinite one passed every Lipschitz and sup-norm bound."""
+    space, endow = hurricane_space()
+    grid = pc.enumerate_grid(space, pc.aggregate_risk(endow), 3, 10,
+                             state_classes="single")
+    profile = pc.UtilityProfile(tuple(pc.EntropicUtility(g, space.probs)
+                                      for g in (1.0, 2.0, 4.0)))
+    with pytest.raises(pc.ParameterError, match="finite and positive"):
+        pc.calibrate(profile, grid, cap=cap)
+
+
+# ---------------------------------------------------------------------------
+# the game's block
+# ---------------------------------------------------------------------------
+
+def block_game(name):
+    config = pc.load_scenario(BLOCK_SCENARIOS[name])
+    grid = pc.enumerate_grid(config.space, config.x, config.profile.n_agents,
+                             config.resolution, state_classes=config.state_classes)
+    return config, pc.calibrate(config.profile, grid)
+
+
+@pytest.mark.parametrize("name", list(BLOCK_SCENARIOS))
+def test_auction_schedules_fill_the_calibrated_block(name):
+    """umat, W and every schedule the n auction branches post are rows of one
+    block: its reserved tail rows are exactly used up."""
+    config, game = block_game(name)
+    n = game.n_agents
+    posted = [s for w in range(n) for s in
+              pc.run_auction_then_pnc(game, config.seed, winner=w).transcript.schedules]
+    block = game.umat.base
+    assert block.shape == (2 * n + 2 + (n - 2) * (n + 1) // 2, game.grid.n_points)
+    assert game.umat.flags.f_contiguous and not game.umat.flags.writeable
+    assert not game.welfare.flags.writeable
+    for vector in [game.umat, game.welfare, game._scratch] + [s.values for s in posted]:
+        assert vector.base is block and np.shares_memory(vector, block)
+    assert not any(s.values.flags.writeable for s in posted)
+    assert len(game._schedules) == n + (n - 2) * (n + 1) // 2
+    assert game._spare == []
+
+
+def test_every_posting_order_posts_its_tail_schedules():
+    """All 3! orders need rows beyond the reserved ones; each schedule is
+    still its tail minus the tail's mean, bit for bit, and so are the
+    payoffs."""
+    config, game = block_game("hurricane")
+    umat, grid = game.umat, game.grid
+    for order in itertools.permutations(range(3)):
+        order = list(order)
+        transcript = pc.run_pnc(game, order=order)
+        expected = []
+        for k in range(1, 3):
+            tail = _tail_values(umat, order, k)
+            expected.append(pc.PriceSchedule(tail - pc.integrate(grid, tail), 0.0))
+        for got, want in zip(transcript.schedules, expected):
+            assert got.values.tobytes() == want.values.tobytes()
+        assert transcript.payoffs.tobytes() == _payoffs_from_schedules(
+            umat, order, expected, transcript.chosen).tobytes()
+    values = [s.values for s, _ in game._schedules.values()]
+    assert len(values) == 9 and not any(v.flags.writeable for v in values)
+    bases = {id(v.base) for v in values}
+    assert len(bases) == 2 and id(umat.base) in bases
+
+
+@pytest.mark.parametrize("name", list(BLOCK_SCENARIOS))
+def test_perturbed_mode_passes_every_invariant(name):
+    config = pc.load_scenario(BLOCK_SCENARIOS[name]).with_overrides(mode="perturbed")
+    report = pc.run_experiment(config)
+    assert report["all_invariants_pass"], [c["name"] for c in report["invariants"]
+                                           if not c["passed"]]
 
 
 # ---------------------------------------------------------------------------

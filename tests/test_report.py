@@ -578,6 +578,60 @@ def test_seeded_sweep_reports_match_recorded_digests():
     assert not problems, "\n".join(problems)
 
 
+# The hurricane on four labelled state classes at resolution 6: 21,952
+# points, the classes workload's shape at a tier-1 size.  Its report and
+# schedule digests, and the tracemalloc peak of its run in units of P float64
+# values, were recorded on the engine that allocated each P-sized vector on
+# its own; that peak was 12.70 P.
+MULTI_CLASS_PEAK_P = 12.70
+MULTI_CLASS_REPORT_SHA256 = "dd2c1806b283c466e69559b85456d5c71ab4111ee5156d184b22f9155d2af9a1"
+MULTI_CLASS_SCHEDULES_SHA256 = {
+    "mechanism_0": "c7c700aad0880951db8e37a6c210b51daa02ad326dfe12afa20857479f0d7c17",
+    "mechanism_1": "31c1056136344b9f9aaa914196e7d509025be54743119b426f15fa8674a64e31",
+    "auction_0": "c7c700aad0880951db8e37a6c210b51daa02ad326dfe12afa20857479f0d7c17",
+    "auction_1": "31c1056136344b9f9aaa914196e7d509025be54743119b426f15fa8674a64e31",
+}
+
+
+def test_multi_class_run_keeps_one_block_and_its_peak(monkeypatch):
+    """Every P-sized vector the game holds is a row of one buffer, the run's
+    memory peak stays at most the recorded figure, and the bytes stay."""
+    doc = json.loads((SCENARIOS / "hurricane_three_farmers.json").read_text())
+    doc["grid"].update(state_classes=[0, 1, 1, 2, 1, 2, 2, 3], resolution=6)
+    config = pc.scenario_from_dict(doc, source=doc["name"])
+    games = []
+    calibrate = report.calibrate
+    monkeypatch.setattr(report, "calibrate",
+                        lambda *args, **kw: games.append(calibrate(*args, **kw)) or games[-1])
+    rep, arrays = report._run_experiment(config)
+    p = rep["grid"]["n_points"]
+    assert p == 21_952 and rep["all_invariants_pass"]
+    assert hashlib.sha256(pc.structured_text(rep).encode()).hexdigest() == (
+        MULTI_CLASS_REPORT_SHA256)
+    assert {key: hashlib.sha256(values.astype("<f8").tobytes()).hexdigest()
+            for key, values in arrays.items()} == MULTI_CLASS_SCHEDULES_SHA256
+
+    game, = games
+    vectors = [getattr(game, f.name) for f in dataclasses.fields(game)]
+    vectors = [v for v in vectors if isinstance(v, np.ndarray) and p in v.shape]
+    vectors += game._spare + [s.values for s, _ in game._schedules.values()]
+    assert len(vectors) == 3 + 5           # umat, W, scratch; five schedules
+    block = game.umat.base
+    assert block.flags.owndata and block.shape == (10, p)
+    assert all(v.base is block for v in vectors)
+
+    # The first run warmed numpy's and the grid code's one-time state.
+    del rep, arrays, game, vectors, block
+    games.clear()
+    tracemalloc.start()
+    try:
+        report._run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= MULTI_CLASS_PEAK_P * 8 * p, peak / (8 * p)
+
+
 def test_column_sums_tolerance_scales_with_the_risk(tmp_path):
     """The (X, gamma) -> (lambda X, gamma / lambda) map at lambda = 1e4 on a
     pinned sweep scenario: the column sums' rounding exceeds an absolute
@@ -663,8 +717,8 @@ def serial_utility_checks(config, grid, seed):
 
 
 def utility_check_inputs(config):
-    """The grid, utility matrix and reference columns the report's utility
-    checks read."""
+    """The grid the report's utility checks read, and the utility matrix and
+    reference columns its credal checks read."""
     grid = pc.enumerate_grid(config.space, config.x, config.profile.n_agents,
                              config.resolution, state_classes=config.state_classes)
     umat = config.profile.matrix(grid)
@@ -677,7 +731,7 @@ def utility_check_inputs(config):
 
 def batched_utility_checks(config, seed):
     grid, umat, ref_vals = utility_check_inputs(config)
-    checks = report._utility_checks(config, grid, umat, ref_vals, seed)
+    checks = report._utility_checks(config, grid, seed)
     return grid, {c["name"]: c for c in checks}
 
 
@@ -756,7 +810,7 @@ def test_each_utility_check_fails_on_its_planted_kernel_defect(check, monkeypatc
         grid, umat, ref_vals = utility_check_inputs(config)
 
         def checks():
-            found = report._utility_checks(config, grid, umat, ref_vals, config.seed)
+            found = report._utility_checks(config, grid, config.seed)
             return {c["name"]: c for c in found}
 
         assert checks()[check]["passed"], (path.name, check)
@@ -782,7 +836,7 @@ def test_sampled_utility_checks_fail_on_a_nan_value(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(utility.UtilityProfile, "_evaluate", nan_first)
             checks = {c["name"]: c for c in
-                      report._utility_checks(config, grid, umat, ref_vals, config.seed)}
+                      report._utility_checks(config, grid, config.seed)}
         for name in UTILITY_CHECKS[1:]:
             assert not checks[name]["passed"] and checks[name]["value"] is None, name
 
@@ -797,7 +851,7 @@ def test_maxmin_dominance_fails_on_a_lowered_reference_column():
         lowered = {i: ref - 1e-9 for i, ref in ref_vals.items()}
 
         def dominance(columns):
-            found = report._utility_checks(config, grid, umat, columns, config.seed)
+            found = report._credal_checks(config, umat, columns)
             return next(c for c in found if c["name"] == "utility.maxmin_dominance")
 
         assert dominance(ref_vals)["passed"]
