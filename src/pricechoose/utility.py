@@ -248,11 +248,18 @@ class UtilityProfile:
             payoff = grid.payoffs(levels[t // places % size])
             tuple_values[:, lo:lo + step] = self._evaluate(payoff[:, None])[0]
         out = np.empty((len(agents) + spare_rows, grid.n_points))
+        # The last take writes the row itself: every index is in range, and
+        # mode="clip" keeps numpy from buffering ``out``.
+        direct = classes > 0 and grid.n_agents > 1
         for j, agent in enumerate(agents):
             values = tuple_values[j].reshape((size,) * classes)
-            for axis in range(classes):
+            for axis in range(classes - 1 if direct else classes):
                 values = values.take(index[:, agent], axis=axis)
-            out[j] = values.reshape(grid.n_points)
+            if direct:
+                values.take(index[:, agent], axis=classes - 1, mode="clip",
+                            out=out[j].reshape((len(index),) * classes))
+            else:
+                out[j] = values.reshape(grid.n_points)
         return out
 
 

@@ -29,8 +29,13 @@ trial gets the floats of a one-allocation evaluation.  The tilts that the
 next gradient reads come from the accepted trial's row of the kernel's
 tilt table, so the refined shares equal the serial search's bit for bit.
 The Pareto scan is a brute-force dominance test (the maxima-of-vectors
-setting of Kung, Luccio & Preparata 1975); it reads the grid in blocks and
-stops at the first dominating one.
+setting of Kung, Luccio & Preparata 1975).  It reads the utility matrix in
+blocks and answers two questions: does a row dominate the allocation, and
+does a row's welfare beat the allocation's by more than ``WELFARE_TOL``?  It
+stops at the first block by which both answers are yes; only a "no" needs
+every row.  So it never forms the grid's welfare maximum: the allocation
+attains it exactly when no row beats it, and a NaN welfare row counts as
+beating every allocation.
 """
 
 from __future__ import annotations
@@ -45,7 +50,8 @@ from .menu import MenuGrid, validate_feasible
 from .utility import UtilityProfile
 
 PARETO_SLACK = 1e-12
-# Grid points per block of the Pareto scan, which stops at the first dominating block.
+# Utility-matrix rows per block of the Pareto scan, which stops at the first
+# block that settles both of its verdicts.
 PARETO_BLOCK = 8192
 # A Pareto-checked allocation attains the grid maximum within this much welfare.
 WELFARE_TOL = 1e-9
@@ -282,21 +288,23 @@ def closed_form_entropic(profile: UtilityProfile, x) -> WelfareResult:
 
 @dataclass(frozen=True)
 class ParetoCheck:
-    """Brute-force dominance scan of one allocation against a grid."""
+    """Brute-force dominance scan of one allocation against a grid: whether
+    a grid row dominates it, whether it attains the grid's welfare maximum
+    within ``WELFARE_TOL``, and how many rows the scan read to settle both."""
 
     optimal: bool                      # no grid point dominates it
-    dominating_index: int | None
+    dominating_index: int | None       # the lowest dominating row
     welfare_value: float
-    welfare_max: float
-    attains_max: bool                  # welfare equals the grid maximum
+    attains_max: bool                  # no row's welfare beats it by WELFARE_TOL
+    rows_scanned: int                  # rows read before both verdicts were settled
 
     def to_dict(self) -> dict:
         return {
             "optimal": self.optimal,
             "dominating_index": self.dominating_index,
             "welfare_value": self.welfare_value,
-            "welfare_max": self.welfare_max,
             "attains_max": self.attains_max,
+            "rows_scanned": self.rows_scanned,
         }
 
 
@@ -309,32 +317,50 @@ def pareto_check(profile: UtilityProfile, grid: MenuGrid, xi, *,
     maximum, so the optimality-equals-maximality equivalence can be checked
     in both directions on the discretization.
 
-    ``umat`` has one column per agent, and any rows above the grid's are
-    scanned too.  The scan reads an agent-major copy of it (no copy when
-    ``umat`` is column-major) in blocks of ``PARETO_BLOCK`` points, all agents
-    at once, and stops at the first block holding a dominating point, the
-    lowest one.  Welfare is summed over every row from zero, column by
-    column in agent order; up to 7 agents that equals ``umat.sum(axis=1)``
-    bit for bit, from 8 agents numpy's pairwise summation can differ by a
-    few ulp.
+    ``umat`` has one column per agent and at least one row per grid point;
+    rows beyond the grid's are scanned too.  It is read in blocks of
+    ``PARETO_BLOCK`` rows, all agents at once, and each block answers two
+    questions until each has its answer:
+
+    - does a row dominate the allocation?  The first block that holds a
+      dominating row gives ``dominating_index``, the lowest one;
+    - does a row beat the allocation's welfare w?  Row k's welfare W_k is
+      summed column by column in agent order, and it beats w unless
+      fl(W_k - WELFARE_TOL) <= w.  Rounding is monotone, so ``attains_max``
+      is exactly w >= fl(max_k W_k - WELFARE_TOL); a NaN W_k beats every w.
+
+    The scan stops after the first block by which both answers are yes, and
+    ``rows_scanned`` counts the rows read until then; when either answer is
+    no, every row is read.
     """
     if umat is None:
         umat = profile.matrix(grid)
     if umat.ndim != 2 or umat.shape[1] != profile.n_agents:
         raise StructuralError(f"umat must have one column per agent, got shape {umat.shape}")
+    if umat.shape[0] < grid.n_points:
+        raise StructuralError(
+            f"umat must have a row per grid point, got {umat.shape[0]} rows "
+            f"for {grid.n_points} points"
+        )
     u0 = profile.at_point(xi)
-    cols = np.ascontiguousarray(umat.T)
-    totals = cols[0] + 0.0
-    for col in cols[1:]:
-        totals += col
+    wval = float(u0.sum())
+    cols, n_rows = umat.T, umat.shape[0]
     lower, upper = (u0 - PARETO_SLACK)[:, None], (u0 + PARETO_SLACK)[:, None]
-    first = None
-    for lo in range(0, cols.shape[1], PARETO_BLOCK):
+    first, beaten, scanned = None, False, n_rows
+    for lo in range(0, n_rows, PARETO_BLOCK):
         block = cols[:, lo:lo + PARETO_BLOCK]
-        dominating = (block >= lower).all(axis=0) & (block > upper).any(axis=0)
-        if dominating.any():
-            first = lo + int(dominating.argmax())
+        if first is None:
+            dominating = (block >= lower).all(axis=0) & (block > upper).any(axis=0)
+            if dominating.any():
+                first = lo + int(dominating.argmax())
+        if not beaten:
+            totals = block[0] + 0.0
+            for col in block[1:]:
+                totals += col
+            totals -= WELFARE_TOL
+            beaten = not (totals <= wval).all()
+        if first is not None and beaten:
+            scanned = min(lo + PARETO_BLOCK, n_rows)
             break
-    wmax, wval = float(totals.max()), float(u0.sum())
     return ParetoCheck(optimal=first is None, dominating_index=first, welfare_value=wval,
-                       welfare_max=wmax, attains_max=bool(wval >= wmax - WELFARE_TOL))
+                       attains_max=not beaten, rows_scanned=scanned)

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import pricechoose as pc
 from pricechoose import welfare
 from pricechoose.menu import grid_point_count
-from pricechoose.welfare import LINE_STEPS, PARETO_SLACK, _project_simplex, _refine_shares
+from pricechoose.welfare import (LINE_STEPS, PARETO_SLACK, WELFARE_TOL, _project_simplex,
+                                  _refine_shares)
 from conftest import hurricane_space
 
 
@@ -282,10 +283,7 @@ def test_single_point_grid_always_optimal():
     grid = pc.enumerate_grid(space, np.array([0.0]), 2, 1)
     check = pc.pareto_check(profile, grid, grid.point(0))
     assert check.optimal and check.attains_max
-    # U(0) is -0.0, and the welfare summed from zero is +0.0, as numpy sums it
-    umat = profile.matrix(grid)
-    assert np.signbit(umat).all()
-    assert check.welfare_max.hex() == float(umat.sum(axis=1).max()).hex() == "0x0.0p+0"
+    assert check.rows_scanned == 1
 
 
 def _pareto_case(n_agents):
@@ -325,6 +323,12 @@ def _naive_first_dominating(u_oracle, u0, slack):
     return int(hits[0]) if hits.size else None
 
 
+def _attains_max(umat, wval):
+    """The welfare verdict against the grid maximum, formed as numpy sums
+    the rows (in agent order, up to 7 agents)."""
+    return wval >= float(umat.sum(axis=1).max()) - WELFARE_TOL
+
+
 def test_pareto_verdicts_match_independent_scan():
     """Cross-validate the scan against a plain reimplementation on a finer
     menu: 1 to 5 agents, row- and column-major utility matrices, and rows
@@ -337,12 +341,11 @@ def test_pareto_verdicts_match_independent_scan():
         firsts = [_naive_first_dominating(u_oracle, u0, slack) for u0 in u_coarse]
         for order in ("C", "F"):
             umat = np.asarray(profile.matrix(oracle), order=order)
-            wmax = float(umat.sum(axis=1).max()).hex()
             for k, expected in enumerate(firsts):
                 verdict = pc.pareto_check(profile, oracle, coarse.point(k), umat=umat)
                 assert verdict.dominating_index == expected
                 assert verdict.optimal == (expected is None)
-                assert verdict.welfare_max.hex() == wmax
+                assert verdict.attains_max == _attains_max(umat, verdict.welfare_value)
 
             # A row exactly at u0 - slack still improves weakly and a row
             # exactly at u0 + slack does not improve strictly; one ulp past
@@ -362,7 +365,7 @@ def test_pareto_verdicts_match_independent_scan():
             expected = 2 if n_agents == 1 else 3
             assert _naive_first_dominating(boundary, u0, slack) == expected
             assert verdict.dominating_index == expected and not verdict.optimal
-            assert verdict.welfare_max.hex() == float(boundary.sum(axis=1).max()).hex()
+            assert verdict.attains_max == _attains_max(boundary, verdict.welfare_value)
 
 
 def _block_scan_matrix(u0, size, dominators, rng):
@@ -381,7 +384,7 @@ def _block_scan_matrix(u0, size, dominators, rng):
 def test_pareto_block_scan_stops_at_the_first_dominating_block(n_agents):
     """Dominating rows at the last index of a block, at the first index of
     the next one, only in the final partial block, and nowhere: the scan
-    reports the lowest dominating index and the welfare maximum over every
+    reports the lowest dominating index and the welfare verdict over every
     row, whichever block it stops in, on row- and column-major matrices."""
     block = welfare.PARETO_BLOCK
     size = 3 * block + 17
@@ -405,23 +408,125 @@ def test_pareto_block_scan_stops_at_the_first_dominating_block(n_agents):
             verdict = pc.pareto_check(profile, oracle, xi, umat=umat)
             assert verdict.dominating_index == expected, (name, order)
             assert verdict.optimal == (expected is None)
-            assert verdict.welfare_max.hex() == float(umat.sum(axis=1).max()).hex()
+            assert verdict.attains_max == _attains_max(umat, verdict.welfare_value)
 
 
 def test_pareto_check_needs_one_utility_column_per_agent():
     """Too many columns, too few (which would drop an agent from the
-    dominance test) and a 1-d matrix are refused; extra rows are scanned."""
+    dominance test), a 1-d matrix and fewer rows than grid points (which
+    would leave points unscanned) are refused; extra rows are scanned."""
     profile, coarse, oracle = _pareto_case(3)
     umat = profile.matrix(oracle)
     xi = coarse.point(0)
     for bad in (np.hstack([umat, umat[:, :1]]), umat[:, :2], umat[:, 0]):
         with pytest.raises(pc.StructuralError, match="one column per agent"):
             pc.pareto_check(profile, oracle, xi, umat=bad)
+    for short in (umat[:5], umat[:0], umat[:-1]):
+        with pytest.raises(pc.StructuralError, match="a row per grid point"):
+            pc.pareto_check(profile, oracle, xi, umat=short)
     extra = np.vstack([umat, umat[:3]])
     assert pc.pareto_check(profile, oracle, xi, umat=extra).dominating_index == (
         _naive_first_dominating(extra, profile.at_point(xi), PARETO_SLACK))
     with pytest.raises(pc.StructuralError):
         pc.pareto_check(profile, oracle, np.vstack([xi, xi[:1]]), umat=umat)
+
+
+def _expected_scan(umat, u0, block):
+    """(dominating index, attains_max, rows scanned) by a plain scan: the
+    rows read are those up to the end of the block that holds the later of
+    the first dominating row and the first row whose welfare beats u0's,
+    or every row when either is missing."""
+    first = _naive_first_dominating(umat, u0, PARETO_SLACK)
+    wval = float(u0.sum())
+    beats = np.flatnonzero(~(umat.sum(axis=1) - WELFARE_TOL <= wval))
+    if first is None or not beats.size:
+        scanned = len(umat)
+    else:
+        scanned = min((max(first, int(beats[0])) // block + 1) * block, len(umat))
+    return first, not beats.size, scanned
+
+
+def _scan_matrix(u0, size, dominators=(), beaters=()):
+    """(size x n) utilities around u0 where no row dominates u0 or beats its
+    welfare, except the rows ``dominators``, which dominate it by 1e-11 on
+    agent 0 and do not beat its welfare by WELFARE_TOL, and the rows
+    ``beaters``, which trade agent 0's utility for more of agent 1's and so
+    beat the welfare without dominating."""
+    umat = np.tile(u0, (size, 1))
+    umat[:, 0] -= 1.0
+    umat[list(dominators)] = u0
+    umat[list(dominators), 0] += 1e-11
+    umat[list(beaters), 1] += 2.0
+    return umat
+
+
+def test_pareto_scan_counts_the_rows_it_reads():
+    """``rows_scanned`` stops at the end of the block that settles the later
+    of the two verdicts, and counts every row when either stays open."""
+    block = welfare.PARETO_BLOCK
+    size = 3 * block + 17
+    profile, coarse, oracle = _pareto_case(3)
+    xi = coarse.point(0)
+    u0 = profile.at_point(xi)
+    cases = {
+        # (dominators, beaters): (dominating index, attains_max, rows scanned)
+        "settled-in-block-0": (([0], [5]), (0, False, block)),
+        "no-dominator": (([], [0]), (None, False, size)),
+        "dominator-in-block-2-beaten-in-block-0": (([2 * block + 5], [3]),
+                                                   (2 * block + 5, False, 3 * block)),
+        "beaten-only-in-final-partial": (([0], [3 * block + 16]), (0, False, size)),
+        "never-beaten": (([1], []), (1, True, size)),
+    }
+    for name, ((dominators, beaters), expected) in cases.items():
+        base = _scan_matrix(u0, size, dominators, beaters)
+        assert _expected_scan(base, u0, block) == expected, name
+        for order in ("C", "F"):
+            verdict = pc.pareto_check(profile, oracle, xi, umat=np.asarray(base, order=order))
+            got = (verdict.dominating_index, verdict.attains_max, verdict.rows_scanned)
+            assert got == expected, (name, order)
+
+
+def test_attains_max_at_the_welfare_tolerance_boundary():
+    """A row whose welfare W has fl(W - WELFARE_TOL) equal to the
+    allocation's welfare does not beat it; one ulp above, W beats it.  A NaN
+    welfare row in the last block beats every allocation."""
+    profile, coarse, oracle = _pareto_case(3)
+    xi = coarse.point(0)
+    u0 = profile.at_point(xi)
+    wval = float(u0.sum())
+    w_eq = wval + WELFARE_TOL
+    while w_eq - WELFARE_TOL > wval:
+        w_eq = np.nextafter(w_eq, -np.inf)
+    while np.nextafter(w_eq, np.inf) - WELFARE_TOL <= wval:
+        w_eq = np.nextafter(w_eq, np.inf)
+    w_up = np.nextafter(w_eq, np.inf)
+    assert w_eq - WELFARE_TOL == wval < w_up - WELFARE_TOL
+    base = _scan_matrix(u0, oracle.n_points)
+    for welfare_row, attains in ((w_eq, True), (w_up, False), (np.nan, False)):
+        umat = base.copy()
+        # one welfare summand, the rest zero, so the row sums to it exactly
+        umat[-1] = 0.0
+        umat[-1, 0] = welfare_row
+        assert _attains_max(umat, wval) == attains
+        for order in ("C", "F"):
+            verdict = pc.pareto_check(profile, oracle, xi, umat=np.asarray(umat, order=order))
+            assert verdict.welfare_value == wval
+            assert verdict.attains_max == attains, (welfare_row, order)
+            assert verdict.rows_scanned == len(umat)
+
+
+def test_pareto_scan_across_many_small_blocks(monkeypatch):
+    """With 7-row blocks the exit crosses many block boundaries: every
+    verdict and row count matches the plain scan on every case grid."""
+    monkeypatch.setattr(welfare, "PARETO_BLOCK", 7)
+    for n_agents in range(1, 6):
+        profile, coarse, oracle = _pareto_case(n_agents)
+        umat = profile.matrix(oracle)
+        for k in range(0, coarse.n_points, 7):
+            xi = coarse.point(k)
+            verdict = pc.pareto_check(profile, oracle, xi, umat=umat)
+            got = (verdict.dominating_index, verdict.attains_max, verdict.rows_scanned)
+            assert got == _expected_scan(umat, profile.at_point(xi), 7), (n_agents, k)
 
 
 # ---------------------------------------------------------------------------
