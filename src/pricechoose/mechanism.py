@@ -29,6 +29,12 @@ the first-mover audit rebuild their tails into, and one row for each
 distinct equalizing tail of the auction's n posting orders.  A posting order with tails beyond those takes
 its rows from another block, added when no free row is left.  A menu run
 thus touches one allocation instead of one per vector.
+
+Each row is written in as few passes as its floats allow.  W and every
+tail of two or more agents are one ``_tail_values`` sum, whose first add
+reads two columns; a one-agent schedule is its column minus that agent's
+menu average, one subtract, since the average is the mean the centring
+would compute.
 """
 
 from __future__ import annotations
@@ -76,7 +82,9 @@ class Game:
 
     Every P-sized vector is a row of the block ``calibrate`` builds:
     ``umat`` (a read-only column-major view of the first n rows),
-    ``welfare``, the writable ``_scratch`` row, and the ``_spare`` rows
+    ``welfare`` (written by ``_tail_values`` over every agent, which adds the
+    columns in the order ``umat.sum(axis=1)`` does), the writable
+    ``_scratch`` row, and the ``_spare`` rows
     that ``_equalize`` fills with schedules, one per auction tail.
     ``_free_row`` adds another block when a posting order needs more.
     """
@@ -124,9 +132,10 @@ def calibrate(profile: UtilityProfile, grid: MenuGrid, *,
     sample.
 
     One (n + 2 + T) x P block holds the game's P-sized vectors: ``matrix``
-    allocates it and writes the columns into its first n rows, W goes into
-    row n, row n + 1 is scratch, and the last T rows wait for the schedules
-    of the T distinct tails of the auction's posting orders.
+    allocates it and writes the columns into its first n rows, W, the tail
+    of every agent, goes into row n, row n + 1 is scratch, and the last T
+    rows wait for the schedules of the T distinct tails of the auction's
+    posting orders.
     """
     if cap is not None and not 0.0 < cap < math.inf:
         raise ParameterError(f"Lipschitz cap must be finite and positive, got {cap!r}")
@@ -139,7 +148,7 @@ def calibrate(profile: UtilityProfile, grid: MenuGrid, *,
     if cap is None:
         cap = CAP_SAFETY * float(est.max())
     averages = average_utilities(grid, umat)
-    welfare = umat.sum(axis=1, out=block[n])
+    welfare = _tail_values(umat, range(n), 0, out=block[n])
     target = int(np.argmax(welfare))
     for shared in (umat, est, averages, welfare):
         shared.setflags(write=False)
@@ -230,18 +239,25 @@ def validate_schedule(schedule: PriceSchedule, grid: MenuGrid,
     )
 
 
-def _tail_values(umat: np.ndarray, order: list[int], position: int,
+def _tail_values(umat: np.ndarray, order: list[int] | range, position: int,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Continuation welfare from a position to the end, in posting order.
 
     The columns are added one after another, the order in which an axis-0
-    sum of their stack adds its rows, without building the stack.  The sum
-    is written into ``out`` when given, a row of the game's block (a
-    schedule row or the scratch row), and into a new vector otherwise.
+    sum of their stack adds its rows, and in which numpy sums a row of the
+    column-major ``umat``, without building the stack: the first add reads
+    two columns, each later one adds one column in place, and a one-agent
+    tail is a copy of its column.  The sum is written into ``out`` when
+    given, a row of the game's block (W, a schedule row or the scratch
+    row), and into a new vector otherwise.
     """
-    tail = np.empty(len(umat)) if out is None else out
-    tail[:] = umat[:, order[position]]
-    for j in order[position + 1:]:
+    first, *rest = order[position:]
+    if not rest:
+        tail = np.empty(len(umat)) if out is None else out
+        tail[:] = umat[:, first]
+        return tail
+    tail = np.add(umat[:, first], umat[:, rest[0]], out=out)
+    for j in rest[1:]:
         tail += umat[:, j]
     return tail
 
@@ -265,7 +281,9 @@ def _equalize(game: Game, leader: int,
     cap is then too small for the declared utilities.  The schedule depends
     only on that tail, in posting order, so it is built once per tail and
     memoised on the game: the tail is written into the game's next free
-    row and centred there in place.
+    row and centred there in place.  A one-agent tail's mean is that
+    agent's menu average bit for bit, the same pairwise sum of the same
+    contiguous column, so its schedule is written in one subtract.
     """
     n = game.n_agents
     if not 0 <= leader <= n - 2:
@@ -273,8 +291,12 @@ def _equalize(game: Game, leader: int,
     key = tuple(order[leader + 1:])
     if key in game._schedules:
         return game._schedules[key]
-    values = _tail_values(game.umat, order, leader + 1, out=game._free_row())
-    values -= integrate(game.grid, values)
+    if len(key) == 1:
+        values = np.subtract(game.umat[:, key[0]], game.averages[key[0]],
+                             out=game._free_row())
+    else:
+        values = _tail_values(game.umat, order, leader + 1, out=game._free_row())
+        values -= integrate(game.grid, values)
     declared = float(sum(game.agent_lipschitz[j] for j in key))
     schedule = PriceSchedule(values=values, declared_lip=declared)
     diag = validate_schedule(schedule, game.grid, game.stage_cap)

@@ -241,10 +241,12 @@ class MenuGrid:
         return int(k)
 
     def _shares_at(self, idx) -> np.ndarray:
-        """Class shares of the points ``idx``: (C x n) for one index, with a
-        leading axis for an array of them."""
-        return self.table[np.asarray(idx)[..., None] // self._place_values
-                          % self.table.shape[0]]
+        """Class shares of the points ``idx``: (C x n) for one index, with the
+        index array's axes in front for an array of them.  The digits come
+        from the place values, which a single index decodes fastest, and
+        ``take`` gathers the table rows."""
+        digits = np.asarray(idx)[..., None] // self._place_values
+        return self.table.take(digits % self.table.shape[0], axis=0)
 
     def payoffs(self, q) -> np.ndarray:
         """The state-major (m x ...) payoffs of the nonnegative per-class
@@ -341,13 +343,13 @@ class MenuGrid:
             mass_weights = mass_weights[:0]
         return _read_only(omega), _read_only(mass), _read_only(mass_weights)
 
-    @property
+    @cached_property
     def feature_weights(self) -> np.ndarray:
         """Series weight of each column of ``features``: the mass sums', then
         omega in (class, agent) order: the one order in which every distance
-        adds its terms (``_metric_sum``)."""
+        adds its terms (``_metric_sum``).  Built once, read-only."""
         omega, _, mass_weights = self._metric
-        return np.concatenate([mass_weights, omega.ravel()])
+        return _read_only(np.concatenate([mass_weights, omega.ravel()]))
 
     @cached_property
     def features(self) -> np.ndarray:
@@ -362,12 +364,27 @@ class MenuGrid:
         return sum(mass * q for mass, q in zip(self._metric[1], class_shares))
 
     def _feature_rows(self, idx: np.ndarray) -> np.ndarray:
-        """Rows ``idx`` of ``features``."""
+        """Rows ``idx`` of ``features``, built at once: for a few points."""
         shares = self._shares_at(idx)
         flat = shares.reshape(len(idx), self.n_classes * self.n_agents)
         if not self._metric[2].size:
             return flat
         return np.concatenate([self._mass_sums(shares.swapaxes(0, 1)), flat], axis=1)
+
+    def _feature_columns(self, idx: np.ndarray):
+        """The columns of ``_feature_rows(idx)``, the same floats, one at a
+        time in ``feature_weights`` order: each is gathered from a share
+        column of the table when it is read, so a large index set never
+        holds more than its class digits and a few columns."""
+        # unravel_index reads the base-K digits of ``_shares_at``, one
+        # contiguous array per class; it rejects an array on zero classes.
+        size, classes = self.table.shape[0], self.n_classes
+        digits = np.unravel_index(idx, (size,) * classes) if classes else ()
+        columns = self.table.T                              # (n x K)
+        for i in range(self._metric[2].size):
+            yield self._mass_sums(columns[i].take(d) for d in digits)
+        for d in digits:
+            yield from (col.take(d) for col in columns)
 
     def distances_to(self, k: int) -> np.ndarray:
         """Metric distance from every grid point to point ``k``.
@@ -519,6 +536,8 @@ def _lipschitz_pairs(grid: MenuGrid, exhaustive_threshold: int,
     nothing), a seeded random sample otherwise.  Only the values differ
     between the calls on one grid, so the pairs are memoised on the grid per
     sampling arguments: at most ~3 MB on the exhaustive path at 512 points.
+    The gaps are built one feature at a time (``_feature_columns``), so no
+    (features x pairs) table is held.
     """
     key = (exhaustive_threshold, num_samples, seed)
     if key in grid._lipschitz_pairs:
@@ -526,14 +545,15 @@ def _lipschitz_pairs(grid: MenuGrid, exhaustive_threshold: int,
     p = grid.n_points
     if p <= exhaustive_threshold:
         a, b = np.triu_indices(p, 1)
-        gaps = (f[a] - f[b] for f in grid._feature_rows(np.arange(p)).T)
+        gaps = (f[a] - f[b] for f in grid._feature_columns(np.arange(p)))
     else:
         rng = np.random.default_rng([seed, p])
         a = rng.integers(0, p, size=num_samples)
         b = rng.integers(0, p, size=num_samples)
         keep = a != b
         a, b = a[keep], b[keep]
-        gaps = grid._feature_rows(a).T - grid._feature_rows(b).T
+        gaps = (fa - fb for fa, fb in zip(grid._feature_columns(a),
+                                          grid._feature_columns(b)))
     d = _metric_sum(grid.feature_weights, gaps, a.shape)
     keep = d > 0.0
     pairs = grid._lipschitz_pairs[key] = (a[keep], b[keep], d[keep])
@@ -546,7 +566,8 @@ def lipschitz_ratio(values, grid: MenuGrid, *, exhaustive_threshold: int = EXHAU
 
     All pairs when the grid is small, a seeded random sample otherwise;
     zero-distance pairs are skipped.  The pairs and their distances are
-    built once per grid and sampling arguments (see ``_lipschitz_pairs``).
+    built once per grid and sampling arguments (see ``_lipschitz_pairs``);
+    the values at their ends are gathered by ``take``.
     """
     v = np.asarray(values, dtype=float)
     if v.shape != (grid.n_points,):
@@ -554,7 +575,7 @@ def lipschitz_ratio(values, grid: MenuGrid, *, exhaustive_threshold: int = EXHAU
     a, b, d = _lipschitz_pairs(grid, exhaustive_threshold, num_samples, seed)
     if not d.size:
         return 0.0
-    return float((np.abs(v[a] - v[b]) / d).max())
+    return float((np.abs(v.take(a) - v.take(b)) / d).max())
 
 
 def lipschitz_scan(grid: MenuGrid) -> dict:

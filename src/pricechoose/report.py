@@ -235,8 +235,12 @@ def _mechanism_checks(transcript, game) -> list[dict]:
         for j, schedule in enumerate(transcript.schedules):
             # Rebuilt, not read from the schedule memo, so the check stays
             # independent of it; the scratch row holds each net in turn.
-            net = _tail_values(umat, order, j + 1, out=game._scratch)
-            net -= schedule.values
+            if j == n - 2:
+                net = np.subtract(umat[:, order[-1]], schedule.values,
+                                  out=game._scratch)
+            else:
+                net = _tail_values(umat, order, j + 1, out=game._scratch)
+                net -= schedule.values
             worst = max(worst, float(net.max() - net.min()))
         checks.append(_bound("mechanism.indifference", worst, 1e-9,
                              f"max net spread {worst:.3g}"))

@@ -47,11 +47,12 @@ from .space import PROB_TOL
 GRID_BLOCK = 2 ** 16
 
 
-def _tilted_ce(z: np.ndarray, priors: np.ndarray,
+def _tilted_ce(z: np.ndarray, priors: np.ndarray, log_mass: np.ndarray,
                neg_gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Certainty equivalents of an (m x R x T) exponent table -gamma xi(w),
     states first, under the prior rows ``priors`` (R x m).  ``z`` is
-    overwritten; ``neg_gamma`` is each row's -gamma (R x 1).  The max and
+    overwritten; ``log_mass`` is the log of each row's own sum and
+    ``neg_gamma`` each row's -gamma, both (R x 1).  The max and
     the exponentials are taken plane by plane, and the prior-weighted terms
     are written transposed into a contiguous (R x T x m) table whose last
     axis is summed: numpy adds a contiguous axis in 8-way pairwise partial
@@ -67,7 +68,7 @@ def _tilted_ce(z: np.ndarray, priors: np.ndarray,
     mass = np.add.reduce(terms, axis=-1)
     ce = np.log(mass)
     ce += a
-    ce -= np.log(np.add.reduce(priors, axis=-1))[:, None]
+    ce -= log_mass
     ce /= neg_gamma
     return ce, terms, mass
 
@@ -156,6 +157,7 @@ class UtilityProfile:
 
     evaluators: tuple[MaxMinUtility, ...]
     priors: np.ndarray = field(init=False, repr=False, compare=False)     # (R x m)
+    log_mass: np.ndarray = field(init=False, repr=False, compare=False)   # (R x 1)
     neg_gamma: np.ndarray = field(init=False, repr=False, compare=False)  # (R x 1)
     owner: np.ndarray = field(init=False, repr=False, compare=False)      # (R,) agent of row r
     starts: np.ndarray = field(init=False, repr=False, compare=False)     # (n,) agent i's first row
@@ -165,8 +167,10 @@ class UtilityProfile:
             raise ValidationError("profile needs at least one evaluator")
         object.__setattr__(self, "evaluators", tuple(self.evaluators))
         sizes = [len(u.credal.priors) for u in self.evaluators]
+        priors = np.concatenate([u.credal.priors for u in self.evaluators])
         for name, value in (
-                ("priors", np.concatenate([u.credal.priors for u in self.evaluators])),
+                ("priors", priors),
+                ("log_mass", np.log(np.add.reduce(priors, axis=-1))[:, None]),
                 ("neg_gamma", -np.repeat([u.gamma for u in self.evaluators], sizes)[:, None]),
                 ("owner", np.repeat(np.arange(len(sizes)), sizes)),
                 ("starts", np.cumsum([0] + sizes[:-1]))):
@@ -183,7 +187,7 @@ class UtilityProfile:
         the agents' (n x T) values, each the minimum over its own rows, and
         ``_tilted_ce``'s (ce, terms, mass) of every row."""
         z = np.multiply(payoff, self.neg_gamma, order="C")
-        ce, terms, mass = _tilted_ce(z, self.priors, self.neg_gamma)
+        ce, terms, mass = _tilted_ce(z, self.priors, self.log_mass, self.neg_gamma)
         return np.minimum.reduceat(ce, self.starts, axis=0), ce, terms, mass
 
     def _checked(self, xi, stacked: bool) -> np.ndarray:
@@ -232,7 +236,9 @@ class UtilityProfile:
         integer table, and the levels are the same for every agent.  So the
         L^C level tuples are evaluated once for all stacked rows, and each
         agent's values are gathered onto the P = K^C points by its own level
-        index.  Tuple t takes level t // L^(C-1-c) % L in class c, and
+        index, one class axis at a time from the last to the first: the
+        first class axis is gathered last, straight into the row.  Tuple t
+        takes level t // L^(C-1-c) % L in class c, and
         ``grid.payoffs`` turns each block's (C x tuples) levels into its
         payoffs.  The tuples go through ``_evaluate`` in blocks of at most
         ``GRID_BLOCK`` (state, row, tuple) entries, so every point's value is
@@ -248,15 +254,17 @@ class UtilityProfile:
             payoff = grid.payoffs(levels[t // places % size])
             tuple_values[:, lo:lo + step] = self._evaluate(payoff[:, None])[0]
         out = np.empty((len(agents) + spare_rows, grid.n_points))
-        # The last take writes the row itself: every index is in range, and
-        # mode="clip" keeps numpy from buffering ``out``.
+        # The last take, along the first class axis, writes the row itself:
+        # every index is in range, and mode="clip" keeps numpy from
+        # buffering ``out``.  The later axes are already gathered by then,
+        # so it copies contiguous K^(C-1) slabs rather than single entries.
         direct = classes > 0 and grid.n_agents > 1
         for j, agent in enumerate(agents):
             values = tuple_values[j].reshape((size,) * classes)
-            for axis in range(classes - 1 if direct else classes):
+            for axis in range(classes - 1, 0 if direct else -1, -1):
                 values = values.take(index[:, agent], axis=axis)
             if direct:
-                values.take(index[:, agent], axis=classes - 1, mode="clip",
+                values.take(index[:, agent], axis=0, mode="clip",
                             out=out[j].reshape((len(index),) * classes))
             else:
                 out[j] = values.reshape(grid.n_points)

@@ -127,6 +127,51 @@ def test_every_posting_order_posts_its_tail_schedules():
     assert len(bases) == 2 and id(umat.base) in bases
 
 
+def _loop_tail(umat, agents):
+    """A tail summed the plain way: a copy of the first column, then each
+    later column added in place."""
+    tail = umat[:, agents[0]].copy()
+    for j in agents[1:]:
+        tail += umat[:, j]
+    return tail
+
+
+@pytest.mark.parametrize("n, resolution", [(1, 3), (3, 6), (9, 2)])
+def test_welfare_row_is_the_agent_order_row_sum(n, resolution):
+    """W, written by the tail kernel, is umat.sum(axis=1) bit for bit, also
+    with nine agents, past numpy's 8-term pairwise block: numpy adds the
+    rows of the column-major matrix one after another."""
+    space = pc.StateSpace(["a", "b"], [0.4, 0.6])
+    grid = pc.enumerate_grid(space, np.array([-1.0, -2.5]), n, resolution)
+    profile = pc.UtilityProfile(tuple(pc.EntropicUtility(0.3 + 0.2 * i, space.probs)
+                                      for i in range(n)))
+    game = pc.calibrate(profile, grid)
+    assert game.welfare.tobytes() == game.umat.sum(axis=1).tobytes()
+    assert game.welfare.tobytes() == _loop_tail(game.umat, range(n)).tobytes()
+
+
+@pytest.mark.parametrize("name", list(BLOCK_SCENARIOS))
+def test_schedule_rows_are_their_tails_minus_the_tail_mean(name):
+    """Every schedule the n auction branches post is its tail, summed the
+    plain way, minus that tail's mean, bit for bit.  A one-agent tail's
+    schedule is umat[:, j] - averages[j], the one subtract that writes it:
+    the mean of a single column is that agent's menu average."""
+    config, game = block_game(name)
+    umat, grid = game.umat, game.grid
+    for w in range(game.n_agents):
+        pc.run_auction_then_pnc(game, config.seed, winner=w)
+    singles = 0
+    for key, (schedule, _) in game._schedules.items():
+        tail = _loop_tail(umat, key)
+        tail -= pc.integrate(grid, tail)
+        assert schedule.values.tobytes() == tail.tobytes(), key
+        if len(key) == 1:
+            singles += 1
+            single = umat[:, key[0]] - game.averages[key[0]]
+            assert schedule.values.tobytes() == single.tobytes(), key
+    assert singles == 2
+
+
 @pytest.mark.parametrize("name", list(BLOCK_SCENARIOS))
 def test_perturbed_mode_passes_every_invariant(name):
     config = pc.load_scenario(BLOCK_SCENARIOS[name]).with_overrides(mode="perturbed")

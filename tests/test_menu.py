@@ -613,6 +613,61 @@ def test_point_and_share_reject_out_of_range_indices():
     assert np.array_equal(grid.share(last), grid._shares_at(np.arange(grid.n_points))[last])
 
 
+def _class_count_grids():
+    """One small grid per class count 0..4: all-zero X, one class, then one
+    class per nonzero state beside a zero-risk state."""
+    space = pc.StateSpace(["a", "b", "c", "d", "e"], [0.1, 0.15, 0.2, 0.25, 0.3])
+    yield pc.enumerate_grid(space, np.zeros(5), 2, 3)
+    yield pc.enumerate_grid(space, np.array([-1.0, 0.0, -2.0, 0.5, -0.5]), 3, 4,
+                            state_classes="single")
+    yield pc.enumerate_grid(space, np.array([-1.0, 0.0, 2.0, 0.0, 0.0]), 2, 5)
+    yield pc.enumerate_grid(space, np.array([-1.0, -2.0, 0.0, 0.5, 0.0]), 3, 3)
+    yield pc.enumerate_grid(space, np.array([-1.0, -2.0, 3.0, -0.5, 0.0]), 2, 3)
+
+
+@pytest.mark.parametrize("grid", list(_class_count_grids()),
+                         ids=lambda grid: f"C={grid.n_classes}")
+def test_index_decoding_is_the_digit_formula_on_every_class_count(grid):
+    """Point k reads table row k // K^(C-1-c) % K in class c.  A scalar, a
+    1-D and a 2-D index array decode to those rows through ``_shares_at``
+    and every reader of it (``share``, ``point``, ``_points_at``,
+    ``_feature_rows``), and through ``_feature_columns``.  With no class
+    (all-zero X) the shares and features are empty and every payoff +0.0."""
+    size, classes, n, p = len(grid.table), grid.n_classes, grid.n_agents, grid.n_points
+    digits = [[k // size ** (classes - 1 - c) % size for c in range(classes)]
+              for k in range(p)]
+    shares = grid.table[np.array(digits, dtype=np.int64).reshape(p, classes)]
+    cls, x = grid.class_of_state, grid.x
+    points = np.array([[[q[cls[w], i] * (x[w] + 0.0) if cls[w] >= 0 else 0.0
+                         for w in range(len(x))] for i in range(n)] for q in shares])
+    features = shares.reshape(p, classes * n)
+    if grid._metric[2].size:
+        mass_sums = sum(mass * shares[:, c] for c, mass in enumerate(grid._metric[1]))
+        features = np.concatenate([mass_sums, features], axis=1)
+    assert features.shape == (p, grid.feature_weights.size)
+
+    for k in range(p):
+        for index in (k, np.int64(k)):
+            assert grid._shares_at(index).tobytes() == shares[k].tobytes()
+        assert grid.share(k).tobytes() == shares[k].tobytes()
+        assert grid.point(k).tobytes() == points[k].tobytes()
+    idx = np.random.default_rng(p).permutation(p)
+    assert grid._shares_at(idx).tobytes() == shares[idx].tobytes()
+    assert grid._points_at(idx).tobytes() == points[idx].tobytes()
+    assert grid._feature_rows(idx).tobytes() == features[idx].tobytes()
+    columns = list(grid._feature_columns(idx))
+    assert len(columns) == features.shape[1]
+    for f, column in enumerate(columns):
+        assert column.tobytes() == features[idx, f].tobytes()
+    idx2 = np.random.default_rng(p + 1).integers(0, p, size=(3, 4))
+    assert grid._shares_at(idx2).shape == (3, 4, classes, n)
+    assert grid._shares_at(idx2).tobytes() == shares[idx2].tobytes()
+    assert grid._points_at(idx2).tobytes() == points[idx2].tobytes()
+    if not classes:
+        assert p == 1 and not np.signbit(points).any()
+        assert pc.menu._lipschitz_pairs(grid, 0, 16, 5)[2].size == 0
+
+
 def _implicit_grids():
     space, endow = hurricane_space()
     x = pc.aggregate_risk(endow)
@@ -764,9 +819,9 @@ def test_lipschitz_ratio_memoises_its_pairs_per_grid(threshold, monkeypatch):
     columns = [umat[:, 0], umat[:, 1], umat.sum(axis=1), np.zeros(grid.n_points)]
     expected = [serial_lipschitz_ratio(v, grid, threshold) for v in columns]
     built = []
-    feature_rows = pc.MenuGrid._feature_rows
-    monkeypatch.setattr(pc.MenuGrid, "_feature_rows",
-                        lambda self, idx: built.append(len(idx)) or feature_rows(self, idx))
+    feature_columns = pc.MenuGrid._feature_columns
+    monkeypatch.setattr(pc.MenuGrid, "_feature_columns",
+                        lambda self, idx: built.append(len(idx)) or feature_columns(self, idx))
     assert [pc.lipschitz_ratio(v, grid, exhaustive_threshold=threshold)
             for v in columns] == expected
     assert expected[0] > 0.0 and expected[3] == 0.0

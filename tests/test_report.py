@@ -404,6 +404,7 @@ def test_metric_checks_fail_on_a_negative_or_non_finite_weight(two_state, weight
     omega = omega.copy()
     omega[0, 1] = weight
     grid.__dict__["_metric"] = (omega, mass, mass_weights)
+    del grid.__dict__["feature_weights"]      # cached from _metric: rebuild it
     with np.errstate(invalid="ignore"):       # d(x, x) = inf * 0
         checks = report._metric_checks(grid)
     assert {c["name"] for c in checks if not c["passed"]} == failing

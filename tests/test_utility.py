@@ -270,6 +270,34 @@ def test_profile_matrix_matches_pointwise(two_state):
         assert umat[k].tobytes() == profile.at_point(grid.point(k)).tobytes()
 
 
+def _gather_grids():
+    """A 3-class, 3-agent grid with K = 10 table rows (r = 3), gathered along
+    every class axis into the matrix row; and one-agent and no-risk grids,
+    which take the reshape copy instead."""
+    space = pc.StateSpace(["a", "b", "c", "d"], [0.1, 0.2, 0.3, 0.4])
+    x = np.array([-1.0, -2.0, 0.5, -0.7])
+    yield 3, pc.enumerate_grid(space, x, 3, 3, state_classes=[0, 1, 2, 1])
+    yield 1, pc.enumerate_grid(space, x, 1, 3, state_classes=[0, 1, 2, 1])
+    yield 2, pc.enumerate_grid(space, np.zeros(4), 2, 3)
+
+
+@pytest.mark.parametrize("n, grid", list(_gather_grids()),
+                         ids=["three-class", "one-agent", "no-risk"])
+def test_matrix_gather_matches_at_point_at_every_point(n, grid):
+    space = grid.space
+    tilted = space.probs * np.array([1.3, 0.8, 1.1, 0.9])
+    agents = [pc.MaxMinUtility(0.7, pc.CredalSet([space.probs, tilted / tilted.sum()],
+                                                 space.probs))]
+    agents += [pc.EntropicUtility(1.0 + i, space.probs) for i in range(1, n)]
+    profile = pc.UtilityProfile(tuple(agents))
+    umat = profile.matrix(grid)
+    assert grid.n_points == (1000 if n == 3 else 1)
+    for k in range(grid.n_points):
+        assert umat[k].tobytes() == profile.at_point(grid.point(k)).tobytes(), k
+    for i, u in enumerate(agents):
+        assert pc.evaluate_grid(u, grid, i).tobytes() == umat[:, i].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # at_point: every agent in one kernel call, bit for bit with ``evaluate``
 # ---------------------------------------------------------------------------
