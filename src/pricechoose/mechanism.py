@@ -189,7 +189,12 @@ class PriceSchedule:
 
 @dataclass(frozen=True)
 class ScheduleDiagnostics:
-    """Admissibility checks for one schedule on one grid."""
+    """What one schedule measures on one grid: its mean, its empirical
+    Lipschitz ratio against the stage cap, and its sup norm against
+    cap x diameter.  The report's ``schedule[j].*`` invariants hold each
+    figure to its tolerance (``ZERO_MEAN_TOL``, ``LIP_SLACK``); ``lip_ok``
+    is the one verdict kept here, because building a schedule over the cap
+    raises."""
 
     zero_mean_residual: float
     empirical_lip: float
@@ -199,20 +204,8 @@ class ScheduleDiagnostics:
     diameter_exact: bool
 
     @property
-    def zero_mean_ok(self) -> bool:
-        return self.zero_mean_residual <= ZERO_MEAN_TOL
-
-    @property
     def lip_ok(self) -> bool:
         return self.empirical_lip <= self.lip_cap + LIP_SLACK
-
-    @property
-    def sup_ok(self) -> bool:
-        return self.sup_norm <= self.sup_bound + LIP_SLACK
-
-    @property
-    def ok(self) -> bool:
-        return self.zero_mean_ok and self.lip_ok and self.sup_ok
 
 
 def _sup_norm(values: np.ndarray) -> float:
@@ -356,7 +349,7 @@ def follower_best_response(tail_values, schedule: PriceSchedule,
 class Transcript:
     """Full record of one mechanism run: schedules, choice, and payoffs.
 
-    ``diagnostics`` holds each posted schedule's admissibility checks, made
+    ``diagnostics`` holds each posted schedule's admissibility figures, made
     once when the schedule was built; ``to_dict`` reads only their sup norms
     and summarizes each schedule in a fixed number of fields.
     """

@@ -357,34 +357,30 @@ class MenuGrid:
         there are any, then the class shares in (class, agent) order, so
         that d(j, k) = sum_f w_f |g_j,f - g_k,f| with w = feature_weights.
         Built only on request, for tests and inspection."""
-        return self._feature_rows(np.arange(self.n_points))
+        g = np.empty((self.n_points, self.feature_weights.size))
+        for f, column in enumerate(self._feature_columns(np.arange(self.n_points))):
+            g[:, f] = column
+        return g
 
     def _mass_sums(self, class_shares) -> np.ndarray:
         """sum_c M_c q_c over the ``class_shares``, added from 0 in class order."""
         return sum(mass * q for mass, q in zip(self._metric[1], class_shares))
 
-    def _feature_rows(self, idx: np.ndarray) -> np.ndarray:
-        """Rows ``idx`` of ``features``, built at once: for a few points."""
-        shares = self._shares_at(idx)
-        flat = shares.reshape(len(idx), self.n_classes * self.n_agents)
-        if not self._metric[2].size:
-            return flat
-        return np.concatenate([self._mass_sums(shares.swapaxes(0, 1)), flat], axis=1)
-
     def _feature_columns(self, idx: np.ndarray):
-        """The columns of ``_feature_rows(idx)``, the same floats, one at a
-        time in ``feature_weights`` order: each is gathered from a share
-        column of the table when it is read, so a large index set never
-        holds more than its class digits and a few columns."""
+        """The columns of rows ``idx`` of ``features``, in ``feature_weights``
+        order.  Each class's (n x len(idx)) share columns are one ``take``
+        from the table, made when they are read and once more for the mass
+        sums, so a call makes O(classes) numpy calls and never holds more
+        than its class digits and a few such blocks."""
         # unravel_index reads the base-K digits of ``_shares_at``, one
         # contiguous array per class; it rejects an array on zero classes.
         size, classes = self.table.shape[0], self.n_classes
         digits = np.unravel_index(idx, (size,) * classes) if classes else ()
         columns = self.table.T                              # (n x K)
-        for i in range(self._metric[2].size):
-            yield self._mass_sums(columns[i].take(d) for d in digits)
+        if self._metric[2].size:
+            yield from self._mass_sums(columns.take(d, axis=1) for d in digits)
         for d in digits:
-            yield from (col.take(d) for col in columns)
+            yield from columns.take(d, axis=1)
 
     def distances_to(self, k: int) -> np.ndarray:
         """Metric distance from every grid point to point ``k``.
@@ -411,8 +407,9 @@ class MenuGrid:
         return _metric_sum(self.feature_weights, gaps(), (size,) * classes).ravel()
 
     def distance(self, j: int, k: int) -> float:
-        g = self._feature_rows(np.array([self._check_index(j), self._check_index(k)]))
-        return _metric_sum(self.feature_weights.tolist(), (g[0] - g[1]).tolist())
+        pair = np.array([self._check_index(j), self._check_index(k)])
+        return _metric_sum(self.feature_weights.tolist(),
+                           (float(f[0] - f[1]) for f in self._feature_columns(pair)))
 
     @cached_property
     def diameter(self) -> tuple[float, bool]:
@@ -424,23 +421,22 @@ class MenuGrid:
         Analysis, Cor. 32.3.2).  Exact scan over those n^C vertex pairs up
         to 4096 vertices; beyond that, the sound coordinatewise-range upper
         bound over the vertices, which equals the range over the whole grid
-        because the features are linear in the shares.  Feature rows are
+        because the features are linear in the shares.  Feature columns are
         built for the vertices only.
         """
         corners = np.nonzero(self.table.max(axis=1) == 1.0)[0]
         vertices = np.zeros(1, dtype=np.int64)
         for _ in range(self.n_classes):
             vertices = (vertices[:, None] * self.table.shape[0] + corners).ravel()
-        g = self._feature_rows(vertices)
+        g = list(self._feature_columns(vertices))
         w, v = self.feature_weights, len(vertices)
         if v <= 4096:
             best, rows = 0.0, max(1, 2 ** 14 // v)    # (rows x v) blocks stay in cache
             for lo in range(0, v, rows):
-                block = g[lo:lo + rows]
-                gaps = (block[:, f, None] - g[:, f] for f in range(w.size))
-                best = max(best, float(_metric_sum(w, gaps, (len(block), v)).max()))
+                gaps = (f[lo:lo + rows, None] - f for f in g)
+                best = max(best, float(_metric_sum(w, gaps, (min(rows, v - lo), v)).max()))
             return best, True
-        return float(_metric_sum(w, g.max(axis=0) - g.min(axis=0))), False
+        return float(_metric_sum(w, (f.max() - f.min() for f in g))), False
 
 
 def grid_point_count(x, n_agents: int, resolution: int,

@@ -2,7 +2,9 @@
 
 ``run_experiment`` executes welfare -> mechanism -> auction -> audits for a
 validated scenario and re-checks every declared invariant post-run, so a
-report carries its own pass/fail audit trail.  Reports are plain dicts of
+report carries its own pass/fail audit trail.  Every check is one record
+from ``_invariant``: the measured value, its tolerance, the verdict and a
+detail text formatted from the value.  Reports are plain dicts of
 JSON types whose size does not grow with the menu: each posted price
 schedule appears as a fixed-size summary, and the full vectors go to a
 ``schedules.npz`` sidecar.  Identical (scenario, seed, version) produce
@@ -44,61 +46,57 @@ from .welfare import maximize_welfare
 REPORT_SCHEMA = "pnc-report/v2"
 
 
-def _check(name: str, passed: bool, detail: str, value=None, tol=None) -> dict:
-    """One invariant record.
+def _invariant(name: str, value, tol, detail: str, *args, passed=None) -> dict:
+    """One invariant record; every report check is built here.
 
-    Numeric checks also carry the measured ``value`` and its ``tol``; both
-    are null for structural checks, and ``value`` is null when the
+    ``detail`` is a format string filled with ``value`` as field 0 and
+    ``args`` after it.  The check passes when ``value <= tol``, so a NaN
+    fails, unless ``passed`` gives a structural verdict.  ``value`` and
+    ``tol`` are null for a structural check, and ``value`` is null when the
     measurement is not finite (JSON cannot hold it).
     """
-    if value is not None:
-        value = float(value)
-        if not math.isfinite(value):
-            value = None
-    return {"name": name, "passed": bool(passed), "detail": detail,
-            "value": value, "tol": None if tol is None else float(tol)}
+    value = None if value is None else float(value)
+    return {"name": name, "passed": bool(value <= tol if passed is None else passed),
+            "detail": detail.format(value, *args),
+            "value": value if value is not None and math.isfinite(value) else None,
+            "tol": None if tol is None else float(tol)}
 
 
-def _bound(name: str, value: float, tol: float, detail: str) -> dict:
-    """A numeric invariant that passes when ``value <= tol``."""
-    return _check(name, value <= tol, detail, value, tol)
+def _scale(*operands) -> float:
+    """max(1, largest |operand|): scales a rounding tolerance, never below it."""
+    return max(1.0, *(float(np.abs(a).max(initial=0.0)) for a in operands))
 
 
 def _space_checks(config: ScenarioConfig, grid) -> list[dict]:
     probs = config.space.probs
-    # The positivity check is a lower bound: it passes when value > tol = 0.
-    checks = [
-        _check("space.probs_positive", bool(np.all(probs > 0)),
-               f"min prob {probs.min():.3g}", probs.min(), 0.0),
-        _bound("space.probs_sum", abs(probs.sum() - 1.0), PROB_TOL,
-               f"residual {abs(probs.sum() - 1.0):.3g}"),
-    ]
     # Entry (i, w) of a point is a share level times X(w) + 0.0 and column w
     # sums one table row's products: these tables reach the grid's maxima.
     x = grid.x + 0.0
     products = grid._share_levels()[0][:, None] * x
-    bound_slack = float((np.abs(products) - np.abs(grid.x)).max())
-    checks.append(_bound("menu.coordinate_bound", bound_slack, 1e-12,
-                         f"max |xi|-|X| = {bound_slack:.3g}"))
     sums = np.multiply.outer(x, grid.table[:, 0])       # (states x rows)
     for i in range(1, grid.n_agents):
         sums += np.multiply.outer(x, grid.table[:, i])
     sums -= grid.x[:, None]
-    col_slack = float(np.abs(sums, out=sums).max())
     # n terms fl(fl(c_i / r) X), each rounded twice and added n - 1 times, with c_i / r
     # summing to 1: slack <= gamma_(n+1) max |X| (Higham 2002, Lemma 3.1).
     k = (grid.n_agents + 1) * 2.0 ** -53
     col_tol = k / (1.0 - k) * float(np.abs(grid.x).max(initial=0.0))
-    checks.append(_bound("menu.column_sums", col_slack, col_tol,
-                         f"max |sum_i xi - X| = {col_slack:.3g}"))
     sign_slack = float(-(products * np.sign(x)).min())
     anchored = float(np.abs(products[:, grid.x == 0.0]).max(initial=0.0))
-    # value is the sign slack; the zero-state mass must also be exactly 0.
-    checks.append(_check("menu.sign_anchoring",
-                         sign_slack <= 1e-12 and anchored == 0.0,
-                         f"sign slack {sign_slack:.3g}, zero-state mass {anchored:.3g}",
-                         sign_slack, 1e-12))
-    return checks
+    # The positivity check is a lower bound: it passes when value > tol = 0.
+    # The sign check's value is the sign slack; the zero-state mass must be 0.
+    return [
+        _invariant("space.probs_positive", probs.min(), 0.0, "min prob {:.3g}",
+                   passed=np.all(probs > 0)),
+        _invariant("space.probs_sum", abs(probs.sum() - 1.0), PROB_TOL, "residual {:.3g}"),
+        _invariant("menu.coordinate_bound", (np.abs(products) - np.abs(grid.x)).max(),
+                   1e-12, "max |xi|-|X| = {:.3g}"),
+        _invariant("menu.column_sums", np.abs(sums, out=sums).max(), col_tol,
+                   "max |sum_i xi - X| = {:.3g}"),
+        _invariant("menu.sign_anchoring", sign_slack, 1e-12,
+                   "sign slack {:.3g}, zero-state mass {:.3g}", anchored,
+                   passed=sign_slack <= 1e-12 and anchored == 0.0),
+    ]
 
 
 def _metric_checks(grid) -> list[dict]:
@@ -113,17 +111,15 @@ def _metric_checks(grid) -> list[dict]:
     ``metric.triangle`` records the largest negative weight (inf when a
     weight is not finite); both pass at 0.  ``metric.identity`` is d(0, 0).
     """
-    d0 = grid.distance(0, 0)
     w = grid.feature_weights
     finite = np.isfinite(w)
-    bad = int(np.count_nonzero(~finite))
-    worst = float(np.max(-w, initial=0.0)) if finite.all() else math.inf
-    low = f"{w.min():.3g}" if w.size else "none"
+    worst = np.max(-w, initial=0.0) if finite.all() else math.inf
     return [
-        _bound("metric.identity", d0, 0.0, f"d(x,x) = {d0!r}"),
-        _bound("metric.symmetry", float(bad), 0.0,
-               f"{bad} of {w.size} feature weights not finite"),
-        _bound("metric.triangle", worst, 0.0, f"min feature weight {low}"),
+        _invariant("metric.identity", grid.distance(0, 0), 0.0, "d(x,x) = {!r}"),
+        _invariant("metric.symmetry", np.count_nonzero(~finite), 0.0,
+                   "{:.0f} of {} feature weights not finite", w.size),
+        _invariant("metric.triangle", worst, 0.0, "min feature weight {1}",
+                   f"{w.min():.3g}" if w.size else "none"),
     ]
 
 
@@ -133,9 +129,8 @@ def _utility_checks(config: ScenarioConfig, grid, seed: int) -> list[dict]:
     the profile and the grid only, not the utility matrix."""
     profile = config.profile
     n, m = profile.n_agents, config.space.n_states
-    checks = []
-    n0 = float(np.abs(profile.at_point(np.zeros((n, m)))).max())
-    checks.append(_bound("utility.normalization", n0, 0.0, f"max |U(0)| = {n0!r}"))
+    n0 = np.abs(profile.at_point(np.zeros((n, m)))).max()
+    checks = [_invariant("utility.normalization", n0, 0.0, "max |U(0)| = {!r}")]
 
     # One stack of allocations, evaluated for every agent in one values
     # call: the sampled points and their five cash shifts, the pair
@@ -161,16 +156,12 @@ def _utility_checks(config: ScenarioConfig, grid, seed: int) -> list[dict]:
     sup = np.abs(ua - ub) - np.abs(xa - xb).max(axis=2)
     conc = mixes[:, None, None] * ua + (1 - mixes[:, None, None]) * ub - mid
     # Each worst residual is at least +0.0, and NaN when any residual is.
-    worst_cash, worst_mono, worst_sup, worst_conc = (
-        float(np.max(v, initial=0.0)) + 0.0 for v in (cash, ua - bumped, sup, conc))
-    checks.append(_bound("utility.cash_invariance", worst_cash, 1e-9,
-                         f"max residual {worst_cash:.3g}"))
-    checks.append(_bound("utility.monotonicity", worst_mono, 1e-12,
-                         f"max violation {worst_mono:.3g}"))
-    checks.append(_bound("utility.sup_lipschitz", worst_sup, 1e-9,
-                         f"max excess {worst_sup:.3g}"))
-    checks.append(_bound("utility.concavity", worst_conc, 1e-9,
-                         f"max gap {worst_conc:.3g}"))
+    for name, residual, tol, detail in [
+            ("utility.cash_invariance", cash, 1e-9, "max residual {:.3g}"),
+            ("utility.monotonicity", ua - bumped, 1e-12, "max violation {:.3g}"),
+            ("utility.sup_lipschitz", sup, 1e-9, "max excess {:.3g}"),
+            ("utility.concavity", conc, 1e-9, "max gap {:.3g}")]:
+        checks.append(_invariant(name, np.max(residual, initial=0.0) + 0.0, tol, detail))
     return checks
 
 
@@ -178,8 +169,6 @@ def _credal_checks(config: ScenarioConfig, umat, ref_vals: dict) -> list[dict]:
     """``ref_vals`` maps each agent whose credal set is not {P} to its
     values under the reference probability P."""
     profile = config.profile
-    n = profile.n_agents
-    checks = []
     # A credal set {P} breaks a credal rule only where P breaks a space
     # check, so the sets checked are those of the agents in ``ref_vals``.
     worst_dom = 0.0
@@ -187,116 +176,100 @@ def _credal_checks(config: ScenarioConfig, umat, ref_vals: dict) -> list[dict]:
     for i, ref in ref_vals.items():
         worst_dom = max(worst_dom, float((umat[:, i] - ref).max()))
         credal_ok = credal_ok and not profile.evaluators[i].credal.problems()
-    read = f"{len(ref_vals)} of {n} agents"
-    checks.append(_bound("utility.maxmin_dominance", worst_dom, 1e-12,
-                         f"max excess over single-prior value {worst_dom:.3g} ({read})"))
-    checks.append(_check("utility.credal_sets", credal_ok,
-                         f"positivity, normalization, reference membership ({read})"))
-    return checks
+    read = f"{len(ref_vals)} of {profile.n_agents} agents"
+    return [
+        _invariant("utility.maxmin_dominance", worst_dom, 1e-12,
+                   "max excess over single-prior value {:.3g} ({})", read),
+        _invariant("utility.credal_sets", None, None,
+                   "positivity, normalization, reference membership ({1})", read,
+                   passed=credal_ok),
+    ]
 
 
 def _schedule_checks(transcript, scan: dict) -> list[dict]:
     pairs = f"{scan['kind']}, {scan['pairs']} pairs"
-    checks = []
-    for j, diag in enumerate(transcript.diagnostics):
-        checks.append(_check(
-            f"schedule[{j}].zero_mean", diag.zero_mean_ok,
-            f"residual {diag.zero_mean_residual:.3g}",
-            diag.zero_mean_residual, ZERO_MEAN_TOL))
-        checks.append(_check(
-            f"schedule[{j}].lipschitz", diag.lip_ok,
-            f"empirical {diag.empirical_lip:.6g} vs cap {diag.lip_cap:.6g} ({pairs})",
-            diag.empirical_lip, diag.lip_cap + LIP_SLACK))
-        checks.append(_check(
-            f"schedule[{j}].sup_norm", diag.sup_ok,
-            f"sup {diag.sup_norm:.6g} vs bound {diag.sup_bound:.6g}"
-            + ("" if diag.diameter_exact else " (diameter upper bound)"),
-            diag.sup_norm, diag.sup_bound + LIP_SLACK))
-    return checks
+    return [check for j, diag in enumerate(transcript.diagnostics) for check in (
+        _invariant(f"schedule[{j}].zero_mean", diag.zero_mean_residual,
+                   ZERO_MEAN_TOL, "residual {:.3g}"),
+        _invariant(f"schedule[{j}].lipschitz", diag.empirical_lip,
+                   diag.lip_cap + LIP_SLACK, "empirical {:.6g} vs cap {:.6g} ({})",
+                   diag.lip_cap, pairs),
+        _invariant(f"schedule[{j}].sup_norm", diag.sup_norm,
+                   diag.sup_bound + LIP_SLACK, "sup {:.6g} vs bound {:.6g}{}",
+                   diag.sup_bound, "" if diag.diameter_exact else " (diameter upper bound)"))]
 
 
 def _mechanism_checks(transcript, game) -> list[dict]:
     umat, averages, wmax = game.umat, game.averages, game.welfare_max
-    checks = []
     order = list(transcript.order)
     n = len(order)
     chosen = transcript.chosen
-    telescoping = abs(float(transcript.payoffs.sum()) - float(game.welfare[chosen]))
-    checks.append(_bound("mechanism.telescoping", telescoping, 1e-9,
-                         f"residual {telescoping:.3g}"))
     paid = [0.0] + [s.values[chosen] for s in transcript.schedules] + [0.0]
     identity = max(abs(float(transcript.payoffs[order[pos]])
                        - (umat[chosen, order[pos]] - paid[pos] + paid[pos + 1]))
                    for pos in range(n))
-    checks.append(_bound("mechanism.payoff_identity", identity, 1e-9,
-                         f"max residual {identity:.3g}"))
-    if transcript.mode == "exact":
-        worst = 0.0
-        for j, schedule in enumerate(transcript.schedules):
-            # Rebuilt, not read from the schedule memo, so the check stays
-            # independent of it; the scratch row holds each net in turn.
-            if j == n - 2:
-                net = np.subtract(umat[:, order[-1]], schedule.values,
-                                  out=game._scratch)
-            else:
-                net = _tail_values(umat, order, j + 1, out=game._scratch)
-                net -= schedule.values
-            worst = max(worst, float(net.max() - net.min()))
-        checks.append(_bound("mechanism.indifference", worst, 1e-9,
-                             f"max net spread {worst:.3g}"))
-        worst_id = 0.0
-        for pos in range(1, n):
-            agent = order[pos]
-            worst_id = max(worst_id,
-                           abs(float(transcript.payoffs[agent]) - averages[agent]))
-        first = order[0]
-        lead = abs(float(transcript.payoffs[first]) -
-                   (wmax - sum(averages[order[k]] for k in range(1, n))))
-        checks.append(_bound("mechanism.follower_payoffs", worst_id, 1e-9,
-                             f"max |g_i - Avg_i| = {worst_id:.3g}"))
-        checks.append(_bound("mechanism.leader_payoff", lead, 1e-9,
-                             f"|g_1 - (W_max - sum Avg)| = {lead:.3g}"))
-        chosen_w = float(game.welfare[chosen])
-        checks.append(_bound("mechanism.efficiency", abs(chosen_w - wmax), 1e-9,
-                             f"chosen welfare {chosen_w:.9g} vs max {wmax:.9g}"))
-    else:
-        checks.append(_check("mechanism.perturbed_target",
-                             transcript.chosen == transcript.target,
-                             f"chosen {transcript.chosen}, target {transcript.target}"))
-    return checks
+    checks = [
+        _invariant("mechanism.telescoping",
+                   abs(float(transcript.payoffs.sum()) - float(game.welfare[chosen])),
+                   1e-9, "residual {:.3g}"),
+        _invariant("mechanism.payoff_identity", identity, 1e-9, "max residual {:.3g}"),
+    ]
+    if transcript.mode != "exact":
+        checks.append(_invariant("mechanism.perturbed_target", None, None,
+                                 "chosen {1}, target {2}", chosen, transcript.target,
+                                 passed=chosen == transcript.target))
+        return checks
+    worst = 0.0
+    for j, schedule in enumerate(transcript.schedules):
+        # Rebuilt, not read from the schedule memo, so the check stays
+        # independent of it; the scratch row holds each net in turn.
+        if j == n - 2:
+            net = np.subtract(umat[:, order[-1]], schedule.values, out=game._scratch)
+        else:
+            net = _tail_values(umat, order, j + 1, out=game._scratch)
+            net -= schedule.values
+        worst = max(worst, float(net.max() - net.min()))
+    worst_id = max(0.0, *(abs(float(transcript.payoffs[agent]) - averages[agent])
+                          for agent in order[1:]))
+    lead = abs(float(transcript.payoffs[order[0]]) -
+               (wmax - sum(averages[order[k]] for k in range(1, n))))
+    chosen_w = float(game.welfare[chosen])
+    return checks + [
+        _invariant("mechanism.indifference", worst, 1e-9, "max net spread {:.3g}"),
+        _invariant("mechanism.follower_payoffs", worst_id, 1e-9,
+                   "max |g_i - Avg_i| = {:.3g}"),
+        _invariant("mechanism.leader_payoff", lead, 1e-9,
+                   "|g_1 - (W_max - sum Avg)| = {:.3g}"),
+        _invariant("mechanism.efficiency", abs(chosen_w - wmax), 1e-9,
+                   "chosen welfare {1:.9g} vs max {2:.9g}", chosen_w, wmax),
+    ]
 
 
 def _auction_checks(combined, branches, game) -> list[dict]:
     averages, wmax, n = game.averages, game.welfare_max, game.n_agents
-    checks = []
-    transfer_sum = abs(float(combined.auction.transfers.sum()))
-    checks.append(_bound("auction.transfers_sum", transfer_sum, 1e-12,
-                         f"residual {transfer_sum:.3g}"))
+    transfers, final = combined.auction.transfers, combined.final_payoffs
     bids = combined.auction.bids
-    checks.append(_check("auction.winner_argmax",
-                         bool(bids[combined.auction.winner] == bids.max()),
-                         "winner bid attains the maximum"))
-    eta = combined.surplus.eta
-    fair = float(np.abs(combined.final_payoffs -
-                        (averages + eta / n)).max())
-    checks.append(_bound("auction.fair_split", fair, 1e-9,
-                         f"max |final - (Avg + eta/n)| = {fair:.3g}"))
-    shares = combined.final_payoffs - averages
-    equal = float(shares.max() - shares.min())
-    checks.append(_bound("auction.equal_split", equal, 1e-9,
-                         f"spread of surplus shares {equal:.3g}"))
-    total = abs(float(combined.final_payoffs.sum()) - wmax)
-    checks.append(_bound("auction.total_is_wmax", total, 1e-9,
-                         f"residual {total:.3g}"))
     stack = np.stack([b.final_payoffs for b in branches])
-    spread = float((stack.max(axis=0) - stack.min(axis=0)).max())
-    eff = max(abs(float(game.welfare[b.transcript.chosen]) - wmax)
-              for b in branches)
-    checks.append(_bound("auction.winner_invariance", spread, 1e-9,
-                         f"max payoff spread across winners {spread:.3g}"))
-    checks.append(_bound("auction.efficiency_preserved", eff, 1e-9,
-                         "every branch implements the welfare maximum"))
-    return checks
+    return [
+        _invariant("auction.transfers_sum", abs(float(transfers.sum())),
+                   1e-12 * _scale(transfers), "residual {:.3g}"),
+        _invariant("auction.winner_argmax", None, None, "winner bid attains the maximum",
+                   passed=bids[combined.auction.winner] == bids.max()),
+        _invariant("auction.fair_split",
+                   np.abs(final - (averages + combined.surplus.eta / n)).max(), 1e-9,
+                   "max |final - (Avg + eta/n)| = {:.3g}"),
+        _invariant("auction.equal_split", np.ptp(final - averages),
+                   1e-9 * _scale(final, averages), "spread of surplus shares {:.3g}"),
+        _invariant("auction.total_is_wmax", abs(float(final.sum()) - wmax), 1e-9,
+                   "residual {:.3g}"),
+        _invariant("auction.winner_invariance",
+                   np.ptp(stack, axis=0).max(), 1e-9 * _scale(stack),
+                   "max payoff spread across winners {:.3g}"),
+        _invariant("auction.efficiency_preserved",
+                   max(abs(float(game.welfare[b.transcript.chosen]) - wmax)
+                       for b in branches), 1e-9,
+                   "every branch implements the welfare maximum"),
+    ]
 
 
 def run_experiment(config: ScenarioConfig, *, include_auction: bool = True) -> dict:
@@ -351,12 +324,13 @@ def _run_experiment(config: ScenarioConfig, *,
         closed["grid_value_gap"] = abs(best.value - cf.value)
 
     checks += _credal_checks(config, umat, ref_vals)
-    feas = validate_feasible(best.allocation, x)
-    checks.append(_check("welfare.argmax_feasible", feas.ok,
-                         "feasibility of the optimizer's point"))
-    checks.append(_bound("welfare.value_sum",
-                         abs(best.value - float(best.per_agent.sum())), 1e-9,
-                         "value equals the per-agent sum"))
+    checks += [
+        _invariant("welfare.argmax_feasible", None, None,
+                   "feasibility of the optimizer's point",
+                   passed=validate_feasible(best.allocation, x).ok),
+        _invariant("welfare.value_sum", abs(best.value - float(best.per_agent.sum())),
+                   1e-9, "value equals the per-agent sum"),
+    ]
 
     report: dict = {
         "schema": REPORT_SCHEMA,
@@ -405,12 +379,13 @@ def _run_experiment(config: ScenarioConfig, *,
         checks += _auction_checks(combined, branches, game)
 
     dev = audit_first_mover_bound(game, exact)
-    checks.append(_bound("audit.first_mover_bound", dev.max_gain, 1e-9,
-                         f"certified max gain {dev.max_gain:.3g} over every "
-                         "zero-mean deviation"))
     bids = audit_bid_deviation(game)
-    checks.append(_bound("audit.bid_deviations", bids.max_gain, 1e-9,
-                         f"max expected gain {bids.max_gain:.3g} over every bid"))
+    checks += [
+        _invariant("audit.first_mover_bound", dev.max_gain, 1e-9,
+                   "certified max gain {:.3g} over every zero-mean deviation"),
+        _invariant("audit.bid_deviations", bids.max_gain, 1e-9,
+                   "max expected gain {:.3g} over every bid"),
+    ]
     report["audits"] = {"first_mover": dev.to_dict(), "bids": bids.to_dict()}
 
     agents = []

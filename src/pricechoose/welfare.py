@@ -298,15 +298,6 @@ class ParetoCheck:
     attains_max: bool                  # no row's welfare beats it by WELFARE_TOL
     rows_scanned: int                  # rows read before both verdicts were settled
 
-    def to_dict(self) -> dict:
-        return {
-            "optimal": self.optimal,
-            "dominating_index": self.dominating_index,
-            "welfare_value": self.welfare_value,
-            "attains_max": self.attains_max,
-            "rows_scanned": self.rows_scanned,
-        }
-
 
 def pareto_check(profile: UtilityProfile, grid: MenuGrid, xi, *,
                  umat: np.ndarray | None = None) -> ParetoCheck:

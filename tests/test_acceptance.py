@@ -233,7 +233,9 @@ def test_criterion_7_regularity_suite(runs):
                 worst_dom = max(worst_dom, float(gap.max()))
         for schedule in exact.schedules:
             diag = pc.validate_schedule(schedule, grid, game.stage_cap)
-            schedules_ok = schedules_ok and diag.ok
+            schedules_ok = (schedules_ok and diag.zero_mean_residual <= 1e-9
+                            and diag.empirical_lip <= diag.lip_cap + 1e-9
+                            and diag.sup_norm <= diag.sup_bound + 1e-9)
     assert worst_cash <= TOL
     assert worst_mono <= 1e-12
     assert worst_conc <= TOL

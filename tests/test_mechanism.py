@@ -227,8 +227,9 @@ def test_equalizing_zero_mean_and_admissible(two_state):
     game = pc.calibrate(profile, grid)
     p = equalizer(game)
     diag = pc.validate_schedule(p, grid, game.stage_cap)
-    assert diag.ok
     assert diag.zero_mean_residual <= 1e-9
+    assert diag.empirical_lip <= diag.lip_cap + 1e-9
+    assert diag.sup_norm <= diag.sup_bound + 1e-9
 
 
 @pytest.mark.parametrize("values", [
@@ -298,7 +299,9 @@ def test_perturbed_unique_argmax_hand(hand):
     assert int(np.argmax(net)) == 0
     assert net[0] > np.delete(net, 0).max()
     diag = pc.validate_schedule(p, grid, game.stage_cap)
-    assert diag.ok
+    assert diag.zero_mean_residual <= 1e-9
+    assert diag.empirical_lip <= diag.lip_cap + 1e-9
+    assert diag.sup_norm <= diag.sup_bound + 1e-9
 
 
 def test_perturbed_parameter_errors(two_state):

@@ -630,9 +630,9 @@ def _class_count_grids():
 def test_index_decoding_is_the_digit_formula_on_every_class_count(grid):
     """Point k reads table row k // K^(C-1-c) % K in class c.  A scalar, a
     1-D and a 2-D index array decode to those rows through ``_shares_at``
-    and every reader of it (``share``, ``point``, ``_points_at``,
-    ``_feature_rows``), and through ``_feature_columns``.  With no class
-    (all-zero X) the shares and features are empty and every payoff +0.0."""
+    and every reader of it (``share``, ``point``, ``_points_at``), and
+    through ``_feature_columns`` and ``features``.  With no class (all-zero
+    X) the shares are empty, ``features`` is (1 x 0) and every payoff +0.0."""
     size, classes, n, p = len(grid.table), grid.n_classes, grid.n_agents, grid.n_points
     digits = [[k // size ** (classes - 1 - c) % size for c in range(classes)]
               for k in range(p)]
@@ -654,7 +654,8 @@ def test_index_decoding_is_the_digit_formula_on_every_class_count(grid):
     idx = np.random.default_rng(p).permutation(p)
     assert grid._shares_at(idx).tobytes() == shares[idx].tobytes()
     assert grid._points_at(idx).tobytes() == points[idx].tobytes()
-    assert grid._feature_rows(idx).tobytes() == features[idx].tobytes()
+    assert grid.features.shape == features.shape
+    assert grid.features[idx].tobytes() == features[idx].tobytes()
     columns = list(grid._feature_columns(idx))
     assert len(columns) == features.shape[1]
     for f, column in enumerate(columns):

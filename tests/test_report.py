@@ -304,12 +304,11 @@ def _menu_checks_from_points(grid) -> list[dict]:
     k = (grid.n_agents + 1) * 2.0 ** -53
     col_tol = k / (1 - k) * float(np.abs(x).max(initial=0.0))
     return [
-        report._bound("menu.coordinate_bound", bound, 1e-12, f"max |xi|-|X| = {bound:.3g}"),
-        report._bound("menu.column_sums", col, col_tol,
-                      f"max |sum_i xi - X| = {col:.3g}"),
-        report._check("menu.sign_anchoring", sign <= 1e-12 and anchored == 0.0,
-                      f"sign slack {sign:.3g}, zero-state mass {anchored:.3g}",
-                      sign, 1e-12),
+        report._invariant("menu.coordinate_bound", bound, 1e-12, "max |xi|-|X| = {:.3g}"),
+        report._invariant("menu.column_sums", col, col_tol, "max |sum_i xi - X| = {:.3g}"),
+        report._invariant("menu.sign_anchoring", sign, 1e-12,
+                          "sign slack {:.3g}, zero-state mass {:.3g}", anchored,
+                          passed=sign <= 1e-12 and anchored == 0.0),
     ]
 
 
@@ -679,10 +678,48 @@ def test_reports_say_which_pairs_and_agents_their_checks_read():
         assert checks["utility.credal_sets"].endswith(read)
 
 
+# The (X, gamma) -> (1e6 X, gamma / 1e6) map on seed-0 documents of the
+# benchmark's sweep pool, resolution capped at 8: each named auction check
+# reads a rounding residual above its absolute bound, which the tolerance
+# scaled by its operands admits.
+SCALED_AUCTION_CHECKS = {11: ("auction.transfers_sum", 1e-12),
+                         14: ("auction.winner_invariance", 1e-9),
+                         19: ("auction.equal_split", 1e-9)}
+
+
+def test_auction_tolerances_scale_with_the_payoffs(tmp_path):
+    from pricechoose.cli import main
+
+    docs = load_perfbench("workloads").pipeline_docs("sweep", 0, 24, False)
+    for k, (name, absolute) in SCALED_AUCTION_CHECKS.items():
+        doc = docs[k]
+        doc["endowments"] = [[1e6 * v for v in row] for row in doc["endowments"]]
+        for spec in doc["utilities"]:
+            spec["gamma"] /= 1e6
+        doc["grid"]["resolution"] = min(doc["grid"]["resolution"], 8)
+        path, out = tmp_path / f"scaled-{k}.json", tmp_path / f"out-{k}"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0, k
+        rep = json.loads((out / "report.json").read_text())
+        check = next(c for c in rep["invariants"] if c["name"] == name)
+        assert absolute < check["value"] <= check["tol"], (k, check)
+        if name == "auction.transfers_sum":
+            transfers = rep["auction"]["auction"]["transfers"]
+            assert check["tol"] == 1e-12 * max(1.0, *map(abs, transfers))
+
+
+def test_invariant_names_are_unique_in_every_bundled_report():
+    """A check is found by its name, so no report may hold a name twice."""
+    for scenario, command in BUNDLED_RUNS:
+        doc = json.loads((RECORDED / f"{scenario}.{command}.json").read_text())
+        names = [c["name"] for c in doc["invariants"]]
+        assert len(names) == len(set(names)), (scenario, command)
+
+
 def test_non_finite_margin_is_recorded_as_null():
-    check = report._bound("x", float("nan"), 1e-9, "residual nan")
+    check = report._invariant("x", float("nan"), 1e-9, "residual {:.3g}")
     assert check["value"] is None and check["tol"] == 1e-9
-    assert not check["passed"]
+    assert not check["passed"] and check["detail"] == "residual nan"
     assert '"value": null' in pc.structured_text({"invariants": [check]})
 
 
@@ -840,6 +877,38 @@ def test_sampled_utility_checks_fail_on_a_nan_value(monkeypatch):
                       report._utility_checks(config, grid, config.seed)}
         for name in UTILITY_CHECKS[1:]:
             assert not checks[name]["passed"] and checks[name]["value"] is None, name
+
+
+# Planted schedule diagnostics: each ``schedule[j].<check>`` passes with its
+# field at the check's tolerance, and fails one float above it or at NaN.
+# A mutant maps a check to the diagnostic field it reads and its tolerance.
+SCHEDULE_MUTANTS = {
+    "zero_mean": ("zero_mean_residual", lambda d: mechanism.ZERO_MEAN_TOL),
+    "lipschitz": ("empirical_lip", lambda d: d.lip_cap + mechanism.LIP_SLACK),
+    "sup_norm": ("sup_norm", lambda d: d.sup_bound + mechanism.LIP_SLACK),
+}
+
+
+@pytest.mark.parametrize("check", list(SCHEDULE_MUTANTS))
+def test_each_schedule_check_fails_on_its_planted_diagnostic(check):
+    field, tol = SCHEDULE_MUTANTS[check]
+    for path in MUTANT_SCENARIOS:
+        config = pc.load_scenario(path)
+        grid = pc.enumerate_grid(config.space, config.x, config.profile.n_agents,
+                                 config.resolution, state_classes=config.state_classes)
+        game = pc.calibrate(config.profile, grid, cap=config.lipschitz_cap)
+        transcript = pc.run_pnc(game, "exact")
+        scan = pc.menu.lipschitz_scan(grid)
+        for j, diag in enumerate(transcript.diagnostics):
+            for planted, passed in [(tol(diag), True),
+                                    (np.nextafter(tol(diag), np.inf), False),
+                                    (np.nan, False)]:
+                diagnostics = list(transcript.diagnostics)
+                diagnostics[j] = dataclasses.replace(diag, **{field: planted})
+                mutant = dataclasses.replace(transcript, diagnostics=tuple(diagnostics))
+                records = {c["name"]: c for c in report._schedule_checks(mutant, scan)}
+                assert records[f"schedule[{j}].{check}"]["passed"] is passed, (
+                    path.name, j, planted)
 
 
 def test_maxmin_dominance_fails_on_a_lowered_reference_column():
