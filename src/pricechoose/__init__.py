@@ -10,9 +10,7 @@ aggregate risk), ``menu`` (feasible allocations, grids, metric), ``utility``
 from ._version import __version__
 from .auction import (
     AuctionOutcome,
-    BidAudit,
     CombinedOutcome,
-    SurplusReport,
     audit_bid_deviation,
     efficient_surplus,
     equilibrium_bid,

@@ -10,6 +10,9 @@ b* = (n-1) * eta / n, with the winner's payment rebated equally to the
 losers, equalizes final payoffs at Avg_i + eta / n for everyone, no matter
 who wins the draw.  Bids are pure transfers under cash-invariant utilities,
 so the auction never touches which allocation gets implemented.
+
+``efficient_surplus`` returns eta and ``audit_bid_deviation`` the bid
+audit's supremum, each a float; W_max and the averages stay on the ``Game``.
 """
 
 from __future__ import annotations
@@ -26,34 +29,17 @@ _WINNER_SEED = 47_02    # uniform winner draw label
 ETA_NOISE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SurplusReport:
-    """Efficient surplus and its ingredients."""
-
-    eta: float
-    welfare_max: float
-    averages: np.ndarray = field(repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "welfare_max": self.welfare_max,
-            "averages": [float(a) for a in self.averages],
-        }
-
-
-def efficient_surplus(game: Game) -> SurplusReport:
+def efficient_surplus(game: Game) -> float:
     """eta = grid welfare maximum minus the summed menu averages.
 
     Nonnegative whenever the grid holds a point at least as good as the
     average benchmark, which the welfare maximum always is; tiny negative
-    float residue is clamped, anything worse is reported as-is.
+    float residue is clamped, anything worse is returned as-is.
     """
     eta = game.welfare_max - float(game.averages.sum())
     if -ETA_NOISE_TOL <= eta < 0.0:
         eta = 0.0
-    return SurplusReport(eta=eta, welfare_max=game.welfare_max,
-                         averages=game.averages)
+    return eta
 
 
 def equilibrium_bid(eta: float, n: int) -> float:
@@ -95,18 +81,18 @@ class AuctionOutcome:
 
 @dataclass(frozen=True)
 class CombinedOutcome:
-    """Auction followed by the mechanism, with final per-agent payoffs."""
+    """Auction followed by the mechanism: the efficient surplus eta the
+    bids split, and the final per-agent payoffs."""
 
     auction: AuctionOutcome
     transcript: Transcript
-    surplus: SurplusReport
+    eta: float
     final_payoffs: np.ndarray = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
             "auction": self.auction.to_dict(),
             "transcript": self.transcript.to_dict(),
-            "surplus": self.surplus.to_dict(),
             "final_payoffs": [float(g) for g in self.final_payoffs],
         }
 
@@ -129,8 +115,8 @@ def run_auction_then_pnc(game: Game, seed: int = 0, *,
     who won.
     """
     n = game.n_agents
-    surplus = efficient_surplus(game)
-    b = equilibrium_bid(surplus.eta, n)
+    eta = efficient_surplus(game)
+    b = equilibrium_bid(eta, n)
     bids = np.full(n, b)
     if winner is None:
         rng = np.random.default_rng([int(seed), _WINNER_SEED])
@@ -143,17 +129,7 @@ def run_auction_then_pnc(game: Game, seed: int = 0, *,
     outcome = AuctionOutcome(bids=bids, winner=winner, transfers=transfers,
                              seed=int(seed))
     return CombinedOutcome(auction=outcome, transcript=transcript,
-                           surplus=surplus, final_payoffs=final)
-
-
-@dataclass(frozen=True)
-class BidAudit:
-    """Supremum of the expected gain over unilateral bid deviations."""
-
-    max_gain: float
-
-    def to_dict(self) -> dict:
-        return {"max_gain": self.max_gain}
+                           eta=eta, final_payoffs=final)
 
 
 def expected_deviation_payoff(avg_i: float, eta: float, b_star: float,
@@ -172,8 +148,9 @@ def expected_deviation_payoff(avg_i: float, eta: float, b_star: float,
     return avg_i + (eta - b_star) / n + rebate * (n - 1) / n
 
 
-def audit_bid_deviation(game: Game) -> BidAudit:
-    """Check no unilateral bid b >= 0 beats the equilibrium expectation.
+def audit_bid_deviation(game: Game) -> float:
+    """Supremum of the expected gain over unilateral bids b >= 0 against
+    the equilibrium; no bid beats the equilibrium when it is <= 0.
 
     By ``expected_deviation_payoff``, an overbid earns Avg_i + eta - b,
     which falls with b, an underbid earns Avg_i + b*/(n-1) whatever it is,
@@ -182,6 +159,6 @@ def audit_bid_deviation(game: Game) -> BidAudit:
     every agent.
     """
     n = game.n_agents
-    eta = efficient_surplus(game).eta
+    eta = efficient_surplus(game)
     b_star = equilibrium_bid(eta, n)
-    return BidAudit(max_gain=max(eta - b_star, b_star / (n - 1)) - eta / n)
+    return max(eta - b_star, b_star / (n - 1)) - eta / n

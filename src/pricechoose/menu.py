@@ -406,11 +406,6 @@ class MenuGrid:
 
         return _metric_sum(self.feature_weights, gaps(), (size,) * classes).ravel()
 
-    def distance(self, j: int, k: int) -> float:
-        pair = np.array([self._check_index(j), self._check_index(k)])
-        return _metric_sum(self.feature_weights.tolist(),
-                           (float(f[0] - f[1]) for f in self._feature_columns(pair)))
-
     @cached_property
     def diameter(self) -> tuple[float, bool]:
         """(diameter, exact) under the menu metric.

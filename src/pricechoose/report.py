@@ -38,7 +38,7 @@ from .mechanism import (
     calibrate,
     run_pnc,
 )
-from .menu import enumerate_grid, integrate, lipschitz_scan, validate_feasible
+from .menu import _metric_sum, enumerate_grid, integrate, lipschitz_scan, validate_feasible
 from .space import PROB_TOL
 from .utility import EntropicUtility, evaluate_grid
 from .welfare import maximize_welfare
@@ -60,6 +60,12 @@ def _invariant(name: str, value, tol, detail: str, *args, passed=None) -> dict:
             "detail": detail.format(value, *args),
             "value": value if value is not None and math.isfinite(value) else None,
             "tol": None if tol is None else float(tol)}
+
+
+def _worst(residuals) -> float:
+    """The largest residual, floored at +0.0; NaN when any residual is NaN,
+    so the check that reads it fails."""
+    return float(np.max(residuals, initial=0.0)) + 0.0
 
 
 def _scale(*operands) -> float:
@@ -109,13 +115,16 @@ def _metric_checks(grid) -> list[dict]:
     so it holds for d up to rounding when every weight is also >= 0.
     ``metric.symmetry`` counts the weights that are not finite, and
     ``metric.triangle`` records the largest negative weight (inf when a
-    weight is not finite); both pass at 0.  ``metric.identity`` is d(0, 0).
+    weight is not finite); both pass at 0.  ``metric.identity`` is d(0, 0),
+    the kernel summed over point 0's gaps to itself, in Python floats.
     """
     w = grid.feature_weights
     finite = np.isfinite(w)
     worst = np.max(-w, initial=0.0) if finite.all() else math.inf
+    d00 = _metric_sum(w.tolist(), (float(f[0] - f[0]) for f in
+                                   grid._feature_columns(np.zeros(1, dtype=np.intp))))
     return [
-        _invariant("metric.identity", grid.distance(0, 0), 0.0, "d(x,x) = {!r}"),
+        _invariant("metric.identity", d00, 0.0, "d(x,x) = {!r}"),
         _invariant("metric.symmetry", np.count_nonzero(~finite), 0.0,
                    "{:.0f} of {} feature weights not finite", w.size),
         _invariant("metric.triangle", worst, 0.0, "min feature weight {1}",
@@ -155,13 +164,12 @@ def _utility_checks(config: ScenarioConfig, grid, seed: int) -> list[dict]:
     cash = np.abs(shifted - base - shifts[:, None, None])
     sup = np.abs(ua - ub) - np.abs(xa - xb).max(axis=2)
     conc = mixes[:, None, None] * ua + (1 - mixes[:, None, None]) * ub - mid
-    # Each worst residual is at least +0.0, and NaN when any residual is.
     for name, residual, tol, detail in [
             ("utility.cash_invariance", cash, 1e-9, "max residual {:.3g}"),
             ("utility.monotonicity", ua - bumped, 1e-12, "max violation {:.3g}"),
             ("utility.sup_lipschitz", sup, 1e-9, "max excess {:.3g}"),
             ("utility.concavity", conc, 1e-9, "max gap {:.3g}")]:
-        checks.append(_invariant(name, np.max(residual, initial=0.0) + 0.0, tol, detail))
+        checks.append(_invariant(name, _worst(residual), tol, detail))
     return checks
 
 
@@ -171,11 +179,8 @@ def _credal_checks(config: ScenarioConfig, umat, ref_vals: dict) -> list[dict]:
     profile = config.profile
     # A credal set {P} breaks a credal rule only where P breaks a space
     # check, so the sets checked are those of the agents in ``ref_vals``.
-    worst_dom = 0.0
-    credal_ok = True
-    for i, ref in ref_vals.items():
-        worst_dom = max(worst_dom, float((umat[:, i] - ref).max()))
-        credal_ok = credal_ok and not profile.evaluators[i].credal.problems()
+    worst_dom = _worst([(umat[:, i] - ref).max() for i, ref in ref_vals.items()])
+    credal_ok = not any(profile.evaluators[i].credal.problems() for i in ref_vals)
     read = f"{len(ref_vals)} of {profile.n_agents} agents"
     return [
         _invariant("utility.maxmin_dominance", worst_dom, 1e-12,
@@ -186,17 +191,21 @@ def _credal_checks(config: ScenarioConfig, umat, ref_vals: dict) -> list[dict]:
     ]
 
 
-def _schedule_checks(transcript, scan: dict) -> list[dict]:
+def _schedule_checks(transcript, game, scan: dict) -> list[dict]:
+    """Each posted schedule's measured figures against the bounds the game
+    sets: zero mean, the stage cap, and the stage cap x the grid diameter
+    (an upper bound when the diameter is not exact)."""
+    cap = game.stage_cap
+    diameter, exact = game.grid.diameter
     pairs = f"{scan['kind']}, {scan['pairs']} pairs"
     return [check for j, diag in enumerate(transcript.diagnostics) for check in (
         _invariant(f"schedule[{j}].zero_mean", diag.zero_mean_residual,
                    ZERO_MEAN_TOL, "residual {:.3g}"),
         _invariant(f"schedule[{j}].lipschitz", diag.empirical_lip,
-                   diag.lip_cap + LIP_SLACK, "empirical {:.6g} vs cap {:.6g} ({})",
-                   diag.lip_cap, pairs),
+                   cap + LIP_SLACK, "empirical {:.6g} vs cap {:.6g} ({})", cap, pairs),
         _invariant(f"schedule[{j}].sup_norm", diag.sup_norm,
-                   diag.sup_bound + LIP_SLACK, "sup {:.6g} vs bound {:.6g}{}",
-                   diag.sup_bound, "" if diag.diameter_exact else " (diameter upper bound)"))]
+                   cap * diameter + LIP_SLACK, "sup {:.6g} vs bound {:.6g}{}",
+                   cap * diameter, "" if exact else " (diameter upper bound)"))]
 
 
 def _mechanism_checks(transcript, game) -> list[dict]:
@@ -205,9 +214,9 @@ def _mechanism_checks(transcript, game) -> list[dict]:
     n = len(order)
     chosen = transcript.chosen
     paid = [0.0] + [s.values[chosen] for s in transcript.schedules] + [0.0]
-    identity = max(abs(float(transcript.payoffs[order[pos]])
-                       - (umat[chosen, order[pos]] - paid[pos] + paid[pos + 1]))
-                   for pos in range(n))
+    identity = _worst([abs(float(transcript.payoffs[order[pos]])
+                           - (umat[chosen, order[pos]] - paid[pos] + paid[pos + 1]))
+                       for pos in range(n)])
     checks = [
         _invariant("mechanism.telescoping",
                    abs(float(transcript.payoffs.sum()) - float(game.welfare[chosen])),
@@ -219,7 +228,7 @@ def _mechanism_checks(transcript, game) -> list[dict]:
                                  "chosen {1}, target {2}", chosen, transcript.target,
                                  passed=chosen == transcript.target))
         return checks
-    worst = 0.0
+    spreads = []
     for j, schedule in enumerate(transcript.schedules):
         # Rebuilt, not read from the schedule memo, so the check stays
         # independent of it; the scratch row holds each net in turn.
@@ -228,14 +237,14 @@ def _mechanism_checks(transcript, game) -> list[dict]:
         else:
             net = _tail_values(umat, order, j + 1, out=game._scratch)
             net -= schedule.values
-        worst = max(worst, float(net.max() - net.min()))
-    worst_id = max(0.0, *(abs(float(transcript.payoffs[agent]) - averages[agent])
-                          for agent in order[1:]))
+        spreads.append(net.max() - net.min())
+    worst_id = _worst([abs(float(transcript.payoffs[agent]) - averages[agent])
+                       for agent in order[1:]])
     lead = abs(float(transcript.payoffs[order[0]]) -
                (wmax - sum(averages[order[k]] for k in range(1, n))))
     chosen_w = float(game.welfare[chosen])
     return checks + [
-        _invariant("mechanism.indifference", worst, 1e-9, "max net spread {:.3g}"),
+        _invariant("mechanism.indifference", _worst(spreads), 1e-9, "max net spread {:.3g}"),
         _invariant("mechanism.follower_payoffs", worst_id, 1e-9,
                    "max |g_i - Avg_i| = {:.3g}"),
         _invariant("mechanism.leader_payoff", lead, 1e-9,
@@ -256,7 +265,7 @@ def _auction_checks(combined, branches, game) -> list[dict]:
         _invariant("auction.winner_argmax", None, None, "winner bid attains the maximum",
                    passed=bids[combined.auction.winner] == bids.max()),
         _invariant("auction.fair_split",
-                   np.abs(final - (averages + combined.surplus.eta / n)).max(), 1e-9,
+                   np.abs(final - (averages + combined.eta / n)).max(), 1e-9,
                    "max |final - (Avg + eta/n)| = {:.3g}"),
         _invariant("auction.equal_split", np.ptp(final - averages),
                    1e-9 * _scale(final, averages), "spread of surplus shares {:.3g}"),
@@ -266,8 +275,8 @@ def _auction_checks(combined, branches, game) -> list[dict]:
                    np.ptp(stack, axis=0).max(), 1e-9 * _scale(stack),
                    "max payoff spread across winners {:.3g}"),
         _invariant("auction.efficiency_preserved",
-                   max(abs(float(game.welfare[b.transcript.chosen]) - wmax)
-                       for b in branches), 1e-9,
+                   _worst([abs(float(game.welfare[b.transcript.chosen]) - wmax)
+                           for b in branches]), 1e-9,
                    "every branch implements the welfare maximum"),
     ]
 
@@ -368,25 +377,26 @@ def _run_experiment(config: ScenarioConfig, *,
 
     report["mechanism"] = transcript.to_dict()
     arrays = _schedule_arrays("mechanism", transcript)
-    checks += _schedule_checks(transcript, report["calibration"]["lipschitz_scan"])
+    checks += _schedule_checks(transcript, game, scan)
     checks += _mechanism_checks(transcript, game)
 
-    report["surplus"] = efficient_surplus(game).to_dict()
+    report["surplus"] = {"eta": efficient_surplus(game), "welfare_max": game.welfare_max,
+                         "averages": [float(a) for a in game.averages]}
 
     if combined is not None:
-        report["auction"] = combined.to_dict()
+        report["auction"] = dict(combined.to_dict(), surplus=report["surplus"])
         arrays.update(_schedule_arrays("auction", combined.transcript))
         checks += _auction_checks(combined, branches, game)
 
     dev = audit_first_mover_bound(game, exact)
-    bids = audit_bid_deviation(game)
+    bid_gain = audit_bid_deviation(game)
     checks += [
         _invariant("audit.first_mover_bound", dev.max_gain, 1e-9,
                    "certified max gain {:.3g} over every zero-mean deviation"),
-        _invariant("audit.bid_deviations", bids.max_gain, 1e-9,
+        _invariant("audit.bid_deviations", bid_gain, 1e-9,
                    "max expected gain {:.3g} over every bid"),
     ]
-    report["audits"] = {"first_mover": dev.to_dict(), "bids": bids.to_dict()}
+    report["audits"] = {"first_mover": dev.to_dict(), "bids": {"max_gain": bid_gain}}
 
     agents = []
     for i in range(profile.n_agents):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pricechoose as pc
-from pricechoose.menu import grid_point_count
+from pricechoose.menu import _metric_sum, grid_point_count
 
 
 @pytest.fixture
@@ -46,6 +46,15 @@ def hurricane_space(hit_prob: float = 0.1, loss: float = 1.0):
         probs.append(p)
     space = pc.StateSpace(states, probs)
     return space, pc.EndowmentProfile(space, endow)
+
+
+def distance(grid, j: int, k: int) -> float:
+    """d(j, k) from the metric's one kernel, in Python floats: the pair's
+    feature gaps summed in ``feature_weights`` order.  Raises
+    StructuralError unless both indices are grid points."""
+    pair = np.array([grid._check_index(j), grid._check_index(k)])
+    return _metric_sum(grid.feature_weights.tolist(),
+                       (float(f[0] - f[1]) for f in grid._feature_columns(pair)))
 
 
 def random_scenario(rng: np.random.Generator, max_points: int = 20_000):

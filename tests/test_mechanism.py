@@ -226,10 +226,10 @@ def test_equalizing_zero_mean_and_admissible(two_state):
     _, _, profile, grid = two_state
     game = pc.calibrate(profile, grid)
     p = equalizer(game)
-    diag = pc.validate_schedule(p, grid, game.stage_cap)
+    diag = pc.validate_schedule(p, grid)
     assert diag.zero_mean_residual <= 1e-9
-    assert diag.empirical_lip <= diag.lip_cap + 1e-9
-    assert diag.sup_norm <= diag.sup_bound + 1e-9
+    assert diag.empirical_lip <= game.stage_cap + 1e-9
+    assert diag.sup_norm <= game.stage_cap * grid.diameter[0] + 1e-9
 
 
 @pytest.mark.parametrize("values", [
@@ -298,10 +298,10 @@ def test_perturbed_unique_argmax_hand(hand):
     net = pc.evaluate_grid(profile.evaluators[1], grid, 1) - p.values
     assert int(np.argmax(net)) == 0
     assert net[0] > np.delete(net, 0).max()
-    diag = pc.validate_schedule(p, grid, game.stage_cap)
+    diag = pc.validate_schedule(p, grid)
     assert diag.zero_mean_residual <= 1e-9
-    assert diag.empirical_lip <= diag.lip_cap + 1e-9
-    assert diag.sup_norm <= diag.sup_bound + 1e-9
+    assert diag.empirical_lip <= game.stage_cap + 1e-9
+    assert diag.sup_norm <= game.stage_cap * grid.diameter[0] + 1e-9
 
 
 def test_perturbed_parameter_errors(two_state):

@@ -12,7 +12,7 @@ import pricechoose as pc
 from pricechoose import welfare
 from pricechoose.menu import METRIC_MEMBER_LIMIT, check_grid_size, compositions
 
-from conftest import hurricane_space
+from conftest import distance, hurricane_space
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +405,7 @@ def series_distance(space, a, b):
 def test_metric_zero_on_identical(two_state):
     space, _, _, grid = two_state
     assert series_distance(space, grid.point(3), grid.point(3)) == 0.0
-    assert grid.distance(3, 3) == 0.0
+    assert distance(grid, 3, 3) == 0.0
     assert grid.distances_to(3)[3] == 0.0
 
 
@@ -437,7 +437,7 @@ def test_metric_positive_on_row_swap():
     assert np.array_equal(a @ space.probs, b @ space.probs)
     assert series_distance(space, a, b) > 0.0
     j, k = (int(np.flatnonzero((grid.points == p).all(axis=(1, 2)))[0]) for p in (a, b))
-    assert grid.distance(j, k) > 0.0
+    assert distance(grid, j, k) > 0.0
 
 def test_metric_separates_grid_points_exhaustively():
     space = pc.StateSpace(["a", "b"], [0.5, 0.5])
@@ -489,7 +489,7 @@ def test_grid_distance_matches_metric_definition_all_pairs(grid):
         refs = np.abs(g - g[k]) @ w
         for j in range(grid.n_points):
             ref = refs[j]
-            got = grid.distance(j, k)
+            got = distance(grid, j, k)
             assert (got == 0.0) == (ref == 0.0)
             if ref:
                 worst = max(worst, abs(got - ref) / ref)
@@ -607,7 +607,7 @@ def test_point_and_share_reject_out_of_range_indices():
                                match=rf"point index {k} is outside \[0, {grid.n_points}\)"):
                 method(k)
         with pytest.raises(pc.StructuralError, match="outside"):
-            grid.distance(0, k)
+            distance(grid, 0, k)
     last = grid.n_points - 1
     assert np.array_equal(grid.point(last), grid.points[last])
     assert np.array_equal(grid.share(last), grid._shares_at(np.arange(grid.n_points))[last])
@@ -723,9 +723,9 @@ def test_metric_triangle_inequality(data):
     space = pc.StateSpace(["a", "b"], [0.6, 0.4])
     grid = pc.enumerate_grid(space, np.array([-1.0, -2.0]), 2, 8)
     i, j, k = (data.draw(st.integers(0, grid.n_points - 1)) for _ in range(3))
-    dij = grid.distance(i, j)
-    assert dij <= grid.distance(i, k) + grid.distance(k, j) + 1e-12
-    assert dij == pytest.approx(grid.distance(j, i), abs=1e-15)
+    dij = distance(grid, i, j)
+    assert dij <= distance(grid, i, k) + distance(grid, k, j) + 1e-12
+    assert dij == pytest.approx(distance(grid, j, i), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -845,7 +845,7 @@ def test_diameter_exact_matches_bound(two_state):
     g = grid.features
     ub = float(np.dot(grid.feature_weights, g.max(axis=0) - g.min(axis=0)))
     assert diam <= ub + 1e-15
-    assert diam >= grid.distance(0, grid.n_points - 1) - 1e-15
+    assert diam >= distance(grid, 0, grid.n_points - 1) - 1e-15
 
 
 def _full_scan_diameter(grid):
@@ -895,19 +895,19 @@ def test_every_path_gives_a_pair_the_same_float(grid):
     assert np.array_equal(rows, rows.T)
     if p <= 256:
         for k in range(p):
-            assert rows[k].tolist() == [grid.distance(j, k) for j in range(p)]
+            assert rows[k].tolist() == [distance(grid, j, k) for j in range(p)]
     else:
         for k in np.random.default_rng(p).choice(p, 16, replace=False).tolist():
-            assert rows[k].tolist() == [grid.distance(j, k) for j in range(p)]
-            assert rows[k].tolist() == [grid.distance(k, j) for j in range(p)]
+            assert rows[k].tolist() == [distance(grid, j, k) for j in range(p)]
+            assert rows[k].tolist() == [distance(grid, k, j) for j in range(p)]
     for a, b, d in _pair_sets(grid):
         assert np.array_equal(d, rows[a, b])
         if p <= 256 or len(d) <= 256:
-            assert d.tolist() == [grid.distance(int(x), int(y)) for x, y in zip(a, b)]
+            assert d.tolist() == [distance(grid, int(x), int(y)) for x, y in zip(a, b)]
     vertices = _vertices(grid)
     diameter, exact = grid.diameter
     assert exact
-    assert diameter == max(grid.distance(a, b) for a in vertices for b in vertices)
+    assert diameter == max(distance(grid, a, b) for a in vertices for b in vertices)
 
 
 @pytest.mark.parametrize("grid", list(_all_pairs_grids()) + list(_small_grids()))
@@ -917,7 +917,7 @@ def test_distance_is_the_left_to_right_feature_sum(grid):
     rng = np.random.default_rng(grid.n_points)
     pairs = rng.integers(0, grid.n_points, size=(200, 2)).tolist()
     for j, k in pairs + [[0, grid.n_points - 1]]:
-        assert grid.distance(j, k) == python_distance(grid, j, k), (j, k)
+        assert distance(grid, j, k) == python_distance(grid, j, k), (j, k)
 
 
 def test_all_zero_risk_diameter_is_zero():

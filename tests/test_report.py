@@ -160,7 +160,8 @@ def test_pareto_oracle_matches_the_utility_matrix():
 
 def test_traced_names_resolve_in_the_package():
     """perfbench/spans.py wraps these functions and members by name, and a
-    traced benchmark run fails on one that is gone."""
+    traced benchmark run fails on one that is gone; perfbench/workloads.py
+    reads a few more names directly."""
     spans = load_perfbench("spans")
     for name in spans.FUNCTIONS:
         module, attr = name.split(".")
@@ -168,6 +169,15 @@ def test_traced_names_resolve_in_the_package():
                                 attr, None)), name
     for name, (owner, attr) in spans.METHODS.items():
         assert hasattr(owner, attr), name
+    # perfbench/workloads.py reads these outside the tracer: the ``pareto``
+    # workload scores ``point`` and ``points`` of its grids, sizes them with
+    # ``grid_point_count``, builds max-min agents and widens its verdicts by
+    # ``PARETO_SLACK``.
+    for owner, attr in ((pc.MenuGrid, "points"), (pc.MenuGrid, "point"),
+                        (pc.menu, "grid_point_count"), (welfare, "PARETO_SLACK"),
+                        (pc.UtilityProfile, "matrix"), (pc, "MaxMinUtility"),
+                        (pc, "CredalSet")):
+        assert hasattr(owner, attr), attr
     # The shape counters bind these parameters by name.
     for fn, params in ((pc.lipschitz_ratio,
                         {"grid", "exhaustive_threshold", "num_samples"}),
@@ -881,11 +891,13 @@ def test_sampled_utility_checks_fail_on_a_nan_value(monkeypatch):
 
 # Planted schedule diagnostics: each ``schedule[j].<check>`` passes with its
 # field at the check's tolerance, and fails one float above it or at NaN.
-# A mutant maps a check to the diagnostic field it reads and its tolerance.
+# A mutant maps a check to the diagnostic field it reads and its tolerance,
+# which the game sets.
 SCHEDULE_MUTANTS = {
-    "zero_mean": ("zero_mean_residual", lambda d: mechanism.ZERO_MEAN_TOL),
-    "lipschitz": ("empirical_lip", lambda d: d.lip_cap + mechanism.LIP_SLACK),
-    "sup_norm": ("sup_norm", lambda d: d.sup_bound + mechanism.LIP_SLACK),
+    "zero_mean": ("zero_mean_residual", lambda game: mechanism.ZERO_MEAN_TOL),
+    "lipschitz": ("empirical_lip", lambda game: game.stage_cap + mechanism.LIP_SLACK),
+    "sup_norm": ("sup_norm", lambda game: (game.stage_cap * game.grid.diameter[0]
+                                           + mechanism.LIP_SLACK)),
 }
 
 
@@ -900,13 +912,14 @@ def test_each_schedule_check_fails_on_its_planted_diagnostic(check):
         transcript = pc.run_pnc(game, "exact")
         scan = pc.menu.lipschitz_scan(grid)
         for j, diag in enumerate(transcript.diagnostics):
-            for planted, passed in [(tol(diag), True),
-                                    (np.nextafter(tol(diag), np.inf), False),
+            for planted, passed in [(tol(game), True),
+                                    (np.nextafter(tol(game), np.inf), False),
                                     (np.nan, False)]:
                 diagnostics = list(transcript.diagnostics)
                 diagnostics[j] = dataclasses.replace(diag, **{field: planted})
                 mutant = dataclasses.replace(transcript, diagnostics=tuple(diagnostics))
-                records = {c["name"]: c for c in report._schedule_checks(mutant, scan)}
+                records = {c["name"]: c for c in
+                           report._schedule_checks(mutant, game, scan)}
                 assert records[f"schedule[{j}].{check}"]["passed"] is passed, (
                     path.name, j, planted)
 
@@ -929,3 +942,100 @@ def test_maxmin_dominance_fails_on_a_lowered_reference_column():
             assert ref_vals == {} and dominance(lowered)["value"] == 0.0
         else:
             assert ref_vals and not dominance(lowered)["passed"], path.name
+
+
+def nan_mutant_run(path) -> SimpleNamespace:
+    """What a NaN mutant plants into: the scenario, its game, the exact
+    order-0..n-1 transcript, every auction branch, the reference columns,
+    and ``off``, a grid point other than the chosen one."""
+    config = pc.load_scenario(path)
+    grid, _, ref_vals = utility_check_inputs(config)
+    game = pc.calibrate(config.profile, grid, cap=config.lipschitz_cap)
+    exact = pc.run_pnc(game, "exact")
+    branches = [pc.run_auction_then_pnc(game, config.seed, winner=w)
+                for w in range(game.n_agents)]
+    return SimpleNamespace(config=config, game=game, exact=exact, branches=branches,
+                           ref_vals=ref_vals, off=(exact.chosen + 1) % grid.n_points)
+
+
+def _nan_at(values, k) -> np.ndarray:
+    planted = np.array(values, dtype=float)
+    planted[k] = np.nan
+    return planted
+
+
+def _nan_follower_payoff(r):
+    return report._mechanism_checks(dataclasses.replace(
+        r.exact, payoffs=_nan_at(r.exact.payoffs, r.exact.order[-1])), r.game)
+
+
+def _nan_last_schedule(r):
+    *kept, last = r.exact.schedules
+    planted = pc.PriceSchedule(_nan_at(last.values, r.off), last.declared_lip)
+    return report._mechanism_checks(
+        dataclasses.replace(r.exact, schedules=(*kept, planted)), r.game)
+
+
+def _nan_reference_column(r):
+    first = min(r.ref_vals)
+    columns = {**r.ref_vals, first: _nan_at(r.ref_vals[first], 0)}
+    return report._credal_checks(r.config, r.game.umat, columns)
+
+
+def _nan_branch_welfare(r):
+    off = dataclasses.replace(r.branches[1], transcript=dataclasses.replace(
+        r.branches[1].transcript, chosen=r.off))
+    game = dataclasses.replace(r.game, welfare=_nan_at(r.game.welfare, r.off))
+    return report._auction_checks(r.branches[0], [r.branches[0], off], game)
+
+
+# NaN mutants: one NaN among the residuals a check folds into its worst
+# value, placed after a finite one (an earlier residual or the 0.0 floor),
+# where a Python ``max`` would drop it; the check must fail with a null
+# value.  A mutant maps a ``nan_mutant_run`` to the records of the check's
+# family.
+NAN_MUTANTS = {
+    # one follower's payoff
+    "mechanism.payoff_identity": _nan_follower_payoff,
+    "mechanism.follower_payoffs": _nan_follower_payoff,
+    # the last posted schedule, off the chosen point
+    "mechanism.indifference": _nan_last_schedule,
+    # the first reference column, at point 0
+    "utility.maxmin_dominance": _nan_reference_column,
+    # the welfare of a point that winner 1's branch chooses
+    "auction.efficiency_preserved": _nan_branch_welfare,
+}
+
+
+@pytest.mark.parametrize("check", list(NAN_MUTANTS))
+def test_each_folded_check_fails_on_a_nan_residual(check):
+    for path in MUTANT_SCENARIOS:
+        r = nan_mutant_run(path)
+        if check == "utility.maxmin_dominance" and not r.ref_vals:
+            continue    # single-prior agents: the check reads no column
+        record = next(c for c in NAN_MUTANTS[check](r) if c["name"] == check)
+        assert not record["passed"] and record["value"] is None, (path.name, record)
+
+
+BUNDLED_SCENARIOS = [SCENARIOS / "two_agent_hand.json",
+                     SCENARIOS / "hurricane_three_farmers.json", *SCENARIO_FILES.values()]
+
+
+def test_one_surplus_dict_and_the_game_bounds_in_every_bundled_report():
+    """Both surplus sections are the one dict of eta, W_max and the averages;
+    eta, the bid audit and every schedule's Lipschitz bound are the game's."""
+    for path in BUNDLED_SCENARIOS:
+        config = pc.load_scenario(path)
+        rep = pc.run_experiment(config)
+        grid = pc.enumerate_grid(config.space, config.x, config.profile.n_agents,
+                                 config.resolution, state_classes=config.state_classes)
+        game = pc.calibrate(config.profile, grid, cap=config.lipschitz_cap)
+        assert rep["auction"]["surplus"] == rep["surplus"], path.name
+        assert rep["surplus"]["eta"] == pc.efficient_surplus(game), path.name
+        assert (rep["surplus"]["welfare_max"], rep["surplus"]["averages"]) == (
+            game.welfare_max, game.averages.tolist()), path.name
+        assert rep["audits"]["bids"]["max_gain"] == pc.audit_bid_deviation(game)
+        lipschitz = [c["tol"] for c in rep["invariants"]
+                     if c["name"].startswith("schedule[") and c["name"].endswith(".lipschitz")]
+        assert len(lipschitz) == game.n_agents - 1, path.name
+        assert set(lipschitz) == {game.stage_cap + mechanism.LIP_SLACK}, path.name
