@@ -517,6 +517,21 @@ def test_cli_validation_failure_writes_no_sidecar(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.xfail(strict=True, reason="a schedule over a too-small cap raises "
+                   "ConfigurationError in mechanism._equalize: exit 2, no report")
+def test_cli_too_small_lipschitz_cap_fails_its_invariants(tmp_path, capsys):
+    """A valid cap too small for the utilities is a finding of the run: it
+    should end in exit 3 with a written report whose checks show it."""
+    doc = json.loads((FIXTURES / "hurricane_three_farmers.json").read_text())
+    doc["mechanism"]["lipschitz_cap"] = 1e-6
+    path = write_scenario(tmp_path, doc)
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", str(path), "--resolution", "10", "--out", str(out)])
+    assert "Traceback" not in capsys.readouterr().err
+    assert code == 3
+    assert not load_report(out / "report.json")["all_invariants_pass"]
+
+
 def test_cli_audit_omits_auction(tmp_path):
     out = tmp_path / "out"
     assert main(["audit", "--scenario", "two-agent-hand", "--out", str(out)]) == 0
