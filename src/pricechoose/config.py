@@ -217,12 +217,19 @@ def scenario_from_dict(d: dict, source: str = "<dict>") -> ScenarioConfig:
         errors.append("endowments must list at least two agents")
     else:
         n_agents = len(endowments)
+        checked = len(errors)
         for i, row in enumerate(endowments):
             if _check_number_list(row, f"endowments[{i}]", errors) and \
                     n_states and len(row) != n_states:
                 errors.append(
                     f"endowments[{i}] has {len(row)} entries for {n_states} states"
                 )
+        # Finite endowments can sum past the float range, which the grid refuses.
+        if n_states and len(errors) == checked:
+            with np.errstate(over="ignore"):
+                x = np.asarray(endowments, dtype=float).sum(axis=0)
+            if not np.isfinite(x).all():
+                errors.append("aggregate risk contains non-finite entries")
 
     single = None if space is None else CredalSet(space.probs[None], space.probs)
     evaluators = _utilities(d.get("utilities"), n_agents, n_states,

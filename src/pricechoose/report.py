@@ -4,10 +4,10 @@
 validated scenario and re-checks every declared invariant post-run, so a
 report carries its own pass/fail audit trail.  Every check is one record
 from ``_invariant``: the measured value, its tolerance, the verdict and a
-detail text formatted from the value.  The evaluators' axioms (normalized,
-cash-invariant, monotone, sup-norm Lipschitz, concave) are theorems of the
-max-min entropic family, so the test suite checks them on the kernel; a
-report's utility checks read only its credal sets and utility matrix.
+detail text formatted from the value.  What holds by construction is left
+to the test suite: the constructors refuse bad probabilities and priors,
+every grid point splits X within its sign and bound, and the evaluators'
+axioms are theorems of the max-min entropic family.
 Reports are plain dicts of JSON types whose size does not grow with the
 menu: each posted price schedule appears as a fixed-size summary, and the
 full vectors go to a ``schedules.npz`` sidecar.  Identical (scenario, seed,
@@ -42,7 +42,6 @@ from .mechanism import (
     run_pnc,
 )
 from .menu import _metric_sum, enumerate_grid, integrate, lipschitz_scan, validate_feasible
-from .space import PROB_TOL
 from .utility import EntropicUtility, evaluate_grid
 from .welfare import maximize_welfare
 
@@ -76,38 +75,6 @@ def _scale(*operands) -> float:
     return max(1.0, *(float(np.abs(a).max(initial=0.0)) for a in operands))
 
 
-def _space_checks(config: ScenarioConfig, grid) -> list[dict]:
-    probs = config.space.probs
-    # Entry (i, w) of a point is a share level times X(w) + 0.0 and column w
-    # sums one table row's products: these tables reach the grid's maxima.
-    x = grid.x + 0.0
-    products = grid._share_levels()[0][:, None] * x
-    sums = np.multiply.outer(x, grid.table[:, 0])       # (states x rows)
-    for i in range(1, grid.n_agents):
-        sums += np.multiply.outer(x, grid.table[:, i])
-    sums -= grid.x[:, None]
-    # n terms fl(fl(c_i / r) X), each rounded twice and added n - 1 times, with c_i / r
-    # summing to 1: slack <= gamma_(n+1) max |X| (Higham 2002, Lemma 3.1).
-    k = (grid.n_agents + 1) * 2.0 ** -53
-    col_tol = k / (1.0 - k) * float(np.abs(grid.x).max(initial=0.0))
-    sign_slack = float(-(products * np.sign(x)).min())
-    anchored = float(np.abs(products[:, grid.x == 0.0]).max(initial=0.0))
-    # The positivity check is a lower bound: it passes when value > tol = 0.
-    # The sign check's value is the sign slack; the zero-state mass must be 0.
-    return [
-        _invariant("space.probs_positive", probs.min(), 0.0, "min prob {:.3g}",
-                   passed=np.all(probs > 0)),
-        _invariant("space.probs_sum", abs(probs.sum() - 1.0), PROB_TOL, "residual {:.3g}"),
-        _invariant("menu.coordinate_bound", (np.abs(products) - np.abs(grid.x)).max(),
-                   1e-12, "max |xi|-|X| = {:.3g}"),
-        _invariant("menu.column_sums", np.abs(sums, out=sums).max(), col_tol,
-                   "max |sum_i xi - X| = {:.3g}"),
-        _invariant("menu.sign_anchoring", sign_slack, 1e-12,
-                   "sign slack {:.3g}, zero-state mass {:.3g}", anchored,
-                   passed=sign_slack <= 1e-12 and anchored == 0.0),
-    ]
-
-
 def _metric_checks(grid) -> list[dict]:
     """The metric axioms, read off the metric's structure.
 
@@ -136,20 +103,14 @@ def _metric_checks(grid) -> list[dict]:
 
 
 def _credal_checks(config: ScenarioConfig, umat, ref_vals: dict) -> list[dict]:
-    """``ref_vals`` maps each agent whose credal set is not {P} to its
-    values under the reference probability P."""
-    profile = config.profile
-    # A credal set {P} breaks a credal rule only where P breaks a space
-    # check, so the sets checked are those of the agents in ``ref_vals``.
+    """The max-min values against the single-prior ones: ``ref_vals`` maps
+    each agent whose credal set is not {P} to its values under the
+    reference probability P."""
     worst_dom = _worst([(umat[:, i] - ref).max() for i, ref in ref_vals.items()])
-    credal_ok = not any(profile.evaluators[i].credal.problems() for i in ref_vals)
-    read = f"{len(ref_vals)} of {profile.n_agents} agents"
     return [
         _invariant("utility.maxmin_dominance", worst_dom, 1e-12,
-                   "max excess over single-prior value {:.3g} ({})", read),
-        _invariant("utility.credal_sets", None, None,
-                   "positivity, normalization, reference membership ({1})", read,
-                   passed=credal_ok),
+                   "max excess over single-prior value {:.3g} ({} of {} agents)",
+                   len(ref_vals), config.profile.n_agents),
     ]
 
 
@@ -275,7 +236,7 @@ def _run_experiment(config: ScenarioConfig, *,
     # canonical pair sample that every Lipschitz figure reads, and the
     # values under P.  Their temporaries then never sit on top of the
     # game's block.
-    checks = _space_checks(config, grid) + _metric_checks(grid)
+    checks = _metric_checks(grid)
     scan = lipschitz_scan(grid)
     # Values under P: an agent whose credal set is not exactly {P} is
     # evaluated once more, for the dominance check and its avg; on {P} they

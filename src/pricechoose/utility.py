@@ -99,18 +99,11 @@ class CredalSet:
             raise ValidationError(
                 f"priors have {priors.shape[1]} states, reference has {reference.shape[0]}"
             )
-        object.__setattr__(self, "priors", priors)
-        object.__setattr__(self, "reference", reference)
-        errors = self.problems()
-        if errors:
-            raise ValidationError(errors)
-
-    def problems(self) -> list[str]:
-        """Every broken rule of a credal set: each prior finite, strictly
-        positive and summing to 1, the reference probability among the
-        priors, and a declared Lipschitz bound positive."""
+        # Every broken rule, all at once: each prior finite, strictly
+        # positive and summing to 1, the reference probability among the
+        # priors, and a declared Lipschitz bound positive.
         errors = []
-        for j, row in enumerate(self.priors):
+        for j, row in enumerate(priors):
             if not np.all(np.isfinite(row)):
                 errors.append(f"priors[{j}] has non-finite entries")
             if np.any(row <= 0.0):
@@ -118,12 +111,15 @@ class CredalSet:
             total = float(row.sum())
             if abs(total - 1.0) > PROB_TOL:
                 errors.append(f"priors[{j}] sums to {total!r}, not 1")
-        if not np.any(np.all(np.abs(self.priors - self.reference) <= PROB_TOL, axis=1)):
+        if not np.any(np.all(np.abs(priors - reference) <= PROB_TOL, axis=1)):
             errors.append("the reference probability must be one of the priors")
         if self.lip_bound is not None and not (self.lip_bound > 0.0):
             errors.append("lip_bound must be positive when given "
                           "(a declared Lipschitz bound)")
-        return errors
+        if errors:
+            raise ValidationError(errors)
+        object.__setattr__(self, "priors", priors)
+        object.__setattr__(self, "reference", reference)
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,21 @@ def distance(grid, j: int, k: int) -> float:
                        (float(f[0] - f[1]) for f in grid._feature_columns(pair)))
 
 
+def column_sums(grid) -> tuple[np.ndarray, np.ndarray]:
+    """(residual, bound), each (points x states): |sum_i xi_i(w) - X(w)| with
+    a point's n entries added in agent order, and the most rounding can
+    leave there.  Each entry fl(fl(c_i / r) X(w)) is rounded twice and added
+    n - 1 times, and the c_i / r sum to 1, so the relative error is at most
+    gamma_(n+1) |X(w)| (Higham 2002, Lemma 3.1).  A product can also
+    underflow, by at most the smallest subnormal 2^-1074 (Higham 2002, 2.1),
+    which no relative term covers when X(w) is subnormal: the n shares of
+    X = -2^-1074 at resolution 3 all round to -0.0."""
+    pts, x = grid.points, grid.x
+    residual = np.abs(sum(pts[:, i] for i in range(grid.n_agents)) - x)
+    k = (grid.n_agents + 1) * 2.0 ** -53
+    return residual, k / (1.0 - k) * np.abs(x) + grid.n_agents * 2.0 ** -1074
+
+
 def random_scenario(rng: np.random.Generator, max_points: int = 20_000):
     """One randomized scenario: n in 2..4, up to 4 states, mixed evaluators."""
     while True:

@@ -314,8 +314,8 @@ def test_cli_validate_ok():
     assert main(["validate", "--scenario", "two-agent-hand"]) == 0
 
 
-# (section, or a path to one, its changed keys, the field a rejection names;
-# None: the run goes through)
+# (section, or a path to one (() for the document), its changed keys, the
+# field a rejection names; None: the run goes through)
 EDGE_DOCUMENTS = {
     "object label": ("grid", {"state_classes": [{"a": 1}]}, "grid.state_classes"),
     "list label": ("grid", {"state_classes": [[1]]}, "grid.state_classes"),
@@ -337,6 +337,9 @@ EDGE_DOCUMENTS = {
     "two bid points": ("audits", {"bid_points": 2}, None),
     "three bid points": ("audits", {"bid_points": 3}, None),
     "no deviations": ("audits", {"deviations": 0}, None),
+    # Finite endowments whose sum overflows.
+    "non-finite aggregate risk": ((), {"endowments": [[-1e308], [-1e308]]},
+                                  "aggregate risk contains non-finite entries"),
 }
 
 

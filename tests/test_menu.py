@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 import pricechoose as pc
 from pricechoose import welfare
-from pricechoose.menu import METRIC_MEMBER_LIMIT, check_grid_size, compositions
+from pricechoose.menu import (METRIC_MEMBER_LIMIT, check_grid_size, compositions,
+                              grid_point_count)
 
-from conftest import distance, hurricane_space
+from conftest import column_sums, distance, hurricane_space
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +323,83 @@ def test_grid_points_all_feasible(two_state):
     for k in range(0, grid.n_points, 7):
         assert pc.validate_feasible(grid.point(k), x).ok
     assert float((np.abs(grid.points) - np.abs(x)[None, None, :]).max()) <= 1e-12
+
+
+@st.composite
+def menu_grids(draw):
+    """Grids of 1-10 agents over 1-6 states, with zero-risk states written
+    as 0.0 and -0.0 and subnormal risks among the rest, under per-state,
+    single or labelled classes, and at most 5,000 points."""
+    n, m = draw(st.integers(1, 10)), draw(st.integers(1, 6))
+    value = st.one_of(st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False),
+                      st.floats(-2.2e-308, 2.2e-308),
+                      st.sampled_from([0.0, -0.0, 1.0, -1.0, -5e-324, 5e-324]))
+    x = np.array(draw(st.lists(value, min_size=m, max_size=m)))
+    classes = draw(st.one_of(st.sampled_from(["per_state", "single"]),
+                             st.lists(st.sampled_from(["a", "b", 7]),
+                                      min_size=m, max_size=m)))
+    resolution = draw(st.integers(1, 12))
+    while grid_point_count(x, n, resolution, classes) > 5000:
+        if resolution > 1:
+            resolution -= 1
+        else:
+            classes = "single"
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
+    space = pc.StateSpace([f"s{w}" for w in range(m)], weights / weights.sum())
+    return pc.enumerate_grid(space, x, n, resolution, state_classes=classes)
+
+
+def grid_fact_failures(grid) -> set[str]:
+    """The construction facts that some point of ``grid`` breaks.
+
+    Every share level c / r lies in [0, 1] and rounding is monotone, so an
+    entry fl(fl(c / r) (X(w) + 0.0)) lies between 0 and X(w): it never
+    exceeds |X(w)| ("coordinate_bound"), never takes the other sign, and is
+    +0.0 where X is zero ("sign_anchoring").  A point's entries in a state
+    sum to X(w) up to ``column_sums``' bound ("column_sums").  Measured on
+    the whole (P x n x m) point stack.
+    """
+    pts, x = grid.points, grid.x
+    zero = pts[:, :, x == 0.0]
+    residual, bound = column_sums(grid)
+    return {fact for fact, broken in [
+        ("coordinate_bound", (np.abs(pts) > np.abs(x)).any()),
+        ("sign_anchoring", (pts * np.sign(x) < 0.0).any() or zero.any()
+         or np.signbit(zero).any()),
+        ("column_sums", (residual > bound).any()),
+    ] if broken}
+
+
+@given(menu_grids())
+@settings(max_examples=80, deadline=None)
+def test_grid_points_split_x_within_its_sign_and_bound(grid):
+    """No point breaks a construction fact, signed zeros and subnormal
+    risks included, so a report need not re-derive them."""
+    assert grid_fact_failures(grid) == set()
+
+
+# One planted composition-table row per fact (DeMillo, Lipton & Sayward
+# 1978), in a 3-agent resolution-2 table whose rows are (0, 0, 2), (0, 1, 1),
+# (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0): the row it replaces and the
+# facts the grid then breaks.
+TABLE_MUTANTS = {
+    "share level above 1": (5, [3, 0, 0], {"coordinate_bound", "column_sums"}),
+    "negative share level": (1, [-1, 1, 2], {"sign_anchoring"}),
+    "row not summing to r": (2, [0, 1, 0], {"column_sums"}),
+}
+
+
+@pytest.mark.parametrize("mutant", list(TABLE_MUTANTS))
+def test_each_grid_fact_fails_on_its_planted_table_row(mutant):
+    """On X = (-2, 0, 3) per state, each planted row breaks exactly its facts."""
+    row, counts, broken = TABLE_MUTANTS[mutant]
+    space = pc.StateSpace(["a", "b", "c"], [0.5, 0.3, 0.2])
+    grid = pc.enumerate_grid(space, np.array([-2.0, 0.0, 3.0]), 3, 2)
+    assert grid_fact_failures(grid) == set()
+    table = grid.counts.copy()
+    table[row] = counts
+    planted = pc.MenuGrid(space, grid.x, 3, 2, grid.class_of_state, table)
+    assert grid_fact_failures(planted) == broken
 
 
 def test_grid_single_class_ties_states():
