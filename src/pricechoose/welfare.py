@@ -148,11 +148,9 @@ def _welfare_grad(tilt: np.ndarray, states: np.ndarray, xc: np.ndarray) -> np.nd
     exponentially tilted probability t_i; for a max-min evaluator the tilt
     under the worst-case prior is a supergradient.
     """
-    # One dot per contiguous row: BLAS rounds the dot of a strided row (a
-    # row of ``tilt[:, states]``, which numpy lays out column-major)
-    # differently, and a matrix-vector product differently again.
-    tc = np.take(tilt, states, axis=1)
-    return np.array([float(np.dot(t, xc)) for t in tc])
+    # numpy's own pairwise sum along each contiguous row, not a BLAS dot,
+    # whose rounding depends on the kernel the machine dispatches.
+    return np.add.reduce(np.take(tilt, states, axis=1) * xc, axis=1)
 
 
 # The line-search steps 2^0 ... 2^-46: every halving step above 1e-14.

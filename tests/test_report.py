@@ -476,11 +476,11 @@ BUNDLED_RUNS = {
         "1c6df763eebbeee19b1b41f0a3ad70a0768dfb8cf23faeaca2a31fd4b148b765",
         "b6bc66246bb109dc198991d10d42c76537daa2ea5a4a569abcdec83f10e60b4d"),
     ("four-agent-maxmin-single", "run"): (
-        "3359712dab35ded16126a34b804e163a71481fb161fb1de89b4283a015bd1eed",
+        "e2e68bf278345af1ba20ae216084aebe901ff5117d189c967477481ffa6a45b4",
         "55fe650ce4d321d9da1fcd63efc7f81eafa1053fae60b8209bd7259ef628be61",
         "e3021d60846393d9bd011af0da9d1606f809f6d87f4d10c7bdbf06ab560adc01"),
     ("three-agent-maxmin-classes", "run"): (
-        "6bcdbc548300e0ab83df66e31dcdd2d43042cf7c6ead76f47fed5d5ed122e90e",
+        "c1ae7393e5a8ebf4e810d2c3e15fd3f283e20df6e303e05dac800d3ff7099298",
         "eaa85ab429f87cbb3490c17769e759b828b5b2b87393bfd5828095c9ff58a654",
         "a49a610682beaf4f6d5c53cc4c5e27cfed251ed0c8dfd54d8386ccd9c781cb5b"),
 }
