@@ -365,11 +365,16 @@ def coin_doc(probs, priors=None) -> dict:
             "grid": {"resolution": 4}}
 
 
+def cli_run(tmp_path, doc) -> int:
+    """The exit code of ``pricechoose run`` on ``doc``, writing to tmp_path / "out"."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+
+
 def refused_run(tmp_path, doc) -> bool:
     """Whether the CLI refuses ``doc`` with exit 2 before writing a report."""
-    path, out = tmp_path / "doc.json", tmp_path / "out"
-    path.write_text(json.dumps(doc))
-    return main(["run", "--scenario", str(path), "--out", str(out)]) == 2 and not out.exists()
+    return cli_run(tmp_path, doc) == 2 and not (tmp_path / "out").exists()
 
 
 # A report holds no record of its probabilities or credal sets: their
@@ -401,15 +406,13 @@ def test_metric_records_fail_on_a_subnormal_probability(tmp_path, capsys):
     doc["states"].append("e")
     doc["endowments"] = [[-1.0, 0.0, -1.0], [0.0, -1.0, -1.0]]
     doc["grid"]["resolution"] = 2
-    path, out = tmp_path / "doc.json", tmp_path / "out"
-    path.write_text(json.dumps(doc))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 3
+        assert cli_run(tmp_path, doc) == 3
     assert {str(w.message) for w in caught} == {
         "overflow encountered in divide", "invalid value encountered in multiply"}
     assert "FAIL metric.identity: d(x,x) = nan" in capsys.readouterr().out
-    rep = json.loads((out / "report.json").read_text())
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
     assert {c["name"] for c in rep["invariants"] if not c["passed"]} == {
         "metric.identity", "metric.symmetry", "metric.triangle", "schedule[0].sup_norm"}
 
@@ -669,9 +672,7 @@ def test_column_sums_tolerance_scales_with_the_risk(tmp_path):
     residual, bound = column_sums(scenario_grid(config))
     assert residual.max() > 1e-12 and (residual <= bound).all()
     assert pc.run_experiment(config)["all_invariants_pass"]
-    path = tmp_path / "scaled.json"
-    path.write_text(json.dumps(doc))
-    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert cli_run(tmp_path, doc) == 0
 
 
 @pytest.mark.parametrize("risk", [-5e-324, -1e-320, -1e-310])
@@ -686,9 +687,7 @@ def test_subnormal_risk_runs_with_every_invariant(tmp_path, risk):
     residual, bound = column_sums(scenario_grid(pc.scenario_from_dict(doc)))
     k = 4 * 2.0 ** -53
     assert residual.max() > k / (1 - k) * abs(risk) and (residual <= bound).all()
-    path = tmp_path / "subnormal.json"
-    path.write_text(json.dumps(doc))
-    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert cli_run(tmp_path, doc) == 0
 
 
 def test_reports_say_which_pairs_and_agents_their_checks_read():
