@@ -25,7 +25,10 @@ On a grid every allocation is linear in its class shares q (one simplex point
 per state class), and the series takes a closed form in them.  Each share
 q_ci is a feature whose weight sums the indicators of (i, w) over w in c,
 
-    omega_ci = sum_{w in c} 2^-(n + i*m + w + 1) |(1/P(w)) (P(w) X(w))|.
+    omega_ci = sum_{w in c} 2^-(n + i*m + w + 1) |X(w)|,
+
+since <xi, e_i (x) 1_w / P(w)> = P(w) xi_i(w) / P(w) is xi_i(w) = q_ci X(w):
+the weight reads X alone, so no probability, however small, can overflow it.
 
 Agent i's mass functional is sum_c M_c q_ci, with class mass
 M_c = sum_{w in c} P(w) X(w).  It stays a feature of weight 2^-(i+1) when
@@ -325,10 +328,10 @@ class MenuGrid:
         when two or more classes carry mass, empty otherwise.  Each omega
         and M is one ``math.fsum`` of its terms (module docstring).
         """
-        n, m, probs = self.n_agents, len(self.x), self.space.probs
-        px = probs * self.x
+        n, m = self.n_agents, len(self.x)
+        px = self.space.probs * self.x
         k = n + np.arange(n)[:, None] * m + np.arange(m)           # (n x m)
-        coord = np.ldexp(np.abs(1.0 / probs * px), -(k + 1))
+        coord = np.ldexp(np.abs(self.x), -(k + 1))
         members = [np.flatnonzero(self.class_of_state == c)
                    for c in range(self.n_classes)]
         mass = np.array([math.fsum(px[w]) for w in members])

@@ -328,10 +328,12 @@ def test_grid_points_all_feasible(two_state):
 @st.composite
 def menu_grids(draw):
     """Grids of 1-10 agents over 1-6 states, with zero-risk states written
-    as 0.0 and -0.0 and subnormal risks among the rest, under per-state,
-    single or labelled classes, and at most 5,000 points."""
+    as 0.0 and -0.0 and risks from subnormal to 1e308 among the rest, under
+    per-state, single or labelled classes, and at most 5,000 points.  Any
+    state but the first may hold a probability from 1e-300 down to the
+    least subnormal."""
     n, m = draw(st.integers(1, 10)), draw(st.integers(1, 6))
-    value = st.one_of(st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False),
+    value = st.one_of(st.floats(-1e308, 1e308, allow_nan=False, allow_subnormal=False),
                       st.floats(-2.2e-308, 2.2e-308),
                       st.sampled_from([0.0, -0.0, 1.0, -1.0, -5e-324, 5e-324]))
     x = np.array(draw(st.lists(value, min_size=m, max_size=m)))
@@ -344,8 +346,11 @@ def menu_grids(draw):
             resolution -= 1
         else:
             classes = "single"
-    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
-    space = pc.StateSpace([f"s{w}" for w in range(m)], weights / weights.sum())
+    probs = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
+    tiny = np.array([False] + draw(st.lists(st.booleans(), min_size=m - 1, max_size=m - 1)))
+    probs[tiny] = draw(st.lists(st.floats(5e-324, 1e-300), min_size=m, max_size=m))[:tiny.sum()]
+    probs[~tiny] /= probs[~tiny].sum()
+    space = pc.StateSpace([f"s{w}" for w in range(m)], probs)
     return pc.enumerate_grid(space, x, n, resolution, state_classes=classes)
 
 
@@ -589,14 +594,47 @@ def test_metric_weights_are_exact_sums_of_their_terms(grid):
     carriers = [c for c in range(classes) if expected_mass[c] != 0.0]
     for c, ws in enumerate(members):
         for i in range(n):
-            terms = [math.ldexp(abs((1.0 / probs[w]) * (probs[w] * x[w])),
-                                -(n + i * m + w + 1)) for w in ws]
+            terms = [math.ldexp(abs(x[w]), -(n + i * m + w + 1)) for w in ws]
             if carriers == [c]:
                 terms.append(math.ldexp(abs(expected_mass[c]), -(i + 1)))
             assert omega[c, i] == math.fsum(terms), (c, i)
     expected = [0.5 ** (i + 1) for i in range(n)] if len(carriers) >= 2 else []
     assert mass_weights.tolist() == expected
     assert grid.feature_weights.tolist() == expected + omega.ravel().tolist()
+
+
+def weights_are_finite_and_nonnegative(grid) -> bool:
+    w = grid.feature_weights
+    return bool(np.isfinite(w).all() and (w >= 0.0).all())
+
+
+@given(menu_grids())
+@settings(max_examples=80, deadline=None)
+def test_feature_weights_are_finite_and_nonnegative(grid):
+    """Each weight is an fsum of terms 2^-(k+1) |X(w)| and, on a grid whose
+    one class carries mass, 2^-(i+1) |M_c|: none is negative or overflows,
+    however small a probability, so every distance is symmetric bit for
+    bit and obeys the triangle inequality feature by feature."""
+    assert weights_are_finite_and_nonnegative(grid)
+
+
+def test_feature_weights_fail_on_the_round_trip_formula(monkeypatch):
+    """The coordinate weight read as (1/P(w)) (P(w) X(w)), which overflows
+    to inf at P(w) = 1e-310 and then makes a NaN, is caught by the property
+    above."""
+    space = pc.StateSpace(["a", "b", "c"], [0.5, 0.5, 1e-310])
+    x = np.array([-1.0, 0.0, -1.0])
+    assert weights_are_finite_and_nonnegative(pc.enumerate_grid(space, x, 2, 2))
+    ldexp = np.ldexp
+
+    def round_trip(a, exp):
+        if np.ndim(a) == 1:     # the coordinate terms |X|, not the mass weights
+            a = np.abs(1.0 / space.probs * (space.probs * a))
+        return ldexp(a, exp)
+
+    monkeypatch.setattr(np, "ldexp", round_trip)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not weights_are_finite_and_nonnegative(pc.enumerate_grid(space, x, 2, 2))
 
 
 def test_all_pairs_grids_cover_every_mass_case():

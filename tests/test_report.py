@@ -7,6 +7,7 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import math
 import re
 import sys
 import tracemalloc
@@ -398,23 +399,21 @@ def test_bad_credal_set_never_reaches_a_report(tmp_path, priors):
     assert not refused_run(tmp_path, coin_doc([0.5, 0.5], [[0.5, 0.5], [0.4, 0.6]]))
 
 
-def test_metric_records_fail_on_a_subnormal_probability(tmp_path, capsys):
-    """A valid document whose third state has P = 1e-310: 1 / P overflows in
-    the metric's weights, so the metric records fail, and the diameter they
-    bound reads 0, so the first schedule's sup-norm record fails too."""
+def test_subnormal_probability_runs_with_every_invariant(tmp_path):
+    """A valid document whose third state has P = 1e-310, below the ~5.6e-309
+    at which 1 / P overflows: the metric's weights read X alone, so the run
+    raises no RuntimeWarning, its diameter is finite and exact, and every
+    invariant passes."""
     doc = coin_doc([0.5, 0.5, 1e-310])
     doc["states"].append("e")
     doc["endowments"] = [[-1.0, 0.0, -1.0], [0.0, -1.0, -1.0]]
     doc["grid"]["resolution"] = 2
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert cli_run(tmp_path, doc) == 3
-    assert {str(w.message) for w in caught} == {
-        "overflow encountered in divide", "invalid value encountered in multiply"}
-    assert "FAIL metric.identity: d(x,x) = nan" in capsys.readouterr().out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_run(tmp_path, doc) == 0
     rep = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert {c["name"] for c in rep["invariants"] if not c["passed"]} == {
-        "metric.identity", "metric.symmetry", "metric.triangle", "schedule[0].sup_norm"}
+    assert rep["grid"]["diameter_exact"] and 0.0 < rep["grid"]["diameter"] < math.inf
+    assert rep["all_invariants_pass"]
 
 
 @pytest.mark.parametrize("weight, failing", [
