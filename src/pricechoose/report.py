@@ -6,8 +6,9 @@ report carries its own pass/fail audit trail.  Every check is one record
 from ``_invariant``: the measured value, its tolerance, the verdict and a
 detail text formatted from the value.  What holds by construction is left
 to the test suite: the constructors refuse bad probabilities and priors,
-every grid point splits X within its sign and bound, and the evaluators'
-axioms are theorems of the max-min entropic family.
+every grid point splits X within its sign and bound, the metric's weights
+are finite and nonnegative, and the evaluators' axioms are theorems of the
+max-min entropic family.
 Reports are plain dicts of JSON types whose size does not grow with the
 menu: each posted price schedule appears as a fixed-size summary, and the
 full vectors go to a ``schedules.npz`` sidecar.  Identical (scenario, seed,
@@ -41,7 +42,7 @@ from .mechanism import (
     calibrate,
     run_pnc,
 )
-from .menu import _metric_sum, enumerate_grid, integrate, lipschitz_scan, validate_feasible
+from .menu import enumerate_grid, integrate, lipschitz_scan, validate_feasible
 from .utility import EntropicUtility, evaluate_grid
 from .welfare import maximize_welfare
 
@@ -73,33 +74,6 @@ def _worst(residuals) -> float:
 def _scale(*operands) -> float:
     """max(1, largest |operand|): scales a rounding tolerance, never below it."""
     return max(1.0, *(float(np.abs(a).max(initial=0.0)) for a in operands))
-
-
-def _metric_checks(grid) -> list[dict]:
-    """The metric axioms, read off the metric's structure.
-
-    Every grid distance d(a, b) = sum_k w_k |g_a,k - g_b,k| is added in one
-    fixed order (``menu._metric_sum``), with features g linear in the shares.
-    fl(x - y) = -fl(y - x), so d(a, b) and d(b, a) agree bit for bit when
-    every weight is finite; the triangle inequality holds feature by feature,
-    so it holds for d up to rounding when every weight is also >= 0.
-    ``metric.symmetry`` counts the weights that are not finite, and
-    ``metric.triangle`` records the largest negative weight (inf when a
-    weight is not finite); both pass at 0.  ``metric.identity`` is d(0, 0),
-    the kernel summed over point 0's gaps to itself, in Python floats.
-    """
-    w = grid.feature_weights
-    finite = np.isfinite(w)
-    worst = np.max(-w, initial=0.0) if finite.all() else math.inf
-    d00 = _metric_sum(w.tolist(), (float(f[0] - f[0]) for f in
-                                   grid._feature_columns(np.zeros(1, dtype=np.intp))))
-    return [
-        _invariant("metric.identity", d00, 0.0, "d(x,x) = {!r}"),
-        _invariant("metric.symmetry", np.count_nonzero(~finite), 0.0,
-                   "{:.0f} of {} feature weights not finite", w.size),
-        _invariant("metric.triangle", worst, 0.0, "min feature weight {1}",
-                   f"{w.min():.3g}" if w.size else "none"),
-    ]
 
 
 def _credal_checks(config: ScenarioConfig, umat, ref_vals: dict) -> list[dict]:
@@ -232,11 +206,9 @@ def _run_experiment(config: ScenarioConfig, *,
     x = config.x
     grid = enumerate_grid(space, x, profile.n_agents, config.resolution,
                           state_classes=config.state_classes, budget=config.budget)
-    # What reads only the grid and the profile comes first: the checks, the
-    # canonical pair sample that every Lipschitz figure reads, and the
-    # values under P.  Their temporaries then never sit on top of the
-    # game's block.
-    checks = _metric_checks(grid)
+    # What reads only the grid and the profile comes first: the canonical
+    # pair sample that every Lipschitz figure reads, and the values under
+    # P.  Their temporaries then never sit on top of the game's block.
     scan = lipschitz_scan(grid)
     # Values under P: an agent whose credal set is not exactly {P} is
     # evaluated once more, for the dominance check and its avg; on {P} they
@@ -255,7 +227,7 @@ def _run_experiment(config: ScenarioConfig, *,
         closed["tilt"] = [float(t) for t in cf.tilt]
         closed["grid_value_gap"] = abs(best.value - cf.value)
 
-    checks += _credal_checks(config, umat, ref_vals)
+    checks = _credal_checks(config, umat, ref_vals)
     checks += [
         _invariant("welfare.argmax_feasible", None, None,
                    "feasibility of the optimizer's point",
