@@ -19,8 +19,8 @@ loses nothing.  A single-prior entropic agent is the one-prior credal set
 
 Evaluators are plain data; a ``UtilityProfile`` evaluates them.  It stacks
 its agents' prior rows once, and its one entry, ``_evaluate``, computes every
-certainty equivalent (an allocation stack, a point, a grid's level tuples,
-the share refinement's trials): one ``_tilted_ce`` call over the stacked
+certainty equivalent (a point, a grid's level tuples, the share
+refinement's trials): one ``_tilted_ce`` call over the stacked
 rows and a minimum over each agent's own rows.  The kernel gives the same
 floats for the same allocation whatever else it evaluates alongside, so a
 grid value is the value of its point.  On a menu grid an agent's random
@@ -111,13 +111,17 @@ class CredalSet:
             total = float(row.sum())
             if abs(total - 1.0) > PROB_TOL:
                 errors.append(f"priors[{j}] sums to {total!r}, not 1")
-        if not np.any(np.all(np.abs(priors - reference) <= PROB_TOL, axis=1)):
+        matches = np.all(np.abs(priors - reference) <= PROB_TOL, axis=1)
+        if not matches.any():
             errors.append("the reference probability must be one of the priors")
         if self.lip_bound is not None and not (self.lip_bound > 0.0):
             errors.append("lip_bound must be positive when given "
                           "(a declared Lipschitz bound)")
         if errors:
             raise ValidationError(errors)
+        # A prior accepted as the reference is the reference, bit for bit,
+        # so the max-min value never exceeds the value under it.
+        priors = _frozen(np.where(matches[:, None], reference, priors))
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "reference", reference)
 
@@ -186,26 +190,14 @@ class UtilityProfile:
         ce, terms, mass = _tilted_ce(z, self.priors, self.log_mass, self.neg_gamma)
         return np.minimum.reduceat(ce, self.starts, axis=0), ce, terms, mass
 
-    def _checked(self, xi, stacked: bool) -> np.ndarray:
-        """``xi`` as floats: one (n x m) allocation, or a stack of them."""
+    def at_point(self, xi: np.ndarray) -> np.ndarray:
+        """(n,) every agent's value at the one (n x m) allocation ``xi``."""
         xi = np.asarray(xi, dtype=float)
         shape = (self.n_agents, self.priors.shape[1])
-        if (xi.shape[-2:] if stacked else xi.shape) != shape:
+        if xi.shape != shape:
             raise StructuralError(f"allocation must be (agents x states) {shape}, got {xi.shape}")
         if np.isnan(xi).any():
             raise ValidationError("allocation contains NaN entries")
-        return xi
-
-    def values(self, xi) -> np.ndarray:
-        """(..., n) every agent's value at each allocation of a (..., n x m)
-        stack."""
-        xi = self._checked(xi, stacked=True)
-        rows = xi.reshape((-1,) + xi.shape[-2:])[:, self.owner]
-        return self._evaluate(rows.transpose(2, 1, 0))[0].T.reshape(xi.shape[:-1])
-
-    def at_point(self, xi: np.ndarray) -> np.ndarray:
-        """(n,) every agent's value at the one (n x m) allocation ``xi``."""
-        xi = self._checked(xi, stacked=False)
         return self._evaluate(xi[self.owner].T[:, :, None])[0][:, 0]
 
     def matrix(self, grid: MenuGrid, spare_rows: int = 0) -> np.ndarray:

@@ -399,6 +399,30 @@ def test_bad_credal_set_never_reaches_a_report(tmp_path, priors):
     assert not refused_run(tmp_path, coin_doc([0.5, 0.5], [[0.5, 0.5], [0.4, 0.6]]))
 
 
+# A prior within PROB_TOL of P, and the factor the document's units scale by:
+# read as its own floats, each put the max-min value above the value under P
+# by more than the dominance check's 1e-12 (1.63e-12, 7.24e-10, 3.7e-10).
+NEAR_REFERENCE_PRIORS = [([[0.5 + 9e-13, 0.5 - 9e-13]], 1.0),
+                         ([[0.5 + 4e-13, 0.5 - 4e-13]], 1e3),
+                         ([[0.5 - 4e-13, 0.5 + 4e-13], [0.45, 0.55]], 1e3)]
+
+
+@pytest.mark.parametrize("priors, scale", NEAR_REFERENCE_PRIORS)
+def test_a_near_reference_prior_is_the_reference(tmp_path, priors, scale):
+    """``CredalSet`` keeps a prior it accepts as the reference as P's own
+    bits, so the max-min value never exceeds the value under P and the
+    document passes every invariant."""
+    credal = pc.CredalSet(np.array(priors), np.array([0.5, 0.5]))
+    assert credal.priors[0].tobytes() == credal.reference.tobytes()
+    assert credal.priors[1:].tolist() == priors[1:]
+    doc = {"states": ["h", "t"], "probs": [0.5, 0.5],
+           "endowments": [[-scale, 0.0], [0.0, -3.0 * scale]],
+           "utilities": [{"kind": "maxmin", "gamma": 1.0 / scale, "priors": priors},
+                         {"kind": "entropic", "gamma": 1.0 / scale}],
+           "grid": {"resolution": 10}}
+    assert cli_run(tmp_path, doc) == 0
+
+
 def test_subnormal_probability_runs_with_every_invariant(tmp_path):
     """A valid document whose third state has P = 1e-310, below the ~5.6e-309
     at which 1 / P overflows: the metric's weights read X alone, so the run
@@ -820,16 +844,17 @@ def test_kernel_axioms_are_warning_free_at_large_exponents():
 
 
 def test_utility_checks_reject_a_nan_allocation_stack():
-    """``values`` rejects a NaN anywhere in its stack, and a stack with too
-    few agent rows."""
+    """``at_point`` rejects a NaN anywhere in its allocation, and a stack of
+    allocations or one with too few agent rows."""
     coin = pc.StateSpace(["h", "t"], [0.5, 0.5])
     with pytest.raises(pc.ValidationError, match="NaN"):
-        pc.UtilityProfile((pc.EntropicUtility(1.0, coin.probs),)).values(
-            np.array([[[0.0, np.nan]], [[1.0, 2.0]]]))
+        pc.UtilityProfile((pc.EntropicUtility(1.0, coin.probs),) * 2).at_point(
+            np.array([[1.0, 2.0], [0.0, np.nan]]))
     three = pc.StateSpace(["a", "b", "c"], [0.2, 0.3, 0.5])
     profile = pc.UtilityProfile((pc.EntropicUtility(1.0, three.probs),) * 3)
-    with pytest.raises(pc.StructuralError, match="agents x states"):
-        profile.values(np.zeros((4, 2, 3)))
+    for shape in [(4, 3, 3), (2, 3)]:
+        with pytest.raises(pc.StructuralError, match="agents x states"):
+            profile.at_point(np.zeros(shape))
 
 
 # Planted defects in the kernel: each one must push its axiom's residual

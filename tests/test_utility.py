@@ -373,10 +373,11 @@ def test_profile_stacks_every_prior_row_read_only():
 # evaluate_grid: one kernel with ``evaluate``, bit for bit
 # ---------------------------------------------------------------------------
 
-def _per_point(u, grid, agent):
-    """A one-evaluator profile's values at every point's row of the full
-    array."""
-    return pc.UtilityProfile((u,)).values(grid.points[:, agent:agent + 1, :])[:, 0]
+def _per_point(u, grid):
+    """(points x agents): ``u``'s value at every agent's row of every point
+    of the full array, one ``at_point`` call per point."""
+    profile = pc.UtilityProfile((u,) * grid.n_agents)
+    return np.array([profile.at_point(xi) for xi in grid.points])
 
 
 def _maxmin(space, gamma, rng, count=3):
@@ -401,10 +402,11 @@ def test_evaluate_grid_shifts_large_exponents():
     rng = np.random.default_rng(3)
     for u in (pc.EntropicUtility(gamma, four.probs), _maxmin(four, gamma, rng)):
         with np.errstate(all="raise", under="ignore"):
+            ref = _per_point(u, grid)
             for agent in range(2):
                 got = pc.evaluate_grid(u, grid, agent)
                 assert np.all(np.isfinite(got))
-                assert got.tobytes() == _per_point(u, grid, agent).tobytes()
+                assert got.tobytes() == ref[:, agent].tobytes()
 
 
 def _level_path_grids():
@@ -442,9 +444,10 @@ def test_evaluate_grid_is_the_per_point_evaluator_bit_for_bit(name):
     probs = grid.space.probs
     for gamma in gammas:
         for u in (pc.EntropicUtility(gamma, probs), _maxmin(grid.space, gamma, rng)):
+            refs = _per_point(u, grid)
             for agent in range(grid.n_agents):
                 got = pc.evaluate_grid(u, grid, agent)
-                ref = _per_point(u, grid, agent)
+                ref = refs[:, agent]
                 assert got.dtype == ref.dtype and got.shape == (grid.n_points,)
                 assert got.tobytes() == ref.tobytes()
     if name == "per-state-n2":
