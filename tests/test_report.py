@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import pricechoose as pc
-from pricechoose import mechanism, report, utility, welfare
+from pricechoose import auction, mechanism, report, utility, welfare
 from pricechoose.cli import main
 
 from conftest import column_sums
@@ -582,6 +582,51 @@ def test_bundled_reports_match_recorded_digests(tmp_path):
     assert not problems, "\n".join(problems)
 
 
+# OpenBLAS picks its kernels by CPU at run time (SkylakeX, Haswell, ...), and
+# they round differently, so the byte contract holds on every machine only
+# while no figure goes through BLAS: no ``@`` and no call to these names or
+# to ``linalg.*`` anywhere in src/pricechoose.
+BLAS_NAMES = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot"}
+
+
+def blas_calls(source: str) -> list[int]:
+    """The lines of ``source`` that hold a ``@``, a call of a BLAS name, or
+    a use of ``linalg``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            flagged = isinstance(node.op, ast.MatMult)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            flagged = (func.attr if isinstance(func, ast.Attribute)
+                       else getattr(func, "id", None)) in BLAS_NAMES
+        elif isinstance(node, ast.ImportFrom):
+            flagged = "linalg" in (node.module or "") or any(
+                a.name == "linalg" for a in node.names)
+        else:
+            flagged = isinstance(node, ast.Attribute) and node.attr == "linalg"
+        if flagged:
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("snippet", [
+    "c = a @ b", "a @= b", "np.dot(a, b)", "a.dot(b)", "np.matmul(a, b)",
+    "np.einsum('ij,j', a, b)", "np.tensordot(a, b, 1)", "np.inner(a, b)",
+    "np.vdot(a, b)", "np.linalg.norm(a)", "from numpy.linalg import solve",
+    "from numpy import linalg", "from numpy import dot\nc = dot(a, b)",
+])
+def test_blas_guard_flags_each_planted_call(snippet):
+    assert blas_calls(snippet)
+
+
+def test_src_makes_no_blas_call():
+    assert blas_calls("c = np.add.reduce(a * b, axis=1) / a.sum()") == []
+    found = {path.name: blas_calls(path.read_text())
+             for path in sorted(SCENARIOS.parent.glob("*.py"))}
+    assert len(found) >= 10 and not any(found.values()), found
+
+
 # Seeded random reports: the first twelve seed-0 ``sweep`` scenarios of the
 # benchmark pool, one per sweep shape (2-4 agents, per-state and single-class
 # grids, max-min agents refined off the grid), with the sha256 of each
@@ -970,8 +1015,8 @@ def test_maxmin_dominance_fails_on_a_lowered_reference_column():
             assert ref_vals and not dominance(lowered)["passed"], path.name
 
 
-def nan_mutant_run(path) -> SimpleNamespace:
-    """What a NaN mutant plants into: the scenario, its game, the exact
+def mutant_run(path) -> SimpleNamespace:
+    """What a NaN or planted mutant plants into: the scenario, its game, the exact
     order-0..n-1 transcript, every auction branch, the reference columns,
     and ``off``, a grid point other than the chosen one."""
     config = pc.load_scenario(path)
@@ -1018,7 +1063,7 @@ def _nan_branch_welfare(r):
 # NaN mutants: one NaN among the residuals a check folds into its worst
 # value, placed after a finite one (an earlier residual or the 0.0 floor),
 # where a Python ``max`` would drop it; the check must fail with a null
-# value.  A mutant maps a ``nan_mutant_run`` to the records of the check's
+# value.  A mutant maps a ``mutant_run`` to the records of the check's
 # family.
 NAN_MUTANTS = {
     # one follower's payoff
@@ -1036,11 +1081,81 @@ NAN_MUTANTS = {
 @pytest.mark.parametrize("check", list(NAN_MUTANTS))
 def test_each_folded_check_fails_on_a_nan_residual(check):
     for path in MUTANT_SCENARIOS:
-        r = nan_mutant_run(path)
+        r = mutant_run(path)
         if check == "utility.maxmin_dominance" and not r.ref_vals:
             continue    # single-prior agents: the check reads no column
         record = next(c for c in NAN_MUTANTS[check](r) if c["name"] == check)
         assert not record["passed"] and record["value"] is None, (path.name, record)
+
+
+def _auction_mutant(r, branch=0, **fields):
+    """The auction records, with auction branch ``branch`` (0 is the one the
+    records read as drawn) replaced by a copy whose ``fields`` are planted:
+    ``transfers`` on its ``AuctionOutcome``, the rest on the outcome."""
+    planted = r.branches[branch]
+    if "transfers" in fields:
+        planted = dataclasses.replace(planted, auction=dataclasses.replace(
+            planted.auction, transfers=fields.pop("transfers")))
+    branches = list(r.branches)
+    branches[branch] = dataclasses.replace(planted, **fields)
+    return report._auction_checks(branches[0], branches, r.game)
+
+
+def _rebate_split_n_ways(r):
+    drawn = r.branches[0]
+    bids, winner = drawn.auction.bids, drawn.auction.winner
+    transfers = np.full(r.game.n_agents, bids[winner] / r.game.n_agents)
+    transfers[winner] = -bids[winner]
+    return _auction_mutant(r, transfers=transfers,
+                           final_payoffs=drawn.transcript.payoffs + transfers)
+
+
+def _spread_replay(r):
+    shift = np.zeros(r.game.n_agents)
+    shift[:2] = 1e-6, -1e-6
+    return _auction_mutant(r, 1, final_payoffs=r.branches[1].final_payoffs + shift)
+
+
+def _moved_equilibrium_bid(r):
+    bid = auction.equilibrium_bid
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(auction, "equilibrium_bid", lambda eta, n: 0.9 * bid(eta, n))
+        return pc.run_experiment(r.config)["invariants"]
+
+
+# Planted mutants: a small defect in the objects a check reads.  A mutant
+# maps a ``mutant_run`` to the records of the check's family; the check
+# passes unmutated and must fail.
+PLANTED_MUTANTS = {
+    # the winner's payment rebated n ways instead of n - 1
+    "auction.transfers_sum": _rebate_split_n_ways,
+    # the surplus misreported by 1e-6
+    "auction.fair_split": lambda r: _auction_mutant(r, eta=r.branches[0].eta + 1e-6),
+    # final payoffs without the transfers: the leader keeps eta
+    "auction.equal_split": lambda r: _auction_mutant(
+        r, final_payoffs=r.branches[0].transcript.payoffs),
+    # every final payoff 1e-6 high
+    "auction.total_is_wmax": lambda r: _auction_mutant(
+        r, final_payoffs=r.branches[0].final_payoffs + 1e-6),
+    # winner 1's branch moves 1e-6 from its agent 1 to its agent 0
+    "auction.winner_invariance": _spread_replay,
+    # the mechanism implements the welfare minimum
+    "mechanism.efficiency": lambda r: report._mechanism_checks(dataclasses.replace(
+        r.exact, chosen=int(np.argmin(r.game.welfare))), r.game),
+    # everyone bids 0.9 b*, so an underbid gains eta (n - 1) / (10 n)
+    "audit.bid_deviations": _moved_equilibrium_bid,
+}
+
+
+@pytest.mark.parametrize("check", list(PLANTED_MUTANTS))
+def test_each_check_fails_on_its_planted_defect(check):
+    for path in MUTANT_SCENARIOS:
+        r = mutant_run(path)
+        unmutated = (report._auction_checks(r.branches[0], r.branches, r.game)
+                     + report._mechanism_checks(r.exact, r.game))
+        assert all(c["passed"] for c in unmutated), path.name
+        record = next(c for c in PLANTED_MUTANTS[check](r) if c["name"] == check)
+        assert not record["passed"], (path.name, record)
 
 
 BUNDLED_SCENARIOS = [SCENARIOS / "two_agent_hand.json",
@@ -1083,14 +1198,13 @@ _MUTANT_TESTS = {
         "auction.efficiency_preserved",),
     "test_winner_check_fails_on_a_lowered_winning_bid": ("auction.winner_argmax",),
     "test_value_sum_check_fails_on_a_shifted_welfare_value": ("welfare.value_sum",),
+    "test_each_check_fails_on_its_planted_defect": tuple(PLANTED_MUTANTS),
 }
 MUTANT_TESTS = {name: f"test_report.py::{test}"
                 for test, names in _MUTANT_TESTS.items() for name in names}
 UNMUTATED = {
     "welfare.argmax_feasible", "mechanism.telescoping", "mechanism.leader_payoff",
-    "mechanism.efficiency", "mechanism.perturbed_target", "auction.transfers_sum",
-    "auction.fair_split", "auction.equal_split", "auction.total_is_wmax",
-    "auction.winner_invariance", "audit.first_mover_bound", "audit.bid_deviations",
+    "mechanism.perturbed_target", "audit.first_mover_bound",
 }
 
 
