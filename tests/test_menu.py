@@ -348,7 +348,8 @@ def menu_grids(draw):
             classes = "single"
     probs = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
     tiny = np.array([False] + draw(st.lists(st.booleans(), min_size=m - 1, max_size=m - 1)))
-    probs[tiny] = draw(st.lists(st.floats(5e-324, 1e-300), min_size=m, max_size=m))[:tiny.sum()]
+    k = int(tiny.sum())
+    probs[tiny] = draw(st.lists(st.floats(5e-324, 1e-300), min_size=k, max_size=k))
     probs[~tiny] /= probs[~tiny].sum()
     space = pc.StateSpace([f"s{w}" for w in range(m)], probs)
     return pc.enumerate_grid(space, x, n, resolution, state_classes=classes)
