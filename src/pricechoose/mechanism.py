@@ -21,6 +21,13 @@ Admissible schedules have zero menu mean, Lipschitz constant at most
 menu diameter.  Every entry point reads its menu data (utility matrix,
 cap, averages, W and W_max) from one ``Game`` built by ``calibrate``.
 
+On a grid of one share class every agent's utility, and so every
+equalizing schedule, is a sum of level values, and its Lipschitz constant
+is exact: ``calibrate`` builds the one-unit transfer table once
+(``menu.transfer_lipschitz``), and each agent and tail constant is a lookup
+in it.  Multi-class grids and perturbed-mode schedules, whose bump is not a
+level function, measure on the canonical pair sample instead.
+
 The ``Game`` keeps every P-sized vector it holds in one float block of
 R x P, allocated once when ``calibrate`` evaluates the utility matrix: the
 n utility columns (``umat`` is a column-major view of the first n rows),
@@ -46,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, StructuralError
-from .menu import MenuGrid, integrate, lipschitz_ratio
+from .menu import MenuGrid, integrate, lipschitz_ratio, tail_lipschitz, transfer_lipschitz
 from .utility import UtilityProfile, average_utilities, warn_if_over_declared
 
 ZERO_MEAN_TOL = 1e-9
@@ -74,9 +81,11 @@ def _auction_tails(n: int) -> set[tuple[int, ...]]:
 class Game:
     """One prepared menu: the data every payoff and audit reads.
 
-    Holds the utility matrix, the calibrated Lipschitz data, the menu
-    averages Avg_i, the welfare W of every grid point (its row sum, added
-    in agent order), and W_max at its lowest-index argmax, found once.
+    Holds the utility matrix, the calibrated Lipschitz data (on one share
+    class, the ``transfers`` table every exact constant reads; None on
+    more classes), the menu averages Avg_i, the welfare W of every grid
+    point (its row sum, added in agent order), and W_max at its
+    lowest-index argmax, found once.
     Build it once with ``calibrate`` and pass it along.  Each equalizing
     schedule is built once per tail of the posting order and kept here.
 
@@ -93,6 +102,7 @@ class Game:
     grid: MenuGrid
     umat: np.ndarray = field(repr=False)          # (points x agents)
     agent_lipschitz: np.ndarray = field(repr=False)
+    transfers: np.ndarray | None = field(repr=False)
     cap: float
     averages: np.ndarray = field(repr=False)
     welfare: np.ndarray = field(repr=False)
@@ -124,12 +134,15 @@ def calibrate(profile: UtilityProfile, grid: MenuGrid, *,
               cap: float | None = None) -> Game:
     """Evaluate the utility matrix once and derive everything else from it.
 
-    Each agent's Lipschitz estimate is measured on its matrix column.  The
-    default cap is 1.5x the largest estimate, which leaves the strict
-    headroom the equalizing and bump constructions need; override it when a
-    scenario declares its own constant, a finite positive number.
-    Calibration and schedule validation measure on the same canonical pair
-    sample.
+    On a grid of one share class each agent's Lipschitz constant is exact:
+    ``transfer_lipschitz`` builds the game's one (n x n x 3) table from the
+    level values the matrix was gathered from, and the agent's constant is
+    its one-agent tail's lookup.  On more classes it is estimated on the
+    agent's matrix column, where calibration and schedule validation
+    measure on the same canonical pair sample.  The default cap is 1.5x the
+    largest constant, which leaves the strict headroom the equalizing and
+    bump constructions need; override it when a scenario declares its own
+    constant, a finite positive number.
 
     One (n + 2 + T) x P block holds the game's P-sized vectors: ``matrix``
     allocates it and writes the columns into its first n rows, W, the tail
@@ -140,9 +153,14 @@ def calibrate(profile: UtilityProfile, grid: MenuGrid, *,
     if cap is not None and not 0.0 < cap < math.inf:
         raise ParameterError(f"Lipschitz cap must be finite and positive, got {cap!r}")
     n = profile.n_agents
-    umat = profile.matrix(grid, spare_rows=2 + len(_auction_tails(n)))
+    umat, levels = profile.matrix(grid, spare_rows=2 + len(_auction_tails(n)),
+                                  return_levels=True)
     block = umat.base
-    est = np.array([lipschitz_ratio(umat[:, i], grid) for i in range(n)])
+    transfers = transfer_lipschitz(grid, levels) if grid.n_classes == 1 else None
+    if transfers is None:
+        est = np.array([lipschitz_ratio(umat[:, i], grid) for i in range(n)])
+    else:
+        est = tail_lipschitz(transfers, np.eye(n, dtype=bool))
     for i, u in enumerate(profile.evaluators):
         warn_if_over_declared(u, float(est[i]), i)
     if cap is None:
@@ -153,7 +171,7 @@ def calibrate(profile: UtilityProfile, grid: MenuGrid, *,
     for shared in (umat, est, averages, welfare):
         shared.setflags(write=False)
     return Game(profile=profile, grid=grid, umat=umat, agent_lipschitz=est,
-                cap=float(cap), averages=averages, welfare=welfare,
+                transfers=transfers, cap=float(cap), averages=averages, welfare=welfare,
                 welfare_max=float(welfare[target]), _welfare_argmax=target,
                 _scratch=block[n + 1], _spare=list(block[n + 2:]))
 
@@ -190,13 +208,14 @@ class PriceSchedule:
 @dataclass(frozen=True)
 class ScheduleDiagnostics:
     """What ``validate_schedule`` measures on one schedule and grid: the
-    residual of its zero menu mean, its empirical Lipschitz ratio and its
-    sup norm.  The report's ``schedule[j].*`` invariants hold each figure
-    to its bound, read from the ``Game``: ``ZERO_MEAN_TOL``, the stage cap
-    plus ``LIP_SLACK``, and the stage cap x diameter plus ``LIP_SLACK``."""
+    residual of its zero menu mean, its Lipschitz figure (exact or
+    empirical) and its sup norm.  The report's ``schedule[j].*`` invariants
+    hold each figure to its bound, read from the ``Game``:
+    ``ZERO_MEAN_TOL``, the stage cap plus ``LIP_SLACK``, and the stage cap
+    x diameter plus ``LIP_SLACK``."""
 
     zero_mean_residual: float
-    empirical_lip: float
+    lipschitz: float
     sup_norm: float
 
 
@@ -208,12 +227,16 @@ def _sup_norm(values: np.ndarray) -> float:
     return float(np.maximum(values.max(), -values.min()) + 0.0)
 
 
-def validate_schedule(schedule: PriceSchedule, grid: MenuGrid) -> ScheduleDiagnostics:
-    """Measure the schedule's menu-mean residual, empirical Lipschitz ratio
-    (on the canonical pair sample) and sup norm."""
+def validate_schedule(schedule: PriceSchedule, grid: MenuGrid,
+                      lipschitz: float | None = None) -> ScheduleDiagnostics:
+    """Measure the schedule's menu-mean residual, Lipschitz figure and sup
+    norm.  ``lipschitz`` is the exact constant of an equalizing schedule on
+    a single-class grid (``tail_lipschitz``); without it the figure is the
+    empirical ratio on the canonical pair sample."""
     return ScheduleDiagnostics(
         zero_mean_residual=abs(integrate(grid, schedule.values)),
-        empirical_lip=lipschitz_ratio(schedule.values, grid),
+        lipschitz=(lipschitz_ratio(schedule.values, grid) if lipschitz is None
+                   else lipschitz),
         sup_norm=_sup_norm(schedule.values),
     )
 
@@ -257,7 +280,9 @@ def _equalize(game: Game, leader: int,
     Values are the tail welfare of the agents after the leader minus its
     menu average, which makes the continuation coalition indifferent across
     every menu point; a schedule over the Lipschitz cap raises, since the
-    cap is then too small for the declared utilities.  The schedule depends
+    cap is then too small for the declared utilities.  On one share class
+    its constant is the tail's exact one, read from the game's transfer
+    table; elsewhere it is measured on the pair sample.  The schedule depends
     only on that tail, in posting order, so it is built once per tail and
     memoised on the game: the tail is written into the game's next free
     row and centred there in place.  A one-agent tail's mean is that
@@ -278,10 +303,15 @@ def _equalize(game: Game, leader: int,
         values -= integrate(game.grid, values)
     declared = float(sum(game.agent_lipschitz[j] for j in key))
     schedule = PriceSchedule(values=values, declared_lip=declared)
-    diag = validate_schedule(schedule, game.grid)
-    if not diag.empirical_lip <= game.stage_cap + LIP_SLACK:    # NaN raises too
+    exact = None
+    if game.transfers is not None:
+        inside = np.zeros(n, dtype=bool)
+        inside[list(key)] = True
+        exact = float(tail_lipschitz(game.transfers, inside))
+    diag = validate_schedule(schedule, game.grid, exact)
+    if not diag.lipschitz <= game.stage_cap + LIP_SLACK:    # NaN raises too
         raise ConfigurationError(
-            f"equalizing schedule has empirical Lipschitz {diag.empirical_lip:.6g} "
+            f"equalizing schedule has Lipschitz constant {diag.lipschitz:.6g} "
             f"over the cap {game.stage_cap:.6g}; the cap is too small for the "
             "declared utilities"
         )

@@ -422,7 +422,7 @@ class MenuGrid:
         because the features are linear in the shares.  Feature columns are
         built for the vertices only.
         """
-        corners = np.nonzero(self.table.max(axis=1) == 1.0)[0]
+        corners = np.nonzero(self.counts == self.resolution)[0]
         vertices = np.zeros(1, dtype=np.int64)
         for _ in range(self.n_classes):
             vertices = (vertices[:, None] * self.table.shape[0] + corners).ravel()
@@ -498,7 +498,7 @@ def integrate(grid: MenuGrid, f) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Pairwise Lipschitz estimation (shared by utilities and price schedules)
+# Lipschitz constants (shared by utilities and price schedules)
 # ---------------------------------------------------------------------------
 
 def _metric_sum(weights, gaps, shape=None):
@@ -511,10 +511,73 @@ def _metric_sum(weights, gaps, shape=None):
     return total
 
 
-# One canonical pair sample keeps every empirical Lipschitz figure on the same
-# footing: ratios of sums are subadditive pair by pair, so price schedules
-# built from utility tails can never out-measure the cap calibrated from the
-# same pairs.
+def transfer_lipschitz(grid: MenuGrid, levels) -> np.ndarray:
+    """(n x n x 3) Lipschitz figures of the one-unit transfers on a grid of
+    one share class, read from the (n x L) level values ``levels``: row j
+    holds f_j(l), agent j's utility at count l, for l = 0..r.
+
+    On one class d(a, b) = sum_i omega_i |c_a,i - c_b,i| / r over the
+    agents' counts c, since the series has no mass sums there.  Any move
+    between two points splits into conformal one-unit transfers, each from
+    an agent whose count falls to one whose count rises, each through grid
+    points, and their costs (omega_giver + omega_receiver) / r add up to
+    d(a, b) (the separable-levels view of Ibaraki & Katoh, Resource
+    Allocation Problems, 1988).  So for a sum of level values over a set of
+    agents, its change over any pair is at most the largest change of one
+    transfer per unit cost: that ratio, attained by a transfer, is the
+    function's exact Lipschitz constant over grid pairs.
+
+    Entry [a, b, k] is the largest |change| * r / (omega_a + omega_b) of a
+    transfer from a to b over the levels it can start from, l_a >= 1 and
+    l_a + l_b <= r: k = 0 when both agents are in the set, k = 1 when only
+    the giver a is, k = 2 when only the receiver b is.  The k = 0 maximum
+    of |step_b(l_b) - step_a(l_a - 1)| reads a running max and min of the
+    receiver's steps, step_j(l) = f_j(l + 1) - f_j(l), so the table takes
+    O(n^2 r) work and no concavity.  With two agents l_a + l_b = r, and the
+    k = 0 entry bounds the constant of the whole profile's sum from above;
+    no tail reads it.  The diagonal, and a pair whose two weights are both
+    zero (a move the metric cannot see), hold 0.
+    """
+    omega = grid._metric[0][0]
+    steps = levels[:, 1:] - levels[:, :-1]                              # (n x r)
+    # rise[b, s] / fall[b, s]: b's largest / smallest step at a level
+    # l_b <= r - 1 - s, where s = l_a - 1 is the giver's step.
+    rise = np.maximum.accumulate(steps, axis=1)[:, ::-1]
+    fall = np.minimum.accumulate(steps, axis=1)[:, ::-1]
+    both = np.maximum((rise[None] - steps[:, None]).max(axis=2, initial=0.0),
+                      (steps[:, None] - fall[None]).max(axis=2, initial=0.0))
+    one = np.abs(steps).max(axis=1, initial=0.0)
+    table = np.stack([both, np.broadcast_to(one[:, None], both.shape),
+                      np.broadcast_to(one, both.shape)], axis=-1)
+    table *= grid.resolution
+    # |change| r is divided last: tiny (subnormal) weights then meet tiny
+    # changes, where r / cost alone could overflow.
+    cost = (omega[:, None] + omega[None, :])[..., None]
+    seen = (cost > 0.0) & ~np.eye(len(omega), dtype=bool)[..., None]
+    return _read_only(np.divide(table, cost, out=np.zeros_like(table), where=seen))
+
+
+def tail_lipschitz(transfers: np.ndarray, inside) -> np.ndarray:
+    """Exact Lipschitz constants over grid pairs of sums of level values,
+    from the ``transfer_lipschitz`` table: ``inside`` (... x n) marks the
+    agents of each sum (a tail), and its constant is the largest entry over
+    the ordered agent pairs the tail touches, each read in the case of its
+    membership: O(n^2) per tail.  An added constant, such as the menu mean
+    a schedule subtracts, leaves a constant unchanged."""
+    inside = np.asarray(inside, dtype=bool)
+    give, take = inside[..., :, None], inside[..., None, :]
+    figures = np.where(give, np.where(take, transfers[..., 0], transfers[..., 1]),
+                       np.where(take, transfers[..., 2], 0.0))
+    return figures.max(axis=(-2, -1))
+
+
+# Every sampled or exhaustive Lipschitz figure reads one canonical pair
+# sample, which keeps them on the same footing: ratios of sums are
+# subadditive pair by pair, so price schedules built from utility tails can
+# never out-measure the cap calibrated from the same pairs.  A grid of one
+# share class needs no pairs: its utility and equalizing-schedule figures
+# are exact (``transfer_lipschitz``), and only its perturbed-mode schedules,
+# whose bump is not a level function, read the pairs.
 PAIR_SEED = 2011
 EXHAUSTIVE_PAIRS = 512
 PAIR_SAMPLES = 4096
@@ -523,7 +586,9 @@ PAIR_SAMPLES = 4096
 def _lipschitz_pairs(grid: MenuGrid, exhaustive_threshold: int,
                      num_samples: int, seed: int) -> tuple[np.ndarray, ...]:
     """(a, b, d): the point pairs ``lipschitz_ratio`` scans, with their
-    distances, zero-distance pairs dropped.
+    distances, zero-distance pairs dropped.  Drawn only for a multi-class
+    grid's figures and for perturbed-mode schedules: a single-class grid's
+    utility and equalizing-schedule constants are exact without pairs.
 
     Every pair a < b when the grid has at most ``exhaustive_threshold``
     points (distances are symmetric bit for bit, so the pairs b > a add
@@ -574,6 +639,10 @@ def lipschitz_ratio(values, grid: MenuGrid, *, exhaustive_threshold: int = EXHAU
 
 def lipschitz_scan(grid: MenuGrid) -> dict:
     """What ``lipschitz_ratio`` reads with its default arguments, from the
-    memoised pair set: the kind of scan and the number of pairs at d > 0."""
+    memoised pair set: the kind of scan and the number of pairs at d > 0.
+    Calling it draws the pairs; a run calls it only where a figure is
+    sampled or exhaustive, on a multi-class grid or for perturbed-mode
+    schedules.  A single-class grid's calibration figures are exact, and
+    its report reads {"kind": "exact"} instead."""
     a = _lipschitz_pairs(grid, EXHAUSTIVE_PAIRS, PAIR_SAMPLES, PAIR_SEED)[0]
     return {"kind": "sampled" if grid.n_points > EXHAUSTIVE_PAIRS else "exhaustive", "pairs": len(a)}

@@ -91,15 +91,17 @@ def _credal_checks(config: ScenarioConfig, umat, ref_vals: dict) -> list[dict]:
 def _schedule_checks(transcript, game, scan: dict) -> list[dict]:
     """Each posted schedule's measured figures against the bounds the game
     sets: zero mean, the stage cap, and the stage cap x the grid diameter
-    (an upper bound when the diameter is not exact)."""
+    (an upper bound when the diameter is not exact).  ``scan`` says how the
+    Lipschitz figures were made (``_lipschitz_scan``)."""
     cap = game.stage_cap
     diameter, exact = game.grid.diameter
-    pairs = f"{scan['kind']}, {scan['pairs']} pairs"
+    lipschitz = ("exact {:.6g} vs cap {:.6g}" if scan["kind"] == "exact" else
+                 f"empirical {{:.6g}} vs cap {{:.6g}} ({scan['kind']}, {scan['pairs']} pairs)")
     return [check for j, diag in enumerate(transcript.diagnostics) for check in (
         _invariant(f"schedule[{j}].zero_mean", diag.zero_mean_residual,
                    ZERO_MEAN_TOL, "residual {:.3g}"),
-        _invariant(f"schedule[{j}].lipschitz", diag.empirical_lip,
-                   cap + LIP_SLACK, "empirical {:.6g} vs cap {:.6g} ({})", cap, pairs),
+        _invariant(f"schedule[{j}].lipschitz", diag.lipschitz,
+                   cap + LIP_SLACK, lipschitz, cap),
         _invariant(f"schedule[{j}].sup_norm", diag.sup_norm,
                    cap * diameter + LIP_SLACK, "sup {:.6g} vs bound {:.6g}{}",
                    cap * diameter, "" if exact else " (diameter upper bound)"))]
@@ -179,6 +181,17 @@ def _auction_checks(combined, branches, game) -> list[dict]:
     ]
 
 
+def _lipschitz_scan(grid, mode: str = "exact") -> dict:
+    """How the Lipschitz figures of a ``mode`` transcript's schedules are
+    made: {"kind": "exact"} for the transfer-table constants of a
+    single-class grid in exact mode, and otherwise ``lipschitz_scan``'s
+    record of the pair sample, which this draws.  The calibrated agent
+    constants are made as exact mode's are."""
+    if grid.n_classes == 1 and mode == "exact":
+        return {"kind": "exact"}
+    return lipschitz_scan(grid)
+
+
 def run_experiment(config: ScenarioConfig, *, include_auction: bool = True) -> dict:
     """Execute the configured pipeline and assemble the report dict."""
     return _run_experiment(config, include_auction=include_auction)[0]
@@ -206,10 +219,11 @@ def _run_experiment(config: ScenarioConfig, *,
     x = config.x
     grid = enumerate_grid(space, x, profile.n_agents, config.resolution,
                           state_classes=config.state_classes, budget=config.budget)
-    # What reads only the grid and the profile comes first: the canonical
-    # pair sample that every Lipschitz figure reads, and the values under
-    # P.  Their temporaries then never sit on top of the game's block.
-    scan = lipschitz_scan(grid)
+    # What reads only the grid and the profile comes first: on more than one
+    # class the canonical pair sample that every Lipschitz figure reads, and
+    # the values under P.  Their temporaries then never sit on top of the
+    # game's block.
+    scan = _lipschitz_scan(grid)
     # Values under P: an agent whose credal set is not exactly {P} is
     # evaluated once more, for the dominance check and its avg; on {P} they
     # are its umat column, whose menu average the game already holds.
@@ -272,7 +286,7 @@ def _run_experiment(config: ScenarioConfig, *,
 
     report["mechanism"] = transcript.to_dict()
     arrays = _schedule_arrays("mechanism", transcript)
-    checks += _schedule_checks(transcript, game, scan)
+    checks += _schedule_checks(transcript, game, _lipschitz_scan(grid, transcript.mode))
     checks += _mechanism_checks(transcript, game)
 
     report["surplus"] = {"eta": efficient_surplus(game), "welfare_max": game.welfare_max,

@@ -200,24 +200,32 @@ class UtilityProfile:
             raise ValidationError("allocation contains NaN entries")
         return self._evaluate(xi[self.owner].T[:, :, None])[0][:, 0]
 
-    def matrix(self, grid: MenuGrid, spare_rows: int = 0) -> np.ndarray:
+    def matrix(self, grid: MenuGrid, spare_rows: int = 0, *,
+               return_levels: bool = False):
         """(points x agents) utility values over a whole grid, column-major:
         each agent's column is contiguous, as the column scans read it.
         The columns are the first rows of one ((agents + spare_rows) x
         points) block, the matrix's ``base``: ``calibrate`` keeps the game's
-        other P-sized vectors in the rows below them."""
+        other P-sized vectors in the rows below them.  With
+        ``return_levels``, also the (agents x L^C) values of the level
+        tuples the columns were gathered from (``_grid_values``)."""
         if grid.n_agents != self.n_agents:
             raise StructuralError(
                 f"grid built for {grid.n_agents} agents, profile has {self.n_agents}"
             )
-        return self._grid_values(grid, range(self.n_agents), spare_rows)[:self.n_agents].T
+        rows, levels = self._grid_values(grid, range(self.n_agents), spare_rows)
+        umat = rows[:self.n_agents].T
+        return (umat, levels) if return_levels else umat
 
-    def _grid_values(self, grid: MenuGrid, agents, spare_rows: int = 0) -> np.ndarray:
-        """(len(agents) + spare_rows) x P: row j is evaluator j's utility at
-        every grid point, read at agent ``agents[j]``'s share levels, and the
-        ``spare_rows`` after them are left unwritten.  The rows are allocated
-        once the level tuples are evaluated, so the kernel's tables never sit
-        on top of them.
+    def _grid_values(self, grid: MenuGrid, agents,
+                     spare_rows: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, tuple values).  ``rows`` is (len(agents) + spare_rows) x P:
+        row j is evaluator j's utility at every grid point, read at agent
+        ``agents[j]``'s share levels, and the ``spare_rows`` after them are
+        left unwritten.  The rows are allocated once the level tuples are
+        evaluated, so the kernel's tables never sit on top of them.  The
+        tuple values are every evaluator's (n x L^C) values of the level
+        tuples; on one class, row j is f_j(l) at each level l.
 
         An agent's random variable at a point is fixed by its share level in
         each class, one of the L levels ``grid._share_levels`` reads off the
@@ -256,7 +264,7 @@ class UtilityProfile:
                             out=out[j].reshape((len(index),) * classes))
             else:
                 out[j] = values.reshape(grid.n_points)
-        return out
+        return out, tuple_values
 
 
 def evaluate(u: MaxMinUtility, xi, agent: int) -> float:
@@ -270,7 +278,7 @@ def evaluate(u: MaxMinUtility, xi, agent: int) -> float:
 def evaluate_grid(u: MaxMinUtility, grid: MenuGrid, agent: int) -> np.ndarray:
     """The utility ``u`` gives ``agent`` at every grid point: a
     ``UtilityProfile.matrix`` column, for one evaluator."""
-    return UtilityProfile((u,))._grid_values(grid, [agent])[0]
+    return UtilityProfile((u,))._grid_values(grid, [agent])[0][0]
 
 
 def check_cash_invariance(u: MaxMinUtility, xi, agent: int, c: float) -> float:
@@ -294,11 +302,12 @@ def estimate_lipschitz(u: MaxMinUtility, grid: MenuGrid, agent: int) -> float:
 
 
 def warn_if_over_declared(u: MaxMinUtility, est: float, agent: int) -> None:
-    """Warn when an empirical Lipschitz estimate exceeds the declared bound."""
+    """Warn when a Lipschitz figure, exact on a single-class grid and
+    empirical elsewhere, exceeds the declared bound."""
     declared = u.credal.lip_bound
     if declared is not None and est > declared + 1e-9:
         warnings.warn(
-            f"empirical Lipschitz {est:.6g} exceeds the declared bound {declared:.6g} "
+            f"Lipschitz constant {est:.6g} exceeds the declared bound {declared:.6g} "
             f"for agent {agent}; the declared constant looks miscalibrated",
             stacklevel=3,
         )

@@ -233,7 +233,7 @@ def test_criterion_7_regularity_suite(runs):
         for schedule in exact.schedules:
             diag = pc.validate_schedule(schedule, grid)
             schedules_ok = (schedules_ok and diag.zero_mean_residual <= 1e-9
-                            and diag.empirical_lip <= game.stage_cap + 1e-9
+                            and diag.lipschitz <= game.stage_cap + 1e-9
                             and diag.sup_norm <= game.stage_cap * grid.diameter[0] + 1e-9)
     assert worst_cash <= TOL
     assert worst_mono <= 1e-12

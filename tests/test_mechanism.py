@@ -1,14 +1,18 @@
 import hashlib
 import itertools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pricechoose as pc
 from conftest import deviation_gain, hurricane_space, sampled_deviations
 from pricechoose.mechanism import (
+    _auction_tails,
     _equalize,
     _payoffs_from_schedules,
     _sup_norm,
@@ -72,6 +76,146 @@ def test_calibrate_rejects_a_non_finite_cap(cap):
                                       for g in (1.0, 2.0, 4.0)))
     with pytest.raises(pc.ParameterError, match="finite and positive"):
         pc.calibrate(profile, grid, cap=cap)
+
+
+# ---------------------------------------------------------------------------
+# exact Lipschitz constants on one share class
+# ---------------------------------------------------------------------------
+
+UNIT = 2.0 ** -53
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def assert_exact_matches_exhaustive(game):
+    """Every agent constant and every auction tail's schedule constant
+    against the exhaustive float pair ratio of its vector.  The exact
+    figure L is attained by a one-unit transfer, a grid pair, so the two
+    differ only by rounding (the derivation is in CHANGES.md): with
+    delta = (2r + n + 10) u, A the largest agent constant, E the rounding
+    of the vector's entries and d_min the smallest nonzero distance,
+
+        |L - ratio| <= (1 + delta) (delta max(L, ratio) + 2 u A + 2 E / d_min).
+    """
+    grid, umat, n = game.grid, game.umat, game.n_agents
+    assert grid.n_classes == 1 and grid.n_points <= 512
+    r = grid.resolution
+    omega = np.sort(grid._metric[0][0])
+    d_min = (omega[0] + omega[1]) / r
+    delta = (2 * r + n + 10) * UNIT
+    figures = [(game.agent_lipschitz[j], umat[:, j], 0.0) for j in range(n)]
+    for tail in sorted(_auction_tails(n)):
+        order = [i for i in range(n) if i not in tail] + list(tail)
+        schedule, diag = _equalize(game, n - 1 - len(tail), order)
+        summed = np.abs(umat[:, list(tail)]).sum(axis=1).max()
+        rounding = ((len(tail) - 1) * summed + _sup_norm(schedule.values)) * UNIT
+        figures.append((diag.lipschitz, schedule.values, rounding))
+    for figure, values, rounding in figures:
+        ratio = pc.lipschitz_ratio(values, grid, exhaustive_threshold=grid.n_points)
+        bound = (1 + delta) * (delta * max(figure, ratio)
+                               + 2 * UNIT * game.agent_lipschitz.max() + 2 * rounding / d_min)
+        assert abs(figure - ratio) <= bound, (figure, ratio, bound)
+
+
+def single_class_games():
+    """Every single-class grid of at most 512 points the suite runs: the
+    hand, the hurricane at low resolutions, the four-agent max-min
+    scenario and the two-agent single-class sweep pin."""
+    space, endow = hurricane_space()
+    hurricane = pc.UtilityProfile(tuple(pc.EntropicUtility(g, space.probs)
+                                        for g in (1.0, 2.0, 4.0)))
+    for r in (1, 6, 10, 30):
+        yield f"hurricane-r{r}", hurricane, pc.enumerate_grid(
+            space, pc.aggregate_risk(endow), 3, r, state_classes="single")
+    pin = next(p["scenario"] for p in json.loads((DATA / "sweep_pins.json").read_text())
+               if p["scenario"]["name"] == "sweep-2x2-single")
+    for config in (pc.load_scenario(BLOCK_SCENARIOS["hurricane"].with_name("two_agent_hand.json")),
+                   pc.load_scenario(BLOCK_SCENARIOS["four-agent"]),
+                   pc.scenario_from_dict(pin, source=pin["name"])):
+        yield config.name, config.profile, pc.enumerate_grid(
+            config.space, config.x, config.profile.n_agents, config.resolution,
+            state_classes=config.state_classes)
+
+
+SINGLE_CLASS_GAMES = {name: (profile, grid) for name, profile, grid in single_class_games()}
+
+
+@pytest.mark.parametrize("name", list(SINGLE_CLASS_GAMES))
+def test_exact_constants_match_the_exhaustive_scan(name):
+    profile, grid = SINGLE_CLASS_GAMES[name]
+    game = pc.calibrate(profile, grid)
+    assert game.transfers is not None
+    assert_exact_matches_exhaustive(game)
+
+
+@st.composite
+def single_class_scenarios(draw):
+    """n = 2-4 agents over 1-4 states of nonzero risk, r <= 12, each agent
+    entropic or max-min over up to three priors."""
+    n, m = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=m, max_size=m)))
+    space = pc.StateSpace([f"s{w}" for w in range(m)], weights / weights.sum())
+    x = np.array(draw(st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.5]),
+                               min_size=m, max_size=m)))
+    evaluators = []
+    for _ in range(n):
+        gamma = draw(st.floats(0.2, 3.0))
+        tilts = draw(st.lists(st.lists(st.floats(-0.6, 0.6), min_size=m, max_size=m),
+                              max_size=2))
+        priors = [space.probs] + [t / t.sum() for t in
+                                  (space.probs * np.exp(np.array(v)) for v in tilts)]
+        evaluators.append(pc.MaxMinUtility(gamma, pc.CredalSet(np.array(priors),
+                                                               space.probs)))
+    grid = pc.enumerate_grid(space, x, n, draw(st.integers(1, 12)), state_classes="single")
+    return pc.UtilityProfile(tuple(evaluators)), grid
+
+
+@given(single_class_scenarios())
+@settings(max_examples=40, deadline=None)
+def test_exact_constants_match_the_exhaustive_scan_on_drawn_scenarios(scenario):
+    assert_exact_matches_exhaustive(pc.calibrate(*scenario))
+
+
+def test_transfer_table_matches_a_scan_of_every_transfer():
+    """Each entry of the transfer table is the largest change per unit cost
+    over every one-unit transfer a grid holds, scanned point by point."""
+    config = pc.load_scenario(BLOCK_SCENARIOS["four-agent"])
+    grid = pc.enumerate_grid(config.space, config.x, 4, 6, state_classes="single")
+    game = pc.calibrate(config.profile, grid)
+    omega, r = grid._metric[0][0], grid.resolution
+    levels = np.array([[game.umat[np.flatnonzero(grid.counts[:, j] == level)[0], j]
+                        for level in range(r + 1)] for j in range(4)])
+    expected = np.zeros((4, 4, 3))
+    for c in grid.counts:
+        for a, b in itertools.permutations(range(4), 2):
+            if c[a] == 0:
+                continue
+            down = levels[a, c[a] - 1] - levels[a, c[a]]
+            up = levels[b, c[b] + 1] - levels[b, c[b]]
+            for k, change in enumerate((down + up, down, up)):
+                expected[a, b, k] = max(expected[a, b, k],
+                                        abs(change) * r / (omega[a] + omega[b]))
+    assert np.allclose(game.transfers, expected, rtol=1e-13, atol=0.0)
+
+
+def test_a_declared_bound_below_the_exact_constant_warns():
+    """On the bundled single-class hurricane (2,556 points) agent 0's
+    sampled estimate fell short of its exact constant; a declared bound
+    between the two passed unseen, and now warns."""
+    config = pc.load_scenario(BLOCK_SCENARIOS["hurricane"])
+    grid = pc.enumerate_grid(config.space, config.x, 3, config.resolution,
+                             state_classes=config.state_classes)
+    exact = pc.calibrate(config.profile, grid).agent_lipschitz[0]
+    sampled = pc.lipschitz_ratio(config.profile.matrix(grid)[:, 0], grid)
+    assert sampled < 0.95 * exact
+    gamma = config.profile.evaluators[0].gamma
+    for declared, warns in [(0.5 * (sampled + exact), True), (1.01 * exact, False)]:
+        bounded = pc.MaxMinUtility(gamma, pc.CredalSet(
+            config.space.probs[None], config.space.probs, lip_bound=declared))
+        profile = pc.UtilityProfile((bounded, *config.profile.evaluators[1:]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert pc.calibrate(profile, grid).agent_lipschitz[0] == exact
+        assert any("miscalibrated" in str(w.message) for w in caught) is warns
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +372,7 @@ def test_equalizing_zero_mean_and_admissible(two_state):
     p = equalizer(game)
     diag = pc.validate_schedule(p, grid)
     assert diag.zero_mean_residual <= 1e-9
-    assert diag.empirical_lip <= game.stage_cap + 1e-9
+    assert diag.lipschitz <= game.stage_cap + 1e-9
     assert diag.sup_norm <= game.stage_cap * grid.diameter[0] + 1e-9
 
 
@@ -300,7 +444,7 @@ def test_perturbed_unique_argmax_hand(hand):
     assert net[0] > np.delete(net, 0).max()
     diag = pc.validate_schedule(p, grid)
     assert diag.zero_mean_residual <= 1e-9
-    assert diag.empirical_lip <= game.stage_cap + 1e-9
+    assert diag.lipschitz <= game.stage_cap + 1e-9
     assert diag.sup_norm <= game.stage_cap * grid.diameter[0] + 1e-9
 
 

@@ -454,27 +454,27 @@ SCENARIO_FILES = {"three-agent-maxmin": DATA / "three_agent_maxmin.json",
                   "three-agent-maxmin-classes": DATA / "three_agent_maxmin_classes.json"}
 BUNDLED_RUNS = {
     ("two-agent-hand", "run"): (
-        "4468fe6e443d2657ebf646a9dfec4955eb7b5ec8e4a35109b78b4c3f9dd8eba6",
+        "45c589b59357eb75c67606360c5b79b26a3fbd548f8b9acee906e1265b5b9823",
         "d4f002d601b7202f01c87da0579f844c66e9eb1d5b94961aafd64a0bec9015df",
         "78c168ef0f918c7f75ec9891189c025c8916947e43ab056d813a2564b15c1afe"),
     ("two-agent-hand", "run-perturbed"): (
-        "7acb5f11fe9e33152e362591cba22baaf7f357fec2197d30898bde0cabc25cae",
+        "28c807374822f80c436afe824ae7686ad2d848ce095e7a6e26522cc187aeed29",
         "3f963f5e5580cc9f1c55b0054840bf7a6e1e23d1ca1d3df90a4914b3b401bddf",
         "aa120f87069c1e353f46a629c304f61e3dc65c7141e08d7ded4b2fa520b450f2"),
     ("two-agent-hand", "audit"): (
-        "275969b3be035209b76b746c7142b2efbc6b301e07ba35df20fbb6afa4f4e5e0",
+        "83b3f253cccb1a20c56a10adf08ad440db74fdf1ce90d73faa8da84d5b4815f1",
         "403db2b6e2719b55555c1f463a9ff75a32cc18ec083e2d396f396f9631f30a49",
         "f4d404172eaab8bf53aeeae2ae5c61ebe02ca3726bcce77c9c030b75bb195f01"),
     ("hurricane-three-farmers", "run"): (
-        "d0dae53cf705915aac32a1232b2da3c8967a29bb5af8c13136aaae726e82056c",
+        "0066a4f555f3b2dec5b014d523a8a9179a72c7d32f0723a668a9f2a0f3ab4cb0",
         "724d685fe74ad52bb81aa18f94b2472678d731e52063f2ff0a0df9998e3ff888",
         "9fb0c758ff828ee9fdca5404a84af65c8dbe551fee382fffadbe255f411d3d48"),
     ("hurricane-three-farmers", "run-perturbed"): (
-        "755ce80ef6463452d2a7bb59db5c00040cc7b043006f5d84f7aedb0b6a0fa789",
-        "58065725dcd15ffda3c87727432c90d286c72e113ec252d8be0b42a533146fbb",
-        "823ef2b433f219c12b1c942275efdaaa8f47047b179540ac1be27a8f2a275ac1"),
+        "fe689278bc9f28e2afceb09a9f2c2c34fa06d19dc55725c18438d52bb0fbedb4",
+        "0a801b61d981079cf69fc6ff9143dfbe96dade68442c8e4a73ff637f71474465",
+        "d24cfa8c82682d86b8cc464ad811d130722bc741cc04816b263d6dd8c48c69ab"),
     ("hurricane-three-farmers", "audit"): (
-        "9094b23ffae5afcb93c0a5333220d5ecc07b98fd2cabd0e0a8de484facd6eb46",
+        "f6f3b3117f1dcc0e17429090772d69c3d5c720e88b0c9c5af4a0c4f15b2931a8",
         "171b772ad2cd55e8440079649ca617999f8a905b2a4ca8cc418c1e5d7c325f75",
         "0a560e9a38ac9db62c757aaa61540a0b570f8638c49e5fd8636a5296f3b44de2"),
     ("three-agent-maxmin", "run"): (
@@ -482,7 +482,7 @@ BUNDLED_RUNS = {
         "1c6df763eebbeee19b1b41f0a3ad70a0768dfb8cf23faeaca2a31fd4b148b765",
         "b6bc66246bb109dc198991d10d42c76537daa2ea5a4a569abcdec83f10e60b4d"),
     ("four-agent-maxmin-single", "run"): (
-        "2ad5e338c653c72e77697ae81ccb8d9048489abc98294e1f78f55624e8a1caab",
+        "01b4e6ecaf79727f01439da9a3a4c97ccb7fc5914638ac6e122038909a3ebbad",
         "55fe650ce4d321d9da1fcd63efc7f81eafa1053fae60b8209bd7259ef628be61",
         "e3021d60846393d9bd011af0da9d1606f809f6d87f4d10c7bdbf06ab560adc01"),
     ("three-agent-maxmin-classes", "run"): (
@@ -739,22 +739,34 @@ def test_subnormal_risk_runs_with_every_invariant(tmp_path, risk):
 
 
 def test_reports_say_which_pairs_and_agents_their_checks_read():
-    """calibration.lipschitz_scan holds the kind and count of the memoised
-    Lipschitz pairs, each schedule's Lipschitz detail repeats them, and the
+    """calibration.lipschitz_scan says how the constants were made: exact
+    on one share class, else the kind and count of the memoised Lipschitz
+    pairs.  Each schedule's Lipschitz detail says the same of its figure,
+    and a perturbed-mode schedule's names the pairs on one class too.  The
     credal checks name how many agents they read."""
-    for path, kind, credal in [(SCENARIOS / "two_agent_hand.json", "exhaustive", 0),
-                               (SCENARIOS / "hurricane_three_farmers.json", "sampled", 0),
-                               (SCENARIO_FILES["three-agent-maxmin"], "exhaustive", 2)]:
-        config = pc.load_scenario(path)
+    for path, mode, kind, credal in [
+            (SCENARIOS / "two_agent_hand.json", "exact", "exact", 0),
+            (SCENARIOS / "two_agent_hand.json", "perturbed", "exhaustive", 0),
+            (SCENARIOS / "hurricane_three_farmers.json", "exact", "exact", 0),
+            (SCENARIOS / "hurricane_three_farmers.json", "perturbed", "sampled", 0),
+            (SCENARIO_FILES["three-agent-maxmin"], "exact", "exhaustive", 2)]:
+        config = pc.load_scenario(path).with_overrides(mode=mode)
         grid = pc.enumerate_grid(config.space, config.x, config.profile.n_agents,
                                  config.resolution, state_classes=config.state_classes)
         a, _, _ = pc.menu._lipschitz_pairs(grid, 512, 4096, pc.menu.PAIR_SEED)
         rep = pc.run_experiment(config)
         scan = rep["calibration"]["lipschitz_scan"]
-        assert scan == {"kind": kind, "pairs": len(a)}
+        if grid.n_classes == 1:
+            assert scan == {"kind": "exact"}, path.name
+        else:
+            assert scan == {"kind": kind, "pairs": len(a)}, path.name
         checks = {c["name"]: c["detail"] for c in rep["invariants"]}
         for j in range(config.profile.n_agents - 1):
-            assert checks[f"schedule[{j}].lipschitz"].endswith(f"({kind}, {len(a)} pairs)")
+            detail = checks[f"schedule[{j}].lipschitz"]
+            if kind == "exact":
+                assert re.fullmatch(r"exact \S+ vs cap \S+", detail), detail
+            else:
+                assert detail.endswith(f"({kind}, {len(a)} pairs)"), detail
         read = f"({credal} of {config.profile.n_agents} agents)"
         assert checks["utility.maxmin_dominance"].endswith(read), path.name
 
@@ -966,7 +978,7 @@ def test_sampled_utility_checks_fail_on_a_nan_value(monkeypatch):
 # which the game sets.
 SCHEDULE_MUTANTS = {
     "zero_mean": ("zero_mean_residual", lambda game: mechanism.ZERO_MEAN_TOL),
-    "lipschitz": ("empirical_lip", lambda game: game.stage_cap + mechanism.LIP_SLACK),
+    "lipschitz": ("lipschitz", lambda game: game.stage_cap + mechanism.LIP_SLACK),
     "sup_norm": ("sup_norm", lambda game: (game.stage_cap * game.grid.diameter[0]
                                            + mechanism.LIP_SLACK)),
 }
@@ -993,6 +1005,80 @@ def test_each_schedule_check_fails_on_its_planted_diagnostic(check):
                            report._schedule_checks(mutant, game, scan)}
                 assert records[f"schedule[{j}].{check}"]["passed"] is passed, (
                     path.name, j, planted)
+
+
+def test_schedule_lipschitz_fails_on_a_cap_below_the_figure():
+    """A cap shrunk until the stage cap plus the slack sits below a posted
+    schedule's Lipschitz figure fails that schedule's check.  On a grid of
+    one share class the figure is its tail's exact constant, a lookup in
+    the game's transfer table; on more classes, the sampled or exhaustive
+    ratio."""
+    for path in MUTANT_SCENARIOS:
+        r = mutant_run(path)
+        game, n = r.game, r.game.n_agents
+        scan = report._lipschitz_scan(game.grid)
+        for j, diag in enumerate(r.exact.diagnostics):
+            if game.grid.n_classes == 1:
+                inside = np.isin(np.arange(n), r.exact.order[j + 1:])
+                assert scan == {"kind": "exact"}
+                assert diag.lipschitz == pc.menu.tail_lipschitz(game.transfers, inside)
+            shrunk = dataclasses.replace(
+                game, cap=(diag.lipschitz - mechanism.LIP_SLACK) / (n - 1) * (1 - 1e-9))
+            for planted, passed in [(game, True), (shrunk, False)]:
+                records = {c["name"]: c for c in
+                           report._schedule_checks(r.exact, planted, scan)}
+                assert records[f"schedule[{j}].lipschitz"]["passed"] is passed, (
+                    path.name, j)
+
+
+def test_a_spiked_posted_schedule_fails_indifference():
+    """The Lipschitz figures certify the intended schedule, the tail minus
+    its mean; ``mechanism.indifference`` checks over every point that the
+    posted vector is that schedule.  A spike of 20x the stage cap times its
+    distance to the nearest point, added to the first posted schedule at
+    one point and re-centred, fails the indifference check on every grid,
+    while the schedule's Lipschitz record, which reads the intended
+    schedule, still passes."""
+    for path in MUTANT_SCENARIOS:
+        r = mutant_run(path)
+        grid, (first, *rest) = r.game.grid, r.exact.schedules
+        scan = report._lipschitz_scan(grid)
+        for k in np.random.default_rng(grid.n_points).integers(0, grid.n_points, size=3):
+            d = grid.distances_to(int(k))
+            spike = np.zeros(grid.n_points)
+            spike[k] = 20.0 * r.game.stage_cap * d[d > 0.0].min()
+            spiked = pc.PriceSchedule(first.values + spike - pc.integrate(grid, spike),
+                                      first.declared_lip)
+            planted = dataclasses.replace(r.exact, schedules=(spiked, *rest))
+            records = {c["name"]: c for c in report._mechanism_checks(planted, r.game)
+                       + report._schedule_checks(planted, r.game, scan)}
+            assert not records["mechanism.indifference"]["passed"], (path.name, k)
+            assert records["schedule[0].lipschitz"]["passed"], (path.name, k)
+
+
+def test_exact_runs_on_one_class_draw_no_pair_sample(monkeypatch):
+    """An exact-mode run on a grid of one share class reads every Lipschitz
+    figure from the transfer table and never draws the pair sample; a
+    multi-class run and a perturbed single-class run still draw it."""
+    def refuse(*args):
+        raise AssertionError("the run drew the Lipschitz pair sample")
+
+    for path in (SCENARIOS / "hurricane_three_farmers.json",
+                 SCENARIO_FILES["four-agent-maxmin-single"]):
+        config = pc.load_scenario(path)
+        with monkeypatch.context() as m:
+            m.setattr(pc.menu, "_lipschitz_pairs", refuse)
+            rep = pc.run_experiment(config)
+        assert rep["grid"]["n_classes"] == 1 and rep["all_invariants_pass"], path.name
+        assert rep["calibration"]["lipschitz_scan"] == {"kind": "exact"}
+
+    calls = count_calls(monkeypatch, pc.menu, "_lipschitz_pairs")
+    for config in (pc.load_scenario(SCENARIO_FILES["three-agent-maxmin-classes"]),
+                   pc.load_scenario(SCENARIOS / "hurricane_three_farmers.json")
+                   .with_overrides(mode="perturbed")):
+        calls.clear()
+        assert pc.run_experiment(config)["all_invariants_pass"]
+        assert calls, config.name
 
 
 def test_maxmin_dominance_fails_on_a_lowered_reference_column():
@@ -1188,7 +1274,8 @@ def test_one_surplus_dict_and_the_game_bounds_in_every_bundled_report():
 # ``UNMUTATED``, the checks no test plants a defect for yet.
 _MUTANT_TESTS = {
     "test_each_schedule_check_fails_on_its_planted_diagnostic": (
-        "schedule[j].zero_mean", "schedule[j].lipschitz", "schedule[j].sup_norm"),
+        "schedule[j].zero_mean", "schedule[j].sup_norm"),
+    "test_schedule_lipschitz_fails_on_a_cap_below_the_figure": ("schedule[j].lipschitz",),
     "test_each_folded_check_fails_on_a_nan_residual": (
         "mechanism.payoff_identity", "mechanism.follower_payoffs",
         "mechanism.indifference"),
