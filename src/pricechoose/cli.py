@@ -75,11 +75,11 @@ def _print_summary(report: dict) -> None:
         print(f"closed form: value {cf['value']!r}, lam {cf['lam']!r}, "
               f"grid gap {cf['grid_value_gap']:.3g}")
     print("agent  avg           underbar_avg  mechanism_g   final")
-    for row in report["agents"]:
-        def fmt(v):
-            return "-" if v is None else f"{v:.6f}"
+    def fmt(v):
+        return "-" if v is None else f"{v:.6f}"
+    for row, underbar in zip(report["agents"], report["surplus"]["averages"]):
         print(f"{row['agent']:>5}  {fmt(row['avg']):>12}  "
-              f"{fmt(row['underbar_avg']):>12}  "
+              f"{fmt(underbar):>12}  "
               f"{fmt(row['mechanism_payoff']):>12}  {fmt(row['final_payoff']):>12}")
     failures = [c for c in report["invariants"] if not c["passed"]]
     if failures:

@@ -46,7 +46,7 @@ from .menu import enumerate_grid, integrate, lipschitz_scan, validate_feasible
 from .utility import EntropicUtility, evaluate_grid
 from .welfare import maximize_welfare
 
-REPORT_SCHEMA = "pnc-report/v2"
+REPORT_SCHEMA = "pnc-report/v3"
 
 
 def _invariant(name: str, value, tol, detail: str, *args, passed=None) -> dict:
@@ -293,7 +293,7 @@ def _run_experiment(config: ScenarioConfig, *,
                          "averages": [float(a) for a in game.averages]}
 
     if combined is not None:
-        report["auction"] = dict(combined.to_dict(), surplus=report["surplus"])
+        report["auction"] = combined.to_dict()
         arrays.update(_schedule_arrays("auction", combined.transcript))
         checks += _auction_checks(combined, branches, game)
 
@@ -313,7 +313,6 @@ def _run_experiment(config: ScenarioConfig, *,
         agents.append({
             "agent": i,
             "avg": float(ref_avg),
-            "underbar_avg": float(game.averages[i]),
             "mechanism_payoff": float(transcript.payoffs[i]),
             "final_payoff": None if combined is None
             else float(combined.final_payoffs[i]),
@@ -329,11 +328,11 @@ def _tabular_text(report: dict) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["agent", "avg", "underbar_avg", "mechanism_payoff",
                      "final_payoff"])
-    for row in report["agents"]:
+    for row, underbar in zip(report["agents"], report["surplus"]["averages"]):
         writer.writerow([
             row["agent"],
             repr(row["avg"]),
-            repr(row["underbar_avg"]),
+            repr(underbar),
             "" if row["mechanism_payoff"] is None else repr(row["mechanism_payoff"]),
             "" if row["final_payoff"] is None else repr(row["final_payoff"]),
         ])
@@ -341,11 +340,15 @@ def _tabular_text(report: dict) -> str:
 
 
 def structured_text(report: dict) -> str:
-    """Canonical serialization; floats round-trip exactly.
+    """Canonical serialization: one line of sorted keys without spaces, which
+    CPython writes with its C encoder (it falls back to the pure-Python one
+    whenever ``indent`` is set); floats round-trip exactly.  ``pricechoose
+    explain`` is the readable view.
 
     Refuses NaN and infinities: every numeric field in a report is finite.
     """
-    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(report, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False) + "\n"
 
 
 def emit_report(report: dict, out_dir, formats=("structured", "tabular"),

@@ -342,6 +342,19 @@ def bundled_report(scenario: str, command: str) -> dict:
     return pc.run_experiment(config, include_auction=command != "audit")
 
 
+def test_structured_text_is_one_line_that_round_trips(tmp_path):
+    """In all nine bundled runs the report's text is one line ending in a
+    newline, and it parses, and loads, back to the report."""
+    for scenario, command in BUNDLED_RUNS:
+        rep = bundled_report(scenario, command)
+        text = pc.structured_text(rep)
+        assert text.endswith("\n") and text.count("\n") == 1, (scenario, command)
+        assert json.loads(text) == rep, (scenario, command)
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        assert pc.load_report(path) == rep, (scenario, command)
+
+
 def test_invariants_record_their_margins():
     """Numeric checks carry value and tol, and pass exactly when value <= tol,
     in all nine bundled runs."""
@@ -454,39 +467,39 @@ SCENARIO_FILES = {"three-agent-maxmin": DATA / "three_agent_maxmin.json",
                   "three-agent-maxmin-classes": DATA / "three_agent_maxmin_classes.json"}
 BUNDLED_RUNS = {
     ("two-agent-hand", "run"): (
-        "45c589b59357eb75c67606360c5b79b26a3fbd548f8b9acee906e1265b5b9823",
+        "3e77190e2994f3696582df6d5acf5a01a6fd9e3885059c41cbd7184a8baec2f2",
         "d4f002d601b7202f01c87da0579f844c66e9eb1d5b94961aafd64a0bec9015df",
         "78c168ef0f918c7f75ec9891189c025c8916947e43ab056d813a2564b15c1afe"),
     ("two-agent-hand", "run-perturbed"): (
-        "28c807374822f80c436afe824ae7686ad2d848ce095e7a6e26522cc187aeed29",
+        "d4dafcd0f22694b5b22c70c819b92a238a8565754608f30c5478eee00a2acfe8",
         "3f963f5e5580cc9f1c55b0054840bf7a6e1e23d1ca1d3df90a4914b3b401bddf",
         "aa120f87069c1e353f46a629c304f61e3dc65c7141e08d7ded4b2fa520b450f2"),
     ("two-agent-hand", "audit"): (
-        "83b3f253cccb1a20c56a10adf08ad440db74fdf1ce90d73faa8da84d5b4815f1",
+        "f88391ecaccc7699d6bbfc069138773dca4b6446173d8f00f30afa4b481f45ed",
         "403db2b6e2719b55555c1f463a9ff75a32cc18ec083e2d396f396f9631f30a49",
         "f4d404172eaab8bf53aeeae2ae5c61ebe02ca3726bcce77c9c030b75bb195f01"),
     ("hurricane-three-farmers", "run"): (
-        "0066a4f555f3b2dec5b014d523a8a9179a72c7d32f0723a668a9f2a0f3ab4cb0",
+        "b3130748e372d751a7de4b911b1adfb769e11cf856671cf6ac04fd317bb8ae06",
         "724d685fe74ad52bb81aa18f94b2472678d731e52063f2ff0a0df9998e3ff888",
         "9fb0c758ff828ee9fdca5404a84af65c8dbe551fee382fffadbe255f411d3d48"),
     ("hurricane-three-farmers", "run-perturbed"): (
-        "fe689278bc9f28e2afceb09a9f2c2c34fa06d19dc55725c18438d52bb0fbedb4",
+        "a76da2dd0c3cd06ca791ee06a497d63c34935de13289517199708ac6270c941f",
         "0a801b61d981079cf69fc6ff9143dfbe96dade68442c8e4a73ff637f71474465",
         "d24cfa8c82682d86b8cc464ad811d130722bc741cc04816b263d6dd8c48c69ab"),
     ("hurricane-three-farmers", "audit"): (
-        "f6f3b3117f1dcc0e17429090772d69c3d5c720e88b0c9c5af4a0c4f15b2931a8",
+        "b158b2e29fa35934643d946408747cda6c83de6983107b745b39f3ef0ce32898",
         "171b772ad2cd55e8440079649ca617999f8a905b2a4ca8cc418c1e5d7c325f75",
         "0a560e9a38ac9db62c757aaa61540a0b570f8638c49e5fd8636a5296f3b44de2"),
     ("three-agent-maxmin", "run"): (
-        "5cabc09648045ded090561e28704fa92400008c7bf989145b3b0a6c4a5130c44",
+        "db7b65716bf0c9b7d6f9783844c885b0f8b2776fa25d86622558159032a26e2e",
         "1c6df763eebbeee19b1b41f0a3ad70a0768dfb8cf23faeaca2a31fd4b148b765",
         "b6bc66246bb109dc198991d10d42c76537daa2ea5a4a569abcdec83f10e60b4d"),
     ("four-agent-maxmin-single", "run"): (
-        "01b4e6ecaf79727f01439da9a3a4c97ccb7fc5914638ac6e122038909a3ebbad",
+        "e99f0fe538f94716cb1c6ab918aed3a66ea91840b2e1f0eb623525a25ee41dd8",
         "55fe650ce4d321d9da1fcd63efc7f81eafa1053fae60b8209bd7259ef628be61",
         "e3021d60846393d9bd011af0da9d1606f809f6d87f4d10c7bdbf06ab560adc01"),
     ("three-agent-maxmin-classes", "run"): (
-        "fe53105e03356a1f66ccc86f97c188ef9756fcec688b5b67792f93b1fef7e489",
+        "ef49d1dbcc77308ae05ab588f5a474292e182f87aa61328af8b27900a32d6675",
         "eaa85ab429f87cbb3490c17769e759b828b5b2b87393bfd5828095c9ff58a654",
         "a49a610682beaf4f6d5c53cc4c5e27cfed251ed0c8dfd54d8386ccd9c781cb5b"),
 }
@@ -658,7 +671,7 @@ def test_seeded_sweep_reports_match_recorded_digests():
 # values, were recorded on the engine that allocated each P-sized vector on
 # its own; that peak was 12.70 P.
 MULTI_CLASS_PEAK_P = 12.70
-MULTI_CLASS_REPORT_SHA256 = "e24b25251cc18fc91d8f97f5958bdda041da655d0e40c5ae81b7f5ec506fdf1b"
+MULTI_CLASS_REPORT_SHA256 = "cca3033a1204f89fb478397258e29bad7b6c83c3dad7cf752a7e9be8fe761fe7"
 MULTI_CLASS_SCHEDULES_SHA256 = {
     "mechanism_0": "c7c700aad0880951db8e37a6c210b51daa02ad326dfe12afa20857479f0d7c17",
     "mechanism_1": "31c1056136344b9f9aaa914196e7d509025be54743119b426f15fa8674a64e31",
@@ -817,7 +830,7 @@ def test_non_finite_margin_is_recorded_as_null():
     check = report._invariant("x", float("nan"), 1e-9, "residual {:.3g}")
     assert check["value"] is None and check["tol"] == 1e-9
     assert not check["passed"] and check["detail"] == "residual nan"
-    assert '"value": null' in pc.structured_text({"invariants": [check]})
+    assert '"value":null' in pc.structured_text({"invariants": [check]})
 
 
 # The evaluators' axioms, which every monetary utility of the paper has and
@@ -1249,15 +1262,18 @@ BUNDLED_SCENARIOS = [SCENARIOS / "two_agent_hand.json",
 
 
 def test_one_surplus_dict_and_the_game_bounds_in_every_bundled_report():
-    """Both surplus sections are the one dict of eta, W_max and the averages;
-    eta, the bid audit and every schedule's Lipschitz bound are the game's."""
+    """The one surplus section holds eta, W_max and the averages, and neither
+    the auction section nor an agent row copies them; eta, the bid audit and
+    every schedule's Lipschitz bound are the game's."""
     for path in BUNDLED_SCENARIOS:
         config = pc.load_scenario(path)
         rep = pc.run_experiment(config)
         grid = pc.enumerate_grid(config.space, config.x, config.profile.n_agents,
                                  config.resolution, state_classes=config.state_classes)
         game = pc.calibrate(config.profile, grid, cap=config.lipschitz_cap)
-        assert rep["auction"]["surplus"] == rep["surplus"], path.name
+        assert "surplus" not in rep["auction"], path.name
+        assert all(set(row) == {"agent", "avg", "mechanism_payoff", "final_payoff"}
+                   for row in rep["agents"]), path.name
         assert rep["surplus"]["eta"] == pc.efficient_surplus(game), path.name
         assert (rep["surplus"]["welfare_max"], rep["surplus"]["averages"]) == (
             game.welfare_max, game.averages.tolist()), path.name
