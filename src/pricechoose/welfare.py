@@ -232,6 +232,12 @@ def maximize_welfare(game: Game) -> WelfareResult:
 
     if closed is None:
         q, _ = _refine_shares(profile, grid, result.shares)
+        # A projection onto the simplex adds its shift to steps of ~|X|
+        # times the step, which cancels: at |X| ~ 1e6 an accepted trial's
+        # class shares miss 1 by ~1e-10, and the allocation misses X by
+        # more than the feasibility tolerance.  One division puts every
+        # class back within a few ulps of 1.
+        q = q / q.sum(axis=1, keepdims=True)
         method, lam = "refined", None
     else:
         q, lam = np.tile(closed.shares, (grid.n_classes, 1)), closed.lam

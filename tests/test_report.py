@@ -436,6 +436,30 @@ def test_a_near_reference_prior_is_the_reference(tmp_path, priors, scale):
     assert cli_run(tmp_path, doc) == 0
 
 
+def test_refined_shares_stay_on_the_simplex_at_large_units(tmp_path):
+    """X in the millions: a projected step of ~|X| cancels against the
+    projection's shift, and the refined class shares missed 1 by 5.8e-11, so
+    the refined allocation missed X by more than the feasibility tolerance
+    and the run stopped with exit 2.  ``maximize_welfare`` renormalizes
+    them once, and the run reaches a report whose welfare point is
+    feasible."""
+    doc = {"states": ["h", "t"], "probs": [0.5, 0.5],
+           "endowments": [[-1e6, 0.0], [0.0, -3e6]],
+           "utilities": [{"kind": "maxmin", "gamma": 1e-6,
+                          "priors": [[0.5, 0.5], [0.500000001, 0.499999999]]},
+                         {"kind": "entropic", "gamma": 1e-6}],
+           "grid": {"resolution": 10}}
+    assert cli_run(tmp_path, doc) in (0, 3)
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert next(c for c in rep["invariants"]
+                if c["name"] == "welfare.argmax_feasible")["passed"]
+    config = pc.scenario_from_dict(doc)
+    game = pc.calibrate(config.profile, scenario_grid(config))
+    q, _ = welfare._refine_shares(config.profile, game.grid, game.grid.share(
+        game._welfare_argmax))
+    assert abs(q.sum() - 1.0) > 1e-11
+
+
 def test_subnormal_probability_runs_with_every_invariant(tmp_path):
     """A valid document whose third state has P = 1e-310, below the ~5.6e-309
     at which 1 / P overflows: the metric's weights read X alone, so the run
@@ -491,15 +515,15 @@ BUNDLED_RUNS = {
         "171b772ad2cd55e8440079649ca617999f8a905b2a4ca8cc418c1e5d7c325f75",
         "0a560e9a38ac9db62c757aaa61540a0b570f8638c49e5fd8636a5296f3b44de2"),
     ("three-agent-maxmin", "run"): (
-        "db7b65716bf0c9b7d6f9783844c885b0f8b2776fa25d86622558159032a26e2e",
+        "178cecab6adfd3ab367419be30406e7b61a953c7140949d4ccc0c99bfd846d28",
         "1c6df763eebbeee19b1b41f0a3ad70a0768dfb8cf23faeaca2a31fd4b148b765",
         "b6bc66246bb109dc198991d10d42c76537daa2ea5a4a569abcdec83f10e60b4d"),
     ("four-agent-maxmin-single", "run"): (
-        "e99f0fe538f94716cb1c6ab918aed3a66ea91840b2e1f0eb623525a25ee41dd8",
+        "61ac0b86337c017f26c605bc7c9256f66af795b64837c441597c3aa480187dbd",
         "55fe650ce4d321d9da1fcd63efc7f81eafa1053fae60b8209bd7259ef628be61",
         "e3021d60846393d9bd011af0da9d1606f809f6d87f4d10c7bdbf06ab560adc01"),
     ("three-agent-maxmin-classes", "run"): (
-        "ef49d1dbcc77308ae05ab588f5a474292e182f87aa61328af8b27900a32d6675",
+        "c52407bb7f4e083db9d57173c1ad48048f32ffd7efaee1b7841be3c6324ee542",
         "eaa85ab429f87cbb3490c17769e759b828b5b2b87393bfd5828095c9ff58a654",
         "a49a610682beaf4f6d5c53cc4c5e27cfed251ed0c8dfd54d8386ccd9c781cb5b"),
 }
