@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StructuralError, ValidationError
-from .menu import MenuGrid, integrate, lipschitz_ratio
+from .menu import (MenuGrid, integrate, lipschitz_ratio, tail_lipschitz,
+                   transfer_lipschitz)
 from .space import PROB_TOL
 
 # Most (state, prior row, level tuple) entries ``UtilityProfile.matrix``
@@ -288,15 +289,25 @@ def check_cash_invariance(u: MaxMinUtility, xi, agent: int, c: float) -> float:
 
 
 def estimate_lipschitz(u: MaxMinUtility, grid: MenuGrid, agent: int) -> float:
-    """Empirical Lipschitz constant of the utility under the menu metric.
+    """Lipschitz constant of the utility ``u`` gives ``agent`` under the menu
+    metric, made as ``calibrate`` makes the agent's constant, so the two
+    agree bit for bit.
 
-    Exhaustive over all point pairs below the size threshold, seeded random
-    pairs above it; zero-distance pairs are skipped.  A standalone estimate
-    for one agent: ``calibrate`` sets the mechanism's cap from the utility
-    matrix's columns, with the same ``lipschitz_ratio``.
+    On a grid of one share class it is exact: the agent's one-agent tail
+    in the ``transfer_lipschitz`` table of its level values.  Its entries
+    read only the agent's own row, so the other agents' rows are left zero.
+    On more classes it is ``lipschitz_ratio`` of the agent's values:
+    exhaustive over all point pairs below the size threshold, seeded random
+    pairs above it; zero-distance pairs are skipped.
     """
-    vals = evaluate_grid(u, grid, agent)
-    est = lipschitz_ratio(vals, grid)
+    vals, levels = UtilityProfile((u,))._grid_values(grid, [agent])
+    if grid.n_classes == 1:
+        table = np.zeros((grid.n_agents, levels.shape[1]))
+        table[agent] = levels[0]
+        est = float(tail_lipschitz(transfer_lipschitz(grid, table),
+                                   np.arange(grid.n_agents) == agent))
+    else:
+        est = lipschitz_ratio(vals[0], grid)
     warn_if_over_declared(u, est, agent)
     return est
 

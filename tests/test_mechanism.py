@@ -200,11 +200,16 @@ def test_transfer_table_matches_a_scan_of_every_transfer():
 def test_a_declared_bound_below_the_exact_constant_warns():
     """On the bundled single-class hurricane (2,556 points) agent 0's
     sampled estimate fell short of its exact constant; a declared bound
-    between the two passed unseen, and now warns."""
+    between the two passed unseen, and now warns, from ``calibrate`` and
+    from ``estimate_lipschitz``, which reads the same transfer table and
+    gives every agent's constant bit for bit."""
     config = pc.load_scenario(BLOCK_SCENARIOS["hurricane"])
     grid = pc.enumerate_grid(config.space, config.x, 3, config.resolution,
                              state_classes=config.state_classes)
-    exact = pc.calibrate(config.profile, grid).agent_lipschitz[0]
+    constants = pc.calibrate(config.profile, grid).agent_lipschitz
+    assert [pc.estimate_lipschitz(u, grid, i) for i, u in
+            enumerate(config.profile.evaluators)] == constants.tolist()
+    exact = constants[0]
     sampled = pc.lipschitz_ratio(config.profile.matrix(grid)[:, 0], grid)
     assert sampled < 0.95 * exact
     gamma = config.profile.evaluators[0].gamma
@@ -212,10 +217,12 @@ def test_a_declared_bound_below_the_exact_constant_warns():
         bounded = pc.MaxMinUtility(gamma, pc.CredalSet(
             config.space.probs[None], config.space.probs, lip_bound=declared))
         profile = pc.UtilityProfile((bounded, *config.profile.evaluators[1:]))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert pc.calibrate(profile, grid).agent_lipschitz[0] == exact
-        assert any("miscalibrated" in str(w.message) for w in caught) is warns
+        for estimate in (lambda: pc.calibrate(profile, grid).agent_lipschitz[0],
+                         lambda: pc.estimate_lipschitz(bounded, grid, 0)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert estimate() == exact
+            assert any("miscalibrated" in str(w.message) for w in caught) is warns
 
 
 # ---------------------------------------------------------------------------
