@@ -181,6 +181,19 @@ def _auction_checks(combined, branches, game) -> list[dict]:
     ]
 
 
+def _audit_checks(game, exact) -> tuple[list[dict], dict]:
+    """The two certified audits' records, and the report's ``audits``
+    section; ``exact`` is the exact order-0..n-1 transcript."""
+    dev = audit_first_mover_bound(game, exact)
+    bid_gain = audit_bid_deviation(game)
+    return [
+        _invariant("audit.first_mover_bound", dev.max_gain, 1e-9,
+                   "certified max gain {:.3g} over every zero-mean deviation"),
+        _invariant("audit.bid_deviations", bid_gain, 1e-9,
+                   "max expected gain {:.3g} over every bid"),
+    ], {"first_mover": dev.to_dict(), "bids": {"max_gain": bid_gain}}
+
+
 def _lipschitz_scan(grid, mode: str = "exact") -> dict:
     """How the Lipschitz figures of a ``mode`` transcript's schedules are
     made: {"kind": "exact"} for the transfer-table constants of a
@@ -297,15 +310,8 @@ def _run_experiment(config: ScenarioConfig, *,
         arrays.update(_schedule_arrays("auction", combined.transcript))
         checks += _auction_checks(combined, branches, game)
 
-    dev = audit_first_mover_bound(game, exact)
-    bid_gain = audit_bid_deviation(game)
-    checks += [
-        _invariant("audit.first_mover_bound", dev.max_gain, 1e-9,
-                   "certified max gain {:.3g} over every zero-mean deviation"),
-        _invariant("audit.bid_deviations", bid_gain, 1e-9,
-                   "max expected gain {:.3g} over every bid"),
-    ]
-    report["audits"] = {"first_mover": dev.to_dict(), "bids": {"max_gain": bid_gain}}
+    audit_checks, report["audits"] = _audit_checks(game, exact)
+    checks += audit_checks
 
     agents = []
     for i in range(profile.n_agents):

@@ -1239,6 +1239,14 @@ def _spread_replay(r):
     return _auction_mutant(r, 1, final_payoffs=r.branches[1].final_payoffs + shift)
 
 
+def _shifted_leader_payoff(r, shift):
+    """The mechanism records of the exact transcript, its leader's payoff
+    moved by ``shift``."""
+    payoffs = np.array(r.exact.payoffs, dtype=float)
+    payoffs[r.exact.order[0]] += shift
+    return report._mechanism_checks(dataclasses.replace(r.exact, payoffs=payoffs), r.game)
+
+
 def _moved_equilibrium_bid(r):
     bid = auction.equilibrium_bid
     with pytest.MonkeyPatch.context() as m:
@@ -1267,6 +1275,13 @@ PLANTED_MUTANTS = {
         r.exact, chosen=int(np.argmin(r.game.welfare))), r.game),
     # everyone bids 0.9 b*, so an underbid gains eta (n - 1) / (10 n)
     "audit.bid_deviations": _moved_equilibrium_bid,
+    # the leader's payoff 1e-6 high: the payoffs no longer sum to W(chosen)
+    "mechanism.telescoping": lambda r: _shifted_leader_payoff(r, 1e-6),
+    # the leader's payoff 1e-6 low
+    "mechanism.leader_payoff": lambda r: _shifted_leader_payoff(r, -1e-6),
+    # W_max 1e-6 above the grid's: the first mover could gain the gap
+    "audit.first_mover_bound": lambda r: report._audit_checks(dataclasses.replace(
+        r.game, welfare_max=r.game.welfare_max + 1e-6), r.exact)[0],
 }
 
 
@@ -1275,7 +1290,8 @@ def test_each_check_fails_on_its_planted_defect(check):
     for path in MUTANT_SCENARIOS:
         r = mutant_run(path)
         unmutated = (report._auction_checks(r.branches[0], r.branches, r.game)
-                     + report._mechanism_checks(r.exact, r.game))
+                     + report._mechanism_checks(r.exact, r.game)
+                     + report._audit_checks(r.game, r.exact)[0])
         assert all(c["passed"] for c in unmutated), path.name
         record = next(c for c in PLANTED_MUTANTS[check](r) if c["name"] == check)
         assert not record["passed"], (path.name, record)
@@ -1329,10 +1345,7 @@ _MUTANT_TESTS = {
 }
 MUTANT_TESTS = {name: f"test_report.py::{test}"
                 for test, names in _MUTANT_TESTS.items() for name in names}
-UNMUTATED = {
-    "welfare.argmax_feasible", "mechanism.telescoping", "mechanism.leader_payoff",
-    "mechanism.perturbed_target", "audit.first_mover_bound",
-}
+UNMUTATED = {"welfare.argmax_feasible", "mechanism.perturbed_target"}
 
 
 def test_every_report_check_has_a_mutant_or_is_listed_unmutated():
