@@ -1,12 +1,16 @@
-"""Command line harness: validate scenarios, run experiments, emit reports.
+"""Command line harness: validate scenarios, run experiments, emit reports,
+and explain a written report.
 
-Exit codes: 0 all invariant checks pass, 2 validation failure, 3 at least
+Exit codes: 0 all invariant checks pass, 2 validation failure (for
+``explain``, a file that is not a report of the current schema), 3 at least
 one invariant violated.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -14,7 +18,7 @@ from pathlib import Path
 from .config import load_scenario
 from .errors import EngineError, GridBudgetError, ValidationError
 from .menu import check_grid_size
-from .report import _run_experiment, emit_report
+from .report import _run_experiment, emit_report, load_report
 from .welfare import _common_prior
 
 
@@ -127,6 +131,34 @@ def _cmd_experiment(args) -> int:
     return 0 if report["all_invariants_pass"] else 3
 
 
+def _closeness(check: dict) -> float:
+    """How near a record came to failing: value / tol.  A record without a
+    finite ratio (a structural check, or a measurement that was not
+    finite) reads +inf when it failed and -inf when it passed."""
+    value, tol = check["value"], check["tol"]
+    if value is None or tol is None:
+        return -math.inf if check["passed"] else math.inf
+    return value / tol if tol > 0 else math.inf
+
+
+def _cmd_explain(args) -> int:
+    """The readable view of a compact report: the run's summary, every
+    invariant record with failures first and then the tightest value / tol,
+    the Lipschitz scan and the welfare tie count."""
+    report = load_report(args.report)
+    _print_summary(report)
+    checks = report["invariants"]
+    print("invariants, failures first, then tightest value / tol:")
+    for c in sorted(checks, key=lambda c: (c["passed"], -_closeness(c))):
+        ratio = _closeness(c)
+        shown = f"{ratio:.3g}" if math.isfinite(ratio) else "-"
+        print(f"{'ok' if c['passed'] else 'FAIL':<4}  {shown:>9}  {c['name']}: {c['detail']}")
+    scan = report["calibration"]["lipschitz_scan"]
+    print(f"calibration.lipschitz_scan: {json.dumps(scan, sort_keys=True)}")
+    print(f"audits.first_mover.ties: {report['audits']['first_mover']['ties']}")
+    return 0 if all(c["passed"] for c in checks) else 3
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pricechoose",
@@ -138,6 +170,9 @@ def main(argv=None) -> int:
         sub.set_defaults(
             fn=_cmd_validate if name == "validate" else _cmd_experiment,
             scenario="hurricane-three-farmers" if name == "bench" else None)
+    explain = subs.add_parser("explain", help="print a report.json readably")
+    explain.add_argument("report", help="a report.json written by run, audit or bench")
+    explain.set_defaults(fn=_cmd_explain)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -388,5 +388,14 @@ def emit_report(report: dict, out_dir, formats=("structured", "tabular"),
 
 
 def load_report(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    """The report ``structured_text`` wrote at ``path``.  Raises
+    ValidationError when the file cannot be read or parsed, or is not a
+    ``REPORT_SCHEMA`` document."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError([f"cannot read report {path}: {exc}"]) from exc
+    if not isinstance(doc, dict) or doc.get("schema") != REPORT_SCHEMA:
+        raise ValidationError([f"{path} is not a {REPORT_SCHEMA} document"])
+    return doc

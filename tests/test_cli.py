@@ -625,3 +625,84 @@ def test_cli_uses_scenario_output_paths(tmp_path):
     assert main(["run", "--scenario", str(path)]) == 0
     assert (tmp_path / "fromconfig" / "report.json").exists()
     assert not (tmp_path / "fromconfig" / "report.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# explain
+# ---------------------------------------------------------------------------
+
+BUNDLED_REPORTS = sorted((Path(__file__).resolve().parent / "data" / "bundled_reports")
+                         .glob("*.json"))
+
+
+def explained(path, capsys) -> tuple[int, list[str], str]:
+    """``explain``'s exit code, its invariant lines in the order listed, and
+    the whole output."""
+    code = main(["explain", str(path)])
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    start = lines.index("invariants, failures first, then tightest value / tol:") + 1
+    end = next(k for k in range(start, len(lines))
+               if lines[k].startswith("calibration.lipschitz_scan: "))
+    return code, lines[start:end], out
+
+
+def listed_name(line: str) -> str:
+    return line.split()[2].rstrip(":")
+
+
+def test_explain_covers_the_nine_bundled_runs():
+    assert len(BUNDLED_REPORTS) == 9
+
+
+@pytest.mark.parametrize("path", BUNDLED_REPORTS, ids=lambda p: p.stem)
+def test_explain_lists_every_record_tightest_first(path, capsys):
+    """Every record once, as passed, numeric ones by falling value / tol and
+    the structural ones after them; then the scan and the tie count, after
+    the run's summary."""
+    doc = json.loads(path.read_text())
+    code, lines, out = explained(path, capsys)
+    assert code == 0 and out.startswith(f"scenario: {doc['scenario']['name']}\n")
+    records = {c["name"]: c for c in doc["invariants"]}
+    names = [listed_name(line) for line in lines]
+    assert sorted(names) == sorted(records) and all(line.startswith("ok ") for line in lines)
+    ratios = [records[n]["value"] / records[n]["tol"] for n in names
+              if records[n]["tol"] is not None]
+    assert ratios == sorted(ratios, reverse=True)
+    assert all(records[n]["tol"] is None for n in names[len(ratios):])
+    scan = json.dumps(doc["calibration"]["lipschitz_scan"], sort_keys=True)
+    assert f"\ncalibration.lipschitz_scan: {scan}\n" in out
+    assert out.endswith(f"\naudits.first_mover.ties: {doc['audits']['first_mover']['ties']}\n")
+
+
+def test_explain_lists_a_planted_failure_first(tmp_path, capsys):
+    """A record planted at twice its tolerance, the loosest record before,
+    is listed first and marked FAIL, and explain exits 3."""
+    doc = json.loads((BUNDLED_REPORTS[0]).read_text())
+    numeric = [c for c in doc["invariants"] if c["tol"] is not None]
+    planted = min(numeric, key=lambda c: c["value"] / c["tol"])
+    planted.update(value=2.0 * planted["tol"], passed=False)
+    path = tmp_path / "report.json"
+    path.write_text(structured_text(doc))
+    code, lines, _ = explained(path, capsys)
+    assert code == 3
+    assert lines[0].split()[:3] == ["FAIL", "2", planted["name"] + ":"]
+    assert all(line.startswith("ok ") for line in lines[1:])
+
+
+@pytest.mark.parametrize("text", [
+    "not a report {",
+    json.dumps({"schema": "pnc-report/v2", "invariants": []}),
+    json.dumps(["pnc-report/v3"]),
+    None,
+])
+def test_explain_refuses_what_is_not_a_v3_report(tmp_path, capsys, text):
+    """Garbage, a v2 report, JSON that is not an object, and a missing file
+    exit 2 with a validation error."""
+    path = tmp_path / "report.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["explain", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("validation error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
