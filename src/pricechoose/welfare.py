@@ -167,7 +167,9 @@ def _refine_shares(profile: UtilityProfile, grid: MenuGrid,
     in one stack.  The largest improving step is accepted, the one a
     halving search from step 1 stops at; when none improves the block keeps
     its shares.  Only improving steps are accepted, so the welfare value
-    never decreases and the iterate never leaves the product of simplices.
+    never decreases, and in real arithmetic the iterate never leaves the
+    product of simplices; in floats a class's shares can miss 1 by the
+    rounding of a long step, which ``maximize_welfare`` removes.
     The iterate is carried as (C x R) shares, column r the shares of prior
     row r's agent, and a block's trials as a (C x R x T) stack of it.
     """
