@@ -263,7 +263,7 @@ class MenuGrid:
         if not self.n_classes:
             return np.zeros(self.x.shape + q.shape[1:])
         # ``take`` writes C order, so ``states`` is a view of ``out``.
-        out = np.take(q, self._payoff_class, axis=0)
+        out = q.take(self._payoff_class, axis=0)
         states = out.reshape(len(out), -1)
         states *= self._payoff_x
         return out

@@ -14,20 +14,24 @@ product of simplices, so local ascent from the grid winner is enough at
 desk scale.  Either candidate's allocation is built as a grid point is,
 by ``MenuGrid.allocation``.
 
-The ascent's line search is batched: a class block projects all of its
-halving steps along the (super)gradient onto the simplex in one call and
-evaluates their welfare as one stack, then accepts the largest improving
-step, so it takes the same steps as a serial halving search at a fraction
-of the Python calls.  ``MenuGrid.payoffs`` turns the (C x R x T) share
-stack, one column per prior row, into state-major (m x R x T) payoffs:
-the short axes (states, every agent's prior rows) lead and the trial axis
-is contiguous, so the max over states and the min over an agent's priors
-are elementwise ops on whole planes rather than one short numpy reduce
-per row.  They are evaluated by ``UtilityProfile._evaluate``, the entry
+The ascent's line search tries the full step alone first: a class block
+projects it onto the simplex with ``_project_row``, evaluates its welfare
+as a one-trial stack and accepts it when it improves, as most blocks do.
+Only when it does not are the other halving steps projected in one call and
+evaluated as one stack, and the largest improving one is accepted.  The
+full step is the largest, so either way the block takes the step a serial
+halving search from step 1 stops at.  ``MenuGrid.payoffs`` turns a
+(C x R x T) share stack, one column per prior row, into state-major
+(m x R x T) payoffs: the short axes (states, every agent's prior rows) lead
+and the trial axis is contiguous, so the max over states and the min over
+an agent's priors are elementwise ops on whole planes rather than one short
+numpy reduce per row.  They are evaluated by ``UtilityProfile._evaluate``, the entry
 behind every utility value (points, grids, the report's checks), so each
-trial gets the floats of a one-allocation evaluation.  The tilts that the
-next gradient reads come from the accepted trial's row of the kernel's
-tilt table, so the refined shares equal the serial search's bit for bit.
+trial gets the floats of a one-allocation evaluation, alone or in a stack,
+and ``_project_row`` gives a row the floats ``_project_simplex`` gives it
+in any stack.  The tilts that the next gradient reads come from the
+accepted trial's row of the kernel's tilt table, so the refined shares
+equal the serial search's bit for bit: the lone full step moves no byte.
 The Pareto scan is a brute-force dominance test (the maxima-of-vectors
 setting of Kung, Luccio & Preparata 1975).  It reads the utility matrix in
 blocks and answers two questions: does a row dominate the allocation, and
@@ -105,27 +109,32 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + lam.reshape(v.shape[:-1] + (1,)), 0.0)
 
 
-@dataclass(frozen=True)
-class _Evaluation:
-    """A share stack's welfare, and what the gradient at a trial reads."""
+def _project_row(v: list[float]) -> list[float]:
+    """``_project_simplex`` of one row without NaN, in Python floats: the
+    same IEEE operations in the same order, so the same floats, without the
+    dozen numpy calls, which cost as much for one row as for a stack.  ``total`` is the cumulative sum from 0.0 and ``shift`` is
+    (1 - css_k) / k; lam is the shift at the last k where u_k + shift > 0,
+    or at k = n when there is none, as numpy's ``count`` falls back.  Tied
+    entries may sort in another order and a sum may start from +0.0: that
+    only moves the sign of a zero partial sum, which 1 - total erases."""
+    total, lam = 0.0, None
+    for k, a in enumerate(sorted(v, reverse=True), 1):
+        total += a
+        shift = (1.0 - total) / k
+        if a + shift > 0.0:
+            lam = shift
+    if lam is None:
+        lam = shift
+    # np.maximum(s, 0.0): s when s > 0 or NaN, else +0.0.
+    return [0.0 if s <= 0.0 else s for s in [a + lam for a in v]]
 
-    values: np.ndarray      # (T,) welfare of each trial
-    ce: np.ndarray          # (R x T) certainty equivalent of each prior row
-    terms: np.ndarray       # (R x T x m) nu(w) exp(z(w) - max z), unnormalized tilts
-    mass: np.ndarray        # (R x T) each row's sum of terms over the states
 
-    def tilts(self, profile: UtilityProfile, k: int) -> np.ndarray:
-        """(n x m) each agent's exponentially tilted probability at trial
-        ``k``, under its worst-case prior there (lowest index on ties: the
-        first of the agent's rows in a stable sort by value)."""
-        worst = np.lexsort((self.ce[:, k], profile.owner))[profile.starts]
-        return self.terms[worst, k] / self.mass[worst, k][:, None]
-
-
-def _welfare_values(profile: UtilityProfile, grid: MenuGrid,
-                    stack: np.ndarray) -> _Evaluation:
+def _welfare_values(profile: UtilityProfile, grid: MenuGrid, stack: np.ndarray):
     """Welfare at each trial of a (C x R x T) share stack, entry (c, r, k)
-    the class-c share of prior row r's agent in trial k.
+    the class-c share of prior row r's agent in trial k: the (T,) values,
+    then the (R x T) certainty equivalent of each prior row, the (R x T x m)
+    unnormalized tilts nu(w) exp(z(w) - max z) and their (R x T) sums, as
+    ``_tilts`` reads them.
 
     ``grid.payoffs`` gives the (m x R x T) payoffs of every prior row of
     every trial, and the profile's ``_evaluate`` takes them all at once, so
@@ -136,7 +145,27 @@ def _welfare_values(profile: UtilityProfile, grid: MenuGrid,
     values = np.zeros(ce.shape[1])
     for agent_values in per_agent:
         values += agent_values
-    return _Evaluation(values, ce, terms, mass)
+    return values, ce, terms, mass
+
+
+def _welfare_at(profile: UtilityProfile, grid: MenuGrid, q: np.ndarray):
+    """``_welfare_values`` of the one (C x R) share array ``q``, its value
+    a Python float: the agents' values are added from 0.0 in agent order,
+    the floats the stack's sum gives, without its per-agent numpy calls."""
+    per_agent, *table = profile._evaluate(grid.payoffs(q[:, :, None]))
+    value = 0.0
+    for agent_value in per_agent[:, 0].tolist():
+        value += agent_value
+    return value, *table
+
+
+def _tilts(profile: UtilityProfile, ce: np.ndarray, terms: np.ndarray,
+           mass: np.ndarray, k: int) -> np.ndarray:
+    """(n x m) each agent's exponentially tilted probability at trial ``k``
+    of a ``_welfare_values`` table, under its worst-case prior there (lowest
+    index on ties: the first of the agent's rows in a stable sort by value)."""
+    worst = np.lexsort((ce[:, k], profile.owner))[profile.starts]
+    return terms[worst, k] / mass[worst, k][:, None]
 
 
 def _welfare_grad(tilt: np.ndarray, states: np.ndarray, xc: np.ndarray) -> np.ndarray:
@@ -150,7 +179,7 @@ def _welfare_grad(tilt: np.ndarray, states: np.ndarray, xc: np.ndarray) -> np.nd
     """
     # numpy's own pairwise sum along each contiguous row, not a BLAS dot,
     # whose rounding depends on the kernel the machine dispatches.
-    return np.add.reduce(np.take(tilt, states, axis=1) * xc, axis=1)
+    return np.add.reduce(tilt.take(states, axis=1) * xc, axis=1)
 
 
 # The line-search steps 2^0 ... 2^-46: every halving step above 1e-14.
@@ -161,40 +190,51 @@ def _refine_shares(profile: UtilityProfile, grid: MenuGrid,
                    q0: np.ndarray) -> tuple[np.ndarray, float]:
     """Blockwise projected ascent over per-class shares.
 
-    Each class block takes the gradient at the current point and tries
-    every step of ``LINE_STEPS`` along it at once: the trial rows are
-    projected onto the simplex in one call and their welfare is evaluated
-    in one stack.  The largest improving step is accepted, the one a
-    halving search from step 1 stops at; when none improves the block keeps
-    its shares.  Only improving steps are accepted, so the welfare value
-    never decreases, and in real arithmetic the iterate never leaves the
-    product of simplices; in floats a class's shares can miss 1 by the
-    rounding of a long step, which ``maximize_welfare`` removes.
+    Each class block takes the gradient at the current point and tries the
+    full step along it alone: its row is projected by ``_project_row`` and
+    evaluated as a one-trial stack, and it is accepted when it improves.
+    Otherwise the other steps of ``LINE_STEPS`` are tried at once: their
+    rows are projected onto the simplex in one call and their welfare is
+    evaluated in one stack, and the largest improving step is accepted.
+    Either way the block takes the step a halving search from step 1 stops
+    at, with the same floats (see the module docstring); when none improves
+    the block keeps its shares.  Only improving steps are accepted, so the
+    welfare value never decreases, and in real arithmetic the iterate never
+    leaves the product of simplices; in floats a class's shares can miss 1
+    by the rounding of a long step, which ``maximize_welfare`` removes.
     The iterate is carried as (C x R) shares, column r the shares of prior
     row r's agent, and a block's trials as a (C x R x T) stack of it.
     """
     owner, starts = profile.owner, profile.starts
+    owners = owner.tolist()
     class_states = [np.flatnonzero(grid.class_of_state == c) for c in range(grid.n_classes)]
     class_x = [grid.x[states] for states in class_states]
-    steps = LINE_STEPS[:, None]
+    ladder = LINE_STEPS[1:, None]
     q = q0[:, owner]
-    stack = np.empty(q.shape + LINE_STEPS.shape)
-    ev = _welfare_values(profile, grid, q[:, :, None])
-    best, tilt = float(ev.values[0]), ev.tilts(profile, 0)
+    stack = np.empty(q.shape + (len(ladder),))
+    best, *table = _welfare_at(profile, grid, q)
+    tilt = _tilts(profile, *table, 0)
     for _ in range(MAX_SWEEPS):
         sweep_gain = 0.0
         for c, (states, xc) in enumerate(zip(class_states, class_x)):
             grad = _welfare_grad(tilt, states, xc)
-            trials = _project_simplex(q[c, starts] + steps * grad)
-            stack[...] = q[:, :, None]
-            stack[c] = trials[:, owner].T
-            ev = _welfare_values(profile, grid, stack)
-            better = ev.values > best
-            k = int(better.argmax())
-            if better[k]:
-                sweep_gain += ev.values[k] - best
-                best, q = float(ev.values[k]), stack[:, :, k].copy()
-                tilt = ev.tilts(profile, k)
+            # The full step alone (1.0 * grad is grad), then the ladder.
+            full = _project_row((q[c, starts] + grad).tolist())
+            trial = q.copy()
+            trial[c] = [full[i] for i in owners]
+            value, *table = _welfare_at(profile, grid, trial)
+            k = 0
+            if not value > best:
+                stack[...] = q[:, :, None]
+                stack[c] = _project_simplex(q[c, starts] + ladder * grad)[:, owner].T
+                values, *table = _welfare_values(profile, grid, stack)
+                better = values > best
+                k = int(better.argmax())
+                if not better[k]:
+                    continue
+                value, trial = float(values[k]), stack[:, :, k].copy()
+            sweep_gain += value - best
+            best, q, tilt = value, trial, _tilts(profile, *table, k)
         if sweep_gain < REFINE_TOL:
             break
     return q[:, starts], best

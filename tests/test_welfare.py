@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import pricechoose as pc
 from pricechoose import welfare
 from pricechoose.menu import grid_point_count
-from pricechoose.welfare import (LINE_STEPS, PARETO_SLACK, WELFARE_TOL, _project_simplex,
-                                  _refine_shares)
+from pricechoose.welfare import (LINE_STEPS, PARETO_SLACK, WELFARE_TOL, _project_row,
+                                  _project_simplex, _refine_shares)
 from conftest import hurricane_space
 
 
@@ -662,6 +662,36 @@ def test_batched_line_search_matches_the_serial_search_bit_for_bit(monkeypatch):
     assert None in taken and 1.0 in steps and any(s < 1.0 for s in steps)
 
 
+def test_full_step_goes_alone_and_the_ladder_only_when_it_fails(monkeypatch):
+    monkeypatch.setattr(sys.modules[_refine_shares.__module__], "MAX_SWEEPS", 30)
+    kernel = pc.UtilityProfile._evaluate
+    trials = []
+
+    def recorded(self, payoff):
+        trials.append(payoff.shape[2])
+        return kernel(self, payoff)
+
+    seen = set()
+    for label, profile, grid in line_search_cases():
+        if not label.startswith("max-min"):
+            continue
+        wvals = profile.matrix(grid).sum(axis=1)
+        for start in (int(np.argmax(wvals)), int(np.argmin(wvals))):
+            q0 = grid.share(start)
+            _, _, steps = serial_refine(profile, grid, q0, max_sweeps=30)
+            trials.clear()
+            with monkeypatch.context() as m:
+                m.setattr(pc.UtilityProfile, "_evaluate", recorded)
+                _refine_shares(profile, grid, q0)
+            # The starting point, then per block the full step alone, and
+            # the other 46 steps as one stack only when the halving search
+            # did not stop at the full step.
+            expected = [1] + [t for step in steps for t in ([1] if step == 1.0 else [1, 46])]
+            assert trials == expected, (label, start)
+            seen.update(step == 1.0 for step in steps)
+    assert seen == {True, False}
+
+
 def test_batched_line_search_breaks_prior_ties_at_the_lowest_index(monkeypatch):
     monkeypatch.setattr(sys.modules[_refine_shares.__module__], "MAX_SWEEPS", 30)
     # At the vertex where the max-min agent holds no share in any class its
@@ -763,3 +793,28 @@ def test_row_wise_projection_matches_the_vector_projection():
         assert g.tobytes() == serial_project(row).tobytes()
     stack = _project_simplex(rows[:30].reshape(2, 15, 4))
     assert stack.tobytes() == batched[:30].tobytes()
+    # No u_k + (1 - css_k) / k is positive in the last row: lam is taken at k = n.
+    float_rows = np.concatenate([rows, np.tile(one_agent, 4), [[1e17, 1e17, -3.0, 0.0]]])
+    for row, got in zip(float_rows, _project_simplex(float_rows)):
+        assert np.array(_project_row(row.tolist())).tobytes() == got.tobytes(), row
+
+
+# Rows of n = 1..6 entries: drawn up to +-1e8 (a gradient times a step at
+# large units), drawn from a few values so that entries tie (signed zeros
+# among them), or drawn on the simplex.
+_entries = st.floats(-1e8, 1e8, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0, 0.5])
+_rows = st.one_of(
+    st.lists(_entries, min_size=1, max_size=6),
+    st.lists(_entries, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=6)),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6)
+      .filter(lambda w: sum(w) > 0.0)
+      .map(lambda w: (np.array(w) / np.sum(w)).tolist()),
+)
+
+
+@given(_rows)
+@settings(max_examples=400, deadline=None)
+def test_float_row_projection_matches_the_numpy_projection_bit_for_bit(row):
+    got = np.array(_project_row(row))
+    assert got.tobytes() == _project_simplex(np.array(row)).tobytes(), row
