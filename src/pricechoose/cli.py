@@ -2,8 +2,8 @@
 and explain a written report.
 
 Exit codes: 0 all invariant checks pass, 2 validation failure (for
-``explain``, a file that is not a report of the current schema), 3 at least
-one invariant violated.
+``explain``, a file that is not a report of the current schema or lacks a
+field it reads), 3 at least one invariant violated.
 """
 
 from __future__ import annotations
@@ -141,11 +141,38 @@ def _closeness(check: dict) -> float:
     return value / tol if tol > 0 else math.inf
 
 
+# The fields ``explain`` reads, as key paths; "*" is every entry of a list.
+_EXPLAINED_FIELDS = (
+    "scenario.name", "grid.n_points", "grid.resolution", "welfare.value",
+    "welfare.method", "surplus.averages.*", "calibration.lipschitz_scan",
+    "audits.first_mover.ties",
+    *(f"agents.*.{key}" for key in ("agent", "avg", "mechanism_payoff", "final_payoff")),
+    *(f"invariants.*.{key}" for key in ("name", "passed", "value", "tol", "detail")),
+)
+_CLOSED_FORM_FIELDS = ("closed_form.value", "closed_form.lam", "closed_form.grid_value_gap")
+
+
+def _lacks(node, keys: list[str]) -> bool:
+    """Whether ``node`` misses the key path ``keys``: a dict key at each
+    step, and at "*" a list whose every entry has the rest of the path."""
+    if not keys:
+        return False
+    key, rest = keys[0], keys[1:]
+    if key == "*":
+        return not isinstance(node, list) or any(_lacks(item, rest) for item in node)
+    return not isinstance(node, dict) or key not in node or _lacks(node[key], rest)
+
+
 def _cmd_explain(args) -> int:
     """The readable view of a compact report: the run's summary, every
     invariant record with failures first and then the tightest value / tol,
-    the Lipschitz scan and the welfare tie count."""
+    the Lipschitz scan and the welfare tie count.  A report that lacks a
+    field it reads is refused before anything is printed."""
     report = load_report(args.report)
+    fields = _EXPLAINED_FIELDS + (_CLOSED_FORM_FIELDS if report.get("closed_form") else ())
+    gaps = [f for f in fields if _lacks(report, f.split("."))]
+    if gaps:
+        raise ValidationError([f"{args.report} lacks {f}" for f in gaps])
     _print_summary(report)
     checks = report["invariants"]
     print("invariants, failures first, then tightest value / tol:")

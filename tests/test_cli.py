@@ -690,15 +690,45 @@ def test_explain_lists_a_planted_failure_first(tmp_path, capsys):
     assert all(line.startswith("ok ") for line in lines[1:])
 
 
+def truncated(stem: str, *keys):
+    """The text of the bundled report ``stem`` without the field at the key
+    path ``keys``, an int key a list index, as a parameter named by it."""
+    doc = json.loads(next(p for p in BUNDLED_REPORTS if p.stem == stem).read_text())
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    del node[keys[-1]]
+    return pytest.param(structured_text(doc), id="lacks-" + ".".join(map(str, keys)))
+
+
+MAXMIN_RUN = "four-agent-maxmin-single.run"
+
+
 @pytest.mark.parametrize("text", [
     "not a report {",
     json.dumps({"schema": "pnc-report/v2", "invariants": []}),
     json.dumps(["pnc-report/v3"]),
     None,
+    # A v3 report that lacks a field explain reads, in the summary, among
+    # the records or after them.
+    truncated(MAXMIN_RUN, "scenario", "name"),
+    truncated(MAXMIN_RUN, "grid"),
+    truncated(MAXMIN_RUN, "welfare"),
+    truncated(MAXMIN_RUN, "agents"),
+    truncated(MAXMIN_RUN, "agents", 2, "avg"),
+    truncated(MAXMIN_RUN, "surplus", "averages"),
+    truncated(MAXMIN_RUN, "invariants"),
+    *(truncated(MAXMIN_RUN, "invariants", 3, key)
+      for key in ("name", "passed", "value", "tol", "detail")),
+    truncated(MAXMIN_RUN, "calibration"),
+    truncated(MAXMIN_RUN, "calibration", "lipschitz_scan"),
+    truncated(MAXMIN_RUN, "audits", "first_mover", "ties"),
+    truncated("hurricane-three-farmers.run", "closed_form", "lam"),
 ])
 def test_explain_refuses_what_is_not_a_v3_report(tmp_path, capsys, text):
-    """Garbage, a v2 report, JSON that is not an object, and a missing file
-    exit 2 with a validation error."""
+    """Garbage, a v2 report, JSON that is not an object, a missing file and
+    a truncated v3 report exit 2 with a validation error, before printing
+    anything."""
     path = tmp_path / "report.json"
     if text is not None:
         path.write_text(text)
