@@ -25,9 +25,9 @@ halving search from step 1 stops at.  ``MenuGrid.payoffs`` turns a
 (m x R x T) payoffs: the short axes (states, every agent's prior rows) lead
 and the trial axis is contiguous, so the max over states and the min over
 an agent's priors are elementwise ops on whole planes rather than one short
-numpy reduce per row.  They are evaluated by ``UtilityProfile._evaluate``, the entry
-behind every utility value (points, grids, the report's checks), so each
-trial gets the floats of a one-allocation evaluation, alone or in a stack,
+numpy reduce per row.  They are evaluated by ``UtilityProfile._evaluate``,
+the entry behind every utility value (points, grids, the report's checks),
+so each trial gets the floats of a one-allocation evaluation, alone or in a stack,
 and ``_project_row`` gives a row the floats ``_project_simplex`` gives it
 in any stack.  The tilts that the next gradient reads come from the
 accepted trial's row of the kernel's tilt table, so the refined shares
@@ -112,11 +112,12 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 def _project_row(v: list[float]) -> list[float]:
     """``_project_simplex`` of one row without NaN, in Python floats: the
     same IEEE operations in the same order, so the same floats, without the
-    dozen numpy calls, which cost as much for one row as for a stack.  ``total`` is the cumulative sum from 0.0 and ``shift`` is
-    (1 - css_k) / k; lam is the shift at the last k where u_k + shift > 0,
-    or at k = n when there is none, as numpy's ``count`` falls back.  Tied
-    entries may sort in another order and a sum may start from +0.0: that
-    only moves the sign of a zero partial sum, which 1 - total erases."""
+    dozen numpy calls, which cost as much for one row as for a stack.
+    ``total`` is the cumulative sum from 0.0 and ``shift`` is (1 - css_k) / k;
+    lam is the shift at the last k where u_k + shift > 0, or at k = n when
+    there is none, as numpy's ``count`` falls back.  Tied entries may sort
+    in another order and a sum may start from +0.0: that only moves the sign
+    of a zero partial sum, which 1 - total erases."""
     total, lam = 0.0, None
     for k, a in enumerate(sorted(v, reverse=True), 1):
         total += a
